@@ -2,8 +2,10 @@
 // families (graph-adjacency-squared, sampled-GNN-frontier) plus an
 // Erdős–Rényi control. Two deterministic comparisons:
 //
-//   * accumulator family — hash-map vs sort-based numeric phase must be
-//     bitwise identical (wall-clock is reported but never gated on);
+//   * accumulator family — hash-map, sort-based and auto_select (the
+//     dense accumulator on these narrow operands) must be bitwise
+//     identical; wall-clock and auto's row histogram are reported but
+//     never gated on;
 //   * reorder effectiveness — the simulated Gustavson kernel's B-row
 //     L2 hit rate and roofline time with A's rows processed in the
 //     paper's RR order vs natural order. On the clustered families the
@@ -103,8 +105,8 @@ struct Row {
   index_t rows = 0;
   offset_t nnz = 0, out_nnz = 0;
   double flops = 0.0;
-  std::uint64_t hash_rows = 0, sort_rows = 0;
-  double hash_ms = 0.0, sort_ms = 0.0;  ///< informational only
+  std::uint64_t hash_rows = 0, sort_rows = 0, dense_rows = 0;  ///< auto_select's choices
+  double hash_ms = 0.0, sort_ms = 0.0, auto_ms = 0.0;           ///< informational only
   bool bitwise_equal = false;
   bool reordered_plan = false;
   gpusim::SimResult natural, reordered;
@@ -135,8 +137,10 @@ std::string to_json(const std::vector<Row>& rows, std::size_t l2_bytes) {
         .field("flops", r.flops)
         .field("hash_rows", r.hash_rows)
         .field("sort_rows", r.sort_rows)
+        .field("dense_rows", r.dense_rows)
         .field("hash_ms", r.hash_ms)
         .field("sort_ms", r.sort_ms)
+        .field("auto_ms", r.auto_ms)
         .field("bitwise_equal", r.bitwise_equal)
         .field("reordered_plan", r.reordered_plan)
         .field("natural_time_s", r.natural.time_s)
@@ -191,11 +195,14 @@ int main() {
     r.flops = sym.flops;
     {
       // Auto-select histogram over the same product (numeric only).
+      t0 = Clock::now();
       sparse::CsrMatrix c_auto = spgemm::multiply(s.matrix, s.matrix, auto_cfg, &counts);
+      r.auto_ms = ms_since(t0);
       r.bitwise_equal = r.bitwise_equal && c_auto == c_hash && sym.rowptr == c_auto.rowptr();
     }
     r.hash_rows = counts.hash_rows;
     r.sort_rows = counts.sort_rows;
+    r.dense_rows = counts.dense_rows;
 
     // Reorder effectiveness through the traffic model. The processing
     // order composes both rounds: round 1's physical permutation and
@@ -213,15 +220,16 @@ int main() {
   std::vector<std::vector<std::string>> table;
   for (const Row& r : rows) {
     table.push_back({r.name, r.family, std::to_string(r.rows), std::to_string(r.out_nnz),
-                     std::to_string(r.hash_rows), std::to_string(r.sort_rows),
                      harness::fmt(r.hash_ms, 2), harness::fmt(r.sort_ms, 2),
+                     harness::fmt(r.auto_ms, 2), std::to_string(r.hash_rows),
+                     std::to_string(r.sort_rows), std::to_string(r.dense_rows),
                      harness::fmt(100.0 * r.hit_rate(r.natural), 1),
                      harness::fmt(100.0 * r.hit_rate(r.reordered), 1),
                      harness::fmt(r.speedup(), 3)});
   }
-  std::printf("%s\n", harness::render_table({"matrix", "family", "rows", "out_nnz", "hash_rows",
-                                             "sort_rows", "hash_ms", "sort_ms", "nat_hit%",
-                                             "rr_hit%", "speedup"},
+  std::printf("%s\n", harness::render_table({"matrix", "family", "rows", "out_nnz", "hash_ms",
+                                             "sort_ms", "auto_ms", "auto_hash", "auto_sort",
+                                             "auto_dense", "nat_hit%", "rr_hit%", "speedup"},
                                             table)
                           .c_str());
 

@@ -400,6 +400,7 @@ void ShardedExecutor::spgemm(runtime::WorkerPool& pool, const core::ExecutionPla
           metrics->shards_executed.fetch_add(1, std::memory_order_relaxed);
           metrics->spgemm_rows_hash.fetch_add(local.hash_rows, std::memory_order_relaxed);
           metrics->spgemm_rows_sort.fetch_add(local.sort_rows, std::memory_order_relaxed);
+          metrics->spgemm_rows_dense.fetch_add(local.dense_rows, std::memory_order_relaxed);
         }
       } catch (const fault::injected_fault&) {
         if (metrics) {

@@ -208,6 +208,7 @@ void parallel_spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const Cs
     if (metrics) {
       metrics->spgemm_rows_hash.fetch_add(local.hash_rows, std::memory_order_relaxed);
       metrics->spgemm_rows_sort.fetch_add(local.sort_rows, std::memory_order_relaxed);
+      metrics->spgemm_rows_dense.fetch_add(local.dense_rows, std::memory_order_relaxed);
     }
   };
 

@@ -114,6 +114,7 @@ std::string Metrics::to_json() const {
   os << "\"spgemm_output_nnz\":" << get(spgemm_output_nnz) << ",";
   os << "\"spgemm_rows_hash\":" << get(spgemm_rows_hash) << ",";
   os << "\"spgemm_rows_sort\":" << get(spgemm_rows_sort) << ",";
+  os << "\"spgemm_rows_dense\":" << get(spgemm_rows_dense) << ",";
   os << "\"spgemm_degradations\":" << get(spgemm_degradations) << ",";
   os << "\"faults_injected\":" << get(faults_injected) << ",";
   os << "\"shard_failures\":" << get(shard_failures) << ",";

@@ -166,9 +166,11 @@ struct Metrics {
   /// Output nonzeros produced by instrumented SpGEMM executions.
   std::atomic<std::uint64_t> spgemm_output_nnz{0};
   /// Accumulator-choice histogram: output rows accumulated via the hash
-  /// map vs the sort-based accumulator (successful executions only).
+  /// map, the sort-based or the dense accumulator (successful executions
+  /// only).
   std::atomic<std::uint64_t> spgemm_rows_hash{0};
   std::atomic<std::uint64_t> spgemm_rows_sort{0};
+  std::atomic<std::uint64_t> spgemm_rows_dense{0};
   /// SpGEMM requests that fell back to the sequential sort-based
   /// multiply after retries/failover were exhausted.
   std::atomic<std::uint64_t> spgemm_degradations{0};

@@ -25,19 +25,29 @@ void check_shapes(const CsrMatrix& a, const CsrMatrix& b, const char* what) {
   }
 }
 
+/// Per-row choice between the sort and hash accumulators (wide B, or a
+/// pinned configuration).
 Accumulator resolve(const SpgemmConfig& cfg, offset_t upper_bound) {
   if (cfg.accumulator != Accumulator::auto_select) return cfg.accumulator;
   return upper_bound <= cfg.sort_threshold ? Accumulator::sort : Accumulator::hash;
 }
 
+/// The calling thread's dense scratch, prepared for `cols` columns.
+/// Capacity persists across calls on a thread; contents do not.
+DenseAccumulator& dense_scratch(index_t cols) {
+  thread_local DenseAccumulator acc;
+  acc.prepare(cols);
+  return acc;
+}
+
 /// Emits row `out_row`'s contributions — A's row walked in storage
 /// (ascending-j) order, each B row in storage (ascending-c) order — into
-/// `acc`. This order is the determinism anchor: every accumulator and
-/// every re-execution sees the identical contribution stream.
+/// `acc`, which the caller has reset for this row. This order is the
+/// determinism anchor: every accumulator and every re-execution sees the
+/// identical contribution stream.
 template <typename Acc>
-offset_t accumulate_row(const CsrMatrix& a, const CsrMatrix& b, index_t out_row,
-                        offset_t upper_bound, Acc& acc, index_t* cols_out, value_t* vals_out) {
-  acc.reset(upper_bound);
+offset_t accumulate_row(const CsrMatrix& a, const CsrMatrix& b, index_t out_row, Acc& acc,
+                        index_t* cols_out, value_t* vals_out) {
   const auto acols = a.row_cols(out_row);
   const auto avals = a.row_vals(out_row);
   for (std::size_t t = 0; t < acols.size(); ++t) {
@@ -64,8 +74,19 @@ offset_t row_upper_bound(const CsrMatrix& a, const CsrMatrix& b, index_t row) {
 void symbolic_rows(const CsrMatrix& a, const CsrMatrix& b, offset_t* counts, index_t row_begin,
                    index_t row_end, const SpgemmConfig& cfg) {
   if (cfg.probes) fault::hit(fault::points::kSpgemmSymbolic);
-  // Gather-sort-unique per row: deterministic and accumulator-agnostic,
-  // so the symbolic structure never depends on the numeric configuration.
+  // Accumulator-agnostic, so the symbolic structure never depends on the
+  // numeric configuration. Narrow B: set a bit per product and popcount
+  // the touched words. Wide B: gather-sort-unique per row.
+  if (b.cols() <= kDenseMaxCols) {
+    DenseAccumulator& acc = dense_scratch(b.cols());
+    for (index_t i = row_begin; i < row_end; ++i) {
+      for (const index_t j : a.row_cols(i)) {
+        for (const index_t c : b.row_cols(j)) acc.mark(c);
+      }
+      counts[i - row_begin] = acc.count();
+    }
+    return;
+  }
   std::vector<index_t> scratch;
   for (index_t i = row_begin; i < row_end; ++i) {
     scratch.clear();
@@ -97,19 +118,28 @@ void numeric_rows(const CsrMatrix& a, const CsrMatrix& b, const std::vector<offs
                   const SpgemmConfig& cfg, const std::vector<index_t>* row_order,
                   AccumulatorCounts* counts) {
   if (cfg.probes) fault::hit(fault::points::kSpgemmAccumulate);
+  DenseAccumulator* dense = cfg.accumulator == Accumulator::auto_select &&
+                                    b.cols() <= kDenseMaxCols
+                                ? &dense_scratch(b.cols())
+                                : nullptr;
   HashAccumulator hash;
   SortAccumulator sort;
   for (index_t p = row_begin; p < row_end; ++p) {
     const index_t r = row_order ? (*row_order)[static_cast<std::size_t>(p)] : p;
     const offset_t base = rowptr[static_cast<std::size_t>(r)];
     const offset_t expect = rowptr[static_cast<std::size_t>(r) + 1] - base;
-    const offset_t ub = row_upper_bound(a, b, r);
     offset_t n;
-    if (resolve(cfg, ub) == Accumulator::sort) {
-      n = accumulate_row(a, b, r, ub, sort, colidx + base, values + base);
+    if (dense) {
+      n = accumulate_row(a, b, r, *dense, colidx + base, values + base);
+      if (counts) ++counts->dense_rows;
+    } else if (const offset_t ub = row_upper_bound(a, b, r);
+               resolve(cfg, ub) == Accumulator::sort) {
+      sort.reset(ub);
+      n = accumulate_row(a, b, r, sort, colidx + base, values + base);
       if (counts) ++counts->sort_rows;
     } else {
-      n = accumulate_row(a, b, r, ub, hash, colidx + base, values + base);
+      hash.reset(ub);
+      n = accumulate_row(a, b, r, hash, colidx + base, values + base);
       if (counts) ++counts->hash_rows;
     }
     if (n != expect) {

@@ -6,8 +6,8 @@
 //               ∪_{j∈A_i} B_j), prefix-summed into C's rowptr, so the
 //               output arrays are allocated exactly once;
 //   numeric   — fills each row's colidx/values segment through a row
-//               accumulator (accumulators.hpp): hash-map or sort-based,
-//               selected per row by SpgemmConfig.
+//               accumulator (accumulators.hpp): dense bitmap, hash-map or
+//               sort-based, selected by SpgemmConfig.
 //
 // Determinism contract (mirrors the kernels/ row-range ABI): every
 // numeric entry point writes its target rows' segments completely and
@@ -35,18 +35,22 @@ namespace rrspmm::spgemm {
 
 using sparse::CsrMatrix;
 
-/// Row accumulator selection. auto_select picks per row by the row's
-/// upper-bound contribution count (≤ sort_threshold → sort, else hash) —
-/// a pure function of the input structure, so the choice is identical on
-/// every thread/shard and never affects result bits, only speed.
+/// Row accumulator selection. auto_select uses the dense accumulator
+/// when B has at most kDenseMaxCols columns; on wider B it picks per row
+/// by the row's upper-bound contribution count (≤ sort_threshold → sort,
+/// else hash). Either way the choice is a pure function of the input
+/// structure, so it is identical on every thread/shard and never affects
+/// result bits, only speed.
 enum class Accumulator : std::uint8_t {
   hash = 0,
   sort = 1,
   auto_select = 2,
 };
 
-/// Resolved accumulator kinds (auto_select resolves to one of these).
-inline constexpr std::size_t kAccumulatorKinds = 2;
+/// Widest B the dense accumulator (and the bitmap symbolic pass) takes:
+/// 256 KiB of values plus an 8 KiB column bitmap per thread, small
+/// enough to stay cache-resident.
+inline constexpr index_t kDenseMaxCols = index_t{1} << 16;
 
 const char* to_string(Accumulator a);
 
@@ -73,11 +77,11 @@ struct SymbolicResult {
 struct AccumulatorCounts {
   std::uint64_t hash_rows = 0;
   std::uint64_t sort_rows = 0;
+  std::uint64_t dense_rows = 0;
 };
 
 /// Upper-bound contribution count of output row `row`: Σ_{j∈A_row} |B_j|.
-/// The quantity auto_select decides on and the symbolic scratch is sized
-/// by.
+/// The quantity auto_select decides on for wide B.
 offset_t row_upper_bound(const CsrMatrix& a, const CsrMatrix& b, index_t row);
 
 /// Symbolic row range: writes the exact output count of rows

@@ -111,13 +111,12 @@ TEST(PlanIo, LoadedPlanComputesIdenticalResults) {
 }
 
 TEST(PlanIo, FileRoundTrip) {
-  const std::string path = "/tmp/rrspmm_plan_test.bin";
+  const test::TempFile file("plan_test.bin");
   const auto m = subject_matrix();
   const ExecutionPlan plan = build_plan(m, small_cfg());
-  core::save_plan(plan, path);
-  const ExecutionPlan loaded = core::load_plan(path);
+  core::save_plan(plan, file.path);
+  const ExecutionPlan loaded = core::load_plan(file.path);
   EXPECT_EQ(loaded.row_perm, plan.row_perm);
-  std::remove(path.c_str());
 }
 
 TEST(PlanIo, RejectsWrongMagic) {
@@ -152,7 +151,7 @@ TEST(PlanIo, RejectsCorruptedPermutation) {
 }
 
 TEST(PlanIo, RejectsMissingFile) {
-  EXPECT_THROW(core::load_plan("/tmp/rrspmm_no_such_plan.bin"), io_error);
+  EXPECT_THROW(core::load_plan(test::temp_path("no_such_plan.bin")), io_error);
 }
 
 core::ShardPlan sample_shard_plan() {
@@ -188,11 +187,10 @@ TEST(ShardPlanIo, ColumnModeRoundTrips) {
 }
 
 TEST(ShardPlanIo, FileRoundTrip) {
-  const std::string path = "/tmp/rrspmm_shard_plan_test.bin";
+  const test::TempFile file("shard_plan_test.bin");
   const core::ShardPlan sp = sample_shard_plan();
-  core::save_shard_plan(sp, path);
-  EXPECT_EQ(core::load_shard_plan(path), sp);
-  std::remove(path.c_str());
+  core::save_shard_plan(sp, file.path);
+  EXPECT_EQ(core::load_shard_plan(file.path), sp);
 }
 
 TEST(ShardPlanIo, RejectsWrongMagicAndTruncation) {

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "harness/render.hpp"
 #include "harness/stats.hpp"
+#include "test_util.hpp"
 
 namespace rrspmm {
 namespace {
@@ -115,9 +115,9 @@ TEST(Render, ScatterPlacesQuadrants) {
 }
 
 TEST(Render, CsvQuotesSpecialCharacters) {
-  const std::string path = "/tmp/rrspmm_csv_test.csv";
-  write_csv(path, {"a", "b"}, {{"plain", "has,comma"}, {"has\"quote", "x"}});
-  std::ifstream f(path);
+  const test::TempFile file("csv_test.csv");
+  write_csv(file.path, {"a", "b"}, {{"plain", "has,comma"}, {"has\"quote", "x"}});
+  std::ifstream f(file.path);
   std::string header, r1, r2;
   std::getline(f, header);
   std::getline(f, r1);
@@ -125,7 +125,6 @@ TEST(Render, CsvQuotesSpecialCharacters) {
   EXPECT_EQ(header, "a,b");
   EXPECT_EQ(r1, "plain,\"has,comma\"");
   EXPECT_EQ(r2, "\"has\"\"quote\",x");
-  std::remove(path.c_str());
 }
 
 TEST(Render, FmtPrecision) {

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "harness/cache.hpp"
 #include "synth/corpus.hpp"
+#include "test_util.hpp"
 
 namespace rrspmm {
 namespace {
@@ -23,13 +23,12 @@ std::vector<MatrixRecord> tiny_records() {
   return harness::run_experiment(synth::build_test_corpus(), tiny_cfg());
 }
 
-const char* kPath = "/tmp/rrspmm_cache_test.txt";
-
 TEST(Cache, SaveLoadRoundTripsEveryField) {
+  const test::TempFile file("cache_test.txt");
   const auto records = tiny_records();
   const std::string fp = "test-fingerprint";
-  harness::save_records(kPath, fp, records);
-  const auto loaded = harness::load_records(kPath, fp);
+  harness::save_records(file.path, fp, records);
+  const auto loaded = harness::load_records(file.path, fp);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -54,36 +53,35 @@ TEST(Cache, SaveLoadRoundTripsEveryField) {
     }
     ASSERT_EQ(a.sddmm.size(), b.sddmm.size());
   }
-  std::remove(kPath);
 }
 
 TEST(Cache, FingerprintMismatchInvalidates) {
-  harness::save_records(kPath, "fp-a", tiny_records());
-  EXPECT_FALSE(harness::load_records(kPath, "fp-b").has_value());
-  EXPECT_TRUE(harness::load_records(kPath, "fp-a").has_value());
-  std::remove(kPath);
+  const test::TempFile file("cache_test.txt");
+  harness::save_records(file.path, "fp-a", tiny_records());
+  EXPECT_FALSE(harness::load_records(file.path, "fp-b").has_value());
+  EXPECT_TRUE(harness::load_records(file.path, "fp-a").has_value());
 }
 
 TEST(Cache, MissingFileReturnsEmpty) {
-  EXPECT_FALSE(harness::load_records("/tmp/rrspmm_definitely_missing.txt", "x").has_value());
+  EXPECT_FALSE(harness::load_records(test::temp_path("definitely_missing.txt"), "x").has_value());
 }
 
 TEST(Cache, CorruptedFileReturnsEmpty) {
+  const test::TempFile file("cache_test.txt");
   {
-    std::ofstream f(kPath);
+    std::ofstream f(file.path);
     f << "RRSPMM_CACHE v2\nfp\n3\ngarbage";
   }
-  EXPECT_FALSE(harness::load_records(kPath, "fp").has_value());
-  std::remove(kPath);
+  EXPECT_FALSE(harness::load_records(file.path, "fp").has_value());
 }
 
 TEST(Cache, WrongMagicReturnsEmpty) {
+  const test::TempFile file("cache_test.txt");
   {
-    std::ofstream f(kPath);
+    std::ofstream f(file.path);
     f << "SOMETHING ELSE\nfp\n0\n";
   }
-  EXPECT_FALSE(harness::load_records(kPath, "fp").has_value());
-  std::remove(kPath);
+  EXPECT_FALSE(harness::load_records(file.path, "fp").has_value());
 }
 
 TEST(Cache, FingerprintCoversEveryKnob) {

@@ -3,7 +3,6 @@
 // serialise both runs with the same fingerprint and compare the files.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +12,7 @@
 #include "harness/cache.hpp"
 #include "harness/experiment.hpp"
 #include "synth/corpus.hpp"
+#include "test_util.hpp"
 
 namespace rrspmm {
 namespace {
@@ -63,16 +63,13 @@ TEST(HarnessParallel, RecordsAreByteIdenticalToSequentialRun) {
     EXPECT_EQ(seq[i].name, par[i].name) << "record order must follow corpus index";
   }
 
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto seq_path = dir / "rrspmm_test_records_seq.bin";
-  const auto par_path = dir / "rrspmm_test_records_par.bin";
-  harness::save_records(seq_path.string(), "parallel-determinism", seq);
-  harness::save_records(par_path.string(), "parallel-determinism", par);
+  const test::TempFile seq_file("records_seq.bin");
+  const test::TempFile par_file("records_par.bin");
+  harness::save_records(seq_file.path, "parallel-determinism", seq);
+  harness::save_records(par_file.path, "parallel-determinism", par);
 
-  const std::string seq_bytes = slurp(seq_path);
-  const std::string par_bytes = slurp(par_path);
-  std::filesystem::remove(seq_path);
-  std::filesystem::remove(par_path);
+  const std::string seq_bytes = slurp(seq_file.path);
+  const std::string par_bytes = slurp(par_file.path);
 
   ASSERT_FALSE(seq_bytes.empty());
   EXPECT_EQ(seq_bytes, par_bytes)

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -96,7 +95,7 @@ TEST(IoBuilder, PeakStagingStaysNearBudget) {
 }
 
 TEST(IoBuilder, FinishToRrsbMatchesResidentBuild) {
-  const std::string path = "/tmp/rrspmm_test_iobuilder.rrsb";
+  const test::TempFile file("iobuilder.rrsb");
   const index_t rows = 150, cols = 70;
   const auto entries = arrival(rows, cols, 4000, 6);
   const CsrMatrix ref = reference(rows, cols, entries);
@@ -104,10 +103,9 @@ TEST(IoBuilder, FinishToRrsbMatchesResidentBuild) {
   cfg.budget_bytes = 2048;
   io::StreamingCsrBuilder b(rows, cols, cfg);
   b.add_entries(entries);
-  b.finish_to_rrsb(path, /*block_rows=*/32);
-  const io::RrsbReader shard(path);
+  b.finish_to_rrsb(file.path, /*block_rows=*/32);
+  const io::RrsbReader shard(file.path);
   EXPECT_EQ(shard.read_range(0, shard.rows()), ref);
-  std::remove(path.c_str());
 }
 
 TEST(IoBuilder, RejectsOutOfRangeEntries) {

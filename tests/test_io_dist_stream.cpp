@@ -4,7 +4,6 @@
 // bit — sequentially, on a pool, and with more devices than blocks.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "dist/stream.hpp"
@@ -20,8 +19,6 @@ namespace {
 using sparse::CsrMatrix;
 using sparse::DenseMatrix;
 
-const std::string kPath = "/tmp/rrspmm_test_iodist.rrsb";
-
 DenseMatrix dense_x(index_t rows, index_t cols) {
   DenseMatrix x(rows, cols);
   for (index_t i = 0; i < rows; ++i) {
@@ -33,9 +30,10 @@ DenseMatrix dense_x(index_t rows, index_t cols) {
 }
 
 TEST(IoDist, PlanCoversRowsAtBlockBoundaries) {
+  const test::TempFile file("iodist.rrsb");
   const CsrMatrix m = synth::chung_lu(300, 120, 9.0, 2.3, 11);
-  io::write_rrsb(m, kPath, 32);
-  const io::RrsbReader shard(kPath);
+  io::write_rrsb(m, file.path, 32);
+  const io::RrsbReader shard(file.path);
   for (const int devices : {1, 2, 3, 7}) {
     const core::ShardPlan plan = dist::plan_stream_rows(shard, devices);
     EXPECT_NO_THROW(plan.validate());
@@ -52,9 +50,10 @@ TEST(IoDist, PlanCoversRowsAtBlockBoundaries) {
 }
 
 TEST(IoDist, PlanBalancesNnzAcrossDevices) {
+  const test::TempFile file("iodist.rrsb");
   const CsrMatrix m = synth::erdos_renyi(4096, 256, 32768, 12);
-  io::write_rrsb(m, kPath, 64);
-  const io::RrsbReader shard(kPath);
+  io::write_rrsb(m, file.path, 64);
+  const io::RrsbReader shard(file.path);
   const core::ShardPlan plan = dist::plan_stream_rows(shard, 4);
   // Uniform nnz and 64 cut points: every shard within 2 blocks' worth
   // of the ideal quarter.
@@ -67,9 +66,10 @@ TEST(IoDist, PlanBalancesNnzAcrossDevices) {
 }
 
 TEST(IoDist, StreamedSpmmMatchesResidentKernel) {
+  const test::TempFile file("iodist.rrsb");
   const CsrMatrix m = synth::chung_lu(257, 96, 8.0, 2.4, 13);
-  io::write_rrsb(m, kPath, 32);
-  const io::RrsbReader shard(kPath);
+  io::write_rrsb(m, file.path, 32);
+  const io::RrsbReader shard(file.path);
   const DenseMatrix x = dense_x(m.cols(), 17);
 
   DenseMatrix want(m.rows(), x.cols());
@@ -88,9 +88,10 @@ TEST(IoDist, StreamedSpmmMatchesResidentKernel) {
 }
 
 TEST(IoDist, PooledExecutionIsBitwiseEqual) {
+  const test::TempFile file("iodist.rrsb");
   const CsrMatrix m = synth::erdos_renyi(500, 80, 6000, 14);
-  io::write_rrsb(m, kPath, 64);
-  const io::RrsbReader shard(kPath);
+  io::write_rrsb(m, file.path, 64);
+  const io::RrsbReader shard(file.path);
   const DenseMatrix x = dense_x(m.cols(), 9);
   const core::ShardPlan plan = dist::plan_stream_rows(shard, 4);
 
@@ -107,9 +108,10 @@ TEST(IoDist, PooledExecutionIsBitwiseEqual) {
 }
 
 TEST(IoDist, MoreDevicesThanBlocksLeavesEmptyShards) {
+  const test::TempFile file("iodist.rrsb");
   const CsrMatrix m = synth::erdos_renyi(40, 20, 200, 15);
-  io::write_rrsb(m, kPath, 32);  // 2 blocks
-  const io::RrsbReader shard(kPath);
+  io::write_rrsb(m, file.path, 32);  // 2 blocks
+  const io::RrsbReader shard(file.path);
   const core::ShardPlan plan = dist::plan_stream_rows(shard, 6);
   EXPECT_NO_THROW(plan.validate());
 
@@ -126,9 +128,10 @@ TEST(IoDist, MoreDevicesThanBlocksLeavesEmptyShards) {
 }
 
 TEST(IoDist, RejectsMismatchedOperandsAndPlans) {
+  const test::TempFile file("iodist.rrsb");
   const CsrMatrix m = synth::erdos_renyi(64, 32, 300, 16);
-  io::write_rrsb(m, kPath, 32);
-  const io::RrsbReader shard(kPath);
+  io::write_rrsb(m, file.path, 32);
+  const io::RrsbReader shard(file.path);
   const core::ShardPlan plan = dist::plan_stream_rows(shard, 2);
 
   DenseMatrix x(m.cols(), 4), y(m.rows(), 4);
@@ -140,7 +143,6 @@ TEST(IoDist, RejectsMismatchedOperandsAndPlans) {
   core::ShardPlan col_plan = plan;
   col_plan.mode = core::ShardMode::column;
   EXPECT_THROW(dist::sharded_spmm_stream(shard, x, y, col_plan), sparse::invalid_matrix);
-  std::remove(kPath.c_str());
 }
 
 }  // namespace

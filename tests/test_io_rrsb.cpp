@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -22,8 +21,6 @@ namespace {
 
 using sparse::CsrMatrix;
 
-const std::string kPath = "/tmp/rrspmm_test_iorrsb.rrsb";
-
 CsrMatrix sample(index_t rows = 257, index_t cols = 64) {
   return synth::erdos_renyi(rows, cols, static_cast<offset_t>(rows) * 6, 42);
 }
@@ -37,9 +34,10 @@ void flip_byte(const std::string& path, std::streamoff off, bool from_end = fals
 }
 
 TEST(IoRrsb, RoundTripsWholeMatrix) {
+  const test::TempFile file("iorrsb.rrsb");
   const CsrMatrix m = sample();
-  io::write_rrsb(m, kPath, /*block_rows=*/32);
-  const io::RrsbReader r(kPath);
+  io::write_rrsb(m, file.path, /*block_rows=*/32);
+  const io::RrsbReader r(file.path);
   EXPECT_EQ(r.rows(), m.rows());
   EXPECT_EQ(r.cols(), m.cols());
   EXPECT_EQ(r.nnz(), m.nnz());
@@ -47,9 +45,10 @@ TEST(IoRrsb, RoundTripsWholeMatrix) {
 }
 
 TEST(IoRrsb, SlicesMatchResidentRows) {
+  const test::TempFile file("iorrsb.rrsb");
   const CsrMatrix m = sample();
-  io::write_rrsb(m, kPath, 32);
-  const io::RrsbReader r(kPath);
+  io::write_rrsb(m, file.path, 32);
+  const io::RrsbReader r(file.path);
   // Within a block, across block seams, block-aligned, and the ragged
   // final block (257 rows at block_rows 32).
   const std::pair<index_t, index_t> ranges[] = {{3, 7}, {30, 70}, {64, 96}, {250, 257}, {0, 1}};
@@ -67,9 +66,10 @@ TEST(IoRrsb, SlicesMatchResidentRows) {
 }
 
 TEST(IoRrsb, IndexArithmeticIsConsistent) {
+  const test::TempFile file("iorrsb.rrsb");
   const CsrMatrix m = sample();
-  io::write_rrsb(m, kPath, 32);
-  const io::RrsbReader r(kPath);
+  io::write_rrsb(m, file.path, 32);
+  const io::RrsbReader r(file.path);
   ASSERT_EQ(r.num_blocks(), (m.rows() + 31) / 32);
   offset_t sum = 0;
   for (index_t b = 0; b < r.num_blocks(); ++b) {
@@ -81,31 +81,35 @@ TEST(IoRrsb, IndexArithmeticIsConsistent) {
 }
 
 TEST(IoRrsb, RejectsCorruptIndexAtOpen) {
-  io::write_rrsb(sample(), kPath, 32);
+  const test::TempFile file("iorrsb.rrsb");
+  io::write_rrsb(sample(), file.path, 32);
   // The index lives at the end of the file; flip a byte in it.
-  flip_byte(kPath, -4, /*from_end=*/true);
-  EXPECT_THROW(io::RrsbReader{kPath}, sparse::io_error);
+  flip_byte(file.path, -4, /*from_end=*/true);
+  EXPECT_THROW(io::RrsbReader{file.path}, sparse::io_error);
 }
 
 TEST(IoRrsb, RejectsCorruptBlockOnRead) {
-  io::write_rrsb(sample(), kPath, 32);
+  const test::TempFile file("iorrsb.rrsb");
+  io::write_rrsb(sample(), file.path, 32);
   // Blocks start right after the 64-byte header; the open-time index
   // check does not touch them, the per-load checksum does.
-  flip_byte(kPath, 80);
-  const io::RrsbReader r(kPath);
+  flip_byte(file.path, 80);
+  const io::RrsbReader r(file.path);
   EXPECT_THROW(r.read_range(0, 8), sparse::io_error);
 }
 
 TEST(IoRrsb, RejectsUnknownVersion) {
-  io::write_rrsb(sample(), kPath, 32);
-  flip_byte(kPath, 4);  // header offset 4: u32 version
-  EXPECT_THROW(io::RrsbReader{kPath}, sparse::io_error);
+  const test::TempFile file("iorrsb.rrsb");
+  io::write_rrsb(sample(), file.path, 32);
+  flip_byte(file.path, 4);  // header offset 4: u32 version
+  EXPECT_THROW(io::RrsbReader{file.path}, sparse::io_error);
 }
 
 TEST(IoRrsb, RowSourceServesRowsWithTwoBlockCache) {
+  const test::TempFile file("iorrsb.rrsb");
   const CsrMatrix m = sample();
-  io::write_rrsb(m, kPath, 32);
-  const io::RrsbReader r(kPath);
+  io::write_rrsb(m, file.path, 32);
+  const io::RrsbReader r(file.path);
   io::RrsbRowSource src(r);
   ASSERT_EQ(src.rows(), m.rows());
   for (index_t i = 0; i < m.rows(); ++i) {
@@ -124,8 +128,9 @@ TEST(IoRrsb, RowSourceServesRowsWithTwoBlockCache) {
 }
 
 TEST(IoRrsb, InjectedReadFaultDegradesToBufferedAndRetries) {
+  const test::TempFile file("iorrsb.rrsb");
   const CsrMatrix m = sample();
-  io::write_rrsb(m, kPath, 32);
+  io::write_rrsb(m, file.path, 32);
   fault::FaultPlan plan;
   plan.seed = 99;
   fault::FaultRule rule;
@@ -136,19 +141,19 @@ TEST(IoRrsb, InjectedReadFaultDegradesToBufferedAndRetries) {
   plan.rules.push_back(rule);
   fault::ScopedFaultPlan armed(std::move(plan));
 
-  const io::RrsbReader r(kPath);  // open survives the injected faults
+  const io::RrsbReader r(file.path);  // open survives the injected faults
   EXPECT_EQ(r.read_range(0, r.rows()), m);
   EXPECT_TRUE(r.buffered());  // mmap path permanently degraded
 }
 
 TEST(IoRrsb, WriterRemovesUnfinishedFile) {
+  const test::TempFile file("iorrsb.rrsb");
   const CsrMatrix m = sample(64, 16);
   {
-    io::RrsbWriter w(kPath, m.rows(), m.cols(), 32);
+    io::RrsbWriter w(file.path, m.rows(), m.cols(), 32);
     // No finish(): the partial file must not survive.
   }
-  EXPECT_THROW(io::RrsbReader{kPath}, sparse::io_error);
-  std::remove(kPath.c_str());
+  EXPECT_THROW(io::RrsbReader{file.path}, sparse::io_error);
 }
 
 }  // namespace

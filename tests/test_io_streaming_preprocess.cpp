@@ -4,7 +4,6 @@
 // scheme, and under injected faults (degrade-to-sequential).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "core/reorder_engine.hpp"
@@ -20,8 +19,6 @@ namespace rrspmm {
 namespace {
 
 using sparse::CsrMatrix;
-
-const std::string kPath = "/tmp/rrspmm_test_iostream.rrsb";
 
 CsrMatrix clustered() {
   // 48 rows per group: enough same-group band collisions that the
@@ -46,14 +43,15 @@ void expect_same(const core::ReorderResult& a, const core::ReorderResult& b) {
 }
 
 TEST(IoStreaming, MatchesResidentReorderAtEveryBlockSize) {
+  const test::TempFile file("iostream.rrsb");
   const CsrMatrix m = clustered();
   core::ReorderConfig cfg;
   cfg.threads = 1;
   const core::ReorderResult resident = core::reorder_rows(m, cfg);
   EXPECT_FALSE(resident.order.empty());
   for (const index_t block_rows : {index_t{1}, index_t{7}, index_t{64}, index_t{4096}}) {
-    io::write_rrsb(m, kPath, block_rows);
-    const io::RrsbReader shard(kPath);
+    io::write_rrsb(m, file.path, block_rows);
+    const io::RrsbReader shard(file.path);
     const core::ReorderResult streamed = io::streaming_reorder_rows(shard, cfg);
     expect_same(streamed, resident);
     EXPECT_FALSE(streamed.degraded_to_sequential);
@@ -61,20 +59,22 @@ TEST(IoStreaming, MatchesResidentReorderAtEveryBlockSize) {
 }
 
 TEST(IoStreaming, MatchesResidentWithOphSignatures) {
+  const test::TempFile file("iostream.rrsb");
   const CsrMatrix m = clustered();
   core::ReorderConfig cfg;
   cfg.threads = 1;
   cfg.lsh.scheme = lsh::MinHashScheme::kOnePermutation;
   const core::ReorderResult resident = core::reorder_rows(m, cfg);
-  io::write_rrsb(m, kPath, 48);
-  const io::RrsbReader shard(kPath);
+  io::write_rrsb(m, file.path, 48);
+  const io::RrsbReader shard(file.path);
   expect_same(io::streaming_reorder_rows(shard, cfg), resident);
 }
 
 TEST(IoStreaming, IdenticalAtEveryThreadCount) {
+  const test::TempFile file("iostream.rrsb");
   const CsrMatrix m = clustered();
-  io::write_rrsb(m, kPath, 64);
-  const io::RrsbReader shard(kPath);
+  io::write_rrsb(m, file.path, 64);
+  const io::RrsbReader shard(file.path);
   core::ReorderConfig cfg;
   const core::ReorderResult seq = io::streaming_reorder_rows(shard, cfg, nullptr);
   for (const unsigned threads : {2u, 4u}) {
@@ -86,20 +86,22 @@ TEST(IoStreaming, IdenticalAtEveryThreadCount) {
 }
 
 TEST(IoStreaming, ScatteredMatrixYieldsIdentityLikeResident) {
+  const test::TempFile file("iostream.rrsb");
   // The "too scattered" regime (paper Fig 7b): no candidate pairs, so
   // both paths return the identity order.
   const CsrMatrix m = synth::erdos_renyi(256, 256, 1024, 5);
-  io::write_rrsb(m, kPath, 64);
-  const io::RrsbReader shard(kPath);
+  io::write_rrsb(m, file.path, 64);
+  const io::RrsbReader shard(file.path);
   core::ReorderConfig cfg;
   cfg.threads = 1;
   expect_same(io::streaming_reorder_rows(shard, cfg), core::reorder_rows(m, cfg));
 }
 
 TEST(IoStreaming, InjectedFaultDegradesToSequentialBitwiseIdentical) {
+  const test::TempFile file("iostream.rrsb");
   const CsrMatrix m = clustered();
-  io::write_rrsb(m, kPath, 64);
-  const io::RrsbReader shard(kPath);
+  io::write_rrsb(m, file.path, 64);
+  const io::RrsbReader shard(file.path);
   core::ReorderConfig cfg;
   cfg.threads = 1;
   const core::ReorderResult clean = io::streaming_reorder_rows(shard, cfg);
@@ -123,19 +125,19 @@ TEST(IoStreaming, InjectedFaultDegradesToSequentialBitwiseIdentical) {
 }
 
 TEST(IoStreaming, TestCorpusSweepMatchesResident) {
+  const test::TempFile file("iostream.rrsb");
   // Every structural family, including the degenerate ones (diagonal,
   // scattered): the streamed pipeline is the resident pipeline.
   core::ReorderConfig cfg;
   cfg.threads = 1;
   for (const auto& e : synth::build_test_corpus()) {
-    io::write_rrsb(e.matrix, kPath, 96);
-    const io::RrsbReader shard(kPath);
+    io::write_rrsb(e.matrix, file.path, 96);
+    const io::RrsbReader shard(file.path);
     const core::ReorderResult resident = core::reorder_rows(e.matrix, cfg);
     const core::ReorderResult streamed = io::streaming_reorder_rows(shard, cfg);
     EXPECT_EQ(streamed.order, resident.order) << e.name;
     EXPECT_EQ(streamed.candidate_pairs, resident.candidate_pairs) << e.name;
   }
-  std::remove(kPath.c_str());
 }
 
 }  // namespace

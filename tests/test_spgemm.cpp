@@ -1,11 +1,15 @@
 // SpGEMM correctness: agreement with an independent map-based Gustavson
 // reference, structural invariants of the output, and the bitwise
-// determinism contract — identical bits across accumulator choice,
+// determinism contract — identical bits across accumulator choice
+// (hash, sort, and the dense accumulator auto_select uses on narrow B),
 // thread count, row-range partition, processing order, and the fault
 // degradation path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,6 +17,7 @@
 #include "core/pipeline.hpp"
 #include "fault/fault.hpp"
 #include "runtime/execute.hpp"
+#include "sparse/permute.hpp"
 #include "spgemm/spgemm.hpp"
 #include "synth/corpus.hpp"
 #include "synth/generators.hpp"
@@ -56,12 +61,37 @@ CsrMatrix map_reference(const CsrMatrix& a, const CsrMatrix& b) {
   return CsrMatrix(a.rows(), b.cols(), std::move(rowptr), std::move(colidx), std::move(values));
 }
 
+/// Exact output counts by gather-sort-unique per row: the symbolic
+/// reference every symbolic path must reproduce.
+std::vector<offset_t> sort_unique_rowptr(const CsrMatrix& a, const CsrMatrix& b) {
+  std::vector<offset_t> rowptr(static_cast<std::size_t>(a.rows()) + 1, 0);
+  std::vector<index_t> cols;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    cols.clear();
+    for (const index_t j : a.row_cols(i)) {
+      const auto bcols = b.row_cols(j);
+      cols.insert(cols.end(), bcols.begin(), bcols.end());
+    }
+    std::sort(cols.begin(), cols.end());
+    const auto distinct = std::unique(cols.begin(), cols.end()) - cols.begin();
+    rowptr[static_cast<std::size_t>(i) + 1] = rowptr[static_cast<std::size_t>(i)] + distinct;
+  }
+  return rowptr;
+}
+
+/// Compares value bit patterns, not float equality, so a +0.0 / -0.0
+/// mismatch fails.
 void expect_bitwise_equal(const CsrMatrix& want, const CsrMatrix& got, const std::string& what) {
   ASSERT_EQ(want.rows(), got.rows()) << what;
   ASSERT_EQ(want.cols(), got.cols()) << what;
   ASSERT_EQ(want.rowptr(), got.rowptr()) << what;
   ASSERT_EQ(want.colidx(), got.colidx()) << what;
-  ASSERT_EQ(want.values(), got.values()) << what;
+  ASSERT_EQ(want.values().size(), got.values().size()) << what;
+  for (std::size_t k = 0; k < want.values().size(); ++k) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want.values()[k]),
+              std::bit_cast<std::uint32_t>(got.values()[k]))
+        << what << " value " << k;
+  }
 }
 
 SpgemmConfig with(Accumulator acc) {
@@ -87,10 +117,82 @@ TEST(Spgemm, MatchesMapReferenceOnRectangularOperands) {
   const CsrMatrix a = synth::erdos_renyi(160, 96, 1200, 41);
   const CsrMatrix b = synth::erdos_renyi(96, 240, 1500, 42);
   const CsrMatrix want = map_reference(a, b);
-  for (const Accumulator acc : {Accumulator::hash, Accumulator::sort}) {
-    expect_bitwise_equal(want, spgemm::multiply(a, b, with(acc)),
+  for (const Accumulator acc :
+       {Accumulator::hash, Accumulator::sort, Accumulator::auto_select}) {
+    spgemm::AccumulatorCounts counts;
+    expect_bitwise_equal(want, spgemm::multiply(a, b, with(acc), &counts),
                          std::string("rect acc=") + spgemm::to_string(acc));
+    if (acc == Accumulator::auto_select) {
+      EXPECT_EQ(counts.dense_rows, static_cast<std::uint64_t>(a.rows()));  // B.cols = 240
+    }
   }
+}
+
+TEST(Spgemm, FirstContributionKeepsNegativeZero) {
+  // Row 0: column 0's only product is -1 * 0.0 = -0.0; column 1 sums
+  // -0.0 + -0.0 = -0.0. Seeding either sum with +0.0 would flip the sign.
+  const CsrMatrix a(1, 2, {0, 2}, {0, 1}, {-1.0f, 1.0f});
+  const CsrMatrix b(2, 2, {0, 2, 3}, {0, 1, 1}, {0.0f, 0.0f, -0.0f});
+  const CsrMatrix want = map_reference(a, b);
+  ASSERT_EQ(want.nnz(), 2);
+  EXPECT_TRUE(std::signbit(want.values()[0]));
+  EXPECT_TRUE(std::signbit(want.values()[1]));
+  for (const Accumulator acc :
+       {Accumulator::hash, Accumulator::sort, Accumulator::auto_select}) {
+    expect_bitwise_equal(want, spgemm::multiply(a, b, with(acc)),
+                         std::string("signed zero acc=") + spgemm::to_string(acc));
+  }
+}
+
+TEST(Spgemm, WideBFallsBackToPerRowChoice) {
+  const index_t wide = spgemm::kDenseMaxCols + 4464;
+  const CsrMatrix a = synth::erdos_renyi(48, 40, 300, 44);
+  const CsrMatrix b = synth::erdos_renyi(40, wide, 400, 45);
+  ASSERT_GT(b.cols(), spgemm::kDenseMaxCols);
+  const CsrMatrix want = map_reference(a, b);
+  EXPECT_EQ(spgemm::symbolic(a, b).rowptr, sort_unique_rowptr(a, b));
+  spgemm::AccumulatorCounts counts;
+  expect_bitwise_equal(want, spgemm::multiply(a, b, {}, &counts), "wide auto");
+  EXPECT_EQ(counts.dense_rows, 0u);
+  EXPECT_EQ(counts.hash_rows + counts.sort_rows, static_cast<std::uint64_t>(a.rows()));
+  // A low threshold sends the longer rows to the hash accumulator too.
+  SpgemmConfig low = with(Accumulator::auto_select);
+  low.sort_threshold = 8;
+  spgemm::AccumulatorCounts mixed;
+  expect_bitwise_equal(want, spgemm::multiply(a, b, low, &mixed), "wide auto low threshold");
+  EXPECT_GT(mixed.hash_rows, 0u);
+  EXPECT_EQ(mixed.dense_rows, 0u);
+}
+
+TEST(Spgemm, BitmapSymbolicMatchesSortUniqueOnCorpus) {
+  for (const auto& entry : synth::build_test_corpus()) {
+    const CsrMatrix& m = entry.matrix;
+    // Square matrices are squared; the rest multiply by their transpose.
+    const CsrMatrix b = m.rows() == m.cols() ? m : sparse::transpose(m);
+    ASSERT_LE(b.cols(), spgemm::kDenseMaxCols) << entry.name;
+    EXPECT_EQ(spgemm::symbolic(m, b).rowptr, sort_unique_rowptr(m, b)) << entry.name;
+  }
+}
+
+TEST(Spgemm, PinnedHashAlternatingLongAndShortRows) {
+  // Even rows are long (upper bound in the hundreds: a large table),
+  // odd rows short (a 16- or 32-slot prefix of the same table), so
+  // consecutive rows keep switching capacity class.
+  const index_t rows = 64, inner = 256;
+  std::vector<std::vector<value_t>> dense(static_cast<std::size_t>(rows),
+                                          std::vector<value_t>(static_cast<std::size_t>(inner)));
+  for (index_t i = 0; i < rows; ++i) {
+    const index_t len = i % 2 == 0 ? 48 : 1;
+    for (index_t t = 0; t < len; ++t) {
+      const index_t j = (i * 37 + t * 5) % inner;
+      dense[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
+          static_cast<value_t>((i + t) % 7 + 1) * 0.25f;
+    }
+  }
+  const CsrMatrix a = test::csr(dense);
+  const CsrMatrix b = synth::erdos_renyi(inner, 300, 3000, 46);
+  expect_bitwise_equal(map_reference(a, b), spgemm::multiply(a, b, with(Accumulator::hash)),
+                       "alternating rows, pinned hash");
 }
 
 TEST(Spgemm, HandlesEmptyAndHypersparseInputs) {
@@ -114,7 +216,8 @@ TEST(Spgemm, HandlesEmptyAndHypersparseInputs) {
 
   // Hypersparse: a few scattered entries in a large frame.
   const CsrMatrix h = synth::erdos_renyi(1000, 1000, 12, 43);
-  for (const Accumulator acc : {Accumulator::hash, Accumulator::sort}) {
+  for (const Accumulator acc :
+       {Accumulator::hash, Accumulator::sort, Accumulator::auto_select}) {
     expect_bitwise_equal(map_reference(h, h), spgemm::multiply(h, h, with(acc)),
                          std::string("hypersparse acc=") + spgemm::to_string(acc));
   }
@@ -203,14 +306,22 @@ TEST(Spgemm, ParallelExecutionBitwiseEqualAtEveryThreadCount) {
 TEST(Spgemm, AccumulatorCountsCoverEveryRow) {
   const auto corpus = synth::build_test_corpus();
   const CsrMatrix& m = corpus.front().matrix;
+  const auto rows = static_cast<std::uint64_t>(m.rows());
   spgemm::AccumulatorCounts counts;
   spgemm::multiply(m, m, {}, &counts);
-  EXPECT_EQ(counts.hash_rows + counts.sort_rows, static_cast<std::uint64_t>(m.rows()));
+  EXPECT_EQ(counts.hash_rows + counts.sort_rows + counts.dense_rows, rows);
+  EXPECT_EQ(counts.dense_rows, rows);  // narrow B: auto_select is dense
 
   spgemm::AccumulatorCounts all_sort;
   spgemm::multiply(m, m, with(Accumulator::sort), &all_sort);
   EXPECT_EQ(all_sort.hash_rows, 0u);
-  EXPECT_EQ(all_sort.sort_rows, static_cast<std::uint64_t>(m.rows()));
+  EXPECT_EQ(all_sort.dense_rows, 0u);
+  EXPECT_EQ(all_sort.sort_rows, rows);
+
+  spgemm::AccumulatorCounts all_hash;
+  spgemm::multiply(m, m, with(Accumulator::hash), &all_hash);
+  EXPECT_EQ(all_hash.hash_rows, rows);
+  EXPECT_EQ(all_hash.sort_rows + all_hash.dense_rows, 0u);
 }
 
 TEST(Spgemm, RejectsShapeMismatch) {

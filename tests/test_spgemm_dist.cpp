@@ -69,8 +69,11 @@ TEST(ShardedSpgemm, CountsShardsAndAccumulatorRowsInMetrics) {
   ex.spgemm(pool, plan, m, m, c, &metrics, {});
   EXPECT_EQ(metrics.shards_executed.load(), 4u);
   EXPECT_EQ(metrics.sharded_batches.load(), 1u);
-  EXPECT_EQ(metrics.spgemm_rows_hash.load() + metrics.spgemm_rows_sort.load(),
+  EXPECT_EQ(metrics.spgemm_rows_hash.load() + metrics.spgemm_rows_sort.load() +
+                metrics.spgemm_rows_dense.load(),
             static_cast<std::uint64_t>(m.rows()));
+  // Narrow B: auto_select accumulates every row densely.
+  EXPECT_EQ(metrics.spgemm_rows_dense.load(), static_cast<std::uint64_t>(m.rows()));
   EXPECT_GT(metrics.spgemm_flops.load(), 0u);
   EXPECT_EQ(metrics.spgemm_output_nnz.load(), static_cast<std::uint64_t>(c.nnz()));
 }

@@ -40,12 +40,14 @@ TEST(ServerSpgemm, ServesBitwiseIdenticalProducts) {
   for (const auto& entry : corpus) server.register_matrix(entry.name, entry.matrix);
 
   std::size_t served = 0;
+  std::uint64_t rows = 0;
   for (const auto& entry : corpus) {
     if (entry.matrix.rows() != entry.matrix.cols()) continue;
     const CsrMatrix want = spgemm::multiply(entry.matrix, entry.matrix);
     const CsrMatrix got = server.submit_spgemm(entry.name, entry.name).get();
     expect_bitwise_equal(want, got, entry.name);
     ++served;
+    rows += static_cast<std::uint64_t>(entry.matrix.rows());
   }
   server.wait_idle();
 
@@ -53,14 +55,17 @@ TEST(ServerSpgemm, ServesBitwiseIdenticalProducts) {
   EXPECT_EQ(m.spgemm_batches.load(), served);
   EXPECT_GT(m.spgemm_flops.load(), 0u);
   EXPECT_GT(m.spgemm_output_nnz.load(), 0u);
-  EXPECT_GT(m.spgemm_rows_hash.load() + m.spgemm_rows_sort.load(), 0u);
+  EXPECT_EQ(m.spgemm_rows_hash.load() + m.spgemm_rows_sort.load() + m.spgemm_rows_dense.load(),
+            rows);
+  // Every corpus matrix is narrow, so auto_select accumulates densely.
+  EXPECT_EQ(m.spgemm_rows_dense.load(), rows);
   EXPECT_EQ(m.spgemm_degradations.load(), 0u);
   EXPECT_EQ(m.requests_failed.load(), 0u);
 
   const std::string json = server.metrics_json();
   for (const char* key : {"\"spgemm_batches\":", "\"spgemm_flops\":", "\"spgemm_output_nnz\":",
                           "\"spgemm_rows_hash\":", "\"spgemm_rows_sort\":",
-                          "\"spgemm_degradations\":"}) {
+                          "\"spgemm_rows_dense\":", "\"spgemm_degradations\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing from " << json;
   }
 }

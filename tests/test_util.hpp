@@ -1,6 +1,13 @@
 // Shared helpers for the rrspmm test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -10,6 +17,33 @@ namespace rrspmm::test {
 
 using sparse::CsrMatrix;
 using sparse::DenseMatrix;
+
+/// Scratch-file path in the system temp directory, unique to the running
+/// test: it carries the gtest suite and test name and the process id, so
+/// tests run concurrently (`ctest -j`) never share a file. `stem` goes
+/// last, so its extension is kept.
+inline std::string temp_path(const std::string& stem) {
+  std::string name = "rrspmm_";
+  if (const auto* info = ::testing::UnitTest::GetInstance()->current_test_info()) {
+    name += std::string(info->test_suite_name()) + "." + info->name() + "_";
+  }
+  name += std::to_string(::getpid()) + "_" + stem;
+  std::replace(name.begin(), name.end(), '/', '_');  // parameterised test names
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// A temp_path() that is removed when it goes out of scope.
+struct TempFile {
+  explicit TempFile(const std::string& stem) : path(temp_path(stem)) {}
+  ~TempFile() {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+  }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  const std::string path;
+};
 
 /// Builds a CSR from a dense row description (0 entries skipped).
 inline CsrMatrix csr(const std::vector<std::vector<value_t>>& rows) {
