@@ -124,6 +124,12 @@ struct SddmmCase {
   index_t panel;
 };
 
+// Names each case by its contents ("er_k1_p16"); gtest's default prints the
+// raw bytes, pointer included, so case names would change from run to run.
+void PrintTo(const SddmmCase& c, std::ostream* os) {
+  *os << c.family << "_k" << c.k << "_p" << c.panel;
+}
+
 class SddmmProperty : public ::testing::TestWithParam<SddmmCase> {};
 
 TEST_P(SddmmProperty, AsptAgreesWithDenseReference) {

@@ -116,6 +116,12 @@ struct SpmmCase {
   index_t panel;
 };
 
+// Names each case by its contents ("er_k1_p8"); gtest's default prints the
+// raw bytes, pointer included, so case names would change from run to run.
+void PrintTo(const SpmmCase& c, std::ostream* os) {
+  *os << c.family << "_k" << c.k << "_p" << c.panel;
+}
+
 class SpmmProperty : public ::testing::TestWithParam<SpmmCase> {};
 
 TEST_P(SpmmProperty, AsptAgreesWithDenseReference) {

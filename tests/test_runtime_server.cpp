@@ -130,9 +130,16 @@ TEST(Server, BatchingCoalescesQueuedRequestsAndStaysExact) {
   server.register_matrix("m", entry.matrix);
   server.warm("m");
 
-  std::promise<void> gate;
+  // Wait until the blocker is running: the worker pops its own deque LIFO,
+  // so a drain task queued before it picked up the blocker would run first.
+  std::promise<void> gate, blocking;
   std::shared_future<void> gate_f = gate.get_future().share();
-  server.pool().submit([gate_f] { gate_f.wait(); });
+  std::future<void> blocking_f = blocking.get_future();
+  server.pool().submit([gate_f, &blocking] {
+    blocking.set_value();
+    gate_f.wait();
+  });
+  blocking_f.wait();
 
   constexpr int kReqs = 6;
   std::vector<DenseMatrix> xs;
