@@ -435,118 +435,114 @@ int main() {
 
   // == AOT plan-specialized kernels vs the generic SIMD path ==
   std::vector<SpecPoint> spec_points;
-  if (!simd::specialization_compiled()) {
-    std::printf("SKIP: specialization section (compiled out)\n");
-  } else {
-    for (const SpecSubject& sub : build_spec_subjects()) {
-      for (const index_t k : kSpecWidths) {
-        DenseMatrix x(sub.s.cols(), k), ymat(sub.s.rows(), k);
-        sparse::fill_random(x, 347);
-        sparse::fill_random(ymat, 349);
-        // 4x the main section's flop budget per timing window: the floor
-        // gate compares two near-identical times, so each sample must be
-        // long enough that scheduler noise stays inside the 5% margin.
-        const double flops = 2.0 * static_cast<double>(sub.s.nnz()) * k;
-        const int iters = std::clamp(static_cast<int>(4e8 / std::max(flops, 1.0)), 4, 256);
+  for (const SpecSubject& sub : build_spec_subjects()) {
+    for (const index_t k : kSpecWidths) {
+      DenseMatrix x(sub.s.cols(), k), ymat(sub.s.rows(), k);
+      sparse::fill_random(x, 347);
+      sparse::fill_random(ymat, 349);
+      // 4x the main section's flop budget per timing window: the floor
+      // gate compares two near-identical times, so each sample must be
+      // long enough that scheduler noise stays inside the 5% margin.
+      const double flops = 2.0 * static_cast<double>(sub.s.nnz()) * k;
+      const int iters = std::clamp(static_cast<int>(4e8 / std::max(flops, 1.0)), 4, 256);
 
-        const auto run = [&](const simd::KernelConfig& cfg, DenseMatrix& y,
-                             std::vector<value_t>& d) {
-          if (sub.op == "spmm_rowwise") {
-            kernels::spmm_rowwise(sub.s, x, y, cfg);
-          } else if (sub.op == "spmm_aspt") {
-            kernels::spmm_aspt(sub.tiled, x, y, nullptr, cfg);
-          } else {
-            kernels::sddmm_aspt(sub.tiled, x, ymat, d, nullptr, cfg);
-          }
-        };
-
-        simd::KernelConfig gcfg;  // generic: auto ISA, no spec record
-        gcfg.isa = best_isa;
-        simd::KernelConfig scfg = gcfg;
-        scfg.spec = sub.spec;
-
-        DenseMatrix y_gen(sub.s.rows(), k), y_spec(sub.s.rows(), k);
-        std::vector<value_t> d_gen, d_spec;
-        run(gcfg, y_gen, d_gen);  // warmup + reference
-        run(scfg, y_spec, d_spec);
-
-        SpecPoint p;
-        p.subject = sub.name;
-        p.op = sub.op;
-        p.k = k;
-        p.specialized = simd::select_kernels(scfg, k).specialized;
-        p.identical = sub.op == "sddmm_aspt" ? d_spec == d_gen
-                                             : y_spec.max_abs_diff(y_gen) == 0.0;
-        if (!p.identical) {
-          ++failures;
-          std::printf("FAIL: %s/%s k=%d specialized not bitwise equal to generic\n",
-                      sub.name.c_str(), sub.op.c_str(), k);
+      const auto run = [&](const simd::KernelConfig& cfg, DenseMatrix& y,
+                           std::vector<value_t>& d) {
+        if (sub.op == "spmm_rowwise") {
+          kernels::spmm_rowwise(sub.s, x, y, cfg);
+        } else if (sub.op == "spmm_aspt") {
+          kernels::spmm_aspt(sub.tiled, x, y, nullptr, cfg);
+        } else {
+          kernels::sddmm_aspt(sub.tiled, x, ymat, d, nullptr, cfg);
         }
-        // Interleaved pairs: a generic timing immediately followed by a
-        // specialized one, so host-load drift hits both sides of each
-        // ratio equally; the median over the pairs discards spike-hit
-        // ones. Reported wall times are the per-side minima.
-        using Clock = std::chrono::steady_clock;
-        const auto time_once = [&](const simd::KernelConfig& cfg, DenseMatrix& y,
-                                   std::vector<value_t>& d) {
-          const auto t0 = Clock::now();
-          for (int it = 0; it < iters; ++it) run(cfg, y, d);
-          return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-                     Clock::now() - t0)
-                     .count() /
-                 iters;
-        };
-        std::vector<double> ratios;
-        for (int rep = 0; rep < kSpecReps; ++rep) {
-          const double g = time_once(gcfg, y_gen, d_gen);
-          const double s = time_once(scfg, y_spec, d_spec);
-          if (s > 0.0) ratios.push_back(g / s);
-          if (rep == 0 || g < p.generic_ms) p.generic_ms = g;
-          if (rep == 0 || s < p.spec_ms) p.spec_ms = s;
-        }
-        std::sort(ratios.begin(), ratios.end());
-        p.speedup = ratios.empty() ? 1.0 : ratios[ratios.size() / 2];
-        spec_points.push_back(std::move(p));
+      };
+
+      simd::KernelConfig gcfg;  // generic: auto ISA, no spec record
+      gcfg.isa = best_isa;
+      simd::KernelConfig scfg = gcfg;
+      scfg.spec = sub.spec;
+
+      DenseMatrix y_gen(sub.s.rows(), k), y_spec(sub.s.rows(), k);
+      std::vector<value_t> d_gen, d_spec;
+      run(gcfg, y_gen, d_gen);  // warmup + reference
+      run(scfg, y_spec, d_spec);
+
+      SpecPoint p;
+      p.subject = sub.name;
+      p.op = sub.op;
+      p.k = k;
+      p.specialized = simd::select_kernels(scfg, k).specialized;
+      p.identical = sub.op == "sddmm_aspt" ? d_spec == d_gen
+                                           : y_spec.max_abs_diff(y_gen) == 0.0;
+      if (!p.identical) {
+        ++failures;
+        std::printf("FAIL: %s/%s k=%d specialized not bitwise equal to generic\n",
+                    sub.name.c_str(), sub.op.c_str(), k);
       }
+      // Interleaved pairs: a generic timing immediately followed by a
+      // specialized one, so host-load drift hits both sides of each
+      // ratio equally; the median over the pairs discards spike-hit
+      // ones. Reported wall times are the per-side minima.
+      using Clock = std::chrono::steady_clock;
+      const auto time_once = [&](const simd::KernelConfig& cfg, DenseMatrix& y,
+                                 std::vector<value_t>& d) {
+        const auto t0 = Clock::now();
+        for (int it = 0; it < iters; ++it) run(cfg, y, d);
+        return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
+                   Clock::now() - t0)
+                   .count() /
+               iters;
+      };
+      std::vector<double> ratios;
+      for (int rep = 0; rep < kSpecReps; ++rep) {
+        const double g = time_once(gcfg, y_gen, d_gen);
+        const double s = time_once(scfg, y_spec, d_spec);
+        if (s > 0.0) ratios.push_back(g / s);
+        if (rep == 0 || g < p.generic_ms) p.generic_ms = g;
+        if (rep == 0 || s < p.spec_ms) p.spec_ms = s;
+      }
+      std::sort(ratios.begin(), ratios.end());
+      p.speedup = ratios.empty() ? 1.0 : ratios[ratios.size() / 2];
+      spec_points.push_back(std::move(p));
     }
+  }
 
-    std::vector<std::vector<std::string>> srows;
+  std::vector<std::vector<std::string>> srows;
+  for (const SpecPoint& p : spec_points) {
+    srows.push_back({p.subject, p.op, std::to_string(p.k), p.specialized ? "yes" : "no",
+                     harness::fmt(p.generic_ms, 3), harness::fmt(p.spec_ms, 3),
+                     harness::fmt(p.speedup, 2), p.identical ? "yes" : "NO"});
+  }
+  std::printf("%s\n", harness::render_table({"subject", "op", "k", "spec", "generic_ms",
+                                             "spec_ms", "speedup", "identical"},
+                                            srows)
+                          .c_str());
+
+  if (simd::isa_supported(simd::Isa::avx2)) {
+    double worst = 0.0;
+    std::string worst_at = "-";
+    bool have_short_gate = false;
     for (const SpecPoint& p : spec_points) {
-      srows.push_back({p.subject, p.op, std::to_string(p.k), p.specialized ? "yes" : "no",
-                       harness::fmt(p.generic_ms, 3), harness::fmt(p.spec_ms, 3),
-                       harness::fmt(p.speedup, 2), p.identical ? "yes" : "NO"});
-    }
-    std::printf("%s\n", harness::render_table({"subject", "op", "k", "spec", "generic_ms",
-                                               "spec_ms", "speedup", "identical"},
-                                              srows)
-                            .c_str());
-
-    if (simd::isa_supported(simd::Isa::avx2)) {
-      double worst = 0.0;
-      std::string worst_at = "-";
-      bool have_short_gate = false;
-      for (const SpecPoint& p : spec_points) {
-        if (worst_at == "-" || p.speedup < worst) {
-          worst = p.speedup;
-          worst_at = p.subject + "/" + p.op + " k=" + std::to_string(p.k);
-        }
-        if (p.subject == "short_rows" && p.k == 32) {
-          have_short_gate = true;
-          const bool ok = p.speedup >= kSpecShortRowGate;
-          if (!ok) ++failures;
-          std::printf(
-              "%s: specialized short_rows SpMM speedup at k=32: %.2fx (need >= %.2fx)\n",
-              ok ? "PASS" : "FAIL", p.speedup, kSpecShortRowGate);
-        }
+      if (worst_at == "-" || p.speedup < worst) {
+        worst = p.speedup;
+        worst_at = p.subject + "/" + p.op + " k=" + std::to_string(p.k);
       }
-      if (!have_short_gate) ++failures;
-      const bool floor_ok = worst >= kSpecFloor;
-      if (!floor_ok) ++failures;
-      std::printf("%s: specialized worst-case speedup: %.2fx at %s (need >= %.2fx)\n",
-                  floor_ok ? "PASS" : "FAIL", worst, worst_at.c_str(), kSpecFloor);
-    } else {
-      std::printf("SKIP: specialization speedup gates (host does not run AVX2)\n");
+      if (p.subject == "short_rows" && p.k == 32) {
+        have_short_gate = true;
+        const bool ok = p.speedup >= kSpecShortRowGate;
+        if (!ok) ++failures;
+        std::printf(
+            "%s: specialized short_rows SpMM speedup at k=32: %.2fx (need >= %.2fx)\n",
+            ok ? "PASS" : "FAIL", p.speedup, kSpecShortRowGate);
+      }
     }
+    if (!have_short_gate) ++failures;
+    const bool floor_ok = worst >= kSpecFloor;
+    if (!floor_ok) ++failures;
+    std::printf("%s: specialized worst-case speedup: %.2fx at %s (need >= %.2fx)\n",
+                floor_ok ? "PASS" : "FAIL", worst, worst_at.c_str(), kSpecFloor);
+  } else {
+    std::printf("SKIP: specialization speedup gates (host does not run AVX2)\n");
   }
 
   bench::write_bench_json("BENCH_kernels.json", to_json(points, spec_points));

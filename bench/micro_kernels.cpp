@@ -84,9 +84,9 @@ void BM_SddmmAsptReordered(benchmark::State& state) {
   sparse::DenseMatrix x(m.cols(), k), y(m.rows(), k);
   sparse::fill_random(x, 5);
   sparse::fill_random(y, 6);
-  std::vector<value_t> out;
+  std::vector<value_t> out(static_cast<std::size_t>(m.nnz()));
   for (auto _ : state) {
-    core::run_sddmm(plan, m, x, y, out);
+    core::run_sddmm(plan, m, x, y, out.data(), out.size());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * m.nnz() * k * 2);

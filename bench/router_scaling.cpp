@@ -11,8 +11,7 @@
 //   * bitwise identity — every candidate arm on every family must equal
 //     core::run_spmm exactly; enforced unconditionally on every host.
 //   * adaptivity — router total >= 0.98x of oracle-static (i.e. the
-//     closed loop recovers per-family routing despite exploration cost);
-//     skipped when the router is compiled out.
+//     closed loop recovers per-family routing despite exploration cost).
 //   * micro-GEMM — the dense-tile micro-GEMM beats the generic panel
 //     body by >= 1.2x on the dense-panel family at k=32, the width where
 //     the staged tile stays L1-resident (d*k*4B = 8 KiB). k=64 doubles
@@ -190,9 +189,8 @@ int main() {
   auto families = build_families(rcfg.dense_row_fraction);
   runtime::WorkerPool pool;
 
-  std::printf("== router scaling: %zu families, K=%d, %d batches each, router %s ==\n",
-              families.size(), kK, kBatches,
-              router::compiled() ? "compiled" : "COMPILED OUT");
+  std::printf("== router scaling: %zu families, K=%d, %d batches each ==\n", families.size(),
+              kK, kBatches);
 
   int failures = 0;
 
@@ -274,14 +272,10 @@ int main() {
               "(%" PRIu64 " decisions, %" PRIu64 " explorations)\n",
               oracle_arm.c_str(), oracle_total_us / 1e3, router_total_us / 1e3,
               router.decisions(), router.explorations());
-  if (router::compiled()) {
-    const bool ok = ratio >= kOracleGate;
-    if (!ok) ++failures;
-    std::printf("%s: router total within %.2fx of oracle-static: %.3fx\n", ok ? "PASS" : "FAIL",
-                kOracleGate, ratio);
-  } else {
-    std::printf("SKIP: oracle gate (router compiled out)\n");
-  }
+  const bool oracle_ok = ratio >= kOracleGate;
+  if (!oracle_ok) ++failures;
+  std::printf("%s: router total within %.2fx of oracle-static: %.3fx\n",
+              oracle_ok ? "PASS" : "FAIL", kOracleGate, ratio);
 
   // Micro-GEMM gate on the dense-panel family: generic panel body vs the
   // register-blocked paired-row entry, same auto-resolved ISA.
@@ -352,7 +346,6 @@ int main() {
       .field("auto_isa", simd::isa_name(simd::resolve_isa(std::nullopt)))
       .field("k", kK)
       .field("batches", kBatches)
-      .field("router_compiled", router::compiled())
       .key("results")
       .arr_begin();
   for (const ArmPoint& p : points) {

@@ -74,14 +74,14 @@ int main() {
   // SGD epochs. The SDDMM runs through the reordered plan; the SpMM
   // updates use an "error CSR" sharing the ratings pattern.
   sparse::CsrMatrix err_m = ratings;  // pattern reused; values overwritten
-  std::vector<value_t> pred;
+  std::vector<value_t> pred(static_cast<std::size_t>(ratings.nnz()));
   const auto t1 = Clock::now();
   const int epochs = 10;
   for (int epoch = 0; epoch < epochs; ++epoch) {
     // pred[j] = <U_u, V_i> scaled by 1 (use unit-valued pattern trick):
     // run SDDMM with the ratings values, then divide them back out — or
     // simpler, compute error = rating - prediction directly:
-    core::run_sddmm(plan, ratings, v, u, pred);  // pred[j] = R_j * <U,V>
+    core::run_sddmm(plan, ratings, v, u, pred.data(), pred.size());  // pred[j] = R_j * <U,V>
     auto& ev = err_m.values();
     const auto& rv = ratings.values();
     for (std::size_t j = 0; j < ev.size(); ++j) {

@@ -181,41 +181,49 @@ static kernels::simd::KernelConfig plan_kernel_config(const ExecutionPlan& plan)
   return cfg;
 }
 
-void run_spmm(const ExecutionPlan& plan, const DenseMatrix& x, DenseMatrix& y) {
+void run_spmm(const ExecutionPlan& plan, DenseView x, DenseMutView y) {
+  if (y.rows != plan.tiled.rows() || y.cols != x.cols) {
+    throw sparse::invalid_matrix("run_spmm: y must be plan rows x x.cols");
+  }
   const kernels::simd::KernelConfig cfg = plan_kernel_config(plan);
   if (is_identity(plan.row_perm)) {
     kernels::spmm_aspt(plan.tiled, x, y, &plan.sparse_order, cfg);
     return;
   }
-  DenseMatrix yp(plan.tiled.rows(), x.cols());
+  DenseMatrix yp(plan.tiled.rows(), x.cols);
   kernels::spmm_aspt(plan.tiled, x, yp, &plan.sparse_order, cfg);
-  y = sparse::unpermute_dense_rows(yp, plan.row_perm);
+  sparse::unpermute_dense_rows(yp, plan.row_perm, y);
 }
 
-void run_sddmm(const ExecutionPlan& plan, const CsrMatrix& m, const DenseMatrix& x,
-               const DenseMatrix& y, std::vector<value_t>& out) {
+void run_sddmm(const ExecutionPlan& plan, const CsrMatrix& m, DenseView x, DenseView y,
+               value_t* out, std::size_t out_size) {
   if (m.rows() != plan.tiled.rows() || m.nnz() != plan.tiled.stats().nnz_total) {
     throw sparse::invalid_matrix("run_sddmm: matrix does not match the plan");
   }
+  if (out_size != static_cast<std::size_t>(m.nnz())) {
+    throw sparse::invalid_matrix("run_sddmm: out must hold exactly nnz values");
+  }
   const kernels::simd::KernelConfig cfg = plan_kernel_config(plan);
   if (is_identity(plan.row_perm)) {
-    kernels::sddmm_aspt(plan.tiled, x, y, out, &plan.sparse_order, cfg);
+    kernels::sddmm_aspt(plan.tiled, x, y, out, out_size, &plan.sparse_order, cfg);
     return;
   }
   // The tiled matrix lives in permuted row space; permute the Y operand
   // in, then scatter per-row output segments back to the caller's layout.
   const DenseMatrix yp = sparse::permute_dense_rows(y, plan.row_perm);
-  std::vector<value_t> outp;
-  kernels::sddmm_aspt(plan.tiled, x, yp, outp, &plan.sparse_order, cfg);
+  std::vector<value_t> outp(out_size);
+  kernels::sddmm_aspt(plan.tiled, x, yp, outp.data(), outp.size(), &plan.sparse_order, cfg);
+  unpermute_nnz(plan, m, outp.data(), out);
+}
 
-  out.resize(static_cast<std::size_t>(m.nnz()));
+void unpermute_nnz(const ExecutionPlan& plan, const CsrMatrix& m, const value_t* outp,
+                   value_t* out) {
   offset_t ppos = 0;  // cursor into the permuted nonzero order
   for (index_t i = 0; i < m.rows(); ++i) {
     const index_t orig = plan.row_perm[static_cast<std::size_t>(i)];
     const offset_t base = m.rowptr()[static_cast<std::size_t>(orig)];
     const index_t len = m.row_nnz(orig);
-    std::copy(outp.begin() + ppos, outp.begin() + ppos + len,
-              out.begin() + base);
+    std::copy(outp + ppos, outp + ppos + len, out + base);
     ppos += len;
   }
 }

@@ -27,10 +27,13 @@
 #include "gpusim/traffic.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
+#include "sparse/dense_view.hpp"
 
 namespace rrspmm::core {
 
 using sparse::DenseMatrix;
+using sparse::DenseMutView;
+using sparse::DenseView;
 
 struct PipelineConfig {
   ReorderConfig reorder;   ///< LSH + clustering parameters (both rounds)
@@ -162,14 +165,25 @@ ExecutionPlan autotune_plan_measured(const CsrMatrix& m, const DenseMatrix& x,
                                      const PipelineConfig& cfg = {});
 
 /// Executes SpMM through a plan on the CPU kernels: y = m * x in the
-/// caller's original row order (permutation handled internally).
-void run_spmm(const ExecutionPlan& plan, const DenseMatrix& x, DenseMatrix& y);
+/// caller's original row order. `y` is pre-shaped caller storage
+/// (plan rows x x.cols; a DenseMatrix converts implicitly); a reordered
+/// plan computes in permuted row space and scatters straight into it.
+/// A misshapen `y` throws invalid_matrix.
+void run_spmm(const ExecutionPlan& plan, DenseView x, DenseMutView y);
 
-/// Executes SDDMM through a plan; `out` is aligned with the caller's
-/// original CSR nonzero order. `m` must be the matrix the plan was built
-/// from (needed to invert the row permutation of nonzero indices).
-void run_sddmm(const ExecutionPlan& plan, const CsrMatrix& m, const DenseMatrix& x,
-               const DenseMatrix& y, std::vector<value_t>& out);
+/// Executes SDDMM through a plan into out[0, out_size), which must hold
+/// exactly m.nnz() values, aligned with the caller's original CSR
+/// nonzero order (otherwise invalid_matrix). `m` must be the matrix the
+/// plan was built from (needed to invert the row permutation of nonzero
+/// indices).
+void run_sddmm(const ExecutionPlan& plan, const CsrMatrix& m, DenseView x, DenseView y,
+               value_t* out, std::size_t out_size);
+
+/// Scatters SDDMM output computed in a reordered plan's permuted nonzero
+/// order (`outp`) back to m's CSR order (`out`); both hold m.nnz()
+/// values. The shared tail of every plan-driven SDDMM.
+void unpermute_nnz(const ExecutionPlan& plan, const CsrMatrix& m, const value_t* outp,
+                   value_t* out);
 
 /// Gustavson processing order for SpGEMM over the plan's matrix as the
 /// left operand: round-2's processing order composed with round-1's

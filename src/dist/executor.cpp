@@ -329,15 +329,8 @@ void ShardedExecutor::spmm(runtime::WorkerPool& pool, const core::ExecutionPlan&
     work = std::move(next);
   }
 
-  if (!identity) {
-    // Unpermute scatter straight into the caller's storage:
-    // y.row(row_perm[i]) = yp.row(i). Same copies as
-    // unpermute_dense_rows, no intermediate owned result.
-    for (index_t i = 0; i < yp_store.rows(); ++i) {
-      const auto src = yp_store.row(i);
-      std::copy(src.begin(), src.end(), y.row(plan.row_perm[static_cast<std::size_t>(i)]));
-    }
-  }
+  // Unpermute scatter straight into the caller's storage.
+  if (!identity) sparse::unpermute_dense_rows(yp_store, plan.row_perm, y);
   // Makespan of the whole sharded batch, failover included — a strategy
   // whose cuts keep failing scores as slow as it is in practice.
   observe_strategy(cfg_.router, plan, x.cols, rdec, micros_since(rt0), metrics);

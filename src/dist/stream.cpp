@@ -79,7 +79,7 @@ void sharded_spmm_stream(const io::RrsbReader& shard, const DenseMatrix& x, Dens
   // specialization record from the slice's row lengths — cheap (one
   // rowptr sweep) relative to the I/O that produced the slice.
   namespace simd = kernels::simd;
-  const bool specialize = simd::specialization_compiled() && simd::specialization_enabled();
+  const bool specialize = simd::specialization_enabled();
   const auto run_shard = [&](const core::RowShard& s) {
     if (s.rows() <= 0) return;
     const sparse::CsrMatrix slice = shard.read_range(s.row_begin, s.row_end);

@@ -86,12 +86,22 @@ void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, std::vector<value
 
 void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, std::vector<value_t>& out,
                 const std::vector<index_t>* sparse_order, const simd::KernelConfig& cfg) {
+  out.resize(static_cast<std::size_t>(a.stats().nnz_total));
+  sddmm_aspt(a, x, y, out.data(), out.size(), sparse_order, cfg);
+}
+
+void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
+                std::size_t out_size, const std::vector<index_t>* sparse_order,
+                const simd::KernelConfig& cfg) {
   check_sddmm_shapes(a.rows(), a.cols(), x, y);
+  if (out_size != static_cast<std::size_t>(a.stats().nnz_total)) {
+    throw sparse::invalid_matrix("SDDMM: out must hold exactly nnz values");
+  }
   const simd::KernelSelection t = simd::select_kernels(cfg, x.cols);
   simd::count_invocation(t.isa);
   if (t.specialized) simd::count_specialized(t.isa);
   const index_t k = x.cols;
-  out.assign(static_cast<std::size_t>(a.stats().nnz_total), value_t{0});
+  std::fill(out, out + out_size, value_t{0});
 
   // Phase 1: dense tiles with an aligned staged panel buffer per thread,
   // sized once to the largest panel (see spmm_aspt).
@@ -112,7 +122,7 @@ void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, std::vector<value
         detail::stage_panel(p, x, k, staged.data(), staged_ld);
         t.sddmm_panel(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(),
                       p.dense_src_idx.data(), p.row_begin, staged.data(), staged_ld, y.data,
-                      y.ld, k, out.data(), p.row_begin, p.row_end);
+                      y.ld, k, out, p.row_begin, p.row_end);
       }
     }
   }
@@ -129,7 +139,7 @@ void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, std::vector<value
     const index_t lo = blk * kRowBlock;
     const index_t hi = std::min(sp.rows(), lo + kRowBlock);
     t.sddmm_rows(sp.rowptr().data(), sp.colidx().data(), sp.values().data(), x.data, x.ld,
-                 y.data, y.ld, k, out.data(), a.sparse_src_idx().data(), order, lo, hi);
+                 y.data, y.ld, k, out, a.sparse_src_idx().data(), order, lo, hi);
   }
 }
 

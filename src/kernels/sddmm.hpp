@@ -53,11 +53,16 @@ void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, std::vector<val
                    index_t row_begin, index_t row_end, const simd::KernelConfig& cfg);
 
 /// ASpT-structured SDDMM; `out` is aligned with the CSR that `a` was
-/// built from (via the tiling's source-index maps).
+/// built from (via the tiling's source-index maps). The raw-pointer form
+/// writes a caller span that must hold exactly the tiling's nnz_total
+/// values; the std::vector forms resize and forward to it.
 void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, std::vector<value_t>& out,
                 const std::vector<index_t>* sparse_order = nullptr);
 void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, std::vector<value_t>& out,
                 const std::vector<index_t>* sparse_order, const simd::KernelConfig& cfg);
+void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
+                std::size_t out_size, const std::vector<index_t>* sparse_order,
+                const simd::KernelConfig& cfg);
 
 /// Row-range ASpT SDDMM: dense tiles clipped to [row_begin, row_end) plus
 /// the sparse remainder of those rows, scattering through the source-

@@ -153,12 +153,6 @@ KernelSelection select_kernels(const KernelConfig& cfg, index_t k) {
   return sel;
 }
 
-bool specialization_compiled() {
-  // The scalar backend is always present; its classed entry is null
-  // exactly when the build defined RRSPMM_SPECIALIZATION_DISABLED.
-  return scalar_tables()[0].spmm_rows_classed != nullptr;
-}
-
 bool specialization_enabled() {
   ensure_env_loaded();
   return g_spec_mode.load(std::memory_order_relaxed) != 0;

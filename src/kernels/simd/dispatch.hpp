@@ -100,13 +100,10 @@ struct KernelSelection {
 
 /// Resolves cfg down the same ladder as table() and applies the
 /// specialization selection for operand width `k`. With no spec record,
-/// a disabled record, RRSPMM_KERNEL_SPECIALIZE off, or specialization
-/// compiled out, the result is exactly the generic table's entries.
+/// a disabled record, or RRSPMM_KERNEL_SPECIALIZE off, the result is
+/// exactly the generic table's entries.
 KernelSelection select_kernels(const KernelConfig& cfg, index_t k);
 
-/// True when the AOT-specialized entries were compiled into this binary
-/// (RRSPMM_ENABLE_SPECIALIZATION=ON, the default).
-bool specialization_compiled();
 /// The RRSPMM_KERNEL_SPECIALIZE env knob (default on); reload_env()
 /// re-reads it.
 bool specialization_enabled();

@@ -215,15 +215,11 @@ struct SpecKernelSet {
   }
 };
 
-/// make_table plus the specialized entries. Separate from make_table so
-/// the choice is made where the TUs are compiled:
-/// RRSPMM_SPECIALIZATION_DISABLED (the RRSPMM_ENABLE_SPECIALIZATION=OFF
-/// build) leaves every specialized slot null and select_kernels falls
-/// back to the generic path.
+/// make_table plus the specialized entries (stub backends keep them null,
+/// and select_kernels then falls back to the generic path).
 template <class V, bool Fma>
 constexpr KernelTable make_spec_table(Isa isa) {
   KernelTable t = make_table<V, Fma>(isa);
-#ifndef RRSPMM_SPECIALIZATION_DISABLED
   t.spmm_rows_kw[0] = &SpecKernelSet<V, Fma, kSpecKWidths[0]>::spmm_rows;
   t.spmm_rows_kw[1] = &SpecKernelSet<V, Fma, kSpecKWidths[1]>::spmm_rows;
   t.spmm_rows_kw[2] = &SpecKernelSet<V, Fma, kSpecKWidths[2]>::spmm_rows;
@@ -238,7 +234,6 @@ constexpr KernelTable make_spec_table(Isa isa) {
   t.sddmm_panel_kw[2] = &SpecKernelSet<V, Fma, kSpecKWidths[2]>::sddmm_panel;
   t.spmm_rows_classed = &SpecKernelSet<V, Fma, 0>::spmm_rows;
   static_assert(kSpecKWidthCount == 3, "extend the slot assignments above");
-#endif
   return t;
 }
 

@@ -102,7 +102,7 @@ struct KernelTable {
   using SddmmPanelFn = decltype(sddmm_panel);
 
   /// AOT plan-specialized entries (kernels_spec.hpp); null when the
-  /// backend is a stub or RRSPMM_ENABLE_SPECIALIZATION is off. Same ABI
+  /// backend is a stub. Same ABI
   /// and bitwise contract as the generic entries above: specialization
   /// changes the instruction schedule (compile-time K, fully-unrolled
   /// short-row bodies), never the per-element reduction order, so every

@@ -112,14 +112,6 @@ std::string route_key(const std::string& fingerprint, Workload w, index_t k,
   return s;
 }
 
-bool compiled() {
-#ifdef RRSPMM_ROUTER_DISABLED
-  return false;
-#else
-  return true;
-#endif
-}
-
 Router::Router(RouterConfig cfg) : cfg_(cfg) {
   if (cfg_.max_keys == 0) cfg_.max_keys = 1;
 }
@@ -169,13 +161,6 @@ Decision Router::decide(const std::string& fingerprint, Workload w, index_t k,
                         const RouteContext& ctx, const std::vector<RouteChoice>& arms) {
   Decision dec;
   if (!arms.empty()) dec.choice = arms[0];
-#ifdef RRSPMM_ROUTER_DISABLED
-  (void)fingerprint;
-  (void)w;
-  (void)k;
-  (void)ctx;
-  return dec;
-#else
   if (arms.empty()) return dec;
   const int base_bucket = k_bucket(k);
   const int bucket = ctx_bucket(k, ctx);
@@ -263,7 +248,6 @@ Decision Router::decide(const std::string& fingerprint, Workload w, index_t k,
 
   dec.choice = arms[best_score == kInf ? 0 : best];
   return dec;
-#endif
 }
 
 void Router::observe(const std::string& fingerprint, Workload w, index_t k,
@@ -273,14 +257,6 @@ void Router::observe(const std::string& fingerprint, Workload w, index_t k,
 
 void Router::observe(const std::string& fingerprint, Workload w, index_t k,
                      const RouteContext& ctx, const RouteChoice& choice, double us) {
-#ifdef RRSPMM_ROUTER_DISABLED
-  (void)fingerprint;
-  (void)w;
-  (void)k;
-  (void)ctx;
-  (void)choice;
-  (void)us;
-#else
   if (cfg_.frozen || us < 0.0) return;
   const std::string key = table_key(fingerprint, w, ctx_bucket(k, ctx));
   std::lock_guard<std::mutex> lk(m_);
@@ -290,12 +266,10 @@ void Router::observe(const std::string& fingerprint, Workload w, index_t k,
     ks = &table_[key];
   }
   arm_locked(*ks, choice).stats.add(us);
-#endif
 }
 
 RouteChoice Router::preferred(const std::string& fingerprint, Workload w,
                               const RouteChoice& fallback) const {
-#ifndef RRSPMM_ROUTER_DISABLED
   const std::string prefix = fingerprint + '|' + std::to_string(static_cast<int>(w)) + '|';
   std::lock_guard<std::mutex> lk(m_);
   // Aggregate each arm across this (fingerprint, workload)'s K-buckets;
@@ -321,10 +295,6 @@ RouteChoice Router::preferred(const std::string& fingerprint, Workload w,
     if (!best || a.stats.mean_us() < best->stats.mean_us()) best = &a;
   }
   if (best) return best->choice;
-#else
-  (void)fingerprint;
-  (void)w;
-#endif
   return fallback;
 }
 
@@ -411,13 +381,6 @@ std::vector<RouteChoice> Router::coalesce_arms() {
 
 void Router::install_prior(Workload w, int bucket, const RouteChoice& choice, double mean_us,
                            std::uint64_t weight) {
-#ifdef RRSPMM_ROUTER_DISABLED
-  (void)w;
-  (void)bucket;
-  (void)choice;
-  (void)mean_us;
-  (void)weight;
-#else
   if (weight == 0 || mean_us < 0.0) return;
   std::lock_guard<std::mutex> lk(m_);
   KeyState* ks = find_locked(table_key(std::string(), w, bucket));
@@ -431,16 +394,10 @@ void Router::install_prior(Workload w, int bucket, const RouteChoice& choice, do
   s.min_us = mean_us;
   s.max_us = mean_us;
   arm_locked(*ks, choice).stats.merge(s);
-#endif
 }
 
 std::size_t Router::load_calibration_json(const std::string& json) {
-#ifdef RRSPMM_ROUTER_DISABLED
-  (void)json;
-  return 0;
-#else
   return calibrate_from_json(*this, parse_json(json));
-#endif
 }
 
 std::size_t Router::load_calibration_file(const std::string& path) {
@@ -470,10 +427,6 @@ void Router::save_table(std::ostream& out) const {
 }
 
 std::size_t Router::load_table(std::istream& in) {
-#ifdef RRSPMM_ROUTER_DISABLED
-  (void)in;
-  return 0;
-#else
   std::string header;
   std::getline(in, header);
   if (header != "rrspmm-router-table v1") {
@@ -515,7 +468,6 @@ std::size_t Router::load_table(std::istream& in) {
     if (ks && counter > ks->counter) ks->counter = counter;
   }
   return loaded;
-#endif
 }
 
 void Router::save_table_file(const std::string& path) const {
@@ -533,7 +485,6 @@ std::size_t Router::load_table_file(const std::string& path) {
 
 std::vector<core::RouteRecord> Router::export_records(const std::string& fingerprint) const {
   std::vector<core::RouteRecord> out;
-#ifndef RRSPMM_ROUTER_DISABLED
   const std::string prefix = fingerprint + '|';
   std::lock_guard<std::mutex> lk(m_);
   for (const auto& [key, ks] : table_) {
@@ -562,19 +513,11 @@ std::vector<core::RouteRecord> Router::export_records(const std::string& fingerp
       out.push_back(r);
     }
   }
-#else
-  (void)fingerprint;
-#endif
   return out;
 }
 
 std::size_t Router::import_records(const std::string& fingerprint,
                                    const std::vector<core::RouteRecord>& records) {
-#ifdef RRSPMM_ROUTER_DISABLED
-  (void)fingerprint;
-  (void)records;
-  return 0;
-#else
   std::size_t merged = 0;
   std::lock_guard<std::mutex> lk(m_);
   for (const core::RouteRecord& r : records) {
@@ -602,7 +545,6 @@ std::size_t Router::import_records(const std::string& fingerprint,
     ++merged;
   }
   return merged;
-#endif
 }
 
 std::string Router::to_json() const {
@@ -646,9 +588,6 @@ std::size_t Router::keys() const {
 }
 
 std::shared_ptr<Router> from_env() {
-#ifdef RRSPMM_ROUTER_DISABLED
-  return nullptr;
-#else
   const char* s = std::getenv("RRSPMM_ROUTER");
   if (s == nullptr) return nullptr;
   const std::string_view v(s);
@@ -669,7 +608,6 @@ std::shared_ptr<Router> from_env() {
     }
   }
   return r;
-#endif
 }
 
 // --- Calibration ------------------------------------------------------

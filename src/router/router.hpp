@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "runtime/metrics.hpp"
 #include "sparse/types.hpp"
 
 namespace rrspmm::kernels::simd {
@@ -103,31 +104,11 @@ struct RouteChoice {
 };
 
 /// Latency statistics of one arm under one key.
-struct ArmStats {
-  std::uint64_t count = 0;
-  double total_us = 0.0;
-  double min_us = 0.0;
-  double max_us = 0.0;
-
-  void add(double us) {
-    min_us = count == 0 ? us : (us < min_us ? us : min_us);
-    max_us = count == 0 ? us : (us > max_us ? us : max_us);
-    ++count;
-    total_us += us;
-  }
-  void merge(const ArmStats& o) {
-    if (o.count == 0) return;
-    min_us = count == 0 ? o.min_us : (o.min_us < min_us ? o.min_us : min_us);
-    max_us = count == 0 ? o.max_us : (o.max_us > max_us ? o.max_us : max_us);
-    count += o.count;
-    total_us += o.total_us;
-  }
-  double mean_us() const { return count > 0 ? total_us / static_cast<double>(count) : 0.0; }
-};
+using ArmStats = runtime::LatencyStats;
 
 struct Decision {
   RouteChoice choice;
-  bool routed = false;    ///< false: router off/disabled — caller's defaults ran
+  bool routed = false;    ///< false: router off or table full — caller's defaults ran
   bool explored = false;  ///< true: this pick samples, it is not the argmin
 };
 
@@ -187,11 +168,6 @@ std::string route_key(const std::string& fingerprint, Workload w, index_t k,
 std::string route_key(const std::string& fingerprint, Workload w, index_t k,
                       const RouteContext& ctx, const RouteChoice& choice);
 
-/// True unless built with RRSPMM_ENABLE_ROUTER=OFF
-/// (RRSPMM_ROUTER_DISABLED): then decide() always returns the first arm
-/// unrouted, observe/load/save are no-ops, and from_env() returns null.
-bool compiled();
-
 class Router {
  public:
   explicit Router(RouterConfig cfg = {});
@@ -200,8 +176,8 @@ class Router {
   bool frozen() const { return cfg_.frozen; }
 
   /// Picks an arm for (fingerprint, workload, K). `arms` is the caller's
-  /// candidate list; arms[0] must be the safe default. Empty arms or a
-  /// disabled build return an unrouted default decision. The contextual
+  /// candidate list; arms[0] must be the safe default. Empty arms (or a
+  /// full table) return an unrouted default decision. The contextual
   /// overload keys on ctx_bucket(k, ctx); arms with no observations
   /// under the contextual key fall back to the legacy pure-K key's
   /// stats, then the fingerprint-agnostic priors, so a pre-contextual
@@ -212,7 +188,7 @@ class Router {
                   const RouteContext& ctx, const std::vector<RouteChoice>& arms);
 
   /// Records a measured latency for a decided execution. No-op when
-  /// frozen (the table is the contract) or compiled out.
+  /// frozen (the table is the contract).
   void observe(const std::string& fingerprint, Workload w, index_t k,
                const RouteChoice& choice, double us);
   void observe(const std::string& fingerprint, Workload w, index_t k, const RouteContext& ctx,
@@ -303,9 +279,8 @@ class Router {
 };
 
 /// Builds a Router from RRSPMM_ROUTER / RRSPMM_ROUTER_TABLE; null when
-/// the knob is unset/off or the router is compiled out. A table path
-/// that fails to load warns on stderr and continues (serving must not
-/// die for a stale table file).
+/// the knob is unset/off. A table path that fails to load warns on
+/// stderr and continues (serving must not die for a stale table file).
 std::shared_ptr<Router> from_env();
 
 }  // namespace rrspmm::router

@@ -80,35 +80,19 @@ void sddmm_panels(WorkerPool& pool, const aspt::AsptMatrix& a, sparse::DenseView
 
 void parallel_spmm(WorkerPool& pool, const core::ExecutionPlan& plan, DenseView x,
                    DenseMutView y, Metrics* metrics, const simd::KernelConfig* kernel) {
+  if (y.rows != plan.tiled.rows() || y.cols != x.cols) {
+    throw sparse::invalid_matrix("parallel_spmm: y view must be plan.rows x x.cols");
+  }
   const simd::KernelConfig cfg = effective_config(kernel, plan);
   if (is_identity(plan.row_perm)) {
     spmm_panels(pool, plan.tiled, x, y, metrics, cfg);
     return;
   }
   // Reordered plan: compute in permuted row space, then scatter straight
-  // into the caller's storage (out row perm[i] = permuted row i), the
-  // same row copies sparse::unpermute_dense_rows performs.
-  if (y.rows != plan.tiled.rows() || y.cols != x.cols) {
-    throw sparse::invalid_matrix("parallel_spmm: y view must be plan.rows x x.cols");
-  }
+  // into the caller's storage (out row perm[i] = permuted row i).
   DenseMatrix yp(plan.tiled.rows(), x.cols);
   spmm_panels(pool, plan.tiled, x, yp, metrics, cfg);
-  for (index_t i = 0; i < yp.rows(); ++i) {
-    const value_t* src = yp.row(i).data();
-    std::copy(src, src + yp.cols(), y.row(plan.row_perm[static_cast<std::size_t>(i)]));
-  }
-}
-
-void parallel_spmm(WorkerPool& pool, const core::ExecutionPlan& plan, const DenseMatrix& x,
-                   DenseMatrix& y, Metrics* metrics, const simd::KernelConfig* kernel) {
-  const simd::KernelConfig cfg = effective_config(kernel, plan);
-  if (is_identity(plan.row_perm)) {
-    spmm_panels(pool, plan.tiled, x, y, metrics, cfg);
-    return;
-  }
-  DenseMatrix yp(plan.tiled.rows(), x.cols());
-  spmm_panels(pool, plan.tiled, x, yp, metrics, cfg);
-  y = sparse::unpermute_dense_rows(yp, plan.row_perm);
+  sparse::unpermute_dense_rows(yp, plan.row_perm, y);
 }
 
 void parallel_sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& m,
@@ -128,25 +112,9 @@ void parallel_sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const Csr
   // Same permutation dance as core::run_sddmm: Y into permuted row space,
   // then scatter per-row output segments back to the caller's layout.
   const DenseMatrix yp = sparse::permute_dense_rows(y, plan.row_perm);
-  std::vector<value_t> outp(static_cast<std::size_t>(m.nnz()));
+  std::vector<value_t> outp(out_size);
   sddmm_panels(pool, plan.tiled, x, yp, outp.data(), metrics, cfg);
-
-  offset_t ppos = 0;
-  for (index_t i = 0; i < m.rows(); ++i) {
-    const index_t orig = plan.row_perm[static_cast<std::size_t>(i)];
-    const offset_t base = m.rowptr()[static_cast<std::size_t>(orig)];
-    const index_t len = m.row_nnz(orig);
-    std::copy(outp.begin() + ppos, outp.begin() + ppos + len, out + base);
-    ppos += len;
-  }
-}
-
-void parallel_sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& m,
-                    const DenseMatrix& x, const DenseMatrix& y, std::vector<value_t>& out,
-                    Metrics* metrics, const simd::KernelConfig* kernel) {
-  out.resize(static_cast<std::size_t>(m.nnz()));
-  parallel_sddmm(pool, plan, m, DenseView(x), DenseView(y), out.data(), out.size(), metrics,
-                 kernel);
+  core::unpermute_nnz(plan, m, outp.data(), out);
 }
 
 spgemm::SymbolicResult parallel_spgemm_symbolic(WorkerPool& pool, const CsrMatrix& a,

@@ -25,34 +25,23 @@ using sparse::DenseMatrix;
 using sparse::DenseMutView;
 using sparse::DenseView;
 
-/// Same contract as core::run_spmm (y in the caller's row order), executed
-/// panel-parallel on `pool`. `metrics`, when given, counts the panels and
-/// per-ISA kernel invocations. `kernel`, when given, forces the SIMD
-/// backend selection; nullptr uses the process-wide active configuration
-/// (RRSPMM_KERNEL_ISA / RRSPMM_KERNEL_FMA). Either way the default
-/// (non-fma) result is bitwise equal to the scalar reference.
-///
-/// The view overload is the zero-copy entry point: `y` must already be
-/// shaped plan.rows x x.cols and the result lands directly in the
-/// caller's storage (for reordered plans via a scatter from an internal
-/// permuted-space buffer). Byte-identical to the owning overload.
+/// Same contract as core::run_spmm (y pre-shaped caller storage, filled
+/// in the caller's row order; a misshapen y throws invalid_matrix),
+/// executed panel-parallel on `pool`. `metrics`, when given, counts the
+/// panels and per-ISA kernel invocations. `kernel`, when given, forces
+/// the SIMD backend selection; nullptr uses the process-wide active
+/// configuration (RRSPMM_KERNEL_ISA / RRSPMM_KERNEL_FMA). Either way the
+/// default (non-fma) result is bitwise equal to the scalar reference.
+/// DenseMatrix arguments convert implicitly.
 void parallel_spmm(WorkerPool& pool, const core::ExecutionPlan& plan, DenseView x,
                    DenseMutView y, Metrics* metrics = nullptr,
                    const kernels::simd::KernelConfig* kernel = nullptr);
-void parallel_spmm(WorkerPool& pool, const core::ExecutionPlan& plan, const DenseMatrix& x,
-                   DenseMatrix& y, Metrics* metrics = nullptr,
-                   const kernels::simd::KernelConfig* kernel = nullptr);
 
-/// Same contract as core::run_sddmm (out aligned with m's nonzero order),
-/// executed panel-parallel on `pool`. The raw-pointer overload writes
-/// into a caller-provided buffer pre-sized to m.nnz() (zero-copy path);
-/// the vector overload resizes and forwards.
+/// Same contract as core::run_sddmm (out[0, out_size) holds exactly
+/// m.nnz() values, aligned with m's nonzero order), executed
+/// panel-parallel on `pool`.
 void parallel_sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& m,
                     DenseView x, DenseView y, value_t* out, std::size_t out_size,
-                    Metrics* metrics = nullptr,
-                    const kernels::simd::KernelConfig* kernel = nullptr);
-void parallel_sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& m,
-                    const DenseMatrix& x, const DenseMatrix& y, std::vector<value_t>& out,
                     Metrics* metrics = nullptr,
                     const kernels::simd::KernelConfig* kernel = nullptr);
 

@@ -10,10 +10,7 @@ void RouteLatency::record(const std::string& key, double us) {
   std::lock_guard<std::mutex> lk(m_);
   for (auto& [k, s] : table_) {
     if (k == key) {
-      s.min_us = s.count == 0 ? us : std::min(s.min_us, us);
-      s.max_us = s.count == 0 ? us : std::max(s.max_us, us);
-      ++s.count;
-      s.total_us += us;
+      s.add(us);
       return;
     }
   }
@@ -21,14 +18,12 @@ void RouteLatency::record(const std::string& key, double us) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Stats s;
-  s.count = 1;
-  s.total_us = s.min_us = s.max_us = us;
-  table_.emplace_back(key, s);
+  table_.emplace_back(key, LatencyStats{});
+  table_.back().second.add(us);
 }
 
-std::vector<std::pair<std::string, RouteLatency::Stats>> RouteLatency::snapshot() const {
-  std::vector<std::pair<std::string, Stats>> out;
+std::vector<std::pair<std::string, LatencyStats>> RouteLatency::snapshot() const {
+  std::vector<std::pair<std::string, LatencyStats>> out;
   {
     std::lock_guard<std::mutex> lk(m_);
     out = table_;

@@ -46,6 +46,31 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> total_ns_{0};
 };
 
+/// Exact latency statistics of one route (count/sum/min/max, µs): a
+/// Metrics::route_latency entry, and an arm's record in the router's
+/// cost table.
+struct LatencyStats {
+  std::uint64_t count = 0;
+  double total_us = 0.0;
+  double min_us = 0.0;
+  double max_us = 0.0;
+
+  void add(double us) {
+    min_us = count == 0 ? us : std::min(min_us, us);
+    max_us = count == 0 ? us : std::max(max_us, us);
+    ++count;
+    total_us += us;
+  }
+  void merge(const LatencyStats& o) {
+    if (o.count == 0) return;
+    min_us = count == 0 ? o.min_us : std::min(min_us, o.min_us);
+    max_us = count == 0 ? o.max_us : std::max(max_us, o.max_us);
+    count += o.count;
+    total_us += o.total_us;
+  }
+  double mean_us() const { return count > 0 ? total_us / static_cast<double>(count) : 0.0; }
+};
+
 /// Per-route latency attribution: measured execution latency keyed by the
 /// router's attribution string "<fingerprint>|<workload>|k<bucket>|<choice>"
 /// (router::route_key). Unlike the process-wide histogram this is exact
@@ -59,23 +84,16 @@ class RouteLatency {
  public:
   static constexpr std::size_t kMaxKeys = 4096;
 
-  struct Stats {
-    std::uint64_t count = 0;
-    double total_us = 0.0;
-    double min_us = 0.0;
-    double max_us = 0.0;
-  };
-
   void record(const std::string& key, double us);
 
   /// Copy of the table, sorted by key (deterministic JSON output).
-  std::vector<std::pair<std::string, Stats>> snapshot() const;
+  std::vector<std::pair<std::string, LatencyStats>> snapshot() const;
 
   std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
  private:
   mutable std::mutex m_;
-  std::vector<std::pair<std::string, Stats>> table_;  ///< small; linear scan
+  std::vector<std::pair<std::string, LatencyStats>> table_;  ///< small; linear scan
   std::atomic<std::uint64_t> dropped_{0};
 };
 

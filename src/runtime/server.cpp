@@ -16,6 +16,7 @@ namespace rrspmm::runtime {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+namespace simd = kernels::simd;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -43,15 +44,6 @@ sparse::DenseMatrix materialize(sparse::DenseView v) {
     std::copy(src, src + v.cols, m.row(i).data());
   }
   return m;
-}
-
-// Copies an owned result into the caller's buffer — the fallback's
-// copy-out.
-void copy_out(const sparse::DenseMatrix& src, sparse::DenseMutView dst) {
-  for (index_t i = 0; i < src.rows(); ++i) {
-    const auto row = src.row(i);
-    std::copy(row.begin(), row.end(), dst.row(i));
-  }
 }
 
 void add_us(std::atomic<std::uint64_t>& counter, Clock::time_point t0) {
@@ -102,10 +94,42 @@ Server::~Server() {
   stop();
 }
 
-void Server::admit() {
-  std::lock_guard<std::mutex> lk(idle_m_);
-  if (!accepting_) throw server_stopped("Server: stopped, no longer accepting requests");
-  ++inflight_;
+void Server::admit(const std::function<void()>& prepare) {
+  {
+    std::lock_guard<std::mutex> lk(idle_m_);
+    if (!accepting_) throw server_stopped("Server: stopped, no longer accepting requests");
+    ++inflight_;
+  }
+  if (prepare) {
+    try {
+      prepare();
+    } catch (...) {
+      finish_requests(1);
+      throw;
+    }
+  }
+  // Stall-only: widens the window between admission and queueing so the
+  // stop()-race tests can pin a request inside it. A throw here would
+  // leak the inflight_ count taken above.
+  fault::hit_nothrow(fault::points::kServerSubmit);
+  metrics_.requests_submitted.fetch_add(1, std::memory_order_relaxed);
+  metrics_.queue_depth.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::shared_ptr<Server::Held> Server::gate(sparse::DenseView x, sparse::DenseView y,
+                                           bool y_is_operand) {
+  metrics_.zero_copy_requests.fetch_add(1, std::memory_order_relaxed);
+  if (cfg_.zero_copy && x.zero_copy_eligible() && y.zero_copy_eligible()) return nullptr;
+  // Misaligned caller (or zero-copy switched off): copy the operands the
+  // kernels read. Results still land in the caller's buffers, so the two
+  // paths are interchangeable bit-for-bit.
+  metrics_.zero_copy_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  const auto c0 = Clock::now();
+  auto held = std::make_shared<Held>();
+  held->x = materialize(x);
+  if (y_is_operand) held->y = materialize(y);
+  add_us(metrics_.submit_copy_us, c0);
+  return held;
 }
 
 void Server::stop() {
@@ -126,32 +150,42 @@ bool Server::stopped() const {
 }
 
 void Server::exec_spmm(const core::ExecutionPlan& plan, sparse::DenseView x,
-                       sparse::DenseMutView y) {
+                       sparse::DenseMutView y,
+                       const std::optional<simd::KernelConfig>& kernel) {
   if (cfg_.executor) {
     cfg_.executor->spmm(pool_, plan, x, y, &metrics_);
   } else {
-    parallel_spmm(pool_, plan, x, y, &metrics_, cfg_.kernel ? &*cfg_.kernel : nullptr);
+    parallel_spmm(pool_, plan, x, y, &metrics_, kernel ? &*kernel : nullptr);
   }
 }
 
 void Server::exec_sddmm(const core::ExecutionPlan& plan, const sparse::CsrMatrix& m,
                         sparse::DenseView x, sparse::DenseView y, value_t* out,
-                        std::size_t out_size) {
+                        std::size_t out_size,
+                        const std::optional<simd::KernelConfig>& kernel) {
   if (cfg_.executor) {
     cfg_.executor->sddmm(pool_, plan, m, x, y, out, out_size, &metrics_);
   } else {
-    parallel_sddmm(pool_, plan, m, x, y, out, out_size, &metrics_,
-                   cfg_.kernel ? &*cfg_.kernel : nullptr);
+    parallel_sddmm(pool_, plan, m, x, y, out, out_size, &metrics_, kernel ? &*kernel : nullptr);
   }
 }
 
 void Server::exec_spgemm(const core::ExecutionPlan& plan, const sparse::CsrMatrix& a,
-                         const sparse::CsrMatrix& b, sparse::CsrMatrix& c) {
+                         const sparse::CsrMatrix& b, sparse::CsrMatrix& c,
+                         const spgemm::SpgemmConfig& cfg) {
   if (cfg_.executor) {
-    cfg_.executor->spgemm(pool_, plan, a, b, c, &metrics_, cfg_.spgemm);
+    cfg_.executor->spgemm(pool_, plan, a, b, c, &metrics_, cfg);
   } else {
-    parallel_spgemm(pool_, plan, a, b, c, &metrics_, cfg_.spgemm);
+    parallel_spgemm(pool_, plan, a, b, c, &metrics_, cfg);
   }
+}
+
+std::optional<simd::KernelConfig> Server::kernel_for(const router::Decision& dec) const {
+  if (!dec.routed) return cfg_.kernel;
+  simd::KernelConfig kc = cfg_.kernel ? *cfg_.kernel : simd::active_config();
+  kc.spec_mode = static_cast<simd::SpecMode>(dec.choice.spec_mode);
+  kc.micro_gemm = dec.choice.micro_gemm;
+  return kc;
 }
 
 void Server::register_matrix(const std::string& name, sparse::CsrMatrix m) {
@@ -192,6 +226,10 @@ Server::Registered& Server::entry(const std::string& name) const {
   return *it->second;
 }
 
+PlanPtr Server::plan_of(Registered& e) {
+  return plan_cache_.get(e.fingerprint, e.matrix, cfg_.mode, numa_on_ ? e.node : -1);
+}
+
 void Server::count_decision(const router::Decision& dec) {
   if (!dec.routed) return;
   metrics_.router_decisions.fetch_add(1, std::memory_order_relaxed);
@@ -219,7 +257,7 @@ void Server::observe_route(Registered& e, router::Workload w, index_t k,
 
 PlanPtr Server::warm(const std::string& name) {
   Registered& e = entry(name);
-  PlanPtr plan = plan_cache_.get(e.fingerprint, e.matrix, cfg_.mode, numa_on_ ? e.node : -1);
+  PlanPtr plan = plan_of(e);
   if (cfg_.router && plan && !plan->routes.empty()) {
     bool import = false;
     {
@@ -232,29 +270,6 @@ PlanPtr Server::warm(const std::string& name) {
   return plan;
 }
 
-std::future<sparse::DenseMatrix> Server::submit(const std::string& name, sparse::DenseMatrix x) {
-  Registered& e = entry(name);
-  if (x.rows() != e.matrix.cols()) {
-    throw sparse::invalid_matrix("Server::submit: X rows must equal S cols");
-  }
-
-  SpmmRequest req;
-  req.x = std::move(x);
-  req.t0 = Clock::now();
-  std::future<sparse::DenseMatrix> fut = req.result.get_future();
-
-  admit();
-  // Stall-only: widens the window between admission and queueing so the
-  // stop()-race tests can pin a request inside it. A throw here would
-  // leak the inflight_ count admit() just took.
-  fault::hit_nothrow(fault::points::kServerSubmit);
-  metrics_.requests_submitted.fetch_add(1, std::memory_order_relaxed);
-  metrics_.queue_depth.fetch_add(1, std::memory_order_relaxed);
-
-  enqueue_spmm(e, std::move(req));
-  return fut;
-}
-
 std::future<void> Server::submit(const std::string& name, sparse::DenseView x,
                                  sparse::DenseMutView y) {
   Registered& e = entry(name);
@@ -264,36 +279,39 @@ std::future<void> Server::submit(const std::string& name, sparse::DenseView x,
   if (x.rows != e.matrix.cols() || y.rows != e.matrix.rows() || y.cols != x.cols) {
     throw sparse::invalid_matrix("Server::submit: view shapes do not match the matrix");
   }
+  auto p = std::make_shared<std::promise<void>>();
+  std::future<void> fut = p->get_future();
+  enqueue_spmm(e, SpmmRequest{x, y, nullptr,
+                              [p](std::exception_ptr err) {
+                                err ? p->set_exception(err) : p->set_value();
+                              },
+                              Clock::now()});
+  return fut;
+}
 
-  SpmmRequest req;
-  req.t0 = Clock::now();
-  req.yv = y;
-  metrics_.zero_copy_requests.fetch_add(1, std::memory_order_relaxed);
-  if (cfg_.zero_copy && x.zero_copy_eligible() && y.zero_copy_eligible()) {
-    req.xv = x;
-    req.borrowed = true;
-  } else {
-    // Misaligned caller (or zero-copy switched off): owned-copy fallback.
-    // The result still lands in the caller's y — via a timed copy-out at
-    // completion — so the two paths are interchangeable bit-for-bit.
-    metrics_.zero_copy_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    const auto c0 = Clock::now();
-    req.x = materialize(x);
-    add_us(metrics_.submit_copy_us, c0);
-    req.view_result = true;
+std::future<sparse::DenseMatrix> Server::submit(const std::string& name, sparse::DenseMatrix x) {
+  Registered& e = entry(name);
+  if (x.rows() != e.matrix.cols()) {
+    throw sparse::invalid_matrix("Server::submit: X rows must equal S cols");
   }
-  std::future<void> fut = req.done.get_future();
-
-  admit();
-  fault::hit_nothrow(fault::points::kServerSubmit);
-  metrics_.requests_submitted.fetch_add(1, std::memory_order_relaxed);
-  metrics_.queue_depth.fetch_add(1, std::memory_order_relaxed);
-
-  enqueue_spmm(e, std::move(req));
+  auto held = std::make_shared<Held>();
+  held->x = std::move(x);
+  auto p = std::make_shared<std::promise<sparse::DenseMatrix>>();
+  std::future<sparse::DenseMatrix> fut = p->get_future();
+  // y has its shape but no storage yet; the drain allocates held->y.
+  const sparse::DenseMutView y(nullptr, e.matrix.rows(), held->x.cols(), held->x.cols());
+  enqueue_spmm(e, SpmmRequest{held->x, y, held,
+                              [p, held](std::exception_ptr err) {
+                                err ? p->set_exception(err) : p->set_value(std::move(held->y));
+                              },
+                              Clock::now()});
   return fut;
 }
 
 void Server::enqueue_spmm(Registered& e, SpmmRequest req) {
+  admit([&] {
+    if (!req.held && (req.held = gate(req.x, req.y.as_const(), false))) req.x = req.held->x;
+  });
   bool schedule = false;
   {
     std::lock_guard<std::mutex> lk(e.m);
@@ -346,14 +364,14 @@ void Server::drain(Registered& e) {
         return;
       }
       batch.reserve(n);
-      // Borrowed (zero-copy) requests execute singly — coalescing one
-      // would mean copying its operand into the concatenated X, exactly
-      // the copy it exists to avoid. FIFO order is preserved: a borrowed
-      // request at the front forms its own batch of one; otherwise the
-      // batch stops just before the first borrowed request.
+      // A request that reads caller memory (no server-held operand)
+      // executes alone — coalescing it would mean copying its operand
+      // into the concatenated X, exactly the copy it exists to avoid.
+      // FIFO order is preserved: such a request at the front forms its
+      // own batch of one; otherwise the batch stops just before it.
       for (std::size_t i = 0; i < n; ++i) {
-        if (e.queue.front().borrowed && !batch.empty()) break;
-        const bool borrowed = e.queue.front().borrowed;
+        const bool borrowed = !e.queue.front().held;
+        if (borrowed && !batch.empty()) break;
         batch.push_back(std::move(e.queue.front()));
         e.queue.pop_front();
         if (borrowed) break;
@@ -364,11 +382,27 @@ void Server::drain(Registered& e) {
     // widening the stop()-during-drain race window for the chaos tests.
     fault::hit_nothrow(fault::points::kServerDrain);
 
-    // Completion metrics are bumped BEFORE a promise is fulfilled so a
-    // client that observed its future ready always sees itself counted.
+    std::exception_ptr err;
+    const auto exec_t0 = Clock::now();
     try {
-      const auto exec_t0 = Clock::now();
-      std::vector<sparse::DenseMatrix> ys = run_spmm_batch(e, batch);
+      // The owned API's result is allocated here, on the worker: zero-
+      // filling a large Y inside submit() would stall the submitting
+      // client for as long as the fill takes.
+      for (SpmmRequest& r : batch) {
+        if (r.held && r.y.data == nullptr) {
+          r.held->y = sparse::DenseMatrix(r.y.rows, r.y.cols);
+          r.y = r.held->y;
+        }
+      }
+      with_recovery([&] { execute_spmm_batch(e, batch); },
+                    [&] {
+                      const PlanPtr plan = plan_of(e);
+                      for (const SpmmRequest& r : batch) core::run_spmm(*plan, r.x, r.y);
+                    });
+    } catch (...) {
+      err = std::current_exception();
+    }
+    if (!err) {
       // The coalescing arm is judged on latency per request, not per
       // batch — that is what the width trades off.
       observe_route(e, router::Workload::coalesce, 0, cdec,
@@ -380,52 +414,18 @@ void Server::drain(Registered& e) {
       if (batch.size() > 1) {
         metrics_.requests_coalesced.fetch_add(batch.size(), std::memory_order_relaxed);
       }
-      metrics_.requests_completed.fetch_add(batch.size(), std::memory_order_relaxed);
-      metrics_.queue_depth.fetch_sub(batch.size(), std::memory_order_relaxed);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        SpmmRequest& r = batch[i];
-        if (r.view_result) {
-          // Fallback copy-out: the owned result into the caller's y.
-          const auto c0 = Clock::now();
-          copy_out(ys[i], r.yv);
-          add_us(metrics_.submit_copy_us, c0);
-        }
-        metrics_.latency.record(seconds_since(r.t0));
-        if (r.borrowed || r.view_result) {
-          r.done.set_value();
-        } else {
-          r.result.set_value(std::move(ys[i]));
-        }
-      }
-    } catch (...) {
-      metrics_.requests_failed.fetch_add(batch.size(), std::memory_order_relaxed);
-      metrics_.queue_depth.fetch_sub(batch.size(), std::memory_order_relaxed);
-      for (SpmmRequest& r : batch) {
-        metrics_.latency.record(seconds_since(r.t0));
-        if (r.borrowed || r.view_result) {
-          r.done.set_exception(std::current_exception());
-        } else {
-          r.result.set_exception(std::current_exception());
-        }
-      }
     }
-
+    for (const SpmmRequest& r : batch) complete(r.done, r.t0, err);
     finish_requests(batch.size());
   }
 }
 
-std::vector<sparse::DenseMatrix> Server::execute_spmm_batch(Registered& e,
-                                                            std::vector<SpmmRequest>& batch) {
+void Server::execute_spmm_batch(Registered& e, std::vector<SpmmRequest>& batch) {
   // The plan fetch is part of the attempt: a failed build drops its cache
   // entry, so a retry rebuilds instead of re-fetching the exception.
-  const PlanPtr plan = plan_cache_.get(e.fingerprint, e.matrix, cfg_.mode,
-                                       numa_on_ ? e.node : -1);
-  std::vector<sparse::DenseMatrix> ys;
-  ys.reserve(batch.size());
-
+  const PlanPtr plan = plan_of(e);
   index_t k_total = 0;
-  for (const SpmmRequest& r : batch) k_total += r.k();
-  const bool borrowed = batch.size() == 1 && batch[0].borrowed;
+  for (const SpmmRequest& r : batch) k_total += r.x.cols;
 
   // Kernel-variant decision for this batch. Only the built-in
   // panel-parallel path is routed here — a configured Executor owns its
@@ -434,361 +434,86 @@ std::vector<sparse::DenseMatrix> Server::execute_spmm_batch(Registered& e,
   // bit-identical executions runs, never the result.
   router::Decision dec;
   if (cfg_.router && !cfg_.executor) {
-    auto arms = router::Router::spmm_arms(plan->spec.get(), k_total, e.matrix.rows(),
-                                          cfg_.router->config().dense_row_fraction);
-    if (borrowed) {
-      // The sequential arm runs through core::run_spmm, which takes
-      // owning matrices; offering it to a borrowed request would force
-      // the copies zero-copy exists to avoid.
-      arms.erase(std::remove_if(arms.begin(), arms.end(),
-                                [](const router::RouteChoice& c) { return c.threads == 1; }),
-                 arms.end());
-    }
-    dec = cfg_.router->decide(e.fingerprint, router::Workload::spmm, k_total, e.ctx, arms);
+    dec = cfg_.router->decide(
+        e.fingerprint, router::Workload::spmm, k_total, e.ctx,
+        router::Router::spmm_arms(plan->spec.get(), k_total, e.matrix.rows(),
+                                  cfg_.router->config().dense_row_fraction));
     count_decision(dec);
   }
   const auto run = [&](sparse::DenseView x, sparse::DenseMutView y) {
-    if (!dec.routed) {
-      exec_spmm(*plan, x, y);
-      return;
-    }
-    kernels::simd::KernelConfig kc =
-        cfg_.kernel ? *cfg_.kernel : kernels::simd::active_config();
-    kc.spec_mode = static_cast<kernels::simd::SpecMode>(dec.choice.spec_mode);
-    kc.micro_gemm = dec.choice.micro_gemm;
-    parallel_spmm(pool_, *plan, x, y, &metrics_, &kc);
-  };
-  // Sequential arm: the core pipeline in this thread, skipping the pool
-  // fan-out whose overhead dominates small matrices. Never offered for
-  // borrowed batches (filtered above).
-  const bool sequential = dec.routed && dec.choice.threads == 1;
-
-  if (borrowed) {
-    // Zero-copy: the kernels read the caller's x and write the caller's
-    // y directly; the batch produces no owned result.
-    SpmmRequest& r = batch[0];
     const auto t0 = Clock::now();
-    run(r.xv, r.yv);
+    if (dec.routed && dec.choice.threads == 1) {
+      // Sequential arm: the core pipeline in this thread, skipping the
+      // pool fan-out whose overhead dominates small matrices.
+      core::run_spmm(*plan, x, y);
+    } else {
+      exec_spmm(*plan, x, y, kernel_for(dec));
+    }
     add_us(metrics_.execute_us, t0);
     observe_route(e, router::Workload::spmm, k_total, dec, micros_since(t0));
-    ys.emplace_back();
-    return ys;
-  }
+  };
 
   if (batch.size() == 1) {
-    sparse::DenseMatrix y(e.matrix.rows(), batch[0].x.cols());
-    const auto t0 = Clock::now();
-    if (sequential) {
-      core::run_spmm(*plan, batch[0].x, y);
-    } else {
-      run(batch[0].x, y);
-    }
-    add_us(metrics_.execute_us, t0);
-    observe_route(e, router::Workload::spmm, k_total, dec, micros_since(t0));
-    ys.push_back(std::move(y));
-    return ys;
+    run(batch[0].x, batch[0].y);
+    return;
   }
 
   // Coalesce: concatenate the X operands column-wise, run one multi-K
-  // SpMM, split the product back per request. The batch buffers use the
-  // aligned (padded-ld) storage mode so every row pointer the SIMD
-  // kernels see is vector-aligned; per-request results stay packed.
+  // SpMM, scatter the product back into each request's y. The batch
+  // buffers use the aligned (padded-ld) storage mode so every row
+  // pointer the SIMD kernels see is vector-aligned.
   const auto gather_t0 = Clock::now();
   sparse::DenseMatrix x_all = sparse::DenseMatrix::aligned(e.matrix.cols(), k_total);
   index_t off = 0;
   for (const SpmmRequest& r : batch) {
-    const index_t k = r.x.cols();
-    for (index_t c = 0; c < r.x.rows(); ++c) {
-      const auto src = r.x.row(c);
-      std::copy(src.begin(), src.end(), x_all.row(c).data() + off);
+    for (index_t c = 0; c < r.x.rows; ++c) {
+      const value_t* src = r.x.row(c);
+      std::copy(src, src + r.x.cols, x_all.row(c).data() + off);
     }
-    off += k;
+    off += r.x.cols;
   }
   add_us(metrics_.submit_copy_us, gather_t0);
 
   sparse::DenseMatrix y_all = sparse::DenseMatrix::aligned(e.matrix.rows(), k_total);
-  const auto t0 = Clock::now();
-  if (sequential) {
-    core::run_spmm(*plan, x_all, y_all);
-  } else {
-    run(x_all, y_all);
-  }
-  add_us(metrics_.execute_us, t0);
-  observe_route(e, router::Workload::spmm, k_total, dec, micros_since(t0));
+  run(x_all, y_all);
 
   const auto split_t0 = Clock::now();
   off = 0;
   for (const SpmmRequest& r : batch) {
-    const index_t k = r.x.cols();
-    sparse::DenseMatrix y(e.matrix.rows(), k);
-    for (index_t i = 0; i < y.rows(); ++i) {
+    for (index_t i = 0; i < r.y.rows; ++i) {
       const value_t* src = y_all.row(i).data() + off;
-      std::copy(src, src + k, y.row(i).data());
+      std::copy(src, src + r.y.cols, r.y.row(i));
     }
-    ys.push_back(std::move(y));
-    off += k;
+    off += r.y.cols;
   }
   add_us(metrics_.submit_copy_us, split_t0);
-  return ys;
 }
 
-std::vector<sparse::DenseMatrix> Server::run_spmm_batch(Registered& e,
-                                                        std::vector<SpmmRequest>& batch) {
+void Server::with_recovery(const std::function<void()>& attempt,
+                           const std::function<void()>& degrade) {
   const int max_attempts = std::max(1, cfg_.retry.max_attempts);
-  for (int attempt = 0;; ++attempt) {
+  for (int n = 0;; ++n) {
     try {
-      if (attempt > 0) {
+      if (n > 0) {
         metrics_.retries.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(retry_delay(cfg_.retry, attempt));
+        std::this_thread::sleep_for(retry_delay(cfg_.retry, n));
       }
-      return execute_spmm_batch(e, batch);
-    } catch (const fault::injected_fault&) {
-      metrics_.faults_injected.fetch_add(1, std::memory_order_relaxed);
-      if (attempt + 1 >= max_attempts) {
-        if (!cfg_.retry.degrade_to_single_device) throw;
-        break;
-      }
+      attempt();
+      return;
     } catch (const sparse::invalid_matrix&) {
       throw;  // deterministic input error: retrying cannot change it
-    } catch (...) {
-      if (attempt + 1 >= max_attempts) {
-        if (!cfg_.retry.degrade_to_single_device) throw;
-        break;
-      }
-    }
-  }
-
-  // Graceful degradation: retries exhausted, run each request
-  // sequentially through the core pipeline. Same plan, same accumulation
-  // order, so the results stay bitwise-equal to the fault-free path.
-  // Borrowed requests are materialised into owned copies here —
-  // correctness over speed once the fast path has failed — and the
-  // result is copied back into the caller's buffer.
-  metrics_.degradations.fetch_add(1, std::memory_order_relaxed);
-  const PlanPtr plan = plan_cache_.get(e.fingerprint, e.matrix, cfg_.mode,
-                                       numa_on_ ? e.node : -1);
-  std::vector<sparse::DenseMatrix> ys;
-  ys.reserve(batch.size());
-  for (SpmmRequest& r : batch) {
-    if (r.borrowed) {
-      const sparse::DenseMatrix x = materialize(r.xv);
-      sparse::DenseMatrix y(e.matrix.rows(), r.xv.cols);
-      core::run_spmm(*plan, x, y);
-      copy_out(y, r.yv);
-      ys.emplace_back();
-    } else {
-      sparse::DenseMatrix y(e.matrix.rows(), r.x.cols());
-      core::run_spmm(*plan, r.x, y);
-      ys.push_back(std::move(y));
-    }
-  }
-  return ys;
-}
-
-void Server::run_sddmm_request(Registered& e, sparse::DenseView x, sparse::DenseView y,
-                               value_t* out, std::size_t out_size) {
-  const int max_attempts = std::max(1, cfg_.retry.max_attempts);
-  for (int attempt = 0;; ++attempt) {
-    try {
-      if (attempt > 0) {
-        metrics_.retries.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(retry_delay(cfg_.retry, attempt));
-      }
-      const PlanPtr plan = plan_cache_.get(e.fingerprint, e.matrix, cfg_.mode,
-                                           numa_on_ ? e.node : -1);
-      router::Decision dec;
-      if (cfg_.router && !cfg_.executor) {
-        dec = cfg_.router->decide(e.fingerprint, router::Workload::sddmm, x.cols, e.ctx,
-                                  router::Router::sddmm_arms(plan->spec.get(), x.cols));
-        count_decision(dec);
-      }
-      if (dec.routed) {
-        kernels::simd::KernelConfig kc =
-            cfg_.kernel ? *cfg_.kernel : kernels::simd::active_config();
-        kc.spec_mode = static_cast<kernels::simd::SpecMode>(dec.choice.spec_mode);
-        const auto t0 = Clock::now();
-        parallel_sddmm(pool_, *plan, e.matrix, x, y, out, out_size, &metrics_, &kc);
-        observe_route(e, router::Workload::sddmm, x.cols, dec, micros_since(t0));
-      } else {
-        exec_sddmm(*plan, e.matrix, x, y, out, out_size);
-      }
-      return;
     } catch (const fault::injected_fault&) {
       metrics_.faults_injected.fetch_add(1, std::memory_order_relaxed);
-      if (attempt + 1 >= max_attempts) {
-        if (!cfg_.retry.degrade_to_single_device) throw;
-        break;
-      }
-    } catch (const sparse::invalid_matrix&) {
-      throw;
+      if (n + 1 >= max_attempts && !cfg_.retry.degrade_to_single_device) throw;
     } catch (...) {
-      if (attempt + 1 >= max_attempts) {
-        if (!cfg_.retry.degrade_to_single_device) throw;
-        break;
-      }
+      if (n + 1 >= max_attempts && !cfg_.retry.degrade_to_single_device) throw;
     }
+    if (n + 1 >= max_attempts) break;
   }
-
-  // Degradation materialises owned operands (core::run_sddmm takes
-  // owning matrices) and copies the result into the caller's buffer —
-  // bitwise-equal, one copy slower, only after the fast path failed.
+  // Graceful degradation: retries exhausted, run sequentially through
+  // the same plan (same accumulation order, so bitwise-equal results).
   metrics_.degradations.fetch_add(1, std::memory_order_relaxed);
-  const PlanPtr plan = plan_cache_.get(e.fingerprint, e.matrix, cfg_.mode,
-                                       numa_on_ ? e.node : -1);
-  const sparse::DenseMatrix xo = materialize(x);
-  const sparse::DenseMatrix yo = materialize(y);
-  std::vector<value_t> tmp;
-  core::run_sddmm(*plan, e.matrix, xo, yo, tmp);
-  if (tmp.size() != out_size) {
-    throw sparse::invalid_matrix("Server: SDDMM output size mismatch in degraded path");
-  }
-  std::copy(tmp.begin(), tmp.end(), out);
-}
-
-sparse::CsrMatrix Server::run_spgemm_request(Registered& ea, Registered& eb) {
-  const int max_attempts = std::max(1, cfg_.retry.max_attempts);
-  for (int attempt = 0;; ++attempt) {
-    try {
-      if (attempt > 0) {
-        metrics_.retries.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(retry_delay(cfg_.retry, attempt));
-      }
-      const PlanPtr plan = plan_cache_.get(ea.fingerprint, ea.matrix, cfg_.mode,
-                                           numa_on_ ? ea.node : -1);
-      // Accumulator decision: config default vs hash vs sort pinned. The
-      // accumulators are bitwise-equal by construction (see
-      // spgemm/accumulators.hpp), so the choice is pure speed. SpGEMM has
-      // no dense operand width; the key uses bucket 0.
-      router::Decision dec;
-      if (cfg_.router && !cfg_.executor) {
-        dec = cfg_.router->decide(ea.fingerprint, router::Workload::spgemm, 0,
-                                  router::Router::spgemm_arms());
-        count_decision(dec);
-      }
-      sparse::CsrMatrix c;
-      if (dec.routed) {
-        spgemm::SpgemmConfig sc = cfg_.spgemm;
-        if (dec.choice.accumulator != router::kDefaultAccumulator) {
-          sc.accumulator = static_cast<spgemm::Accumulator>(dec.choice.accumulator);
-        }
-        const auto t0 = Clock::now();
-        parallel_spgemm(pool_, *plan, ea.matrix, eb.matrix, c, &metrics_, sc);
-        observe_route(ea, router::Workload::spgemm, 0, dec, micros_since(t0));
-      } else {
-        exec_spgemm(*plan, ea.matrix, eb.matrix, c);
-      }
-      metrics_.spgemm_batches.fetch_add(1, std::memory_order_relaxed);
-      return c;
-    } catch (const fault::injected_fault&) {
-      metrics_.faults_injected.fetch_add(1, std::memory_order_relaxed);
-      if (attempt + 1 >= max_attempts) {
-        if (!cfg_.retry.degrade_to_single_device) throw;
-        break;
-      }
-    } catch (const sparse::invalid_matrix&) {
-      throw;
-    } catch (...) {
-      if (attempt + 1 >= max_attempts) {
-        if (!cfg_.retry.degrade_to_single_device) throw;
-        break;
-      }
-    }
-  }
-
-  // Graceful degradation: sequential sort-based multiply with probes
-  // off, so an armed fault plan cannot re-fire inside the fallback. Same
-  // per-column accumulation order as every instrumented path — bitwise
-  // equal (see spgemm/accumulators.hpp).
-  metrics_.degradations.fetch_add(1, std::memory_order_relaxed);
-  metrics_.spgemm_degradations.fetch_add(1, std::memory_order_relaxed);
-  spgemm::SpgemmConfig degraded;
-  degraded.accumulator = spgemm::Accumulator::sort;
-  degraded.probes = false;
-  sparse::CsrMatrix c = spgemm::multiply(ea.matrix, eb.matrix, degraded);
-  metrics_.spgemm_batches.fetch_add(1, std::memory_order_relaxed);
-  return c;
-}
-
-std::future<sparse::CsrMatrix> Server::submit_spgemm(const std::string& a_name,
-                                                     const std::string& b_name) {
-  Registered& ea = entry(a_name);
-  Registered& eb = entry(b_name);
-  if (ea.matrix.cols() != eb.matrix.rows()) {
-    throw sparse::invalid_matrix("Server::submit_spgemm: A cols must equal B rows");
-  }
-
-  struct SpgemmRequest {
-    std::promise<sparse::CsrMatrix> result;
-    Clock::time_point t0;
-  };
-  auto req = std::make_shared<SpgemmRequest>();
-  req->t0 = Clock::now();
-  std::future<sparse::CsrMatrix> fut = req->result.get_future();
-
-  admit();
-  fault::hit_nothrow(fault::points::kServerSubmit);
-  metrics_.requests_submitted.fetch_add(1, std::memory_order_relaxed);
-  metrics_.queue_depth.fetch_add(1, std::memory_order_relaxed);
-
-  pool_.submit_on_node(ea.node, [this, &ea, &eb, req] {
-    try {
-      sparse::CsrMatrix c = run_spgemm_request(ea, eb);
-      metrics_.requests_completed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      metrics_.latency.record(seconds_since(req->t0));
-      req->result.set_value(std::move(c));
-    } catch (...) {
-      metrics_.requests_failed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      metrics_.latency.record(seconds_since(req->t0));
-      req->result.set_exception(std::current_exception());
-    }
-    finish_requests(1);
-  });
-  return fut;
-}
-
-std::future<std::vector<value_t>> Server::submit_sddmm(const std::string& name,
-                                                       sparse::DenseMatrix x,
-                                                       sparse::DenseMatrix y) {
-  Registered& e = entry(name);
-  if (x.rows() != e.matrix.cols() || y.rows() != e.matrix.rows() || x.cols() != y.cols()) {
-    throw sparse::invalid_matrix("Server::submit_sddmm: operand shapes do not match the matrix");
-  }
-
-  struct SddmmRequest {
-    sparse::DenseMatrix x, y;
-    std::promise<std::vector<value_t>> result;
-    Clock::time_point t0;
-  };
-  auto req = std::make_shared<SddmmRequest>();
-  req->x = std::move(x);
-  req->y = std::move(y);
-  req->t0 = Clock::now();
-  std::future<std::vector<value_t>> fut = req->result.get_future();
-
-  admit();
-  fault::hit_nothrow(fault::points::kServerSubmit);
-  metrics_.requests_submitted.fetch_add(1, std::memory_order_relaxed);
-  metrics_.queue_depth.fetch_add(1, std::memory_order_relaxed);
-
-  pool_.submit_on_node(e.node, [this, &e, req] {
-    try {
-      std::vector<value_t> out(static_cast<std::size_t>(e.matrix.nnz()));
-      run_sddmm_request(e, req->x, req->y, out.data(), out.size());
-      metrics_.requests_completed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      metrics_.latency.record(seconds_since(req->t0));
-      req->result.set_value(std::move(out));
-    } catch (...) {
-      metrics_.requests_failed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      metrics_.latency.record(seconds_since(req->t0));
-      req->result.set_exception(std::current_exception());
-    }
-    finish_requests(1);
-  });
-  return fut;
+  degrade();
 }
 
 std::future<void> Server::submit_sddmm(const std::string& name, sparse::DenseView x,
@@ -804,57 +529,146 @@ std::future<void> Server::submit_sddmm(const std::string& name, sparse::DenseVie
   if (out_size != static_cast<std::size_t>(e.matrix.nnz())) {
     throw sparse::invalid_matrix("Server::submit_sddmm: out must hold exactly nnz values");
   }
+  auto p = std::make_shared<std::promise<void>>();
+  std::future<void> fut = p->get_future();
+  enqueue_sddmm(e, SddmmRequest{x, y, out, out_size, nullptr,
+                                [p](std::exception_ptr err) {
+                                  err ? p->set_exception(err) : p->set_value();
+                                },
+                                Clock::now()});
+  return fut;
+}
 
-  struct SddmmViewRequest {
-    sparse::DenseMatrix x_own, y_own;  ///< fallback copies (own the views below)
-    sparse::DenseView x, y;            ///< what execution reads
-    value_t* out;
-    std::size_t out_size;
-    std::promise<void> result;
-    Clock::time_point t0;
-  };
-  auto req = std::make_shared<SddmmViewRequest>();
-  req->t0 = Clock::now();
-  req->out = out;
-  req->out_size = out_size;
-  metrics_.zero_copy_requests.fetch_add(1, std::memory_order_relaxed);
-  if (cfg_.zero_copy && x.zero_copy_eligible() && y.zero_copy_eligible()) {
-    req->x = x;
-    req->y = y;
-  } else {
-    // The output is written scalar-wise either way, so only the operand
-    // views need the aligned owned fallback.
-    metrics_.zero_copy_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    const auto c0 = Clock::now();
-    req->x_own = materialize(x);
-    req->y_own = materialize(y);
-    add_us(metrics_.submit_copy_us, c0);
-    req->x = req->x_own;
-    req->y = req->y_own;
+std::future<std::vector<value_t>> Server::submit_sddmm(const std::string& name,
+                                                       sparse::DenseMatrix x,
+                                                       sparse::DenseMatrix y) {
+  Registered& e = entry(name);
+  if (x.rows() != e.matrix.cols() || y.rows() != e.matrix.rows() || x.cols() != y.cols()) {
+    throw sparse::invalid_matrix("Server::submit_sddmm: operand shapes do not match the matrix");
   }
-  std::future<void> fut = req->result.get_future();
+  auto held = std::make_shared<Held>();
+  held->x = std::move(x);
+  held->y = std::move(y);
+  auto p = std::make_shared<std::promise<std::vector<value_t>>>();
+  std::future<std::vector<value_t>> fut = p->get_future();
+  // `out` stays null until the pool task allocates it, as for SpMM's y.
+  enqueue_sddmm(e, SddmmRequest{held->x, held->y, nullptr,
+                                static_cast<std::size_t>(e.matrix.nnz()), held,
+                                [p, held](std::exception_ptr err) {
+                                  err ? p->set_exception(err)
+                                      : p->set_value(std::move(held->out));
+                                },
+                                Clock::now()});
+  return fut;
+}
 
-  admit();
-  fault::hit_nothrow(fault::points::kServerSubmit);
-  metrics_.requests_submitted.fetch_add(1, std::memory_order_relaxed);
-  metrics_.queue_depth.fetch_add(1, std::memory_order_relaxed);
-
-  pool_.submit_on_node(e.node, [this, &e, req] {
-    try {
-      run_sddmm_request(e, req->x, req->y, req->out, req->out_size);
-      metrics_.requests_completed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      metrics_.latency.record(seconds_since(req->t0));
-      req->result.set_value();
-    } catch (...) {
-      metrics_.requests_failed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      metrics_.latency.record(seconds_since(req->t0));
-      req->result.set_exception(std::current_exception());
+void Server::enqueue_sddmm(Registered& e, SddmmRequest req) {
+  admit([&] {
+    if (!req.held && (req.held = gate(req.x, req.y, true))) {
+      req.x = req.held->x;
+      req.y = req.held->y;
     }
+  });
+  auto r = std::make_shared<SddmmRequest>(std::move(req));
+  pool_.submit_on_node(e.node, [this, &e, r] {
+    std::exception_ptr err;
+    try {
+      if (r->out == nullptr) {
+        r->held->out.resize(r->out_size);
+        r->out = r->held->out.data();
+      }
+      with_recovery([&] { execute_sddmm(e, *r); },
+                    [&] {
+                      core::run_sddmm(*plan_of(e), e.matrix, r->x, r->y, r->out, r->out_size);
+                    });
+    } catch (...) {
+      err = std::current_exception();
+    }
+    complete(r->done, r->t0, err);
+    finish_requests(1);
+  });
+}
+
+void Server::execute_sddmm(Registered& e, const SddmmRequest& r) {
+  const PlanPtr plan = plan_of(e);
+  router::Decision dec;
+  if (cfg_.router && !cfg_.executor) {
+    dec = cfg_.router->decide(e.fingerprint, router::Workload::sddmm, r.x.cols, e.ctx,
+                              router::Router::sddmm_arms(plan->spec.get(), r.x.cols));
+    count_decision(dec);
+  }
+  const auto t0 = Clock::now();
+  exec_sddmm(*plan, e.matrix, r.x, r.y, r.out, r.out_size, kernel_for(dec));
+  observe_route(e, router::Workload::sddmm, r.x.cols, dec, micros_since(t0));
+}
+
+std::future<sparse::CsrMatrix> Server::submit_spgemm(const std::string& a_name,
+                                                     const std::string& b_name) {
+  Registered& ea = entry(a_name);
+  Registered& eb = entry(b_name);
+  if (ea.matrix.cols() != eb.matrix.rows()) {
+    throw sparse::invalid_matrix("Server::submit_spgemm: A cols must equal B rows");
+  }
+  auto p = std::make_shared<std::promise<sparse::CsrMatrix>>();
+  std::future<sparse::CsrMatrix> fut = p->get_future();
+  const auto t0 = Clock::now();
+  admit();
+  pool_.submit_on_node(ea.node, [this, &ea, &eb, p, t0] {
+    sparse::CsrMatrix c;
+    std::exception_ptr err;
+    try {
+      // Degraded: the sequential sort-based multiply with probes off, so
+      // an armed fault plan cannot re-fire inside the fallback. Same
+      // per-column accumulation order as every instrumented path —
+      // bitwise equal (see spgemm/accumulators.hpp).
+      with_recovery([&] { c = execute_spgemm(ea, eb); },
+                    [&] {
+                      metrics_.spgemm_degradations.fetch_add(1, std::memory_order_relaxed);
+                      spgemm::SpgemmConfig degraded;
+                      degraded.accumulator = spgemm::Accumulator::sort;
+                      degraded.probes = false;
+                      c = spgemm::multiply(ea.matrix, eb.matrix, degraded);
+                    });
+      metrics_.spgemm_batches.fetch_add(1, std::memory_order_relaxed);
+    } catch (...) {
+      err = std::current_exception();
+    }
+    complete([&](std::exception_ptr e) { e ? p->set_exception(e) : p->set_value(std::move(c)); },
+             t0, err);
     finish_requests(1);
   });
   return fut;
+}
+
+sparse::CsrMatrix Server::execute_spgemm(Registered& ea, Registered& eb) {
+  const PlanPtr plan = plan_of(ea);
+  // Accumulator decision: config default vs hash vs sort pinned. The
+  // accumulators are bitwise-equal by construction (see
+  // spgemm/accumulators.hpp), so the choice is pure speed. SpGEMM has no
+  // dense operand width; the key uses bucket 0.
+  router::Decision dec;
+  spgemm::SpgemmConfig sc = cfg_.spgemm;
+  if (cfg_.router && !cfg_.executor) {
+    dec = cfg_.router->decide(ea.fingerprint, router::Workload::spgemm, 0,
+                              router::Router::spgemm_arms());
+    count_decision(dec);
+    if (dec.routed && dec.choice.accumulator != router::kDefaultAccumulator) {
+      sc.accumulator = static_cast<spgemm::Accumulator>(dec.choice.accumulator);
+    }
+  }
+  sparse::CsrMatrix c;
+  const auto t0 = Clock::now();
+  exec_spgemm(*plan, ea.matrix, eb.matrix, c, sc);
+  observe_route(ea, router::Workload::spgemm, 0, dec, micros_since(t0));
+  return c;
+}
+
+void Server::complete(const Completion& done, Clock::time_point t0, std::exception_ptr err) {
+  (err ? metrics_.requests_failed : metrics_.requests_completed)
+      .fetch_add(1, std::memory_order_relaxed);
+  metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
+  metrics_.latency.record(seconds_since(t0));
+  done(err);
 }
 
 void Server::finish_requests(std::size_t n) {

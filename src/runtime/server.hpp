@@ -19,6 +19,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -61,8 +63,9 @@ struct RetryPolicy {
   std::chrono::microseconds backoff_base{500};
   double backoff_multiplier = 2.0;
   std::chrono::microseconds backoff_cap{50000};
-  /// After the last failed attempt, run the batch sequentially through
-  /// core::run_spmm / core::run_sddmm instead of failing the requests.
+  /// After the last failed attempt, run each request sequentially
+  /// through core::run_spmm / core::run_sddmm on the caller's views
+  /// instead of failing it.
   bool degrade_to_single_device = false;
 };
 
@@ -138,36 +141,43 @@ class Server {
   /// a redeployed plan starts with its measured cost table warm.
   PlanPtr warm(const std::string& name);
 
-  /// Enqueues an SpMM request: the future resolves to Y = S_name * x
-  /// (x is S.cols() x K, the result S.rows() x K). Thread-safe. Shape
-  /// mismatches throw here, synchronously (a misshapen operand must not
-  /// poison the batch it would join); plan-build failures arrive through
-  /// the future.
+  /// Owned SpMM: the future resolves to Y = S_name * x (x is
+  /// S.cols() x K, the result S.rows() x K). A thin wrapper over the view
+  /// path: `x` moves into server-held storage, which also receives the
+  /// result (allocated by the worker that runs the request), so the
+  /// request coalesces with other queued server-held requests and counts
+  /// in neither zero-copy counter.
   std::future<sparse::DenseMatrix> submit(const std::string& name, sparse::DenseMatrix x);
 
-  /// Zero-copy SpMM: the server borrows `x` and writes the product
+  /// Zero-copy SpMM: the server reads `x` and writes the product
   /// directly into `y` (pre-shaped S.rows() x x.cols); the future
   /// resolves once `y` is fully written. Both buffers must stay alive —
-  /// and `y` untouched by the caller — until then. Views whose base
-  /// pointer is not kDenseAlignBytes-aligned (or a server with
-  /// zero_copy off) take the owned-copy fallback: same results, one
-  /// copy-in and one copy-out more (counted in zero_copy_fallbacks /
-  /// submit_copy_us). Borrowed requests execute singly — they never
-  /// join a coalesced batch, which would mean copying them anyway.
+  /// and `y` untouched by the caller — until then. Shape mismatches throw
+  /// here, synchronously (a misshapen operand must not poison the batch
+  /// it would join); plan-build failures arrive through the future.
+  /// Views whose base pointer is not kDenseAlignBytes-aligned (or a
+  /// server with zero_copy off) take the copy fallback: `x` is copied
+  /// into aligned server-held storage (counted in zero_copy_fallbacks /
+  /// submit_copy_us), the result still lands straight in `y`, and the
+  /// request may coalesce with other server-held requests. A request
+  /// that reads the caller's `x` executes alone — coalescing it would
+  /// mean copying it anyway. Thread-safe.
   std::future<void> submit(const std::string& name, sparse::DenseView x,
                            sparse::DenseMutView y);
 
-  /// Enqueues an SDDMM request: out[j] = S.values()[j] * <y row i, x row c>
-  /// per nonzero, aligned with the registered matrix's CSR order. SDDMM
-  /// requests are executed singly (their two operands do not concatenate).
+  /// Owned SDDMM: a thin wrapper over the view path that moves both
+  /// operands into server-held storage and resolves to the nnz-long
+  /// result.
   std::future<std::vector<value_t>> submit_sddmm(const std::string& name, sparse::DenseMatrix x,
                                                  sparse::DenseMatrix y);
 
-  /// Zero-copy SDDMM: borrows both operand views and scatters the
-  /// per-nonzero results straight into out[0..out_size), which must be
-  /// exactly S.nnz() long. Same lifetime and alignment rules as the
-  /// zero-copy submit(); out itself has no alignment requirement (the
-  /// kernels write it scalar-wise).
+  /// Zero-copy SDDMM: out[j] = S.values()[j] * <y row i, x row c> per
+  /// nonzero, aligned with the registered matrix's CSR order, written
+  /// straight into out[0..out_size), which must be exactly S.nnz() long.
+  /// Same lifetime and alignment rules as the zero-copy submit() (the
+  /// fallback copies both operands); out itself has no alignment
+  /// requirement (the kernels write it scalar-wise). SDDMM requests
+  /// execute singly (their two operands do not concatenate).
   std::future<void> submit_sddmm(const std::string& name, sparse::DenseView x,
                                  sparse::DenseView y, value_t* out, std::size_t out_size);
 
@@ -208,17 +218,40 @@ class Server {
   PlanCache& plan_cache() { return plan_cache_; }
 
  private:
-  struct SpmmRequest {
-    sparse::DenseMatrix x;              ///< owned operand (fallback + owned API)
-    sparse::DenseView xv;               ///< borrowed operand (borrowed == true)
-    sparse::DenseMutView yv;            ///< caller result buffer (view submits)
-    bool borrowed = false;              ///< execute straight from/into the views
-    bool view_result = false;           ///< resolve `done`, result lands in yv
-    std::promise<sparse::DenseMatrix> result;  ///< owned-API completion
-    std::promise<void> done;                   ///< view-API completion
-    std::chrono::steady_clock::time_point t0;
+  using Clock = std::chrono::steady_clock;
+  /// A request's single completion step: resolves its future — with the
+  /// result on a null argument, else with the failure.
+  using Completion = std::function<void(std::exception_ptr)>;
 
-    index_t k() const { return borrowed ? xv.cols : x.cols(); }
+  /// Server-held request storage: the owned API's operands and result,
+  /// or the aligned operand copies of a view request that could not be
+  /// borrowed.
+  struct Held {
+    sparse::DenseMatrix x, y;
+    std::vector<value_t> out;  ///< owned SDDMM result
+  };
+
+  /// y = S * x. The views point at caller memory or into `held`; a
+  /// request whose operand the server holds can join a coalesced batch,
+  /// one that reads caller memory executes alone. The owned API's y has
+  /// its shape but no storage until the drain allocates held->y.
+  struct SpmmRequest {
+    sparse::DenseView x;
+    sparse::DenseMutView y;
+    std::shared_ptr<Held> held;
+    Completion done;
+    Clock::time_point t0;
+  };
+
+  /// out = SDDMM(S, x, y); the same view/storage split as SpmmRequest
+  /// (the owned API's `out` stays null until the pool task allocates it).
+  struct SddmmRequest {
+    sparse::DenseView x, y;
+    value_t* out = nullptr;
+    std::size_t out_size = 0;
+    std::shared_ptr<Held> held;
+    Completion done;
+    Clock::time_point t0;
   };
 
   struct Registered {
@@ -236,6 +269,7 @@ class Server {
   };
 
   Registered& entry(const std::string& name) const;
+  PlanPtr plan_of(Registered& e);
   /// Bumps the serving-scoped router counters for a routed decision.
   void count_decision(const router::Decision& dec);
   /// Feeds a measured latency back to the router and the per-route
@@ -244,44 +278,59 @@ class Server {
   /// split per node); no-op for unrouted decisions.
   void observe_route(Registered& e, router::Workload w, index_t k,
                      const router::Decision& dec, double us);
-  /// Queues the request and schedules the matrix's drain task (on its
-  /// home node) if one is not already running.
-  void enqueue_spmm(Registered& e, SpmmRequest req);
-  void drain(Registered& e);
-  /// One execution attempt: fetch the plan, run the batch (single or
-  /// coalesced), return one Y per request. No promises or completion
-  /// metrics are touched, so a failed attempt is fully retryable.
-  std::vector<sparse::DenseMatrix> execute_spmm_batch(Registered& e,
-                                                      std::vector<SpmmRequest>& batch);
-  /// execute_spmm_batch wrapped in the cfg_.retry recovery loop:
-  /// retry with capped exponential backoff, then (optionally) degrade to
-  /// sequential core::run_spmm. Throws only when every avenue fails.
-  std::vector<sparse::DenseMatrix> run_spmm_batch(Registered& e,
-                                                  std::vector<SpmmRequest>& batch);
-  /// SDDMM counterpart of run_spmm_batch (single request, no
-  /// coalescing), writing into a caller-provided nnz-sized buffer —
-  /// both the owned API (which allocates the vector) and the zero-copy
-  /// API (caller storage) funnel here.
-  void run_sddmm_request(Registered& e, sparse::DenseView x, sparse::DenseView y,
-                         value_t* out, std::size_t out_size);
-  /// SpGEMM counterpart: retry with backoff, then degrade to the
-  /// sequential sort-based spgemm::multiply (probes off, bitwise-equal).
-  sparse::CsrMatrix run_spgemm_request(Registered& ea, Registered& eb);
-  void finish_requests(std::size_t n);
+  /// The SIMD configuration a decision selects: cfg_.kernel when
+  /// unrouted, else the server's choice with the arm's spec mode and
+  /// micro-GEMM flag applied.
+  std::optional<kernels::simd::KernelConfig> kernel_for(const router::Decision& dec) const;
   /// Gate every admission through: throws server_stopped after stop()
   /// has begun, otherwise counts the request as in flight. The check and
   /// the increment are one critical section, so stop() can never observe
   /// an idle server while an admitted request is still untracked.
-  void admit();
+  /// `prepare` (the zero-copy gate) runs only once admitted; if it
+  /// throws, the in-flight count is returned before the rethrow.
+  void admit(const std::function<void()>& prepare = {});
+  /// Zero-copy gate of an admitted view request: counts it and, when
+  /// zero_copy is off or a view is misaligned, returns aligned
+  /// server-held copies of `x` (and of `y` when `y_is_operand`), timed
+  /// as submit_copy_us. Null: the request borrows the caller's memory.
+  std::shared_ptr<Held> gate(sparse::DenseView x, sparse::DenseView y, bool y_is_operand);
+  /// Admits the request, queues it, and schedules the matrix's drain
+  /// task (on its home node) if one is not already running.
+  void enqueue_spmm(Registered& e, SpmmRequest req);
+  /// Admits the request and runs it as one pool task on its home node.
+  void enqueue_sddmm(Registered& e, SddmmRequest req);
+  void drain(Registered& e);
+  /// One execution attempt: fetch the plan, run the batch — a batch of
+  /// one straight on its views, a coalesced batch gathered into one
+  /// multi-K operand and scattered back into each request's y. Touches
+  /// no completion state, so a failed attempt is fully retryable.
+  void execute_spmm_batch(Registered& e, std::vector<SpmmRequest>& batch);
+  void execute_sddmm(Registered& e, const SddmmRequest& r);
+  sparse::CsrMatrix execute_spgemm(Registered& ea, Registered& eb);
+  /// The cfg_.retry recovery loop every request kind runs through: up to
+  /// max_attempts of `attempt` with capped exponential backoff between
+  /// them, then — with degrade_to_single_device — one run of `degrade`,
+  /// the sequential path through the same plan (bitwise-equal). Input
+  /// errors (invalid_matrix) are never retried. Throws only when every
+  /// avenue fails.
+  void with_recovery(const std::function<void()>& attempt,
+                     const std::function<void()>& degrade);
+  /// Bumps the completion metrics, then resolves the future: a client
+  /// that observed its future ready always sees itself counted.
+  void complete(const Completion& done, Clock::time_point t0, std::exception_ptr err);
+  void finish_requests(std::size_t n);
   /// Dispatch through cfg_.executor when set, else the built-in
-  /// panel-parallel path. Both sides keep the bitwise-equality contract.
-  /// View-based: owning callers convert implicitly.
-  void exec_spmm(const core::ExecutionPlan& plan, sparse::DenseView x, sparse::DenseMutView y);
+  /// panel-parallel path with `kernel` (see kernel_for). Both sides keep
+  /// the bitwise-equality contract.
+  void exec_spmm(const core::ExecutionPlan& plan, sparse::DenseView x, sparse::DenseMutView y,
+                 const std::optional<kernels::simd::KernelConfig>& kernel);
   void exec_sddmm(const core::ExecutionPlan& plan, const sparse::CsrMatrix& m,
                   sparse::DenseView x, sparse::DenseView y, value_t* out,
-                  std::size_t out_size);
+                  std::size_t out_size,
+                  const std::optional<kernels::simd::KernelConfig>& kernel);
   void exec_spgemm(const core::ExecutionPlan& plan, const sparse::CsrMatrix& a,
-                   const sparse::CsrMatrix& b, sparse::CsrMatrix& c);
+                   const sparse::CsrMatrix& b, sparse::CsrMatrix& c,
+                   const spgemm::SpgemmConfig& cfg);
 
   ServerConfig cfg_;
   Metrics metrics_;

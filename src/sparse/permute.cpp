@@ -109,6 +109,16 @@ DenseMatrix unpermute_dense_rows(const DenseMatrix& m, const std::vector<index_t
   return out;
 }
 
+void unpermute_dense_rows(DenseView src, const std::vector<index_t>& perm, DenseMutView dst) {
+  if (dst.rows != src.rows || dst.cols != src.cols) {
+    throw invalid_matrix("unpermute_dense_rows: destination shape mismatch");
+  }
+  for (index_t i = 0; i < src.rows; ++i) {
+    const value_t* row = src.row(i);
+    std::copy(row, row + src.cols, dst.row(perm[static_cast<std::size_t>(i)]));
+  }
+}
+
 CsrMatrix transpose(const CsrMatrix& m) {
   std::vector<offset_t> rowptr(static_cast<std::size_t>(m.cols()) + 1, 0);
   for (index_t c : m.colidx()) rowptr[static_cast<std::size_t>(c) + 1]++;

@@ -48,6 +48,10 @@ DenseMatrix permute_dense_rows(DenseView m, const std::vector<index_t>& perm);
 /// a row-permuted sparse matrix, returns Y in the original order
 /// (out row perm[i] = in row i).
 DenseMatrix unpermute_dense_rows(const DenseMatrix& m, const std::vector<index_t>& perm);
+/// The same scatter straight into caller storage: dst row perm[i] = src
+/// row i. `dst` must have src's shape; `perm` is trusted (a plan's
+/// validated row permutation), so this is a pure row-copy loop.
+void unpermute_dense_rows(DenseView src, const std::vector<index_t>& perm, DenseMutView dst);
 
 /// Transpose (CSR -> CSR of the transpose). Counting sort, O(nnz + cols).
 CsrMatrix transpose(const CsrMatrix& m);

@@ -119,10 +119,11 @@ TEST(ChaosSoak, EveryServedRequestIsBitwiseEqualToTheFaultFreeReference) {
       const bool first = i % 2 == 0;
       const auto& e = first ? m0 : m1;
       const core::ExecutionPlan& plan = first ? plan0 : plan1;
-      SddmmCase c{&e, DenseMatrix(e.matrix.cols(), 8), DenseMatrix(e.matrix.rows(), 8), {}};
+      SddmmCase c{&e, DenseMatrix(e.matrix.cols(), 8), DenseMatrix(e.matrix.rows(), 8),
+                  std::vector<value_t>(static_cast<std::size_t>(e.matrix.nnz()))};
       sparse::fill_random(c.x, seed * 200 + static_cast<std::uint64_t>(i));
       sparse::fill_random(c.y, seed * 300 + static_cast<std::uint64_t>(i));
-      core::run_sddmm(plan, e.matrix, c.x, c.y, c.ref);
+      core::run_sddmm(plan, e.matrix, c.x, c.y, c.ref.data(), c.ref.size());
       sddmm_cases.push_back(std::move(c));
     }
 

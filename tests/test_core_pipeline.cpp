@@ -127,6 +127,29 @@ TEST(Pipeline, RunSpmmMatchesNaiveThroughPermutation) {
   kernels::spmm_rowwise(m, x, y_ref);
   core::run_spmm(plan, x, y_plan);
   EXPECT_LT(y_plan.max_abs_diff(y_ref), 1e-4);
+
+  // Padded views (ld > cols) through a reordered and an identity plan
+  // land bit-for-bit where the packed run does; a misshapen y throws.
+  const index_t k = 12;
+  DenseMatrix xp = DenseMatrix::aligned(m.cols(), k);
+  sparse::fill_random(xp, 15);
+  ASSERT_GT(xp.ld(), xp.cols());
+  DenseMatrix x_packed(m.cols(), k);
+  for (index_t i = 0; i < m.cols(); ++i) {
+    for (index_t j = 0; j < k; ++j) x_packed(i, j) = xp(i, j);
+  }
+  const ExecutionPlan nr = build_plan_nr(m, small_cfg());
+  for (const ExecutionPlan* p : {&plan, &nr}) {
+    DenseMatrix y_packed(m.rows(), k);
+    DenseMatrix y_padded = DenseMatrix::aligned(m.rows(), k);
+    core::run_spmm(*p, x_packed, y_packed);
+    core::run_spmm(*p, xp, y_padded);
+    for (index_t i = 0; i < m.rows(); ++i) {
+      for (index_t j = 0; j < k; ++j) ASSERT_EQ(y_packed(i, j), y_padded(i, j));
+    }
+  }
+  DenseMatrix y_short(m.rows() - 1, k);
+  EXPECT_THROW(core::run_spmm(plan, xp, y_short), invalid_matrix);
 }
 
 TEST(Pipeline, RunSddmmMatchesNaiveThroughPermutation) {
@@ -135,13 +158,35 @@ TEST(Pipeline, RunSddmmMatchesNaiveThroughPermutation) {
   DenseMatrix x(m.cols(), 16), y(m.rows(), 16);
   sparse::fill_random(x, 12);
   sparse::fill_random(y, 13);
-  std::vector<value_t> ref, out;
+  std::vector<value_t> ref, out(static_cast<std::size_t>(m.nnz()));
   kernels::sddmm_rowwise(m, x, y, ref);
-  core::run_sddmm(plan, m, x, y, out);
+  core::run_sddmm(plan, m, x, y, out.data(), out.size());
   ASSERT_EQ(out.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(out[i], ref[i], 1e-4) << "nonzero " << i;
   }
+
+  // Padded operand views through a reordered and an identity plan match
+  // the packed run bit for bit; a wrong-sized output throws.
+  DenseMatrix xp = DenseMatrix::aligned(m.cols(), 12), yp = DenseMatrix::aligned(m.rows(), 12);
+  sparse::fill_random(xp, 16);
+  sparse::fill_random(yp, 17);
+  ASSERT_GT(yp.ld(), yp.cols());
+  DenseMatrix x_packed(m.cols(), 12), y_packed(m.rows(), 12);
+  for (index_t i = 0; i < m.cols(); ++i) {
+    for (index_t j = 0; j < 12; ++j) x_packed(i, j) = xp(i, j);
+  }
+  for (index_t i = 0; i < m.rows(); ++i) {
+    for (index_t j = 0; j < 12; ++j) y_packed(i, j) = yp(i, j);
+  }
+  const ExecutionPlan nr = build_plan_nr(m, small_cfg());
+  for (const ExecutionPlan* p : {&plan, &nr}) {
+    std::vector<value_t> o_packed(out.size()), o_padded(out.size());
+    core::run_sddmm(*p, m, x_packed, y_packed, o_packed.data(), o_packed.size());
+    core::run_sddmm(*p, m, xp, yp, o_padded.data(), o_padded.size());
+    for (std::size_t j = 0; j < out.size(); ++j) ASSERT_EQ(o_packed[j], o_padded[j]);
+  }
+  EXPECT_THROW(core::run_sddmm(plan, m, xp, yp, out.data(), out.size() - 1), invalid_matrix);
 }
 
 TEST(Pipeline, RunSddmmRejectsMismatchedMatrix) {
@@ -149,8 +194,8 @@ TEST(Pipeline, RunSddmmRejectsMismatchedMatrix) {
   const ExecutionPlan plan = build_plan(m, small_cfg());
   const auto other = synth::erdos_renyi(128, 2048, 999, 1);
   DenseMatrix x(2048, 4), y(128, 4);
-  std::vector<value_t> out;
-  EXPECT_THROW(core::run_sddmm(plan, other, x, y, out), invalid_matrix);
+  std::vector<value_t> out(static_cast<std::size_t>(other.nnz()));
+  EXPECT_THROW(core::run_sddmm(plan, other, x, y, out.data(), out.size()), invalid_matrix);
 }
 
 TEST(Pipeline, StatsAreInternallyConsistent) {

@@ -125,9 +125,9 @@ TEST_P(FuzzConsistency, AllStrategiesAgree) {
   EXPECT_LT(y_plan.max_abs_diff(y_ref), tol);
 
   // SDDMM agreement.
-  std::vector<value_t> o_ref, o_plan;
+  std::vector<value_t> o_ref, o_plan(static_cast<std::size_t>(m.nnz()));
   kernels::sddmm_rowwise(m, x, yd, o_ref);
-  core::run_sddmm(plan, m, x, yd, o_plan);
+  core::run_sddmm(plan, m, x, yd, o_plan.data(), o_plan.size());
   ASSERT_EQ(o_plan.size(), o_ref.size());
   double max_diff = 0.0;
   for (std::size_t j = 0; j < o_ref.size(); ++j) {
@@ -253,8 +253,8 @@ TEST_P(FuzzServedFailover, ServedResultsSurviveShardFailureBitwise) {
   sparse::fill_random(yd, GetParam() ^ 0xFEED);
   DenseMatrix y_ref(m.rows(), d.k);
   core::run_spmm(ref_plan, x, y_ref);
-  std::vector<value_t> o_ref;
-  core::run_sddmm(ref_plan, m, x, yd, o_ref);
+  std::vector<value_t> o_ref(static_cast<std::size_t>(m.nnz()));
+  core::run_sddmm(ref_plan, m, x, yd, o_ref.data(), o_ref.size());
 
   runtime::ServerConfig cfg;
   cfg.threads = 3;

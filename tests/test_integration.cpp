@@ -46,9 +46,9 @@ TEST(Integration, EveryCorpusMatrixComputesCorrectly) {
 
     DenseMatrix yd(e.matrix.rows(), 8);
     sparse::fill_random(yd, 2);
-    std::vector<value_t> ref, out;
+    std::vector<value_t> ref, out(static_cast<std::size_t>(e.matrix.nnz()));
     kernels::sddmm_rowwise(e.matrix, x, yd, ref);
-    core::run_sddmm(plan, e.matrix, x, yd, out);
+    core::run_sddmm(plan, e.matrix, x, yd, out.data(), out.size());
     ASSERT_EQ(out.size(), ref.size()) << e.name;
     double max_diff = 0;
     for (std::size_t i = 0; i < ref.size(); ++i) {

@@ -433,7 +433,6 @@ std::shared_ptr<const simd::SpecializationPlan> short_heavy_spec() {
 // specialized entry counts once for the *resolved* ISA, for SpMM and
 // SDDMM alike; generic calls never touch the specialized counters.
 TEST(SimdCounters, SpecializedCallsCountPerResolvedIsa) {
-  if (!simd::specialization_compiled()) GTEST_SKIP() << "specialization compiled out";
   if (!simd::specialization_enabled()) GTEST_SKIP() << "RRSPMM_KERNEL_SPECIALIZE off";
   const CsrMatrix s = test::csr({{1, 2, 0}, {0, 0, 3}, {4, 0, 0}});
   DenseMatrix x(3, 8), y(3, 8), ymat(3, 8);
@@ -468,7 +467,6 @@ TEST(SimdCounters, SpecializedCallsCountPerResolvedIsa) {
 // entries: a forced (possibly unsupported) ISA resolves down the ladder,
 // and select_kernels substitutes the *resolved* backend's K-width entry.
 TEST(SimdDispatch, EnvForcedIsaLadderAppliesToSpecializedEntries) {
-  if (!simd::specialization_compiled()) GTEST_SKIP() << "specialization compiled out";
   if (!simd::specialization_enabled()) GTEST_SKIP() << "RRSPMM_KERNEL_SPECIALIZE off";
   for (int i = 0; i < static_cast<int>(simd::kIsaCount); ++i) {
     const auto requested = static_cast<simd::Isa>(i);

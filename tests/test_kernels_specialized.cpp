@@ -398,20 +398,12 @@ TEST(SpecializedSelection, TableEntriesMatchBuildConfiguration) {
   for (const simd::Isa isa : runnable_isas()) {
     const simd::KernelTable& t = simd::table(cfg_of(isa));
     for (std::size_t slot = 0; slot < simd::kSpecKWidthCount; ++slot) {
-      if (simd::specialization_compiled()) {
-        EXPECT_NE(t.spmm_rows_kw[slot], nullptr) << simd::isa_name(isa);
-        EXPECT_NE(t.spmm_panel_kw[slot], nullptr) << simd::isa_name(isa);
-        EXPECT_NE(t.sddmm_rows_kw[slot], nullptr) << simd::isa_name(isa);
-        EXPECT_NE(t.sddmm_panel_kw[slot], nullptr) << simd::isa_name(isa);
-      } else {
-        EXPECT_EQ(t.spmm_rows_kw[slot], nullptr) << simd::isa_name(isa);
-        EXPECT_EQ(t.spmm_panel_kw[slot], nullptr) << simd::isa_name(isa);
-        EXPECT_EQ(t.sddmm_rows_kw[slot], nullptr) << simd::isa_name(isa);
-        EXPECT_EQ(t.sddmm_panel_kw[slot], nullptr) << simd::isa_name(isa);
-      }
+      EXPECT_NE(t.spmm_rows_kw[slot], nullptr) << simd::isa_name(isa);
+      EXPECT_NE(t.spmm_panel_kw[slot], nullptr) << simd::isa_name(isa);
+      EXPECT_NE(t.sddmm_rows_kw[slot], nullptr) << simd::isa_name(isa);
+      EXPECT_NE(t.sddmm_panel_kw[slot], nullptr) << simd::isa_name(isa);
     }
-    EXPECT_EQ(t.spmm_rows_classed != nullptr, simd::specialization_compiled())
-        << simd::isa_name(isa);
+    EXPECT_NE(t.spmm_rows_classed, nullptr) << simd::isa_name(isa);
   }
 }
 
@@ -428,7 +420,6 @@ TEST(SpecializedSelection, NoRecordSelectsGenericEntries) {
 }
 
 TEST(SpecializedSelection, KWidthSlotsSubstituteRowEntriesOnly) {
-  if (!simd::specialization_compiled()) GTEST_SKIP() << "specialization compiled out";
   SpecModeGuard guard("1");
   const auto spec = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
   for (const simd::Isa isa : runnable_isas()) {
@@ -450,7 +441,6 @@ TEST(SpecializedSelection, KWidthSlotsSubstituteRowEntriesOnly) {
 }
 
 TEST(SpecializedSelection, ShortRowHeavyPlansFallToClassedDriverAtLargeK) {
-  if (!simd::specialization_compiled()) GTEST_SKIP() << "specialization compiled out";
   SpecModeGuard guard("1");
   const auto shorts = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
   const auto longs = std::make_shared<const simd::SpecializationPlan>(long_only_record());
@@ -477,7 +467,6 @@ TEST(SpecializedSelection, ShortRowHeavyPlansFallToClassedDriverAtLargeK) {
 }
 
 TEST(SpecializedSelection, OffSlotWidthsUseClassedDriverOnlyForShortRowPlans) {
-  if (!simd::specialization_compiled()) GTEST_SKIP() << "specialization compiled out";
   SpecModeGuard guard("1");
   const auto shorts = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
   const auto longs = std::make_shared<const simd::SpecializationPlan>(long_only_record());
@@ -496,7 +485,6 @@ TEST(SpecializedSelection, OffSlotWidthsUseClassedDriverOnlyForShortRowPlans) {
 }
 
 TEST(SpecializedSelection, PanelEntriesRequireAllModeAndRespectKMax) {
-  if (!simd::specialization_compiled()) GTEST_SKIP() << "specialization compiled out";
   SpecModeGuard guard("all");
   const auto spec = std::make_shared<const simd::SpecializationPlan>(long_only_record());
   for (const simd::Isa isa : runnable_isas()) {
@@ -523,7 +511,6 @@ TEST(SpecializedSelection, PanelEntriesRequireAllModeAndRespectKMax) {
 }
 
 TEST(SpecializedSelection, EnvOffAndDisabledRecordsSelectGeneric) {
-  if (!simd::specialization_compiled()) GTEST_SKIP() << "specialization compiled out";
   const auto spec = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
   {
     SpecModeGuard guard("off");

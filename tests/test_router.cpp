@@ -110,7 +110,6 @@ TEST(Router, EmptyArmsOrDisabledBuildFallThrough) {
 }
 
 TEST(Router, OnlineConvergesOnTwoArmedSyntheticAB) {
-  if (!router::compiled()) GTEST_SKIP() << "router compiled out";
   RouterConfig cfg;
   cfg.min_samples = 2;
   cfg.explore_period = 16;
@@ -138,7 +137,6 @@ TEST(Router, OnlineConvergesOnTwoArmedSyntheticAB) {
 }
 
 TEST(Router, OnlineReplayIsDeterministic) {
-  if (!router::compiled()) GTEST_SKIP() << "router compiled out";
   const std::vector<RouteChoice> arms = {arm_default(), arm_spec_off(), arm_sequential()};
   const auto run = [&arms] {
     Router r;
@@ -154,7 +152,6 @@ TEST(Router, OnlineReplayIsDeterministic) {
 }
 
 TEST(Router, FrozenTableIsDeterministicAcrossThreadsAndRestarts) {
-  if (!router::compiled()) GTEST_SKIP() << "router compiled out";
   // Train online, then freeze the learned table.
   Router trainer;
   const std::vector<RouteChoice> arms = {arm_default(), arm_spec_off()};
@@ -209,7 +206,6 @@ TEST(Router, FrozenTableIsDeterministicAcrossThreadsAndRestarts) {
 }
 
 TEST(Router, TableRoundTripPreservesStats) {
-  if (!router::compiled()) GTEST_SKIP() << "router compiled out";
   Router r;
   r.observe("fp", Workload::spmm, 32, arm_spec_off(), 10.0);
   r.observe("fp", Workload::spmm, 32, arm_spec_off(), 30.0);
@@ -238,7 +234,6 @@ TEST(Router, TableRoundTripPreservesStats) {
 }
 
 TEST(Router, PlanFileV4CarriesRouteRecords) {
-  if (!router::compiled()) GTEST_SKIP() << "router compiled out";
   const sparse::CsrMatrix m = synth::erdos_renyi(64, 64, 512, 42);
   core::ExecutionPlan plan = core::build_plan(m);
   plan.fingerprint = core::matrix_fingerprint(m);
@@ -276,7 +271,6 @@ TEST(Router, PlanFileV4CarriesRouteRecords) {
 }
 
 TEST(Router, CalibrationSeedsSpecializationPriors) {
-  if (!router::compiled()) GTEST_SKIP() << "router compiled out";
   // The kernel_scaling shape (bench_common.hpp JsonWriter output): the
   // specialization table seeds the spec-off vs default arms. generic_ms
   // is the faster alternative here, so an unseen fingerprint should
@@ -301,7 +295,6 @@ TEST(Router, CalibrationSeedsSpecializationPriors) {
 }
 
 TEST(Router, PriorsYieldToPerMatrixObservations) {
-  if (!router::compiled()) GTEST_SKIP() << "router compiled out";
   RouterConfig frozen_cfg;
   frozen_cfg.frozen = true;
   Router r(frozen_cfg);
@@ -363,16 +356,14 @@ TEST(Router, FromEnvHonoursKnob) {
   ::setenv("RRSPMM_ROUTER", "off", 1);
   EXPECT_EQ(router::from_env(), nullptr);
 
-  if (router::compiled()) {
-    ::setenv("RRSPMM_ROUTER", "on", 1);
-    auto on = router::from_env();
-    ASSERT_NE(on, nullptr);
-    EXPECT_FALSE(on->frozen());
-    ::setenv("RRSPMM_ROUTER", "frozen", 1);
-    auto frozen = router::from_env();
-    ASSERT_NE(frozen, nullptr);
-    EXPECT_TRUE(frozen->frozen());
-  }
+  ::setenv("RRSPMM_ROUTER", "on", 1);
+  auto on = router::from_env();
+  ASSERT_NE(on, nullptr);
+  EXPECT_FALSE(on->frozen());
+  ::setenv("RRSPMM_ROUTER", "frozen", 1);
+  auto frozen = router::from_env();
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_TRUE(frozen->frozen());
 
   if (saved) {
     ::setenv("RRSPMM_ROUTER", saved_val.c_str(), 1);
@@ -415,7 +406,6 @@ TEST(RouterMetrics, RouteLatencyBoundsItsKeySet) {
 // --- Server integration ----------------------------------------------
 
 TEST(ServerRouter, RoutedExecutionIsBitwiseIdenticalAndAttributed) {
-  if (!router::compiled()) GTEST_SKIP() << "router compiled out";
   RouterConfig cfg;
   cfg.min_samples = 1;
   auto router_ptr = std::make_shared<Router>(cfg);
@@ -436,17 +426,39 @@ TEST(ServerRouter, RoutedExecutionIsBitwiseIdenticalAndAttributed) {
   sparse::DenseMatrix y_ref(m.rows(), 16);
   core::run_spmm(*plan, x, y_ref);
 
-  // Enough batches to cross the router's warmup and hit several arms.
-  for (int i = 0; i < 12; ++i) {
-    sparse::DenseMatrix xi = x;
-    const sparse::DenseMatrix y = server.submit("m", std::move(xi)).get();
+  // Enough batches to cross the router's warmup and hit several arms —
+  // first through the view API (borrowed requests, which every arm,
+  // including the sequential one, may serve), then the owned API.
+  const auto expect_ref = [&](const sparse::DenseMatrix& y, const std::string& what) {
     ASSERT_EQ(y.rows(), y_ref.rows());
     ASSERT_EQ(y.cols(), y_ref.cols());
     for (index_t r = 0; r < y.rows(); ++r) {
       for (index_t c = 0; c < y.cols(); ++c) {
-        ASSERT_EQ(y(r, c), y_ref(r, c)) << "batch " << i << " at (" << r << "," << c << ")";
+        ASSERT_EQ(y(r, c), y_ref(r, c)) << what << " at (" << r << "," << c << ")";
       }
     }
+  };
+  sparse::DenseMatrix xa = sparse::DenseMatrix::aligned(m.cols(), 16);
+  for (index_t r = 0; r < m.cols(); ++r) {
+    for (index_t c = 0; c < 16; ++c) xa(r, c) = x(r, c);
+  }
+  for (int i = 0; i < 12; ++i) {
+    sparse::DenseMatrix y = sparse::DenseMatrix::aligned(m.rows(), 16);
+    server.submit("m", sparse::DenseView(xa), sparse::DenseMutView(y)).get();
+    expect_ref(y, "view batch " + std::to_string(i));
+  }
+  EXPECT_EQ(server.metrics().zero_copy_fallbacks.load(), 0u);
+  bool sequential_borrowed = false;
+  const std::string seq_key =
+      router::route_key(core::matrix_fingerprint(m), Workload::spmm, 16, arm_sequential());
+  for (const auto& [k, s] : server.metrics().route_latency.snapshot()) {
+    sequential_borrowed |= k == seq_key && s.count > 0;
+  }
+  EXPECT_TRUE(sequential_borrowed) << "the sequential arm never served a borrowed request";
+
+  for (int i = 0; i < 12; ++i) {
+    sparse::DenseMatrix xi = x;
+    expect_ref(server.submit("m", std::move(xi)).get(), "batch " + std::to_string(i));
   }
   server.wait_idle();
 
@@ -459,7 +471,6 @@ TEST(ServerRouter, RoutedExecutionIsBitwiseIdenticalAndAttributed) {
 }
 
 TEST(ServerRouter, FrozenDecisionsSurvivePlanCacheEvictionAndReload) {
-  if (!router::compiled()) GTEST_SKIP() << "router compiled out";
   // The router keys on the matrix fingerprint, not on plan residency, so
   // evicting and rebuilding the plan must not change a frozen decision.
   const sparse::CsrMatrix a = synth::erdos_renyi(80, 80, 640, 7);

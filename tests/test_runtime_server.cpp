@@ -36,6 +36,43 @@ void expect_bitwise_equal(const DenseMatrix& a, const DenseMatrix& b, const std:
   }
 }
 
+/// Packed copy of a (possibly padded) matrix.
+DenseMatrix packed(const DenseMatrix& m) {
+  DenseMatrix out(m.rows(), m.cols());
+  for (index_t i = 0; i < m.rows(); ++i) {
+    for (index_t j = 0; j < m.cols(); ++j) out(i, j) = m(i, j);
+  }
+  return out;
+}
+
+/// Runs SpMM and SDDMM on padded operand/output views (ld > cols)
+/// through core::run_* and runtime::parallel_*: every result must equal
+/// the packed-storage core run bit for bit.
+void expect_padded_runs_match(WorkerPool& pool, const core::ExecutionPlan& plan,
+                              const sparse::CsrMatrix& m, const DenseMatrix& xp,
+                              const DenseMatrix& yp, const std::string& what) {
+  ASSERT_GT(xp.ld(), xp.cols()) << what;
+  const DenseMatrix x = packed(xp);
+  DenseMatrix y_ref(m.rows(), xp.cols());
+  core::run_spmm(plan, x, y_ref);
+  DenseMatrix y_seq = DenseMatrix::aligned(m.rows(), xp.cols());
+  DenseMatrix y_par = DenseMatrix::aligned(m.rows(), xp.cols());
+  core::run_spmm(plan, xp, y_seq);
+  runtime::parallel_spmm(pool, plan, xp, y_par);
+  expect_bitwise_equal(y_ref, packed(y_seq), "padded core spmm " + what);
+  expect_bitwise_equal(y_ref, packed(y_par), "padded parallel spmm " + what);
+
+  const std::size_t nnz = static_cast<std::size_t>(m.nnz());
+  std::vector<value_t> o_ref(nnz), o_seq(nnz), o_par(nnz);
+  core::run_sddmm(plan, m, x, packed(yp), o_ref.data(), nnz);
+  core::run_sddmm(plan, m, xp, yp, o_seq.data(), nnz);
+  runtime::parallel_sddmm(pool, plan, m, xp, yp, o_par.data(), nnz);
+  for (std::size_t j = 0; j < nnz; ++j) {
+    ASSERT_EQ(o_ref[j], o_seq[j]) << "padded core sddmm " << what << " nnz " << j;
+    ASSERT_EQ(o_ref[j], o_par[j]) << "padded parallel sddmm " << what << " nnz " << j;
+  }
+}
+
 // Acceptance criterion: panel-parallel SpMM/SDDMM through the runtime is
 // bitwise equal to the sequential plan execution on every corpus matrix.
 TEST(ParallelExecute, BitwiseEqualToSequentialOnEveryCorpusMatrix) {
@@ -53,13 +90,19 @@ TEST(ParallelExecute, BitwiseEqualToSequentialOnEveryCorpusMatrix) {
 
     DenseMatrix yop(entry.matrix.rows(), 16);
     sparse::fill_random(yop, 11);
-    std::vector<value_t> out_seq, out_par;
-    core::run_sddmm(plan, entry.matrix, x, yop, out_seq);
-    runtime::parallel_sddmm(pool, plan, entry.matrix, x, yop, out_par);
-    ASSERT_EQ(out_seq.size(), out_par.size());
-    for (std::size_t j = 0; j < out_seq.size(); ++j) {
+    const std::size_t nnz = static_cast<std::size_t>(entry.matrix.nnz());
+    std::vector<value_t> out_seq(nnz), out_par(nnz);
+    core::run_sddmm(plan, entry.matrix, x, yop, out_seq.data(), nnz);
+    runtime::parallel_sddmm(pool, plan, entry.matrix, x, yop, out_par.data(), nnz);
+    for (std::size_t j = 0; j < nnz; ++j) {
       ASSERT_EQ(out_seq[j], out_par[j]) << "sddmm " << entry.name << " nnz " << j;
     }
+
+    // Padded views (ld > cols) give the packed bits through both paths.
+    DenseMatrix xp = DenseMatrix::aligned(x.rows(), 12), yp = DenseMatrix::aligned(yop.rows(), 12);
+    sparse::fill_random(xp, 13);
+    sparse::fill_random(yp, 17);
+    expect_padded_runs_match(pool, plan, entry.matrix, xp, yp, entry.name);
   }
 }
 
@@ -73,6 +116,12 @@ TEST(ParallelExecute, NrPlansToo) {
     core::run_spmm(plan, x, y_seq);
     runtime::parallel_spmm(pool, plan, x, y_par);
     expect_bitwise_equal(y_seq, y_par, "nr spmm " + entry.name);
+
+    DenseMatrix xp = DenseMatrix::aligned(x.rows(), 12);
+    DenseMatrix yp = DenseMatrix::aligned(entry.matrix.rows(), 12);
+    sparse::fill_random(xp, 19);
+    sparse::fill_random(yp, 23);
+    expect_padded_runs_match(pool, plan, entry.matrix, xp, yp, "nr " + entry.name);
   }
 }
 
@@ -113,8 +162,8 @@ TEST(Server, SddmmMatchesSequentialKernels) {
   sparse::fill_random(y, 9);
 
   const core::ExecutionPlan plan = core::build_plan(entry.matrix, {});
-  std::vector<value_t> out_seq;
-  core::run_sddmm(plan, entry.matrix, x, y, out_seq);
+  std::vector<value_t> out_seq(static_cast<std::size_t>(entry.matrix.nnz()));
+  core::run_sddmm(plan, entry.matrix, x, y, out_seq.data(), out_seq.size());
 
   const std::vector<value_t> out_served = server.submit_sddmm("m", x, y).get();
   ASSERT_EQ(out_seq.size(), out_served.size());

@@ -53,6 +53,14 @@ struct MisalignedBuffer {
   }
 };
 
+/// Sequential reference SDDMM output, nnz-long.
+std::vector<value_t> sddmm_reference(const core::ExecutionPlan& plan, const sparse::CsrMatrix& m,
+                                     DenseView x, DenseView y) {
+  std::vector<value_t> out(static_cast<std::size_t>(m.nnz()));
+  core::run_sddmm(plan, m, x, y, out.data(), out.size());
+  return out;
+}
+
 ServerConfig zc_cfg(unsigned threads) {
   ServerConfig cfg;
   cfg.threads = threads;
@@ -62,7 +70,9 @@ ServerConfig zc_cfg(unsigned threads) {
 
 // SpMM + SDDMM view submits across thread counts and shard strategies:
 // every combination must reproduce the sequential core result bit for
-// bit, through borrowed views, into caller-owned buffers.
+// bit, through borrowed views, into caller-owned buffers. The "degraded"
+// row fails every pool chunk, so both requests exhaust their retries and
+// degrade to the sequential core path on the caller's views.
 TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndShardStrategies) {
   const auto corpus = synth::build_test_corpus();
   ASSERT_GE(corpus.size(), 2u);
@@ -71,12 +81,14 @@ TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndShardStrategies) {
     const char* name;
     int devices;  ///< 0 = no executor (panel-parallel path)
     core::ShardStrategy strategy;
+    bool degrade = false;  ///< inject a persistent fault, degrade_to_single_device on
   };
   const Strategy strategies[] = {
       {"panel", 0, core::ShardStrategy::contiguous},
       {"contiguous", 2, core::ShardStrategy::contiguous},
       {"nnz_balanced", 3, core::ShardStrategy::nnz_balanced},
       {"reorder_aware", 2, core::ShardStrategy::reorder_aware},
+      {"degraded", 0, core::ShardStrategy::contiguous, true},
   };
 
   for (std::size_t mi = 0; mi < 2; ++mi) {
@@ -91,8 +103,7 @@ TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndShardStrategies) {
 
     DenseMatrix ys = DenseMatrix::aligned(entry.matrix.rows(), k);
     sparse::fill_random(ys, 23 + mi);
-    std::vector<value_t> sddmm_ref;
-    core::run_sddmm(plan, entry.matrix, x, ys, sddmm_ref);
+    const std::vector<value_t> sddmm_ref = sddmm_reference(plan, entry.matrix, x, ys);
 
     for (const unsigned threads : {1u, 4u}) {
       for (const Strategy& s : strategies) {
@@ -103,8 +114,23 @@ TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndShardStrategies) {
           ex.strategy = s.strategy;
           cfg.executor = std::make_shared<dist::ShardedExecutor>(ex);
         }
+        if (s.degrade) {
+          cfg.retry.max_attempts = 2;
+          cfg.retry.backoff_base = std::chrono::microseconds(10);
+          cfg.retry.degrade_to_single_device = true;
+        }
         Server server(cfg);
         server.register_matrix(entry.name, entry.matrix);
+
+        fault::FaultPlan fp;
+        if (s.degrade) {
+          server.warm(entry.name);  // the plan build runs before the fault arms
+          fault::FaultRule r;
+          r.point = fault::points::kWorkerChunk;
+          r.probability = 1.0;  // unlimited: every pooled attempt fails
+          fp.rules.push_back(r);
+        }
+        fault::ScopedFaultPlan armed(fp);
 
         const std::string what =
             entry.name + " t=" + std::to_string(threads) + " " + s.name;
@@ -124,6 +150,10 @@ TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndShardStrategies) {
 
         EXPECT_EQ(server.metrics().zero_copy_fallbacks.load(), 0u) << what;
         EXPECT_EQ(server.metrics().zero_copy_requests.load(), 2u) << what;
+        // A one-worker pool runs parallel_for inline, past the chunk
+        // fail point, so only the multi-worker rows actually degrade.
+        const bool degraded = s.degrade && threads > 1;
+        EXPECT_EQ(server.metrics().degradations.load(), degraded ? 2u : 0u) << what;
         server.stop();
       }
     }
@@ -179,8 +209,7 @@ TEST(ZeroCopy, MisalignedViewsFallBackBitwiseEqual) {
   // Misaligned SDDMM operands.
   DenseMatrix ys(rows, k);
   sparse::fill_random(ys, 37);
-  std::vector<value_t> ref;
-  core::run_sddmm(plan, entry.matrix, x_src, ys, ref);
+  const std::vector<value_t> ref = sddmm_reference(plan, entry.matrix, x_src, ys);
   std::vector<value_t> out(static_cast<std::size_t>(entry.matrix.nnz()));
   server.submit_sddmm(entry.name, x_mis, DenseView(ys), out.data(), out.size()).get();
   ASSERT_EQ(out.size(), ref.size());
@@ -213,6 +242,40 @@ TEST(ZeroCopy, DisabledConfigIsBitwiseIdenticalToEnabled) {
     server.stop();
   }
   expect_view_equals(y_on, y_off, "zero-copy on vs off");
+}
+
+// A view submit refused by a stopped server leaves no trace: neither
+// zero-copy counter moves and no fallback copy is made or timed, whether
+// the views are aligned (borrow) or misaligned (copy fallback).
+TEST(ZeroCopy, SubmitAfterStopCountsAndCopiesNothing) {
+  const auto corpus = synth::build_test_corpus();
+  const auto& entry = corpus[0];
+  const index_t rows = entry.matrix.rows();
+  const index_t cols = entry.matrix.cols();
+  const index_t k = 8;
+  Server server(zc_cfg(1));
+  server.register_matrix(entry.name, entry.matrix);
+  server.stop();
+
+  DenseMatrix x = DenseMatrix::aligned(cols, k);
+  DenseMatrix y = DenseMatrix::aligned(rows, k);
+  MisalignedBuffer x_buf(cols, k);
+  const DenseView x_mis(x_buf.data, cols, k, k);
+  ASSERT_FALSE(x_mis.zero_copy_eligible());
+  std::vector<value_t> out(static_cast<std::size_t>(entry.matrix.nnz()));
+
+  EXPECT_THROW(server.submit(entry.name, DenseView(x), DenseMutView(y)), runtime::server_stopped);
+  EXPECT_THROW(server.submit(entry.name, x_mis, DenseMutView(y)), runtime::server_stopped);
+  EXPECT_THROW(server.submit_sddmm(entry.name, DenseView(x), DenseView(y), out.data(), out.size()),
+               runtime::server_stopped);
+  EXPECT_THROW(server.submit_sddmm(entry.name, x_mis, DenseView(y), out.data(), out.size()),
+               runtime::server_stopped);
+
+  const runtime::Metrics& m = server.metrics();
+  EXPECT_EQ(m.zero_copy_requests.load(), 0u);
+  EXPECT_EQ(m.zero_copy_fallbacks.load(), 0u);
+  EXPECT_EQ(m.submit_copy_us.load(), 0u);
+  EXPECT_EQ(m.requests_submitted.load(), 0u);
 }
 
 TEST(ZeroCopy, ShapeMismatchesThrow) {
@@ -259,8 +322,7 @@ TEST(ZeroCopy, ChaosSeedsKeepBorrowedSubmitsBitwiseEqual) {
   core::run_spmm(plan, x, y_ref);
   DenseMatrix ys = DenseMatrix::aligned(entry.matrix.rows(), k);
   sparse::fill_random(ys, 47);
-  std::vector<value_t> sddmm_ref;
-  core::run_sddmm(plan, entry.matrix, x, ys, sddmm_ref);
+  const std::vector<value_t> sddmm_ref = sddmm_reference(plan, entry.matrix, x, ys);
 
   for (const std::uint64_t seed : {11ull, 47ull}) {
     ServerConfig cfg = zc_cfg(3);
