@@ -46,7 +46,7 @@ void BM_SpmmRowwise(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * m.nnz() * k * 2);
 }
-BENCHMARK(BM_SpmmRowwise)->Arg(32)->Arg(128);
+BENCHMARK(BM_SpmmRowwise)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_SpmmAsptReordered(benchmark::State& state) {
   const auto m = bench_matrix(true);
@@ -60,7 +60,7 @@ void BM_SpmmAsptReordered(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * m.nnz() * k * 2);
 }
-BENCHMARK(BM_SpmmAsptReordered)->Arg(32)->Arg(128);
+BENCHMARK(BM_SpmmAsptReordered)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_SddmmRowwise(benchmark::State& state) {
   const auto m = bench_matrix(true);
@@ -75,7 +75,7 @@ void BM_SddmmRowwise(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * m.nnz() * k * 2);
 }
-BENCHMARK(BM_SddmmRowwise)->Arg(32)->Arg(128);
+BENCHMARK(BM_SddmmRowwise)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_SddmmAsptReordered(benchmark::State& state) {
   const auto m = bench_matrix(true);
@@ -91,7 +91,7 @@ void BM_SddmmAsptReordered(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * m.nnz() * k * 2);
 }
-BENCHMARK(BM_SddmmAsptReordered)->Arg(32)->Arg(128);
+BENCHMARK(BM_SddmmAsptReordered)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_MinhashSignatures(benchmark::State& state) {
   const auto m = bench_matrix(true);

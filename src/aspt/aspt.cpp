@@ -147,18 +147,42 @@ AsptMatrix AsptMatrix::from_parts(index_t rows, index_t cols, std::vector<Panel>
   out.stats_.nnz_total = out.stats_.nnz_dense + sparse_part.nnz();
   out.stats_.num_panels = static_cast<index_t>(panels.size());
 
-  // Source-index maps must cover [0, nnz_total) exactly once.
+  // Source-index maps must cover [0, nnz_total) exactly once, each row's
+  // indices inside that row's range of the source CSR (the row starts
+  // follow from the per-row dense and sparse counts). Row locality is what
+  // lets a reordered plan move a row's SDDMM outputs by one offset.
+  const std::vector<offset_t>& sp_ptr = sparse_part.rowptr();
+  std::vector<offset_t> row_base(sp_ptr.size(), 0);
+  for (std::size_t i = 1; i < row_base.size(); ++i) row_base[i] = sp_ptr[i] - sp_ptr[i - 1];
+  for (const Panel& p : panels) {
+    for (std::size_t r = 0; r + 1 < p.dense_rowptr.size(); ++r) {
+      row_base[static_cast<std::size_t>(p.row_begin) + r + 1] +=
+          p.dense_rowptr[r + 1] - p.dense_rowptr[r];
+    }
+  }
+  for (std::size_t i = 1; i < row_base.size(); ++i) row_base[i] += row_base[i - 1];
   std::vector<bool> seen(static_cast<std::size_t>(out.stats_.nnz_total), false);
-  auto mark = [&](offset_t idx) {
-    if (idx < 0 || idx >= out.stats_.nnz_total || seen[static_cast<std::size_t>(idx)]) {
-      throw sparse::invalid_matrix("from_parts: source-index map is not a bijection");
+  auto mark = [&](offset_t idx, index_t row) {
+    const auto r = static_cast<std::size_t>(row);
+    if (idx < row_base[r] || idx >= row_base[r + 1] || seen[static_cast<std::size_t>(idx)]) {
+      throw sparse::invalid_matrix("from_parts: source-index map is not a row-wise bijection");
     }
     seen[static_cast<std::size_t>(idx)] = true;
   };
   for (const Panel& p : panels) {
-    for (offset_t idx : p.dense_src_idx) mark(idx);
+    for (index_t i = p.row_begin; i < p.row_end; ++i) {
+      const auto r = static_cast<std::size_t>(i - p.row_begin);
+      for (offset_t j = p.dense_rowptr[r]; j < p.dense_rowptr[r + 1]; ++j) {
+        mark(p.dense_src_idx[static_cast<std::size_t>(j)], i);
+      }
+    }
   }
-  for (offset_t idx : sparse_src_idx) mark(idx);
+  for (index_t i = 0; i < rows; ++i) {
+    for (offset_t j = sp_ptr[static_cast<std::size_t>(i)];
+         j < sp_ptr[static_cast<std::size_t>(i) + 1]; ++j) {
+      mark(sparse_src_idx[static_cast<std::size_t>(j)], i);
+    }
+  }
 
   out.panels_ = std::move(panels);
   out.sparse_part_ = std::move(sparse_part);

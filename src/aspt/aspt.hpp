@@ -95,8 +95,9 @@ class AsptMatrix {
   /// Validates the invariants build_aspt guarantees — panels partition
   /// [0, rows), slots index each panel's dense-column list, per-panel
   /// rowptrs are consistent, and the source-index maps cover
-  /// [0, nnz_total) exactly once — and recomputes the statistics. Throws
-  /// invalid_matrix on any violation.
+  /// [0, nnz_total) exactly once with every row's indices inside that
+  /// row's range of the source CSR — and recomputes the statistics.
+  /// Throws invalid_matrix on any violation.
   static AsptMatrix from_parts(index_t rows, index_t cols, std::vector<Panel> panels,
                                CsrMatrix sparse_part, std::vector<offset_t> sparse_src_idx);
 

@@ -23,13 +23,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-bool is_identity(const std::vector<index_t>& perm) {
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    if (perm[i] != static_cast<index_t>(i)) return false;
-  }
-  return true;
-}
-
 /// Average consecutive-row Jaccard similarity of the non-empty rows of
 /// `m`, visited in `order`. Empty rows (fully captured by dense tiles)
 /// carry no reuse either way, so they are dropped before pairing — this
@@ -109,7 +102,7 @@ ExecutionPlan build_plan(const CsrMatrix& m, const PipelineConfig& cfg) {
   }
 
   const CsrMatrix permuted =
-      plan.stats.round1_applied && !is_identity(plan.row_perm)
+      plan.stats.round1_applied && !sparse::is_identity(plan.row_perm)
           ? sparse::permute_rows(m, plan.row_perm)
           : m;
   plan.tiled = aspt::build_aspt(permuted, cfg.aspt);
@@ -172,12 +165,10 @@ ExecutionPlan autotune_plan_measured(const CsrMatrix& m, const DenseMatrix& x,
   return t_rr <= t_nr ? std::move(rr) : std::move(nr);
 }
 
-/// The process-wide kernel config with the plan's specialization record
-/// attached — the single funnel through which every plan-driven
-/// execution (including the Server's degrade path) picks it up.
-static kernels::simd::KernelConfig plan_kernel_config(const ExecutionPlan& plan) {
-  kernels::simd::KernelConfig cfg = kernels::simd::active_config();
-  cfg.spec = plan.spec;
+kernels::simd::KernelConfig kernel_config(const ExecutionPlan& plan,
+                                          const kernels::simd::KernelConfig* pinned) {
+  kernels::simd::KernelConfig cfg = pinned ? *pinned : kernels::simd::active_config();
+  if (!cfg.spec) cfg.spec = plan.spec;
   return cfg;
 }
 
@@ -185,14 +176,7 @@ void run_spmm(const ExecutionPlan& plan, DenseView x, DenseMutView y) {
   if (y.rows != plan.tiled.rows() || y.cols != x.cols) {
     throw sparse::invalid_matrix("run_spmm: y must be plan rows x x.cols");
   }
-  const kernels::simd::KernelConfig cfg = plan_kernel_config(plan);
-  if (is_identity(plan.row_perm)) {
-    kernels::spmm_aspt(plan.tiled, x, y, &plan.sparse_order, cfg);
-    return;
-  }
-  DenseMatrix yp(plan.tiled.rows(), x.cols);
-  kernels::spmm_aspt(plan.tiled, x, yp, &plan.sparse_order, cfg);
-  sparse::unpermute_dense_rows(yp, plan.row_perm, y);
+  kernels::spmm_aspt(plan.tiled, x, y, &plan.sparse_order, kernel_config(plan), &plan.row_perm);
 }
 
 void run_sddmm(const ExecutionPlan& plan, const CsrMatrix& m, DenseView x, DenseView y,
@@ -203,33 +187,12 @@ void run_sddmm(const ExecutionPlan& plan, const CsrMatrix& m, DenseView x, Dense
   if (out_size != static_cast<std::size_t>(m.nnz())) {
     throw sparse::invalid_matrix("run_sddmm: out must hold exactly nnz values");
   }
-  const kernels::simd::KernelConfig cfg = plan_kernel_config(plan);
-  if (is_identity(plan.row_perm)) {
-    kernels::sddmm_aspt(plan.tiled, x, y, out, out_size, &plan.sparse_order, cfg);
-    return;
-  }
-  // The tiled matrix lives in permuted row space; permute the Y operand
-  // in, then scatter per-row output segments back to the caller's layout.
-  const DenseMatrix yp = sparse::permute_dense_rows(y, plan.row_perm);
-  std::vector<value_t> outp(out_size);
-  kernels::sddmm_aspt(plan.tiled, x, yp, outp.data(), outp.size(), &plan.sparse_order, cfg);
-  unpermute_nnz(plan, m, outp.data(), out);
-}
-
-void unpermute_nnz(const ExecutionPlan& plan, const CsrMatrix& m, const value_t* outp,
-                   value_t* out) {
-  offset_t ppos = 0;  // cursor into the permuted nonzero order
-  for (index_t i = 0; i < m.rows(); ++i) {
-    const index_t orig = plan.row_perm[static_cast<std::size_t>(i)];
-    const offset_t base = m.rowptr()[static_cast<std::size_t>(orig)];
-    const index_t len = m.row_nnz(orig);
-    std::copy(outp + ppos, outp + ppos + len, out + base);
-    ppos += len;
-  }
+  kernels::sddmm_aspt(plan.tiled, x, y, out, out_size, &plan.sparse_order, kernel_config(plan),
+                      &plan.row_perm);
 }
 
 std::vector<index_t> spgemm_row_order(const ExecutionPlan& plan) {
-  if (is_identity(plan.row_perm) && is_identity(plan.sparse_order)) return {};
+  if (sparse::is_identity(plan.row_perm) && sparse::is_identity(plan.sparse_order)) return {};
   std::vector<index_t> order(plan.sparse_order.size());
   for (std::size_t p = 0; p < order.size(); ++p) {
     order[p] = plan.row_perm[static_cast<std::size_t>(plan.sparse_order[p])];

@@ -22,6 +22,7 @@
 
 #include "aspt/aspt.hpp"
 #include "core/reorder_engine.hpp"
+#include "kernels/simd/dispatch.hpp"
 #include "kernels/simd/specialize.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/traffic.hpp"
@@ -164,26 +165,28 @@ ExecutionPlan autotune_plan(const CsrMatrix& m, index_t k, const gpusim::DeviceC
 ExecutionPlan autotune_plan_measured(const CsrMatrix& m, const DenseMatrix& x,
                                      const PipelineConfig& cfg = {});
 
+/// The kernel configuration of one plan-driven operation: the caller's
+/// pinned config, else the process-wide simd::active_config(), with the
+/// plan's specialization record attached unless the config carries its
+/// own. Resolved once per operation, so every task of one call uses the
+/// same backend even if the process-wide config changes mid-flight.
+kernels::simd::KernelConfig kernel_config(const ExecutionPlan& plan,
+                                          const kernels::simd::KernelConfig* pinned = nullptr);
+
 /// Executes SpMM through a plan on the CPU kernels: y = m * x in the
 /// caller's original row order. `y` is pre-shaped caller storage
-/// (plan rows x x.cols; a DenseMatrix converts implicitly); a reordered
-/// plan computes in permuted row space and scatters straight into it.
-/// A misshapen `y` throws invalid_matrix.
+/// (plan rows x x.cols; a DenseMatrix converts implicitly); the kernels
+/// write tiled row i straight to y row row_perm[i]. A misshapen `y`
+/// throws invalid_matrix.
 void run_spmm(const ExecutionPlan& plan, DenseView x, DenseMutView y);
 
 /// Executes SDDMM through a plan into out[0, out_size), which must hold
 /// exactly m.nnz() values, aligned with the caller's original CSR
 /// nonzero order (otherwise invalid_matrix). `m` must be the matrix the
-/// plan was built from (needed to invert the row permutation of nonzero
-/// indices).
+/// plan was built from: the kernels read Y row row_perm[i] for tiled row
+/// i and write its outputs at that row's slots in m's CSR order.
 void run_sddmm(const ExecutionPlan& plan, const CsrMatrix& m, DenseView x, DenseView y,
                value_t* out, std::size_t out_size);
-
-/// Scatters SDDMM output computed in a reordered plan's permuted nonzero
-/// order (`outp`) back to m's CSR order (`out`); both hold m.nnz()
-/// values. The shared tail of every plan-driven SDDMM.
-void unpermute_nnz(const ExecutionPlan& plan, const CsrMatrix& m, const value_t* outp,
-                   value_t* out);
 
 /// Gustavson processing order for SpGEMM over the plan's matrix as the
 /// left operand: round-2's processing order composed with round-1's

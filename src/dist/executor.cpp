@@ -11,35 +11,12 @@
 #include "fault/fault.hpp"
 #include "kernels/detail/scalar_ref.hpp"
 #include "kernels/spmm.hpp"
-#include "sparse/permute.hpp"
 
 namespace rrspmm::dist {
 
 namespace {
 
 namespace simd = kernels::simd;
-
-bool is_identity(const std::vector<index_t>& perm) {
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    if (perm[i] != static_cast<index_t>(i)) return false;
-  }
-  return true;
-}
-
-/// Caller's pinned config wins; otherwise the process-wide one. Either
-/// way the plan's specialization record rides along unless the caller
-/// attached its own.
-simd::KernelConfig effective_config(const simd::KernelConfig* kernel,
-                                    const core::ExecutionPlan& plan) {
-  simd::KernelConfig cfg = kernel ? *kernel : simd::active_config();
-  if (!cfg.spec) cfg.spec = plan.spec;
-  return cfg;
-}
-
-void count_selection(runtime::Metrics* metrics, const simd::KernelSelection& sel) {
-  metrics->count_kernel(sel.isa);
-  if (sel.specialized) metrics->count_specialized();
-}
 
 double micros_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
@@ -77,20 +54,6 @@ void observe_strategy(const std::shared_ptr<router::Router>& r,
     metrics->route_latency.record(
         router::route_key(plan.fingerprint, router::Workload::shard, k, dec.choice), us);
   }
-}
-
-void spmm_shards(runtime::WorkerPool& pool, const aspt::AsptMatrix& a, const ShardPlan& sp,
-                 const DenseMatrix& x, DenseMatrix& y, runtime::Metrics* metrics,
-                 const simd::KernelConfig& cfg) {
-  const simd::KernelSelection sel = simd::select_kernels(cfg, x.cols());
-  pool.parallel_for(sp.row_shards.size(), [&](std::size_t si) {
-    const core::RowShard& s = sp.row_shards[si];
-    kernels::spmm_aspt_row_range(a, x, y, s.row_begin, s.row_end, cfg);
-    if (metrics) {
-      metrics->shards_executed.fetch_add(1, std::memory_order_relaxed);
-      count_selection(metrics, sel);
-    }
-  });
 }
 
 /// Runs body(0..n-1) with each item preferentially on the node owning
@@ -156,26 +119,6 @@ void run_on_device_nodes(runtime::WorkerPool& pool, const std::vector<int>& devi
 
 }  // namespace
 
-void sharded_spmm(runtime::WorkerPool& pool, const core::ExecutionPlan& plan,
-                  const ShardPlan& shard_plan, const DenseMatrix& x, DenseMatrix& y,
-                  runtime::Metrics* metrics, const simd::KernelConfig* kernel) {
-  shard_plan.validate();
-  if (shard_plan.mode != ShardMode::row) {
-    throw sparse::invalid_matrix("sharded_spmm: shard plan is not row mode");
-  }
-  if (shard_plan.rows != plan.tiled.rows()) {
-    throw sparse::invalid_matrix("sharded_spmm: shard plan rows do not match the plan");
-  }
-  const simd::KernelConfig cfg = effective_config(kernel, plan);
-  if (is_identity(plan.row_perm)) {
-    spmm_shards(pool, plan.tiled, shard_plan, x, y, metrics, cfg);
-    return;
-  }
-  DenseMatrix yp(plan.tiled.rows(), x.cols());
-  spmm_shards(pool, plan.tiled, shard_plan, x, yp, metrics, cfg);
-  y = sparse::unpermute_dense_rows(yp, plan.row_perm);
-}
-
 void sharded_spmm_cols(runtime::WorkerPool& pool, const CsrMatrix& m, const ShardPlan& shard_plan,
                        const DenseMatrix& x, DenseMatrix& y, runtime::Metrics* metrics) {
   shard_plan.validate();
@@ -229,28 +172,15 @@ ShardedExecutor::ShardedExecutor(ShardedExecutorConfig cfg)
   }
 }
 
-void ShardedExecutor::spmm(runtime::WorkerPool& pool, const core::ExecutionPlan& plan,
-                           sparse::DenseView x, sparse::DenseMutView y,
-                           runtime::Metrics* metrics) {
-  if (!x.valid() || !y.valid() || y.rows != plan.tiled.rows() || y.cols != x.cols) {
-    throw sparse::invalid_matrix("ShardedExecutor::spmm: operand views do not match the plan");
-  }
+void ShardedExecutor::run_sharded(runtime::WorkerPool& pool, const core::ExecutionPlan& plan,
+                                  index_t k, runtime::Metrics* metrics,
+                                  const std::function<void(const core::RowShard&)>& body) {
   ShardStrategy strategy = cfg_.strategy;
   const router::Decision rdec =
-      decide_strategy(cfg_.router, plan, x.cols, cfg_.strategy, strategy, metrics);
+      decide_strategy(cfg_.router, plan, k, cfg_.strategy, strategy, metrics);
   const auto rt0 = std::chrono::steady_clock::now();
   const ShardPlan sp = planner_.plan_rows(plan, cfg_.num_devices, strategy);
   if (metrics) metrics->sharded_batches.fetch_add(1, std::memory_order_relaxed);
-  const simd::KernelConfig kcfg = effective_config(cfg_.kernel ? &*cfg_.kernel : nullptr, plan);
-  const simd::KernelSelection ksel = simd::select_kernels(kcfg, x.cols);
-
-  // Execute in permuted row space; scatter into the caller's y once at
-  // the end, after all failover rounds, so recovery never perturbs the
-  // output ordering. Identity plans write the caller's storage directly.
-  const bool identity = is_identity(plan.row_perm);
-  DenseMatrix yp_store;
-  if (!identity) yp_store = DenseMatrix(plan.tiled.rows(), x.cols);
-  sparse::DenseMutView yp = identity ? y : sparse::DenseMutView(yp_store);
 
   // One work item per (row range, owning device). Device ids index the
   // original shard assignment; a device that throws is dead for the rest
@@ -278,13 +208,8 @@ void ShardedExecutor::spmm(runtime::WorkerPool& pool, const core::ExecutionPlan&
       try {
         fault::hit(fault::points::kShardExec);
         fault::hit_nothrow(fault::points::kShardStraggler);
-        kernels::spmm_aspt_row_range(plan.tiled, x, yp, w.shard.row_begin, w.shard.row_end,
-                                     kcfg);
-        fault::hit(fault::points::kShardInterconnect);
-        if (metrics) {
-          metrics->shards_executed.fetch_add(1, std::memory_order_relaxed);
-          count_selection(metrics, ksel);
-        }
+        body(w.shard);
+        if (metrics) metrics->shards_executed.fetch_add(1, std::memory_order_relaxed);
       } catch (const fault::injected_fault&) {
         if (metrics) {
           metrics->faults_injected.fetch_add(1, std::memory_order_relaxed);
@@ -328,12 +253,26 @@ void ShardedExecutor::spmm(runtime::WorkerPool& pool, const core::ExecutionPlan&
     }
     work = std::move(next);
   }
-
-  // Unpermute scatter straight into the caller's storage.
-  if (!identity) sparse::unpermute_dense_rows(yp_store, plan.row_perm, y);
   // Makespan of the whole sharded batch, failover included — a strategy
   // whose cuts keep failing scores as slow as it is in practice.
-  observe_strategy(cfg_.router, plan, x.cols, rdec, micros_since(rt0), metrics);
+  observe_strategy(cfg_.router, plan, k, rdec, micros_since(rt0), metrics);
+}
+
+void ShardedExecutor::spmm(runtime::WorkerPool& pool, const core::ExecutionPlan& plan,
+                           sparse::DenseView x, sparse::DenseMutView y,
+                           runtime::Metrics* metrics) {
+  if (!x.valid() || !y.valid() || y.rows != plan.tiled.rows() || y.cols != x.cols) {
+    throw sparse::invalid_matrix("ShardedExecutor::spmm: operand views do not match the plan");
+  }
+  const simd::KernelConfig kcfg = core::kernel_config(plan, cfg_.kernel ? &*cfg_.kernel : nullptr);
+  const simd::KernelSelection ksel = simd::select_kernels(kcfg, x.cols);
+  // Each shard writes its rows straight through row_perm into the
+  // caller's y; a re-run of a failed shard zero-fills those rows first.
+  run_sharded(pool, plan, x.cols, metrics, [&](const core::RowShard& s) {
+    kernels::spmm_aspt_row_range(plan.tiled, x, y, s.row_begin, s.row_end, kcfg, &plan.row_perm);
+    fault::hit(fault::points::kShardInterconnect);
+    if (metrics) metrics->count_kernel(ksel.isa, ksel.specialized);
+  });
 }
 
 void ShardedExecutor::spgemm(runtime::WorkerPool& pool, const core::ExecutionPlan& plan,
@@ -349,96 +288,24 @@ void ShardedExecutor::spgemm(runtime::WorkerPool& pool, const core::ExecutionPla
   spgemm::SymbolicResult sym = runtime::parallel_spgemm_symbolic(pool, a, b, cfg, metrics);
   std::vector<index_t> colidx(static_cast<std::size_t>(sym.nnz()));
   std::vector<value_t> values(static_cast<std::size_t>(sym.nnz()));
-
-  ShardStrategy strategy = cfg_.strategy;
-  const router::Decision rdec =
-      decide_strategy(cfg_.router, plan, b.cols(), cfg_.strategy, strategy, metrics);
-  const auto rt0 = std::chrono::steady_clock::now();
-  const ShardPlan sp = planner_.plan_rows(plan, cfg_.num_devices, strategy);
-  if (metrics) metrics->sharded_batches.fetch_add(1, std::memory_order_relaxed);
   // Composed processing order (round 1 ∘ round 2): shard cuts index
   // positions of this order, so reorder-aware seams keep each device on
   // one cluster of similar B-row footprints.
   const std::vector<index_t> composed = core::spgemm_row_order(plan);
   const std::vector<index_t>* order = composed.empty() ? nullptr : &composed;
 
-  struct Work {
-    core::RowShard shard;
-    int device = 0;
-  };
-  std::vector<Work> work;
-  work.reserve(sp.row_shards.size());
-  for (std::size_t d = 0; d < sp.row_shards.size(); ++d) {
-    work.push_back({sp.row_shards[d], static_cast<int>(d)});
-  }
-  std::vector<char> dead(static_cast<std::size_t>(cfg_.num_devices), 0);
-
-  int rounds = 0;
-  while (!work.empty()) {
-    std::vector<Work> failed;
-    std::mutex failed_m;
-    std::vector<int> devices;
-    devices.reserve(work.size());
-    for (const Work& w : work) devices.push_back(w.device);
-    run_on_device_nodes(pool, devices, [&](std::size_t wi) {
-      const Work& w = work[wi];
-      try {
-        fault::hit(fault::points::kShardExec);
-        fault::hit_nothrow(fault::points::kShardStraggler);
-        spgemm::AccumulatorCounts local;
-        spgemm::numeric_rows(a, b, sym.rowptr, colidx.data(), values.data(), w.shard.row_begin,
-                             w.shard.row_end, cfg, order, &local);
-        fault::hit(fault::points::kShardInterconnect);
-        if (metrics) {
-          metrics->shards_executed.fetch_add(1, std::memory_order_relaxed);
-          metrics->spgemm_rows_hash.fetch_add(local.hash_rows, std::memory_order_relaxed);
-          metrics->spgemm_rows_sort.fetch_add(local.sort_rows, std::memory_order_relaxed);
-          metrics->spgemm_rows_dense.fetch_add(local.dense_rows, std::memory_order_relaxed);
-        }
-      } catch (const fault::injected_fault&) {
-        if (metrics) {
-          metrics->faults_injected.fetch_add(1, std::memory_order_relaxed);
-          metrics->shard_failures.fetch_add(1, std::memory_order_relaxed);
-        }
-        std::lock_guard<std::mutex> lk(failed_m);
-        failed.push_back(w);
-      } catch (...) {
-        if (metrics) metrics->shard_failures.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(failed_m);
-        failed.push_back(w);
-      }
-    });
-    if (failed.empty()) break;
-
-    for (const Work& w : failed) dead[static_cast<std::size_t>(w.device)] = 1;
-    std::vector<int> survivors;
-    for (int d = 0; d < cfg_.num_devices; ++d) {
-      if (!dead[static_cast<std::size_t>(d)]) survivors.push_back(d);
+  run_sharded(pool, plan, b.cols(), metrics, [&](const core::RowShard& s) {
+    spgemm::AccumulatorCounts local;
+    spgemm::numeric_rows(a, b, sym.rowptr, colidx.data(), values.data(), s.row_begin,
+                         s.row_end, cfg, order, &local);
+    fault::hit(fault::points::kShardInterconnect);
+    if (metrics) {
+      metrics->spgemm_rows_hash.fetch_add(local.hash_rows, std::memory_order_relaxed);
+      metrics->spgemm_rows_sort.fetch_add(local.sort_rows, std::memory_order_relaxed);
+      metrics->spgemm_rows_dense.fetch_add(local.dense_rows, std::memory_order_relaxed);
     }
-    if (survivors.empty() || rounds >= cfg_.max_failover_rounds) {
-      throw shards_exhausted(survivors.empty()
-                                 ? "ShardedExecutor: all devices failed"
-                                 : "ShardedExecutor: failover rounds exhausted");
-    }
-    ++rounds;
-
-    std::sort(failed.begin(), failed.end(),
-              [](const Work& a_, const Work& b_) { return a_.shard.row_begin < b_.shard.row_begin; });
-    std::vector<Work> next;
-    for (const Work& w : failed) {
-      if (metrics) metrics->failovers.fetch_add(1, std::memory_order_relaxed);
-      const ShardPlan rp =
-          planner_.plan_row_range(plan, w.shard.row_begin, w.shard.row_end,
-                                  static_cast<int>(survivors.size()), strategy);
-      for (std::size_t i = 0; i < rp.row_shards.size(); ++i) {
-        next.push_back({rp.row_shards[i], survivors[i % survivors.size()]});
-      }
-    }
-    work = std::move(next);
-  }
-
+  });
   c = CsrMatrix(a.rows(), b.cols(), std::move(sym.rowptr), std::move(colidx), std::move(values));
-  observe_strategy(cfg_.router, plan, b.cols(), rdec, micros_since(rt0), metrics);
 }
 
 }  // namespace rrspmm::dist

@@ -2,7 +2,8 @@
 //
 // One task per device shard instead of one per panel: each shard is a
 // contiguous (permuted) row range from a ShardPlan, run through the
-// row-range ASpT kernel on the FULL tiled matrix. The kernel guarantees
+// row-range ASpT kernel on the FULL tiled matrix, writing through the
+// plan's row_perm straight into the caller's y. The kernel guarantees
 // that any partition of [0, rows) into ranges is bitwise equal to the
 // unsharded execution, so the sharded result is identical to
 // core::run_spmm no matter how the planner cut — the shards only change
@@ -13,6 +14,7 @@
 // bitwise-stable too.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -34,14 +36,6 @@ class shards_exhausted : public std::runtime_error {
  public:
   explicit shards_exhausted(const std::string& what) : std::runtime_error(what) {}
 };
-
-/// Same contract as runtime::parallel_spmm (y in the caller's row order,
-/// bitwise equal to core::run_spmm), but parallelised over the row-mode
-/// `shard_plan`'s shards. `metrics`, when given, counts the shards.
-void sharded_spmm(runtime::WorkerPool& pool, const core::ExecutionPlan& plan,
-                  const ShardPlan& shard_plan, const DenseMatrix& x, DenseMatrix& y,
-                  runtime::Metrics* metrics = nullptr,
-                  const kernels::simd::KernelConfig* kernel = nullptr);
 
 /// Column-mode sharded SpMM on the raw CSR matrix: device d computes the
 /// partial product of its column slice (rows split across the pool
@@ -81,9 +75,10 @@ struct ShardedExecutorConfig {
 /// Failure handling: a shard that throws marks its device dead for the
 /// rest of the call, and the shard's row range is re-planned across the
 /// surviving devices with the same seam-aware cuts (plan_row_range). The
-/// row-range kernel zero-fills its target rows before accumulating, so a
-/// re-run of a failed shard is idempotent and the recovered result stays
-/// bitwise-equal to the fault-free one.
+/// row-range kernel zero-fills its target rows (in the caller's y, through
+/// row_perm) before accumulating, so a re-run of a failed shard is
+/// idempotent and the recovered result stays bitwise-equal to the
+/// fault-free one.
 class ShardedExecutor final : public runtime::Executor {
  public:
   explicit ShardedExecutor(ShardedExecutorConfig cfg = {});
@@ -112,6 +107,16 @@ class ShardedExecutor final : public runtime::Executor {
   const ShardedExecutorConfig& config() const { return cfg_; }
 
  private:
+  /// One sharded batch, shared by spmm() and spgemm(): picks the shard
+  /// strategy (router or cfg_.strategy), cuts the plan's rows across the
+  /// devices and runs body(shard) for each on its device's node, with
+  /// failover (see the class comment); reports the makespan to the
+  /// router. Throws shards_exhausted when no device survives or the
+  /// failover budget runs out.
+  void run_sharded(runtime::WorkerPool& pool, const core::ExecutionPlan& plan, index_t k,
+                   runtime::Metrics* metrics,
+                   const std::function<void(const core::RowShard&)>& body);
+
   ShardedExecutorConfig cfg_;
   ShardPlanner planner_;
 };

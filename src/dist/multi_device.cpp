@@ -3,17 +3,11 @@
 #include <algorithm>
 
 #include "fault/fault.hpp"
+#include "sparse/permute.hpp"
 
 namespace rrspmm::dist {
 
 namespace {
-
-bool is_identity(const std::vector<index_t>& perm) {
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    if (perm[i] != static_cast<index_t>(i)) return false;
-  }
-  return true;
-}
 
 /// Renumbers the shard's original source indices to a dense [0, nnz)
 /// range, preserving relative order. from_parts requires a bijection; the
@@ -96,7 +90,7 @@ MultiDeviceResult simulate_spmm_sharded(const core::ExecutionPlan& plan,
   if (shard_plan.rows != plan.tiled.rows()) {
     throw sparse::invalid_matrix("simulate_spmm_sharded: shard plan does not match the plan");
   }
-  const bool identity_order = is_identity(plan.sparse_order);
+  const bool identity_order = sparse::is_identity(plan.sparse_order);
   const Interconnect icx(cfg.interconnect);
 
   MultiDeviceResult res;

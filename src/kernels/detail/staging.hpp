@@ -1,4 +1,5 @@
-// ASpT panel staging shared by the SpMM and SDDMM wrappers.
+// ASpT panel staging (and per-row argument checks) shared by the SpMM
+// and SDDMM wrappers.
 //
 // The staged buffer is the host analogue of the GPU kernels' shared
 // memory: the panel's dense-column X rows are gathered once into a
@@ -12,12 +13,25 @@
 #pragma once
 
 #include <algorithm>
+#include <vector>
 
 #include "aspt/aspt.hpp"
 #include "sparse/aligned.hpp"
 #include "sparse/dense_view.hpp"
 
 namespace rrspmm::kernels::detail {
+
+/// Data of an optional per-tiled-row array (a row map or an SDDMM output
+/// shift), null when absent. Throws invalid_matrix unless it holds one
+/// entry per row of `a`.
+template <class T>
+const T* per_row(const std::vector<T>* v, const aspt::AsptMatrix& a) {
+  if (!v) return nullptr;
+  if (v->size() != static_cast<std::size_t>(a.rows())) {
+    throw sparse::invalid_matrix("ASpT kernel: per-row argument must cover every row");
+  }
+  return v->data();
+}
 
 /// Largest dense-column count over all panels (0 when no panel has
 /// dense tiles).

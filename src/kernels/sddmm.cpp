@@ -43,7 +43,8 @@ void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, std::vector<val
     const index_t lo = blk * kRowBlock;
     const index_t hi = std::min(s.rows(), lo + kRowBlock);
     t.sddmm_rows(s.rowptr().data(), s.colidx().data(), s.values().data(), x.data, x.ld, y.data,
-                 y.ld, k, out.data(), /*src=*/nullptr, /*order=*/nullptr, lo, hi);
+                 y.ld, k, out.data(), /*src=*/nullptr, /*order=*/nullptr, /*y_rows=*/nullptr,
+                 /*out_shift=*/nullptr, lo, hi);
   }
 }
 
@@ -66,7 +67,8 @@ void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, value_t* out,
   simd::count_invocation(t.isa);
   if (t.specialized) simd::count_specialized(t.isa);
   t.sddmm_rows(s.rowptr().data(), s.colidx().data(), s.values().data(), x.data, x.ld, y.data,
-               y.ld, x.cols, out, /*src=*/nullptr, /*order=*/nullptr, row_begin, row_end);
+               y.ld, x.cols, out, /*src=*/nullptr, /*order=*/nullptr, /*y_rows=*/nullptr,
+               /*out_shift=*/nullptr, row_begin, row_end);
 }
 
 void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, std::vector<value_t>& out,
@@ -90,13 +92,45 @@ void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, std::vector<value
   sddmm_aspt(a, x, y, out.data(), out.size(), sparse_order, cfg);
 }
 
+std::vector<offset_t> sddmm_out_shift(const AsptMatrix& a, const std::vector<index_t>& y_rows) {
+  const index_t* rows = detail::per_row(&y_rows, a);
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  // Nonzeros per tiled row: its dense-tile part plus its sparse part.
+  const auto& sp_ptr = a.sparse_part().rowptr();
+  std::vector<offset_t> shift(n);
+  for (std::size_t i = 0; i < n; ++i) shift[i] = sp_ptr[i + 1] - sp_ptr[i];
+  for (const aspt::Panel& p : a.panels()) {
+    for (std::size_t r = 0; r + 1 < p.dense_rowptr.size(); ++r) {
+      shift[static_cast<std::size_t>(p.row_begin) + r] += p.dense_rowptr[r + 1] - p.dense_rowptr[r];
+    }
+  }
+  // Row starts in the caller's CSR order: the same counts, placed at
+  // their caller row and prefix-summed.
+  std::vector<offset_t> caller_base(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    caller_base[static_cast<std::size_t>(rows[i]) + 1] = shift[i];
+  }
+  for (std::size_t i = 1; i <= n; ++i) caller_base[i] += caller_base[i - 1];
+  offset_t tiled_base = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const offset_t len = shift[i];
+    shift[i] = caller_base[static_cast<std::size_t>(rows[i])] - tiled_base;
+    tiled_base += len;
+  }
+  return shift;
+}
+
 void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
                 std::size_t out_size, const std::vector<index_t>* sparse_order,
-                const simd::KernelConfig& cfg) {
+                const simd::KernelConfig& cfg, const std::vector<index_t>* y_rows) {
   check_sddmm_shapes(a.rows(), a.cols(), x, y);
   if (out_size != static_cast<std::size_t>(a.stats().nnz_total)) {
     throw sparse::invalid_matrix("SDDMM: out must hold exactly nnz values");
   }
+  const std::vector<offset_t> shifts =
+      y_rows ? sddmm_out_shift(a, *y_rows) : std::vector<offset_t>{};
+  const index_t* rows = detail::per_row(y_rows, a);
+  const offset_t* shift = y_rows ? shifts.data() : nullptr;
   const simd::KernelSelection t = simd::select_kernels(cfg, x.cols);
   simd::count_invocation(t.isa);
   if (t.specialized) simd::count_specialized(t.isa);
@@ -122,7 +156,7 @@ void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
         detail::stage_panel(p, x, k, staged.data(), staged_ld);
         t.sddmm_panel(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(),
                       p.dense_src_idx.data(), p.row_begin, staged.data(), staged_ld, y.data,
-                      y.ld, k, out, p.row_begin, p.row_end);
+                      y.ld, k, out, rows, shift, p.row_begin, p.row_end);
       }
     }
   }
@@ -139,7 +173,7 @@ void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
     const index_t lo = blk * kRowBlock;
     const index_t hi = std::min(sp.rows(), lo + kRowBlock);
     t.sddmm_rows(sp.rowptr().data(), sp.colidx().data(), sp.values().data(), x.data, x.ld,
-                 y.data, y.ld, k, out, a.sparse_src_idx().data(), order, lo, hi);
+                 y.data, y.ld, k, out, a.sparse_src_idx().data(), order, rows, shift, lo, hi);
   }
 }
 
@@ -150,7 +184,8 @@ void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y, value_t
 
 void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
                           std::size_t out_size, index_t row_begin, index_t row_end,
-                          const simd::KernelConfig& cfg) {
+                          const simd::KernelConfig& cfg, const std::vector<index_t>* y_rows,
+                          const std::vector<offset_t>* out_shift) {
   check_sddmm_shapes(a.rows(), a.cols(), x, y);
   if (row_begin < 0 || row_end > a.rows() || row_begin > row_end) {
     throw sparse::invalid_matrix("SDDMM: row range out of bounds");
@@ -158,6 +193,8 @@ void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y, value_t
   if (out_size != static_cast<std::size_t>(a.stats().nnz_total)) {
     throw sparse::invalid_matrix("SDDMM: out must be pre-sized to nnz for row-range calls");
   }
+  const index_t* rows = detail::per_row(y_rows, a);
+  const offset_t* shift = detail::per_row(out_shift, a);
   const simd::KernelSelection t = simd::select_kernels(cfg, x.cols);
   simd::count_invocation(t.isa);
   if (t.specialized) simd::count_specialized(t.isa);
@@ -175,7 +212,7 @@ void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y, value_t
       detail::stage_panel(p, x, k, staged.data(), staged_ld);
       t.sddmm_panel(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(),
                     p.dense_src_idx.data(), p.row_begin, staged.data(), staged_ld, y.data,
-                    y.ld, k, out, std::max(row_begin, p.row_begin),
+                    y.ld, k, out, rows, shift, std::max(row_begin, p.row_begin),
                     std::min(row_end, p.row_end));
     }
   }
@@ -183,8 +220,8 @@ void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y, value_t
   // Sparse remainder of the same rows.
   const CsrMatrix& sp = a.sparse_part();
   t.sddmm_rows(sp.rowptr().data(), sp.colidx().data(), sp.values().data(), x.data, x.ld,
-               y.data, y.ld, k, out, a.sparse_src_idx().data(), /*order=*/nullptr, row_begin,
-               row_end);
+               y.data, y.ld, k, out, a.sparse_src_idx().data(), /*order=*/nullptr, rows, shift,
+               row_begin, row_end);
 }
 
 void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y,

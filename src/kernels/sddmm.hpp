@@ -15,6 +15,14 @@
 // output as a raw pre-sized pointer — the zero-copy serving path writes
 // straight into a caller-provided span — with the std::vector overloads
 // forwarding to it.
+//
+// Reordered plans: the raw-output ASpT entry points take an optional row
+// map (`y_rows`, a plan's row_perm). Tiled row i then reads Y row
+// y_rows[i], and its outputs move by a per-row slot shift
+// (sddmm_out_shift) from the tiled matrix's CSR order to the caller's CSR
+// order. The plan writes the caller's layout directly: Y is never
+// permuted and no output temporary is unpermuted. Each dot product is
+// unchanged, so the bits are too.
 #pragma once
 
 #include <cstddef>
@@ -55,25 +63,38 @@ void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, std::vector<val
 /// ASpT-structured SDDMM; `out` is aligned with the CSR that `a` was
 /// built from (via the tiling's source-index maps). The raw-pointer form
 /// writes a caller span that must hold exactly the tiling's nnz_total
-/// values; the std::vector forms resize and forward to it.
+/// values; the std::vector forms resize and forward to it. With
+/// `y_rows` (a permutation of [0, rows)), `a` tiles the row-permuted
+/// matrix whose row i is the caller's row (*y_rows)[i]: Y is read in the
+/// caller's row order and `out` is aligned with the caller's CSR.
 void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, std::vector<value_t>& out,
                 const std::vector<index_t>* sparse_order = nullptr);
 void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, std::vector<value_t>& out,
                 const std::vector<index_t>* sparse_order, const simd::KernelConfig& cfg);
 void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
                 std::size_t out_size, const std::vector<index_t>* sparse_order,
-                const simd::KernelConfig& cfg);
+                const simd::KernelConfig& cfg, const std::vector<index_t>* y_rows = nullptr);
+
+/// Per tiled row i, the distance from its first output slot in the tiled
+/// matrix's CSR order to its first slot in the caller's CSR order, where
+/// tiled row i is the caller's row y_rows[i]. Derived from the tiling
+/// alone in O(rows). Because from_parts keeps every row's source indices
+/// inside that row's own CSR range, each shifted slot lies in [0, nnz).
+std::vector<offset_t> sddmm_out_shift(const AsptMatrix& a, const std::vector<index_t>& y_rows);
 
 /// Row-range ASpT SDDMM: dense tiles clipped to [row_begin, row_end) plus
 /// the sparse remainder of those rows, scattering through the source-
 /// index maps. `out` must already be sized to the tiling's nnz_total.
 /// Serial and race-free across disjoint ranges; ranges partitioning
-/// [0, rows) reproduce sddmm_aspt exactly.
+/// [0, rows) reproduce sddmm_aspt exactly. A reordered caller passes its
+/// row map and sddmm_out_shift(a, *y_rows), computed once per call.
 void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
                           std::size_t out_size, index_t row_begin, index_t row_end);
 void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
                           std::size_t out_size, index_t row_begin, index_t row_end,
-                          const simd::KernelConfig& cfg);
+                          const simd::KernelConfig& cfg,
+                          const std::vector<index_t>* y_rows = nullptr,
+                          const std::vector<offset_t>* out_shift = nullptr);
 void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y,
                           std::vector<value_t>& out, index_t row_begin, index_t row_end);
 void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y,

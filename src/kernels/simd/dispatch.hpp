@@ -48,8 +48,8 @@ struct KernelConfig {
   /// path only ULP-close (see docs/API.md).
   bool allow_fma = false;
   /// Per-matrix AOT specialization record, built at plan-build time and
-  /// attached by the plan-aware wrappers (core::run_spmm,
-  /// runtime::parallel_spmm, dist::sharded_spmm). Null = generic
+  /// attached to every plan-driven execution by core::kernel_config.
+  /// Null = generic
   /// entries only, exactly the PR 5 behaviour. Shared so the record
   /// lives as long as any config or plan referencing it.
   std::shared_ptr<const SpecializationPlan> spec;

@@ -238,12 +238,20 @@ inline void dot_rows(const value_t* yr, index_t k, index_t nnz, GetX&& xrow, Get
 /// backend TUs take their addresses to build KernelTables.
 template <class V, bool Fma>
 struct KernelSet {
+  /// Row `rows ? rows[i] : i` of a dense operand with leading dimension
+  /// `ld`: where processed row i reads Y or writes its output.
+  template <class T>
+  static T* row_at(T* base, index_t ld, const index_t* rows, index_t i) {
+    return base + static_cast<std::size_t>(rows ? rows[i] : i) * static_cast<std::size_t>(ld);
+  }
+
   static void spmm_rows(const offset_t* rowptr, const index_t* colidx, const value_t* vals,
                         const value_t* x, index_t x_ld, value_t* y, index_t y_ld, index_t k,
-                        const index_t* order, bool zero_y, index_t pos_begin, index_t pos_end) {
+                        const index_t* order, const index_t* y_rows, bool zero_y,
+                        index_t pos_begin, index_t pos_end) {
     for (index_t pos = pos_begin; pos < pos_end; ++pos) {
       const index_t i = order ? order[pos] : pos;
-      value_t* yr = y + static_cast<std::size_t>(i) * static_cast<std::size_t>(y_ld);
+      value_t* yr = row_at(y, y_ld, y_rows, i);
       if (zero_y) {
         for (index_t kk = 0; kk < k; ++kk) yr[kk] = value_t{0};
       }
@@ -264,13 +272,13 @@ struct KernelSet {
   static void spmm_panel(const offset_t* dense_rowptr, const index_t* dense_slot,
                          const value_t* dense_val, index_t panel_row_begin,
                          const value_t* staged, index_t staged_ld, value_t* y, index_t y_ld,
-                         index_t k, index_t row_lo, index_t row_hi) {
+                         index_t k, const index_t* y_rows, index_t row_lo, index_t row_hi) {
     for (index_t row = row_lo; row < row_hi; ++row) {
       const std::size_t r = static_cast<std::size_t>(row - panel_row_begin);
       const offset_t lo = dense_rowptr[r];
       const index_t nnz = static_cast<index_t>(dense_rowptr[r + 1] - lo);
       if (nnz == 0) continue;
-      value_t* yr = y + static_cast<std::size_t>(row) * static_cast<std::size_t>(y_ld);
+      value_t* yr = row_at(y, y_ld, y_rows, row);
       const index_t* slots = dense_slot + lo;
       const value_t* vs = dense_val + lo;
       generic::accumulate_row<V, Fma, true>(
@@ -286,8 +294,8 @@ struct KernelSet {
   static void spmm_panel_dense(const offset_t* dense_rowptr, const index_t* dense_slot,
                                const value_t* dense_val, index_t panel_row_begin,
                                const value_t* staged, index_t staged_ld, value_t* y,
-                               index_t y_ld, index_t k, index_t row_lo, index_t row_hi,
-                               index_t dense_cols) {
+                               index_t y_ld, index_t k, const index_t* y_rows, index_t row_lo,
+                               index_t row_hi, index_t dense_cols) {
     index_t row = row_lo;
     while (row < row_hi) {
       const std::size_t r = static_cast<std::size_t>(row - panel_row_begin);
@@ -305,17 +313,15 @@ struct KernelSet {
         }
         if (same_slots) {
           generic::microgemm_pair<V, Fma>(
-              y + static_cast<std::size_t>(row) * static_cast<std::size_t>(y_ld),
-              y + static_cast<std::size_t>(row + 1) * static_cast<std::size_t>(y_ld),
-              dense_val + lo, dense_val + lo1, dense_slot + lo, staged, staged_ld, k,
-              dense_cols);
+              row_at(y, y_ld, y_rows, row), row_at(y, y_ld, y_rows, row + 1), dense_val + lo,
+              dense_val + lo1, dense_slot + lo, staged, staged_ld, k, dense_cols);
           row += 2;
           continue;
         }
       }
       // Partial or unpaired row: the spmm_panel body, element for element.
       if (nnz > 0) {
-        value_t* yr = y + static_cast<std::size_t>(row) * static_cast<std::size_t>(y_ld);
+        value_t* yr = row_at(y, y_ld, y_rows, row);
         const index_t* slots = dense_slot + lo;
         const value_t* vs = dense_val + lo;
         generic::accumulate_row<V, Fma, true>(
@@ -333,13 +339,15 @@ struct KernelSet {
   static void sddmm_rows(const offset_t* rowptr, const index_t* colidx, const value_t* vals,
                          const value_t* x, index_t x_ld, const value_t* ymat, index_t y_ld,
                          index_t k, value_t* out, const offset_t* src, const index_t* order,
-                         index_t pos_begin, index_t pos_end) {
+                         const index_t* y_rows, const offset_t* out_shift, index_t pos_begin,
+                         index_t pos_end) {
     for (index_t pos = pos_begin; pos < pos_end; ++pos) {
       const index_t i = order ? order[pos] : pos;
       const offset_t base = rowptr[static_cast<std::size_t>(i)];
       const index_t nnz = static_cast<index_t>(rowptr[static_cast<std::size_t>(i) + 1] - base);
       if (nnz == 0) continue;
-      const value_t* yr = ymat + static_cast<std::size_t>(i) * static_cast<std::size_t>(y_ld);
+      const value_t* yr = row_at(ymat, y_ld, y_rows, i);
+      const offset_t shift = out_shift ? out_shift[i] : 0;
       const index_t* cs = colidx + base;
       const value_t* vs = vals + base;
       generic::dot_rows<V, Fma, false>(
@@ -349,8 +357,8 @@ struct KernelSet {
           },
           [&](index_t j) { return vs[j]; },
           [&](index_t j, value_t r) {
-            const std::size_t slot = static_cast<std::size_t>(base) + static_cast<std::size_t>(j);
-            out[src ? static_cast<std::size_t>(src[slot]) : slot] = r;
+            const offset_t slot = base + j;
+            out[static_cast<std::size_t>((src ? src[slot] : slot) + shift)] = r;
           });
     }
   }
@@ -359,13 +367,15 @@ struct KernelSet {
                           const value_t* dense_val, const offset_t* dense_src_idx,
                           index_t panel_row_begin, const value_t* staged, index_t staged_ld,
                           const value_t* ymat, index_t y_ld, index_t k, value_t* out,
-                          index_t row_lo, index_t row_hi) {
+                          const index_t* y_rows, const offset_t* out_shift, index_t row_lo,
+                          index_t row_hi) {
     for (index_t row = row_lo; row < row_hi; ++row) {
       const std::size_t r = static_cast<std::size_t>(row - panel_row_begin);
       const offset_t lo = dense_rowptr[r];
       const index_t nnz = static_cast<index_t>(dense_rowptr[r + 1] - lo);
       if (nnz == 0) continue;
-      const value_t* yr = ymat + static_cast<std::size_t>(row) * static_cast<std::size_t>(y_ld);
+      const value_t* yr = row_at(ymat, y_ld, y_rows, row);
+      const offset_t shift = out_shift ? out_shift[row] : 0;
       const index_t* slots = dense_slot + lo;
       const value_t* vs = dense_val + lo;
       const offset_t* srcs = dense_src_idx + lo;
@@ -376,7 +386,7 @@ struct KernelSet {
                    static_cast<std::size_t>(slots[j]) * static_cast<std::size_t>(staged_ld);
           },
           [&](index_t j) { return vs[j]; },
-          [&](index_t j, value_t r) { out[static_cast<std::size_t>(srcs[j])] = r; });
+          [&](index_t j, value_t v) { out[static_cast<std::size_t>(srcs[j] + shift)] = v; });
     }
   }
 };

@@ -144,11 +144,12 @@ template <class V, bool Fma, index_t KW>
 struct SpecKernelSet {
   static void spmm_rows(const offset_t* rowptr, const index_t* colidx, const value_t* vals,
                         const value_t* x, index_t x_ld, value_t* y, index_t y_ld, index_t k,
-                        const index_t* order, bool zero_y, index_t pos_begin, index_t pos_end) {
+                        const index_t* order, const index_t* y_rows, bool zero_y,
+                        index_t pos_begin, index_t pos_end) {
     const index_t kc = KW > 0 ? KW : k;
     for (index_t pos = pos_begin; pos < pos_end; ++pos) {
       const index_t i = order ? order[pos] : pos;
-      value_t* yr = y + static_cast<std::size_t>(i) * static_cast<std::size_t>(y_ld);
+      value_t* yr = KernelSet<V, Fma>::row_at(y, y_ld, y_rows, i);
       const offset_t lo = rowptr[static_cast<std::size_t>(i)];
       const index_t nnz = static_cast<index_t>(rowptr[static_cast<std::size_t>(i) + 1] - lo);
       if (nnz == 0) {
@@ -191,27 +192,29 @@ struct SpecKernelSet {
   static void spmm_panel(const offset_t* dense_rowptr, const index_t* dense_slot,
                          const value_t* dense_val, index_t panel_row_begin,
                          const value_t* staged, index_t staged_ld, value_t* y, index_t y_ld,
-                         index_t k, index_t row_lo, index_t row_hi) {
+                         index_t k, const index_t* y_rows, index_t row_lo, index_t row_hi) {
     KernelSet<V, Fma>::spmm_panel(dense_rowptr, dense_slot, dense_val, panel_row_begin, staged,
-                                  staged_ld, y, y_ld, KW > 0 ? KW : k, row_lo, row_hi);
+                                  staged_ld, y, y_ld, KW > 0 ? KW : k, y_rows, row_lo, row_hi);
   }
 
   static void sddmm_rows(const offset_t* rowptr, const index_t* colidx, const value_t* vals,
                          const value_t* x, index_t x_ld, const value_t* ymat, index_t y_ld,
                          index_t k, value_t* out, const offset_t* src, const index_t* order,
-                         index_t pos_begin, index_t pos_end) {
+                         const index_t* y_rows, const offset_t* out_shift, index_t pos_begin,
+                         index_t pos_end) {
     KernelSet<V, Fma>::sddmm_rows(rowptr, colidx, vals, x, x_ld, ymat, y_ld, KW > 0 ? KW : k,
-                                  out, src, order, pos_begin, pos_end);
+                                  out, src, order, y_rows, out_shift, pos_begin, pos_end);
   }
 
   static void sddmm_panel(const offset_t* dense_rowptr, const index_t* dense_slot,
                           const value_t* dense_val, const offset_t* dense_src_idx,
                           index_t panel_row_begin, const value_t* staged, index_t staged_ld,
                           const value_t* ymat, index_t y_ld, index_t k, value_t* out,
-                          index_t row_lo, index_t row_hi) {
+                          const index_t* y_rows, const offset_t* out_shift, index_t row_lo,
+                          index_t row_hi) {
     KernelSet<V, Fma>::sddmm_panel(dense_rowptr, dense_slot, dense_val, dense_src_idx,
                                    panel_row_begin, staged, staged_ld, ymat, y_ld,
-                                   KW > 0 ? KW : k, out, row_lo, row_hi);
+                                   KW > 0 ? KW : k, out, y_rows, out_shift, row_lo, row_hi);
   }
 };
 

@@ -48,13 +48,16 @@ struct KernelTable {
   bool fma = false;
 
   /// CSR SpMM over positions [pos_begin, pos_end): the processed row is
-  /// `order ? order[pos] : pos`; each position owns its output row. When
+  /// `i = order ? order[pos] : pos`, and it writes output row
+  /// `y_rows ? y_rows[i] : i` — every entry below takes the same nullable
+  /// row map, which is how a reordered plan's kernels write straight into
+  /// the caller's row order. Each position owns its output row. When
   /// `zero_y`, the row is zeroed first (row-wise kernels); otherwise it
   /// accumulates (ASpT sparse remainder).
   void (*spmm_rows)(const offset_t* rowptr, const index_t* colidx, const value_t* vals,
                     const value_t* x, index_t x_ld, value_t* y, index_t y_ld, index_t k,
-                    const index_t* order, bool zero_y, index_t pos_begin,
-                    index_t pos_end) = nullptr;
+                    const index_t* order, const index_t* y_rows, bool zero_y,
+                    index_t pos_begin, index_t pos_end) = nullptr;
 
   /// ASpT dense-tile phase of one panel, clipped to absolute rows
   /// [row_lo, row_hi). `staged` holds the panel's dense-column X rows,
@@ -62,8 +65,8 @@ struct KernelTable {
   /// 16 floats), so backends may use aligned vector loads on it.
   void (*spmm_panel)(const offset_t* dense_rowptr, const index_t* dense_slot,
                      const value_t* dense_val, index_t panel_row_begin, const value_t* staged,
-                     index_t staged_ld, value_t* y, index_t y_ld, index_t k, index_t row_lo,
-                     index_t row_hi) = nullptr;
+                     index_t staged_ld, value_t* y, index_t y_ld, index_t k,
+                     const index_t* y_rows, index_t row_lo, index_t row_hi) = nullptr;
 
   /// Dense-tile micro-GEMM: the spmm_panel contract plus the panel's
   /// dense-column count. Adjacent rows whose tiles are *fully* dense
@@ -77,23 +80,29 @@ struct KernelTable {
   void (*spmm_panel_dense)(const offset_t* dense_rowptr, const index_t* dense_slot,
                            const value_t* dense_val, index_t panel_row_begin,
                            const value_t* staged, index_t staged_ld, value_t* y, index_t y_ld,
-                           index_t k, index_t row_lo, index_t row_hi,
+                           index_t k, const index_t* y_rows, index_t row_lo, index_t row_hi,
                            index_t dense_cols) = nullptr;
 
   /// CSR SDDMM over positions [pos_begin, pos_end): for nonzero j of row
-  /// i, out[src ? src[base+j] : base+j] = vals[base+j] * dot(Y_i, X_col).
+  /// i, out[(src ? src[base+j] : base+j) + (out_shift ? out_shift[i] : 0)]
+  /// = vals[base+j] * dot(Y_r, X_col), where r = y_rows ? y_rows[i] : i.
+  /// The row map and the per-row slot shift move a reordered plan's reads
+  /// and writes into the caller's row order and CSR order.
   void (*sddmm_rows)(const offset_t* rowptr, const index_t* colidx, const value_t* vals,
                      const value_t* x, index_t x_ld, const value_t* ymat, index_t y_ld,
                      index_t k, value_t* out, const offset_t* src, const index_t* order,
-                     index_t pos_begin, index_t pos_end) = nullptr;
+                     const index_t* y_rows, const offset_t* out_shift, index_t pos_begin,
+                     index_t pos_end) = nullptr;
 
   /// ASpT dense-tile SDDMM of one panel, clipped to [row_lo, row_hi),
-  /// scattering through dense_src_idx. Staged buffer as in spmm_panel.
+  /// scattering through dense_src_idx (plus the row's out_shift). Staged
+  /// buffer as in spmm_panel.
   void (*sddmm_panel)(const offset_t* dense_rowptr, const index_t* dense_slot,
                       const value_t* dense_val, const offset_t* dense_src_idx,
                       index_t panel_row_begin, const value_t* staged, index_t staged_ld,
                       const value_t* ymat, index_t y_ld, index_t k, value_t* out,
-                      index_t row_lo, index_t row_hi) = nullptr;
+                      const index_t* y_rows, const offset_t* out_shift, index_t row_lo,
+                      index_t row_hi) = nullptr;
 
   using SpmmRowsFn = decltype(spmm_rows);
   using SpmmPanelFn = decltype(spmm_panel);

@@ -22,9 +22,9 @@ void check_spmm_shapes(index_t s_rows, index_t s_cols, DenseView x, DenseMutView
   }
 }
 
-void zero_rows(DenseMutView y, index_t row_begin, index_t row_end) {
+void zero_rows(DenseMutView y, index_t row_begin, index_t row_end, const index_t* y_rows) {
   for (index_t i = row_begin; i < row_end; ++i) {
-    value_t* yr = y.row(i);
+    value_t* yr = y.row(y_rows ? y_rows[i] : i);
     std::fill(yr, yr + y.cols, value_t{0});
   }
 }
@@ -53,7 +53,7 @@ void spmm_rowwise(const CsrMatrix& s, DenseView x, DenseMutView y,
     const index_t lo = blk * kRowBlock;
     const index_t hi = std::min(rows, lo + kRowBlock);
     t.spmm_rows(s.rowptr().data(), s.colidx().data(), s.values().data(), x.data, x.ld, y.data,
-                y.ld, k, /*order=*/nullptr, /*zero_y=*/true, lo, hi);
+                y.ld, k, /*order=*/nullptr, /*y_rows=*/nullptr, /*zero_y=*/true, lo, hi);
   }
 }
 
@@ -72,7 +72,8 @@ void spmm_rowwise(const CsrMatrix& s, DenseView x, DenseMutView y, index_t row_b
   simd::count_invocation(t.isa);
   if (t.specialized) simd::count_specialized(t.isa);
   t.spmm_rows(s.rowptr().data(), s.colidx().data(), s.values().data(), x.data, x.ld, y.data,
-              y.ld, x.cols, /*order=*/nullptr, /*zero_y=*/true, row_begin, row_end);
+              y.ld, x.cols, /*order=*/nullptr, /*y_rows=*/nullptr, /*zero_y=*/true, row_begin,
+              row_end);
 }
 
 void spmm_aspt(const AsptMatrix& a, DenseView x, DenseMutView y,
@@ -81,13 +82,15 @@ void spmm_aspt(const AsptMatrix& a, DenseView x, DenseMutView y,
 }
 
 void spmm_aspt(const AsptMatrix& a, DenseView x, DenseMutView y,
-               const std::vector<index_t>* sparse_order, const simd::KernelConfig& cfg) {
+               const std::vector<index_t>* sparse_order, const simd::KernelConfig& cfg,
+               const std::vector<index_t>* y_rows) {
   check_spmm_shapes(a.rows(), a.cols(), x, y);
+  const index_t* rows = detail::per_row(y_rows, a);
   const simd::KernelSelection t = simd::select_kernels(cfg, x.cols);
   simd::count_invocation(t.isa);
   if (t.specialized) simd::count_specialized(t.isa);
   const index_t k = x.cols;
-  zero_rows(y, 0, y.rows);
+  zero_rows(y, 0, y.rows, nullptr);
 
   // Phase 1: dense tiles. One aligned staging buffer per thread, sized
   // once to the largest panel (satellite: no per-panel resize), plays
@@ -110,13 +113,13 @@ void spmm_aspt(const AsptMatrix& a, DenseView x, DenseMutView y,
         detail::stage_panel(p, x, k, staged.data(), staged_ld);
         if (t.spmm_panel_dense != nullptr) {
           t.spmm_panel_dense(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(),
-                             p.row_begin, staged.data(), staged_ld, y.data, y.ld, k,
+                             p.row_begin, staged.data(), staged_ld, y.data, y.ld, k, rows,
                              p.row_begin, p.row_end,
                              static_cast<index_t>(p.dense_cols.size()));
         } else {
           t.spmm_panel(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(),
-                       p.row_begin, staged.data(), staged_ld, y.data, y.ld, k, p.row_begin,
-                       p.row_end);
+                       p.row_begin, staged.data(), staged_ld, y.data, y.ld, k, rows,
+                       p.row_begin, p.row_end);
         }
       }
     }
@@ -135,7 +138,7 @@ void spmm_aspt(const AsptMatrix& a, DenseView x, DenseMutView y,
     const index_t lo = blk * kRowBlock;
     const index_t hi = std::min(sp.rows(), lo + kRowBlock);
     t.spmm_rows(sp.rowptr().data(), sp.colidx().data(), sp.values().data(), x.data, x.ld,
-                y.data, y.ld, k, order, /*zero_y=*/false, lo, hi);
+                y.data, y.ld, k, order, rows, /*zero_y=*/false, lo, hi);
   }
 }
 
@@ -145,16 +148,18 @@ void spmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseMutView y, index
 }
 
 void spmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseMutView y, index_t row_begin,
-                         index_t row_end, const simd::KernelConfig& cfg) {
+                         index_t row_end, const simd::KernelConfig& cfg,
+                         const std::vector<index_t>* y_rows) {
   check_spmm_shapes(a.rows(), a.cols(), x, y);
   if (row_begin < 0 || row_end > a.rows() || row_begin > row_end) {
     throw sparse::invalid_matrix("SpMM: row range out of bounds");
   }
+  const index_t* rows = detail::per_row(y_rows, a);
   const simd::KernelSelection t = simd::select_kernels(cfg, x.cols);
   simd::count_invocation(t.isa);
   if (t.specialized) simd::count_specialized(t.isa);
   const index_t k = x.cols;
-  zero_rows(y, row_begin, row_end);
+  zero_rows(y, row_begin, row_end, rows);
 
   // Dense tiles of the panels intersecting the range, clipped to it. The
   // staging buffer is sized once to the largest intersecting panel and
@@ -169,12 +174,12 @@ void spmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseMutView y, index
       detail::stage_panel(p, x, k, staged.data(), staged_ld);
       if (t.spmm_panel_dense != nullptr) {
         t.spmm_panel_dense(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(),
-                           p.row_begin, staged.data(), staged_ld, y.data, y.ld, k,
+                           p.row_begin, staged.data(), staged_ld, y.data, y.ld, k, rows,
                            std::max(row_begin, p.row_begin), std::min(row_end, p.row_end),
                            static_cast<index_t>(p.dense_cols.size()));
       } else {
         t.spmm_panel(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(),
-                     p.row_begin, staged.data(), staged_ld, y.data, y.ld, k,
+                     p.row_begin, staged.data(), staged_ld, y.data, y.ld, k, rows,
                      std::max(row_begin, p.row_begin), std::min(row_end, p.row_end));
       }
     }
@@ -183,7 +188,7 @@ void spmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseMutView y, index
   // Sparse remainder of the same rows.
   const CsrMatrix& sp = a.sparse_part();
   t.spmm_rows(sp.rowptr().data(), sp.colidx().data(), sp.values().data(), x.data, x.ld, y.data,
-              y.ld, k, /*order=*/nullptr, /*zero_y=*/false, row_begin, row_end);
+              y.ld, k, /*order=*/nullptr, rows, /*zero_y=*/false, row_begin, row_end);
 }
 
 }  // namespace rrspmm::kernels

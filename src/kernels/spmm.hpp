@@ -21,6 +21,13 @@
 // to a view implicitly, so owning callers are unaffected; a view over
 // caller-provided storage runs the identical code path and therefore
 // produces byte-identical results.
+//
+// Reordered plans: the ASpT entry points take an optional row map
+// (`y_rows`, a plan's row_perm). Tiled row i then accumulates into Y row
+// y_rows[i] instead of row i, so a reordered plan writes the caller's row
+// order directly, with no permuted temporary and no scatter pass. Each
+// row still adds its dense-tile terms, then its sparse terms, in the same
+// nonzero order; only the address moves, so the bits are unchanged.
 #pragma once
 
 #include <vector>
@@ -59,23 +66,28 @@ void spmm_rowwise(const CsrMatrix& s, DenseView x, DenseMutView y, index_t row_b
 /// staged panel buffer standing in for shared memory, then the sparse
 /// remainder row-wise. `sparse_order`, if non-null, is the processing
 /// order of the sparse-part rows (affects performance only; the result
-/// is identical).
+/// is identical). `y_rows`, if non-null, is a permutation of [0, rows)
+/// and tiled row i is written to Y row (*y_rows)[i]; null writes the
+/// tiled row order. A map of the wrong length throws invalid_matrix.
 void spmm_aspt(const AsptMatrix& a, DenseView x, DenseMutView y,
                const std::vector<index_t>* sparse_order = nullptr);
 void spmm_aspt(const AsptMatrix& a, DenseView x, DenseMutView y,
-               const std::vector<index_t>* sparse_order, const simd::KernelConfig& cfg);
+               const std::vector<index_t>* sparse_order, const simd::KernelConfig& cfg,
+               const std::vector<index_t>* y_rows = nullptr);
 
-/// Row-range ASpT SpMM: zeroes Y rows [row_begin, row_end), then runs the
-/// dense-tile phase clipped to those rows and the sparse remainder
-/// row-wise over them. Serial, race-free across disjoint ranges (each
-/// range writes only its own Y rows), and bitwise equal to spmm_aspt
-/// when the ranges partition [0, rows) — every row accumulates dense
-/// contributions first, then sparse, in the same nonzero order. The
-/// sparse processing order is irrelevant here because each row's sum is
-/// independent; panel-aligned ranges reproduce the staging locality.
+/// Row-range ASpT SpMM: zeroes the Y rows of tiled rows [row_begin,
+/// row_end) (through `y_rows` as in spmm_aspt), then runs the dense-tile
+/// phase clipped to those rows and the sparse remainder row-wise over
+/// them. Serial, race-free across disjoint ranges (each range writes
+/// only its own Y rows), idempotent on re-run, and bitwise equal to
+/// spmm_aspt when the ranges partition [0, rows) — every row accumulates
+/// dense contributions first, then sparse, in the same nonzero order.
+/// The sparse processing order is irrelevant here because each row's sum
+/// is independent; panel-aligned ranges reproduce the staging locality.
 void spmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseMutView y, index_t row_begin,
                          index_t row_end);
 void spmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseMutView y, index_t row_begin,
-                         index_t row_end, const simd::KernelConfig& cfg);
+                         index_t row_end, const simd::KernelConfig& cfg,
+                         const std::vector<index_t>* y_rows = nullptr);
 
 }  // namespace rrspmm::kernels

@@ -1,10 +1,10 @@
 #include "runtime/execute.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "kernels/sddmm.hpp"
 #include "kernels/spmm.hpp"
-#include "sparse/permute.hpp"
 
 namespace rrspmm::runtime {
 
@@ -12,67 +12,19 @@ namespace {
 
 namespace simd = kernels::simd;
 
-bool is_identity(const std::vector<index_t>& perm) {
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    if (perm[i] != static_cast<index_t>(i)) return false;
-  }
-  return true;
-}
-
-/// Resolves the effective kernel configuration once per operation, so
-/// every panel task of one call uses the same backend even if the
-/// process-wide config changes mid-flight. The plan's specialization
-/// record rides along unless the caller's config pinned its own.
-simd::KernelConfig effective_config(const simd::KernelConfig* kernel,
-                                    const core::ExecutionPlan& plan) {
-  simd::KernelConfig cfg = kernel ? *kernel : simd::active_config();
-  if (!cfg.spec) cfg.spec = plan.spec;
-  return cfg;
-}
-
-void count_selection(Metrics* metrics, const simd::KernelSelection& sel) {
-  if (!metrics) return;
-  metrics->count_kernel(sel.isa);
-  if (sel.specialized) metrics->count_specialized();
-}
-
-void spmm_panels(WorkerPool& pool, const aspt::AsptMatrix& a, sparse::DenseView x,
-                 sparse::DenseMutView y, Metrics* metrics, const simd::KernelConfig& cfg) {
-  const simd::KernelSelection sel = simd::select_kernels(cfg, x.cols);
+/// Runs body(row_begin, row_end) once per ASpT row panel of `a` on the
+/// pool (one range over all rows when the tiling has no panels), counting
+/// the panel tasks.
+void for_each_panel(WorkerPool& pool, const aspt::AsptMatrix& a, Metrics* metrics,
+                    const std::function<void(index_t, index_t)>& body) {
   const auto& panels = a.panels();
   if (panels.empty()) {
-    kernels::spmm_aspt_row_range(a, x, y, 0, a.rows(), cfg);
-    count_selection(metrics, sel);
+    body(0, a.rows());
     return;
   }
   pool.parallel_for(panels.size(), [&](std::size_t pi) {
-    kernels::spmm_aspt_row_range(a, x, y, panels[pi].row_begin, panels[pi].row_end, cfg);
-    if (metrics) {
-      metrics->panels_executed.fetch_add(1, std::memory_order_relaxed);
-      count_selection(metrics, sel);
-    }
-  });
-}
-
-void sddmm_panels(WorkerPool& pool, const aspt::AsptMatrix& a, sparse::DenseView x,
-                  sparse::DenseView y, value_t* out, Metrics* metrics,
-                  const simd::KernelConfig& cfg) {
-  const simd::KernelSelection sel = simd::select_kernels(cfg, x.cols);
-  const std::size_t nnz = static_cast<std::size_t>(a.stats().nnz_total);
-  std::fill(out, out + nnz, value_t{0});
-  const auto& panels = a.panels();
-  if (panels.empty()) {
-    kernels::sddmm_aspt_row_range(a, x, y, out, nnz, 0, a.rows(), cfg);
-    count_selection(metrics, sel);
-    return;
-  }
-  pool.parallel_for(panels.size(), [&](std::size_t pi) {
-    kernels::sddmm_aspt_row_range(a, x, y, out, nnz, panels[pi].row_begin, panels[pi].row_end,
-                                  cfg);
-    if (metrics) {
-      metrics->panels_executed.fetch_add(1, std::memory_order_relaxed);
-      count_selection(metrics, sel);
-    }
+    body(panels[pi].row_begin, panels[pi].row_end);
+    if (metrics) metrics->panels_executed.fetch_add(1, std::memory_order_relaxed);
   });
 }
 
@@ -83,16 +35,12 @@ void parallel_spmm(WorkerPool& pool, const core::ExecutionPlan& plan, DenseView 
   if (y.rows != plan.tiled.rows() || y.cols != x.cols) {
     throw sparse::invalid_matrix("parallel_spmm: y view must be plan.rows x x.cols");
   }
-  const simd::KernelConfig cfg = effective_config(kernel, plan);
-  if (is_identity(plan.row_perm)) {
-    spmm_panels(pool, plan.tiled, x, y, metrics, cfg);
-    return;
-  }
-  // Reordered plan: compute in permuted row space, then scatter straight
-  // into the caller's storage (out row perm[i] = permuted row i).
-  DenseMatrix yp(plan.tiled.rows(), x.cols);
-  spmm_panels(pool, plan.tiled, x, yp, metrics, cfg);
-  sparse::unpermute_dense_rows(yp, plan.row_perm, y);
+  const simd::KernelConfig cfg = core::kernel_config(plan, kernel);
+  const simd::KernelSelection sel = simd::select_kernels(cfg, x.cols);
+  for_each_panel(pool, plan.tiled, metrics, [&](index_t lo, index_t hi) {
+    kernels::spmm_aspt_row_range(plan.tiled, x, y, lo, hi, cfg, &plan.row_perm);
+    if (metrics) metrics->count_kernel(sel.isa, sel.specialized);
+  });
 }
 
 void parallel_sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& m,
@@ -104,17 +52,15 @@ void parallel_sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const Csr
   if (out_size != static_cast<std::size_t>(m.nnz())) {
     throw sparse::invalid_matrix("parallel_sddmm: out must be pre-sized to nnz");
   }
-  const simd::KernelConfig cfg = effective_config(kernel, plan);
-  if (is_identity(plan.row_perm)) {
-    sddmm_panels(pool, plan.tiled, x, y, out, metrics, cfg);
-    return;
-  }
-  // Same permutation dance as core::run_sddmm: Y into permuted row space,
-  // then scatter per-row output segments back to the caller's layout.
-  const DenseMatrix yp = sparse::permute_dense_rows(y, plan.row_perm);
-  std::vector<value_t> outp(out_size);
-  sddmm_panels(pool, plan.tiled, x, yp, outp.data(), metrics, cfg);
-  core::unpermute_nnz(plan, m, outp.data(), out);
+  const simd::KernelConfig cfg = core::kernel_config(plan, kernel);
+  const simd::KernelSelection sel = simd::select_kernels(cfg, x.cols);
+  const std::vector<offset_t> shift = kernels::sddmm_out_shift(plan.tiled, plan.row_perm);
+  std::fill(out, out + out_size, value_t{0});
+  for_each_panel(pool, plan.tiled, metrics, [&](index_t lo, index_t hi) {
+    kernels::sddmm_aspt_row_range(plan.tiled, x, y, out, out_size, lo, hi, cfg, &plan.row_perm,
+                                  &shift);
+    if (metrics) metrics->count_kernel(sel.isa, sel.specialized);
+  });
 }
 
 spgemm::SymbolicResult parallel_spgemm_symbolic(WorkerPool& pool, const CsrMatrix& a,
@@ -169,7 +115,7 @@ void parallel_spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const Cs
   // to perturb.
   const std::vector<index_t> composed = core::spgemm_row_order(plan);
   const std::vector<index_t>* order = composed.empty() ? nullptr : &composed;
-  const auto run_range = [&](index_t rb, index_t re) {
+  for_each_panel(pool, plan.tiled, metrics, [&](index_t rb, index_t re) {
     spgemm::AccumulatorCounts local;
     spgemm::numeric_rows(a, b, sym.rowptr, colidx.data(), values.data(), rb, re, cfg, order,
                          &local);
@@ -178,17 +124,7 @@ void parallel_spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const Cs
       metrics->spgemm_rows_sort.fetch_add(local.sort_rows, std::memory_order_relaxed);
       metrics->spgemm_rows_dense.fetch_add(local.dense_rows, std::memory_order_relaxed);
     }
-  };
-
-  const auto& panels = plan.tiled.panels();
-  if (panels.empty()) {
-    if (a.rows() > 0) run_range(0, a.rows());
-  } else {
-    pool.parallel_for(panels.size(), [&](std::size_t pi) {
-      run_range(panels[pi].row_begin, panels[pi].row_end);
-      if (metrics) metrics->panels_executed.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
+  });
   c = CsrMatrix(a.rows(), b.cols(), std::move(sym.rowptr), std::move(colidx), std::move(values));
 }
 

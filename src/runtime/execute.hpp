@@ -6,6 +6,12 @@
 // dense-then-sparse contributions in the same nonzero order as the
 // sequential kernels, so results are bitwise equal to core::run_spmm /
 // run_sddmm — the runtime changes who computes, never what.
+//
+// Reordered plans take the same single path: each task hands the plan's
+// row_perm to the kernels, which write tiled row i straight to the
+// caller's row row_perm[i] (SDDMM also reads Y row row_perm[i] and shifts
+// the row's outputs into the caller's CSR order). No execute path
+// allocates a permuted temporary or runs a scatter pass.
 #pragma once
 
 #include <cstddef>

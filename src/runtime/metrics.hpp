@@ -116,8 +116,11 @@ struct Metrics {
   std::atomic<std::uint64_t> panels_executed{0};
   /// Batches executed through a sharded (multi-device) executor.
   std::atomic<std::uint64_t> sharded_batches{0};
-  /// Per-device shard tasks executed by dist::sharded_spmm (and the
-  /// column-mode variant); stays 0 under the default panel-parallel path.
+  /// Per-device shard tasks executed by dist::ShardedExecutor (and the
+  /// column-mode dist::sharded_spmm_cols); stays 0 under the default
+  /// panel-parallel path. A shard writes its rows straight through the
+  /// plan's row_perm into the caller's y, so no shard result is gathered
+  /// or scattered afterwards.
   std::atomic<std::uint64_t> shards_executed{0};
   /// Requests currently queued or executing (gauge, not a counter).
   std::atomic<std::uint64_t> queue_depth{0};
@@ -163,16 +166,15 @@ struct Metrics {
   /// serving-scoped view.
   std::array<std::atomic<std::uint64_t>, kernels::simd::kIsaCount> kernel_invocations{};
 
-  /// Bumps the counter for one resolved ISA.
-  void count_kernel(kernels::simd::Isa isa) {
-    kernel_invocations[static_cast<std::size_t>(isa)].fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Kernel calls whose selection substituted at least one AOT
   /// plan-specialized entry (K-width or classed short-row driver).
   std::atomic<std::uint64_t> kernel_specialized{0};
-  void count_specialized() {
-    kernel_specialized.fetch_add(1, std::memory_order_relaxed);
+
+  /// Counts one kernel call: its resolved ISA, and whether its selection
+  /// was specialized.
+  void count_kernel(kernels::simd::Isa isa, bool specialized) {
+    kernel_invocations[static_cast<std::size_t>(isa)].fetch_add(1, std::memory_order_relaxed);
+    if (specialized) kernel_specialized.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// SpGEMM (CSR×CSR) requests executed, including degraded ones.

@@ -30,6 +30,13 @@ std::vector<index_t> identity_permutation(index_t n) {
   return p;
 }
 
+bool is_identity(const std::vector<index_t>& perm) {
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    if (perm[i] != static_cast<index_t>(i)) return false;
+  }
+  return true;
+}
+
 CsrMatrix permute_rows(const CsrMatrix& m, const std::vector<index_t>& perm) {
   if (!is_permutation(perm, m.rows())) throw invalid_matrix("permute_rows: bad permutation");
   std::vector<offset_t> rowptr(static_cast<std::size_t>(m.rows()) + 1, 0);
@@ -89,16 +96,6 @@ DenseMatrix permute_dense_rows(const DenseMatrix& m, const std::vector<index_t>&
   return out;
 }
 
-DenseMatrix permute_dense_rows(DenseView m, const std::vector<index_t>& perm) {
-  if (!is_permutation(perm, m.rows)) throw invalid_matrix("permute_dense_rows: bad permutation");
-  DenseMatrix out(m.rows, m.cols);
-  for (index_t i = 0; i < m.rows; ++i) {
-    const value_t* src = m.row(perm[static_cast<std::size_t>(i)]);
-    std::copy(src, src + m.cols, out.row(i).begin());
-  }
-  return out;
-}
-
 DenseMatrix unpermute_dense_rows(const DenseMatrix& m, const std::vector<index_t>& perm) {
   if (!is_permutation(perm, m.rows())) throw invalid_matrix("unpermute_dense_rows: bad permutation");
   DenseMatrix out(m.rows(), m.cols());
@@ -107,16 +104,6 @@ DenseMatrix unpermute_dense_rows(const DenseMatrix& m, const std::vector<index_t
     std::copy(src.begin(), src.end(), out.row(perm[static_cast<std::size_t>(i)]).begin());
   }
   return out;
-}
-
-void unpermute_dense_rows(DenseView src, const std::vector<index_t>& perm, DenseMutView dst) {
-  if (dst.rows != src.rows || dst.cols != src.cols) {
-    throw invalid_matrix("unpermute_dense_rows: destination shape mismatch");
-  }
-  for (index_t i = 0; i < src.rows; ++i) {
-    const value_t* row = src.row(i);
-    std::copy(row, row + src.cols, dst.row(perm[static_cast<std::size_t>(i)]));
-  }
 }
 
 CsrMatrix transpose(const CsrMatrix& m) {

@@ -10,7 +10,6 @@
 
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
-#include "sparse/dense_view.hpp"
 #include "sparse/types.hpp"
 
 namespace rrspmm::sparse {
@@ -23,6 +22,9 @@ std::vector<index_t> invert_permutation(const std::vector<index_t>& perm);
 
 /// Returns the identity permutation of length n.
 std::vector<index_t> identity_permutation(index_t n);
+
+/// True iff perm[i] == i for every i (an empty vector is the identity).
+bool is_identity(const std::vector<index_t>& perm);
 
 /// Gathers rows: out row i = in row perm[i]. Columns are untouched, so the
 /// dense operand X of SpMM needs no change — this is the paper's key
@@ -38,20 +40,15 @@ CsrMatrix permute_cols(const CsrMatrix& m, const std::vector<index_t>& perm);
 /// same permutation.
 CsrMatrix permute_symmetric(const CsrMatrix& m, const std::vector<index_t>& perm);
 
-/// Gathers dense rows: out row i = in row perm[i]. The view overload
-/// performs the identical copies from borrowed storage (zero-copy
-/// serving path), so both produce byte-identical output.
+/// Gathers dense rows: out row i = in row perm[i].
 DenseMatrix permute_dense_rows(const DenseMatrix& m, const std::vector<index_t>& perm);
-DenseMatrix permute_dense_rows(DenseView m, const std::vector<index_t>& perm);
 
 /// Scatter of SpMM output back to original row order: given Y computed on
 /// a row-permuted sparse matrix, returns Y in the original order
-/// (out row perm[i] = in row i).
+/// (out row perm[i] = in row i). Plan execution never needs it — the
+/// kernels write through the plan's row_perm — but it turns a permuted
+/// kernel result into a reference to check them against.
 DenseMatrix unpermute_dense_rows(const DenseMatrix& m, const std::vector<index_t>& perm);
-/// The same scatter straight into caller storage: dst row perm[i] = src
-/// row i. `dst` must have src's shape; `perm` is trusted (a plan's
-/// validated row permutation), so this is a pure row-copy loop.
-void unpermute_dense_rows(DenseView src, const std::vector<index_t>& perm, DenseMutView dst);
 
 /// Transpose (CSR -> CSR of the transpose). Counting sort, O(nnz + cols).
 CsrMatrix transpose(const CsrMatrix& m);

@@ -258,5 +258,25 @@ TEST(AsptFromParts, RejectsBrokenInvariants) {
   }
 }
 
+// Swapping the source indices of two nonzeros in different rows keeps the
+// maps a bijection, but a row's SDDMM outputs would then land in another
+// row's slots: a reordered plan relies on row-local maps, so from_parts
+// rejects it.
+TEST(AsptFromParts, RejectsSourceIndexOutsideItsRow) {
+  const auto m = subject_matrix();
+  const auto good = aspt::build_aspt(m, aspt::AsptConfig{.panel_rows = 32,
+                                                         .dense_col_threshold = 2,
+                                                         .max_dense_cols = 64});
+  const auto& sp = good.sparse_part();
+  ASSERT_GE(sp.nnz(), 2);
+  index_t last_row = sp.rows() - 1;
+  while (sp.row_nnz(last_row) == 0) --last_row;
+  ASSERT_GT(sp.rowptr()[static_cast<std::size_t>(last_row)], 0) << "need two sparse rows";
+  auto src = good.sparse_src_idx();
+  std::swap(src.front(), src.back());
+  EXPECT_THROW(aspt::AsptMatrix::from_parts(m.rows(), m.cols(), good.panels(), sp, src),
+               invalid_matrix);
+}
+
 }  // namespace
 }  // namespace rrspmm

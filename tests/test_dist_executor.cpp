@@ -40,7 +40,6 @@ void expect_bitwise_equal(const DenseMatrix& a, const DenseMatrix& b, const std:
 // strategy, and device count.
 TEST(ShardedSpmm, BitwiseEqualToSingleDeviceForEveryStrategy) {
   WorkerPool pool(4);
-  ShardPlanner planner;
   for (const auto& entry : synth::build_test_corpus()) {
     const core::ExecutionPlan plan = core::build_plan(entry.matrix, {});
     DenseMatrix x(entry.matrix.cols(), 16);
@@ -51,9 +50,12 @@ TEST(ShardedSpmm, BitwiseEqualToSingleDeviceForEveryStrategy) {
     for (const ShardStrategy strategy :
          {ShardStrategy::contiguous, ShardStrategy::nnz_balanced, ShardStrategy::reorder_aware}) {
       for (const int n : {1, 2, 3, 8}) {
-        const auto sp = planner.plan_rows(plan, n, strategy);
+        ShardedExecutorConfig scfg;
+        scfg.num_devices = n;
+        scfg.strategy = strategy;
+        ShardedExecutor exec(scfg);
         DenseMatrix y_sharded(entry.matrix.rows(), 16);
-        dist::sharded_spmm(pool, plan, sp, x, y_sharded);
+        exec.spmm(pool, plan, x, y_sharded, nullptr);
         expect_bitwise_equal(y_single, y_sharded,
                              entry.name + " " + to_string(strategy) + " n=" +
                                  std::to_string(n));
@@ -83,13 +85,15 @@ TEST(ShardedSpmm, ColumnModeBitwiseEqualToRowwiseKernel) {
 TEST(ShardedSpmm, CountsShardsInMetrics) {
   WorkerPool pool(2);
   runtime::Metrics metrics;
-  ShardPlanner planner;
   const auto entry = synth::build_test_corpus().front();
   const core::ExecutionPlan plan = core::build_plan(entry.matrix, {});
-  const auto sp = planner.plan_rows(plan, 4, ShardStrategy::nnz_balanced);
+  ShardedExecutorConfig scfg;
+  scfg.num_devices = 4;
+  scfg.strategy = ShardStrategy::nnz_balanced;
+  ShardedExecutor exec(scfg);
   DenseMatrix x(entry.matrix.cols(), 4), y(entry.matrix.rows(), 4);
   sparse::fill_random(x, 1);
-  dist::sharded_spmm(pool, plan, sp, x, y, &metrics);
+  exec.spmm(pool, plan, x, y, &metrics);
   EXPECT_EQ(metrics.shards_executed.load(), 4u);
 }
 
@@ -140,10 +144,8 @@ TEST(ShardedSpmm, RejectsMismatchedPlans) {
   ShardPlanner planner;
   const auto corpus = synth::build_test_corpus();
   const core::ExecutionPlan plan = core::build_plan(corpus[0].matrix, {});
-  const auto col_sp = planner.plan_cols(corpus[0].matrix, 2);
   DenseMatrix x(corpus[0].matrix.cols(), 4), y(corpus[0].matrix.rows(), 4);
   sparse::fill_random(x, 1);
-  EXPECT_THROW(dist::sharded_spmm(pool, plan, col_sp, x, y), invalid_matrix);
   const auto row_sp = planner.plan_rows(plan, 2, ShardStrategy::contiguous);
   EXPECT_THROW(dist::sharded_spmm_cols(pool, corpus[0].matrix, row_sp, x, y), invalid_matrix);
 }
