@@ -12,12 +12,16 @@
 //     core::run_spmm exactly; enforced unconditionally on every host.
 //   * adaptivity — router total >= 0.98x of oracle-static (i.e. the
 //     closed loop recovers per-family routing despite exploration cost).
-//   * micro-GEMM — the dense-tile micro-GEMM beats the generic panel
-//     body by >= 1.2x on the dense-panel family at k=32, the width where
-//     the staged tile stays L1-resident (d*k*4B = 8 KiB). k=64 doubles
-//     the tile past L1 and both bodies stream from L2, so that width is
-//     reported but not gated — it is the regime the router learns to
-//     route back to the generic arm. Scalar-only hosts skip the gate.
+//   * micro-GEMM — the dense-tile micro-GEMM entry beats the generic
+//     panel body by >= 1.2x on the dense-panel family at k=32, the width
+//     where the staged tile stays L1-resident (d*k*4B = 8 KiB). The two
+//     table entries are timed directly over the ASpT dense-tile phase, so
+//     the comparison does not depend on the rule that picks between them.
+//     INFO rows back select_kernels' rule (micro-GEMM at k <= 32 on plans
+//     whose dense tile rows are mostly fully dense): dense_full at k = 8,
+//     16 and 64 (where the tile spills L1 and the micro-GEMM loses), and
+//     the other two families at k=32, which have no fully dense tile rows.
+//     Scalar-only hosts skip the gate.
 //
 //   RRSPMM_SCALE — linear multiplier on matrix rows (default 1)
 #include <algorithm>
@@ -33,8 +37,8 @@
 #include "core/fingerprint.hpp"
 #include "core/pipeline.hpp"
 #include "harness/render.hpp"
+#include "kernels/detail/staging.hpp"
 #include "kernels/simd/dispatch.hpp"
-#include "kernels/spmm.hpp"
 #include "router/router.hpp"
 #include "runtime/execute.hpp"
 #include "synth/generators.hpp"
@@ -51,7 +55,8 @@ constexpr int kBatches = 96;         ///< closed-loop batches per family
 constexpr int kReps = 3;             ///< best-of, to shave scheduler noise
 constexpr double kOracleGate = 0.98; ///< router vs oracle-static total
 constexpr double kMicroGate = 1.2;   ///< micro-GEMM vs generic panel body
-constexpr index_t kMicroWidths[] = {32, 64};
+constexpr int kMicroReps = 9;        ///< interleaved pairs; speedup = median ratio
+constexpr index_t kMicroWidths[] = {8, 16, 32, 64};  ///< dense_full rows
 
 double env_scale() {
   if (const char* s = std::getenv("RRSPMM_SCALE")) {
@@ -95,7 +100,7 @@ CsrMatrix short_row_matrix(index_t rows, index_t cols, std::uint64_t seed) {
   return CsrMatrix(rows, cols, std::move(rowptr), std::move(colidx), std::move(values));
 }
 
-std::vector<Family> build_families(double dense_row_fraction) {
+std::vector<Family> build_families() {
   const double scale = env_scale();
   std::vector<Family> out;
 
@@ -134,7 +139,7 @@ std::vector<Family> build_families(double dense_row_fraction) {
   for (Family& f : out) {
     f.plan = core::build_plan(f.s, {});
     f.plan.fingerprint = core::matrix_fingerprint(f.s);
-    f.arms = router::Router::spmm_arms(f.plan.spec.get(), kK, f.s.rows(), dense_row_fraction);
+    f.arms = router::Router::spmm_arms(f.s.rows());
     // ~10M scalar flops per batch so even the fastest arm is timeable.
     const double flops = 2.0 * static_cast<double>(f.s.nnz()) * kK;
     f.iters = std::clamp(static_cast<int>(1e7 / std::max(flops, 1.0)), 1, 256);
@@ -144,7 +149,7 @@ std::vector<Family> build_families(double dense_row_fraction) {
 
 /// Executes one batch under `choice` the way the Server maps decisions:
 /// threads == 1 is the sequential plan path, everything else runs the
-/// worker pool with the arm's spec_mode / micro_gemm pinned per call.
+/// worker pool with the arm's spec_mode (0 = configured) pinned per call.
 void run_arm(runtime::WorkerPool& pool, const Family& f, const router::RouteChoice& choice,
              const DenseMatrix& x, DenseMatrix& y) {
   if (choice.threads == 1) {
@@ -152,8 +157,7 @@ void run_arm(runtime::WorkerPool& pool, const Family& f, const router::RouteChoi
     return;
   }
   simd::KernelConfig kc = simd::active_config();
-  kc.spec_mode = static_cast<simd::SpecMode>(choice.spec_mode);
-  kc.micro_gemm = choice.micro_gemm;
+  if (choice.spec_mode != 0) kc.spec_mode = static_cast<simd::SpecMode>(choice.spec_mode);
   runtime::parallel_spmm(pool, f.plan, x, y, nullptr, &kc);
 }
 
@@ -165,6 +169,29 @@ double time_batch_us(runtime::WorkerPool& pool, const Family& f,
   for (int it = 0; it < f.iters; ++it) run_arm(pool, f, choice, x, y);
   return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(Clock::now() - t0)
       .count();
+}
+
+/// The ASpT dense-tile phase of `a` alone, serial, through one table
+/// entry of the auto-resolved backend: the micro-GEMM when `micro`, else
+/// the generic panel body. Accumulates into y.
+void dense_phase(const aspt::AsptMatrix& a, const DenseMatrix& x, DenseMatrix& y, bool micro) {
+  const simd::KernelTable& t = simd::table(simd::KernelConfig{});
+  const index_t k = x.cols();
+  const index_t ld = sparse::aligned_ld(k);
+  sparse::AlignedVector<value_t> staged(kernels::detail::max_panel_dense_cols(a) *
+                                        static_cast<std::size_t>(ld));
+  for (const aspt::Panel& p : a.panels()) {
+    if (p.dense_cols.empty()) continue;
+    kernels::detail::stage_panel(p, x, k, staged.data(), ld);
+    if (micro) {
+      t.spmm_panel_dense(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(),
+                         p.row_begin, staged.data(), ld, y.data(), y.ld(), k, nullptr,
+                         p.row_begin, p.row_end, static_cast<index_t>(p.dense_cols.size()));
+    } else {
+      t.spmm_panel(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(), p.row_begin,
+                   staged.data(), ld, y.data(), y.ld(), k, nullptr, p.row_begin, p.row_end);
+    }
+  }
 }
 
 struct ArmPoint {
@@ -186,7 +213,7 @@ int main() {
     c.explore_period = 48;
     return c;
   }();
-  auto families = build_families(rcfg.dense_row_fraction);
+  auto families = build_families();
   runtime::WorkerPool pool;
 
   std::printf("== router scaling: %zu families, K=%d, %d batches each ==\n", families.size(),
@@ -277,65 +304,80 @@ int main() {
   std::printf("%s: router total within %.2fx of oracle-static: %.3fx\n",
               oracle_ok ? "PASS" : "FAIL", kOracleGate, ratio);
 
-  // Micro-GEMM gate on the dense-panel family: generic panel body vs the
-  // register-blocked paired-row entry, same auto-resolved ISA.
+  // Micro-GEMM gate on the dense-panel family, plus the INFO rows that
+  // back select_kernels' k <= 32 rule: the two dense-phase entries of the
+  // same auto-resolved backend, timed directly.
   struct MicroPoint {
+    std::string family;
     index_t k = 0;
+    bool selected = false;  ///< select_kernels picks the micro-GEMM at k
     double generic_ms = 0.0, micro_ms = 0.0;
     double speedup = 1.0;
     bool identical = true;
   };
-  std::vector<MicroPoint> micro_points;
+  std::vector<std::pair<const Family*, index_t>> micro_cases;
   const Family& dense = families[1];
+  for (const index_t k : kMicroWidths) micro_cases.emplace_back(&dense, k);
+  for (const Family& f : families) {
+    if (&f != &dense) micro_cases.emplace_back(&f, kK);
+  }
+  std::vector<MicroPoint> micro_points;
   const bool scalar_only = simd::resolve_isa(std::nullopt) == simd::Isa::scalar;
-  for (const index_t k : kMicroWidths) {
-    DenseMatrix x(dense.s.cols(), k);
+  for (const auto& [fam, k] : micro_cases) {
+    const aspt::AsptMatrix& tiled = fam->plan.tiled;
+    DenseMatrix x(fam->s.cols(), k);
     sparse::fill_random(x, 419);
-    DenseMatrix y_gen(dense.s.rows(), k), y_micro(dense.s.rows(), k);
-    simd::KernelConfig gcfg;
-    simd::KernelConfig mcfg;
-    mcfg.micro_gemm = true;
-    kernels::spmm_aspt(dense.plan.tiled, x, y_gen, nullptr, gcfg);
-    kernels::spmm_aspt(dense.plan.tiled, x, y_micro, nullptr, mcfg);
+    DenseMatrix y_gen(fam->s.rows(), k), y_micro(fam->s.rows(), k);
+    dense_phase(tiled, x, y_gen, false);
+    dense_phase(tiled, x, y_micro, true);
 
     MicroPoint p;
+    p.family = fam->name;
     p.k = k;
+    simd::KernelConfig plan_cfg;
+    plan_cfg.spec = fam->plan.spec;
+    p.selected = simd::select_kernels(plan_cfg, k).spmm_panel_dense != nullptr;
     p.identical = y_micro.max_abs_diff(y_gen) == 0.0;
     if (!p.identical) {
       ++failures;
-      std::printf("FAIL: dense_full k=%d micro-GEMM not bitwise equal to generic panel\n", k);
+      std::printf("FAIL: %s k=%d micro-GEMM not bitwise equal to generic panel\n",
+                  p.family.c_str(), k);
     }
-    const double flops = 2.0 * static_cast<double>(dense.s.nnz()) * k;
-    const int iters = std::clamp(static_cast<int>(4e7 / std::max(flops, 1.0)), 2, 256);
+    const double flops = 2.0 * static_cast<double>(tiled.stats().nnz_dense) * k;
+    const int iters = std::clamp(static_cast<int>(1e8 / std::max(flops, 1.0)), 2, 256);
     using Clock = std::chrono::steady_clock;
-    const auto time_ms = [&](const simd::KernelConfig& cfg, DenseMatrix& y) {
-      double best = 0.0;
-      for (int rep = 0; rep < kReps; ++rep) {
-        const auto t0 = Clock::now();
-        for (int it = 0; it < iters; ++it) kernels::spmm_aspt(dense.plan.tiled, x, y, nullptr, cfg);
-        const double ms =
-            std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(Clock::now() -
-                                                                                  t0)
-                .count() /
-            iters;
-        if (rep == 0 || ms < best) best = ms;
-      }
-      return best;
+    const auto time_once = [&](bool micro, DenseMatrix& y) {
+      const auto t0 = Clock::now();
+      for (int it = 0; it < iters; ++it) dense_phase(tiled, x, y, micro);
+      return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(Clock::now() -
+                                                                                   t0)
+                 .count() /
+             iters;
     };
-    p.generic_ms = time_ms(gcfg, y_gen);
-    p.micro_ms = time_ms(mcfg, y_micro);
-    p.speedup = p.micro_ms > 0.0 ? p.generic_ms / p.micro_ms : 1.0;
-    if (scalar_only) {
+    // Interleaved pairs, as in kernel_scaling: host-load drift hits both
+    // sides of each ratio, and the median discards spike-hit pairs.
+    // Reported wall times are the per-side minima.
+    std::vector<double> ratios;
+    for (int rep = 0; rep < kMicroReps; ++rep) {
+      const double g = time_once(false, y_gen);
+      const double m = time_once(true, y_micro);
+      if (m > 0.0) ratios.push_back(g / m);
+      if (rep == 0 || g < p.generic_ms) p.generic_ms = g;
+      if (rep == 0 || m < p.micro_ms) p.micro_ms = m;
+    }
+    std::sort(ratios.begin(), ratios.end());
+    p.speedup = ratios.empty() ? 1.0 : ratios[ratios.size() / 2];
+    const bool gated = fam == &dense && k == kK;
+    if (gated && scalar_only) {
       std::printf("SKIP: micro-GEMM gate at k=%d: %.2fx (scalar-only host)\n", k, p.speedup);
-    } else if (k != 32) {
-      std::printf("INFO: dense_full micro-GEMM speedup at k=%d: %.2fx (L2-stream regime, "
-                  "ungated — the router's job)\n",
-                  k, p.speedup);
-    } else {
+    } else if (gated) {
       const bool ok = p.speedup >= kMicroGate;
       if (!ok) ++failures;
       std::printf("%s: dense_full micro-GEMM speedup at k=%d: %.2fx (need >= %.2fx)\n",
                   ok ? "PASS" : "FAIL", k, p.speedup, kMicroGate);
+    } else {
+      std::printf("INFO: %s micro-GEMM speedup at k=%d: %.2fx (%s by select_kernels)\n",
+                  p.family.c_str(), k, p.speedup, p.selected ? "selected" : "not selected");
     }
     micro_points.push_back(p);
   }
@@ -370,7 +412,9 @@ int main() {
       .arr_begin();
   for (const MicroPoint& p : micro_points) {
     js.obj_begin()
+        .field("family", p.family)
         .field("k", p.k)
+        .field("selected", p.selected)
         .field("generic_ms", p.generic_ms)
         .field("micro_ms", p.micro_ms)
         .field("speedup", p.speedup)

@@ -105,8 +105,8 @@ struct PipelineStats {
 struct RouteRecord {
   std::uint8_t workload = 0;       ///< router::Workload
   std::int32_t k_bucket = 0;       ///< ceil-log2 bucket of the operand K
-  std::uint8_t spec_mode = 0;      ///< kernels::simd::SpecMode
-  std::uint8_t micro_gemm = 0;     ///< dense-tile micro-GEMM on/off
+  std::uint8_t spec_mode = 0;      ///< kernels::simd::SpecMode, 0 = configured
+  std::uint8_t micro_gemm = 0;     ///< retired arm: written as 0, dropped on import
   std::uint8_t shard_strategy = 255;  ///< core::ShardStrategy, 255 = default
   std::uint8_t threads = 0;        ///< 0 = worker pool, 1 = sequential
   std::uint8_t batch = 0;          ///< coalescing cap, 0 = server default

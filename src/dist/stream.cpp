@@ -79,13 +79,13 @@ void sharded_spmm_stream(const io::RrsbReader& shard, const DenseMatrix& x, Dens
   // specialization record from the slice's row lengths — cheap (one
   // rowptr sweep) relative to the I/O that produced the slice.
   namespace simd = kernels::simd;
-  const bool specialize = simd::specialization_enabled();
+  const simd::KernelConfig active = simd::active_config();
   const auto run_shard = [&](const core::RowShard& s) {
     if (s.rows() <= 0) return;
     const sparse::CsrMatrix slice = shard.read_range(s.row_begin, s.row_end);
     DenseMatrix y_local(slice.rows(), x.cols());
-    simd::KernelConfig cfg = simd::active_config();
-    if (specialize) {
+    simd::KernelConfig cfg = active;
+    if (cfg.spec_mode != simd::SpecMode::off) {
       cfg.spec = std::make_shared<const simd::SpecializationPlan>(simd::specialize_rows(slice));
     }
     kernels::spmm_rowwise(slice, x, y_local, 0, slice.rows(), cfg);

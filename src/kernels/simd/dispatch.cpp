@@ -17,8 +17,6 @@ namespace {
 // cells). g_isa holds -1 for "auto", else static_cast<int>(Isa).
 std::atomic<int> g_isa{-1};
 std::atomic<bool> g_fma{false};
-// 0 = off, 1 = on (row-wise substitutions), 2 = all (panel entries too).
-std::atomic<int> g_spec_mode{1};
 std::once_flag g_env_once;
 
 std::atomic<std::uint64_t> g_counts[kIsaCount]{};
@@ -68,18 +66,8 @@ void load_env() {
     const std::string_view v(s);
     fma = v == "1" || v == "on" || v == "true" || v == "yes";
   }
-  int spec_mode = 1;
-  if (const char* s = std::getenv("RRSPMM_KERNEL_SPECIALIZE")) {
-    const std::string_view v(s);
-    if (v == "0" || v == "off" || v == "false" || v == "no") {
-      spec_mode = 0;
-    } else if (v == "all") {
-      spec_mode = 2;
-    }
-  }
   g_isa.store(isa ? static_cast<int>(*isa) : -1, std::memory_order_relaxed);
   g_fma.store(fma, std::memory_order_relaxed);
-  g_spec_mode.store(spec_mode, std::memory_order_relaxed);
 }
 
 void ensure_env_loaded() { std::call_once(g_env_once, load_env); }
@@ -117,50 +105,28 @@ KernelSelection select_kernels(const KernelConfig& cfg, index_t k) {
   sel.spmm_panel = t.spmm_panel;
   sel.sddmm_rows = t.sddmm_rows;
   sel.sddmm_panel = t.sddmm_panel;
-  if (cfg.micro_gemm) sel.spmm_panel_dense = t.spmm_panel_dense;
-  // cfg.spec_mode pins the specialization mode per call (the router's
-  // per-plan decision); SpecMode::env defers to RRSPMM_KERNEL_SPECIALIZE.
-  const bool spec_on = cfg.spec_mode == SpecMode::env ? specialization_enabled()
-                                                      : cfg.spec_mode != SpecMode::off;
-  const bool panels_on = cfg.spec_mode == SpecMode::env ? specialization_panels_enabled()
-                                                        : cfg.spec_mode == SpecMode::all;
-  if (!cfg.spec || !cfg.spec->enabled || !spec_on) return sel;
+  if (cfg.spec_mode == SpecMode::off || !cfg.spec || !cfg.spec->enabled) return sel;
+  // Dense-tile micro-GEMM (router_scaling micro-GEMM rows): dense_full
+  // wins at K <= 32 and loses at K=64; short_rows and tiny, with no fully
+  // dense tile rows, lose at K=32.
+  if (k <= kMicroGemmKMax && cfg.spec->dense_full_fraction() >= kMicroGemmMinFullFraction) {
+    sel.spmm_panel_dense = t.spmm_panel_dense;
+  }
   const int slot = spec_k_slot(k);
   // K-width substitution is skipped for short-row-heavy plans at large K:
   // the fully K-unrolled row body is front-end bound exactly when rows
   // are tiny (a few percent slower at K=128), so those plans fall
   // through to the runtime-K classed driver below instead.
-  const bool kw_profitable = k <= kSpecPanelKMax || !cfg.spec->wants_short_unroll();
+  const bool kw_profitable = k <= kShortRowKWidthMax || !cfg.spec->wants_short_unroll();
   if (slot >= 0 && kw_profitable && t.spmm_rows_kw[slot] != nullptr) {
     sel.spmm_rows = t.spmm_rows_kw[slot];
     sel.sddmm_rows = t.sddmm_rows_kw[slot];
-    // Panel entries are opt-in (RRSPMM_KERNEL_SPECIALIZE=all), and only
-    // up to kSpecPanelKMax (see table.hpp): the staged-panel loop nest
-    // is already tight, so constant-folding K into it is neutral at best
-    // and measurably slower at K=128 — unlike the row-wise drivers,
-    // which is where the default policy keeps the substitutions. The
-    // micro-GEMM entry owns the dense phase when selected, so the two
-    // panel substitutions are mutually exclusive.
-    if (k <= kSpecPanelKMax && panels_on && sel.spmm_panel_dense == nullptr) {
-      sel.spmm_panel = t.spmm_panel_kw[slot];
-      sel.sddmm_panel = t.sddmm_panel_kw[slot];
-    }
     sel.specialized = true;
   } else if (cfg.spec->wants_short_unroll() && t.spmm_rows_classed != nullptr) {
     sel.spmm_rows = t.spmm_rows_classed;
     sel.specialized = true;
   }
   return sel;
-}
-
-bool specialization_enabled() {
-  ensure_env_loaded();
-  return g_spec_mode.load(std::memory_order_relaxed) != 0;
-}
-
-bool specialization_panels_enabled() {
-  ensure_env_loaded();
-  return g_spec_mode.load(std::memory_order_relaxed) == 2;
 }
 
 KernelConfig active_config() {

@@ -3,12 +3,8 @@
 // testing and benchmarking.
 //
 // Environment knobs (read once, on first use; reload_env() re-reads):
-//   RRSPMM_KERNEL_ISA        = scalar | neon | avx2 | avx512 | auto (default)
-//   RRSPMM_KERNEL_FMA        = 1 | on | true | yes  (default off)
-//   RRSPMM_KERNEL_SPECIALIZE = 0 | off | false | no disables the AOT
-//                              plan-specialized entries; "all" also
-//                              substitutes the dense-panel K-width
-//                              entries (default on: row-wise only)
+//   RRSPMM_KERNEL_ISA = scalar | neon | avx2 | avx512 | auto (default)
+//   RRSPMM_KERNEL_FMA = 1 | on | true | yes  (default off)
 //
 // A requested ISA that is not compiled in or not supported by the CPU
 // degrades down the ladder (avx512 -> avx2 -> neon -> scalar) instead of
@@ -27,15 +23,12 @@ namespace rrspmm::kernels::simd {
 
 struct SpecializationPlan;  // specialize.hpp
 
-/// Per-call override of the RRSPMM_KERNEL_SPECIALIZE knob. `env` (the
-/// default) defers to the environment; the other values pin the mode
-/// for this config regardless of the env, which is how the router
-/// expresses a per-plan decision without touching process state.
+/// Kernel-variant mode of one config (select_kernels). The values are
+/// stable: the router stores them as RouteChoice::spec_mode, where 0
+/// means "the configured mode".
 enum class SpecMode : std::uint8_t {
-  env = 0,   ///< follow RRSPMM_KERNEL_SPECIALIZE (default)
   off = 1,   ///< generic entries only
-  rows = 2,  ///< row-wise substitutions (the env default)
-  all = 3,   ///< rows + dense-panel K-width entries
+  rows = 2,  ///< row-wise substitutions + the micro-GEMM (default)
 };
 
 /// Kernel selection carried by callers (ServerConfig, ShardedExecutor,
@@ -53,17 +46,9 @@ struct KernelConfig {
   /// entries only, exactly the PR 5 behaviour. Shared so the record
   /// lives as long as any config or plan referencing it.
   std::shared_ptr<const SpecializationPlan> spec;
-  /// Specialization-mode override; SpecMode::env defers to the
-  /// RRSPMM_KERNEL_SPECIALIZE knob. Set by the router per decision.
-  SpecMode spec_mode = SpecMode::env;
-  /// Route the ASpT dense-tile phase through the register-blocked
-  /// micro-GEMM entry (spmm_panel_dense): fully dense tile rows are
-  /// paired against shared staged loads, partial rows fall back to the
-  /// generic panel body. Bitwise-identical on the non-fma path; off by
-  /// default because it only pays when most tile rows are fully dense —
-  /// the router turns it on when the plan's dense_full_rows fraction
-  /// clears its calibrated threshold.
-  bool micro_gemm = false;
+  /// Kernel-variant mode; `off` pins the generic entries. The router
+  /// may override it per decision.
+  SpecMode spec_mode = SpecMode::rows;
 };
 
 /// Whether the backend was compiled into this binary.
@@ -80,11 +65,9 @@ Isa resolve_isa(std::optional<Isa> requested);
 const KernelTable& table(const KernelConfig& cfg);
 
 /// Per-call resolved entry points: the generic table entries of
-/// table(cfg) with any specializations the plan and K admit substituted
-/// in — a K in kSpecKWidths swaps all six entries for the K-width
-/// instantiations; otherwise a short-row-heavy plan swaps the SpMM row
-/// driver for the classed (unrolled-short) one. `specialized` is true
-/// when at least one entry differs from the generic table.
+/// table(cfg) with the variants select_kernels chose substituted in.
+/// `specialized` is true when a row-wise substitution replaced at least
+/// one generic entry; the micro-GEMM is reported in spmm_panel_dense.
 struct KernelSelection {
   Isa isa = Isa::scalar;
   bool fma = false;
@@ -93,24 +76,28 @@ struct KernelSelection {
   KernelTable::SpmmPanelFn spmm_panel = nullptr;
   KernelTable::SddmmRowsFn sddmm_rows = nullptr;
   KernelTable::SddmmPanelFn sddmm_panel = nullptr;
-  /// Non-null only under KernelConfig::micro_gemm: the dense-tile
-  /// micro-GEMM entry the ASpT SpMM drivers prefer over spmm_panel.
+  /// Non-null when select_kernels picked the dense-tile micro-GEMM: the
+  /// ASpT SpMM drivers then use it instead of spmm_panel.
   KernelTable::SpmmPanelDenseFn spmm_panel_dense = nullptr;
 };
 
-/// Resolves cfg down the same ladder as table() and applies the
-/// specialization selection for operand width `k`. With no spec record,
-/// a disabled record, or RRSPMM_KERNEL_SPECIALIZE off, the result is
-/// exactly the generic table's entries.
-KernelSelection select_kernels(const KernelConfig& cfg, index_t k);
+/// The micro-GEMM rule's bounds (EXPERIMENTS.md, router_scaling micro-GEMM
+/// rows): it wins on fully dense tiles up to K=32 and loses at K=64, and
+/// on plans without fully dense tile rows its fallback loses to the
+/// generic panel body.
+inline constexpr index_t kMicroGemmKMax = 32;
+inline constexpr double kMicroGemmMinFullFraction = 0.5;
 
-/// The RRSPMM_KERNEL_SPECIALIZE env knob (default on); reload_env()
-/// re-reads it.
-bool specialization_enabled();
-/// True only under RRSPMM_KERNEL_SPECIALIZE=all: select_kernels also
-/// substitutes the dense-panel K-width entries (neutral-to-negative on
-/// hosts measured so far, hence opt-in; see kSpecPanelKMax).
-bool specialization_panels_enabled();
+/// The one place a kernel variant is chosen. Resolves cfg down the same
+/// ladder as table(); then, unless cfg.spec_mode is off and given an
+/// enabled spec record:
+///  - k <= kMicroGemmKMax and a record dense_full_fraction() of at least
+///    kMicroGemmMinFullFraction select the dense-tile micro-GEMM;
+///  - a K in kSpecKWidths swaps the row-wise SpMM and SDDMM drivers for
+///    the K-width instantiations, and a short-row-heavy plan otherwise
+///    swaps the SpMM row driver for the classed (unrolled-short) one.
+/// Otherwise the result is exactly the generic table's entries.
+KernelSelection select_kernels(const KernelConfig& cfg, index_t k);
 
 /// Process-wide configuration used by kernel calls that don't carry an
 /// explicit KernelConfig. Initialised from the environment on first use.

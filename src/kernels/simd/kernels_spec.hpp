@@ -6,8 +6,8 @@
 //
 //  * K-width (KW in kSpecKWidths): the K loop's trip counts become
 //    compile-time constants — the optimizer drops the register-block
-//    tail tests and unrolls fully. All four SpMM entries and both SDDMM
-//    entries get KW instantiations.
+//    tail tests and unrolls fully. The SpMM and SDDMM row drivers get
+//    KW instantiations.
 //  * Short rows (nnz <= kShortRowMax): the nonzero loop is dispatched to
 //    an instantiation whose trip count is an integral_constant, so it
 //    unrolls completely, and `zero_y` rows compute into zero-initialised
@@ -185,18 +185,9 @@ struct SpecKernelSet {
     }
   }
 
-  // The panel and SDDMM entries forward to the generic bodies with the
-  // K argument replaced by the compile-time constant; the in-class
-  // definitions are implicitly inline, so the optimizer folds KW through
-  // the whole loop nest.
-  static void spmm_panel(const offset_t* dense_rowptr, const index_t* dense_slot,
-                         const value_t* dense_val, index_t panel_row_begin,
-                         const value_t* staged, index_t staged_ld, value_t* y, index_t y_ld,
-                         index_t k, const index_t* y_rows, index_t row_lo, index_t row_hi) {
-    KernelSet<V, Fma>::spmm_panel(dense_rowptr, dense_slot, dense_val, panel_row_begin, staged,
-                                  staged_ld, y, y_ld, KW > 0 ? KW : k, y_rows, row_lo, row_hi);
-  }
-
+  // The SDDMM entry forwards to the generic body with the K argument
+  // replaced by the compile-time constant; the in-class definition is
+  // implicitly inline, so the optimizer folds KW through the loop nest.
   static void sddmm_rows(const offset_t* rowptr, const index_t* colidx, const value_t* vals,
                          const value_t* x, index_t x_ld, const value_t* ymat, index_t y_ld,
                          index_t k, value_t* out, const offset_t* src, const index_t* order,
@@ -204,17 +195,6 @@ struct SpecKernelSet {
                          index_t pos_end) {
     KernelSet<V, Fma>::sddmm_rows(rowptr, colidx, vals, x, x_ld, ymat, y_ld, KW > 0 ? KW : k,
                                   out, src, order, y_rows, out_shift, pos_begin, pos_end);
-  }
-
-  static void sddmm_panel(const offset_t* dense_rowptr, const index_t* dense_slot,
-                          const value_t* dense_val, const offset_t* dense_src_idx,
-                          index_t panel_row_begin, const value_t* staged, index_t staged_ld,
-                          const value_t* ymat, index_t y_ld, index_t k, value_t* out,
-                          const index_t* y_rows, const offset_t* out_shift, index_t row_lo,
-                          index_t row_hi) {
-    KernelSet<V, Fma>::sddmm_panel(dense_rowptr, dense_slot, dense_val, dense_src_idx,
-                                   panel_row_begin, staged, staged_ld, ymat, y_ld,
-                                   KW > 0 ? KW : k, out, y_rows, out_shift, row_lo, row_hi);
   }
 };
 
@@ -226,15 +206,9 @@ constexpr KernelTable make_spec_table(Isa isa) {
   t.spmm_rows_kw[0] = &SpecKernelSet<V, Fma, kSpecKWidths[0]>::spmm_rows;
   t.spmm_rows_kw[1] = &SpecKernelSet<V, Fma, kSpecKWidths[1]>::spmm_rows;
   t.spmm_rows_kw[2] = &SpecKernelSet<V, Fma, kSpecKWidths[2]>::spmm_rows;
-  t.spmm_panel_kw[0] = &SpecKernelSet<V, Fma, kSpecKWidths[0]>::spmm_panel;
-  t.spmm_panel_kw[1] = &SpecKernelSet<V, Fma, kSpecKWidths[1]>::spmm_panel;
-  t.spmm_panel_kw[2] = &SpecKernelSet<V, Fma, kSpecKWidths[2]>::spmm_panel;
   t.sddmm_rows_kw[0] = &SpecKernelSet<V, Fma, kSpecKWidths[0]>::sddmm_rows;
   t.sddmm_rows_kw[1] = &SpecKernelSet<V, Fma, kSpecKWidths[1]>::sddmm_rows;
   t.sddmm_rows_kw[2] = &SpecKernelSet<V, Fma, kSpecKWidths[2]>::sddmm_rows;
-  t.sddmm_panel_kw[0] = &SpecKernelSet<V, Fma, kSpecKWidths[0]>::sddmm_panel;
-  t.sddmm_panel_kw[1] = &SpecKernelSet<V, Fma, kSpecKWidths[1]>::sddmm_panel;
-  t.sddmm_panel_kw[2] = &SpecKernelSet<V, Fma, kSpecKWidths[2]>::sddmm_panel;
   t.spmm_rows_classed = &SpecKernelSet<V, Fma, 0>::spmm_rows;
   static_assert(kSpecKWidthCount == 3, "extend the slot assignments above");
   return t;

@@ -69,7 +69,7 @@ constexpr RowClass classify_row(index_t nnz, index_t short_max = kShortRowMax,
 /// kernels through KernelConfig::spec.
 struct SpecializationPlan {
   /// Build-time master switch; a disabled record always selects the
-  /// generic entries regardless of the env knob.
+  /// generic entries regardless of KernelConfig::spec_mode.
   bool enabled = true;
   index_t short_max = kShortRowMax;
   index_t medium_max = kMediumRowMax;
@@ -102,8 +102,8 @@ struct SpecializationPlan {
     for (std::size_t c = 0; c < kRowClassCount; ++c) n += rows_by_class[c];
     return n;
   }
-  /// Fraction of dense-tile rows the micro-GEMM can pair; the router's
-  /// density signal for the dense-tile path.
+  /// Fraction of dense-tile rows the micro-GEMM can pair; select_kernels
+  /// picks the micro-GEMM only when it is high enough.
   double dense_full_fraction() const {
     return dense_tile_rows == 0
                ? 0.0

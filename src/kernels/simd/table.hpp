@@ -21,12 +21,11 @@ inline constexpr index_t kSpecKWidths[] = {32, 64, 128};
 inline constexpr std::size_t kSpecKWidthCount =
     sizeof(kSpecKWidths) / sizeof(kSpecKWidths[0]);
 
-/// Largest K whose *panel* (dense-tile) kw instantiation the dispatcher
-/// substitutes. Fully K-unrolling the staged-panel loop nest stops
-/// paying once a Y row spans more than two vector cache lines — at
-/// K=128 it measures a few percent *slower* than the runtime-K loop —
-/// so past this width only the row-wise entries are swapped.
-inline constexpr index_t kSpecPanelKMax = 64;
+/// Largest K at which a short-row-heavy plan still takes the K-width
+/// row instantiation. Past it the fully K-unrolled row body is front-end
+/// bound on tiny rows (a few percent slower at K=128), so those plans
+/// take the runtime-K classed driver instead.
+inline constexpr index_t kShortRowKWidthMax = 64;
 
 /// Slot of a K-width instantiation, or -1 when K has none.
 constexpr int spec_k_slot(index_t k) {
@@ -110,7 +109,7 @@ struct KernelTable {
   using SddmmRowsFn = decltype(sddmm_rows);
   using SddmmPanelFn = decltype(sddmm_panel);
 
-  /// AOT plan-specialized entries (kernels_spec.hpp); null when the
+  /// AOT plan-specialized row drivers (kernels_spec.hpp); null when the
   /// backend is a stub. Same ABI
   /// and bitwise contract as the generic entries above: specialization
   /// changes the instruction schedule (compile-time K, fully-unrolled
@@ -119,9 +118,7 @@ struct KernelTable {
   /// reference. The caller must only use slot i when k == kSpecKWidths[i]
   /// (the dispatcher's select_kernels enforces this).
   SpmmRowsFn spmm_rows_kw[kSpecKWidthCount] = {};
-  SpmmPanelFn spmm_panel_kw[kSpecKWidthCount] = {};
   SddmmRowsFn sddmm_rows_kw[kSpecKWidthCount] = {};
-  SddmmPanelFn sddmm_panel_kw[kSpecKWidthCount] = {};
 
   /// Runtime-K SpMM row driver with the short-row unrolled bodies, for K
   /// outside kSpecKWidths on short-row-heavy plans.

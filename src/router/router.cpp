@@ -10,8 +10,6 @@
 
 #include "core/shard_plan.hpp"
 #include "kernels/simd/dispatch.hpp"
-#include "kernels/simd/specialize.hpp"
-#include "kernels/simd/table.hpp"
 #include "router/calibration.hpp"
 
 namespace rrspmm::router {
@@ -24,6 +22,30 @@ namespace {
 constexpr index_t kSequentialArmMaxRows = 4096;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Arms this version no longer runs, identified by their saved fields:
+/// the micro-GEMM arm (g1; select_kernels now picks that kernel) and
+/// spec-all (s3; it selected the deleted panel K-width entries). Saved
+/// tables and v4 plan records that carry them still load, and those
+/// entries are dropped.
+bool retired_arm(unsigned spec_mode, unsigned micro_gemm) {
+  return spec_mode == 3 || micro_gemm != 0;
+}
+
+/// Parses key() output; false on malformed input. `retired` reports a
+/// well-formed key of a retired arm, which callers skip.
+bool parse_key(const std::string& s, RouteChoice& out, bool& retired) {
+  unsigned sm = 0, g = 0, d = 0, t = 0, b = 0, a = 0;
+  if (std::sscanf(s.c_str(), "s%ug%ud%ut%ub%ua%u", &sm, &g, &d, &t, &b, &a) != 6) return false;
+  if (sm > 255 || g > 1 || d > 255 || t > 255 || b > 255 || a > 255) return false;
+  retired = retired_arm(sm, g);
+  out.spec_mode = static_cast<std::uint8_t>(sm);
+  out.shard_strategy = static_cast<std::uint8_t>(d);
+  out.threads = static_cast<std::uint8_t>(t);
+  out.batch = static_cast<std::uint8_t>(b);
+  out.accumulator = static_cast<std::uint8_t>(a);
+  return true;
+}
 
 }  // namespace
 
@@ -51,24 +73,15 @@ int k_bucket(index_t k) {
 
 std::string RouteChoice::key() const {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "s%ug%ud%ut%ub%ua%u", static_cast<unsigned>(spec_mode),
-                micro_gemm ? 1U : 0U, static_cast<unsigned>(shard_strategy),
-                static_cast<unsigned>(threads), static_cast<unsigned>(batch),
-                static_cast<unsigned>(accumulator));
+  std::snprintf(buf, sizeof(buf), "s%ug0d%ut%ub%ua%u", static_cast<unsigned>(spec_mode),
+                static_cast<unsigned>(shard_strategy), static_cast<unsigned>(threads),
+                static_cast<unsigned>(batch), static_cast<unsigned>(accumulator));
   return buf;
 }
 
 bool RouteChoice::parse(const std::string& s, RouteChoice& out) {
-  unsigned sm = 0, g = 0, d = 0, t = 0, b = 0, a = 0;
-  if (std::sscanf(s.c_str(), "s%ug%ud%ut%ub%ua%u", &sm, &g, &d, &t, &b, &a) != 6) return false;
-  if (sm > 255 || g > 1 || d > 255 || t > 255 || b > 255 || a > 255) return false;
-  out.spec_mode = static_cast<std::uint8_t>(sm);
-  out.micro_gemm = g != 0;
-  out.shard_strategy = static_cast<std::uint8_t>(d);
-  out.threads = static_cast<std::uint8_t>(t);
-  out.batch = static_cast<std::uint8_t>(b);
-  out.accumulator = static_cast<std::uint8_t>(a);
-  return true;
+  bool retired = false;
+  return parse_key(s, out, retired) && !retired;
 }
 
 RouteContext make_route_context(double mean_nnz_row, double p90_nnz_row) {
@@ -298,27 +311,8 @@ RouteChoice Router::preferred(const std::string& fingerprint, Workload w,
   return fallback;
 }
 
-std::vector<RouteChoice> Router::spmm_arms(const kernels::simd::SpecializationPlan* spec,
-                                           index_t k, index_t rows,
-                                           double dense_row_fraction) {
-  std::vector<RouteChoice> arms;
-  arms.emplace_back();  // the configured default path
-  RouteChoice off;
-  off.spec_mode = static_cast<std::uint8_t>(kernels::simd::SpecMode::off);
-  arms.push_back(off);
-  if (spec != nullptr && spec->enabled) {
-    if (spec->dense_panels > 0 && kernels::simd::spec_k_slot(k) >= 0 &&
-        k <= kernels::simd::kSpecPanelKMax) {
-      RouteChoice all;
-      all.spec_mode = static_cast<std::uint8_t>(kernels::simd::SpecMode::all);
-      arms.push_back(all);
-    }
-    if (spec->dense_tile_rows > 0 && spec->dense_full_fraction() >= dense_row_fraction) {
-      RouteChoice micro;
-      micro.micro_gemm = true;
-      arms.push_back(micro);
-    }
-  }
+std::vector<RouteChoice> Router::spmm_arms(index_t rows) {
+  std::vector<RouteChoice> arms = sddmm_arms();
   if (rows > 0 && rows <= kSequentialArmMaxRows) {
     RouteChoice seq;
     seq.threads = 1;
@@ -327,19 +321,12 @@ std::vector<RouteChoice> Router::spmm_arms(const kernels::simd::SpecializationPl
   return arms;
 }
 
-std::vector<RouteChoice> Router::sddmm_arms(const kernels::simd::SpecializationPlan* spec,
-                                            index_t k) {
+std::vector<RouteChoice> Router::sddmm_arms() {
   std::vector<RouteChoice> arms;
-  arms.emplace_back();
+  arms.emplace_back();  // the configured default path
   RouteChoice off;
   off.spec_mode = static_cast<std::uint8_t>(kernels::simd::SpecMode::off);
   arms.push_back(off);
-  if (spec != nullptr && spec->enabled && spec->dense_panels > 0 &&
-      kernels::simd::spec_k_slot(k) >= 0 && k <= kernels::simd::kSpecPanelKMax) {
-    RouteChoice all;
-    all.spec_mode = static_cast<std::uint8_t>(kernels::simd::SpecMode::all);
-    arms.push_back(all);
-  }
   return arms;
 }
 
@@ -459,8 +446,9 @@ std::size_t Router::load_table(std::istream& in) {
         throw std::runtime_error("router table truncated");
       }
       RouteChoice choice;
-      if (!RouteChoice::parse(ck, choice)) throw std::runtime_error("router table is corrupt");
-      if (ks) {
+      bool retired = false;
+      if (!parse_key(ck, choice, retired)) throw std::runtime_error("router table is corrupt");
+      if (ks && !retired) {
         arm_locked(*ks, choice).stats.merge(s);
         ++loaded;
       }
@@ -501,7 +489,6 @@ std::vector<core::RouteRecord> Router::export_records(const std::string& fingerp
       r.workload = static_cast<std::uint8_t>(w);
       r.k_bucket = bucket;
       r.spec_mode = a.choice.spec_mode;
-      r.micro_gemm = a.choice.micro_gemm ? 1 : 0;
       r.shard_strategy = a.choice.shard_strategy;
       r.threads = a.choice.threads;
       r.batch = a.choice.batch;
@@ -521,7 +508,9 @@ std::size_t Router::import_records(const std::string& fingerprint,
   std::size_t merged = 0;
   std::lock_guard<std::mutex> lk(m_);
   for (const core::RouteRecord& r : records) {
-    if (r.workload >= kWorkloadCount || r.count == 0) continue;
+    if (r.workload >= kWorkloadCount || r.count == 0 || retired_arm(r.spec_mode, r.micro_gemm)) {
+      continue;
+    }
     const std::string key =
         table_key(fingerprint, static_cast<Workload>(r.workload), r.k_bucket);
     KeyState* ks = find_locked(key);
@@ -531,7 +520,6 @@ std::size_t Router::import_records(const std::string& fingerprint,
     }
     RouteChoice choice;
     choice.spec_mode = r.spec_mode;
-    choice.micro_gemm = r.micro_gemm != 0;
     choice.shard_strategy = r.shard_strategy;
     choice.threads = r.threads;
     choice.batch = r.batch;

@@ -3,10 +3,10 @@
 //
 // The paper's thesis is that the right layout and execution strategy
 // depend on the matrix; the repo has every knob that thesis implies
-// (scalar vs SIMD ISA, AOT-specialized variants, the dense-tile
-// micro-GEMM, hash/sort SpGEMM accumulators, shard strategies, batch
-// coalescing) but picked them statically until now. The Router closes
-// the loop, AHAS-style: a cost table keyed on
+// (scalar vs SIMD ISA, AOT-specialized variants, hash/sort SpGEMM
+// accumulators, shard strategies, batch coalescing) but picked them
+// statically until now. The Router closes the loop, AHAS-style: a cost
+// table keyed on
 //
 //   (matrix fingerprint, workload, ceil-log2 K bucket)
 //
@@ -19,8 +19,8 @@
 // core::RouteRecord, so a redeployed plan starts warm.
 //
 // Routing never changes result bits: every arm is one of the existing
-// bitwise-guarded execution paths (specialization on/off, micro-GEMM,
-// shard strategy, accumulator, sequential fallback), all of which
+// bitwise-guarded execution paths (specialization on/off, shard
+// strategy, accumulator, sequential fallback), all of which
 // preserve the scalar reference's per-element accumulation order on the
 // non-fma path. The router only chooses *which* of the bit-identical
 // paths runs, so bitwise/chaos CI contracts hold with it enabled.
@@ -52,10 +52,6 @@
 #include "runtime/metrics.hpp"
 #include "sparse/types.hpp"
 
-namespace rrspmm::kernels::simd {
-struct SpecializationPlan;
-}
-
 namespace rrspmm::router {
 
 /// Workloads routed independently (same matrix, different cost shape).
@@ -77,10 +73,9 @@ inline constexpr std::uint8_t kDefaultAccumulator = 255;
 /// workload does not route stay at their defaults and take no part in
 /// the executed configuration.
 struct RouteChoice {
-  /// kernels::simd::SpecMode as uint8 (0 env, 1 off, 2 rows, 3 all).
+  /// kernels::simd::SpecMode as uint8 (1 off, 2 rows); 0 = the
+  /// configured mode.
   std::uint8_t spec_mode = 0;
-  /// Dense-tile micro-GEMM (KernelConfig::micro_gemm).
-  bool micro_gemm = false;
   /// core::ShardStrategy as uint8, kDefaultShard = executor's default.
   std::uint8_t shard_strategy = kDefaultShard;
   /// 0 = worker pool, 1 = sequential in-thread execution.
@@ -91,14 +86,15 @@ struct RouteChoice {
   std::uint8_t accumulator = kDefaultAccumulator;
 
   /// Compact stable encoding, e.g. "s2g0d255t0b0a255" — the arm's
-  /// identity in tables, metrics keys, and saved files.
+  /// identity in tables, metrics keys, and saved files. The "g" field
+  /// (the retired micro-GEMM arm) is always written as 0.
   std::string key() const;
-  /// Inverse of key(); false on malformed input.
+  /// Inverse of key(); false on malformed input and on the retired
+  /// micro-GEMM (g1) and spec-all (s3) arms.
   static bool parse(const std::string& s, RouteChoice& out);
   bool operator==(const RouteChoice& o) const {
-    return spec_mode == o.spec_mode && micro_gemm == o.micro_gemm &&
-           shard_strategy == o.shard_strategy && threads == o.threads && batch == o.batch &&
-           accumulator == o.accumulator;
+    return spec_mode == o.spec_mode && shard_strategy == o.shard_strategy &&
+           threads == o.threads && batch == o.batch && accumulator == o.accumulator;
   }
   bool operator!=(const RouteChoice& o) const { return !(*this == o); }
 };
@@ -121,9 +117,6 @@ struct RouterConfig {
   /// Online: every explore_period-th decision of a key re-probes arms in
   /// rotation so a drifting workload can re-converge. 0 disables.
   std::uint32_t explore_period = 16;
-  /// spmm_arms offers the micro-GEMM arm when the plan's
-  /// dense_full_fraction() clears this (seeded from calibration).
-  double dense_row_fraction = 0.5;
   /// Bound on distinct (fingerprint, workload, k-bucket) keys; new keys
   /// beyond it fall back to the default arm unrouted.
   std::size_t max_keys = 1 << 14;
@@ -202,15 +195,11 @@ class Router {
 
   // --- Arm builders (the policy of what is worth trying) ---------------
 
-  /// SpMM arms: default; spec off; spec all (panel entries) when K
-  /// admits them; micro-GEMM when the plan's dense_full_fraction clears
-  /// cfg.dense_row_fraction; sequential execution for small matrices.
-  static std::vector<RouteChoice> spmm_arms(const kernels::simd::SpecializationPlan* spec,
-                                            index_t k, index_t rows,
-                                            double dense_row_fraction);
   /// SDDMM arms: default vs specialization off.
-  static std::vector<RouteChoice> sddmm_arms(const kernels::simd::SpecializationPlan* spec,
-                                             index_t k);
+  static std::vector<RouteChoice> sddmm_arms();
+  /// SpMM arms: sddmm_arms() plus sequential execution for matrices of
+  /// at most 4096 rows.
+  static std::vector<RouteChoice> spmm_arms(index_t rows);
   /// Shard-strategy arms: the executor's default first, then the other
   /// two strategies.
   static std::vector<RouteChoice> shard_arms(std::uint8_t default_strategy);
@@ -234,14 +223,16 @@ class Router {
   std::size_t load_calibration_file(const std::string& path);
 
   /// Plain-text table round trip ("rrspmm-router-table v1"). load_table
-  /// merges into the current table and returns entries read.
+  /// merges into the current table and returns the entries merged;
+  /// retired arms are skipped and not counted.
   void save_table(std::ostream& out) const;
   std::size_t load_table(std::istream& in);
   void save_table_file(const std::string& path) const;
   std::size_t load_table_file(const std::string& path);
 
   /// Learned entries of one fingerprint as plan-portable RouteRecords
-  /// (plan-file v4), and the inverse. import returns entries merged.
+  /// (plan-file v4), and the inverse. import returns entries merged;
+  /// retired arms are skipped and not counted.
   std::vector<core::RouteRecord> export_records(const std::string& fingerprint) const;
   std::size_t import_records(const std::string& fingerprint,
                              const std::vector<core::RouteRecord>& records);

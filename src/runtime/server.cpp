@@ -183,8 +183,7 @@ void Server::exec_spgemm(const core::ExecutionPlan& plan, const sparse::CsrMatri
 std::optional<simd::KernelConfig> Server::kernel_for(const router::Decision& dec) const {
   if (!dec.routed) return cfg_.kernel;
   simd::KernelConfig kc = cfg_.kernel ? *cfg_.kernel : simd::active_config();
-  kc.spec_mode = static_cast<simd::SpecMode>(dec.choice.spec_mode);
-  kc.micro_gemm = dec.choice.micro_gemm;
+  if (dec.choice.spec_mode != 0) kc.spec_mode = static_cast<simd::SpecMode>(dec.choice.spec_mode);
   return kc;
 }
 
@@ -434,10 +433,8 @@ void Server::execute_spmm_batch(Registered& e, std::vector<SpmmRequest>& batch) 
   // bit-identical executions runs, never the result.
   router::Decision dec;
   if (cfg_.router && !cfg_.executor) {
-    dec = cfg_.router->decide(
-        e.fingerprint, router::Workload::spmm, k_total, e.ctx,
-        router::Router::spmm_arms(plan->spec.get(), k_total, e.matrix.rows(),
-                                  cfg_.router->config().dense_row_fraction));
+    dec = cfg_.router->decide(e.fingerprint, router::Workload::spmm, k_total, e.ctx,
+                              router::Router::spmm_arms(e.matrix.rows()));
     count_decision(dec);
   }
   const auto run = [&](sparse::DenseView x, sparse::DenseMutView y) {
@@ -594,7 +591,7 @@ void Server::execute_sddmm(Registered& e, const SddmmRequest& r) {
   router::Decision dec;
   if (cfg_.router && !cfg_.executor) {
     dec = cfg_.router->decide(e.fingerprint, router::Workload::sddmm, r.x.cols, e.ctx,
-                              router::Router::sddmm_arms(plan->spec.get(), r.x.cols));
+                              router::Router::sddmm_arms());
     count_decision(dec);
   }
   const auto t0 = Clock::now();

@@ -93,8 +93,8 @@ struct ServerConfig {
   /// Adaptive-execution router. The default consults RRSPMM_ROUTER
   /// (off/on/frozen) via router::from_env(); null keeps every decision
   /// static, exactly the pre-router behaviour. When set, the server asks
-  /// it per batch for the kernel variant (specialization mode, dense-tile
-  /// micro-GEMM, sequential fallback), the SpGEMM accumulator, and the
+  /// it per batch for the kernel variant (specialization mode,
+  /// sequential fallback), the SpGEMM accumulator, and the
   /// coalescing width, and feeds measured latency back through observe().
   /// Every arm is one of the existing bitwise-guarded paths, so routing
   /// never changes result bits. Kernel-variant arms apply only to the
@@ -279,8 +279,8 @@ class Server {
   void observe_route(Registered& e, router::Workload w, index_t k,
                      const router::Decision& dec, double us);
   /// The SIMD configuration a decision selects: cfg_.kernel when
-  /// unrouted, else the server's choice with the arm's spec mode and
-  /// micro-GEMM flag applied.
+  /// unrouted, else the server's choice with the arm's spec mode applied
+  /// (spec_mode 0 keeps the configured mode).
   std::optional<kernels::simd::KernelConfig> kernel_for(const router::Decision& dec) const;
   /// Gate every admission through: throws server_stopped after stop()
   /// has begun, otherwise counts the request as in flight. The check and

@@ -17,10 +17,16 @@ void validate_csr(index_t rows, index_t cols, const std::vector<offset_t>& rowpt
   if (rowptr.front() != 0) fail("rowptr must start at 0");
   if (rowptr.back() != static_cast<offset_t>(colidx.size())) fail("rowptr must end at nnz");
   if (colidx.size() != values.size()) fail("colidx/values size mismatch");
+  // Monotone rowptr from 0 to nnz keeps every entry in [0, nnz], so the
+  // column scans below stay inside colidx. Check all rows before any scan.
+  for (index_t i = 0; i < rows; ++i) {
+    if (rowptr[static_cast<std::size_t>(i) + 1] < rowptr[static_cast<std::size_t>(i)]) {
+      fail("rowptr not monotone at row " + std::to_string(i));
+    }
+  }
   for (index_t i = 0; i < rows; ++i) {
     const offset_t lo = rowptr[static_cast<std::size_t>(i)];
     const offset_t hi = rowptr[static_cast<std::size_t>(i) + 1];
-    if (hi < lo) fail("rowptr not monotone at row " + std::to_string(i));
     for (offset_t j = lo; j < hi; ++j) {
       const index_t c = colidx[static_cast<std::size_t>(j)];
       if (c < 0 || c >= cols) fail("column out of range at row " + std::to_string(i));

@@ -15,10 +15,12 @@
 #include <memory>
 
 #include "aspt/aspt.hpp"
+#include "core/pipeline.hpp"
 #include "kernels/sddmm.hpp"
 #include "kernels/simd/dispatch.hpp"
 #include "kernels/simd/specialize.hpp"
 #include "kernels/spmm.hpp"
+#include "runtime/execute.hpp"
 #include "synth/generators.hpp"
 #include "test_util.hpp"
 
@@ -45,7 +47,8 @@ simd::KernelConfig cfg_of(simd::Isa isa, bool fma = false) {
   return cfg;
 }
 
-const simd::KernelConfig kScalar{simd::Isa::scalar, false};
+/// The scalar reference: the generic scalar entries, no variant.
+const simd::KernelConfig kScalar{simd::Isa::scalar, false, nullptr, simd::SpecMode::off};
 
 /// One equivalence subject: a matrix plus the tiling that stresses a
 /// particular ASpT shape (single-row panels, all-dense, all-sparse, ...).
@@ -217,6 +220,64 @@ TEST_P(SimdEquivalence, PaddedOperandsAreBitwiseEqualToPacked) {
     kernels::sddmm_aspt(tiled, xp, yp, dp, nullptr, cfg);
     expect_bitwise_eq(d, dp, "sddmm padded");
   }
+}
+
+/// router_scaling's dense_full shape at test size: row groups one panel
+/// tall, each row covering its group's whole disjoint 64-column pool, so
+/// every dense-tile row is fully dense and the micro-GEMM pairs them all.
+CsrMatrix dense_full_matrix() {
+  synth::ClusteredParams p;
+  p.rows = 256;
+  p.cols = 512;
+  p.num_groups = 4;
+  p.group_cols = 64;
+  p.row_nnz = 64;
+  p.noise_nnz = 0;
+  p.scatter = false;
+  p.disjoint_pools = true;
+  return synth::clustered_rows(p, 331);
+}
+
+// The dense-tile micro-GEMM (picked by select_kernels at K <= 32 on this
+// plan) on a fully-dense-tile family, through the raw kernel,
+// core::run_spmm and parallel_spmm, with packed and padded operands:
+// bitwise equal to the scalar reference at every width, including K=33
+// where it is not picked.
+TEST_P(SimdEquivalence, MicroGemmDenseFullMatchesScalarBitwise) {
+  const CsrMatrix s = dense_full_matrix();
+  const core::ExecutionPlan plan = core::build_plan(s);
+  ASSERT_NE(plan.spec, nullptr);
+  ASSERT_GT(plan.spec->dense_tile_rows, 0u);
+  ASSERT_EQ(plan.spec->dense_full_fraction(), 1.0);
+  simd::KernelConfig cfg = cfg_of(GetParam());
+  cfg.spec = plan.spec;
+  ASSERT_NE(simd::select_kernels(cfg, 32).spmm_panel_dense, nullptr);
+  runtime::WorkerPool pool(4);
+  const simd::KernelConfig saved = simd::active_config();
+  simd::set_active_config(cfg);
+  for (const index_t k : kWidths) {
+    for (const bool padded : {false, true}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + (padded ? " padded" : " packed"));
+      const auto make = [padded](index_t r, index_t c) {
+        return padded ? DenseMatrix::aligned(r, c) : DenseMatrix(r, c);
+      };
+      DenseMatrix x = make(s.cols(), k);
+      sparse::fill_random(x, 43);
+
+      DenseMatrix ref = make(s.rows(), k), y = make(s.rows(), k);
+      kernels::spmm_aspt(plan.tiled, x, ref, nullptr, kScalar);
+      kernels::spmm_aspt(plan.tiled, x, y, nullptr, cfg);
+      EXPECT_DOUBLE_EQ(y.max_abs_diff(ref), 0.0) << "spmm_aspt";
+
+      DenseMatrix plan_ref = make(s.rows(), k), yr = make(s.rows(), k), yp = make(s.rows(), k);
+      kernels::spmm_aspt(plan.tiled, x, plan_ref, &plan.sparse_order, kScalar, &plan.row_perm);
+      core::run_spmm(plan, x, yr);
+      EXPECT_DOUBLE_EQ(yr.max_abs_diff(plan_ref), 0.0) << "core::run_spmm";
+      runtime::parallel_spmm(pool, plan, x, yp, nullptr, &cfg);
+      EXPECT_DOUBLE_EQ(yp.max_abs_diff(plan_ref), 0.0) << "parallel_spmm";
+    }
+  }
+  simd::set_active_config(saved);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SimdEquivalence, ::testing::ValuesIn(runnable_isas()),
@@ -433,7 +494,6 @@ std::shared_ptr<const simd::SpecializationPlan> short_heavy_spec() {
 // specialized entry counts once for the *resolved* ISA, for SpMM and
 // SDDMM alike; generic calls never touch the specialized counters.
 TEST(SimdCounters, SpecializedCallsCountPerResolvedIsa) {
-  if (!simd::specialization_enabled()) GTEST_SKIP() << "RRSPMM_KERNEL_SPECIALIZE off";
   const CsrMatrix s = test::csr({{1, 2, 0}, {0, 0, 3}, {4, 0, 0}});
   DenseMatrix x(3, 8), y(3, 8), ymat(3, 8);
   sparse::fill_random(x, 73);
@@ -467,7 +527,6 @@ TEST(SimdCounters, SpecializedCallsCountPerResolvedIsa) {
 // entries: a forced (possibly unsupported) ISA resolves down the ladder,
 // and select_kernels substitutes the *resolved* backend's K-width entry.
 TEST(SimdDispatch, EnvForcedIsaLadderAppliesToSpecializedEntries) {
-  if (!simd::specialization_enabled()) GTEST_SKIP() << "RRSPMM_KERNEL_SPECIALIZE off";
   for (int i = 0; i < static_cast<int>(simd::kIsaCount); ++i) {
     const auto requested = static_cast<simd::Isa>(i);
     ::setenv("RRSPMM_KERNEL_ISA", std::string(simd::isa_name(requested)).c_str(), 1);

@@ -1,13 +1,12 @@
 // AOT plan-specialized kernel tests: the differential equivalence matrix
 // (every row-class mix x K width x runnable ISA x specialization mode
 // must be bitwise-identical to the scalar reference), the select_kernels
-// substitution policy (K-width slots, the classed short-row driver, the
-// opt-in panel entries, the large-K fall-through), the SpecializationPlan
+// selection rule (K-width slots, the classed short-row driver, the
+// large-K fall-through, the dense-tile micro-GEMM), the SpecializationPlan
 // record builder, and a seeded fuzz sweep of adversarial row-length
 // distributions against the generic SIMD kernels.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <random>
 #include <string>
@@ -37,45 +36,25 @@ std::vector<simd::Isa> runnable_isas() {
   return v;
 }
 
-const simd::KernelConfig kScalar{simd::Isa::scalar, false};
+/// The scalar reference: the generic scalar entries, no variant.
+const simd::KernelConfig kScalar{simd::Isa::scalar, false, nullptr, simd::SpecMode::off};
 
 using SpecPtr = std::shared_ptr<const simd::SpecializationPlan>;
 
-simd::KernelConfig cfg_of(simd::Isa isa, SpecPtr spec = nullptr) {
+simd::KernelConfig cfg_of(simd::Isa isa, SpecPtr spec = nullptr,
+                          simd::SpecMode mode = simd::SpecMode::rows) {
   simd::KernelConfig cfg;
   cfg.isa = isa;
   cfg.spec = std::move(spec);
+  cfg.spec_mode = mode;
   return cfg;
 }
 
-/// Scoped RRSPMM_KERNEL_SPECIALIZE override; restores the previous value
-/// (or unset state) and re-reads the env on destruction so no test can
-/// leak a mode into the rest of the binary.
-class SpecModeGuard {
- public:
-  explicit SpecModeGuard(const char* mode) {
-    if (const char* prev = std::getenv("RRSPMM_KERNEL_SPECIALIZE")) {
-      had_ = true;
-      saved_ = prev;
-    }
-    ::setenv("RRSPMM_KERNEL_SPECIALIZE", mode, 1);
-    simd::reload_env();
-  }
-  ~SpecModeGuard() {
-    if (had_) {
-      ::setenv("RRSPMM_KERNEL_SPECIALIZE", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("RRSPMM_KERNEL_SPECIALIZE");
-    }
-    simd::reload_env();
-  }
-  SpecModeGuard(const SpecModeGuard&) = delete;
-  SpecModeGuard& operator=(const SpecModeGuard&) = delete;
+const char* mode_name(simd::SpecMode mode) {
+  return mode == simd::SpecMode::off ? "off" : "rows";
+}
 
- private:
-  bool had_ = false;
-  std::string saved_;
-};
+constexpr simd::SpecMode kModes[] = {simd::SpecMode::off, simd::SpecMode::rows};
 
 /// Deterministic matrix with exactly `nnz_per_row` strided nonzeros per
 /// row: every row lands in one row class, which makes the class mix of a
@@ -221,13 +200,12 @@ class SpecializedEquivalence : public ::testing::TestWithParam<simd::Isa> {};
 // The tentpole contract: with a specialization record attached, every
 // (row-class mix x K x ISA x specialization mode) cell reproduces the
 // scalar reference bit-for-bit on all SpMM variants. "off" pins the
-// generic entries, "on" substitutes the row-wise specializations, "all"
-// additionally swaps the dense-panel K-width entries — none of them may
-// change a single bit.
+// generic entries; "rows" substitutes the row-wise specializations and,
+// where the rule admits it, the dense-tile micro-GEMM — neither may
+// change a bit.
 TEST_P(SpecializedEquivalence, SpmmMatchesScalarBitwiseInEveryMode) {
   const simd::Isa isa = GetParam();
-  for (const char* mode : {"off", "1", "all"}) {
-    SpecModeGuard guard(mode);
+  for (const simd::SpecMode mode : kModes) {
     for (const Mix& sub : row_class_mixes()) {
       const auto tiled = aspt::build_aspt(sub.s, sub.acfg);
       const auto rows_spec =
@@ -235,18 +213,18 @@ TEST_P(SpecializedEquivalence, SpmmMatchesScalarBitwiseInEveryMode) {
       const auto plan_spec =
           std::make_shared<const simd::SpecializationPlan>(simd::specialize_plan(tiled));
       for (const index_t k : kSpecWidths) {
-        SCOPED_TRACE(std::string(mode) + " " + sub.name + " k=" + std::to_string(k));
+        SCOPED_TRACE(std::string(mode_name(mode)) + " " + sub.name + " k=" + std::to_string(k));
         DenseMatrix x(sub.s.cols(), k);
         sparse::fill_random(x, 71);
 
         DenseMatrix y_ref(sub.s.rows(), k), y(sub.s.rows(), k);
         kernels::spmm_rowwise(sub.s, x, y_ref, kScalar);
-        kernels::spmm_rowwise(sub.s, x, y, cfg_of(isa, rows_spec));
+        kernels::spmm_rowwise(sub.s, x, y, cfg_of(isa, rows_spec, mode));
         EXPECT_DOUBLE_EQ(y.max_abs_diff(y_ref), 0.0) << "spmm_rowwise";
 
         DenseMatrix ya_ref(sub.s.rows(), k), ya(sub.s.rows(), k);
         kernels::spmm_aspt(tiled, x, ya_ref, nullptr, kScalar);
-        kernels::spmm_aspt(tiled, x, ya, nullptr, cfg_of(isa, plan_spec));
+        kernels::spmm_aspt(tiled, x, ya, nullptr, cfg_of(isa, plan_spec, mode));
         EXPECT_DOUBLE_EQ(ya.max_abs_diff(ya_ref), 0.0) << "spmm_aspt";
 
         // Range-partitioned execution through the specialized selection
@@ -254,14 +232,14 @@ TEST_P(SpecializedEquivalence, SpmmMatchesScalarBitwiseInEveryMode) {
         DenseMatrix yr(sub.s.rows(), k);
         yr.fill(42.0f);
         for (const auto& [b, e] : uneven_ranges(sub.s.rows())) {
-          kernels::spmm_aspt_row_range(tiled, x, yr, b, e, cfg_of(isa, plan_spec));
+          kernels::spmm_aspt_row_range(tiled, x, yr, b, e, cfg_of(isa, plan_spec, mode));
         }
         EXPECT_DOUBLE_EQ(yr.max_abs_diff(ya_ref), 0.0) << "spmm_aspt_row_range";
 
         DenseMatrix yrw(sub.s.rows(), k);
         yrw.fill(-3.0f);
         for (const auto& [b, e] : uneven_ranges(sub.s.rows())) {
-          kernels::spmm_rowwise(sub.s, x, yrw, b, e, cfg_of(isa, rows_spec));
+          kernels::spmm_rowwise(sub.s, x, yrw, b, e, cfg_of(isa, rows_spec, mode));
         }
         EXPECT_DOUBLE_EQ(yrw.max_abs_diff(y_ref), 0.0) << "spmm_rowwise range";
       }
@@ -271,8 +249,7 @@ TEST_P(SpecializedEquivalence, SpmmMatchesScalarBitwiseInEveryMode) {
 
 TEST_P(SpecializedEquivalence, SddmmMatchesScalarBitwiseInEveryMode) {
   const simd::Isa isa = GetParam();
-  for (const char* mode : {"off", "1", "all"}) {
-    SpecModeGuard guard(mode);
+  for (const simd::SpecMode mode : kModes) {
     for (const Mix& sub : row_class_mixes()) {
       const auto tiled = aspt::build_aspt(sub.s, sub.acfg);
       const auto rows_spec =
@@ -280,24 +257,24 @@ TEST_P(SpecializedEquivalence, SddmmMatchesScalarBitwiseInEveryMode) {
       const auto plan_spec =
           std::make_shared<const simd::SpecializationPlan>(simd::specialize_plan(tiled));
       for (const index_t k : kSpecWidths) {
-        SCOPED_TRACE(std::string(mode) + " " + sub.name + " k=" + std::to_string(k));
+        SCOPED_TRACE(std::string(mode_name(mode)) + " " + sub.name + " k=" + std::to_string(k));
         DenseMatrix x(sub.s.cols(), k), ymat(sub.s.rows(), k);
         sparse::fill_random(x, 73);
         sparse::fill_random(ymat, 79);
 
         std::vector<value_t> ref, got;
         kernels::sddmm_rowwise(sub.s, x, ymat, ref, kScalar);
-        kernels::sddmm_rowwise(sub.s, x, ymat, got, cfg_of(isa, rows_spec));
+        kernels::sddmm_rowwise(sub.s, x, ymat, got, cfg_of(isa, rows_spec, mode));
         expect_bitwise_eq(ref, got, "sddmm_rowwise");
 
         std::vector<value_t> aref, agot;
         kernels::sddmm_aspt(tiled, x, ymat, aref, nullptr, kScalar);
-        kernels::sddmm_aspt(tiled, x, ymat, agot, nullptr, cfg_of(isa, plan_spec));
+        kernels::sddmm_aspt(tiled, x, ymat, agot, nullptr, cfg_of(isa, plan_spec, mode));
         expect_bitwise_eq(aref, agot, "sddmm_aspt");
 
         std::vector<value_t> rgot(aref.size(), value_t{0});
         for (const auto& [b, e] : uneven_ranges(sub.s.rows())) {
-          kernels::sddmm_aspt_row_range(tiled, x, ymat, rgot, b, e, cfg_of(isa, plan_spec));
+          kernels::sddmm_aspt_row_range(tiled, x, ymat, rgot, b, e, cfg_of(isa, plan_spec, mode));
         }
         expect_bitwise_eq(aref, rgot, "sddmm_aspt_row_range");
       }
@@ -399,16 +376,14 @@ TEST(SpecializedSelection, TableEntriesMatchBuildConfiguration) {
     const simd::KernelTable& t = simd::table(cfg_of(isa));
     for (std::size_t slot = 0; slot < simd::kSpecKWidthCount; ++slot) {
       EXPECT_NE(t.spmm_rows_kw[slot], nullptr) << simd::isa_name(isa);
-      EXPECT_NE(t.spmm_panel_kw[slot], nullptr) << simd::isa_name(isa);
       EXPECT_NE(t.sddmm_rows_kw[slot], nullptr) << simd::isa_name(isa);
-      EXPECT_NE(t.sddmm_panel_kw[slot], nullptr) << simd::isa_name(isa);
     }
     EXPECT_NE(t.spmm_rows_classed, nullptr) << simd::isa_name(isa);
+    EXPECT_NE(t.spmm_panel_dense, nullptr) << simd::isa_name(isa);
   }
 }
 
 TEST(SpecializedSelection, NoRecordSelectsGenericEntries) {
-  SpecModeGuard guard("1");
   for (const simd::Isa isa : runnable_isas()) {
     const simd::KernelConfig cfg = cfg_of(isa);
     const simd::KernelTable& t = simd::table(cfg);
@@ -420,20 +395,19 @@ TEST(SpecializedSelection, NoRecordSelectsGenericEntries) {
 }
 
 TEST(SpecializedSelection, KWidthSlotsSubstituteRowEntriesOnly) {
-  SpecModeGuard guard("1");
   const auto spec = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
   for (const simd::Isa isa : runnable_isas()) {
     const simd::KernelConfig cfg = cfg_of(isa, spec);
     const simd::KernelTable& t = simd::table(cfg);
     for (std::size_t slot = 0; slot < simd::kSpecKWidthCount; ++slot) {
       const index_t k = simd::kSpecKWidths[slot];
-      if (k > simd::kSpecPanelKMax) continue;  // covered by the fall-through test
+      if (k > simd::kShortRowKWidthMax) continue;  // covered by the fall-through test
       const simd::KernelSelection sel = simd::select_kernels(cfg, k);
       SCOPED_TRACE(std::string(simd::isa_name(isa)) + " k=" + std::to_string(k));
       EXPECT_TRUE(sel.specialized);
       EXPECT_EQ(sel.spmm_rows, t.spmm_rows_kw[slot]);
       EXPECT_EQ(sel.sddmm_rows, t.sddmm_rows_kw[slot]);
-      // Panel entries stay generic in the default mode.
+      // The panel entries have no K-width variants.
       EXPECT_EQ(sel.spmm_panel, t.spmm_panel);
       EXPECT_EQ(sel.sddmm_panel, t.sddmm_panel);
     }
@@ -441,12 +415,11 @@ TEST(SpecializedSelection, KWidthSlotsSubstituteRowEntriesOnly) {
 }
 
 TEST(SpecializedSelection, ShortRowHeavyPlansFallToClassedDriverAtLargeK) {
-  SpecModeGuard guard("1");
   const auto shorts = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
   const auto longs = std::make_shared<const simd::SpecializationPlan>(long_only_record());
   const int big_slot = simd::spec_k_slot(128);
   ASSERT_GE(big_slot, 0);
-  ASSERT_GT(index_t{128}, simd::kSpecPanelKMax);
+  ASSERT_GT(index_t{128}, simd::kShortRowKWidthMax);
   for (const simd::Isa isa : runnable_isas()) {
     SCOPED_TRACE(simd::isa_name(isa));
     const simd::KernelTable& t = simd::table(cfg_of(isa));
@@ -467,7 +440,6 @@ TEST(SpecializedSelection, ShortRowHeavyPlansFallToClassedDriverAtLargeK) {
 }
 
 TEST(SpecializedSelection, OffSlotWidthsUseClassedDriverOnlyForShortRowPlans) {
-  SpecModeGuard guard("1");
   const auto shorts = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
   const auto longs = std::make_shared<const simd::SpecializationPlan>(long_only_record());
   for (const simd::Isa isa : runnable_isas()) {
@@ -484,54 +456,55 @@ TEST(SpecializedSelection, OffSlotWidthsUseClassedDriverOnlyForShortRowPlans) {
   }
 }
 
-TEST(SpecializedSelection, PanelEntriesRequireAllModeAndRespectKMax) {
-  SpecModeGuard guard("all");
-  const auto spec = std::make_shared<const simd::SpecializationPlan>(long_only_record());
+TEST(SpecializedSelection, OffModeAndDisabledRecordsSelectGeneric) {
+  const auto spec = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
+  auto disabled = short_heavy_record();
+  disabled.enabled = false;
+  const auto off = std::make_shared<const simd::SpecializationPlan>(disabled);
   for (const simd::Isa isa : runnable_isas()) {
-    SCOPED_TRACE(simd::isa_name(isa));
-    const simd::KernelConfig cfg = cfg_of(isa, spec);
-    const simd::KernelTable& t = simd::table(cfg);
-    for (std::size_t slot = 0; slot < simd::kSpecKWidthCount; ++slot) {
-      const index_t k = simd::kSpecKWidths[slot];
-      const simd::KernelSelection sel = simd::select_kernels(cfg, k);
-      EXPECT_TRUE(sel.specialized) << "k=" << k;
-      EXPECT_EQ(sel.spmm_rows, t.spmm_rows_kw[slot]) << "k=" << k;
-      if (k <= simd::kSpecPanelKMax) {
-        EXPECT_EQ(sel.spmm_panel, t.spmm_panel_kw[slot]) << "k=" << k;
-        EXPECT_EQ(sel.sddmm_panel, t.sddmm_panel_kw[slot]) << "k=" << k;
-      } else {
-        // Past kSpecPanelKMax the panel entries stay generic even in
-        // "all" mode — constant-folding K into the staged-panel nest is
-        // measurably slower there.
-        EXPECT_EQ(sel.spmm_panel, t.spmm_panel) << "k=" << k;
-        EXPECT_EQ(sel.sddmm_panel, t.sddmm_panel) << "k=" << k;
-      }
-    }
+    const simd::KernelConfig off_mode = cfg_of(isa, spec, simd::SpecMode::off);
+    const simd::KernelSelection sel = simd::select_kernels(off_mode, simd::kSpecKWidths[0]);
+    expect_generic(sel, simd::table(off_mode), "off mode " + std::string(simd::isa_name(isa)));
+    EXPECT_EQ(sel.spmm_panel_dense, nullptr) << simd::isa_name(isa);
+
+    const simd::KernelConfig cfg = cfg_of(isa, off);
+    expect_generic(simd::select_kernels(cfg, simd::kSpecKWidths[0]), simd::table(cfg),
+                   "disabled record " + std::string(simd::isa_name(isa)));
   }
 }
 
-TEST(SpecializedSelection, EnvOffAndDisabledRecordsSelectGeneric) {
-  const auto spec = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
-  {
-    SpecModeGuard guard("off");
-    EXPECT_FALSE(simd::specialization_enabled());
-    for (const simd::Isa isa : runnable_isas()) {
-      const simd::KernelConfig cfg = cfg_of(isa, spec);
-      expect_generic(simd::select_kernels(cfg, simd::kSpecKWidths[0]), simd::table(cfg),
-                     "env off " + std::string(simd::isa_name(isa)));
-    }
-  }
-  {
-    SpecModeGuard guard("1");
-    EXPECT_TRUE(simd::specialization_enabled());
-    EXPECT_FALSE(simd::specialization_panels_enabled());
-    auto disabled = short_heavy_record();
-    disabled.enabled = false;
-    const auto off = std::make_shared<const simd::SpecializationPlan>(disabled);
-    for (const simd::Isa isa : runnable_isas()) {
-      const simd::KernelConfig cfg = cfg_of(isa, off);
-      expect_generic(simd::select_kernels(cfg, simd::kSpecKWidths[0]), simd::table(cfg),
-                     "disabled record " + std::string(simd::isa_name(isa)));
+simd::SpecializationPlan dense_tile_record(std::uint64_t full_rows) {
+  simd::SpecializationPlan p = long_only_record();
+  p.dense_panels = 1;
+  p.dense_tile_rows = 100;
+  p.dense_full_rows = full_rows;
+  return p;
+}
+
+// The micro-GEMM rule: rows mode picks the dense-tile micro-GEMM at
+// K <= 32 for a record whose dense tile rows are at least half fully
+// dense. K=33 and K=64 keep the generic panel body, as do a sparser
+// record and no record, and SpecMode::off never picks it.
+TEST(SpecializedSelection, MicroGemmNeedsKUpTo32AndFullDenseTiles) {
+  ASSERT_EQ(simd::kMicroGemmKMax, 32);
+  const auto full = std::make_shared<const simd::SpecializationPlan>(dense_tile_record(50));
+  const auto partial = std::make_shared<const simd::SpecializationPlan>(dense_tile_record(49));
+  for (const simd::Isa isa : runnable_isas()) {
+    SCOPED_TRACE(simd::isa_name(isa));
+    const simd::KernelTable& t = simd::table(cfg_of(isa));
+    const simd::KernelConfig rows = cfg_of(isa, full);
+    EXPECT_EQ(simd::select_kernels(rows, 1).spmm_panel_dense, t.spmm_panel_dense);
+    EXPECT_EQ(simd::select_kernels(rows, 32).spmm_panel_dense, t.spmm_panel_dense);
+    EXPECT_EQ(simd::select_kernels(rows, 33).spmm_panel_dense, nullptr);
+    EXPECT_EQ(simd::select_kernels(rows, 64).spmm_panel_dense, nullptr);
+    for (const index_t k : {index_t{1}, index_t{8}, index_t{32}, index_t{64}}) {
+      EXPECT_EQ(simd::select_kernels(cfg_of(isa, full, simd::SpecMode::off), k).spmm_panel_dense,
+                nullptr)
+          << "off k=" << k;
+      EXPECT_EQ(simd::select_kernels(cfg_of(isa, partial), k).spmm_panel_dense, nullptr)
+          << "partial k=" << k;
+      EXPECT_EQ(simd::select_kernels(cfg_of(isa), k).spmm_panel_dense, nullptr)
+          << "no record k=" << k;
     }
   }
 }

@@ -62,8 +62,7 @@ double synthetic_us(const RouteChoice& c) { return c == arm_spec_off() ? 10.0 : 
 TEST(Router, KeyParseRoundTrip) {
   std::vector<RouteChoice> choices = {arm_default(), arm_spec_off(), arm_sequential()};
   RouteChoice fancy;
-  fancy.spec_mode = 3;
-  fancy.micro_gemm = true;
+  fancy.spec_mode = 2;
   fancy.shard_strategy = 2;
   fancy.threads = 1;
   fancy.batch = 4;
@@ -78,6 +77,9 @@ TEST(Router, KeyParseRoundTrip) {
   EXPECT_FALSE(RouteChoice::parse("", out));
   EXPECT_FALSE(RouteChoice::parse("nonsense", out));
   EXPECT_FALSE(RouteChoice::parse("s0g0d255t0b0", out));  // truncated
+  // Retired arms: micro-GEMM (g1) and spec-all (s3).
+  EXPECT_FALSE(RouteChoice::parse("s0g1d255t0b0a255", out));
+  EXPECT_FALSE(RouteChoice::parse("s3g0d255t0b0a255", out));
 }
 
 TEST(Router, KBucketGroupsNearbyWidths) {
@@ -332,19 +334,77 @@ TEST(Router, PriorsYieldToPerMatrixObservations) {
 }
 
 TEST(Router, SpmmArmsRespectPlanShape) {
-  // No specialization plan: default + spec-off (+ sequential for small
-  // matrices); never the micro-GEMM arm.
-  const auto small = Router::spmm_arms(nullptr, 32, 64, 0.5);
-  ASSERT_GE(small.size(), 2u);
-  EXPECT_EQ(small[0], arm_default());
-  for (const auto& a : small) EXPECT_FALSE(a.micro_gemm);
-  bool has_seq = false;
-  for (const auto& a : small) has_seq |= a.threads == 1;
-  EXPECT_TRUE(has_seq);
+  // Small matrices: default, spec-off and sequential.
+  const auto small = Router::spmm_arms(64);
+  const std::vector<RouteChoice> expected = {arm_default(), arm_spec_off(), arm_sequential()};
+  EXPECT_EQ(small, expected);
 
   // Large matrices drop the sequential arm.
-  const auto large = Router::spmm_arms(nullptr, 32, 1 << 22, 0.5);
-  for (const auto& a : large) EXPECT_NE(a.threads, 1);
+  const auto large = Router::spmm_arms(1 << 22);
+  const std::vector<RouteChoice> pool_only = {arm_default(), arm_spec_off()};
+  EXPECT_EQ(large, pool_only);
+  EXPECT_EQ(Router::sddmm_arms(), pool_only);
+}
+
+// Saved tables and v4 plan files from before the micro-GEMM (g1) and
+// spec-all (s3) arms were retired still load: exactly those entries are
+// dropped, the return counts show it, and frozen decisions over the
+// remaining arms are the ones a table without them makes.
+TEST(Router, RetiredArmsInOldTablesAndPlansAreDropped) {
+  const std::string live =
+      "s0g0d255t0b0a255 4 400 100 100\n"
+      "s1g0d255t0b0a255 4 40 10 10\n";
+  const std::string retired =
+      "s0g1d255t0b0a255 4 4 1 1\n"
+      "s3g0d255t0b0a255 4 8 2 2\n";
+  const auto table = [](std::size_t narms, const std::string& arms) {
+    return "rrspmm-router-table v1\n1\nfp 0 5 " + std::to_string(narms) + " 16\n" + arms;
+  };
+  RouterConfig frozen_cfg;
+  frozen_cfg.frozen = true;
+  Router old_table(frozen_cfg), clean_table(frozen_cfg);
+  std::istringstream old_in(table(4, live + retired)), clean_in(table(2, live));
+  EXPECT_EQ(old_table.load_table(old_in), 2u);
+  EXPECT_EQ(clean_table.load_table(clean_in), 2u);
+  const std::vector<RouteChoice> arms = {arm_default(), arm_spec_off()};
+  const Decision d = old_table.decide("fp", Workload::spmm, 32, arms);
+  EXPECT_EQ(d.choice, arm_spec_off());
+  EXPECT_EQ(d.choice, clean_table.decide("fp", Workload::spmm, 32, arms).choice);
+  std::ostringstream saved;
+  old_table.save_table(saved);
+  EXPECT_EQ(saved.str().find("g1"), std::string::npos);
+  EXPECT_EQ(saved.str().find("s3g"), std::string::npos);
+
+  // A v4 plan file carrying the same four records.
+  const sparse::CsrMatrix m = synth::erdos_renyi(64, 64, 512, 42);
+  core::ExecutionPlan plan = core::build_plan(m);
+  plan.fingerprint = core::matrix_fingerprint(m);
+  const auto record = [](std::uint8_t spec_mode, std::uint8_t micro_gemm, double mean_us) {
+    core::RouteRecord rec;
+    rec.workload = static_cast<std::uint8_t>(Workload::spmm);
+    rec.k_bucket = router::k_bucket(32);
+    rec.spec_mode = spec_mode;
+    rec.micro_gemm = micro_gemm;
+    rec.count = 4;
+    rec.total_us = 4 * mean_us;
+    rec.min_us = mean_us;
+    rec.max_us = mean_us;
+    return rec;
+  };
+  plan.routes = {record(0, 0, 100.0), record(1, 0, 10.0), record(0, 1, 1.0), record(3, 0, 2.0)};
+  std::stringstream file;
+  core::save_plan(plan, file);
+  const core::ExecutionPlan loaded = core::load_plan(file);
+  ASSERT_EQ(loaded.routes.size(), 4u);
+  EXPECT_EQ(loaded.routes[2].micro_gemm, 1u);
+
+  Router warm(frozen_cfg);
+  EXPECT_EQ(warm.import_records(loaded.fingerprint, loaded.routes), 2u);
+  EXPECT_EQ(warm.decide(loaded.fingerprint, Workload::spmm, 32, arms).choice, arm_spec_off());
+  for (const core::RouteRecord& r : warm.export_records(loaded.fingerprint)) {
+    EXPECT_EQ(r.micro_gemm, 0u);
+    EXPECT_NE(r.spec_mode, 3u);
+  }
 }
 
 TEST(Router, FromEnvHonoursKnob) {
