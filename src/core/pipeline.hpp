@@ -107,7 +107,7 @@ struct RouteRecord {
   std::int32_t k_bucket = 0;       ///< ceil-log2 bucket of the operand K
   std::uint8_t spec_mode = 0;      ///< kernels::simd::SpecMode, 0 = configured
   std::uint8_t micro_gemm = 0;     ///< retired arm: written as 0, dropped on import
-  std::uint8_t shard_strategy = 255;  ///< core::ShardStrategy, 255 = default
+  std::uint8_t shard_strategy = 255;  ///< retired arm: written as 255, dropped on import
   std::uint8_t threads = 0;        ///< 0 = worker pool, 1 = sequential
   std::uint8_t batch = 0;          ///< coalescing cap, 0 = server default
   std::uint8_t accumulator = 255;  ///< spgemm accumulator, 255 = default

@@ -1,5 +1,6 @@
 #include "core/plan_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -24,7 +25,9 @@ constexpr std::uint32_t kVersion = 4;
 
 constexpr char kShardMagic[10] = {'R', 'R', 'S', 'P', 'M', 'M', 'S', 'H', 'R', 'D'};
 // Version 2 appends the partitioned span [span_begin, span_end); version 1
-// files load with the full-extent defaults.
+// files load with the full-extent defaults. Both versions carry a mode
+// byte and a column-shard count from the retired column mode: the writer
+// emits 0 for both, and the reader rejects any other value.
 constexpr std::uint32_t kShardVersion = 2;
 
 // POD write/read helpers. The format is defined as little-endian; this
@@ -55,13 +58,22 @@ void put_vec(std::ostream& out, const std::vector<T>& v) {
   }
 }
 
+// Arrays grow in chunks of at most 1 MiB as their bytes arrive, so a
+// header that declares more elements than the stream holds fails on
+// truncation after allocating about what was delivered, never the size
+// the header claims.
 template <typename T>
 std::vector<T> get_vec(std::istream& in, std::uint64_t max_elems = (1ULL << 33)) {
   const auto n = get<std::uint64_t>(in);
   if (n > max_elems) throw io_error("plan file declares an implausible array size");
-  std::vector<T> v(static_cast<std::size_t>(n));
-  if (n > 0) {
-    in.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(T)));
+  constexpr std::size_t kChunk = (std::size_t{1} << 20) / sizeof(T);
+  std::vector<T> v;
+  while (v.size() < n) {
+    const std::size_t have = v.size();
+    const std::size_t take = static_cast<std::size_t>(std::min<std::uint64_t>(kChunk, n - have));
+    v.resize(have + take);
+    in.read(reinterpret_cast<char*>(v.data() + have),
+            static_cast<std::streamsize>(take * sizeof(T)));
     if (!in) throw io_error("plan file truncated inside an array");
   }
   return v;
@@ -239,8 +251,11 @@ ExecutionPlan load_plan(std::istream& in) {
   const auto cols = get<index_t>(in);
   const auto npanels = get<std::uint64_t>(in);
   if (npanels > (1ULL << 32)) throw io_error("implausible panel count");
-  std::vector<aspt::Panel> panels(static_cast<std::size_t>(npanels));
-  for (aspt::Panel& p : panels) {
+  // Panels are appended as they are read, for the same reason get_vec
+  // grows in chunks.
+  std::vector<aspt::Panel> panels;
+  for (std::uint64_t i = 0; i < npanels; ++i) {
+    aspt::Panel& p = panels.emplace_back();
     p.row_begin = get<index_t>(in);
     p.row_end = get<index_t>(in);
     p.dense_cols = get_vec<index_t>(in);
@@ -282,7 +297,6 @@ ExecutionPlan load_plan(std::istream& in) {
       plan.fingerprint = get_str(in);
       const auto nroutes = get<std::uint64_t>(in);
       if (nroutes > (1ULL << 20)) throw io_error("implausible route-record count");
-      plan.routes.reserve(static_cast<std::size_t>(nroutes));
       for (std::uint64_t i = 0; i < nroutes; ++i) plan.routes.push_back(get_route(in));
     } else {
       // v3 predates the counter: recompute it from the tiling.
@@ -313,7 +327,7 @@ void save_shard_plan(const ShardPlan& plan, std::ostream& out) {
   plan.validate();
   out.write(kShardMagic, sizeof(kShardMagic));
   put(out, kShardVersion);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(plan.mode));
+  put<std::uint8_t>(out, 0);  // mode: row
   put<std::uint8_t>(out, static_cast<std::uint8_t>(plan.strategy));
   put<std::int32_t>(out, plan.num_devices);
   put(out, plan.rows);
@@ -326,12 +340,7 @@ void save_shard_plan(const ShardPlan& plan, std::ostream& out) {
     put(out, s.row_end);
     put(out, s.nnz);
   }
-  put<std::uint64_t>(out, plan.col_shards.size());
-  for (const ColShard& s : plan.col_shards) {
-    put(out, s.col_begin);
-    put(out, s.col_end);
-    put(out, s.nnz);
-  }
+  put<std::uint64_t>(out, 0);  // column shards
   if (!out) throw io_error("failed writing shard plan");
 }
 
@@ -354,10 +363,8 @@ ShardPlan load_shard_plan(std::istream& in) {
 
   ShardPlan plan;
   const auto mode = get<std::uint8_t>(in);
-  if (mode > static_cast<std::uint8_t>(ShardMode::column)) {
-    throw io_error("shard-plan file declares an unknown mode");
-  }
-  plan.mode = static_cast<ShardMode>(mode);
+  if (mode == 1) throw io_error("column-mode shard plans are no longer supported");
+  if (mode != 0) throw io_error("shard-plan file declares an unknown mode");
   const auto strategy = get<std::uint8_t>(in);
   if (strategy > static_cast<std::uint8_t>(ShardStrategy::reorder_aware)) {
     throw io_error("shard-plan file declares an unknown strategy");
@@ -373,19 +380,18 @@ ShardPlan load_shard_plan(std::istream& in) {
 
   const auto n_rows = get<std::uint64_t>(in);
   if (n_rows > (1ULL << 24)) throw io_error("implausible row-shard count");
-  plan.row_shards.resize(static_cast<std::size_t>(n_rows));
-  for (RowShard& s : plan.row_shards) {
+  if (n_rows != static_cast<std::uint64_t>(plan.num_devices)) {
+    throw io_error("shard-plan file's row-shard count does not match its device count");
+  }
+  // Appended as read: memory follows the bytes delivered, not the count.
+  for (std::uint64_t i = 0; i < n_rows; ++i) {
+    RowShard& s = plan.row_shards.emplace_back();
     s.row_begin = get<index_t>(in);
     s.row_end = get<index_t>(in);
     s.nnz = get<offset_t>(in);
   }
-  const auto n_cols = get<std::uint64_t>(in);
-  if (n_cols > (1ULL << 24)) throw io_error("implausible column-shard count");
-  plan.col_shards.resize(static_cast<std::size_t>(n_cols));
-  for (ColShard& s : plan.col_shards) {
-    s.col_begin = get<index_t>(in);
-    s.col_end = get<index_t>(in);
-    s.nnz = get<offset_t>(in);
+  if (get<std::uint64_t>(in) != 0) {
+    throw io_error("column-mode shard plans are no longer supported");
   }
 
   plan.validate();

@@ -1,7 +1,5 @@
 #include "core/shard_plan.hpp"
 
-#include <string>
-
 namespace rrspmm::core {
 
 const char* to_string(ShardStrategy s) {
@@ -13,67 +11,33 @@ const char* to_string(ShardStrategy s) {
   return "?";
 }
 
-const char* to_string(ShardMode m) {
-  switch (m) {
-    case ShardMode::row: return "row";
-    case ShardMode::column: return "column";
-  }
-  return "?";
-}
-
 offset_t ShardPlan::total_nnz() const {
   offset_t total = 0;
   for (const RowShard& s : row_shards) total += s.nnz;
-  for (const ColShard& s : col_shards) total += s.nnz;
   return total;
 }
-
-namespace {
-
-// Shared partition check for both dimensions: ranges [begin_i, end_i)
-// must be contiguous, in order, and tile [lo, hi) exactly once.
-template <typename Shard, typename Begin, typename End>
-void check_partition(const std::vector<Shard>& shards, index_t lo, index_t hi, int num_devices,
-                     const char* what, Begin begin, End end) {
-  if (static_cast<int>(shards.size()) != num_devices) {
-    throw invalid_matrix(std::string("ShardPlan: ") + what + " shard count != num_devices");
-  }
-  index_t expect = lo;
-  for (const Shard& s : shards) {
-    if (begin(s) != expect || end(s) < begin(s) || end(s) > hi) {
-      throw invalid_matrix(std::string("ShardPlan: ") + what +
-                           " shards must partition the span exactly once");
-    }
-    if (s.nnz < 0) throw invalid_matrix("ShardPlan: negative shard nnz");
-    expect = end(s);
-  }
-  if (expect != hi) {
-    throw invalid_matrix(std::string("ShardPlan: ") + what + " shards do not cover the span");
-  }
-}
-
-}  // namespace
 
 void ShardPlan::validate() const {
   if (num_devices < 1) throw invalid_matrix("ShardPlan: num_devices must be >= 1");
   if (rows < 0 || cols < 0) throw invalid_matrix("ShardPlan: negative dimensions");
-  const index_t extent = mode == ShardMode::row ? rows : cols;
   const index_t lo = span_lo();
   const index_t hi = span_hi();
-  if (lo < 0 || lo > hi || hi > extent) {
-    throw invalid_matrix("ShardPlan: span must lie inside the partitioned dimension");
+  if (lo < 0 || lo > hi || hi > rows) {
+    throw invalid_matrix("ShardPlan: span must lie inside the row range");
   }
-  if (mode == ShardMode::row) {
-    if (!col_shards.empty()) throw invalid_matrix("ShardPlan: row mode carries column shards");
-    check_partition(
-        row_shards, lo, hi, num_devices, "row", [](const RowShard& s) { return s.row_begin; },
-        [](const RowShard& s) { return s.row_end; });
-  } else {
-    if (!row_shards.empty()) throw invalid_matrix("ShardPlan: column mode carries row shards");
-    check_partition(
-        col_shards, lo, hi, num_devices, "column", [](const ColShard& s) { return s.col_begin; },
-        [](const ColShard& s) { return s.col_end; });
+  if (static_cast<int>(row_shards.size()) != num_devices) {
+    throw invalid_matrix("ShardPlan: row shard count != num_devices");
   }
+  // Ranges must be contiguous, in order, and tile [lo, hi) exactly once.
+  index_t expect = lo;
+  for (const RowShard& s : row_shards) {
+    if (s.row_begin != expect || s.row_end < s.row_begin || s.row_end > hi) {
+      throw invalid_matrix("ShardPlan: row shards must partition the span exactly once");
+    }
+    if (s.nnz < 0) throw invalid_matrix("ShardPlan: negative shard nnz");
+    expect = s.row_end;
+  }
+  if (expect != hi) throw invalid_matrix("ShardPlan: row shards do not cover the span");
 }
 
 }  // namespace rrspmm::core

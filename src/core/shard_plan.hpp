@@ -4,11 +4,7 @@
 // device a contiguous range of rows *in the plan's permuted row space*
 // (the row space of ExecutionPlan::tiled), which is where the reordering
 // has made similar rows adjacent — so a shard boundary either respects or
-// destroys the locality the transformation created. Column mode splits
-// the column dimension instead: each device holds a column slice of the
-// sparse matrix and the matching row slice of the dense operand X, and
-// the per-device partial products are reduced; this trades an X broadcast
-// for a Y reduction and pays off when X is very wide (large K).
+// destroys the locality the transformation created.
 //
 // The types live in core (not dist) so that plan_io can serialise shard
 // plans next to execution plans; the partitioning *logic* lives in
@@ -22,7 +18,7 @@
 
 namespace rrspmm::core {
 
-/// How rows (or columns) are assigned to devices.
+/// How rows are assigned to devices.
 enum class ShardStrategy : std::uint8_t {
   contiguous = 0,    ///< equal row counts; ignores nnz and panel structure
   nnz_balanced = 1,  ///< equal nonzero counts; may split an ASpT panel
@@ -32,14 +28,7 @@ enum class ShardStrategy : std::uint8_t {
   reorder_aware = 2,
 };
 
-/// Which dimension the plan partitions.
-enum class ShardMode : std::uint8_t {
-  row = 0,     ///< per-device row ranges; Y shards are gathered
-  column = 1,  ///< per-device column ranges; partial Ys are reduced
-};
-
 const char* to_string(ShardStrategy s);
-const char* to_string(ShardMode m);
 
 /// One device's row range [row_begin, row_end) in permuted row space.
 /// Empty ranges are legal (more devices than useful cut points).
@@ -52,41 +41,28 @@ struct RowShard {
   bool operator==(const RowShard&) const = default;
 };
 
-/// One device's column range [col_begin, col_end).
-struct ColShard {
-  index_t col_begin = 0;
-  index_t col_end = 0;
-  offset_t nnz = 0;  ///< nonzeros whose column falls in the range
-
-  index_t cols() const { return col_end - col_begin; }
-  bool operator==(const ColShard&) const = default;
-};
-
 struct ShardPlan {
-  ShardMode mode = ShardMode::row;
   ShardStrategy strategy = ShardStrategy::nnz_balanced;
   int num_devices = 1;
   index_t rows = 0;  ///< row count of the partitioned matrix
   index_t cols = 0;  ///< column count of the partitioned matrix
-  /// Sub-range [span_begin, span_end) of the partitioned dimension that
-  /// the shards cover. The defaults (0, -1) mean the full extent; shard
-  /// failover re-plans a failed shard's range and produces plans whose
-  /// span is that range only.
+  /// Sub-range [span_begin, span_end) of the rows that the shards
+  /// cover. The defaults (0, -1) mean all rows; shard failover re-plans
+  /// a failed shard's range and produces plans whose span is that range
+  /// only.
   index_t span_begin = 0;
-  index_t span_end = -1;  ///< -1 → rows (row mode) / cols (column mode)
-  std::vector<RowShard> row_shards;  ///< size num_devices in row mode
-  std::vector<ColShard> col_shards;  ///< size num_devices in column mode
+  index_t span_end = -1;  ///< -1 → rows
+  std::vector<RowShard> row_shards;  ///< size num_devices
 
   offset_t total_nnz() const;
 
   /// The span's effective bounds with the -1 sentinel resolved.
   index_t span_lo() const { return span_begin; }
-  index_t span_hi() const { return span_end < 0 ? (mode == ShardMode::row ? rows : cols) : span_end; }
+  index_t span_hi() const { return span_end < 0 ? rows : span_end; }
 
   /// Checks the partition invariant: one shard per device, ranges
   /// contiguous and in order, together covering [span_lo, span_hi) —
-  /// by default [0, rows) (row mode) or [0, cols) (column mode) —
-  /// exactly once, nonzero counts non-negative.
+  /// by default [0, rows) — exactly once, nonzero counts non-negative.
   /// Throws invalid_matrix on the first violation.
   void validate() const;
 

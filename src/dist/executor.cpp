@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "kernels/detail/scalar_ref.hpp"
 #include "kernels/spmm.hpp"
 
 namespace rrspmm::dist {
@@ -17,44 +15,6 @@ namespace rrspmm::dist {
 namespace {
 
 namespace simd = kernels::simd;
-
-double micros_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Shard-strategy decision for one batch. Routable only when the plan
-/// carries a fingerprint (plans from PlanCache / plan files do; a
-/// hand-built ExecutionPlan without one is executed statically).
-router::Decision decide_strategy(const std::shared_ptr<router::Router>& r,
-                                 const core::ExecutionPlan& plan, index_t k,
-                                 ShardStrategy configured, ShardStrategy& strategy,
-                                 runtime::Metrics* metrics) {
-  router::Decision dec;
-  if (!r || plan.fingerprint.empty()) return dec;
-  dec = r->decide(plan.fingerprint, router::Workload::shard, k,
-                  router::Router::shard_arms(static_cast<std::uint8_t>(configured)));
-  if (!dec.routed) return dec;
-  strategy = static_cast<ShardStrategy>(dec.choice.shard_strategy);
-  if (metrics) {
-    metrics->router_decisions.fetch_add(1, std::memory_order_relaxed);
-    if (dec.explored) metrics->router_explorations.fetch_add(1, std::memory_order_relaxed);
-  }
-  return dec;
-}
-
-/// Reports the measured makespan of a routed batch back to the router
-/// and the per-route metrics attribution.
-void observe_strategy(const std::shared_ptr<router::Router>& r,
-                      const core::ExecutionPlan& plan, index_t k,
-                      const router::Decision& dec, double us, runtime::Metrics* metrics) {
-  if (!dec.routed) return;
-  r->observe(plan.fingerprint, router::Workload::shard, k, dec.choice, us);
-  if (metrics) {
-    metrics->route_latency.record(
-        router::route_key(plan.fingerprint, router::Workload::shard, k, dec.choice), us);
-  }
-}
 
 /// Runs body(0..n-1) with each item preferentially on the node owning
 /// its device (devices[i] mod node_count). Deadlock-free by the same
@@ -119,52 +79,6 @@ void run_on_device_nodes(runtime::WorkerPool& pool, const std::vector<int>& devi
 
 }  // namespace
 
-void sharded_spmm_cols(runtime::WorkerPool& pool, const CsrMatrix& m, const ShardPlan& shard_plan,
-                       const DenseMatrix& x, DenseMatrix& y, runtime::Metrics* metrics) {
-  shard_plan.validate();
-  if (shard_plan.mode != ShardMode::column) {
-    throw sparse::invalid_matrix("sharded_spmm_cols: shard plan is not column mode");
-  }
-  if (shard_plan.rows != m.rows() || shard_plan.cols != m.cols()) {
-    throw sparse::invalid_matrix("sharded_spmm_cols: shard plan does not match the matrix");
-  }
-  const index_t rows = m.rows();
-  const index_t k = x.cols();
-  for (index_t i = 0; i < rows; ++i) {
-    auto out = y.row(i);
-    std::fill(out.begin(), out.end(), value_t{0});
-  }
-
-  // Devices fold their partials in ascending column order, one device at
-  // a time; rows are pool-parallel inside a device. Each row therefore
-  // accumulates its nonzeros in exactly CSR storage order (columns are
-  // sorted within a row), which is spmm_rowwise's order — the split is
-  // invisible to the result bits.
-  constexpr index_t kRowBlock = 64;
-  const std::size_t blocks = static_cast<std::size_t>((rows + kRowBlock - 1) / kRowBlock);
-  for (const core::ColShard& s : shard_plan.col_shards) {
-    if (s.cols() == 0) continue;
-    pool.parallel_for(blocks, [&](std::size_t bi) {
-      const index_t rb = static_cast<index_t>(bi) * kRowBlock;
-      const index_t re = std::min<index_t>(rb + kRowBlock, rows);
-      for (index_t i = rb; i < re; ++i) {
-        const auto cols = m.row_cols(i);
-        const auto vals = m.row_vals(i);
-        // The shard's slice of this row, by binary search on the sorted
-        // column ids.
-        const auto lo = std::lower_bound(cols.begin(), cols.end(), s.col_begin);
-        const auto hi = std::lower_bound(lo, cols.end(), s.col_end);
-        auto out = y.row(i);
-        for (auto it = lo; it != hi; ++it) {
-          const std::size_t j = static_cast<std::size_t>(it - cols.begin());
-          kernels::detail::axpy(out.data(), x.row(*it).data(), vals[j], k);
-        }
-      }
-    });
-    if (metrics) metrics->shards_executed.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 ShardedExecutor::ShardedExecutor(ShardedExecutorConfig cfg)
     : cfg_(cfg), planner_(cfg.planner) {
   if (cfg_.num_devices < 1) {
@@ -173,13 +87,9 @@ ShardedExecutor::ShardedExecutor(ShardedExecutorConfig cfg)
 }
 
 void ShardedExecutor::run_sharded(runtime::WorkerPool& pool, const core::ExecutionPlan& plan,
-                                  index_t k, runtime::Metrics* metrics,
+                                  runtime::Metrics* metrics,
                                   const std::function<void(const core::RowShard&)>& body) {
-  ShardStrategy strategy = cfg_.strategy;
-  const router::Decision rdec =
-      decide_strategy(cfg_.router, plan, k, cfg_.strategy, strategy, metrics);
-  const auto rt0 = std::chrono::steady_clock::now();
-  const ShardPlan sp = planner_.plan_rows(plan, cfg_.num_devices, strategy);
+  const ShardPlan sp = planner_.plan_rows(plan, cfg_.num_devices, cfg_.strategy);
   if (metrics) metrics->sharded_batches.fetch_add(1, std::memory_order_relaxed);
 
   // One work item per (row range, owning device). Device ids index the
@@ -246,16 +156,13 @@ void ShardedExecutor::run_sharded(runtime::WorkerPool& pool, const core::Executi
       if (metrics) metrics->failovers.fetch_add(1, std::memory_order_relaxed);
       const ShardPlan rp =
           planner_.plan_row_range(plan, w.shard.row_begin, w.shard.row_end,
-                                  static_cast<int>(survivors.size()), strategy);
+                                  static_cast<int>(survivors.size()), cfg_.strategy);
       for (std::size_t i = 0; i < rp.row_shards.size(); ++i) {
         next.push_back({rp.row_shards[i], survivors[i % survivors.size()]});
       }
     }
     work = std::move(next);
   }
-  // Makespan of the whole sharded batch, failover included — a strategy
-  // whose cuts keep failing scores as slow as it is in practice.
-  observe_strategy(cfg_.router, plan, k, rdec, micros_since(rt0), metrics);
 }
 
 void ShardedExecutor::spmm(runtime::WorkerPool& pool, const core::ExecutionPlan& plan,
@@ -268,7 +175,7 @@ void ShardedExecutor::spmm(runtime::WorkerPool& pool, const core::ExecutionPlan&
   const simd::KernelSelection ksel = simd::select_kernels(kcfg, x.cols);
   // Each shard writes its rows straight through row_perm into the
   // caller's y; a re-run of a failed shard zero-fills those rows first.
-  run_sharded(pool, plan, x.cols, metrics, [&](const core::RowShard& s) {
+  run_sharded(pool, plan, metrics, [&](const core::RowShard& s) {
     kernels::spmm_aspt_row_range(plan.tiled, x, y, s.row_begin, s.row_end, kcfg, &plan.row_perm);
     fault::hit(fault::points::kShardInterconnect);
     if (metrics) metrics->count_kernel(ksel.isa, ksel.specialized);
@@ -294,7 +201,7 @@ void ShardedExecutor::spgemm(runtime::WorkerPool& pool, const core::ExecutionPla
   const std::vector<index_t> composed = core::spgemm_row_order(plan);
   const std::vector<index_t>* order = composed.empty() ? nullptr : &composed;
 
-  run_sharded(pool, plan, b.cols(), metrics, [&](const core::RowShard& s) {
+  run_sharded(pool, plan, metrics, [&](const core::RowShard& s) {
     spgemm::AccumulatorCounts local;
     spgemm::numeric_rows(a, b, sym.rowptr, colidx.data(), values.data(), s.row_begin,
                          s.row_end, cfg, order, &local);

@@ -7,27 +7,20 @@
 // that any partition of [0, rows) into ranges is bitwise equal to the
 // unsharded execution, so the sharded result is identical to
 // core::run_spmm no matter how the planner cut — the shards only change
-// who computes which rows. Column mode computes partial products per
-// column range and folds them device-by-device in ascending column
-// order, which reproduces spmm_rowwise's per-row accumulation order
-// exactly (CSR columns are sorted within a row), keeping that path
-// bitwise-stable too.
+// who computes which rows.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "dist/shard_planner.hpp"
-#include "router/router.hpp"
 #include "runtime/execute.hpp"
 
 namespace rrspmm::dist {
 
 using sparse::CsrMatrix;
-using sparse::DenseMatrix;
 
 /// Thrown by ShardedExecutor::spmm when a batch cannot complete even with
 /// failover: every device has failed, or re-planning exceeded
@@ -36,14 +29,6 @@ class shards_exhausted : public std::runtime_error {
  public:
   explicit shards_exhausted(const std::string& what) : std::runtime_error(what) {}
 };
-
-/// Column-mode sharded SpMM on the raw CSR matrix: device d computes the
-/// partial product of its column slice (rows split across the pool
-/// within the device), and partials are accumulated sequentially in
-/// ascending column order. Bitwise equal to kernels::spmm_rowwise.
-void sharded_spmm_cols(runtime::WorkerPool& pool, const CsrMatrix& m, const ShardPlan& shard_plan,
-                       const DenseMatrix& x, DenseMatrix& y,
-                       runtime::Metrics* metrics = nullptr);
 
 struct ShardedExecutorConfig {
   int num_devices = 2;
@@ -57,14 +42,6 @@ struct ShardedExecutorConfig {
   /// the process-wide simd::active_config(). Shard results are bitwise
   /// identical either way on the default (non-fma) path.
   std::optional<kernels::simd::KernelConfig> kernel;
-  /// Adaptive-execution router for the shard-strategy decision: when set
-  /// and the plan carries a fingerprint, each spmm()/spgemm() call asks
-  /// it to pick among the three strategies (cfg.strategy offered as the
-  /// default arm) and reports the measured batch makespan back. Failover
-  /// re-cuts use the decided strategy too. Any strategy partitions the
-  /// same bitwise-stable row ranges, so the decision never changes result
-  /// bits. Null (the default) keeps the static cfg.strategy.
-  std::shared_ptr<router::Router> router;
 };
 
 /// runtime::Executor that shards every batch across simulated devices.
@@ -107,13 +84,12 @@ class ShardedExecutor final : public runtime::Executor {
   const ShardedExecutorConfig& config() const { return cfg_; }
 
  private:
-  /// One sharded batch, shared by spmm() and spgemm(): picks the shard
-  /// strategy (router or cfg_.strategy), cuts the plan's rows across the
-  /// devices and runs body(shard) for each on its device's node, with
-  /// failover (see the class comment); reports the makespan to the
-  /// router. Throws shards_exhausted when no device survives or the
-  /// failover budget runs out.
-  void run_sharded(runtime::WorkerPool& pool, const core::ExecutionPlan& plan, index_t k,
+  /// One sharded batch, shared by spmm() and spgemm(): cuts the plan's
+  /// rows across the devices with cfg_.strategy and runs body(shard) for
+  /// each on its device's node, with failover (see the class comment).
+  /// Throws shards_exhausted when no device survives or the failover
+  /// budget runs out.
+  void run_sharded(runtime::WorkerPool& pool, const core::ExecutionPlan& plan,
                    runtime::Metrics* metrics,
                    const std::function<void(const core::RowShard&)>& body);
 

@@ -1,7 +1,6 @@
 #include "dist/interconnect.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace rrspmm::dist {
 
@@ -38,19 +37,8 @@ double Interconnect::scatter_time(const std::vector<double>& per_device_bytes) c
   return rounds_time(total, biggest, transfers);
 }
 
-double Interconnect::broadcast_time(double bytes, int n_devices) const {
-  if (bytes <= 0.0 || n_devices <= 0) return 0.0;
-  return rounds_time(bytes * n_devices, bytes, n_devices);
-}
-
 double Interconnect::gather_time(const std::vector<double>& per_device_bytes) const {
   return scatter_time(per_device_bytes);  // symmetric: same links, reversed direction
-}
-
-double Interconnect::reduce_time(double bytes, int n_devices) const {
-  if (bytes <= 0.0 || n_devices <= 1) return 0.0;
-  const int rounds = static_cast<int>(std::ceil(std::log2(static_cast<double>(n_devices))));
-  return rounds * p2p_time(bytes);
 }
 
 }  // namespace rrspmm::dist

@@ -2,13 +2,13 @@
 //
 // The single-device simulator (gpusim) argues entirely in bytes moved;
 // multi-device execution adds a second byte ledger — dense operands
-// scattered to devices, result shards gathered back, partial products
-// reduced — and this model charges for it the same way gpusim charges
-// for DRAM: latency + bytes / bandwidth per transfer, composed per
-// collective. Two presets bracket real hardware: an NVLink-like mesh
-// (every device reachable point-to-point, transfers to distinct devices
-// proceed concurrently) and a PCIe-like tree (the root drives a limited
-// number of links at a time, so collectives serialise into rounds).
+// scattered to devices, result shards gathered back — and this model
+// charges for it the same way gpusim charges for DRAM: latency + bytes /
+// bandwidth per transfer, composed per collective. Two presets bracket
+// real hardware: an NVLink-like mesh (every device reachable
+// point-to-point, transfers to distinct devices proceed concurrently)
+// and a PCIe-like tree (the root drives a limited number of links at a
+// time, so collectives serialise into rounds).
 #pragma once
 
 #include <vector>
@@ -40,7 +40,7 @@ struct InterconnectConfig {
   }
 };
 
-/// Time model for the three collectives sharded SpMM needs. All methods
+/// Time model for the two collectives sharded SpMM needs. All methods
 /// are pure functions of the config; zero-byte, zero-device collectives
 /// cost nothing.
 class Interconnect {
@@ -52,20 +52,12 @@ class Interconnect {
   /// One point-to-point transfer.
   double p2p_time(double bytes) const;
 
-  /// Root sends a distinct payload to each device (X shards out, in row
-  /// mode the per-device slices of the dense operand).
+  /// Root sends a distinct payload to each device (X shards out: the
+  /// per-device slices of the dense operand).
   double scatter_time(const std::vector<double>& per_device_bytes) const;
-
-  /// Root sends the same payload to all n devices (unsliced broadcast;
-  /// no hardware multicast, so this is a scatter of n equal payloads).
-  double broadcast_time(double bytes, int n_devices) const;
 
   /// Root collects a distinct payload from each device (Y shards in).
   double gather_time(const std::vector<double>& per_device_bytes) const;
-
-  /// Sums n equal-sized partial results into one (column mode's Y
-  /// reduction): binary tree, ceil(log2 n) rounds of one transfer each.
-  double reduce_time(double bytes, int n_devices) const;
 
  private:
   double rounds_time(double total_bytes, double max_bytes, int n_transfers) const;

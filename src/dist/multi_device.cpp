@@ -84,9 +84,6 @@ MultiDeviceResult simulate_spmm_sharded(const core::ExecutionPlan& plan,
                                         const core::ShardPlan& shard_plan, index_t k,
                                         const MultiDeviceConfig& cfg) {
   shard_plan.validate();
-  if (shard_plan.mode != core::ShardMode::row) {
-    throw sparse::invalid_matrix("simulate_spmm_sharded: shard plan is not row mode");
-  }
   if (shard_plan.rows != plan.tiled.rows()) {
     throw sparse::invalid_matrix("simulate_spmm_sharded: shard plan does not match the plan");
   }
@@ -94,7 +91,6 @@ MultiDeviceResult simulate_spmm_sharded(const core::ExecutionPlan& plan,
   const Interconnect icx(cfg.interconnect);
 
   MultiDeviceResult res;
-  res.mode = shard_plan.mode;
   res.strategy = shard_plan.strategy;
   res.num_devices = shard_plan.num_devices;
 
@@ -146,73 +142,6 @@ MultiDeviceResult simulate_spmm_sharded(const core::ExecutionPlan& plan,
 
   res.scatter_s = icx.scatter_time(x_payloads);
   res.collect_s = icx.gather_time(y_payloads);
-  res.makespan_s = res.scatter_s + res.max_kernel_s + res.collect_s;
-  return res;
-}
-
-MultiDeviceResult simulate_spmm_sharded_cols(const sparse::CsrMatrix& m,
-                                             const core::ShardPlan& shard_plan, index_t k,
-                                             const MultiDeviceConfig& cfg) {
-  shard_plan.validate();
-  if (shard_plan.mode != core::ShardMode::column) {
-    throw sparse::invalid_matrix("simulate_spmm_sharded_cols: shard plan is not column mode");
-  }
-  if (shard_plan.rows != m.rows() || shard_plan.cols != m.cols()) {
-    throw sparse::invalid_matrix("simulate_spmm_sharded_cols: shard plan does not match m");
-  }
-  const Interconnect icx(cfg.interconnect);
-
-  MultiDeviceResult res;
-  res.mode = shard_plan.mode;
-  res.strategy = shard_plan.strategy;
-  res.num_devices = shard_plan.num_devices;
-
-  const double partial_bytes =
-      static_cast<double>(m.rows()) * static_cast<double>(k) * 4.0;
-  std::vector<double> x_payloads;
-  int active = 0;
-  for (int d = 0; d < shard_plan.num_devices; ++d) {
-    const core::ColShard& s = shard_plan.col_shards[static_cast<std::size_t>(d)];
-    ShardSim ss;
-    ss.device = d;
-    if (s.nnz > 0) {
-      fault::hit_nothrow(fault::points::kShardStraggler);
-      fault::hit(fault::points::kShardInterconnect);
-      // Column slice of m: same dimensions, only nonzeros with
-      // col in [col_begin, col_end).
-      std::vector<offset_t> rowptr(static_cast<std::size_t>(m.rows()) + 1, 0);
-      std::vector<index_t> colidx;
-      std::vector<value_t> values;
-      colidx.reserve(static_cast<std::size_t>(s.nnz));
-      values.reserve(static_cast<std::size_t>(s.nnz));
-      for (index_t i = 0; i < m.rows(); ++i) {
-        const auto cols = m.row_cols(i);
-        const auto vals = m.row_vals(i);
-        for (std::size_t j = 0; j < cols.size(); ++j) {
-          if (cols[j] >= s.col_begin && cols[j] < s.col_end) {
-            colidx.push_back(cols[j]);
-            values.push_back(vals[j]);
-          }
-        }
-        rowptr[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(colidx.size());
-      }
-      const sparse::CsrMatrix slice(m.rows(), m.cols(), std::move(rowptr), std::move(colidx),
-                                    std::move(values));
-      ss.kernel = gpusim::simulate_spmm_rowwise(slice, k, cfg.device);
-      ss.x_bytes = static_cast<double>(s.cols()) * static_cast<double>(k) * 4.0;
-      ss.y_bytes = partial_bytes;
-      ++active;
-    }
-    res.max_kernel_s = std::max(res.max_kernel_s, ss.kernel.time_s);
-    res.kernel_total_s += ss.kernel.time_s;
-    x_payloads.push_back(ss.x_bytes);
-    res.comm_bytes += ss.x_bytes;
-    res.shards.push_back(std::move(ss));
-  }
-
-  res.scatter_s = icx.scatter_time(x_payloads);
-  res.collect_s = icx.reduce_time(partial_bytes, active);
-  if (active > 1) res.comm_bytes += static_cast<double>(active - 1) * partial_bytes;
   res.makespan_s = res.scatter_s + res.max_kernel_s + res.collect_s;
   return res;
 }

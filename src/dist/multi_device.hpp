@@ -2,11 +2,8 @@
 //
 // Instantiates one DeviceConfig (and, inside gpusim, one private L2) per
 // shard and composes per-shard kernel estimates with interconnect
-// transfer time into a makespan:
-//
-//   row mode:    scatter X slices -> per-device kernels -> gather Y shards
-//   column mode: scatter X row-slices -> per-device partial kernels ->
-//                tree-reduce the partial Ys
+// transfer time into a makespan: scatter X slices -> per-device kernels
+// -> gather Y shards.
 //
 // The X payload of a row shard is what that shard actually reads — its
 // distinct referenced columns (dense panel staging lists plus sparse
@@ -41,12 +38,11 @@ struct ShardSim {
 };
 
 struct MultiDeviceResult {
-  core::ShardMode mode = core::ShardMode::row;
   core::ShardStrategy strategy = core::ShardStrategy::nnz_balanced;
   int num_devices = 1;
   std::vector<ShardSim> shards;
   double scatter_s = 0.0;       ///< distributing the dense operand
-  double collect_s = 0.0;       ///< gathering Y shards / reducing partials
+  double collect_s = 0.0;       ///< gathering Y shards
   double max_kernel_s = 0.0;    ///< slowest device's kernel time
   double kernel_total_s = 0.0;  ///< summed kernel time (total device-seconds)
   double comm_bytes = 0.0;      ///< total bytes over the interconnect
@@ -63,18 +59,11 @@ struct MultiDeviceResult {
 /// causes on real hardware.
 aspt::AsptMatrix extract_row_range(const aspt::AsptMatrix& a, index_t row_begin, index_t row_end);
 
-/// Row-mode sharded SpMM estimate: `shard_plan` must be row mode and
-/// match `plan`'s permuted row space. `plan.sparse_order` is restricted
+/// Sharded SpMM estimate: `shard_plan` must match `plan`'s permuted row
+/// space. `plan.sparse_order` is restricted
 /// per shard, so round-2 reordering keeps its effect device-locally.
 MultiDeviceResult simulate_spmm_sharded(const core::ExecutionPlan& plan,
                                         const core::ShardPlan& shard_plan, index_t k,
                                         const MultiDeviceConfig& cfg);
-
-/// Column-mode sharded SpMM estimate over the raw CSR matrix: each
-/// device runs the row-wise kernel on its column slice, then the partial
-/// Ys are tree-reduced.
-MultiDeviceResult simulate_spmm_sharded_cols(const sparse::CsrMatrix& m,
-                                             const core::ShardPlan& shard_plan, index_t k,
-                                             const MultiDeviceConfig& cfg);
 
 }  // namespace rrspmm::dist

@@ -187,7 +187,6 @@ ShardPlan ShardPlanner::plan_rows_impl(const core::ExecutionPlan& plan, index_t 
   }
 
   ShardPlan sp;
-  sp.mode = ShardMode::row;
   sp.strategy = strategy;
   sp.num_devices = num_devices;
   sp.rows = rows;
@@ -202,48 +201,6 @@ ShardPlan ShardPlanner::plan_rows_impl(const core::ExecutionPlan& plan, index_t 
     s.row_begin = cuts[static_cast<std::size_t>(d)];
     s.row_end = cuts[static_cast<std::size_t>(d) + 1];
     s.nnz = prefix[static_cast<std::size_t>(s.row_end)] - prefix[static_cast<std::size_t>(s.row_begin)];
-  }
-  sp.validate();
-  return sp;
-}
-
-ShardPlan ShardPlanner::plan_cols(const sparse::CsrMatrix& m, int num_devices,
-                                  ShardStrategy strategy) const {
-  if (num_devices < 1) throw sparse::invalid_matrix("ShardPlanner: num_devices must be >= 1");
-  const index_t cols = m.cols();
-  std::vector<offset_t> col_nnz(static_cast<std::size_t>(cols), 0);
-  for (index_t c : m.colidx()) ++col_nnz[static_cast<std::size_t>(c)];
-  const std::vector<offset_t> prefix = prefix_sum(col_nnz);
-
-  std::vector<index_t> cuts(static_cast<std::size_t>(num_devices) + 1, 0);
-  cuts.back() = cols;
-  if (strategy == ShardStrategy::contiguous) {
-    for (int d = 1; d < num_devices; ++d) {
-      cuts[static_cast<std::size_t>(d)] =
-          static_cast<index_t>(static_cast<std::int64_t>(cols) * d / num_devices);
-    }
-  } else {
-    // reorder_aware has no column-side meaning (clusters are a row
-    // notion); both remaining strategies balance nonzeros.
-    strategy = ShardStrategy::nnz_balanced;
-    for (int d = 1; d < num_devices; ++d) {
-      cuts[static_cast<std::size_t>(d)] =
-          balanced_cut(prefix, 0, cols, d, num_devices, cuts[static_cast<std::size_t>(d) - 1]);
-    }
-  }
-
-  ShardPlan sp;
-  sp.mode = ShardMode::column;
-  sp.strategy = strategy;
-  sp.num_devices = num_devices;
-  sp.rows = m.rows();
-  sp.cols = cols;
-  sp.col_shards.resize(static_cast<std::size_t>(num_devices));
-  for (int d = 0; d < num_devices; ++d) {
-    core::ColShard& s = sp.col_shards[static_cast<std::size_t>(d)];
-    s.col_begin = cuts[static_cast<std::size_t>(d)];
-    s.col_end = cuts[static_cast<std::size_t>(d) + 1];
-    s.nnz = prefix[static_cast<std::size_t>(s.col_end)] - prefix[static_cast<std::size_t>(s.col_begin)];
   }
   sp.validate();
   return sp;

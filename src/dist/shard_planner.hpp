@@ -20,7 +20,6 @@
 
 namespace rrspmm::dist {
 
-using core::ShardMode;
 using core::ShardPlan;
 using core::ShardStrategy;
 
@@ -43,14 +42,14 @@ class ShardPlanner {
  public:
   explicit ShardPlanner(ShardPlannerConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Row-mode partition of `plan`'s permuted row space into
+  /// Partition of `plan`'s permuted row space into
   /// `num_devices` contiguous ranges under `strategy`. Deterministic;
   /// empty shards are produced when the matrix offers fewer useful cut
   /// points than devices. The result validates.
   ShardPlan plan_rows(const core::ExecutionPlan& plan, int num_devices,
                       ShardStrategy strategy) const;
 
-  /// Row-mode partition of the sub-range [row_begin, row_end) of `plan`'s
+  /// Partition of the sub-range [row_begin, row_end) of `plan`'s
   /// permuted row space — the failover seam: when a device dies, its
   /// shard's range is re-cut across the survivors with the same
   /// seam-aware logic as the full partition (reorder_aware considers only
@@ -58,14 +57,6 @@ class ShardPlanner {
   /// the given range and validates against it.
   ShardPlan plan_row_range(const core::ExecutionPlan& plan, index_t row_begin, index_t row_end,
                            int num_devices, ShardStrategy strategy) const;
-
-  /// Column-mode partition of `m` for very wide X: each device owns a
-  /// column range of `m` plus the matching X row slice, and partial
-  /// products are reduced. contiguous splits columns evenly;
-  /// nnz_balanced (and reorder_aware, which has no column-side meaning
-  /// and degrades to it) balances nonzeros per device.
-  ShardPlan plan_cols(const sparse::CsrMatrix& m, int num_devices,
-                      ShardStrategy strategy = ShardStrategy::nnz_balanced) const;
 
  private:
   ShardPlan plan_rows_impl(const core::ExecutionPlan& plan, index_t lo, index_t hi,

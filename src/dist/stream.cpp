@@ -1,7 +1,5 @@
 #include "dist/stream.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <memory>
 
 #include "kernels/simd/specialize.hpp"
@@ -10,13 +8,11 @@
 
 namespace rrspmm::dist {
 
-using sparse::DenseMatrix;
 using sparse::invalid_matrix;
 
 core::ShardPlan plan_stream_rows(const io::RrsbReader& shard, int num_devices) {
   if (num_devices <= 0) throw invalid_matrix("plan_stream_rows: num_devices must be positive");
   core::ShardPlan plan;
-  plan.mode = core::ShardMode::row;
   plan.strategy = core::ShardStrategy::nnz_balanced;
   plan.num_devices = num_devices;
   plan.rows = shard.rows();
@@ -59,22 +55,21 @@ core::ShardPlan plan_stream_rows(const io::RrsbReader& shard, int num_devices) {
   return plan;
 }
 
-void sharded_spmm_stream(const io::RrsbReader& shard, const DenseMatrix& x, DenseMatrix& y,
+void sharded_spmm_stream(const io::RrsbReader& shard, sparse::DenseView x, sparse::DenseMutView y,
                          const core::ShardPlan& plan, runtime::WorkerPool* pool) {
-  if (plan.mode != core::ShardMode::row) {
-    throw invalid_matrix("sharded_spmm_stream requires a row-mode plan");
-  }
   if (plan.rows != shard.rows() || plan.cols != shard.cols()) {
     throw invalid_matrix("shard plan dimensions disagree with the shard file");
   }
-  if (x.rows() != shard.cols() || y.rows() != shard.rows() || y.cols() != x.cols()) {
+  if (!x.valid() || !y.valid() || x.rows != shard.cols() || y.rows != shard.rows() ||
+      y.cols != x.cols) {
     throw invalid_matrix("sharded_spmm_stream operand shape mismatch");
   }
 
-  // One shard = one unit of work: slice, multiply into a local Y, then
-  // scatter the rows. The row-range kernel accumulates per row exactly
-  // like the full kernel, and the scatter is a byte copy, so any shard
-  // partition (and any worker interleaving) produces identical Y bits.
+  // One shard = one unit of work: slice, then multiply into a view of
+  // the shard's own Y rows. The row-range kernel accumulates per row
+  // exactly like the full kernel, and shards write disjoint rows, so any
+  // shard partition (and any worker interleaving) produces identical Y
+  // bits.
   // Streamed slices have no plan, so each shard builds its own
   // specialization record from the slice's row lengths — cheap (one
   // rowptr sweep) relative to the I/O that produced the slice.
@@ -83,16 +78,12 @@ void sharded_spmm_stream(const io::RrsbReader& shard, const DenseMatrix& x, Dens
   const auto run_shard = [&](const core::RowShard& s) {
     if (s.rows() <= 0) return;
     const sparse::CsrMatrix slice = shard.read_range(s.row_begin, s.row_end);
-    DenseMatrix y_local(slice.rows(), x.cols());
+    const sparse::DenseMutView y_shard(y.row(s.row_begin), s.rows(), y.cols, y.ld);
     simd::KernelConfig cfg = active;
     if (cfg.spec_mode != simd::SpecMode::off) {
       cfg.spec = std::make_shared<const simd::SpecializationPlan>(simd::specialize_rows(slice));
     }
-    kernels::spmm_rowwise(slice, x, y_local, 0, slice.rows(), cfg);
-    for (index_t r = 0; r < slice.rows(); ++r) {
-      std::memcpy(y.row(s.row_begin + r).data(), y_local.row(r).data(),
-                  static_cast<std::size_t>(x.cols()) * sizeof(value_t));
-    }
+    kernels::spmm_rowwise(slice, x, y_shard, 0, slice.rows(), cfg);
   };
 
   if (pool != nullptr && pool->size() > 1 && plan.row_shards.size() > 1) {

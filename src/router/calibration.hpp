@@ -2,8 +2,8 @@
 // artifacts the CI bench-smoke job uploads.
 //
 // The bench files carry measured latencies of exactly the alternatives
-// the router chooses between (generic vs specialized kernels, shard
-// strategies, hash vs sort SpGEMM accumulators, serving latency), so a
+// the router chooses between (generic vs specialized kernels, hash vs
+// sort SpGEMM accumulators, serving latency), so a
 // freshly deployed router does not start cold: the loader turns them
 // into fingerprint-agnostic priors that decide() consults for arms with
 // no per-matrix observations yet.

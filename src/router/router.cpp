@@ -8,7 +8,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "core/shard_plan.hpp"
 #include "kernels/simd/dispatch.hpp"
 #include "router/calibration.hpp"
 
@@ -24,13 +23,18 @@ constexpr index_t kSequentialArmMaxRows = 4096;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Arms this version no longer runs, identified by their saved fields:
-/// the micro-GEMM arm (g1; select_kernels now picks that kernel) and
-/// spec-all (s3; it selected the deleted panel K-width entries). Saved
-/// tables and v4 plan records that carry them still load, and those
-/// entries are dropped.
-bool retired_arm(unsigned spec_mode, unsigned micro_gemm) {
-  return spec_mode == 3 || micro_gemm != 0;
+/// the micro-GEMM arm (g1; select_kernels now picks that kernel),
+/// spec-all (s3; it selected the deleted panel K-width entries) and any
+/// pinned shard strategy (d != 255; the ShardedExecutor cuts with its
+/// configured strategy). Saved tables and v4 plan records that carry
+/// them still load, and those entries are dropped.
+bool retired_arm(unsigned spec_mode, unsigned micro_gemm, unsigned shard_strategy) {
+  return spec_mode == 3 || micro_gemm != 0 || shard_strategy != 255;
 }
+
+/// Workload id of the retired shard-strategy decisions; saved entries
+/// under it are dropped like retired arms.
+constexpr int kRetiredShardWorkload = 3;
 
 /// Parses key() output; false on malformed input. `retired` reports a
 /// well-formed key of a retired arm, which callers skip.
@@ -38,9 +42,8 @@ bool parse_key(const std::string& s, RouteChoice& out, bool& retired) {
   unsigned sm = 0, g = 0, d = 0, t = 0, b = 0, a = 0;
   if (std::sscanf(s.c_str(), "s%ug%ud%ut%ub%ua%u", &sm, &g, &d, &t, &b, &a) != 6) return false;
   if (sm > 255 || g > 1 || d > 255 || t > 255 || b > 255 || a > 255) return false;
-  retired = retired_arm(sm, g);
+  retired = retired_arm(sm, g, d);
   out.spec_mode = static_cast<std::uint8_t>(sm);
-  out.shard_strategy = static_cast<std::uint8_t>(d);
   out.threads = static_cast<std::uint8_t>(t);
   out.batch = static_cast<std::uint8_t>(b);
   out.accumulator = static_cast<std::uint8_t>(a);
@@ -54,7 +57,6 @@ const char* workload_name(Workload w) {
     case Workload::spmm: return "spmm";
     case Workload::sddmm: return "sddmm";
     case Workload::spgemm: return "spgemm";
-    case Workload::shard: return "shard";
     case Workload::coalesce: return "coalesce";
   }
   return "?";
@@ -73,9 +75,9 @@ int k_bucket(index_t k) {
 
 std::string RouteChoice::key() const {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "s%ug0d%ut%ub%ua%u", static_cast<unsigned>(spec_mode),
-                static_cast<unsigned>(shard_strategy), static_cast<unsigned>(threads),
-                static_cast<unsigned>(batch), static_cast<unsigned>(accumulator));
+  std::snprintf(buf, sizeof(buf), "s%ug0d255t%ub%ua%u", static_cast<unsigned>(spec_mode),
+                static_cast<unsigned>(threads), static_cast<unsigned>(batch),
+                static_cast<unsigned>(accumulator));
   return buf;
 }
 
@@ -330,21 +332,6 @@ std::vector<RouteChoice> Router::sddmm_arms() {
   return arms;
 }
 
-std::vector<RouteChoice> Router::shard_arms(std::uint8_t default_strategy) {
-  std::vector<RouteChoice> arms;
-  RouteChoice def;
-  def.shard_strategy = default_strategy;
-  arms.push_back(def);
-  for (std::uint8_t s = 0;
-       s <= static_cast<std::uint8_t>(core::ShardStrategy::reorder_aware); ++s) {
-    if (s == default_strategy) continue;
-    RouteChoice c;
-    c.shard_strategy = s;
-    arms.push_back(c);
-  }
-  return arms;
-}
-
 std::vector<RouteChoice> Router::spgemm_arms() {
   std::vector<RouteChoice> arms;
   arms.emplace_back();  // config default (auto_select unless overridden)
@@ -436,9 +423,12 @@ std::size_t Router::load_table(std::istream& in) {
     if (w < 0 || w >= static_cast<int>(kWorkloadCount) || narms > 256) {
       throw std::runtime_error("router table is corrupt");
     }
-    const std::string key = table_key(fp, static_cast<Workload>(w), bucket);
-    KeyState* ks = find_locked(key);
-    if (!ks && table_.size() < cfg_.max_keys) ks = &table_[key];
+    KeyState* ks = nullptr;
+    if (w != kRetiredShardWorkload) {
+      const std::string key = table_key(fp, static_cast<Workload>(w), bucket);
+      ks = find_locked(key);
+      if (!ks && table_.size() < cfg_.max_keys) ks = &table_[key];
+    }
     for (std::size_t a = 0; a < narms; ++a) {
       std::string ck;
       ArmStats s;
@@ -489,7 +479,6 @@ std::vector<core::RouteRecord> Router::export_records(const std::string& fingerp
       r.workload = static_cast<std::uint8_t>(w);
       r.k_bucket = bucket;
       r.spec_mode = a.choice.spec_mode;
-      r.shard_strategy = a.choice.shard_strategy;
       r.threads = a.choice.threads;
       r.batch = a.choice.batch;
       r.accumulator = a.choice.accumulator;
@@ -508,7 +497,8 @@ std::size_t Router::import_records(const std::string& fingerprint,
   std::size_t merged = 0;
   std::lock_guard<std::mutex> lk(m_);
   for (const core::RouteRecord& r : records) {
-    if (r.workload >= kWorkloadCount || r.count == 0 || retired_arm(r.spec_mode, r.micro_gemm)) {
+    if (r.workload >= kWorkloadCount || r.workload == kRetiredShardWorkload || r.count == 0 ||
+        retired_arm(r.spec_mode, r.micro_gemm, r.shard_strategy)) {
       continue;
     }
     const std::string key =
@@ -520,7 +510,6 @@ std::size_t Router::import_records(const std::string& fingerprint,
     }
     RouteChoice choice;
     choice.spec_mode = r.spec_mode;
-    choice.shard_strategy = r.shard_strategy;
     choice.threads = r.threads;
     choice.batch = r.batch;
     choice.accumulator = r.accumulator;
@@ -630,29 +619,6 @@ std::size_t calibrate_from_json(Router& r, const JsonValue& doc) {
           r.install_prior(w, bucket, RouteChoice{}, spec_ms * 1000.0);
           ++installed;
         }
-      }
-    }
-  } else if (*name == "dist_scaling") {
-    const int bucket =
-        k_bucket(static_cast<index_t>(doc.find("k") ? doc.find("k")->number_or(0) : 0));
-    if (const JsonValue* results = doc.find("results")) {
-      for (const JsonValue& e : results->arr) {
-        const JsonValue* strat = e.find("strategy");
-        const std::string* sname = strat ? strat->string_or_null() : nullptr;
-        const double makespan = e.find("makespan_s") ? e.find("makespan_s")->number_or(-1) : -1;
-        if (sname == nullptr || makespan <= 0) continue;
-        RouteChoice c;
-        if (*sname == "contiguous") {
-          c.shard_strategy = static_cast<std::uint8_t>(core::ShardStrategy::contiguous);
-        } else if (*sname == "nnz_balanced") {
-          c.shard_strategy = static_cast<std::uint8_t>(core::ShardStrategy::nnz_balanced);
-        } else if (*sname == "reorder_aware") {
-          c.shard_strategy = static_cast<std::uint8_t>(core::ShardStrategy::reorder_aware);
-        } else {
-          continue;
-        }
-        r.install_prior(Workload::shard, bucket, c, makespan * 1e6);
-        ++installed;
       }
     }
   } else if (*name == "spgemm_scaling") {

@@ -1,26 +1,25 @@
 // Cost-model-driven adaptive execution: a per-plan router that turns
-// measured latency into closed-loop kernel/shard/batch decisions.
+// measured latency into closed-loop kernel/batch decisions.
 //
 // The paper's thesis is that the right layout and execution strategy
 // depend on the matrix; the repo has every knob that thesis implies
 // (scalar vs SIMD ISA, AOT-specialized variants, hash/sort SpGEMM
-// accumulators, shard strategies, batch coalescing) but picked them
-// statically until now. The Router closes the loop, AHAS-style: a cost
-// table keyed on
+// accumulators, batch coalescing) but picked them statically until now.
+// The Router closes the loop, AHAS-style: a cost table keyed on
 //
 //   (matrix fingerprint, workload, ceil-log2 K bucket)
 //
 // maps candidate configurations ("arms") to measured latency stats.
-// The Server and the ShardedExecutor ask it to decide() before each
-// batch and observe() the measured latency after — a deterministic
-// epsilon-greedy bandit per key. Seeding comes from the BENCH_*.json
+// The Server asks it to decide() before each batch and observe() the
+// measured latency after — a deterministic epsilon-greedy bandit per
+// key. Seeding comes from the BENCH_*.json
 // trajectories (calibration.hpp) as fingerprint-agnostic priors, and
 // learned entries ride the ExecutionPlan through plan files (v4) as
 // core::RouteRecord, so a redeployed plan starts warm.
 //
 // Routing never changes result bits: every arm is one of the existing
-// bitwise-guarded execution paths (specialization on/off, shard
-// strategy, accumulator, sequential fallback), all of which
+// bitwise-guarded execution paths (specialization on/off, accumulator,
+// sequential fallback, coalescing width), all of which
 // preserve the scalar reference's per-element accumulation order on the
 // non-fma path. The router only chooses *which* of the bit-identical
 // paths runs, so bitwise/chaos CI contracts hold with it enabled.
@@ -55,18 +54,19 @@
 namespace rrspmm::router {
 
 /// Workloads routed independently (same matrix, different cost shape).
+/// Id 3 was the retired shard-strategy workload; saved entries under it
+/// load and are dropped.
 enum class Workload : std::uint8_t {
   spmm = 0,      ///< server SpMM batches (kernel variant + threads)
   sddmm = 1,     ///< server SDDMM requests (kernel variant)
   spgemm = 2,    ///< server SpGEMM requests (accumulator)
-  shard = 3,     ///< ShardedExecutor partitioning (shard strategy)
   coalesce = 4,  ///< server batch formation (coalescing width)
 };
+/// One past the largest workload id a saved table or plan may carry.
 inline constexpr std::size_t kWorkloadCount = 5;
 const char* workload_name(Workload w);
 
-/// Sentinels for "leave the caller's configured value alone".
-inline constexpr std::uint8_t kDefaultShard = 255;
+/// Sentinel for "leave the caller's configured value alone".
 inline constexpr std::uint8_t kDefaultAccumulator = 255;
 
 /// One arm: a complete configuration choice for a decision. Fields the
@@ -76,8 +76,6 @@ struct RouteChoice {
   /// kernels::simd::SpecMode as uint8 (1 off, 2 rows); 0 = the
   /// configured mode.
   std::uint8_t spec_mode = 0;
-  /// core::ShardStrategy as uint8, kDefaultShard = executor's default.
-  std::uint8_t shard_strategy = kDefaultShard;
   /// 0 = worker pool, 1 = sequential in-thread execution.
   std::uint8_t threads = 0;
   /// Batch coalescing cap; 0 = the server's configured max_batch.
@@ -86,15 +84,16 @@ struct RouteChoice {
   std::uint8_t accumulator = kDefaultAccumulator;
 
   /// Compact stable encoding, e.g. "s2g0d255t0b0a255" — the arm's
-  /// identity in tables, metrics keys, and saved files. The "g" field
-  /// (the retired micro-GEMM arm) is always written as 0.
+  /// identity in tables, metrics keys, and saved files. The "g" (retired
+  /// micro-GEMM) and "d" (retired shard strategy) fields are always
+  /// written as 0 and 255.
   std::string key() const;
   /// Inverse of key(); false on malformed input and on the retired
-  /// micro-GEMM (g1) and spec-all (s3) arms.
+  /// micro-GEMM (g1), spec-all (s3) and shard-strategy (d != 255) arms.
   static bool parse(const std::string& s, RouteChoice& out);
   bool operator==(const RouteChoice& o) const {
-    return spec_mode == o.spec_mode && shard_strategy == o.shard_strategy &&
-           threads == o.threads && batch == o.batch && accumulator == o.accumulator;
+    return spec_mode == o.spec_mode && threads == o.threads && batch == o.batch &&
+           accumulator == o.accumulator;
   }
   bool operator!=(const RouteChoice& o) const { return !(*this == o); }
 };
@@ -200,9 +199,6 @@ class Router {
   /// SpMM arms: sddmm_arms() plus sequential execution for matrices of
   /// at most 4096 rows.
   static std::vector<RouteChoice> spmm_arms(index_t rows);
-  /// Shard-strategy arms: the executor's default first, then the other
-  /// two strategies.
-  static std::vector<RouteChoice> shard_arms(std::uint8_t default_strategy);
   /// SpGEMM accumulator arms: config default, then hash and sort pinned.
   static std::vector<RouteChoice> spgemm_arms();
   /// Coalescing arms: configured max_batch (0) vs no coalescing (1).
@@ -216,7 +212,7 @@ class Router {
   void install_prior(Workload w, int bucket, const RouteChoice& choice, double mean_us,
                      std::uint64_t weight = 1);
 
-  /// Parses one BENCH_{kernels,dist,spgemm,serving}.json payload and
+  /// Parses one BENCH_{kernels,spgemm,serving}.json payload and
   /// installs fingerprint-agnostic priors (see calibration.hpp).
   /// Returns the number of prior entries installed.
   std::size_t load_calibration_json(const std::string& json);

@@ -116,8 +116,8 @@ struct Metrics {
   std::atomic<std::uint64_t> panels_executed{0};
   /// Batches executed through a sharded (multi-device) executor.
   std::atomic<std::uint64_t> sharded_batches{0};
-  /// Per-device shard tasks executed by dist::ShardedExecutor (and the
-  /// column-mode dist::sharded_spmm_cols); stays 0 under the default
+  /// Per-device shard tasks executed by dist::ShardedExecutor; stays 0
+  /// under the default
   /// panel-parallel path. A shard writes its rows straight through the
   /// plan's row_perm into the caller's y, so no shard result is gathered
   /// or scattered afterwards.

@@ -428,7 +428,7 @@ void Server::execute_spmm_batch(Registered& e, std::vector<SpmmRequest>& batch) 
 
   // Kernel-variant decision for this batch. Only the built-in
   // panel-parallel path is routed here — a configured Executor owns its
-  // own kernel choice (and its own router hook for the shard strategy).
+  // own kernel choice.
   // Every arm is a bitwise-guarded path: routing changes which of the
   // bit-identical executions runs, never the result.
   router::Decision dec;

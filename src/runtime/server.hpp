@@ -99,9 +99,7 @@ struct ServerConfig {
   /// Every arm is one of the existing bitwise-guarded paths, so routing
   /// never changes result bits. Kernel-variant arms apply only to the
   /// built-in panel-parallel path (a configured Executor owns its own
-  /// kernel choice — dist::ShardedExecutorConfig has its own router hook
-  /// for the shard strategy); accumulator and coalescing arms apply
-  /// either way.
+  /// kernel choice); accumulator and coalescing arms apply either way.
   std::shared_ptr<router::Router> router = router::from_env();
   /// Borrow caller buffers in the view-based submit overloads instead of
   /// copying (RRSPMM_ZERO_COPY; default on). Misaligned views fall back

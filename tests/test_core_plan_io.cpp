@@ -2,6 +2,7 @@
 #include <cstring>
 
 #include <sstream>
+#include <string>
 
 #include "core/pipeline.hpp"
 #include "core/plan_io.hpp"
@@ -29,6 +30,21 @@ CsrMatrix subject_matrix() {
   p.scatter = true;
   return synth::clustered_rows(p, 55);
 }
+
+// Hand-written little-endian file fixtures, for inputs the writers can
+// no longer (or never would) produce.
+struct Bytes {
+  std::string s;
+  template <typename T>
+  Bytes& put(T v) {
+    s.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    return *this;
+  }
+  Bytes& magic(const char (&m)[11]) {
+    s.append(m, 10);
+    return *this;
+  }
+};
 
 core::PipelineConfig small_cfg() {
   core::PipelineConfig cfg;
@@ -136,6 +152,23 @@ TEST(PlanIo, RejectsTruncatedFile) {
   }
 }
 
+// A header that declares the largest accepted count with no data behind
+// it must fail as a truncated file, not allocate what the header claims.
+TEST(PlanIo, HostileHeaderCountsRaiseIoError) {
+  Bytes perm;
+  perm.magic("RRSPMMPLAN").put<std::uint32_t>(4).put<std::uint64_t>(1ULL << 33);
+  std::stringstream perm_in(perm.s);
+  EXPECT_THROW(core::load_plan(perm_in), io_error);
+
+  // Empty permutations, a zeroed stats block, then the panel count.
+  Bytes panels;
+  panels.magic("RRSPMMPLAN").put<std::uint32_t>(4).put<std::uint64_t>(0).put<std::uint64_t>(0);
+  panels.s.append(99, '\0');
+  panels.put<index_t>(0).put<index_t>(0).put<std::uint64_t>(1ULL << 32);
+  std::stringstream panels_in(panels.s);
+  EXPECT_THROW(core::load_plan(panels_in), io_error);
+}
+
 TEST(PlanIo, RejectsCorruptedPermutation) {
   const auto m = subject_matrix();
   const ExecutionPlan plan = build_plan(m, small_cfg());
@@ -156,7 +189,6 @@ TEST(PlanIo, RejectsMissingFile) {
 
 core::ShardPlan sample_shard_plan() {
   core::ShardPlan sp;
-  sp.mode = core::ShardMode::row;
   sp.strategy = core::ShardStrategy::reorder_aware;
   sp.num_devices = 3;
   sp.rows = 96;
@@ -173,17 +205,83 @@ TEST(ShardPlanIo, StreamRoundTripPreservesEverything) {
   EXPECT_EQ(loaded, sp);
 }
 
-TEST(ShardPlanIo, ColumnModeRoundTrips) {
-  core::ShardPlan sp;
-  sp.mode = core::ShardMode::column;
-  sp.strategy = core::ShardStrategy::nnz_balanced;
-  sp.num_devices = 2;
-  sp.rows = 64;
-  sp.cols = 200;
-  sp.col_shards = {{0, 120, 77}, {120, 200, 33}};
-  std::stringstream ss;
-  core::save_shard_plan(sp, ss);
-  EXPECT_EQ(core::load_shard_plan(ss), sp);
+// Shard-plan header as the v1/v2 writers lay it out: magic, version,
+// mode byte, strategy, device count, dimensions, and (v2) the span.
+Bytes shard_header(std::uint32_t version, std::uint8_t mode, std::int32_t devices) {
+  Bytes b;
+  b.magic("RRSPMMSHRD").put(version).put(mode).put<std::uint8_t>(1).put(devices);
+  b.put<index_t>(64).put<index_t>(200);
+  if (version >= 2) b.put<index_t>(0).put<index_t>(-1);
+  return b;
+}
+
+void expect_column_mode_rejected(const std::string& bytes) {
+  std::stringstream in(bytes);
+  try {
+    core::load_shard_plan(in);
+    ADD_FAILURE() << "column-mode shard plan loaded";
+  } catch (const io_error& e) {
+    EXPECT_NE(std::string(e.what()).find("column-mode"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ShardPlanIo, ColumnModeFilesAreRejected) {
+  // A v2 column-mode file as the retired writer produced it: mode 1, no
+  // row shards, two column shards.
+  Bytes col = shard_header(2, 1, 2);
+  col.put<std::uint64_t>(0).put<std::uint64_t>(2);
+  col.put<index_t>(0).put<index_t>(120).put<offset_t>(77);
+  col.put<index_t>(120).put<index_t>(200).put<offset_t>(33);
+  expect_column_mode_rejected(col.s);
+
+  // Row mode byte, but column shards follow the row shards.
+  Bytes mixed = shard_header(2, 0, 1);
+  mixed.put<std::uint64_t>(1).put<index_t>(0).put<index_t>(64).put<offset_t>(5);
+  mixed.put<std::uint64_t>(1).put<index_t>(0).put<index_t>(200).put<offset_t>(5);
+  expect_column_mode_rejected(mixed.s);
+}
+
+TEST(ShardPlanIo, RowModeV1AndV2FixturesLoad) {
+  core::ShardPlan want;
+  want.strategy = core::ShardStrategy::nnz_balanced;
+  want.num_devices = 2;
+  want.rows = 64;
+  want.cols = 200;
+  want.row_shards = {{0, 40, 70}, {40, 64, 30}};
+  for (const std::uint32_t version : {1u, 2u}) {
+    Bytes b = shard_header(version, 0, 2);
+    b.put<std::uint64_t>(2);
+    b.put<index_t>(0).put<index_t>(40).put<offset_t>(70);
+    b.put<index_t>(40).put<index_t>(64).put<offset_t>(30);
+    b.put<std::uint64_t>(0);
+    std::stringstream in(b.s);
+    EXPECT_EQ(core::load_shard_plan(in), want) << "v" << version;
+    if (version == 2) {
+      // The writer still emits this exact v2 layout.
+      std::stringstream out;
+      core::save_shard_plan(want, out);
+      EXPECT_EQ(out.str(), b.s);
+    }
+  }
+}
+
+TEST(ShardPlanIo, HostileHeaderCountsRaiseIoError) {
+  // The largest accepted row-shard count, with no shards behind it.
+  Bytes max = shard_header(2, 0, 1 << 24);
+  max.put<std::uint64_t>(1ULL << 24);
+  std::stringstream max_in(max.s);
+  EXPECT_THROW(core::load_shard_plan(max_in), io_error);
+
+  // A row-shard count that disagrees with the device count is malformed
+  // input, rejected before any shard is read.
+  Bytes mismatch = shard_header(2, 0, 2);
+  mismatch.put<std::uint64_t>(3);
+  for (const index_t begin : {0, 20, 40}) {
+    mismatch.put<index_t>(begin).put<index_t>(begin == 40 ? 64 : begin + 20).put<offset_t>(1);
+  }
+  mismatch.put<std::uint64_t>(0);
+  std::stringstream mismatch_in(mismatch.s);
+  EXPECT_THROW(core::load_shard_plan(mismatch_in), io_error);
 }
 
 TEST(ShardPlanIo, FileRoundTrip) {

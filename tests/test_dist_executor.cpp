@@ -1,6 +1,6 @@
 // Sharded-execution correctness: the acceptance criterion is bitwise
 // equality with single-device execution, for every strategy and device
-// count, in both shard modes, and through the Server.
+// count, and through the Server.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -35,7 +35,7 @@ void expect_bitwise_equal(const DenseMatrix& a, const DenseMatrix& b, const std:
   }
 }
 
-// Acceptance criterion: sharded row-mode execution is bitwise equal to
+// Acceptance criterion: sharded execution is bitwise equal to
 // the sequential single-device plan execution, for every corpus matrix,
 // strategy, and device count.
 TEST(ShardedSpmm, BitwiseEqualToSingleDeviceForEveryStrategy) {
@@ -60,24 +60,6 @@ TEST(ShardedSpmm, BitwiseEqualToSingleDeviceForEveryStrategy) {
                              entry.name + " " + to_string(strategy) + " n=" +
                                  std::to_string(n));
       }
-    }
-  }
-}
-
-TEST(ShardedSpmm, ColumnModeBitwiseEqualToRowwiseKernel) {
-  WorkerPool pool(4);
-  ShardPlanner planner;
-  for (const auto& entry : synth::build_test_corpus()) {
-    DenseMatrix x(entry.matrix.cols(), 8);
-    sparse::fill_random(x, 17);
-    DenseMatrix y_single(entry.matrix.rows(), 8);
-    kernels::spmm_rowwise(entry.matrix, x, y_single);
-
-    for (const int n : {1, 2, 4}) {
-      const auto sp = planner.plan_cols(entry.matrix, n);
-      DenseMatrix y_sharded(entry.matrix.rows(), 8);
-      dist::sharded_spmm_cols(pool, entry.matrix, sp, x, y_sharded);
-      expect_bitwise_equal(y_single, y_sharded, entry.name + " cols n=" + std::to_string(n));
     }
   }
 }
@@ -141,13 +123,14 @@ TEST(ShardedExecutorTest, RejectsBadConfig) {
 
 TEST(ShardedSpmm, RejectsMismatchedPlans) {
   WorkerPool pool(2);
-  ShardPlanner planner;
   const auto corpus = synth::build_test_corpus();
   const core::ExecutionPlan plan = core::build_plan(corpus[0].matrix, {});
-  DenseMatrix x(corpus[0].matrix.cols(), 4), y(corpus[0].matrix.rows(), 4);
+  ShardedExecutor exec;
+  DenseMatrix x(corpus[0].matrix.cols(), 4), y(corpus[0].matrix.rows() + 1, 4);
   sparse::fill_random(x, 1);
-  const auto row_sp = planner.plan_rows(plan, 2, ShardStrategy::contiguous);
-  EXPECT_THROW(dist::sharded_spmm_cols(pool, corpus[0].matrix, row_sp, x, y), invalid_matrix);
+  EXPECT_THROW(exec.spmm(pool, plan, x, y, nullptr), invalid_matrix);
+  DenseMatrix y_ok(corpus[0].matrix.rows(), 5);
+  EXPECT_THROW(exec.spmm(pool, plan, x, y_ok, nullptr), invalid_matrix);
 }
 
 }  // namespace

@@ -34,8 +34,6 @@ TEST(Interconnect, MeshCollectivesFinishWithTheLargestPayload) {
   // Unequal payloads ride concurrent links; only the biggest matters.
   EXPECT_DOUBLE_EQ(ic.scatter_time({1e6, 4e6, 2e6}), lat + 4e6 / bw);
   EXPECT_DOUBLE_EQ(ic.gather_time({1e6, 4e6, 2e6}), lat + 4e6 / bw);
-  // Broadcast of b to n devices = scatter of n equal payloads.
-  EXPECT_DOUBLE_EQ(ic.broadcast_time(3e6, 4), lat + 3e6 / bw);
   // Zero-byte devices do not add transfers.
   EXPECT_DOUBLE_EQ(ic.scatter_time({0.0, 5e6, 0.0}), lat + 5e6 / bw);
   EXPECT_DOUBLE_EQ(ic.scatter_time({}), 0.0);
@@ -49,16 +47,6 @@ TEST(Interconnect, FanoutLimitedCollectivesSerialiseIntoRounds) {
   // payload shares 2 links' bandwidth.
   const std::vector<double> payloads{1e6, 1e6, 1e6, 1e6, 1e6};
   EXPECT_DOUBLE_EQ(ic.scatter_time(payloads), 3 * lat + 5e6 / (2 * bw));
-  EXPECT_DOUBLE_EQ(ic.broadcast_time(1e6, 5), 3 * lat + 5e6 / (2 * bw));
-}
-
-TEST(Interconnect, ReduceIsALogTree) {
-  const Interconnect ic(InterconnectConfig::nvlink());
-  EXPECT_DOUBLE_EQ(ic.reduce_time(1e6, 1), 0.0);
-  EXPECT_DOUBLE_EQ(ic.reduce_time(1e6, 2), ic.p2p_time(1e6));
-  EXPECT_DOUBLE_EQ(ic.reduce_time(1e6, 8), 3 * ic.p2p_time(1e6));
-  EXPECT_DOUBLE_EQ(ic.reduce_time(1e6, 5), 3 * ic.p2p_time(1e6));  // ceil(log2 5)
-  EXPECT_DOUBLE_EQ(ic.reduce_time(0.0, 8), 0.0);
 }
 
 // Odd count of 32-row clusters with disjoint column pools (the
@@ -153,25 +141,18 @@ TEST(MultiDevice, MakespanScalesAndReorderAwareWinsOnClusteredMatrices) {
   }
 }
 
-TEST(MultiDevice, ColumnModeChargesAReduction) {
-  const auto m = shuffled_clustered(49, 23);
-  ShardPlanner planner;
-  const auto sp = planner.plan_cols(m, 4);
-  const auto r = dist::simulate_spmm_sharded_cols(m, sp, 512, MultiDeviceConfig{});
-  ASSERT_EQ(r.shards.size(), 4u);
-  EXPECT_EQ(r.mode, core::ShardMode::column);
-  EXPECT_GT(r.collect_s, 0.0);  // the tree reduction
-  EXPECT_DOUBLE_EQ(r.makespan_s, r.scatter_s + r.max_kernel_s + r.collect_s);
-}
-
 TEST(MultiDevice, RejectsMismatchedShardPlans) {
   const auto m = shuffled_clustered(49, 29);
   const core::ExecutionPlan plan = core::build_plan(m, {});
   ShardPlanner planner;
-  const auto row_sp = planner.plan_rows(plan, 2, ShardStrategy::contiguous);
-  const auto col_sp = planner.plan_cols(m, 2);
-  EXPECT_THROW(dist::simulate_spmm_sharded(plan, col_sp, 64, {}), invalid_matrix);
-  EXPECT_THROW(dist::simulate_spmm_sharded_cols(m, row_sp, 64, {}), invalid_matrix);
+  auto other_rows = planner.plan_rows(plan, 2, ShardStrategy::contiguous);
+  other_rows.rows += 1;
+  other_rows.row_shards.back().row_end += 1;
+  ASSERT_NO_THROW(other_rows.validate());
+  EXPECT_THROW(dist::simulate_spmm_sharded(plan, other_rows, 64, {}), invalid_matrix);
+  auto broken = planner.plan_rows(plan, 2, ShardStrategy::contiguous);
+  broken.row_shards[1].row_begin += 1;
+  EXPECT_THROW(dist::simulate_spmm_sharded(plan, broken, 64, {}), invalid_matrix);
 }
 
 }  // namespace

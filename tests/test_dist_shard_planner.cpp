@@ -1,6 +1,6 @@
 // ShardPlanner property tests. The headline invariant is the issue's
 // acceptance criterion: every strategy, on every corpus matrix, at every
-// device count, partitions the row (or column) space into contiguous
+// device count, partitions the row space into contiguous
 // ranges covering it exactly once.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 namespace rrspmm {
 namespace {
 
-using core::ShardMode;
 using core::ShardPlan;
 using core::ShardStrategy;
 using dist::ShardPlanner;
@@ -38,7 +37,6 @@ TEST(ShardPlanner, EveryStrategyPartitionsRowsExactlyOnce) {
         const ShardPlan sp = planner.plan_rows(plan, n, strategy);
         ASSERT_NO_THROW(sp.validate())
             << entry.name << " " << to_string(strategy) << " n=" << n;
-        EXPECT_EQ(sp.mode, ShardMode::row);
         EXPECT_EQ(sp.strategy, strategy);
         EXPECT_EQ(sp.num_devices, n);
         EXPECT_EQ(sp.rows, plan.tiled.rows());
@@ -124,49 +122,16 @@ TEST(ShardPlanner, NnzBalancedBeatsContiguousOnSkewedMatrices) {
   EXPECT_LE(imbalance(by_nnz), 2 * (plan.tiled.stats().nnz_total / 4 + 1));
 }
 
-TEST(ShardPlanner, ColumnModePartitionsColsExactlyOnce) {
-  ShardPlanner planner;
-  for (const auto& entry : synth::build_test_corpus()) {
-    for (const ShardStrategy strategy : kStrategies) {
-      for (const int n : {1, 2, 4}) {
-        const ShardPlan sp = planner.plan_cols(entry.matrix, n, strategy);
-        ASSERT_NO_THROW(sp.validate());
-        EXPECT_EQ(sp.mode, ShardMode::column);
-        ASSERT_EQ(sp.col_shards.size(), static_cast<std::size_t>(n));
-        index_t next = 0;
-        offset_t nnz_sum = 0;
-        for (const core::ColShard& s : sp.col_shards) {
-          EXPECT_EQ(s.col_begin, next);
-          next = s.col_end;
-          nnz_sum += s.nnz;
-        }
-        EXPECT_EQ(next, entry.matrix.cols());
-        EXPECT_EQ(nnz_sum, entry.matrix.nnz()) << entry.name << " n=" << n;
-      }
-    }
-  }
-}
-
-TEST(ShardPlanner, ColumnModeReorderAwareDegradesToNnzBalanced) {
-  ShardPlanner planner;
-  const auto entry = synth::build_test_corpus().front();
-  const ShardPlan a = planner.plan_cols(entry.matrix, 4, ShardStrategy::nnz_balanced);
-  const ShardPlan b = planner.plan_cols(entry.matrix, 4, ShardStrategy::reorder_aware);
-  EXPECT_EQ(a.col_shards, b.col_shards);
-}
-
 TEST(ShardPlanner, RejectsBadDeviceCounts) {
   ShardPlanner planner;
   const auto entry = synth::build_test_corpus().front();
   const core::ExecutionPlan plan = core::build_plan(entry.matrix, {});
   EXPECT_THROW(planner.plan_rows(plan, 0, ShardStrategy::contiguous), invalid_matrix);
   EXPECT_THROW(planner.plan_rows(plan, -2, ShardStrategy::nnz_balanced), invalid_matrix);
-  EXPECT_THROW(planner.plan_cols(entry.matrix, 0), invalid_matrix);
 }
 
 TEST(ShardPlan, ValidateCatchesBrokenPartitions) {
   ShardPlan sp;
-  sp.mode = core::ShardMode::row;
   sp.num_devices = 2;
   sp.rows = 10;
   sp.cols = 10;
@@ -188,10 +153,6 @@ TEST(ShardPlan, ValidateCatchesBrokenPartitions) {
   auto wrong_count = sp;
   wrong_count.num_devices = 3;
   EXPECT_THROW(wrong_count.validate(), invalid_matrix);
-
-  auto cross_mode = sp;
-  cross_mode.col_shards = {{0, 10, 2}};
-  EXPECT_THROW(cross_mode.validate(), invalid_matrix);
 }
 
 }  // namespace

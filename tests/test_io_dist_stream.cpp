@@ -77,11 +77,17 @@ TEST(IoDist, StreamedSpmmMatchesResidentKernel) {
 
   for (const int devices : {1, 3, 5}) {
     const core::ShardPlan plan = dist::plan_stream_rows(shard, devices);
-    DenseMatrix y(m.rows(), x.cols());
-    dist::sharded_spmm_stream(shard, x, y, plan);
-    for (index_t i = 0; i < m.rows(); ++i) {
-      for (index_t k = 0; k < x.cols(); ++k) {
-        ASSERT_EQ(y(i, k), want(i, k)) << "row " << i << " k " << k << " devices " << devices;
+    // Packed and padded-ld outputs: shards write through y's stride.
+    for (const bool padded : {false, true}) {
+      DenseMatrix y =
+          padded ? DenseMatrix::aligned(m.rows(), x.cols()) : DenseMatrix(m.rows(), x.cols());
+      ASSERT_EQ(y.padded(), padded);
+      dist::sharded_spmm_stream(shard, x, y, plan);
+      for (index_t i = 0; i < m.rows(); ++i) {
+        for (index_t k = 0; k < x.cols(); ++k) {
+          ASSERT_EQ(y(i, k), want(i, k))
+              << "row " << i << " k " << k << " devices " << devices << " padded " << padded;
+        }
       }
     }
   }
@@ -140,9 +146,9 @@ TEST(IoDist, RejectsMismatchedOperandsAndPlans) {
   EXPECT_THROW(dist::sharded_spmm_stream(shard, x, bad_y, plan), sparse::invalid_matrix);
   EXPECT_THROW(dist::plan_stream_rows(shard, 0), sparse::invalid_matrix);
 
-  core::ShardPlan col_plan = plan;
-  col_plan.mode = core::ShardMode::column;
-  EXPECT_THROW(dist::sharded_spmm_stream(shard, x, y, col_plan), sparse::invalid_matrix);
+  core::ShardPlan wide_plan = plan;
+  wide_plan.cols += 1;
+  EXPECT_THROW(dist::sharded_spmm_stream(shard, x, y, wide_plan), sparse::invalid_matrix);
 }
 
 }  // namespace

@@ -63,7 +63,6 @@ TEST(Router, KeyParseRoundTrip) {
   std::vector<RouteChoice> choices = {arm_default(), arm_spec_off(), arm_sequential()};
   RouteChoice fancy;
   fancy.spec_mode = 2;
-  fancy.shard_strategy = 2;
   fancy.threads = 1;
   fancy.batch = 4;
   fancy.accumulator = 1;
@@ -77,9 +76,10 @@ TEST(Router, KeyParseRoundTrip) {
   EXPECT_FALSE(RouteChoice::parse("", out));
   EXPECT_FALSE(RouteChoice::parse("nonsense", out));
   EXPECT_FALSE(RouteChoice::parse("s0g0d255t0b0", out));  // truncated
-  // Retired arms: micro-GEMM (g1) and spec-all (s3).
+  // Retired arms: micro-GEMM (g1), spec-all (s3), pinned shard strategy.
   EXPECT_FALSE(RouteChoice::parse("s0g1d255t0b0a255", out));
   EXPECT_FALSE(RouteChoice::parse("s3g0d255t0b0a255", out));
+  EXPECT_FALSE(RouteChoice::parse("s0g0d2t0b0a255", out));
 }
 
 TEST(Router, KBucketGroupsNearbyWidths) {
@@ -211,7 +211,7 @@ TEST(Router, TableRoundTripPreservesStats) {
   Router r;
   r.observe("fp", Workload::spmm, 32, arm_spec_off(), 10.0);
   r.observe("fp", Workload::spmm, 32, arm_spec_off(), 30.0);
-  r.observe("fp", Workload::shard, 0, arm_default(), 5.0);
+  r.observe("fp", Workload::coalesce, 0, arm_default(), 5.0);
 
   std::ostringstream out;
   r.save_table(out);
@@ -229,7 +229,7 @@ TEST(Router, TableRoundTripPreservesStats) {
       EXPECT_DOUBLE_EQ(rec.min_us, 10.0);
       EXPECT_DOUBLE_EQ(rec.max_us, 30.0);
     } else {
-      EXPECT_EQ(rec.workload, static_cast<std::uint8_t>(Workload::shard));
+      EXPECT_EQ(rec.workload, static_cast<std::uint8_t>(Workload::coalesce));
       EXPECT_EQ(rec.count, 1u);
     }
   }
@@ -346,26 +346,37 @@ TEST(Router, SpmmArmsRespectPlanShape) {
   EXPECT_EQ(Router::sddmm_arms(), pool_only);
 }
 
-// Saved tables and v4 plan files from before the micro-GEMM (g1) and
-// spec-all (s3) arms were retired still load: exactly those entries are
-// dropped, the return counts show it, and frozen decisions over the
-// remaining arms are the ones a table without them makes.
+// Saved tables and v4 plan files from before the micro-GEMM (g1),
+// spec-all (s3) and shard-strategy arms were retired still load: exactly
+// those entries are dropped, the return counts show it, and frozen
+// decisions over the remaining arms are the ones a table without them
+// makes.
 TEST(Router, RetiredArmsInOldTablesAndPlansAreDropped) {
   const std::string live =
       "s0g0d255t0b0a255 4 400 100 100\n"
       "s1g0d255t0b0a255 4 40 10 10\n";
   const std::string retired =
       "s0g1d255t0b0a255 4 4 1 1\n"
-      "s3g0d255t0b0a255 4 8 2 2\n";
-  const auto table = [](std::size_t narms, const std::string& arms) {
-    return "rrspmm-router-table v1\n1\nfp 0 5 " + std::to_string(narms) + " 16\n" + arms;
+      "s3g0d255t0b0a255 4 8 2 2\n"
+      "s0g0d1t0b0a255 4 4 1 1\n";
+  // A key under the retired shard workload (3).
+  const std::string shard_key =
+      "fp 3 6 2 8\n"
+      "s0g0d2t0b0a255 4 40 10 10\n"
+      "s0g0d255t0b0a255 4 400 100 100\n";
+  const auto table = [](std::size_t nkeys, std::size_t narms, const std::string& arms,
+                        const std::string& more) {
+    return "rrspmm-router-table v1\n" + std::to_string(nkeys) + "\nfp 0 5 " +
+           std::to_string(narms) + " 16\n" + arms + more;
   };
   RouterConfig frozen_cfg;
   frozen_cfg.frozen = true;
   Router old_table(frozen_cfg), clean_table(frozen_cfg);
-  std::istringstream old_in(table(4, live + retired)), clean_in(table(2, live));
+  std::istringstream old_in(table(2, 5, live + retired, shard_key)),
+      clean_in(table(1, 2, live, ""));
   EXPECT_EQ(old_table.load_table(old_in), 2u);
   EXPECT_EQ(clean_table.load_table(clean_in), 2u);
+  EXPECT_EQ(old_table.keys(), clean_table.keys());
   const std::vector<RouteChoice> arms = {arm_default(), arm_spec_off()};
   const Decision d = old_table.decide("fp", Workload::spmm, 32, arms);
   EXPECT_EQ(d.choice, arm_spec_off());
@@ -374,8 +385,10 @@ TEST(Router, RetiredArmsInOldTablesAndPlansAreDropped) {
   old_table.save_table(saved);
   EXPECT_EQ(saved.str().find("g1"), std::string::npos);
   EXPECT_EQ(saved.str().find("s3g"), std::string::npos);
+  EXPECT_EQ(saved.str().find("d2t"), std::string::npos);
+  EXPECT_EQ(saved.str().find("d1t"), std::string::npos);
 
-  // A v4 plan file carrying the same four records.
+  // A v4 plan file carrying live and retired records.
   const sparse::CsrMatrix m = synth::erdos_renyi(64, 64, 512, 42);
   core::ExecutionPlan plan = core::build_plan(m);
   plan.fingerprint = core::matrix_fingerprint(m);
@@ -391,12 +404,22 @@ TEST(Router, RetiredArmsInOldTablesAndPlansAreDropped) {
     rec.max_us = mean_us;
     return rec;
   };
-  plan.routes = {record(0, 0, 100.0), record(1, 0, 10.0), record(0, 1, 1.0), record(3, 0, 2.0)};
+  // A shard-workload record (retired workload 3 with a pinned strategy),
+  // and an spmm record that pins a strategy.
+  core::RouteRecord shard_rec = record(0, 0, 0.5);
+  shard_rec.workload = 3;
+  shard_rec.shard_strategy = 2;
+  core::RouteRecord pinned = record(1, 0, 0.5);
+  pinned.shard_strategy = 1;
+  plan.routes = {record(0, 0, 100.0), record(1, 0, 10.0), record(0, 1, 1.0),
+                 record(3, 0, 2.0),   shard_rec,          pinned};
   std::stringstream file;
   core::save_plan(plan, file);
   const core::ExecutionPlan loaded = core::load_plan(file);
-  ASSERT_EQ(loaded.routes.size(), 4u);
+  ASSERT_EQ(loaded.routes.size(), 6u);
   EXPECT_EQ(loaded.routes[2].micro_gemm, 1u);
+  EXPECT_EQ(loaded.routes[4].workload, 3u);
+  EXPECT_EQ(loaded.routes[4].shard_strategy, 2u);
 
   Router warm(frozen_cfg);
   EXPECT_EQ(warm.import_records(loaded.fingerprint, loaded.routes), 2u);
@@ -404,6 +427,8 @@ TEST(Router, RetiredArmsInOldTablesAndPlansAreDropped) {
   for (const core::RouteRecord& r : warm.export_records(loaded.fingerprint)) {
     EXPECT_EQ(r.micro_gemm, 0u);
     EXPECT_NE(r.spec_mode, 3u);
+    EXPECT_NE(r.workload, 3u);
+    EXPECT_EQ(r.shard_strategy, 255u);
   }
 }
 
