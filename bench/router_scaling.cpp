@@ -178,7 +178,7 @@ void dense_phase(const aspt::AsptMatrix& a, const DenseMatrix& x, DenseMatrix& y
   const simd::KernelTable& t = simd::table(simd::KernelConfig{});
   const index_t k = x.cols();
   const index_t ld = sparse::aligned_ld(k);
-  sparse::AlignedVector<value_t> staged(kernels::detail::max_panel_dense_cols(a) *
+  sparse::AlignedVector<value_t> staged(kernels::detail::max_panel_dense_cols(a, 0, a.rows()) *
                                         static_cast<std::size_t>(ld));
   for (const aspt::Panel& p : a.panels()) {
     if (p.dense_cols.empty()) continue;

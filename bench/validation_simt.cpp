@@ -2,7 +2,7 @@
 // mean something: for a corpus sample, the functional SIMT executor
 // (which *runs* the kernels: real loads, shared-memory staging, block
 // scheduling) must agree with
-//   (a) the OpenMP host kernels on every computed value, and
+//   (a) the host CPU kernels on every computed value, and
 //   (b) the analytic traffic simulators on every counter the figures and
 //       tables are derived from (DRAM bytes, L2 traffic and hits,
 //       shared-memory hits).

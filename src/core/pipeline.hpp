@@ -173,16 +173,19 @@ ExecutionPlan autotune_plan_measured(const CsrMatrix& m, const DenseMatrix& x,
 kernels::simd::KernelConfig kernel_config(const ExecutionPlan& plan,
                                           const kernels::simd::KernelConfig* pinned = nullptr);
 
-/// Executes SpMM through a plan on the CPU kernels: y = m * x in the
-/// caller's original row order. `y` is pre-shaped caller storage
-/// (plan rows x x.cols; a DenseMatrix converts implicitly); the kernels
-/// write tiled row i straight to y row row_perm[i]. A misshapen `y`
-/// throws invalid_matrix.
+/// Executes SpMM through a plan on the CPU kernels, single-threaded on
+/// the calling thread (runtime::parallel_spmm is the multi-core path):
+/// y = m * x in the caller's original row order. `y` is pre-shaped
+/// caller storage (plan rows x x.cols; a DenseMatrix converts
+/// implicitly); the kernels write tiled row i straight to y row
+/// row_perm[i]. A misshapen `y` throws invalid_matrix.
 void run_spmm(const ExecutionPlan& plan, DenseView x, DenseMutView y);
 
-/// Executes SDDMM through a plan into out[0, out_size), which must hold
-/// exactly m.nnz() values, aligned with the caller's original CSR
-/// nonzero order (otherwise invalid_matrix). `m` must be the matrix the
+/// Executes SDDMM through a plan, single-threaded on the calling thread
+/// (runtime::parallel_sddmm is the multi-core path), into
+/// out[0, out_size), which must hold exactly m.nnz() values, aligned
+/// with the caller's original CSR nonzero order (otherwise
+/// invalid_matrix). `m` must be the matrix the
 /// plan was built from: the kernels read Y row row_perm[i] for tiled row
 /// i and write its outputs at that row's slots in m's CSR order.
 void run_sddmm(const ExecutionPlan& plan, const CsrMatrix& m, DenseView x, DenseView y,

@@ -170,8 +170,7 @@ RrsbReader::RrsbReader(const std::string& path) : bytes_(std::make_unique<ByteRe
   const auto index_offset = get<std::uint64_t>(hdr, 40);
   const auto index_fnv = get<std::uint64_t>(hdr, 48);
 
-  const index_t nblocks =
-      rows_ == 0 ? 0 : (rows_ + block_rows_ - 1) / block_rows_;
+  const auto nblocks = static_cast<index_t>((std::int64_t{rows_} + block_rows_ - 1) / block_rows_);
   const std::uint64_t index_bytes = static_cast<std::uint64_t>(nblocks) * kIndexEntryBytes;
   if (index_offset > bytes_->size() || index_offset + index_bytes > bytes_->size()) {
     throw io_error(path + ": truncated .rrsb index");
@@ -190,6 +189,18 @@ RrsbReader::RrsbReader(const std::string& path) : bytes_(std::make_unique<ByteRe
     if (e.offset < kHeaderBytes || e.offset > bytes_->size() || e.nnz_before < 0 ||
         e.nnz_before > nnz_ || (b > 0 && e.nnz_before < index_[static_cast<std::size_t>(b - 1)].nnz_before)) {
       throw io_error(path + ": malformed .rrsb index entry " + std::to_string(b));
+    }
+  }
+  // Every count a later read allocates from must fit in the file: each
+  // block's rowptr, colidx and values lie between its offset and the end.
+  if (nblocks == 0 && nnz_ != 0) throw io_error(path + ": malformed .rrsb header");
+  for (index_t b = 0; b < nblocks; ++b) {
+    const std::uint64_t avail = bytes_->size() - index_[static_cast<std::size_t>(b)].offset;
+    const std::uint64_t rowptr_bytes =
+        (static_cast<std::uint64_t>(block_end(b) - block_begin(b)) + 1) * sizeof(offset_t);
+    if (rowptr_bytes > avail || static_cast<std::uint64_t>(block_nnz(b)) >
+                                    (avail - rowptr_bytes) / (sizeof(index_t) + sizeof(value_t))) {
+      throw io_error(path + ": .rrsb block " + std::to_string(b) + " extends past end of file");
     }
   }
 }

@@ -30,8 +30,10 @@
 //
 // Integrity: the reader verifies index_fnv at open and each block's fnv
 // on every load from disk, so a torn write or bit rot surfaces as a
-// typed io_error instead of a wrong answer. Versions other than 1 are
-// rejected.
+// typed io_error instead of a wrong answer. At open it also checks that
+// every block's extent, (nrows_b + 1) * 8 + nnz_b * 8 bytes from its
+// offset, lies inside the file, so no read allocates from a header count
+// the file cannot hold. Versions other than 1 are rejected.
 #pragma once
 
 #include <algorithm>
@@ -118,7 +120,8 @@ class RrsbReader {
   index_t block_begin(index_t b) const { return b * block_rows_; }
   /// One past the last row of block b.
   index_t block_end(index_t b) const {
-    return std::min<index_t>((b + 1) * block_rows_, rows_);
+    return static_cast<index_t>(
+        std::min<std::int64_t>(std::int64_t{b + 1} * block_rows_, rows_));
   }
   /// Nonzeros of block b, from the index alone (no block read) — what
   /// the streaming shard planner balances on.

@@ -1,12 +1,13 @@
-// ASpT panel staging (and per-row argument checks) shared by the SpMM
-// and SDDMM wrappers.
+// ASpT panel staging (and per-row argument checks and counted kernel
+// selection) shared by the SpMM and SDDMM wrappers.
 //
 // The staged buffer is the host analogue of the GPU kernels' shared
 // memory: the panel's dense-column X rows are gathered once into a
 // compact, 64-byte-aligned scratch area whose leading dimension is
 // padded (sparse::aligned_ld) so the SIMD backends can use aligned
-// vector loads on every staged row. Buffers are sized once per kernel
-// call to the maximum panel dense-column count and reused across panels.
+// vector loads on every staged row. A buffer is sized once per kernel
+// call to the largest dense-column count among the panels the call
+// covers and reused across them.
 //
 // Internal to the baseline-compiled wrapper TUs — never include this
 // from an ISA-flagged backend TU (it instantiates library inline code).
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "aspt/aspt.hpp"
+#include "kernels/simd/dispatch.hpp"
 #include "sparse/aligned.hpp"
 #include "sparse/dense_view.hpp"
 
@@ -33,23 +35,24 @@ const T* per_row(const std::vector<T>* v, const aspt::AsptMatrix& a) {
   return v->data();
 }
 
-/// Largest dense-column count over all panels (0 when no panel has
-/// dense tiles).
-inline std::size_t max_panel_dense_cols(const aspt::AsptMatrix& a) {
-  std::size_t m = 0;
-  for (const aspt::Panel& p : a.panels()) m = std::max(m, p.dense_cols.size());
-  return m;
-}
-
-/// Same, restricted to panels intersecting rows [row_begin, row_end).
-inline std::size_t max_panel_dense_cols_in_range(const aspt::AsptMatrix& a, index_t row_begin,
-                                                 index_t row_end) {
+/// Largest dense-column count over the panels intersecting rows
+/// [row_begin, row_end) (0 when none of them has dense tiles).
+inline std::size_t max_panel_dense_cols(const aspt::AsptMatrix& a, index_t row_begin,
+                                        index_t row_end) {
   std::size_t m = 0;
   for (const aspt::Panel& p : a.panels()) {
     if (p.row_end <= row_begin || p.row_begin >= row_end) continue;
     m = std::max(m, p.dense_cols.size());
   }
   return m;
+}
+
+/// simd::select_kernels, counted as one public kernel call.
+inline simd::KernelSelection select_counted(const simd::KernelConfig& cfg, index_t k) {
+  const simd::KernelSelection t = simd::select_kernels(cfg, k);
+  simd::count_invocation(t.isa);
+  if (t.specialized) simd::count_specialized(t.isa);
+  return t;
 }
 
 /// Copies the panel's dense-column X rows into the staged buffer with
@@ -60,6 +63,24 @@ inline void stage_panel(const aspt::Panel& p, sparse::DenseView x, index_t k, va
   for (std::size_t d = 0; d < p.dense_cols.size(); ++d) {
     const value_t* xr = x.row(p.dense_cols[d]);
     std::copy(xr, xr + k, staged + d * static_cast<std::size_t>(staged_ld));
+  }
+}
+
+/// The dense-tile phase's loop over rows [row_begin, row_end): for each
+/// panel with dense tiles that intersects the range, stages it into one
+/// buffer sized once to the largest such panel, then calls
+/// f(panel, staged, staged_ld, lo, hi) with the panel clipped to the range.
+template <class F>
+void for_each_staged_panel(const aspt::AsptMatrix& a, sparse::DenseView x, index_t row_begin,
+                           index_t row_end, F&& f) {
+  const std::size_t max_dense = max_panel_dense_cols(a, row_begin, row_end);
+  if (max_dense == 0) return;
+  const index_t staged_ld = sparse::aligned_ld(x.cols);
+  sparse::AlignedVector<value_t> staged(max_dense * static_cast<std::size_t>(staged_ld));
+  for (const aspt::Panel& p : a.panels()) {
+    if (p.row_end <= row_begin || p.row_begin >= row_end || p.dense_cols.empty()) continue;
+    stage_panel(p, x, x.cols, staged.data(), staged_ld);
+    f(p, staged.data(), staged_ld, std::max(row_begin, p.row_begin), std::min(row_end, p.row_end));
   }
 }
 

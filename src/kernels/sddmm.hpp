@@ -1,20 +1,22 @@
-// Host (OpenMP) SDDMM kernels: O[i][c] = S[i][c] * dot(Y row i, X row c)
+// Host SDDMM kernels: O[i][c] = S[i][c] * dot(Y row i, X row c)
 // on the nonzero pattern of S (paper Alg 2, accumulate then scale).
 //
 // Output is a value array aligned with the *source* CSR's nonzero order,
 // so callers can pair it directly with their matrix regardless of the
 // execution strategy (the ASpT variant scatters through src-index maps).
 //
-// Like the SpMM kernels, these dispatch through the SIMD layer
-// (kernels/simd); overloads without a simd::KernelConfig use the
-// process-wide active configuration, and the default (non-fma) path is
-// bitwise-identical to the scalar reference on every backend.
+// Like the SpMM kernels, these run single-threaded on the calling thread
+// and dispatch through the SIMD layer (kernels/simd); overloads without a
+// simd::KernelConfig use the process-wide active configuration, and the
+// default (non-fma) path is bitwise-identical to the scalar reference on
+// every backend. The multi-core path is runtime::parallel_sddmm (or the
+// Server), which fans sddmm_aspt_row_range out over a
+// runtime::WorkerPool, one ASpT row panel per task.
 //
 // Dense operands are borrowed views (sparse/dense_view.hpp); DenseMatrix
-// converts implicitly. The row-range variants additionally take the
+// converts implicitly. The row-range entry point additionally takes the
 // output as a raw pre-sized pointer — the zero-copy serving path writes
-// straight into a caller-provided span — with the std::vector overloads
-// forwarding to it.
+// straight into a caller-provided span.
 //
 // Reordered plans: the raw-output ASpT entry points take an optional row
 // map (`y_rows`, a plan's row_perm). Tiled row i then reads Y row
@@ -46,20 +48,6 @@ void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, std::vector<val
 void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, std::vector<value_t>& out,
                    const simd::KernelConfig& cfg);
 
-/// Row-range variant: fills only the output slots of rows
-/// [row_begin, row_end); `out` must already be sized to s.nnz()
-/// (`out_size` is validated). Serial, race-free across disjoint ranges
-/// (each nonzero belongs to one row).
-void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, value_t* out,
-                   std::size_t out_size, index_t row_begin, index_t row_end);
-void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, value_t* out,
-                   std::size_t out_size, index_t row_begin, index_t row_end,
-                   const simd::KernelConfig& cfg);
-void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, std::vector<value_t>& out,
-                   index_t row_begin, index_t row_end);
-void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, std::vector<value_t>& out,
-                   index_t row_begin, index_t row_end, const simd::KernelConfig& cfg);
-
 /// ASpT-structured SDDMM; `out` is aligned with the CSR that `a` was
 /// built from (via the tiling's source-index maps). The raw-pointer form
 /// writes a caller span that must hold exactly the tiling's nnz_total
@@ -84,21 +72,15 @@ std::vector<offset_t> sddmm_out_shift(const AsptMatrix& a, const std::vector<ind
 
 /// Row-range ASpT SDDMM: dense tiles clipped to [row_begin, row_end) plus
 /// the sparse remainder of those rows, scattering through the source-
-/// index maps. `out` must already be sized to the tiling's nnz_total.
-/// Serial and race-free across disjoint ranges; ranges partitioning
-/// [0, rows) reproduce sddmm_aspt exactly. A reordered caller passes its
-/// row map and sddmm_out_shift(a, *y_rows), computed once per call.
-void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
-                          std::size_t out_size, index_t row_begin, index_t row_end);
+/// index maps; sddmm_aspt is this same body over [0, rows). `out` must
+/// already be sized to the tiling's nnz_total. Race-free across disjoint
+/// ranges; ranges partitioning [0, rows) reproduce sddmm_aspt exactly. A
+/// reordered caller passes its row map and sddmm_out_shift(a, *y_rows),
+/// computed once per call.
 void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
                           std::size_t out_size, index_t row_begin, index_t row_end,
                           const simd::KernelConfig& cfg,
                           const std::vector<index_t>* y_rows = nullptr,
                           const std::vector<offset_t>* out_shift = nullptr);
-void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y,
-                          std::vector<value_t>& out, index_t row_begin, index_t row_end);
-void sddmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseView y,
-                          std::vector<value_t>& out, index_t row_begin, index_t row_end,
-                          const simd::KernelConfig& cfg);
 
 }  // namespace rrspmm::kernels

@@ -35,10 +35,10 @@ constexpr int spec_k_slot(index_t k) {
   return -1;
 }
 
-/// One backend's kernel entry points. All functions are serial (no OpenMP
-/// inside) — the public wrappers own the parallel structure — and all of
-/// them preserve the scalar kernels' per-element accumulation order, so a
-/// non-`fma` table is bitwise-equal to the scalar reference.
+/// One backend's kernel entry points. All functions are serial — callers
+/// that want several cores split the rows (runtime::parallel_*) — and
+/// all of them preserve the scalar kernels' per-element accumulation
+/// order, so a non-`fma` table is bitwise-equal to the scalar reference.
 struct KernelTable {
   Isa isa = Isa::scalar;
   /// True for the opt-in fused-multiply-add fast path: same loop

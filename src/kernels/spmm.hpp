@@ -1,4 +1,4 @@
-// Host (OpenMP) SpMM kernels.
+// Host SpMM kernels.
 //
 // These are the numerical ground truth for the library: the simulator in
 // gpusim models *traffic*, these compute *values*, and the test suite
@@ -8,9 +8,12 @@
 // enjoys the same locality benefits on a CPU cache hierarchy, which the
 // micro benchmarks measure.
 //
-// Every kernel is a thin parallel wrapper over the SIMD dispatch layer
-// (kernels/simd): the per-row math runs through the KernelTable selected
-// by a simd::KernelConfig. The overloads without a config use the
+// Every kernel runs single-threaded on the calling thread, as a thin
+// wrapper over the SIMD dispatch layer (kernels/simd): the per-row math
+// runs through the KernelTable selected by a simd::KernelConfig. The
+// multi-core path is runtime::parallel_spmm (or the Server), which fans
+// the row-range entry points out over a runtime::WorkerPool, one ASpT
+// row panel per task. The overloads without a config use the
 // process-wide simd::active_config() (RRSPMM_KERNEL_ISA /
 // RRSPMM_KERNEL_FMA). With allow_fma off — the default — every backend
 // is bitwise-identical to the scalar reference, so results do not depend
@@ -52,13 +55,9 @@ void spmm_rowwise(const CsrMatrix& s, DenseView x, DenseMutView y,
                   const simd::KernelConfig& cfg);
 
 /// Row-range variant: computes (and zeroes) only Y rows
-/// [row_begin, row_end). Serial — no OpenMP inside — so an external
-/// scheduler (runtime::WorkerPool) can drive many disjoint ranges
-/// concurrently; disjoint ranges touch disjoint Y rows, and per-row
-/// accumulation order matches the full kernel, so a range-partitioned
-/// run is bitwise equal to it.
-void spmm_rowwise(const CsrMatrix& s, DenseView x, DenseMutView y, index_t row_begin,
-                  index_t row_end);
+/// [row_begin, row_end). Disjoint ranges touch disjoint Y rows and each
+/// row accumulates in the same order as the full kernel, so ranges run
+/// concurrently (e.g. on a runtime::WorkerPool) are bitwise equal to it.
 void spmm_rowwise(const CsrMatrix& s, DenseView x, DenseMutView y, index_t row_begin,
                   index_t row_end, const simd::KernelConfig& cfg);
 
@@ -78,14 +77,13 @@ void spmm_aspt(const AsptMatrix& a, DenseView x, DenseMutView y,
 /// Row-range ASpT SpMM: zeroes the Y rows of tiled rows [row_begin,
 /// row_end) (through `y_rows` as in spmm_aspt), then runs the dense-tile
 /// phase clipped to those rows and the sparse remainder row-wise over
-/// them. Serial, race-free across disjoint ranges (each range writes
-/// only its own Y rows), idempotent on re-run, and bitwise equal to
-/// spmm_aspt when the ranges partition [0, rows) — every row accumulates
-/// dense contributions first, then sparse, in the same nonzero order.
-/// The sparse processing order is irrelevant here because each row's sum
-/// is independent; panel-aligned ranges reproduce the staging locality.
-void spmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseMutView y, index_t row_begin,
-                         index_t row_end);
+/// them. spmm_aspt is this same body over [0, rows). Race-free across
+/// disjoint ranges (each range writes only its own Y rows), idempotent on
+/// re-run, and bitwise equal to spmm_aspt when the ranges partition
+/// [0, rows) — every row accumulates dense contributions first, then
+/// sparse, in the same nonzero order. The sparse processing order is
+/// irrelevant here because each row's sum is independent; panel-aligned
+/// ranges reproduce the staging locality.
 void spmm_aspt_row_range(const AsptMatrix& a, DenseView x, DenseMutView y, index_t row_begin,
                          index_t row_end, const simd::KernelConfig& cfg,
                          const std::vector<index_t>* y_rows = nullptr);

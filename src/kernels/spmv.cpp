@@ -11,10 +11,6 @@ void spmv_rowwise(const sparse::CsrMatrix& s, const std::vector<value_t>& x,
     throw sparse::invalid_matrix("SpMV: x size must equal S cols");
   }
   y.assign(static_cast<std::size_t>(s.rows()), value_t{0});
-
-#ifdef RRSPMM_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic, 64)
-#endif
   for (index_t i = 0; i < s.rows(); ++i) {
     const auto cols = s.row_cols(i);
     const auto vals = s.row_vals(i);

@@ -14,7 +14,8 @@
 
 namespace rrspmm::kernels {
 
-/// y = s * x. y is resized to s.rows(); x must have s.cols() entries.
+/// y = s * x, single-threaded. y is resized to s.rows(); x must have
+/// s.cols() entries.
 void spmv_rowwise(const sparse::CsrMatrix& s, const std::vector<value_t>& x,
                   std::vector<value_t>& y);
 

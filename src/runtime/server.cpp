@@ -440,8 +440,10 @@ void Server::execute_spmm_batch(Registered& e, std::vector<SpmmRequest>& batch) 
   const auto run = [&](sparse::DenseView x, sparse::DenseMutView y) {
     const auto t0 = Clock::now();
     if (dec.routed && dec.choice.threads == 1) {
-      // Sequential arm: the core pipeline in this thread, skipping the
-      // pool fan-out whose overhead dominates small matrices.
+      // Sequential arm: core::run_spmm runs the whole plan on this
+      // worker thread alone, skipping the pool fan-out (it wins on tiny
+      // matrices and loses on dense-tile-heavy ones; EXPERIMENTS.md,
+      // "Sequential vs pool arm").
       core::run_spmm(*plan, x, y);
     } else {
       exec_spmm(*plan, x, y, kernel_for(dec));
@@ -507,8 +509,9 @@ void Server::with_recovery(const std::function<void()>& attempt,
     }
     if (n + 1 >= max_attempts) break;
   }
-  // Graceful degradation: retries exhausted, run sequentially through
-  // the same plan (same accumulation order, so bitwise-equal results).
+  // Graceful degradation: retries exhausted, run the same plan
+  // sequentially on this thread through core::run_* (same accumulation
+  // order, so bitwise-equal results).
   metrics_.degradations.fetch_add(1, std::memory_order_relaxed);
   degrade();
 }

@@ -11,7 +11,7 @@
 // and tallies the same counters as gpusim::SimResult.
 //
 // Role in the repository (DESIGN.md §2): the numerical results of a
-// kernel run here must match the OpenMP host kernels, and its traffic
+// kernel run here must match the host CPU kernels, and its traffic
 // counters must match the analytic simulators. The test suite asserts
 // both, closing the loop between "what the kernels compute", "what the
 // model predicts" and "what an execution actually touches".

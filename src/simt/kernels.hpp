@@ -1,7 +1,7 @@
 // The paper's GPU kernels as warp programs for the functional SIMT
 // executor. Each entry point both computes the result (into caller
 // buffers) and returns the traffic counters its execution generated —
-// the tests assert that the numbers match the OpenMP host kernels and
+// the tests assert that the numbers match the host CPU kernels and
 // that the counters match the analytic simulators in gpusim/traffic.hpp
 // access for access.
 //

@@ -1,10 +1,12 @@
 // .rrsb shard format tests: round trips, row-range slices against the
 // resident matrix, index arithmetic, corruption and version rejection,
-// the RowSource block cache, and io.read fault degrade.
+// the RowSource block cache, io.read fault degrade, and header counts the
+// file cannot hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -154,6 +156,52 @@ TEST(IoRrsb, WriterRemovesUnfinishedFile) {
     // No finish(): the partial file must not survive.
   }
   EXPECT_THROW(io::RrsbReader{file.path}, sparse::io_error);
+}
+
+// An 88-byte file: a 64-byte header, then a one-entry index at offset 64
+// with a valid checksum, whose block also starts at offset 64. Only the
+// header's counts are hostile.
+void write_hostile_rrsb(const std::string& path, std::int64_t rows, std::uint32_t block_rows,
+                        std::int64_t nnz) {
+  unsigned char index[24] = {};
+  const std::uint64_t block_offset = 64;
+  std::memcpy(index, &block_offset, 8);
+  std::uint64_t fnv = 1469598103934665603ULL;
+  for (const unsigned char c : index) fnv = (fnv ^ c) * 1099511628211ULL;
+
+  unsigned char hdr[64] = {};
+  const std::uint32_t version = 1, endian = 0x01020304u;
+  const std::int64_t cols = 4;
+  const std::uint64_t index_offset = 64;
+  std::memcpy(hdr, "RRSB", 4);
+  std::memcpy(hdr + 4, &version, 4);
+  std::memcpy(hdr + 8, &endian, 4);
+  std::memcpy(hdr + 12, &block_rows, 4);
+  std::memcpy(hdr + 16, &rows, 8);
+  std::memcpy(hdr + 24, &cols, 8);
+  std::memcpy(hdr + 32, &nnz, 8);
+  std::memcpy(hdr + 40, &index_offset, 8);
+  std::memcpy(hdr + 48, &fnv, 8);
+  std::ofstream f(path, std::ios::binary);
+  f.write(reinterpret_cast<const char*>(hdr), sizeof hdr);
+  f.write(reinterpret_cast<const char*>(index), sizeof index);
+}
+
+TEST(IoRrsb, HostileHeaderCountsRaiseIoError) {
+  const test::TempFile file("iorrsb.rrsb");
+  // nnz far beyond the file (once enough to allocate 2 GB, once enough
+  // to make the allocation itself fail), and 10^8 rows in one block.
+  const struct {
+    std::int64_t rows;
+    std::uint32_t block_rows;
+    std::int64_t nnz;
+  } headers[] = {{1, 1, std::int64_t{1} << 28},
+                 {1, 1, std::int64_t{1} << 34},
+                 {100000000, 100000000, 0}};
+  for (const auto& h : headers) {
+    write_hostile_rrsb(file.path, h.rows, h.block_rows, h.nnz);
+    EXPECT_THROW(io::RrsbReader{file.path}, sparse::io_error) << h.rows << " rows, " << h.nnz;
+  }
 }
 
 }  // namespace

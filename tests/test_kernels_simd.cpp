@@ -187,7 +187,7 @@ TEST_P(SimdEquivalence, SddmmMatchesScalarBitwise) {
       // Range-partitioned ASpT SDDMM fills the same slots.
       std::vector<value_t> rgot(aref.size(), value_t{0});
       for (const auto& [b, e] : uneven_ranges(sub.s.rows())) {
-        kernels::sddmm_aspt_row_range(tiled, x, ymat, rgot, b, e, cfg);
+        kernels::sddmm_aspt_row_range(tiled, x, ymat, rgot.data(), rgot.size(), b, e, cfg);
       }
       expect_bitwise_eq(aref, rgot, "sddmm_aspt_row_range");
     }

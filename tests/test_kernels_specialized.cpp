@@ -274,7 +274,8 @@ TEST_P(SpecializedEquivalence, SddmmMatchesScalarBitwiseInEveryMode) {
 
         std::vector<value_t> rgot(aref.size(), value_t{0});
         for (const auto& [b, e] : uneven_ranges(sub.s.rows())) {
-          kernels::sddmm_aspt_row_range(tiled, x, ymat, rgot, b, e, cfg_of(isa, plan_spec, mode));
+          kernels::sddmm_aspt_row_range(tiled, x, ymat, rgot.data(), rgot.size(), b, e,
+                                        cfg_of(isa, plan_spec, mode));
         }
         expect_bitwise_eq(aref, rgot, "sddmm_aspt_row_range");
       }

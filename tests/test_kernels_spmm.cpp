@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "aspt/aspt.hpp"
+#include "core/pipeline.hpp"
+#include "kernels/sddmm.hpp"
 #include "kernels/spmm.hpp"
+#include "kernels/spmv.hpp"
 #include "sparse/permute.hpp"
 #include "synth/generators.hpp"
 #include "test_util.hpp"
@@ -160,6 +168,55 @@ INSTANTIATE_TEST_SUITE_P(
                       SpmmCase{"banded", 32, 64}, SpmmCase{"clustered", 8, 8},
                       SpmmCase{"clustered", 64, 16}, SpmmCase{"rmat", 16, 32},
                       SpmmCase{"rmat", 8, 128}));
+
+// Threads in this process: one /proc/self/task entry each.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// The whole-matrix kernels and core::run_* are the single-threaded path:
+// none of them may start a thread (the multi-core path is
+// runtime::parallel_* on a WorkerPool).
+TEST(Kernels, WholeMatrixEntryPointsStayOnTheCallingThread) {
+  if (!std::filesystem::exists("/proc/self/task")) GTEST_SKIP() << "needs /proc/self/task";
+  synth::ClusteredParams p;
+  p.rows = 1024;
+  p.cols = 512;
+  p.num_groups = 16;
+  p.group_cols = 32;
+  p.row_nnz = 12;
+  const CsrMatrix s = synth::clustered_rows(p, 5);
+  core::PipelineConfig cfg;
+  cfg.threads = 1;
+  const core::ExecutionPlan plan = core::build_plan(s, cfg);
+  ASSERT_GT(plan.tiled.panels().size(), 1u);
+
+  DenseMatrix x(s.cols(), 32);
+  DenseMatrix yd(s.rows(), 32);
+  sparse::fill_random(x, 1);
+  sparse::fill_random(yd, 2);
+  DenseMatrix y(s.rows(), 32);
+  std::vector<value_t> out(static_cast<std::size_t>(s.nnz()));
+  const std::vector<value_t> v(static_cast<std::size_t>(s.cols()), value_t{1});
+  std::vector<value_t> yv;
+
+  const std::size_t before = thread_count();
+  const std::pair<const char*, std::function<void()>> calls[] = {
+      {"core::run_spmm", [&] { core::run_spmm(plan, x, y); }},
+      {"core::run_sddmm", [&] { core::run_sddmm(plan, s, x, yd, out.data(), out.size()); }},
+      {"spmm_rowwise", [&] { kernels::spmm_rowwise(s, x, y); }},
+      {"sddmm_rowwise", [&] { kernels::sddmm_rowwise(s, x, yd, out); }},
+      {"spmv_rowwise", [&] { kernels::spmv_rowwise(s, v, yv); }},
+  };
+  for (const auto& [name, call] : calls) {
+    call();
+    EXPECT_LE(thread_count(), before) << name;
+  }
+}
 
 }  // namespace
 }  // namespace rrspmm

@@ -1,5 +1,5 @@
 // The functional SIMT executor closes the validation loop:
-//   1. its kernels must compute exactly what the OpenMP host kernels
+//   1. its kernels must compute exactly what the host CPU kernels
 //      compute (same strategy, same arithmetic order per warp), and
 //   2. its recorded traffic must match the analytic simulators access
 //      for access (same interleaving, same L2).
