@@ -62,9 +62,8 @@ inline void print_experiment_header(const char* what, const std::vector<MatrixRe
 }
 
 /// Minimal streaming JSON writer for the BENCH_*.json payloads every
-/// scaling bench emits (and the router's calibration loader reads back).
-/// Handles commas and nesting, so a bench declares its fields instead of
-/// hand-assembling separators:
+/// scaling bench emits. Handles commas and nesting, so a bench declares
+/// its fields instead of hand-assembling separators:
 ///
 ///   JsonWriter js;
 ///   js.obj_begin().field("bench", "kernel_scaling").key("results").arr_begin();
@@ -164,8 +163,8 @@ class JsonWriter {
 };
 
 /// Writes one BENCH_*.json artifact (the files the CI bench-smoke job
-/// uploads and router::Router::load_calibration_file consumes) to the
-/// current directory, with the customary "wrote" line on stdout.
+/// uploads) to the current directory, with the customary "wrote" line on
+/// stdout.
 inline void write_bench_json(const std::string& file, const std::string& json) {
   std::ofstream out(file, std::ios::trunc);
   out << json << '\n';

@@ -97,26 +97,6 @@ struct PipelineStats {
   bool needs_reordering() const { return round1_applied || round2_applied; }
 };
 
-/// One learned router-table entry carried by a plan (plan-file v4): the
-/// arm (a configuration choice) plus its latency statistics for one
-/// (workload, K-bucket) of the plan's matrix. A neutral POD so core's
-/// plan IO can persist what src/router learned without a dependency
-/// cycle; the router's export/import translate to and from it.
-struct RouteRecord {
-  std::uint8_t workload = 0;       ///< router::Workload
-  std::int32_t k_bucket = 0;       ///< ceil-log2 bucket of the operand K
-  std::uint8_t spec_mode = 0;      ///< kernels::simd::SpecMode, 0 = configured
-  std::uint8_t micro_gemm = 0;     ///< retired arm: written as 0, dropped on import
-  std::uint8_t shard_strategy = 255;  ///< retired arm: written as 255, dropped on import
-  std::uint8_t threads = 0;        ///< 0 = worker pool, 1 = sequential
-  std::uint8_t batch = 0;          ///< coalescing cap, 0 = server default
-  std::uint8_t accumulator = 255;  ///< spgemm accumulator, 255 = default
-  std::uint64_t count = 0;         ///< observations
-  double total_us = 0.0;
-  double min_us = 0.0;
-  double max_us = 0.0;
-};
-
 struct ExecutionPlan {
   /// Round-1 gather permutation (identity when skipped): row i of the
   /// tiled matrix is row row_perm[i] of the caller's matrix.
@@ -136,13 +116,9 @@ struct ExecutionPlan {
   /// Fingerprint of the matrix the plan was built from (see
   /// core/fingerprint.hpp). Set by the PlanCache and by load_plan (v4
   /// files); empty for plans built directly through build_plan. The
-  /// router keys its cost table on it, which is what makes learned
-  /// entries survive cache eviction and plan-file round trips.
+  /// router keys its cost table on it, so its entries survive cache
+  /// eviction.
   std::string fingerprint;
-  /// Learned router entries persisted with the plan (v4 files). Filled
-  /// on save by Router::export_records, consumed on load by
-  /// Router::import_records; empty otherwise.
-  std::vector<RouteRecord> routes;
 };
 
 /// Full ASpT-RR pipeline.

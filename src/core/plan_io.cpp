@@ -20,7 +20,9 @@ constexpr char kMagic[10] = {'R', 'R', 'S', 'P', 'M', 'M', 'P', 'L', 'A', 'N'};
 // loading an older file recomputes the record from the tiling, so every
 // loaded plan carries one. Version 4 appends the record's
 // dense_full_rows counter (recomputed for v3 files), the matrix
-// fingerprint, and the learned router entries (empty for older files).
+// fingerprint, and a count of router records. The router no longer
+// persists anything: the writer emits a count of 0, and the reader
+// skips the records of files written by older binaries.
 constexpr std::uint32_t kVersion = 4;
 
 constexpr char kShardMagic[10] = {'R', 'R', 'S', 'P', 'M', 'M', 'S', 'H', 'R', 'D'};
@@ -95,39 +97,9 @@ std::string get_str(std::istream& in, std::uint64_t max_len = (1ULL << 16)) {
   return s;
 }
 
-// RouteRecords are written field by field (not as raw structs): the
-// on-disk layout must not depend on compiler padding.
-void put_route(std::ostream& out, const RouteRecord& r) {
-  put(out, r.workload);
-  put(out, r.k_bucket);
-  put(out, r.spec_mode);
-  put(out, r.micro_gemm);
-  put(out, r.shard_strategy);
-  put(out, r.threads);
-  put(out, r.batch);
-  put(out, r.accumulator);
-  put(out, r.count);
-  put(out, r.total_us);
-  put(out, r.min_us);
-  put(out, r.max_us);
-}
-
-RouteRecord get_route(std::istream& in) {
-  RouteRecord r;
-  r.workload = get<std::uint8_t>(in);
-  r.k_bucket = get<std::int32_t>(in);
-  r.spec_mode = get<std::uint8_t>(in);
-  r.micro_gemm = get<std::uint8_t>(in);
-  r.shard_strategy = get<std::uint8_t>(in);
-  r.threads = get<std::uint8_t>(in);
-  r.batch = get<std::uint8_t>(in);
-  r.accumulator = get<std::uint8_t>(in);
-  r.count = get<std::uint64_t>(in);
-  r.total_us = get<double>(in);
-  r.min_us = get<double>(in);
-  r.max_us = get<double>(in);
-  return r;
-}
+// Size of one v4 router record on disk (workload u8, k_bucket i32, six
+// u8 arm fields, count u64, total/min/max f64), skipped on load.
+constexpr std::streamsize kRouterRecordBytes = 43;
 
 void put_stats(std::ostream& out, const PipelineStats& s) {
   put(out, s.dense_ratio_before);
@@ -217,11 +189,10 @@ void save_plan(const ExecutionPlan& plan, std::ostream& out) {
   }
 
   // Version 4: the micro-GEMM density counter, the matrix fingerprint,
-  // and the learned router entries.
+  // and an empty router-record list.
   put<std::uint64_t>(out, spec.dense_full_rows);
   put_str(out, plan.fingerprint);
-  put<std::uint64_t>(out, plan.routes.size());
-  for (const RouteRecord& r : plan.routes) put_route(out, r);
+  put<std::uint64_t>(out, 0);
   if (!out) throw io_error("failed writing plan");
 }
 
@@ -297,7 +268,11 @@ ExecutionPlan load_plan(std::istream& in) {
       plan.fingerprint = get_str(in);
       const auto nroutes = get<std::uint64_t>(in);
       if (nroutes > (1ULL << 20)) throw io_error("implausible route-record count");
-      for (std::uint64_t i = 0; i < nroutes; ++i) plan.routes.push_back(get_route(in));
+      for (std::uint64_t i = 0; i < nroutes; ++i) {
+        if (in.ignore(kRouterRecordBytes).gcount() != kRouterRecordBytes) {
+          throw io_error("plan file truncated inside a route record");
+        }
+      }
     } else {
       // v3 predates the counter: recompute it from the tiling.
       spec.dense_full_rows =

@@ -6,33 +6,6 @@
 
 namespace rrspmm::runtime {
 
-void RouteLatency::record(const std::string& key, double us) {
-  std::lock_guard<std::mutex> lk(m_);
-  for (auto& [k, s] : table_) {
-    if (k == key) {
-      s.add(us);
-      return;
-    }
-  }
-  if (table_.size() >= kMaxKeys) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  table_.emplace_back(key, LatencyStats{});
-  table_.back().second.add(us);
-}
-
-std::vector<std::pair<std::string, LatencyStats>> RouteLatency::snapshot() const {
-  std::vector<std::pair<std::string, LatencyStats>> out;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    out = table_;
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
 void LatencyHistogram::record(double seconds) {
   const double us = seconds * 1e6;
   int b = 0;
@@ -123,18 +96,6 @@ std::string Metrics::to_json() const {
   os << "\"preproc_degradations\":" << get(preproc_degradations) << ",";
   os << "\"router_decisions\":" << get(router_decisions) << ",";
   os << "\"router_explorations\":" << get(router_explorations) << ",";
-  os << "\"route_latency_dropped\":" << route_latency.dropped() << ",";
-  os << "\"route_latency\":{";
-  {
-    const auto routes = route_latency.snapshot();
-    for (std::size_t i = 0; i < routes.size(); ++i) {
-      const auto& [key, s] = routes[i];
-      if (i) os << ",";
-      os << "\"" << key << "\":{\"count\":" << s.count << ",\"total_us\":" << s.total_us
-         << ",\"min_us\":" << s.min_us << ",\"max_us\":" << s.max_us << "}";
-    }
-  }
-  os << "},";
   os << "\"zero_copy_requests\":" << get(zero_copy_requests) << ",";
   os << "\"zero_copy_fallbacks\":" << get(zero_copy_fallbacks) << ",";
   os << "\"submit_copy_us\":" << get(submit_copy_us) << ",";

@@ -9,10 +9,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "kernels/simd/isa.hpp"
 
@@ -44,57 +41,6 @@ class LatencyHistogram {
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> total_ns_{0};
-};
-
-/// Exact latency statistics of one route (count/sum/min/max, µs): a
-/// Metrics::route_latency entry, and an arm's record in the router's
-/// cost table.
-struct LatencyStats {
-  std::uint64_t count = 0;
-  double total_us = 0.0;
-  double min_us = 0.0;
-  double max_us = 0.0;
-
-  void add(double us) {
-    min_us = count == 0 ? us : std::min(min_us, us);
-    max_us = count == 0 ? us : std::max(max_us, us);
-    ++count;
-    total_us += us;
-  }
-  void merge(const LatencyStats& o) {
-    if (o.count == 0) return;
-    min_us = count == 0 ? o.min_us : std::min(min_us, o.min_us);
-    max_us = count == 0 ? o.max_us : std::max(max_us, o.max_us);
-    count += o.count;
-    total_us += o.total_us;
-  }
-  double mean_us() const { return count > 0 ? total_us / static_cast<double>(count) : 0.0; }
-};
-
-/// Per-route latency attribution: measured execution latency keyed by the
-/// router's attribution string "<fingerprint>|<workload>|k<bucket>|<choice>"
-/// (router::route_key). Unlike the process-wide histogram this is exact
-/// (count/sum/min/max per key) and per-configuration, which is what the
-/// router's cost table is audited against. The key set is bounded: past
-/// kMaxKeys new keys are counted in dropped() instead of allocated, so a
-/// fingerprint flood cannot grow the map without bound. Mutex-guarded —
-/// routed paths already take the router's own lock per decision, so one
-/// more uncontended lock on the same (batch-grained) path is noise.
-class RouteLatency {
- public:
-  static constexpr std::size_t kMaxKeys = 4096;
-
-  void record(const std::string& key, double us);
-
-  /// Copy of the table, sorted by key (deterministic JSON output).
-  std::vector<std::pair<std::string, LatencyStats>> snapshot() const;
-
-  std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-
- private:
-  mutable std::mutex m_;
-  std::vector<std::pair<std::string, LatencyStats>> table_;  ///< small; linear scan
-  std::atomic<std::uint64_t> dropped_{0};
 };
 
 /// Counters shared by PlanCache, WorkerPool executions, and Server.
@@ -228,9 +174,6 @@ struct Metrics {
   /// many of them were exploration picks rather than the current argmin.
   std::atomic<std::uint64_t> router_decisions{0};
   std::atomic<std::uint64_t> router_explorations{0};
-  /// Measured latency per routed (fingerprint, workload, K-bucket,
-  /// choice) — the closed-loop evidence behind the router's table.
-  RouteLatency route_latency;
 
   /// One JSON object with every counter plus p50/p95/p99/p999 latency in
   /// seconds (and p999_us in microseconds for tail-SLO dashboards).

@@ -51,24 +51,6 @@ void add_us(std::atomic<std::uint64_t>& counter, Clock::time_point t0) {
   counter.fetch_add(us > 0 ? static_cast<std::uint64_t>(us) : 0, std::memory_order_relaxed);
 }
 
-// Coarse nnz/row moments for the router's contextual buckets, computed
-// once at registration.
-router::RouteContext context_of(const sparse::CsrMatrix& m) {
-  const index_t rows = m.rows();
-  if (rows <= 0) return router::make_route_context(0.0, 0.0);
-  const auto& rp = m.rowptr();
-  std::vector<offset_t> lens(static_cast<std::size_t>(rows));
-  for (index_t i = 0; i < rows; ++i) {
-    lens[static_cast<std::size_t>(i)] = rp[static_cast<std::size_t>(i) + 1] - rp[static_cast<std::size_t>(i)];
-  }
-  std::sort(lens.begin(), lens.end());
-  const std::size_t p90 =
-      std::min(lens.size() - 1,
-               static_cast<std::size_t>(0.9 * static_cast<double>(lens.size())));
-  const double mean = static_cast<double>(m.nnz()) / static_cast<double>(rows);
-  return router::make_route_context(mean, static_cast<double>(lens[p90]));
-}
-
 }  // namespace
 
 bool zero_copy_from_env() {
@@ -190,7 +172,6 @@ std::optional<simd::KernelConfig> Server::kernel_for(const router::Decision& dec
 void Server::register_matrix(const std::string& name, sparse::CsrMatrix m) {
   auto reg = std::make_unique<Registered>();
   reg->fingerprint = core::matrix_fingerprint(m);
-  reg->ctx = context_of(m);
   reg->matrix = std::move(m);
   std::lock_guard<std::mutex> lk(reg_m_);
   // Round-robin home-node assignment spreads matrices (and so their plan
@@ -237,37 +218,10 @@ void Server::count_decision(const router::Decision& dec) {
 
 void Server::observe_route(Registered& e, router::Workload w, index_t k,
                            const router::Decision& dec, double us) {
-  if (!dec.routed) return;
-  // SpMM/SDDMM decisions are keyed contextually (nnz/row moments); the
-  // operand-free workloads keep the plain key.
-  const bool ctxed = w == router::Workload::spmm || w == router::Workload::sddmm;
-  const router::RouteContext ctx = ctxed ? e.ctx : router::RouteContext{};
-  cfg_.router->observe(e.fingerprint, w, k, ctx, dec.choice, us);
-  // Metrics attribution uses the context-free key: the fingerprint
-  // already pins the matrix (and so its context), so the plain key keeps
-  // dashboards and replay tooling stable across the contextual upgrade.
-  std::string key = router::route_key(e.fingerprint, w, k, dec.choice);
-  if (numa_on_) {
-    key += "|n";
-    key += std::to_string(e.node);
-  }
-  metrics_.route_latency.record(key, us);
+  if (dec.routed) cfg_.router->observe(e.fingerprint, w, k, dec.choice, us);
 }
 
-PlanPtr Server::warm(const std::string& name) {
-  Registered& e = entry(name);
-  PlanPtr plan = plan_of(e);
-  if (cfg_.router && plan && !plan->routes.empty()) {
-    bool import = false;
-    {
-      std::lock_guard<std::mutex> lk(e.m);
-      import = !e.routes_imported;
-      e.routes_imported = true;
-    }
-    if (import) cfg_.router->import_records(e.fingerprint, plan->routes);
-  }
-  return plan;
-}
+PlanPtr Server::warm(const std::string& name) { return plan_of(entry(name)); }
 
 std::future<void> Server::submit(const std::string& name, sparse::DenseView x,
                                  sparse::DenseMutView y) {
@@ -433,7 +387,7 @@ void Server::execute_spmm_batch(Registered& e, std::vector<SpmmRequest>& batch) 
   // bit-identical executions runs, never the result.
   router::Decision dec;
   if (cfg_.router && !cfg_.executor) {
-    dec = cfg_.router->decide(e.fingerprint, router::Workload::spmm, k_total, e.ctx,
+    dec = cfg_.router->decide(e.fingerprint, router::Workload::spmm, k_total,
                               router::Router::spmm_arms(e.matrix.rows()));
     count_decision(dec);
   }
@@ -593,7 +547,7 @@ void Server::execute_sddmm(Registered& e, const SddmmRequest& r) {
   const PlanPtr plan = plan_of(e);
   router::Decision dec;
   if (cfg_.router && !cfg_.executor) {
-    dec = cfg_.router->decide(e.fingerprint, router::Workload::sddmm, r.x.cols, e.ctx,
+    dec = cfg_.router->decide(e.fingerprint, router::Workload::sddmm, r.x.cols,
                               router::Router::sddmm_arms());
     count_decision(dec);
   }

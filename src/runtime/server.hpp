@@ -91,7 +91,7 @@ struct ServerConfig {
   /// kernel choice (see dist::ShardedExecutorConfig::kernel).
   std::optional<kernels::simd::KernelConfig> kernel;
   /// Adaptive-execution router. The default consults RRSPMM_ROUTER
-  /// (off/on/frozen) via router::from_env(); null keeps every decision
+  /// (off/on) via router::from_env(); null keeps every decision
   /// static, exactly the pre-router behaviour. When set, the server asks
   /// it per batch for the kernel variant (specialization mode,
   /// sequential fallback), the SpGEMM accumulator, and the
@@ -134,9 +134,7 @@ class Server {
 
   /// Builds (or fetches) the plan for `name` synchronously — call after
   /// register_matrix to pay the preprocessing cost before traffic
-  /// arrives. When a router is configured and the plan carries learned
-  /// RouteRecords (a plan-file v4 round trip), they are imported once so
-  /// a redeployed plan starts with its measured cost table warm.
+  /// arrives.
   PlanPtr warm(const std::string& name);
 
   /// Owned SpMM: the future resolves to Y = S_name * x (x is
@@ -255,25 +253,20 @@ class Server {
   struct Registered {
     sparse::CsrMatrix matrix;
     std::string fingerprint;
-    /// Router context: coarse nnz/row moments, fixed at registration.
-    router::RouteContext ctx;
     /// Home NUMA node: plan memory is bound here and drains dispatch to
     /// this node's workers. Always 0 when placement is off.
     int node = 0;
     std::mutex m;                       ///< guards queue + drain_scheduled
     std::deque<SpmmRequest> queue;
     bool drain_scheduled = false;
-    bool routes_imported = false;       ///< plan RouteRecords fed to the router once
   };
 
   Registered& entry(const std::string& name) const;
   PlanPtr plan_of(Registered& e);
   /// Bumps the serving-scoped router counters for a routed decision.
   void count_decision(const router::Decision& dec);
-  /// Feeds a measured latency back to the router and the per-route
-  /// metrics attribution (suffixed "|n<node>" when NUMA placement is
-  /// active, so the router's table stays node-agnostic but the metrics
-  /// split per node); no-op for unrouted decisions.
+  /// Feeds a measured latency back to the router; no-op for unrouted
+  /// decisions.
   void observe_route(Registered& e, router::Workload w, index_t k,
                      const router::Decision& dec, double us);
   /// The SIMD configuration a decision selects: cfg_.kernel when

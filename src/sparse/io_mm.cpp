@@ -80,7 +80,12 @@ CsrMatrix read_matrix_market(std::istream& in) {
   check_mm_sizes(rows, cols, nnz);
 
   CooMatrix coo(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  coo.reserve(h.symmetric ? 2 * nnz : nnz);
+  // The size line is untrusted: reserve at most kMaxReserve entries up
+  // front and let the vector grow as entries arrive, so a file that
+  // declares more entries than it holds fails as truncated, not in the
+  // allocator.
+  constexpr std::int64_t kMaxReserve = std::int64_t{1} << 20;
+  coo.reserve(std::min(h.symmetric ? 2 * nnz : nnz, kMaxReserve));
   for (std::int64_t k = 0; k < nnz; ++k) {
     std::int64_t r = 0, c = 0;
     double v = 1.0;

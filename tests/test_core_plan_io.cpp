@@ -8,6 +8,7 @@
 #include "core/plan_io.hpp"
 #include "kernels/spmm.hpp"
 #include "sparse/permute.hpp"
+#include "plan_v4_fixture.hpp"
 #include "synth/generators.hpp"
 #include "test_util.hpp"
 
@@ -18,6 +19,7 @@ using core::build_plan;
 using core::ExecutionPlan;
 using sparse::CsrMatrix;
 using sparse::DenseMatrix;
+using test::Bytes;
 
 CsrMatrix subject_matrix() {
   synth::ClusteredParams p;
@@ -30,21 +32,6 @@ CsrMatrix subject_matrix() {
   p.scatter = true;
   return synth::clustered_rows(p, 55);
 }
-
-// Hand-written little-endian file fixtures, for inputs the writers can
-// no longer (or never would) produce.
-struct Bytes {
-  std::string s;
-  template <typename T>
-  Bytes& put(T v) {
-    s.append(reinterpret_cast<const char*>(&v), sizeof(v));
-    return *this;
-  }
-  Bytes& magic(const char (&m)[11]) {
-    s.append(m, 10);
-    return *this;
-  }
-};
 
 core::PipelineConfig small_cfg() {
   core::PipelineConfig cfg;
@@ -167,6 +154,42 @@ TEST(PlanIo, HostileHeaderCountsRaiseIoError) {
   panels.put<index_t>(0).put<index_t>(0).put<std::uint64_t>(1ULL << 32);
   std::stringstream panels_in(panels.s);
   EXPECT_THROW(core::load_plan(panels_in), io_error);
+}
+
+// Plan files from binaries that persisted router records: v4 ends with a
+// record count and 43-byte records, which the reader skips.
+TEST(PlanIo, V4RouteRecordsAreSkipped) {
+  const auto m = subject_matrix();
+  ExecutionPlan plan = build_plan(m, small_cfg());
+  plan.fingerprint = "fixture-fp";
+  test::V4RouteRecord fast;
+  fast.spec_mode = 1;
+  const std::string fixture = test::v4_plan_with_records(plan, 2, {test::V4RouteRecord{}, fast});
+
+  std::stringstream in(fixture);
+  const ExecutionPlan loaded = core::load_plan(in);
+  EXPECT_EQ(in.peek(), std::char_traits<char>::eof()) << "records not skipped exactly";
+  EXPECT_EQ(loaded.fingerprint, plan.fingerprint);
+  DenseMatrix x(m.cols(), 8);
+  sparse::fill_random(x, 2);
+  DenseMatrix y_plan(m.rows(), 8), y_loaded(m.rows(), 8);
+  core::run_spmm(plan, x, y_plan);
+  core::run_spmm(loaded, x, y_loaded);
+  EXPECT_DOUBLE_EQ(y_plan.max_abs_diff(y_loaded), 0.0);
+
+  // A record cut mid-way is a truncated file.
+  std::stringstream cut(fixture.substr(0, fixture.size() - 20));
+  EXPECT_THROW(core::load_plan(cut), io_error);
+
+  // The count stays bounded: one past 2^20 is rejected before any skip.
+  std::stringstream huge(
+      test::v4_plan_with_records(plan, (1ULL << 20) + 1, {test::V4RouteRecord{}, fast}));
+  try {
+    core::load_plan(huge);
+    ADD_FAILURE() << "route-record count 2^20+1 loaded";
+  } catch (const io_error& e) {
+    EXPECT_NE(std::string(e.what()).find("implausible"), std::string::npos) << e.what();
+  }
 }
 
 TEST(PlanIo, RejectsCorruptedPermutation) {

@@ -1,34 +1,29 @@
 // Adaptive-execution router tests (src/router). The contracts under
 // test mirror the CI gates the router lives under:
-//   - frozen mode is a pure function of the loaded table: identical
-//     decisions across thread counts, process restarts (table round
-//     trip), and plan-cache eviction/reload;
-//   - online mode is a deterministic counter-based bandit: no RNG, no
-//     wall clock, so a replay of the same decide/observe sequence makes
-//     the same decisions — and it converges on a two-armed synthetic A/B;
-//   - seeding works end to end: BENCH_*.json calibration priors steer
-//     unseen fingerprints, and learned entries survive the plan-file v4
-//     RouteRecord round trip (Server::warm re-imports them);
+//   - the bandit is deterministic and counter-based: no RNG, no wall
+//     clock, so a replay of the same decide/observe sequence makes the
+//     same decisions — and it converges on a two-armed synthetic A/B;
+//   - the table is bounded and Router::to_json() attributes latency per
+//     route key;
+//   - v4 plan files that carry the route records of older binaries,
+//     retired arms included, still load and key the same table rows;
 //   - routed Server execution stays bitwise identical to the sequential
-//     core kernels, and every routed batch lands in the per-route
-//     Metrics attribution table.
+//     core kernels, and every routed batch lands in the router's table,
+//     across plan-cache eviction.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/fingerprint.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan_io.hpp"
-#include "router/calibration.hpp"
+#include "plan_v4_fixture.hpp"
 #include "router/router.hpp"
 #include "runtime/runtime.hpp"
-#include "synth/corpus.hpp"
 #include "synth/generators.hpp"
 #include "test_util.hpp"
 
@@ -58,29 +53,6 @@ RouteChoice arm_sequential() {
 /// Synthetic cost model for the two-armed A/B: the default arm is slow,
 /// spec-off is fast. Deterministic, so replays are exact.
 double synthetic_us(const RouteChoice& c) { return c == arm_spec_off() ? 10.0 : 100.0; }
-
-TEST(Router, KeyParseRoundTrip) {
-  std::vector<RouteChoice> choices = {arm_default(), arm_spec_off(), arm_sequential()};
-  RouteChoice fancy;
-  fancy.spec_mode = 2;
-  fancy.threads = 1;
-  fancy.batch = 4;
-  fancy.accumulator = 1;
-  choices.push_back(fancy);
-  for (const RouteChoice& c : choices) {
-    RouteChoice back;
-    ASSERT_TRUE(RouteChoice::parse(c.key(), back)) << c.key();
-    EXPECT_EQ(c, back) << c.key();
-  }
-  RouteChoice out;
-  EXPECT_FALSE(RouteChoice::parse("", out));
-  EXPECT_FALSE(RouteChoice::parse("nonsense", out));
-  EXPECT_FALSE(RouteChoice::parse("s0g0d255t0b0", out));  // truncated
-  // Retired arms: micro-GEMM (g1), spec-all (s3), pinned shard strategy.
-  EXPECT_FALSE(RouteChoice::parse("s0g1d255t0b0a255", out));
-  EXPECT_FALSE(RouteChoice::parse("s3g0d255t0b0a255", out));
-  EXPECT_FALSE(RouteChoice::parse("s0g0d2t0b0a255", out));
-}
 
 TEST(Router, KBucketGroupsNearbyWidths) {
   EXPECT_EQ(router::k_bucket(0), 0);
@@ -133,9 +105,10 @@ TEST(Router, OnlineConvergesOnTwoArmedSyntheticAB) {
   EXPECT_LT(r.explorations(), static_cast<std::uint64_t>(kRounds) / 2);
   EXPECT_EQ(r.decisions(), static_cast<std::uint64_t>(kRounds));
 
-  // Converged: the non-exploring steady state picks the fast arm.
-  const RouteChoice best = r.preferred("fp", Workload::spmm, arm_default());
-  EXPECT_EQ(best, arm_spec_off());
+  // Converged: the next exploiting decision picks the fast arm.
+  Decision next = r.decide("fp", Workload::spmm, 32, arms);
+  while (next.explored) next = r.decide("fp", Workload::spmm, 32, arms);
+  EXPECT_EQ(next.choice, arm_spec_off());
 }
 
 TEST(Router, OnlineReplayIsDeterministic) {
@@ -153,186 +126,6 @@ TEST(Router, OnlineReplayIsDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(Router, FrozenTableIsDeterministicAcrossThreadsAndRestarts) {
-  // Train online, then freeze the learned table.
-  Router trainer;
-  const std::vector<RouteChoice> arms = {arm_default(), arm_spec_off()};
-  for (int i = 0; i < 64; ++i) {
-    const Decision d = trainer.decide("fp", Workload::spmm, 32, arms);
-    trainer.observe("fp", Workload::spmm, 32, d.choice, synthetic_us(d.choice));
-  }
-  std::ostringstream table;
-  trainer.save_table(table);
-
-  // "Restart": two independent frozen routers loading the same table
-  // must agree with each other on every decision, and never explore.
-  RouterConfig frozen_cfg;
-  frozen_cfg.frozen = true;
-  Router a(frozen_cfg), b(frozen_cfg);
-  {
-    std::istringstream in_a(table.str()), in_b(table.str());
-    EXPECT_GT(a.load_table(in_a), 0u);
-    EXPECT_GT(b.load_table(in_b), 0u);
-  }
-
-  // Concurrent deciders on the same frozen router (the "across thread
-  // counts" contract): every thread sees the same pure-table argmin.
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 50;
-  std::vector<std::vector<std::string>> picks(kThreads);
-  {
-    std::vector<std::thread> ts;
-    for (int t = 0; t < kThreads; ++t) {
-      ts.emplace_back([&, t] {
-        for (int i = 0; i < kPerThread; ++i) {
-          picks[static_cast<std::size_t>(t)].push_back(
-              a.decide("fp", Workload::spmm, 32, arms).choice.key());
-        }
-      });
-    }
-    for (auto& t : ts) t.join();
-  }
-  const std::string expected = arm_spec_off().key();
-  for (const auto& thread_picks : picks) {
-    for (const auto& k : thread_picks) EXPECT_EQ(k, expected);
-  }
-  EXPECT_EQ(a.explorations(), 0u);
-
-  // The restarted replica agrees.
-  EXPECT_EQ(b.decide("fp", Workload::spmm, 32, arms).choice.key(), expected);
-
-  // Frozen observe is a no-op: the table (and so the decision) is the
-  // contract even after contradictory measurements.
-  a.observe("fp", Workload::spmm, 32, arm_default(), 0.001);
-  EXPECT_EQ(a.decide("fp", Workload::spmm, 32, arms).choice.key(), expected);
-}
-
-TEST(Router, TableRoundTripPreservesStats) {
-  Router r;
-  r.observe("fp", Workload::spmm, 32, arm_spec_off(), 10.0);
-  r.observe("fp", Workload::spmm, 32, arm_spec_off(), 30.0);
-  r.observe("fp", Workload::coalesce, 0, arm_default(), 5.0);
-
-  std::ostringstream out;
-  r.save_table(out);
-  Router back;
-  std::istringstream in(out.str());
-  EXPECT_EQ(back.load_table(in), 2u);
-  EXPECT_EQ(back.keys(), r.keys());
-
-  const auto records = back.export_records("fp");
-  ASSERT_EQ(records.size(), 2u);
-  for (const auto& rec : records) {
-    if (rec.workload == static_cast<std::uint8_t>(Workload::spmm)) {
-      EXPECT_EQ(rec.count, 2u);
-      EXPECT_DOUBLE_EQ(rec.total_us, 40.0);
-      EXPECT_DOUBLE_EQ(rec.min_us, 10.0);
-      EXPECT_DOUBLE_EQ(rec.max_us, 30.0);
-    } else {
-      EXPECT_EQ(rec.workload, static_cast<std::uint8_t>(Workload::coalesce));
-      EXPECT_EQ(rec.count, 1u);
-    }
-  }
-}
-
-TEST(Router, PlanFileV4CarriesRouteRecords) {
-  const sparse::CsrMatrix m = synth::erdos_renyi(64, 64, 512, 42);
-  core::ExecutionPlan plan = core::build_plan(m);
-  plan.fingerprint = core::matrix_fingerprint(m);
-
-  // Learn something, export it into the plan, round trip the file.
-  Router r;
-  r.observe(plan.fingerprint, Workload::spmm, 32, arm_spec_off(), 12.5);
-  r.observe(plan.fingerprint, Workload::spmm, 32, arm_default(), 80.0);
-  plan.routes = r.export_records(plan.fingerprint);
-  ASSERT_EQ(plan.routes.size(), 2u);
-
-  std::stringstream file;
-  core::save_plan(plan, file);
-  const core::ExecutionPlan loaded = core::load_plan(file);
-  EXPECT_EQ(loaded.fingerprint, plan.fingerprint);
-  ASSERT_EQ(loaded.routes.size(), plan.routes.size());
-  for (std::size_t i = 0; i < plan.routes.size(); ++i) {
-    EXPECT_EQ(loaded.routes[i].workload, plan.routes[i].workload);
-    EXPECT_EQ(loaded.routes[i].k_bucket, plan.routes[i].k_bucket);
-    EXPECT_EQ(loaded.routes[i].spec_mode, plan.routes[i].spec_mode);
-    EXPECT_EQ(loaded.routes[i].count, plan.routes[i].count);
-    EXPECT_DOUBLE_EQ(loaded.routes[i].total_us, plan.routes[i].total_us);
-  }
-
-  // A redeployed router importing the records starts warm: the learned
-  // argmin decides immediately in frozen mode.
-  RouterConfig frozen_cfg;
-  frozen_cfg.frozen = true;
-  Router warm(frozen_cfg);
-  EXPECT_EQ(warm.import_records(loaded.fingerprint, loaded.routes), 2u);
-  const Decision d =
-      warm.decide(loaded.fingerprint, Workload::spmm, 32, {arm_default(), arm_spec_off()});
-  EXPECT_TRUE(d.routed);
-  EXPECT_EQ(d.choice, arm_spec_off());
-}
-
-TEST(Router, CalibrationSeedsSpecializationPriors) {
-  // The kernel_scaling shape (bench_common.hpp JsonWriter output): the
-  // specialization table seeds the spec-off vs default arms. generic_ms
-  // is the faster alternative here, so an unseen fingerprint should
-  // route to spec-off.
-  const std::string json = R"({
-    "bench": "kernel_scaling",
-    "results": [],
-    "specialization": [
-      {"subject": "synthetic", "op": "spmm", "k": 32,
-       "generic_ms": 1.0, "spec_ms": 4.0, "speedup": 0.25, "identical": true}
-    ]
-  })";
-  RouterConfig frozen_cfg;
-  frozen_cfg.frozen = true;
-  Router r(frozen_cfg);
-  EXPECT_GT(r.load_calibration_json(json), 0u);
-
-  const Decision d =
-      r.decide("never-seen-fp", Workload::spmm, 32, {arm_default(), arm_spec_off()});
-  EXPECT_TRUE(d.routed);
-  EXPECT_EQ(d.choice, arm_spec_off());
-}
-
-TEST(Router, PriorsYieldToPerMatrixObservations) {
-  RouterConfig frozen_cfg;
-  frozen_cfg.frozen = true;
-  Router r(frozen_cfg);
-  // Prior says spec-off is fast, but this matrix measured the opposite.
-  r.install_prior(Workload::spmm, router::k_bucket(32), arm_spec_off(), 1.0, 4);
-  r.install_prior(Workload::spmm, router::k_bucket(32), arm_default(), 100.0, 4);
-  r.import_records("fp-local", {[] {
-                     core::RouteRecord rec;
-                     rec.workload = static_cast<std::uint8_t>(Workload::spmm);
-                     rec.k_bucket = router::k_bucket(32);
-                     rec.spec_mode = 0;
-                     rec.count = 8;
-                     rec.total_us = 8.0;  // mean 1us: beats the 100us prior
-                     rec.min_us = 1.0;
-                     rec.max_us = 1.0;
-                     return rec;
-                   }()});
-  r.import_records("fp-local", {[] {
-                     core::RouteRecord rec;
-                     rec.workload = static_cast<std::uint8_t>(Workload::spmm);
-                     rec.k_bucket = router::k_bucket(32);
-                     rec.spec_mode = 1;
-                     rec.count = 8;
-                     rec.total_us = 800.0;  // mean 100us: spec-off slow HERE
-                     rec.min_us = 100.0;
-                     rec.max_us = 100.0;
-                     return rec;
-                   }()});
-
-  // Unseen fingerprint follows the prior; the measured one overrides it.
-  EXPECT_EQ(r.decide("fp-unseen", Workload::spmm, 32, {arm_default(), arm_spec_off()}).choice,
-            arm_spec_off());
-  EXPECT_EQ(r.decide("fp-local", Workload::spmm, 32, {arm_default(), arm_spec_off()}).choice,
-            arm_default());
-}
-
 TEST(Router, SpmmArmsRespectPlanShape) {
   // Small matrices: default, spec-off and sequential.
   const auto small = Router::spmm_arms(64);
@@ -346,89 +139,97 @@ TEST(Router, SpmmArmsRespectPlanShape) {
   EXPECT_EQ(Router::sddmm_arms(), pool_only);
 }
 
-// Saved tables and v4 plan files from before the micro-GEMM (g1),
-// spec-all (s3) and shard-strategy arms were retired still load: exactly
-// those entries are dropped, the return counts show it, and frozen
-// decisions over the remaining arms are the ones a table without them
-// makes.
-TEST(Router, RetiredArmsInOldTablesAndPlansAreDropped) {
-  const std::string live =
-      "s0g0d255t0b0a255 4 400 100 100\n"
-      "s1g0d255t0b0a255 4 40 10 10\n";
-  const std::string retired =
-      "s0g1d255t0b0a255 4 4 1 1\n"
-      "s3g0d255t0b0a255 4 8 2 2\n"
-      "s0g0d1t0b0a255 4 4 1 1\n";
-  // A key under the retired shard workload (3).
-  const std::string shard_key =
-      "fp 3 6 2 8\n"
-      "s0g0d2t0b0a255 4 40 10 10\n"
-      "s0g0d255t0b0a255 4 400 100 100\n";
-  const auto table = [](std::size_t nkeys, std::size_t narms, const std::string& arms,
-                        const std::string& more) {
-    return "rrspmm-router-table v1\n" + std::to_string(nkeys) + "\nfp 0 5 " +
-           std::to_string(narms) + " 16\n" + arms + more;
-  };
-  RouterConfig frozen_cfg;
-  frozen_cfg.frozen = true;
-  Router old_table(frozen_cfg), clean_table(frozen_cfg);
-  std::istringstream old_in(table(2, 5, live + retired, shard_key)),
-      clean_in(table(1, 2, live, ""));
-  EXPECT_EQ(old_table.load_table(old_in), 2u);
-  EXPECT_EQ(clean_table.load_table(clean_in), 2u);
-  EXPECT_EQ(old_table.keys(), clean_table.keys());
-  const std::vector<RouteChoice> arms = {arm_default(), arm_spec_off()};
-  const Decision d = old_table.decide("fp", Workload::spmm, 32, arms);
-  EXPECT_EQ(d.choice, arm_spec_off());
-  EXPECT_EQ(d.choice, clean_table.decide("fp", Workload::spmm, 32, arms).choice);
-  std::ostringstream saved;
-  old_table.save_table(saved);
-  EXPECT_EQ(saved.str().find("g1"), std::string::npos);
-  EXPECT_EQ(saved.str().find("s3g"), std::string::npos);
-  EXPECT_EQ(saved.str().find("d2t"), std::string::npos);
-  EXPECT_EQ(saved.str().find("d1t"), std::string::npos);
-
-  // A v4 plan file carrying live and retired records.
+// Plan files from binaries that persisted the router table carry v4
+// route records. They still load: the fingerprint the router keys on
+// survives the file, the records are skipped, and the router serving
+// the loaded plan learns from its own measurements, exactly as it does
+// for a plan built from the matrix.
+TEST(Router, PlanFileV4CarriesRouteRecords) {
   const sparse::CsrMatrix m = synth::erdos_renyi(64, 64, 512, 42);
   core::ExecutionPlan plan = core::build_plan(m);
   plan.fingerprint = core::matrix_fingerprint(m);
-  const auto record = [](std::uint8_t spec_mode, std::uint8_t micro_gemm, double mean_us) {
-    core::RouteRecord rec;
-    rec.workload = static_cast<std::uint8_t>(Workload::spmm);
-    rec.k_bucket = router::k_bucket(32);
-    rec.spec_mode = spec_mode;
-    rec.micro_gemm = micro_gemm;
-    rec.count = 4;
-    rec.total_us = 4 * mean_us;
-    rec.min_us = mean_us;
-    rec.max_us = mean_us;
-    return rec;
-  };
-  // A shard-workload record (retired workload 3 with a pinned strategy),
-  // and an spmm record that pins a strategy.
-  core::RouteRecord shard_rec = record(0, 0, 0.5);
-  shard_rec.workload = 3;
-  shard_rec.shard_strategy = 2;
-  core::RouteRecord pinned = record(1, 0, 0.5);
-  pinned.shard_strategy = 1;
-  plan.routes = {record(0, 0, 100.0), record(1, 0, 10.0), record(0, 1, 1.0),
-                 record(3, 0, 2.0),   shard_rec,          pinned};
-  std::stringstream file;
-  core::save_plan(plan, file);
-  const core::ExecutionPlan loaded = core::load_plan(file);
-  ASSERT_EQ(loaded.routes.size(), 6u);
-  EXPECT_EQ(loaded.routes[2].micro_gemm, 1u);
-  EXPECT_EQ(loaded.routes[4].workload, 3u);
-  EXPECT_EQ(loaded.routes[4].shard_strategy, 2u);
 
-  Router warm(frozen_cfg);
-  EXPECT_EQ(warm.import_records(loaded.fingerprint, loaded.routes), 2u);
-  EXPECT_EQ(warm.decide(loaded.fingerprint, Workload::spmm, 32, arms).choice, arm_spec_off());
-  for (const core::RouteRecord& r : warm.export_records(loaded.fingerprint)) {
-    EXPECT_EQ(r.micro_gemm, 0u);
-    EXPECT_NE(r.spec_mode, 3u);
-    EXPECT_NE(r.workload, 3u);
-    EXPECT_EQ(r.shard_strategy, 255u);
+  // The old table's verdict: spec-off fast, default slow.
+  test::V4RouteRecord slow, fast;
+  slow.k_bucket = fast.k_bucket = router::k_bucket(32);
+  slow.total_us = 400.0;
+  slow.min_us = slow.max_us = 100.0;
+  fast.spec_mode = 1;
+  std::stringstream file(test::v4_plan_with_records(plan, 2, {slow, fast}));
+  const core::ExecutionPlan loaded = core::load_plan(file);
+  EXPECT_EQ(file.peek(), std::char_traits<char>::eof()) << "records not skipped exactly";
+  EXPECT_EQ(loaded.fingerprint, core::matrix_fingerprint(m));
+
+  // Measured here, the default arm is the fast one; the router keyed on
+  // the loaded fingerprint converges on it, decision for decision the
+  // same as a router keyed on the freshly computed one.
+  const auto run = [](const std::string& fp) {
+    RouterConfig cfg;
+    cfg.min_samples = 1;
+    Router r(cfg);
+    const std::vector<RouteChoice> arms = {arm_default(), arm_spec_off()};
+    std::vector<Decision> picks;
+    for (int i = 0; i < 32; ++i) {
+      const Decision d = r.decide(fp, Workload::spmm, 32, arms);
+      picks.push_back(d);
+      r.observe(fp, Workload::spmm, 32, d.choice, d.choice == arm_default() ? 10.0 : 100.0);
+    }
+    return picks;
+  };
+  const std::vector<Decision> from_file = run(loaded.fingerprint);
+  const std::vector<Decision> from_matrix = run(plan.fingerprint);
+  ASSERT_EQ(from_file.size(), from_matrix.size());
+  for (std::size_t i = 0; i < from_file.size(); ++i) {
+    EXPECT_EQ(from_file[i].choice, from_matrix[i].choice) << "decision " << i;
+    EXPECT_EQ(from_file[i].explored, from_matrix[i].explored) << "decision " << i;
+  }
+  // The last exploiting decision picks the arm measured fast here.
+  auto last = from_file.rbegin();
+  while (last != from_file.rend() && last->explored) ++last;
+  ASSERT_NE(last, from_file.rend());
+  EXPECT_EQ(last->choice, arm_default());
+}
+
+// Old v4 plan files also hold records of arms that are gone: the
+// micro-GEMM arm (g1), spec-all (s3), the shard workload (3) and pinned
+// shard strategies. Router table files are gone altogether. Such plan
+// files load, their records are dropped with the rest, and no arm the
+// router builds can name a retired one.
+TEST(Router, RetiredArmsInOldTablesAndPlansAreDropped) {
+  const sparse::CsrMatrix m = synth::erdos_renyi(64, 64, 512, 42);
+  core::ExecutionPlan plan = core::build_plan(m);
+  plan.fingerprint = core::matrix_fingerprint(m);
+
+  test::V4RouteRecord live, micro_gemm, spec_all, shard, pinned;
+  micro_gemm.micro_gemm = 1;
+  spec_all.spec_mode = 3;
+  shard.workload = 3;
+  shard.shard_strategy = 2;
+  pinned.spec_mode = 1;
+  pinned.shard_strategy = 1;
+  const std::vector<test::V4RouteRecord> records = {live, micro_gemm, spec_all, shard, pinned};
+  std::stringstream file(test::v4_plan_with_records(plan, records.size(), records));
+  const core::ExecutionPlan loaded = core::load_plan(file);
+  EXPECT_EQ(file.peek(), std::char_traits<char>::eof()) << "records not skipped exactly";
+  EXPECT_EQ(loaded.fingerprint, plan.fingerprint);
+  sparse::DenseMatrix x(m.cols(), 8);
+  sparse::fill_random(x, 3);
+  sparse::DenseMatrix y_plan(m.rows(), 8), y_loaded(m.rows(), 8);
+  core::run_spmm(plan, x, y_plan);
+  core::run_spmm(loaded, x, y_loaded);
+  EXPECT_DOUBLE_EQ(y_plan.max_abs_diff(y_loaded), 0.0);
+
+  // Every arm the router can build encodes only the live fields: no
+  // micro-GEMM or shard-strategy field, no spec-all mode.
+  std::vector<RouteChoice> all = Router::spmm_arms(64);
+  for (const auto& arms : {Router::sddmm_arms(), Router::spgemm_arms(), Router::coalesce_arms()}) {
+    all.insert(all.end(), arms.begin(), arms.end());
+  }
+  for (const RouteChoice& c : all) {
+    const std::string key = c.key();
+    EXPECT_EQ(key.find('g'), std::string::npos) << key;
+    EXPECT_EQ(key.find('d'), std::string::npos) << key;
+    EXPECT_NE(c.spec_mode, 3u) << key;
   }
 }
 
@@ -442,13 +243,11 @@ TEST(Router, FromEnvHonoursKnob) {
   EXPECT_EQ(router::from_env(), nullptr);
 
   ::setenv("RRSPMM_ROUTER", "on", 1);
-  auto on = router::from_env();
-  ASSERT_NE(on, nullptr);
-  EXPECT_FALSE(on->frozen());
+  EXPECT_NE(router::from_env(), nullptr);
+  // The retired frozen mode, like any unknown value, warns and leaves the
+  // router off.
   ::setenv("RRSPMM_ROUTER", "frozen", 1);
-  auto frozen = router::from_env();
-  ASSERT_NE(frozen, nullptr);
-  EXPECT_TRUE(frozen->frozen());
+  EXPECT_EQ(router::from_env(), nullptr);
 
   if (saved) {
     ::setenv("RRSPMM_ROUTER", saved_val.c_str(), 1);
@@ -457,35 +256,63 @@ TEST(Router, FromEnvHonoursKnob) {
   }
 }
 
-TEST(RouterMetrics, RouteLatencyAttributesPerKey) {
-  runtime::RouteLatency lat;
-  const std::string key = router::route_key("fp", Workload::spmm, 32, arm_default());
-  lat.record(key, 10.0);
-  lat.record(key, 30.0);
-  lat.record(router::route_key("fp", Workload::spmm, 32, arm_spec_off()), 5.0);
-
-  const auto snap = lat.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  bool found = false;
-  for (const auto& [k, s] : snap) {
-    if (k != key) continue;
-    found = true;
-    EXPECT_EQ(s.count, 2u);
-    EXPECT_DOUBLE_EQ(s.total_us, 40.0);
-    EXPECT_DOUBLE_EQ(s.min_us, 10.0);
-    EXPECT_DOUBLE_EQ(s.max_us, 30.0);
-  }
-  EXPECT_TRUE(found);
-  EXPECT_EQ(lat.dropped(), 0u);
+/// The to_json() entry prefix of one arm: its quoted route key, then the
+/// count field's name.
+std::string json_key(const std::string& fp, Workload w, index_t k, const RouteChoice& c) {
+  std::string s = "\"";
+  s += router::route_key(fp, w, k, c);
+  s += "\":{\"count\":";
+  return s;
 }
 
-TEST(RouterMetrics, RouteLatencyBoundsItsKeySet) {
-  runtime::RouteLatency lat;
-  for (std::size_t i = 0; i < runtime::RouteLatency::kMaxKeys + 3; ++i) {
-    lat.record("key-" + std::to_string(i), 1.0);
+/// json_key() followed by the arm's expected count.
+std::string json_entry(const std::string& fp, Workload w, index_t k, const RouteChoice& c,
+                       std::uint64_t count) {
+  std::string s = json_key(fp, w, k, c);
+  s += std::to_string(count);
+  s += ',';
+  return s;
+}
+
+TEST(Router, ToJsonAttributesLatencyPerRouteKey) {
+  Router r;
+  r.observe("fp", Workload::spmm, 32, arm_default(), 10.0);
+  r.observe("fp", Workload::spmm, 32, arm_default(), 30.0);
+  r.observe("fp", Workload::spmm, 32, arm_spec_off(), 5.0);
+  r.observe("fp", Workload::coalesce, 0, arm_default(), 7.0);
+  EXPECT_EQ(r.keys(), 2u);
+
+  const std::string json = r.to_json();
+  EXPECT_NE(json.find(json_entry("fp", Workload::spmm, 32, arm_default(), 2) +
+                      "\"total_us\":40,\"mean_us\":20,\"min_us\":10,\"max_us\":30}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(json_entry("fp", Workload::spmm, 32, arm_spec_off(), 1)), std::string::npos)
+      << json;
+  EXPECT_NE(json.find(json_entry("fp", Workload::coalesce, 0, arm_default(), 1)),
+            std::string::npos)
+      << json;
+}
+
+TEST(Router, BoundsItsKeySet) {
+  RouterConfig cfg;
+  cfg.max_keys = 4;
+  Router r(cfg);
+  const std::vector<RouteChoice> arms = {arm_default(), arm_spec_off()};
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(r.decide("fp" + std::to_string(i), Workload::spmm, 32, arms).routed);
   }
-  EXPECT_EQ(lat.snapshot().size(), runtime::RouteLatency::kMaxKeys);
-  EXPECT_EQ(lat.dropped(), 3u);
+  // Past the bound a new key runs the default arm unrouted, and its
+  // observations are dropped rather than allocated.
+  const Decision d = r.decide("fp-new", Workload::spmm, 32, arms);
+  EXPECT_FALSE(d.routed);
+  EXPECT_EQ(d.choice, arm_default());
+  r.observe("fp-new", Workload::spmm, 32, arm_default(), 1.0);
+  EXPECT_EQ(r.keys(), 4u);
+  EXPECT_EQ(r.decisions(), 4u);
+  EXPECT_EQ(r.to_json().find("fp-new"), std::string::npos);
+  // Known keys keep routing.
+  EXPECT_TRUE(r.decide("fp0", Workload::spmm, 32, arms).routed);
 }
 
 // --- Server integration ----------------------------------------------
@@ -533,13 +360,11 @@ TEST(ServerRouter, RoutedExecutionIsBitwiseIdenticalAndAttributed) {
     expect_ref(y, "view batch " + std::to_string(i));
   }
   EXPECT_EQ(server.metrics().zero_copy_fallbacks.load(), 0u);
-  bool sequential_borrowed = false;
-  const std::string seq_key =
-      router::route_key(core::matrix_fingerprint(m), Workload::spmm, 16, arm_sequential());
-  for (const auto& [k, s] : server.metrics().route_latency.snapshot()) {
-    sequential_borrowed |= k == seq_key && s.count > 0;
-  }
-  EXPECT_TRUE(sequential_borrowed) << "the sequential arm never served a borrowed request";
+  const std::string fp = core::matrix_fingerprint(m);
+  // An arm appears in the table once it has an observation.
+  EXPECT_NE(router_ptr->to_json().find(json_key(fp, Workload::spmm, 16, arm_sequential())),
+            std::string::npos)
+      << "the sequential arm never served a borrowed request";
 
   for (int i = 0; i < 12; ++i) {
     sparse::DenseMatrix xi = x;
@@ -547,43 +372,37 @@ TEST(ServerRouter, RoutedExecutionIsBitwiseIdenticalAndAttributed) {
   }
   server.wait_idle();
 
-  // Closed loop: decisions were made, observed, and attributed per key.
+  // Closed loop: every decision the server counted was the router's, and
+  // each routed SpMM batch landed in the router's table under this
+  // matrix's key.
   EXPECT_GT(server.metrics().router_decisions.load(), 0u);
-  EXPECT_GT(router_ptr->decisions(), 0u);
-  EXPECT_FALSE(server.metrics().route_latency.snapshot().empty());
-  const std::string json = server.metrics_json();
-  EXPECT_NE(json.find("route_latency"), std::string::npos);
+  EXPECT_EQ(server.metrics().router_decisions.load(), router_ptr->decisions());
+  const std::string table = router_ptr->to_json();
+  std::uint64_t spmm_batches = 0;
+  for (const RouteChoice& c : Router::spmm_arms(m.rows())) {
+    const std::string key = json_key(fp, Workload::spmm, 16, c);
+    const std::size_t at = table.find(key);
+    if (at != std::string::npos) spmm_batches += std::stoull(table.substr(at + key.size()));
+  }
+  EXPECT_EQ(spmm_batches, server.metrics().batches_executed.load()) << table;
+  EXPECT_NE(server.metrics_json().find("\"router_decisions\""), std::string::npos);
 }
 
-TEST(ServerRouter, FrozenDecisionsSurvivePlanCacheEvictionAndReload) {
+TEST(ServerRouter, DecisionsSurvivePlanCacheEvictionAndReload) {
   // The router keys on the matrix fingerprint, not on plan residency, so
-  // evicting and rebuilding the plan must not change a frozen decision.
+  // evicting and rebuilding the plan continues the same table row.
   const sparse::CsrMatrix a = synth::erdos_renyi(80, 80, 640, 7);
   const sparse::CsrMatrix b = synth::erdos_renyi(80, 80, 640, 8);
   const sparse::CsrMatrix c = synth::erdos_renyi(80, 80, 640, 9);
   const std::string fp_a = core::matrix_fingerprint(a);
 
-  Router trainer;
-  const std::vector<RouteChoice> arms = {arm_default(), arm_spec_off()};
-  for (int i = 0; i < 32; ++i) {
-    const Decision d = trainer.decide(fp_a, Workload::spmm, 16, arms);
-    trainer.observe(fp_a, Workload::spmm, 16, d.choice, synthetic_us(d.choice));
-  }
-  std::ostringstream table;
-  trainer.save_table(table);
-
-  RouterConfig frozen_cfg;
-  frozen_cfg.frozen = true;
-  auto frozen = std::make_shared<Router>(frozen_cfg);
-  {
-    std::istringstream in(table.str());
-    ASSERT_GT(frozen->load_table(in), 0u);
-  }
-
+  RouterConfig cfg;
+  cfg.min_samples = 1;
+  auto router_ptr = std::make_shared<Router>(cfg);
   runtime::ServerConfig scfg;
   scfg.threads = 2;
   scfg.plan_cache_capacity = 2;  // three matrices: A is evicted below
-  scfg.router = frozen;
+  scfg.router = router_ptr;
   runtime::Server server(scfg);
   server.register_matrix("a", a);
   server.register_matrix("b", b);
@@ -606,34 +425,16 @@ TEST(ServerRouter, FrozenDecisionsSurvivePlanCacheEvictionAndReload) {
   for (index_t r = 0; r < before.rows(); ++r) {
     for (index_t cc = 0; cc < before.cols(); ++cc) ASSERT_EQ(before(r, cc), after(r, cc));
   }
-  // Frozen: the same table argmin decided both executions — no
-  // exploration happened on either side of the eviction.
-  EXPECT_EQ(frozen->explorations(), 0u);
-  const std::string expected_key = router::route_key(
-      fp_a, Workload::spmm, 16, trainer.preferred(fp_a, Workload::spmm, arm_default()));
-  bool attributed = false;
-  for (const auto& [k, s] : server.metrics().route_latency.snapshot()) {
-    if (k == expected_key) {
-      attributed = true;
-      EXPECT_GE(s.count, 2u);  // one before the eviction, one after
-    }
-  }
-  EXPECT_TRUE(attributed);
-}
-
-TEST(RouterJson, ParserHandlesBenchShapes) {
-  const auto doc = router::parse_json(R"({"a": [1, 2.5, -3e2], "b": "str", "c": true, "d": null})");
-  ASSERT_EQ(doc.type, router::JsonValue::Type::object);
-  const auto* a = doc.find("a");
-  ASSERT_NE(a, nullptr);
-  ASSERT_EQ(a->arr.size(), 3u);
-  EXPECT_DOUBLE_EQ(a->arr[1].num, 2.5);
-  EXPECT_DOUBLE_EQ(a->arr[2].num, -300.0);
-  EXPECT_EQ(*doc.find("b")->string_or_null(), "str");
-  EXPECT_TRUE(doc.find("c")->b);
-  EXPECT_EQ(doc.find("d")->type, router::JsonValue::Type::null);
-  EXPECT_THROW(router::parse_json("{\"unterminated\": "), std::runtime_error);
-  EXPECT_THROW(router::parse_json("[1,]"), std::runtime_error);
+  // The fill phase went on across the eviction: the first batch sampled
+  // the default arm, the second the next arm of the same key, rather
+  // than a fresh key sampling the default again.
+  const std::string table = router_ptr->to_json();
+  EXPECT_NE(table.find(json_entry(fp_a, Workload::spmm, 16, arm_default(), 1)),
+            std::string::npos)
+      << table;
+  EXPECT_NE(table.find(json_entry(fp_a, Workload::spmm, 16, arm_spec_off(), 1)),
+            std::string::npos)
+      << table;
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
+#include "io/mm_stream.hpp"
 #include "sparse/io_mm.hpp"
 #include "synth/generators.hpp"
 #include "test_util.hpp"
@@ -87,6 +89,26 @@ TEST(MatrixMarket, RejectsTruncatedEntries) {
       "2 2 2\n"
       "1 1 1.0\n");
   EXPECT_THROW(sparse::read_matrix_market(ss), io_error);
+}
+
+// Size lines whose entry count the file does not hold: the reader must
+// fail on the missing entries with a typed error, never allocate from the
+// declared count (4e18 overflows the vector, 5e17 exhausts memory).
+TEST(MatrixMarket, HostileEntryCountRaisesIoError) {
+  for (const char* size_line :
+       {"2000000000 2000000000 4000000000000000000\n", "2000000000 2000000000 500000000000000000\n"}) {
+    const std::string text =
+        std::string("%%MatrixMarket matrix coordinate real general\n") + size_line + "1 1 1.0\n";
+    std::stringstream ss(text);
+    EXPECT_THROW(sparse::read_matrix_market(ss), io_error) << size_line;
+
+    const test::TempFile f("hostile_count.mtx");
+    {
+      std::ofstream out(f.path);
+      out << text;
+    }
+    EXPECT_THROW(io::read_matrix_market_streamed(f.path), io_error) << size_line;
+  }
 }
 
 TEST(MatrixMarket, RejectsEmptyStream) {
