@@ -36,13 +36,7 @@ std::uint64_t pair_key(index_t a, index_t b) {
 
 ClusterResult cluster_reorder(const CsrMatrix& m, const std::vector<CandidatePair>& pairs,
                               const ClusterConfig& cfg) {
-  sparse::CsrRowSource src(m);
-  return cluster_reorder(src, pairs, cfg);
-}
-
-ClusterResult cluster_reorder(sparse::RowSource& rows, const std::vector<CandidatePair>& pairs,
-                              const ClusterConfig& cfg) {
-  const index_t n = rows.rows();
+  const index_t n = m.rows();
   ClusterResult result;
 
   // Alg 3 state. We keep the paper's explicit arrays (rather than the
@@ -114,7 +108,7 @@ ClusterResult cluster_reorder(sparse::RowSource& rows, const std::vector<Candida
       j = root(j);
       if (deleted[static_cast<std::size_t>(i)] || deleted[static_cast<std::size_t>(j)]) continue;
       if (i != j && !candidate_keys.contains(pair_key(i, j))) {
-        sim_queue.push(HeapEntry{sparse::jaccard(rows.row_cols(i), rows.row_cols(j)), i, j});
+        sim_queue.push(HeapEntry{sparse::jaccard(m.row_cols(i), m.row_cols(j)), i, j});
         candidate_keys.insert(pair_key(i, j));
         ++result.requeued;
       }

@@ -16,7 +16,6 @@
 
 #include "lsh/candidates.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/row_source.hpp"
 
 namespace rrspmm::cluster {
 
@@ -44,14 +43,6 @@ struct ClusterResult {
 /// ties are broken by (similarity, a, b). `m` is only used to compute
 /// Jaccard similarities for re-keyed pairs.
 ClusterResult cluster_reorder(const CsrMatrix& m, const std::vector<CandidatePair>& pairs,
-                              const ClusterConfig& cfg);
-
-/// Same algorithm over an abstract RowSource — the out-of-core path
-/// (src/io) passes a block-cached source over an on-disk shard file. The
-/// re-key branch touches exactly two rows per pop, which fits the
-/// RowSource two-row working-set contract. Bitwise identical to the
-/// CsrMatrix overload (which delegates here via CsrRowSource).
-ClusterResult cluster_reorder(sparse::RowSource& rows, const std::vector<CandidatePair>& pairs,
                               const ClusterConfig& cfg);
 
 }  // namespace rrspmm::cluster

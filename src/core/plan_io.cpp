@@ -15,22 +15,14 @@ namespace {
 constexpr char kMagic[10] = {'R', 'R', 'S', 'P', 'M', 'M', 'P', 'L', 'A', 'N'};
 // Version 2 appends the per-phase preprocessing timings and the
 // degradation flag to the stats block; version 1 files load with zeroed
-// timings (the same back-compat idiom as kShardVersion). Version 3
-// appends the kernel SpecializationPlan record after the tiled matrix;
-// loading an older file recomputes the record from the tiling, so every
-// loaded plan carries one. Version 4 appends the record's
-// dense_full_rows counter (recomputed for v3 files), the matrix
+// timings. Version 3 appends the kernel SpecializationPlan record after
+// the tiled matrix; loading an older file recomputes the record from the
+// tiling, so every loaded plan carries one. Version 4 appends the
+// record's dense_full_rows counter (recomputed for v3 files), the matrix
 // fingerprint, and a count of router records. The router no longer
 // persists anything: the writer emits a count of 0, and the reader
 // skips the records of files written by older binaries.
 constexpr std::uint32_t kVersion = 4;
-
-constexpr char kShardMagic[10] = {'R', 'R', 'S', 'P', 'M', 'M', 'S', 'H', 'R', 'D'};
-// Version 2 appends the partitioned span [span_begin, span_end); version 1
-// files load with the full-extent defaults. Both versions carry a mode
-// byte and a column-shard count from the retired column mode: the writer
-// emits 0 for both, and the reader rejects any other value.
-constexpr std::uint32_t kShardVersion = 2;
 
 // POD write/read helpers. The format is defined as little-endian; this
 // library targets little-endian hosts (x86-64, AArch64 Linux), which the
@@ -296,87 +288,6 @@ ExecutionPlan load_plan(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw io_error("cannot open " + path);
   return load_plan(f);
-}
-
-void save_shard_plan(const ShardPlan& plan, std::ostream& out) {
-  plan.validate();
-  out.write(kShardMagic, sizeof(kShardMagic));
-  put(out, kShardVersion);
-  put<std::uint8_t>(out, 0);  // mode: row
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(plan.strategy));
-  put<std::int32_t>(out, plan.num_devices);
-  put(out, plan.rows);
-  put(out, plan.cols);
-  put(out, plan.span_begin);
-  put(out, plan.span_end);
-  put<std::uint64_t>(out, plan.row_shards.size());
-  for (const RowShard& s : plan.row_shards) {
-    put(out, s.row_begin);
-    put(out, s.row_end);
-    put(out, s.nnz);
-  }
-  put<std::uint64_t>(out, 0);  // column shards
-  if (!out) throw io_error("failed writing shard plan");
-}
-
-void save_shard_plan(const ShardPlan& plan, const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw io_error("cannot open " + path + " for writing");
-  save_shard_plan(plan, f);
-}
-
-ShardPlan load_shard_plan(std::istream& in) {
-  char magic[sizeof(kShardMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kShardMagic, sizeof(kShardMagic)) != 0) {
-    throw io_error("not an rrspmm shard-plan file");
-  }
-  const auto version = get<std::uint32_t>(in);
-  if (version < 1 || version > kShardVersion) {
-    throw io_error("unsupported shard-plan version " + std::to_string(version));
-  }
-
-  ShardPlan plan;
-  const auto mode = get<std::uint8_t>(in);
-  if (mode == 1) throw io_error("column-mode shard plans are no longer supported");
-  if (mode != 0) throw io_error("shard-plan file declares an unknown mode");
-  const auto strategy = get<std::uint8_t>(in);
-  if (strategy > static_cast<std::uint8_t>(ShardStrategy::reorder_aware)) {
-    throw io_error("shard-plan file declares an unknown strategy");
-  }
-  plan.strategy = static_cast<ShardStrategy>(strategy);
-  plan.num_devices = get<std::int32_t>(in);
-  plan.rows = get<index_t>(in);
-  plan.cols = get<index_t>(in);
-  if (version >= 2) {
-    plan.span_begin = get<index_t>(in);
-    plan.span_end = get<index_t>(in);
-  }
-
-  const auto n_rows = get<std::uint64_t>(in);
-  if (n_rows > (1ULL << 24)) throw io_error("implausible row-shard count");
-  if (n_rows != static_cast<std::uint64_t>(plan.num_devices)) {
-    throw io_error("shard-plan file's row-shard count does not match its device count");
-  }
-  // Appended as read: memory follows the bytes delivered, not the count.
-  for (std::uint64_t i = 0; i < n_rows; ++i) {
-    RowShard& s = plan.row_shards.emplace_back();
-    s.row_begin = get<index_t>(in);
-    s.row_end = get<index_t>(in);
-    s.nnz = get<offset_t>(in);
-  }
-  if (get<std::uint64_t>(in) != 0) {
-    throw io_error("column-mode shard plans are no longer supported");
-  }
-
-  plan.validate();
-  return plan;
-}
-
-ShardPlan load_shard_plan(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw io_error("cannot open " + path);
-  return load_shard_plan(f);
 }
 
 }  // namespace rrspmm::core

@@ -20,7 +20,6 @@
 #include <string>
 
 #include "core/pipeline.hpp"
-#include "core/shard_plan.hpp"
 
 namespace rrspmm::core {
 
@@ -31,19 +30,5 @@ void save_plan(const ExecutionPlan& plan, std::ostream& out);
 /// corruption.
 ExecutionPlan load_plan(const std::string& path);
 ExecutionPlan load_plan(std::istream& in);
-
-/// Shard-plan records (multi-device deployment): same offline story as
-/// execution plans — the partitioner runs once, the shard assignment is
-/// persisted next to the .plan file, and every serving process loads the
-/// identical partition. Format: magic "RRSPMMSHRD" + version, then the
-/// ShardPlan fields; loading revalidates the partition invariant, so a
-/// corrupt file throws instead of producing overlapping shards.
-void save_shard_plan(const ShardPlan& plan, const std::string& path);
-void save_shard_plan(const ShardPlan& plan, std::ostream& out);
-
-/// Throws io_error on malformed input, invalid_matrix if the loaded
-/// shards do not partition the matrix exactly once.
-ShardPlan load_shard_plan(const std::string& path);
-ShardPlan load_shard_plan(std::istream& in);
 
 }  // namespace rrspmm::core

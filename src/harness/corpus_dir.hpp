@@ -2,9 +2,9 @@
 // matrices instead of the synthetic corpus. Every `.mtx` file is
 // ingested through the streaming Matrix Market reader (so a matrix
 // larger than memory still loads under the builder's budget) and every
-// `.rrsb` shard file is materialised through RrsbReader — the same two
-// entry paths the out-of-core pipeline uses, which keeps the harness an
-// end-to-end exercise of src/io rather than a separate code path.
+// `.rrsb` shard file is materialised through RrsbReader — the two ingest
+// paths of src/io, which keeps the harness an end-to-end exercise of
+// them rather than a separate code path.
 #pragma once
 
 #include <string>

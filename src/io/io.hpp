@@ -1,11 +1,10 @@
 // Umbrella header for the out-of-core ingestion subsystem: chunked
-// Matrix Market reading, budgeted streaming CSR construction, the
-// .rrsb shard format, and streaming preprocessing. Streamed sharded
-// execution lives in dist/stream.hpp (it needs the dist layer).
+// Matrix Market reading, budgeted streaming CSR construction and the
+// .rrsb shard format. Ingest ends in a resident CsrMatrix; preprocessing
+// and execution always run on that.
 #pragma once
 
 #include "io/byte_reader.hpp"
 #include "io/mm_stream.hpp"
 #include "io/rrsb.hpp"
 #include "io/streaming_builder.hpp"
-#include "io/streaming_preprocess.hpp"

@@ -275,25 +275,4 @@ sparse::CsrMatrix RrsbReader::read_range(index_t row_begin, index_t row_end) con
   return sparse::CsrMatrix(nrows, cols_, std::move(rowptr), std::move(colidx), std::move(values));
 }
 
-// ---------------------------------------------------------------------------
-// RowSource
-
-std::span<const index_t> RrsbRowSource::row_cols(index_t i) {
-  const index_t b = i / shard_.block_rows();
-  Slot* slot = nullptr;
-  for (Slot& s : slots_) {
-    if (s.block == b) slot = &s;
-  }
-  if (slot == nullptr) {
-    // Evict the less recently touched slot: the other slot is the block
-    // of the previous row_cols call, whose span must stay valid.
-    slot = slots_[0].touch <= slots_[1].touch ? &slots_[0] : &slots_[1];
-    slot->m = shard_.read_range(shard_.block_begin(b), shard_.block_end(b));
-    slot->block = b;
-    ++loads_;
-  }
-  slot->touch = ++clock_;
-  return slot->m.row_cols(i - shard_.block_begin(b));
-}
-
 }  // namespace rrspmm::io

@@ -46,7 +46,6 @@
 
 #include "io/byte_reader.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/row_source.hpp"
 
 namespace rrspmm::io {
 
@@ -104,8 +103,7 @@ void write_rrsb(const sparse::CsrMatrix& m, const std::string& path,
 
 /// Random row-range access to a .rrsb file. read_range is const and
 /// thread-safe (per-call scratch only; the underlying ByteReader allows
-/// concurrent reads), so parallel preprocessing chunks and shard workers
-/// can slice the same reader.
+/// concurrent reads), so concurrent callers can slice the same reader.
 class RrsbReader {
  public:
   explicit RrsbReader(const std::string& path);
@@ -123,8 +121,7 @@ class RrsbReader {
     return static_cast<index_t>(
         std::min<std::int64_t>(std::int64_t{b + 1} * block_rows_, rows_));
   }
-  /// Nonzeros of block b, from the index alone (no block read) — what
-  /// the streaming shard planner balances on.
+  /// Nonzeros of block b, from the index alone (no block read).
   offset_t block_nnz(index_t b) const;
   /// Nonzeros in all blocks before b.
   offset_t nnz_before(index_t b) const;
@@ -154,38 +151,6 @@ class RrsbReader {
   offset_t nnz_ = 0;
   index_t block_rows_ = 0;
   std::vector<IndexEntry> index_;
-};
-
-/// RowSource over a .rrsb file with a two-block cache: the two most
-/// recently touched blocks stay resident, the less recent one is the
-/// eviction victim. That pins exactly the working set the RowSource
-/// contract promises (a span stays valid until the second subsequent
-/// row_cols call), which is all the pairwise-Jaccard consumers — LSH
-/// scoring and the Alg 3 re-key branch — ever need. Not thread-safe;
-/// parallel consumers build one source per worker over the shared
-/// reader.
-class RrsbRowSource final : public sparse::RowSource {
- public:
-  explicit RrsbRowSource(const RrsbReader& shard) : shard_(shard) {}
-
-  index_t rows() const override { return shard_.rows(); }
-  index_t cols() const override { return shard_.cols(); }
-  std::span<const index_t> row_cols(index_t i) override;
-
-  /// Blocks loaded from disk so far (cache-behaviour checks in tests).
-  int block_loads() const { return loads_; }
-
- private:
-  struct Slot {
-    index_t block = -1;
-    std::uint64_t touch = 0;
-    sparse::CsrMatrix m;
-  };
-
-  const RrsbReader& shard_;
-  Slot slots_[2];
-  std::uint64_t clock_ = 0;
-  int loads_ = 0;
 };
 
 }  // namespace rrspmm::io

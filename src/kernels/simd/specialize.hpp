@@ -116,7 +116,7 @@ struct SpecializationPlan {
 /// variants (short -> unrolled_short, medium/long/dense -> kwidth).
 SpecializationPlan specialize_plan(const aspt::AsptMatrix& tiled);
 
-/// Row-only variant for paths without a tiling (streamed CSR slices):
+/// Row-only variant for paths without a tiling (plain CSR row ranges):
 /// same histogram and variant assignment, no dense-panel statistics.
 SpecializationPlan specialize_rows(const sparse::CsrMatrix& m);
 

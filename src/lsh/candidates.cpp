@@ -51,41 +51,24 @@ struct BandEntryLess {
   }
 };
 
-/// Per-row liveness mask of a resident matrix: banding needs nothing
-/// else from it (empty rows have no similarity to exploit).
-std::vector<std::uint8_t> liveness(const SignatureMatrix& sig, const CsrMatrix& m) {
-  std::vector<std::uint8_t> mask(static_cast<std::size_t>(sig.rows()), 0);
-  for (index_t i = 0; i < sig.rows(); ++i) {
-    mask[static_cast<std::size_t>(i)] = m.row_nnz(i) > 0 ? 1 : 0;
-  }
-  return mask;
-}
-
-/// Packed-key banding over a resident matrix; see the public mask
-/// overload for the algorithm. Packed keys instead of std::pair keep the
-/// hot emit/dedup/score loops on flat 8-byte values.
+/// Deduplicated candidate pairs as packed (a << 32) | b keys with a < b,
+/// sorted ascending. Empty rows are skipped (they have no similarity to
+/// exploit); nothing else of the matrix is read. Packed keys instead of
+/// std::pair keep the hot emit/dedup/score loops on flat 8-byte values.
 std::vector<std::uint64_t> band_pair_keys(const SignatureMatrix& sig, const CsrMatrix& m,
-                                          const LshConfig& cfg, runtime::WorkerPool* pool) {
-  return lsh::band_pair_keys(sig, liveness(sig, m), cfg, pool);
-}
-
-}  // namespace
-
-std::vector<std::uint64_t> band_pair_keys(const SignatureMatrix& sig,
-                                          const std::vector<std::uint8_t>& mask,
                                           const LshConfig& cfg, runtime::WorkerPool* pool) {
   if (cfg.bsize <= 0 || cfg.siglen <= 0 || cfg.siglen % cfg.bsize != 0) {
     throw sparse::invalid_matrix("LshConfig: siglen must be a positive multiple of bsize");
   }
-  if (mask.size() != static_cast<std::size_t>(sig.rows())) {
-    throw sparse::invalid_matrix("liveness mask size must match signature rows");
+  if (m.rows() != sig.rows()) {
+    throw sparse::invalid_matrix("signature rows must match matrix rows");
   }
   const int nbands = cfg.siglen / cfg.bsize;
 
   std::vector<index_t> live;
   live.reserve(static_cast<std::size_t>(sig.rows()));
   for (index_t i = 0; i < sig.rows(); ++i) {
-    if (mask[static_cast<std::size_t>(i)] != 0) live.push_back(i);
+    if (m.row_nnz(i) > 0) live.push_back(i);
   }
 
   std::vector<BandEntry> entries(live.size() * static_cast<std::size_t>(nbands));
@@ -161,6 +144,8 @@ std::vector<std::uint64_t> band_pair_keys(const SignatureMatrix& sig,
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   return keys;
 }
+
+}  // namespace
 
 std::vector<std::pair<index_t, index_t>> band_pairs(const SignatureMatrix& sig,
                                                     const CsrMatrix& m, const LshConfig& cfg,

@@ -75,15 +75,4 @@ std::vector<std::pair<index_t, index_t>> band_pairs(const SignatureMatrix& sig,
                                                     const CsrMatrix& m, const LshConfig& cfg,
                                                     runtime::WorkerPool* pool = nullptr);
 
-/// Banding over an explicit per-row liveness mask (non-zero = the row has
-/// nonzeros) instead of a resident matrix — the out-of-core path
-/// (src/io) collects the mask during its chunked signature pass, since
-/// liveness is the only thing banding needs the matrix for. Returns the
-/// deduplicated candidate pairs as packed (a << 32) | b keys with a < b,
-/// sorted ascending — identical to the keys the resident path scores.
-std::vector<std::uint64_t> band_pair_keys(const SignatureMatrix& sig,
-                                          const std::vector<std::uint8_t>& live,
-                                          const LshConfig& cfg,
-                                          runtime::WorkerPool* pool = nullptr);
-
 }  // namespace rrspmm::lsh

@@ -122,7 +122,8 @@ SignatureMatrix compute_signatures_oph(const CsrMatrix& m, int siglen, std::uint
                                        runtime::WorkerPool* pool) {
   if (siglen <= 0) throw sparse::invalid_matrix("siglen must be positive");
   SignatureMatrix sig(m.rows(), siglen);
-  compute_signatures_oph_into(m, 0, seed, sig, pool);
+  const auto bins = static_cast<std::uint32_t>(siglen);
+  for_each_row(m, pool, [&](index_t i) { oph_signature_row(m, i, bins, seed, sig.row(i)); });
   return sig;
 }
 
@@ -130,28 +131,8 @@ SignatureMatrix compute_signatures(const CsrMatrix& m, int siglen, std::uint64_t
                                    runtime::WorkerPool* pool) {
   if (siglen <= 0) throw sparse::invalid_matrix("siglen must be positive");
   SignatureMatrix sig(m.rows(), siglen);
-  compute_signatures_into(m, 0, seed, sig, pool);
+  for_each_row(m, pool, [&](index_t i) { classic_signature_row(m, i, siglen, seed, sig.row(i)); });
   return sig;
-}
-
-void compute_signatures_into(const CsrMatrix& slice, index_t row_offset, std::uint64_t seed,
-                             SignatureMatrix& sig, runtime::WorkerPool* pool) {
-  if (row_offset < 0 || row_offset + slice.rows() > sig.rows()) {
-    throw sparse::invalid_matrix("signature slice out of range");
-  }
-  const int siglen = sig.siglen();
-  for_each_row(slice, pool,
-               [&](index_t i) { classic_signature_row(slice, i, siglen, seed, sig.row(row_offset + i)); });
-}
-
-void compute_signatures_oph_into(const CsrMatrix& slice, index_t row_offset, std::uint64_t seed,
-                                 SignatureMatrix& sig, runtime::WorkerPool* pool) {
-  if (row_offset < 0 || row_offset + slice.rows() > sig.rows()) {
-    throw sparse::invalid_matrix("signature slice out of range");
-  }
-  const auto bins = static_cast<std::uint32_t>(sig.siglen());
-  for_each_row(slice, pool,
-               [&](index_t i) { oph_signature_row(slice, i, bins, seed, sig.row(row_offset + i)); });
 }
 
 }  // namespace rrspmm::lsh

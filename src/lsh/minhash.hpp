@@ -73,19 +73,6 @@ SignatureMatrix compute_signatures(const CsrMatrix& m, int siglen, std::uint64_t
 SignatureMatrix compute_signatures_oph(const CsrMatrix& m, int siglen, std::uint64_t seed,
                                        runtime::WorkerPool* pool = nullptr);
 
-/// Chunk-fed variants for the out-of-core path (src/io): computes the
-/// signatures of `slice` — a row-range slice of a larger matrix whose
-/// local row 0 is global row `row_offset`, with GLOBAL column indices —
-/// into rows [row_offset, row_offset + slice.rows()) of `sig` (whose
-/// siglen() picks the signature length). Each row's signature depends
-/// only on that row's columns, so feeding consecutive slices covering
-/// [0, rows) produces a SignatureMatrix bitwise identical to the
-/// resident compute_signatures / compute_signatures_oph call.
-void compute_signatures_into(const CsrMatrix& slice, index_t row_offset, std::uint64_t seed,
-                             SignatureMatrix& sig, runtime::WorkerPool* pool = nullptr);
-void compute_signatures_oph_into(const CsrMatrix& slice, index_t row_offset, std::uint64_t seed,
-                                 SignatureMatrix& sig, runtime::WorkerPool* pool = nullptr);
-
 /// Signature scheme selector used by LshConfig.
 enum class MinHashScheme {
   kClassic,  ///< siglen independent hashes per column (paper's method)

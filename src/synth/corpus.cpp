@@ -12,7 +12,9 @@ namespace rrspmm::synth {
 namespace {
 
 std::string two_digits(int i) {
-  return (i < 10 ? "0" : "") + std::to_string(i);
+  std::string s = std::to_string(i);
+  if (i < 10) s.insert(0, 1, '0');
+  return s;
 }
 
 index_t scaled(double scale, index_t base) {

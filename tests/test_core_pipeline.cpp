@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
+#include "core/fingerprint.hpp"
 #include "core/pipeline.hpp"
 #include "kernels/sddmm.hpp"
 #include "kernels/spmm.hpp"
@@ -246,6 +250,108 @@ TEST(Pipeline, AutotuneMeasuredReturnsACorrectPlan) {
   kernels::spmm_rowwise(m, x, y_ref);
   core::run_spmm(plan, x, y);
   EXPECT_LT(y.max_abs_diff(y_ref), 1e-4);
+}
+
+// FNV-1a of a vector's bytes, chained onto `h`.
+template <typename T>
+std::uint64_t hash_vec(const std::vector<T>& v, std::uint64_t h = core::kFnvBasis) {
+  return core::fnv1a_bytes(v.data(), v.size() * sizeof(T), h);
+}
+
+struct PlanHashes {
+  std::uint64_t row_perm, sparse_order, dense_cols, dense_rowptr, plan;
+};
+
+// Every panel's dense_cols and dense_rowptr, and a plan fingerprint: the
+// rest of the tiling (sparse part, source maps, dense slots and values)
+// plus the discrete stats (round flags, candidate and cluster counts).
+PlanHashes hash_plan(const ExecutionPlan& plan) {
+  PlanHashes h{hash_vec(plan.row_perm), hash_vec(plan.sparse_order), core::kFnvBasis,
+               core::kFnvBasis, core::kFnvBasis};
+  for (const auto& p : plan.tiled.panels()) {
+    h.dense_cols = hash_vec(p.dense_cols, h.dense_cols);
+    h.dense_rowptr = hash_vec(p.dense_rowptr, h.dense_rowptr);
+    h.plan = hash_vec(p.dense_slot, h.plan);
+    h.plan = hash_vec(p.dense_val, h.plan);
+    h.plan = hash_vec(p.dense_src_idx, h.plan);
+  }
+  const CsrMatrix& sp = plan.tiled.sparse_part();
+  h.plan = hash_vec(sp.rowptr(), h.plan);
+  h.plan = hash_vec(sp.colidx(), h.plan);
+  h.plan = hash_vec(sp.values(), h.plan);
+  h.plan = hash_vec(plan.tiled.sparse_src_idx(), h.plan);
+  const std::uint64_t counts[] = {plan.stats.round1_applied, plan.stats.round2_applied,
+                                  plan.stats.round1_candidates, plan.stats.round2_candidates,
+                                  static_cast<std::uint64_t>(plan.stats.round1_clusters),
+                                  static_cast<std::uint64_t>(plan.stats.round2_clusters)};
+  h.plan = core::fnv1a_bytes(counts, sizeof(counts), h.plan);
+  return h;
+}
+
+TEST(Pipeline, BuildPlanOutputIsPinned) {
+  // Golden hashes of build_plan's output, captured before the LSH and
+  // clustering stages were last restructured. Any change to the
+  // permutation, the tiling, the round-2 order or the round statistics
+  // shows here, at every thread count and for both signature schemes.
+  synth::ClusteredParams cp;
+  cp.rows = 2048;
+  cp.cols = 2048;
+  cp.num_groups = 64;
+  cp.group_cols = 48;
+  cp.row_nnz = 16;
+  cp.noise_nnz = 2;
+  cp.scatter = false;
+  synth::GnnFrontierParams gp;
+  gp.nodes = 1024;
+  gp.communities = 32;
+  struct Case {
+    const char* name;
+    CsrMatrix m;
+  };
+  const Case cases[] = {
+      {"shuffled_clustered", synth::shuffle_rows(synth::clustered_rows(cp, 41), 42)},
+      {"erdos_renyi", synth::erdos_renyi(1024, 1024, 1024 * 10, 43)},
+      {"gnn_frontier", synth::gnn_frontier(gp, 44)},
+  };
+  // Indexed [case][scheme]; both thread counts must produce the same row.
+  const PlanHashes expected[3][2] = {
+      {{0xe388c8b5c92b7c17ULL, 0x86808697befd7c3bULL, 0xb9dbb158a0211f2dULL,
+        0x3fbc51e860572029ULL, 0x539cebd3b8c72ddaULL},
+       {0x0a21e9f8c0635483ULL, 0x72cd77d8a0807aefULL, 0xab7f3b4a71ed9895ULL,
+        0x1d9ba5d7d4fc7a09ULL, 0xbfe956a07b1d9f93ULL}},
+      {{0xd1ce71017f98ba27ULL, 0x5e04f337f778a763ULL, 0xf5756d49fc3a3c0bULL,
+        0xc08cf81dc4bd7ca1ULL, 0x7532f13cb0b393b8ULL},
+       {0xe5fc8f8734d7444fULL, 0x94ea15fd7ef50a2fULL, 0x740a40aafe1e4648ULL,
+        0x317d0cb83943d0d2ULL, 0x4ac347b3bc9fb3c6ULL}},
+      {{0xb80ab662641d8c83ULL, 0xefbb2155a6e1af43ULL, 0x03cd213a5e2507bbULL,
+        0xb38b43f497e02b4bULL, 0x07843a61e0238ed0ULL},
+       {0xb80ab662641d8c83ULL, 0xefbb2155a6e1af43ULL, 0x03cd213a5e2507bbULL,
+        0xb38b43f497e02b4bULL, 0x20ae57c4492f03a9ULL}},
+  };
+  const lsh::MinHashScheme schemes[] = {lsh::MinHashScheme::kClassic,
+                                        lsh::MinHashScheme::kOnePermutation};
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    for (std::size_t s = 0; s < std::size(schemes); ++s) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << cases[c].name << " scheme " << s << " threads "
+                                          << threads);
+        PipelineConfig cfg;
+        cfg.reorder.lsh.scheme = schemes[s];
+        cfg.threads = threads;
+        const ExecutionPlan plan = build_plan(cases[c].m, cfg);
+        if (c == 0) {
+          EXPECT_TRUE(plan.stats.round1_applied && plan.stats.round2_applied);
+        }
+        const PlanHashes h = hash_plan(plan);
+        const PlanHashes& want = expected[c][s];
+        EXPECT_EQ(h.row_perm, want.row_perm);
+        EXPECT_EQ(h.sparse_order, want.sparse_order);
+        EXPECT_EQ(h.dense_cols, want.dense_cols);
+        EXPECT_EQ(h.dense_rowptr, want.dense_rowptr);
+        EXPECT_EQ(h.plan, want.plan);
+      }
+    }
+  }
 }
 
 TEST(Pipeline, DefaultParametersMatchPaper) {

@@ -210,139 +210,6 @@ TEST(PlanIo, RejectsMissingFile) {
   EXPECT_THROW(core::load_plan(test::temp_path("no_such_plan.bin")), io_error);
 }
 
-core::ShardPlan sample_shard_plan() {
-  core::ShardPlan sp;
-  sp.strategy = core::ShardStrategy::reorder_aware;
-  sp.num_devices = 3;
-  sp.rows = 96;
-  sp.cols = 1024;
-  sp.row_shards = {{0, 32, 100}, {32, 64, 140}, {64, 96, 60}};
-  return sp;
-}
-
-TEST(ShardPlanIo, StreamRoundTripPreservesEverything) {
-  const core::ShardPlan sp = sample_shard_plan();
-  std::stringstream ss;
-  core::save_shard_plan(sp, ss);
-  const core::ShardPlan loaded = core::load_shard_plan(ss);
-  EXPECT_EQ(loaded, sp);
-}
-
-// Shard-plan header as the v1/v2 writers lay it out: magic, version,
-// mode byte, strategy, device count, dimensions, and (v2) the span.
-Bytes shard_header(std::uint32_t version, std::uint8_t mode, std::int32_t devices) {
-  Bytes b;
-  b.magic("RRSPMMSHRD").put(version).put(mode).put<std::uint8_t>(1).put(devices);
-  b.put<index_t>(64).put<index_t>(200);
-  if (version >= 2) b.put<index_t>(0).put<index_t>(-1);
-  return b;
-}
-
-void expect_column_mode_rejected(const std::string& bytes) {
-  std::stringstream in(bytes);
-  try {
-    core::load_shard_plan(in);
-    ADD_FAILURE() << "column-mode shard plan loaded";
-  } catch (const io_error& e) {
-    EXPECT_NE(std::string(e.what()).find("column-mode"), std::string::npos) << e.what();
-  }
-}
-
-TEST(ShardPlanIo, ColumnModeFilesAreRejected) {
-  // A v2 column-mode file as the retired writer produced it: mode 1, no
-  // row shards, two column shards.
-  Bytes col = shard_header(2, 1, 2);
-  col.put<std::uint64_t>(0).put<std::uint64_t>(2);
-  col.put<index_t>(0).put<index_t>(120).put<offset_t>(77);
-  col.put<index_t>(120).put<index_t>(200).put<offset_t>(33);
-  expect_column_mode_rejected(col.s);
-
-  // Row mode byte, but column shards follow the row shards.
-  Bytes mixed = shard_header(2, 0, 1);
-  mixed.put<std::uint64_t>(1).put<index_t>(0).put<index_t>(64).put<offset_t>(5);
-  mixed.put<std::uint64_t>(1).put<index_t>(0).put<index_t>(200).put<offset_t>(5);
-  expect_column_mode_rejected(mixed.s);
-}
-
-TEST(ShardPlanIo, RowModeV1AndV2FixturesLoad) {
-  core::ShardPlan want;
-  want.strategy = core::ShardStrategy::nnz_balanced;
-  want.num_devices = 2;
-  want.rows = 64;
-  want.cols = 200;
-  want.row_shards = {{0, 40, 70}, {40, 64, 30}};
-  for (const std::uint32_t version : {1u, 2u}) {
-    Bytes b = shard_header(version, 0, 2);
-    b.put<std::uint64_t>(2);
-    b.put<index_t>(0).put<index_t>(40).put<offset_t>(70);
-    b.put<index_t>(40).put<index_t>(64).put<offset_t>(30);
-    b.put<std::uint64_t>(0);
-    std::stringstream in(b.s);
-    EXPECT_EQ(core::load_shard_plan(in), want) << "v" << version;
-    if (version == 2) {
-      // The writer still emits this exact v2 layout.
-      std::stringstream out;
-      core::save_shard_plan(want, out);
-      EXPECT_EQ(out.str(), b.s);
-    }
-  }
-}
-
-TEST(ShardPlanIo, HostileHeaderCountsRaiseIoError) {
-  // The largest accepted row-shard count, with no shards behind it.
-  Bytes max = shard_header(2, 0, 1 << 24);
-  max.put<std::uint64_t>(1ULL << 24);
-  std::stringstream max_in(max.s);
-  EXPECT_THROW(core::load_shard_plan(max_in), io_error);
-
-  // A row-shard count that disagrees with the device count is malformed
-  // input, rejected before any shard is read.
-  Bytes mismatch = shard_header(2, 0, 2);
-  mismatch.put<std::uint64_t>(3);
-  for (const index_t begin : {0, 20, 40}) {
-    mismatch.put<index_t>(begin).put<index_t>(begin == 40 ? 64 : begin + 20).put<offset_t>(1);
-  }
-  mismatch.put<std::uint64_t>(0);
-  std::stringstream mismatch_in(mismatch.s);
-  EXPECT_THROW(core::load_shard_plan(mismatch_in), io_error);
-}
-
-TEST(ShardPlanIo, FileRoundTrip) {
-  const test::TempFile file("shard_plan_test.bin");
-  const core::ShardPlan sp = sample_shard_plan();
-  core::save_shard_plan(sp, file.path);
-  EXPECT_EQ(core::load_shard_plan(file.path), sp);
-}
-
-TEST(ShardPlanIo, RejectsWrongMagicAndTruncation) {
-  std::stringstream bad("RRSPMMPLAN not a shard plan");  // the *plan* magic
-  EXPECT_THROW(core::load_shard_plan(bad), io_error);
-
-  std::stringstream ss;
-  core::save_shard_plan(sample_shard_plan(), ss);
-  const std::string full = ss.str();
-  for (const std::size_t cut : {full.size() / 3, full.size() - 4}) {
-    std::stringstream truncated(full.substr(0, cut));
-    EXPECT_THROW(core::load_shard_plan(truncated), std::runtime_error) << "cut at " << cut;
-  }
-}
-
-TEST(ShardPlanIo, RejectsBrokenPartitionsOnBothSides) {
-  core::ShardPlan sp = sample_shard_plan();
-  sp.row_shards[1].row_begin = 33;  // gap: row 32 uncovered
-  std::stringstream sink;
-  EXPECT_THROW(core::save_shard_plan(sp, sink), invalid_matrix);
-
-  std::stringstream ss;
-  core::save_shard_plan(sample_shard_plan(), ss);
-  std::string bytes = ss.str();
-  // Corrupt the mode byte (right after magic + version) to an undefined
-  // enum value; the loader must reject it rather than trust it.
-  bytes[10 + 4] = 7;
-  std::stringstream corrupted(bytes);
-  EXPECT_THROW(core::load_shard_plan(corrupted), std::runtime_error);
-}
-
 TEST(AsptFromParts, RejectsBrokenInvariants) {
   const auto m = subject_matrix();
   const auto good = aspt::build_aspt(m, aspt::AsptConfig{.panel_rows = 32,

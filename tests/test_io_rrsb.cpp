@@ -1,7 +1,6 @@
 // .rrsb shard format tests: round trips, row-range slices against the
 // resident matrix, index arithmetic, corruption and version rejection,
-// the RowSource block cache, io.read fault degrade, and header counts the
-// file cannot hold.
+// io.read fault degrade, and header counts the file cannot hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 
 #include "fault/fault.hpp"
 #include "io/rrsb.hpp"
-#include "sparse/row_source.hpp"
 #include "synth/generators.hpp"
 #include "test_util.hpp"
 
@@ -105,28 +103,6 @@ TEST(IoRrsb, RejectsUnknownVersion) {
   io::write_rrsb(sample(), file.path, 32);
   flip_byte(file.path, 4);  // header offset 4: u32 version
   EXPECT_THROW(io::RrsbReader{file.path}, sparse::io_error);
-}
-
-TEST(IoRrsb, RowSourceServesRowsWithTwoBlockCache) {
-  const test::TempFile file("iorrsb.rrsb");
-  const CsrMatrix m = sample();
-  io::write_rrsb(m, file.path, 32);
-  const io::RrsbReader r(file.path);
-  io::RrsbRowSource src(r);
-  ASSERT_EQ(src.rows(), m.rows());
-  for (index_t i = 0; i < m.rows(); ++i) {
-    ASSERT_TRUE(std::ranges::equal(src.row_cols(i), m.row_cols(i))) << i;
-  }
-  // A sequential scan touches each block exactly once.
-  EXPECT_EQ(src.block_loads(), r.num_blocks());
-  // Alternating between two adjacent blocks stays inside the cache; the
-  // RowSource span contract (valid until the second subsequent call) is
-  // exactly what pairwise-Jaccard consumers rely on.
-  for (int k = 0; k < 16; ++k) {
-    src.row_cols(0);
-    src.row_cols(40);
-  }
-  EXPECT_EQ(src.block_loads(), r.num_blocks() + 2);
 }
 
 TEST(IoRrsb, InjectedReadFaultDegradesToBufferedAndRetries) {

@@ -238,7 +238,9 @@ TEST(ZeroCopy, DisabledConfigIsBitwiseIdenticalToEnabled) {
     server.register_matrix(entry.name, entry.matrix);
     DenseMatrix& y = zc ? y_on : y_off;
     server.submit(entry.name, DenseView(x), DenseMutView(y)).get();
-    if (!zc) EXPECT_GE(server.metrics().zero_copy_fallbacks.load(), 1u);
+    if (!zc) {
+      EXPECT_GE(server.metrics().zero_copy_fallbacks.load(), 1u);
+    }
     server.stop();
   }
   expect_view_equals(y_on, y_off, "zero-copy on vs off");
