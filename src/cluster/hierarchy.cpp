@@ -1,9 +1,10 @@
 #include "cluster/hierarchy.hpp"
 
+#include <algorithm>
 #include <queue>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "runtime/parallel_sort.hpp"
 #include "sparse/stats.hpp"
 
 namespace rrspmm::cluster {
@@ -35,7 +36,7 @@ std::uint64_t pair_key(index_t a, index_t b) {
 }  // namespace
 
 ClusterResult cluster_reorder(const CsrMatrix& m, const std::vector<CandidatePair>& pairs,
-                              const ClusterConfig& cfg) {
+                              const ClusterConfig& cfg, runtime::WorkerPool* pool) {
   const index_t n = m.rows();
   ClusterResult result;
 
@@ -57,25 +58,38 @@ ClusterResult cluster_reorder(const CsrMatrix& m, const std::vector<CandidatePai
     return i;
   };
 
-  // Bulk-heapify: materialise every candidate as a heap entry, then let
-  // the priority_queue constructor make_heap in O(E), instead of E pushes
-  // at O(E log E). The pop sequence is unchanged: the candidate list is
-  // deduplicated, so HeapLess is a strict total order over the entries
-  // and the heap's extraction order is unique whatever the build path.
-  std::vector<HeapEntry> seed_entries;
-  seed_entries.reserve(pairs.size());
-  std::unordered_set<std::uint64_t> candidate_keys;
-  candidate_keys.reserve(pairs.size() * 2);
-  for (const CandidatePair& p : pairs) {
-    seed_entries.push_back(HeapEntry{p.similarity, p.a, p.b});
-    candidate_keys.insert(pair_key(p.a, p.b));
+  // The paper's max-heap, split in two. Seeds never change once built, so
+  // they are sorted once into pop order and walked with a cursor; only the
+  // few re-keyed pairs go through a real heap. Every entry has a distinct
+  // (a, b) — seeds are deduplicated and a re-keyed pair is pushed only
+  // when its key is new — so HeapLess is a strict total order over them
+  // and the merged pop sequence is exactly the single heap's.
+  std::vector<HeapEntry> seeds(pairs.size());
+  std::vector<std::uint64_t> seed_keys(pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    seeds[k] = HeapEntry{pairs[k].similarity, pairs[k].a, pairs[k].b};
+    seed_keys[k] = pair_key(pairs[k].a, pairs[k].b);
   }
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> sim_queue(
-      HeapLess{}, std::move(seed_entries));
+  runtime::parallel_sort(
+      seeds, [](const HeapEntry& x, const HeapEntry& y) { return HeapLess{}(y, x); }, pool);
+  // LSH output arrives sorted by (a, b), which is key order already.
+  if (!std::is_sorted(seed_keys.begin(), seed_keys.end())) {
+    std::sort(seed_keys.begin(), seed_keys.end());
+  }
+  // Row r's seed keys (r the smaller row) are [key_start[r],
+  // key_start[r + 1]), so a membership probe searches only those few.
+  std::vector<std::size_t> key_start(static_cast<std::size_t>(n) + 1, 0);
+  for (const std::uint64_t k : seed_keys) ++key_start[static_cast<std::size_t>(k >> 32) + 1];
+  for (std::size_t r = 0; r < static_cast<std::size_t>(n); ++r) key_start[r + 1] += key_start[r];
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> requeue;
+  std::unordered_set<std::uint64_t> requeued_keys;
+  std::size_t next_seed = 0;
 
-  while (!sim_queue.empty() && nclusters > 0) {
-    const HeapEntry top = sim_queue.top();
-    sim_queue.pop();
+  while ((next_seed < seeds.size() || !requeue.empty()) && nclusters > 0) {
+    const bool from_seeds = requeue.empty() || (next_seed < seeds.size() &&
+                                                HeapLess{}(requeue.top(), seeds[next_seed]));
+    const HeapEntry top = from_seeds ? seeds[next_seed++] : requeue.top();
+    if (!from_seeds) requeue.pop();
     index_t i = top.a;
     index_t j = top.b;
 
@@ -107,9 +121,15 @@ ClusterResult cluster_reorder(const CsrMatrix& m, const std::vector<CandidatePai
       i = root(i);
       j = root(j);
       if (deleted[static_cast<std::size_t>(i)] || deleted[static_cast<std::size_t>(j)]) continue;
-      if (i != j && !candidate_keys.contains(pair_key(i, j))) {
-        sim_queue.push(HeapEntry{sparse::jaccard(m.row_cols(i), m.row_cols(j)), i, j});
-        candidate_keys.insert(pair_key(i, j));
+      if (i == j) continue;
+      const std::uint64_t key = pair_key(i, j);
+      const std::size_t lo = static_cast<std::size_t>(key >> 32);
+      if (!requeued_keys.contains(key) &&
+          !std::binary_search(seed_keys.begin() + static_cast<std::ptrdiff_t>(key_start[lo]),
+                              seed_keys.begin() + static_cast<std::ptrdiff_t>(key_start[lo + 1]),
+                              key)) {
+        requeued_keys.insert(key);
+        requeue.push(HeapEntry{sparse::jaccard(m.row_cols(i), m.row_cols(j)), i, j});
         ++result.requeued;
       }
     }
@@ -117,13 +137,15 @@ ClusterResult cluster_reorder(const CsrMatrix& m, const std::vector<CandidatePai
 
   // Emit row ids cluster by cluster, clusters in order of the first row
   // that belongs to them (matches the paper's Fig 6 output).
-  std::unordered_map<index_t, index_t> slot_of_root;
+  std::vector<index_t> slot_of_root(static_cast<std::size_t>(n), -1);
   std::vector<std::vector<index_t>> slots;
   for (index_t i = 0; i < n; ++i) {
-    const index_t r = root(i);
-    auto [it, inserted] = slot_of_root.try_emplace(r, static_cast<index_t>(slots.size()));
-    if (inserted) slots.emplace_back();
-    slots[static_cast<std::size_t>(it->second)].push_back(i);
+    index_t& slot = slot_of_root[static_cast<std::size_t>(root(i))];
+    if (slot < 0) {
+      slot = static_cast<index_t>(slots.size());
+      slots.emplace_back();
+    }
+    slots[static_cast<std::size_t>(slot)].push_back(i);
   }
   result.order.reserve(static_cast<std::size_t>(n));
   for (const auto& slot : slots) {

@@ -2,11 +2,13 @@
 // paper's Algorithm 3.
 //
 // Candidate pairs (from LSH) seed a max-heap keyed by exact Jaccard
-// similarity. Each step pops the most-similar pair; if both endpoints are
-// cluster representatives the smaller cluster merges into the larger,
-// otherwise the pair is re-keyed to the current representatives and
-// re-inserted. A cluster whose size reaches `threshold_size` is retired
-// from further merging ("deleted") so clusters stay panel-sized. The
+// similarity, held as the seeds sorted once into pop order plus a small
+// heap of re-keyed pairs. Each step pops the most-similar pair; if both
+// endpoints are cluster representatives the smaller cluster merges into
+// the larger, otherwise the pair is re-keyed to the current
+// representatives and re-inserted. A cluster whose size reaches
+// `threshold_size` is retired from further merging ("deleted") so
+// clusters stay panel-sized. The
 // output permutation lists original row ids cluster by cluster, clusters
 // ordered by first appearance of their representative — reproducing the
 // paper's worked example (Fig 6): rows [0,2,4,1,3,5] for the Fig 1a matrix.
@@ -41,8 +43,9 @@ struct ClusterResult {
 
 /// Runs Alg 3 on `m` with the given candidate pairs. Deterministic: heap
 /// ties are broken by (similarity, a, b). `m` is only used to compute
-/// Jaccard similarities for re-keyed pairs.
+/// Jaccard similarities for re-keyed pairs. With a pool, the seed sort
+/// fans out over the workers; the result is identical to pool == nullptr.
 ClusterResult cluster_reorder(const CsrMatrix& m, const std::vector<CandidatePair>& pairs,
-                              const ClusterConfig& cfg);
+                              const ClusterConfig& cfg, runtime::WorkerPool* pool = nullptr);
 
 }  // namespace rrspmm::cluster

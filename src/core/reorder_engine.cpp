@@ -37,7 +37,7 @@ ReorderResult run_round(const CsrMatrix& m, const ReorderConfig& cfg,
   }
 
   const auto t0 = Clock::now();
-  const cluster::ClusterResult cl = cluster::cluster_reorder(m, pairs, cfg.cluster);
+  const cluster::ClusterResult cl = cluster::cluster_reorder(m, pairs, cfg.cluster, pool);
   out.timings.merge_ms = ms_since(t0);
   out.order = cl.order;
   out.candidate_pairs = pairs.size();

@@ -210,8 +210,8 @@ offset_t RrsbReader::nnz_before(index_t b) const {
 }
 
 offset_t RrsbReader::block_nnz(index_t b) const {
-  const offset_t hi = b + 1 < num_blocks() ? index_[static_cast<std::size_t>(b) + 1].nnz_before : nnz_;
-  return hi - index_[static_cast<std::size_t>(b)].nnz_before;
+  const offset_t hi = b + 1 < num_blocks() ? nnz_before(b + 1) : nnz_;
+  return hi - nnz_before(b);
 }
 
 void RrsbReader::load_block(index_t b, std::vector<offset_t>& rowptr,

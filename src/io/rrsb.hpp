@@ -121,11 +121,6 @@ class RrsbReader {
     return static_cast<index_t>(
         std::min<std::int64_t>(std::int64_t{b + 1} * block_rows_, rows_));
   }
-  /// Nonzeros of block b, from the index alone (no block read).
-  offset_t block_nnz(index_t b) const;
-  /// Nonzeros in all blocks before b.
-  offset_t nnz_before(index_t b) const;
-
   /// Materialises rows [row_begin, row_end) as a CSR slice with global
   /// column ids (local row 0 = global row_begin). The slice is validated
   /// on construction, so a corrupt file cannot smuggle in a malformed
@@ -142,6 +137,10 @@ class RrsbReader {
     std::uint64_t fnv = 0;
   };
 
+  /// Nonzeros of block b, from the index alone (no block read).
+  offset_t block_nnz(index_t b) const;
+  /// Nonzeros in all blocks before b.
+  offset_t nnz_before(index_t b) const;
   void load_block(index_t b, std::vector<offset_t>& rowptr, std::vector<index_t>& colidx,
                   std::vector<value_t>& values) const;
 

@@ -14,6 +14,8 @@
 #pragma once
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "aspt/aspt.hpp"
@@ -35,13 +37,24 @@ const T* per_row(const std::vector<T>* v, const aspt::AsptMatrix& a) {
   return v->data();
 }
 
+/// The panels intersecting rows [row_begin, row_end). Panels tile the
+/// rows in order, so they are one contiguous run found by binary search.
+inline std::span<const aspt::Panel> panels_in(const aspt::AsptMatrix& a, index_t row_begin,
+                                              index_t row_end) {
+  const std::vector<aspt::Panel>& ps = a.panels();
+  const auto first = std::partition_point(
+      ps.begin(), ps.end(), [&](const aspt::Panel& p) { return p.row_end <= row_begin; });
+  const auto last = std::partition_point(
+      first, ps.end(), [&](const aspt::Panel& p) { return p.row_begin < row_end; });
+  return {first, last};
+}
+
 /// Largest dense-column count over the panels intersecting rows
 /// [row_begin, row_end) (0 when none of them has dense tiles).
 inline std::size_t max_panel_dense_cols(const aspt::AsptMatrix& a, index_t row_begin,
                                         index_t row_end) {
   std::size_t m = 0;
-  for (const aspt::Panel& p : a.panels()) {
-    if (p.row_end <= row_begin || p.row_begin >= row_end) continue;
+  for (const aspt::Panel& p : panels_in(a, row_begin, row_end)) {
     m = std::max(m, p.dense_cols.size());
   }
   return m;
@@ -70,17 +83,22 @@ inline void stage_panel(const aspt::Panel& p, sparse::DenseView x, index_t k, va
 /// panel with dense tiles that intersects the range, stages it into one
 /// buffer sized once to the largest such panel, then calls
 /// f(panel, staged, staged_ld, lo, hi) with the panel clipped to the range.
+/// The buffer is left uninitialised: stage_panel writes every lane a
+/// kernel reads.
 template <class F>
 void for_each_staged_panel(const aspt::AsptMatrix& a, sparse::DenseView x, index_t row_begin,
                            index_t row_end, F&& f) {
   const std::size_t max_dense = max_panel_dense_cols(a, row_begin, row_end);
   if (max_dense == 0) return;
   const index_t staged_ld = sparse::aligned_ld(x.cols);
-  sparse::AlignedVector<value_t> staged(max_dense * static_cast<std::size_t>(staged_ld));
-  for (const aspt::Panel& p : a.panels()) {
-    if (p.row_end <= row_begin || p.row_begin >= row_end || p.dense_cols.empty()) continue;
-    stage_panel(p, x, x.cols, staged.data(), staged_ld);
-    f(p, staged.data(), staged_ld, std::max(row_begin, p.row_begin), std::min(row_end, p.row_end));
+  const auto free_staged = [](value_t* p) { sparse::AlignedAllocator<value_t>{}.deallocate(p, 0); };
+  const std::unique_ptr<value_t, decltype(free_staged)> staged(
+      sparse::AlignedAllocator<value_t>{}.allocate(max_dense * static_cast<std::size_t>(staged_ld)),
+      free_staged);
+  for (const aspt::Panel& p : panels_in(a, row_begin, row_end)) {
+    if (p.dense_cols.empty()) continue;
+    stage_panel(p, x, x.cols, staged.get(), staged_ld);
+    f(p, staged.get(), staged_ld, std::max(row_begin, p.row_begin), std::min(row_end, p.row_end));
   }
 }
 

@@ -6,13 +6,14 @@
 // then computed for every candidate (deduplicated) pair, and pairs below
 // `min_similarity` are discarded — those are LSH false positives.
 //
-// Buckets are found by a sort-based group-by: one (band, band-hash, row)
-// entry per live row per band, sorted (in parallel when a pool is
-// supplied), then scanned for equal-(band, hash) runs. Each run is a
-// bucket with members in ascending row order — the same member order the
-// old per-band hash-map build produced — and the emitted pair set is
-// deduplicated by a final sort+unique, so the output is identical to the
-// legacy hash-map path while being deterministic under any thread count.
+// Buckets are found by a sort-based group-by, one band at a time: each
+// band holds one (band-hash, row) entry per live row, is sorted by
+// (hash, row) on its own, then scanned for equal-hash runs. Each run is a
+// bucket with members in ascending row order. The emitted pair keys are
+// partitioned by their smaller row, and each part is sorted and
+// deduplicated on its own, which yields the globally sorted unique pair
+// set. Bands and parts are independent, so they fan out over a worker
+// pool and the output is the same under any thread count.
 #pragma once
 
 #include <cstdint>

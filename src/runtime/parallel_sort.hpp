@@ -6,8 +6,9 @@
 // pure function of (size, block count), never of scheduling, and when the
 // comparator is a strict TOTAL order the sorted sequence is unique — so
 // the output is bitwise identical to std::sort for any thread count.
-// That property is what lets the LSH banding stage parallelise without
-// breaking the preprocessing pipeline's bitwise-determinism contract.
+// That property is what lets the Alg 3 seed sort (cluster_reorder)
+// parallelise without breaking the preprocessing pipeline's
+// bitwise-determinism contract.
 #pragma once
 
 #include <algorithm>

@@ -73,9 +73,12 @@ TEST(IoRrsb, IndexArithmeticIsConsistent) {
   ASSERT_EQ(r.num_blocks(), (m.rows() + 31) / 32);
   offset_t sum = 0;
   for (index_t b = 0; b < r.num_blocks(); ++b) {
-    EXPECT_EQ(r.nnz_before(b), sum);
+    EXPECT_EQ(r.read_range(0, r.block_begin(b)).nnz(), sum);
     EXPECT_EQ(r.block_end(b) - r.block_begin(b), b + 1 < r.num_blocks() ? 32 : m.rows() - 32 * b);
-    sum += r.block_nnz(b);
+    const CsrMatrix block = r.read_range(r.block_begin(b), r.block_end(b));
+    EXPECT_EQ(block.nnz(), m.rowptr()[static_cast<std::size_t>(r.block_end(b))] -
+                               m.rowptr()[static_cast<std::size_t>(r.block_begin(b))]);
+    sum += block.nnz();
   }
   EXPECT_EQ(sum, m.nnz());
 }
