@@ -4,8 +4,8 @@
 // PASS/FAIL checks and writes BENCH_kernels.json.
 //
 // Checks:
-//   * bitwise identity — every non-fma backend must reproduce the scalar
-//     result exactly; enforced unconditionally on every host.
+//   * bitwise identity — every backend must reproduce the scalar result
+//     exactly; enforced unconditionally on every host.
 //   * speedup — the vectorized dense-tile phase (the staged-panel ASpT
 //     kernel on an all-dense tiling) must beat scalar by >= 1.5x geomean
 //     at k=32 when the host runs AVX2; hosts without AVX2 skip the gate.
@@ -49,10 +49,10 @@ constexpr int kReps = 3;  ///< best-of, to shave scheduler noise
 constexpr index_t kWidths[] = {32, 128};
 constexpr double kAvx2DenseTileGate = 1.5;  ///< geomean speedup at k=32
 
-/// Specialization section: K widths to compare (32 and 128 hit the AOT
-/// K-width instantiations, 48 falls through to the runtime-K classed
+/// Specialization section: K widths to compare (32, 64 and 128 hit the
+/// AOT K-width instantiations, 48 falls through to the runtime-K classed
 /// short-row driver) and the AVX2 gates.
-constexpr index_t kSpecWidths[] = {32, 48, 128};
+constexpr index_t kSpecWidths[] = {32, 48, 64, 128};
 constexpr int kSpecReps = 9;  ///< interleaved pairs; speedup = median ratio
 constexpr double kSpecShortRowGate = 1.2;  ///< short_rows at k=32
 constexpr double kSpecFloor = 0.95;        ///< any family, any K
@@ -118,7 +118,7 @@ std::vector<Subject> build_subjects() {
     out.push_back(std::move(sub));
   }
 
-  // SDDMM over the all-dense tiling (lane-per-nonzero vector path).
+  // SDDMM over the all-dense tiling (16-lane fused dot per nonzero).
   {
     Subject sub;
     sub.name = "dense_tiles";
@@ -252,10 +252,9 @@ struct Point {
   std::string op;
   index_t k = 0;
   std::string isa;
-  bool fma = false;
   double wall_ms = 0.0;
   double speedup = 1.0;  ///< vs scalar, same subject/op/k
-  bool identical = true;  ///< bitwise vs scalar (fma rows are ULP-close, not bitwise)
+  bool identical = true;  ///< bitwise vs scalar
 };
 
 /// Best-of-kReps wall time of `iters` back-to-back kernel runs.
@@ -295,7 +294,6 @@ std::string to_json(const std::vector<Point>& points, const std::vector<SpecPoin
         .field("op", p.op)
         .field("k", p.k)
         .field("isa", p.isa)
-        .field("fma", p.fma)
         .field("wall_ms", p.wall_ms)
         .field("speedup", p.speedup)
         .field("identical", p.identical)
@@ -346,7 +344,7 @@ int main() {
       sparse::fill_random(ymat, 223);
       const int iters = calibrate_iters(sub.s, k);
 
-      // One measurement closure per (isa, fma) configuration.
+      // One measurement closure per ISA.
       DenseMatrix y_ref, y_got;
       std::vector<value_t> d_ref, d_got;
       const auto run = [&](const simd::KernelConfig& cfg, DenseMatrix& y,
@@ -365,12 +363,11 @@ int main() {
       y_ref = DenseMatrix(sub.s.rows(), k);
       run(scalar_cfg, y_ref, d_ref);  // warmup + reference result
       const double scalar_ms = time_ms(iters, [&] { run(scalar_cfg, y_ref, d_ref); });
-      points.push_back({sub.name, sub.op, k, "scalar", false, scalar_ms, 1.0, true});
+      points.push_back({sub.name, sub.op, k, "scalar", scalar_ms, 1.0, true});
 
-      const auto measure = [&](simd::Isa isa, bool fma) {
+      const auto measure = [&](simd::Isa isa) {
         simd::KernelConfig cfg;
         cfg.isa = isa;
-        cfg.allow_fma = fma;
         y_got = DenseMatrix(sub.s.rows(), k);
         d_got.clear();
         run(cfg, y_got, d_got);  // warmup + correctness result
@@ -379,33 +376,27 @@ int main() {
         p.op = sub.op;
         p.k = k;
         p.isa = simd::isa_name(isa);
-        p.fma = fma;
         p.wall_ms = time_ms(iters, [&] { run(cfg, y_got, d_got); });
         p.speedup = p.wall_ms > 0.0 ? scalar_ms / p.wall_ms : 1.0;
-        if (!fma) {
-          p.identical = sub.op == "sddmm_aspt" ? d_got == d_ref
-                                               : y_got.max_abs_diff(y_ref) == 0.0;
-          if (!p.identical) {
-            ++failures;
-            std::printf("FAIL: %s/%s k=%d isa=%s not bitwise equal to scalar\n",
-                        sub.name.c_str(), sub.op.c_str(), k, p.isa.c_str());
-          }
+        p.identical =
+            sub.op == "sddmm_aspt" ? d_got == d_ref : y_got.max_abs_diff(y_ref) == 0.0;
+        if (!p.identical) {
+          ++failures;
+          std::printf("FAIL: %s/%s k=%d isa=%s not bitwise equal to scalar\n",
+                      sub.name.c_str(), sub.op.c_str(), k, p.isa.c_str());
         }
         points.push_back(std::move(p));
       };
 
       for (const simd::Isa isa : isas) {
-        if (isa == simd::Isa::scalar) continue;
-        measure(isa, false);
+        if (isa != simd::Isa::scalar) measure(isa);
       }
-      if (best_isa != simd::Isa::scalar) measure(best_isa, true);
     }
   }
 
   std::vector<std::vector<std::string>> rows;
   for (const Point& p : points) {
-    rows.push_back({p.subject, p.op, std::to_string(p.k),
-                    p.fma ? p.isa + "+fma" : p.isa, harness::fmt(p.wall_ms, 3),
+    rows.push_back({p.subject, p.op, std::to_string(p.k), p.isa, harness::fmt(p.wall_ms, 3),
                     harness::fmt(p.speedup, 2), p.identical ? "yes" : "NO"});
   }
   std::printf("%s\n",
@@ -418,8 +409,7 @@ int main() {
     double log_sum = 0.0;
     int n = 0;
     for (const Point& p : points) {
-      if (p.subject == "dense_tiles" && p.op == "spmm_aspt" && p.k == 32 && p.isa == "avx2" &&
-          !p.fma) {
+      if (p.subject == "dense_tiles" && p.op == "spmm_aspt" && p.k == 32 && p.isa == "avx2") {
         log_sum += std::log(p.speedup);
         ++n;
       }

@@ -40,7 +40,7 @@ struct ShardedExecutorConfig {
   int max_failover_rounds = 3;
   /// SIMD kernel selection for the shard row-range kernels; nullopt uses
   /// the process-wide simd::active_config(). Shard results are bitwise
-  /// identical either way on the default (non-fma) path.
+  /// identical either way.
   std::optional<kernels::simd::KernelConfig> kernel;
 };
 

@@ -134,10 +134,9 @@ std::vector<MatrixRecord> run_default_experiment(const ExperimentConfig& cfg) {
   if (cfg.verbose) {
     std::fprintf(stderr, "corpus: %d matrices, scale %.2f, seed %llu\n", ccfg.count, ccfg.scale,
                  static_cast<unsigned long long>(ccfg.seed));
-    const kernels::simd::KernelConfig kcfg = kernels::simd::active_config();
-    const kernels::simd::KernelTable& kt = kernels::simd::table(kcfg);
+    const kernels::simd::KernelTable& kt = kernels::simd::table(kernels::simd::active_config());
     const std::string isa(kernels::simd::isa_name(kt.isa));
-    std::fprintf(stderr, "kernels: isa=%s fma=%s\n", isa.c_str(), kt.fma ? "on" : "off");
+    std::fprintf(stderr, "kernels: isa=%s\n", isa.c_str());
   }
   return run_experiment(synth::build_corpus(ccfg), cfg);
 }

@@ -1,7 +1,5 @@
 #include "kernels/sddmm.hpp"
 
-#include <algorithm>
-
 #include "kernels/detail/staging.hpp"
 #include "sparse/validate.hpp"
 
@@ -117,7 +115,6 @@ void sddmm_aspt(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
   const std::vector<offset_t> shift =
       y_rows ? sddmm_out_shift(a, *y_rows) : std::vector<offset_t>{};
   check_out_size(a, out_size);
-  std::fill(out, out + out_size, value_t{0});
   aspt_rows(a, x, y, out, out_size, 0, a.rows(), sparse_order ? sparse_order->data() : nullptr,
             cfg, y_rows, y_rows ? &shift : nullptr);
 }

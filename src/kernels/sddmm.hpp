@@ -7,11 +7,12 @@
 //
 // Like the SpMM kernels, these run single-threaded on the calling thread
 // and dispatch through the SIMD layer (kernels/simd); overloads without a
-// simd::KernelConfig use the process-wide active configuration, and the
-// default (non-fma) path is bitwise-identical to the scalar reference on
-// every backend. The multi-core path is runtime::parallel_sddmm (or the
-// Server), which fans sddmm_aspt_row_range out over a
-// runtime::WorkerPool, one ASpT row panel per task.
+// simd::KernelConfig use the process-wide active configuration, and
+// every backend is bitwise-identical to the scalar reference (the
+// 16-lane fused dot of kernels/detail/scalar_ref.hpp). The multi-core
+// path is runtime::parallel_sddmm (or the Server), which fans
+// sddmm_aspt_row_range out over a runtime::WorkerPool, one ASpT row
+// panel per task.
 //
 // Dense operands are borrowed views (sparse/dense_view.hpp); DenseMatrix
 // converts implicitly. The row-range entry point additionally takes the

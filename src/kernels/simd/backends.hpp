@@ -1,7 +1,6 @@
 // Per-ISA kernel table accessors, one per backend translation unit.
 //
-// Each returns a pointer to a two-entry array — [0] the bitwise
-// (non-fma) table, [1] the fma fast-path table — or nullptr when the
+// Each returns a pointer to the backend's one table, or nullptr when the
 // backend was not compiled in (TU built without the matching -m flags,
 // wrong architecture, or RRSPMM_ENABLE_SIMD=OFF). The dispatcher
 // (dispatch.cpp) combines this with runtime CPU detection.
@@ -11,9 +10,9 @@
 
 namespace rrspmm::kernels::simd {
 
-const KernelTable* scalar_tables();  // never nullptr
-const KernelTable* neon_tables();
-const KernelTable* avx2_tables();
-const KernelTable* avx512_tables();
+const KernelTable* scalar_table();  // never nullptr
+const KernelTable* neon_table();
+const KernelTable* avx2_table();
+const KernelTable* avx512_table();
 
 }  // namespace rrspmm::kernels::simd

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
-#include <string_view>
 
 #include "kernels/simd/backends.hpp"
 #include "kernels/simd/specialize.hpp"
@@ -12,22 +11,21 @@ namespace rrspmm::kernels::simd {
 
 namespace {
 
-// Active configuration in relaxed atomics (TSan-clean: concurrent kernel
-// calls only ever read whole values; there is no invariant across the
-// cells). g_isa holds -1 for "auto", else static_cast<int>(Isa).
+// Active configuration in a relaxed atomic (TSan-clean: concurrent
+// kernel calls only ever read the whole value). g_isa holds -1 for
+// "auto", else static_cast<int>(Isa).
 std::atomic<int> g_isa{-1};
-std::atomic<bool> g_fma{false};
 std::once_flag g_env_once;
 
 std::atomic<std::uint64_t> g_counts[kIsaCount]{};
 std::atomic<std::uint64_t> g_spec_counts[kIsaCount]{};
 
-const KernelTable* tables_for(Isa isa) {
+const KernelTable* table_for(Isa isa) {
   switch (isa) {
-    case Isa::scalar: return scalar_tables();
-    case Isa::neon: return neon_tables();
-    case Isa::avx2: return avx2_tables();
-    case Isa::avx512: return avx512_tables();
+    case Isa::scalar: return scalar_table();
+    case Isa::neon: return neon_table();
+    case Isa::avx2: return avx2_table();
+    case Isa::avx512: return avx512_table();
   }
   return nullptr;
 }
@@ -61,20 +59,14 @@ bool cpu_supports(Isa isa) {
 void load_env() {
   std::optional<Isa> isa;
   if (const char* s = std::getenv("RRSPMM_KERNEL_ISA")) isa = parse_isa(s);
-  bool fma = false;
-  if (const char* s = std::getenv("RRSPMM_KERNEL_FMA")) {
-    const std::string_view v(s);
-    fma = v == "1" || v == "on" || v == "true" || v == "yes";
-  }
   g_isa.store(isa ? static_cast<int>(*isa) : -1, std::memory_order_relaxed);
-  g_fma.store(fma, std::memory_order_relaxed);
 }
 
 void ensure_env_loaded() { std::call_once(g_env_once, load_env); }
 
 }  // namespace
 
-bool isa_compiled(Isa isa) { return tables_for(isa) != nullptr; }
+bool isa_compiled(Isa isa) { return table_for(isa) != nullptr; }
 
 bool isa_supported(Isa isa) { return isa_compiled(isa) && cpu_supports(isa); }
 
@@ -91,16 +83,12 @@ Isa resolve_isa(std::optional<Isa> requested) {
   return Isa::scalar;
 }
 
-const KernelTable& table(const KernelConfig& cfg) {
-  const KernelTable* tables = tables_for(resolve_isa(cfg.isa));
-  return tables[cfg.allow_fma ? 1 : 0];
-}
+const KernelTable& table(const KernelConfig& cfg) { return *table_for(resolve_isa(cfg.isa)); }
 
 KernelSelection select_kernels(const KernelConfig& cfg, index_t k) {
   const KernelTable& t = table(cfg);
   KernelSelection sel;
   sel.isa = t.isa;
-  sel.fma = t.fma;
   sel.spmm_rows = t.spmm_rows;
   sel.spmm_panel = t.spmm_panel;
   sel.sddmm_rows = t.sddmm_rows;
@@ -112,17 +100,18 @@ KernelSelection select_kernels(const KernelConfig& cfg, index_t k) {
   if (k <= kMicroGemmKMax && cfg.spec->dense_full_fraction() >= kMicroGemmMinFullFraction) {
     sel.spmm_panel_dense = t.spmm_panel_dense;
   }
+  // Short-row-heavy plans past kShortRowKWidthMax keep the generic row
+  // drivers (kernel_scaling short_rows/spmm_rowwise, k=128): the fully
+  // K-unrolled body is front-end bound on tiny rows, and the classed
+  // driver read 0.97-1.02x over generic in 5 runs, so neither pays there.
+  const bool short_rows = cfg.spec->wants_short_unroll();
+  if (short_rows && k > kShortRowKWidthMax) return sel;
   const int slot = spec_k_slot(k);
-  // K-width substitution is skipped for short-row-heavy plans at large K:
-  // the fully K-unrolled row body is front-end bound exactly when rows
-  // are tiny (a few percent slower at K=128), so those plans fall
-  // through to the runtime-K classed driver below instead.
-  const bool kw_profitable = k <= kShortRowKWidthMax || !cfg.spec->wants_short_unroll();
-  if (slot >= 0 && kw_profitable && t.spmm_rows_kw[slot] != nullptr) {
+  if (slot >= 0 && t.spmm_rows_kw[slot] != nullptr) {
     sel.spmm_rows = t.spmm_rows_kw[slot];
     sel.sddmm_rows = t.sddmm_rows_kw[slot];
     sel.specialized = true;
-  } else if (cfg.spec->wants_short_unroll() && t.spmm_rows_classed != nullptr) {
+  } else if (short_rows && t.spmm_rows_classed != nullptr) {
     sel.spmm_rows = t.spmm_rows_classed;
     sel.specialized = true;
   }
@@ -134,7 +123,6 @@ KernelConfig active_config() {
   KernelConfig cfg;
   const int isa = g_isa.load(std::memory_order_relaxed);
   if (isa >= 0) cfg.isa = static_cast<Isa>(isa);
-  cfg.allow_fma = g_fma.load(std::memory_order_relaxed);
   return cfg;
 }
 
@@ -143,7 +131,6 @@ void set_active_config(const KernelConfig& cfg) {
   // clobber the explicit setting afterwards.
   ensure_env_loaded();
   g_isa.store(cfg.isa ? static_cast<int>(*cfg.isa) : -1, std::memory_order_relaxed);
-  g_fma.store(cfg.allow_fma, std::memory_order_relaxed);
 }
 
 void reload_env() {

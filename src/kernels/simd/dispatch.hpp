@@ -2,9 +2,11 @@
 // (backends.hpp) and what the CPU supports, with an env override for
 // testing and benchmarking.
 //
-// Environment knobs (read once, on first use; reload_env() re-reads):
+// Environment knob (read once, on first use; reload_env() re-reads):
 //   RRSPMM_KERNEL_ISA = scalar | neon | avx2 | avx512 | auto (default)
-//   RRSPMM_KERNEL_FMA = 1 | on | true | yes  (default off)
+//
+// Every backend computes the same bits (the fused scalar reference,
+// kernels/detail/scalar_ref.hpp), so the ISA choice changes speed only.
 //
 // A requested ISA that is not compiled in or not supported by the CPU
 // degrades down the ladder (avx512 -> avx2 -> neon -> scalar) instead of
@@ -32,14 +34,10 @@ enum class SpecMode : std::uint8_t {
 };
 
 /// Kernel selection carried by callers (ServerConfig, ShardedExecutor,
-/// bench drivers). Default-constructed = auto ISA, bitwise math.
+/// bench drivers). Default-constructed = auto ISA.
 struct KernelConfig {
   /// Forced ISA; nullopt picks the best compiled-and-supported backend.
   std::optional<Isa> isa;
-  /// Opt into the fused-multiply-add fast path. Off by default: the
-  /// default path is bitwise-identical to the scalar reference, the fma
-  /// path only ULP-close (see docs/API.md).
-  bool allow_fma = false;
   /// Per-matrix AOT specialization record, built at plan-build time and
   /// attached to every plan-driven execution by core::kernel_config.
   /// Null = generic
@@ -70,7 +68,6 @@ const KernelTable& table(const KernelConfig& cfg);
 /// one generic entry; the micro-GEMM is reported in spmm_panel_dense.
 struct KernelSelection {
   Isa isa = Isa::scalar;
-  bool fma = false;
   bool specialized = false;
   KernelTable::SpmmRowsFn spmm_rows = nullptr;
   KernelTable::SpmmPanelFn spmm_panel = nullptr;
@@ -95,7 +92,8 @@ inline constexpr double kMicroGemmMinFullFraction = 0.5;
 ///    kMicroGemmMinFullFraction select the dense-tile micro-GEMM;
 ///  - a K in kSpecKWidths swaps the row-wise SpMM and SDDMM drivers for
 ///    the K-width instantiations, and a short-row-heavy plan otherwise
-///    swaps the SpMM row driver for the classed (unrolled-short) one.
+///    swaps the SpMM row driver for the classed (unrolled-short) one;
+///    short-row-heavy plans take neither past kShortRowKWidthMax.
 /// Otherwise the result is exactly the generic table's entries.
 KernelSelection select_kernels(const KernelConfig& cfg, index_t k);
 
@@ -103,8 +101,8 @@ KernelSelection select_kernels(const KernelConfig& cfg, index_t k);
 /// explicit KernelConfig. Initialised from the environment on first use.
 KernelConfig active_config();
 void set_active_config(const KernelConfig& cfg);
-/// Re-reads RRSPMM_KERNEL_ISA / RRSPMM_KERNEL_FMA (tests use this after
-/// setenv; the initial read happens once per process otherwise).
+/// Re-reads RRSPMM_KERNEL_ISA (tests use this after setenv; the initial
+/// read happens once per process otherwise).
 void reload_env();
 
 /// Per-ISA invocation counters (one public kernel call = one count for

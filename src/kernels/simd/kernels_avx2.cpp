@@ -10,17 +10,14 @@ namespace rrspmm::kernels::simd {
 #if defined(__AVX2__) && defined(__FMA__) && !defined(RRSPMM_SIMD_DISABLED)
 
 namespace {
-constexpr KernelTable kTables[2] = {
-    make_spec_table<VecAvx2, false>(Isa::avx2),
-    make_spec_table<VecAvx2, true>(Isa::avx2),
-};
+constexpr KernelTable kTable = make_spec_table<VecAvx2>(Isa::avx2);
 }  // namespace
 
-const KernelTable* avx2_tables() { return kTables; }
+const KernelTable* avx2_table() { return &kTable; }
 
 #else
 
-const KernelTable* avx2_tables() { return nullptr; }
+const KernelTable* avx2_table() { return nullptr; }
 
 #endif
 

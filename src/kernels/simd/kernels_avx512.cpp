@@ -9,17 +9,14 @@ namespace rrspmm::kernels::simd {
 #if defined(__AVX512F__) && !defined(RRSPMM_SIMD_DISABLED)
 
 namespace {
-constexpr KernelTable kTables[2] = {
-    make_spec_table<VecAvx512, false>(Isa::avx512),
-    make_spec_table<VecAvx512, true>(Isa::avx512),
-};
+constexpr KernelTable kTable = make_spec_table<VecAvx512>(Isa::avx512);
 }  // namespace
 
-const KernelTable* avx512_tables() { return kTables; }
+const KernelTable* avx512_table() { return &kTable; }
 
 #else
 
-const KernelTable* avx512_tables() { return nullptr; }
+const KernelTable* avx512_table() { return nullptr; }
 
 #endif
 

@@ -1,16 +1,17 @@
 // Register-blocked SpMM / SDDMM kernel bodies, generic over a vector
-// backend V (vec.hpp) and the Fma policy.
+// backend V (vec.hpp).
 //
-// Bitwise-equality contract (Fma == false): the scalar kernels accumulate
-// each output element as an ordered chain over the row's nonzeros —
-// yr[kk] = ((0 + v0*x0[kk]) + v1*x1[kk]) + ... — with a separately
-// rounded multiply and add per step. Vectorizing across kk keeps every
-// element's chain intact (lanes never mix kk positions), and using
-// V::mul + V::add keeps the two roundings separate, so the result is
-// bit-identical to the scalar reference for any V. The same holds for
-// SDDMM by giving each vector lane one whole nonzero's dot product.
-// Fma == true fuses the multiply-add (and uses vector partial sums for
-// dots), which reassociates rounding — faster, but only ULP-close.
+// Bitwise-equality contract: every body reproduces the scalar reference
+// (kernels/detail/scalar_ref.hpp) bit for bit on every backend.
+//  * SpMM: each output element is the ordered fused chain
+//    yr[kk] = fma(v_j, x_j[kk], yr[kk]) over the row's nonzeros.
+//    Vectorizing across kk keeps every element's chain intact (lanes
+//    never mix kk positions), and V::madd rounds once per lane like the
+//    scalar fmadd, so the result is bit-identical for any V. Tails left
+//    over by the vector blocks run the same scalar fmadd.
+//  * SDDMM: each nonzero's dot is the reference's 16-lane shape — lane
+//    partial sums over contiguous loads of the Y and X rows, the fixed
+//    pairwise tree (V::sum16x4) and the ordered fused tail.
 //
 // This header is included from TUs compiled with ISA-specific flags, so
 // it deliberately contains only raw loops over raw pointers (plus the
@@ -37,16 +38,6 @@ inline V load_x(const value_t* p) {
   }
 }
 
-/// One accumulation step: acc + v * x, fused or separately rounded.
-template <class V, bool Fma>
-inline V step(V acc, V v, V x) {
-  if constexpr (Fma) {
-    return V::madd(v, x, acc);
-  } else {
-    return V::add(acc, V::mul(v, x));
-  }
-}
-
 /// yr[0..k) += sum_j val(j) * xrow(j)[0..k).
 ///
 /// K is tiled into 4-vector register blocks: the four accumulators are
@@ -54,7 +45,7 @@ inline V step(V acc, V v, V x) {
 /// (only the X row load and a broadcast remain inside), and stored once.
 /// AlignedX marks xrow(j) pointers as vector-aligned with a padded
 /// leading dimension (the ASpT staged panel), enabling aligned loads.
-template <class V, bool Fma, bool AlignedX, class GetX, class GetV>
+template <class V, bool AlignedX, class GetX, class GetV>
 inline void accumulate_row(value_t* yr, index_t k, index_t nnz, GetX&& xrow, GetV&& val) {
   if constexpr (V::width == 1) {
     for (index_t j = 0; j < nnz; ++j) detail::axpy(yr, xrow(j), val(j), k);
@@ -70,10 +61,10 @@ inline void accumulate_row(value_t* yr, index_t k, index_t nnz, GetX&& xrow, Get
       for (index_t j = 0; j < nnz; ++j) {
         const V v = V::broadcast(val(j));
         const value_t* xr = xrow(j) + kk;
-        a0 = step<V, Fma>(a0, v, load_x<V, AlignedX>(xr));
-        a1 = step<V, Fma>(a1, v, load_x<V, AlignedX>(xr + W));
-        a2 = step<V, Fma>(a2, v, load_x<V, AlignedX>(xr + 2 * W));
-        a3 = step<V, Fma>(a3, v, load_x<V, AlignedX>(xr + 3 * W));
+        a0 = V::madd(v, load_x<V, AlignedX>(xr), a0);
+        a1 = V::madd(v, load_x<V, AlignedX>(xr + W), a1);
+        a2 = V::madd(v, load_x<V, AlignedX>(xr + 2 * W), a2);
+        a3 = V::madd(v, load_x<V, AlignedX>(xr + 3 * W), a3);
       }
       a0.storeu(yr + kk);
       a1.storeu(yr + kk + W);
@@ -83,7 +74,7 @@ inline void accumulate_row(value_t* yr, index_t k, index_t nnz, GetX&& xrow, Get
     for (; kk + W <= k; kk += W) {
       V a0 = V::loadu(yr + kk);
       for (index_t j = 0; j < nnz; ++j) {
-        a0 = step<V, Fma>(a0, V::broadcast(val(j)), load_x<V, AlignedX>(xrow(j) + kk));
+        a0 = V::madd(V::broadcast(val(j)), load_x<V, AlignedX>(xrow(j) + kk), a0);
       }
       a0.storeu(yr + kk);
     }
@@ -91,7 +82,7 @@ inline void accumulate_row(value_t* yr, index_t k, index_t nnz, GetX&& xrow, Get
       for (index_t j = 0; j < nnz; ++j) {
         const value_t v = val(j);
         const value_t* xr = xrow(j);
-        for (index_t t = kk; t < k; ++t) yr[t] += v * xr[t];
+        for (index_t t = kk; t < k; ++t) yr[t] = detail::fmadd(v, xr[t], yr[t]);
       }
     }
   }
@@ -104,13 +95,12 @@ inline void accumulate_row(value_t* yr, index_t k, index_t nnz, GetX&& xrow, Get
 /// `slots` (fully dense rows of one panel list the same column set in
 /// the same order), so one staged load per (j, kk) feeds both rows.
 /// That is the whole win: accumulate_row's 4-vector block is bound by
-/// the FP add latency of four dependent chains, while the 4-vector x
+/// the FMA latency of four dependent chains, while the 4-vector x
 /// 2-row block below keeps eight chains live and halves the staged X
 /// loads per useful FLOP. Each element still accumulates its nonzeros
-/// in ascending j order with separate mul/add roundings, so the result
-/// is bitwise-identical to two accumulate_row calls for any V on the
-/// non-fma path.
-template <class V, bool Fma>
+/// in ascending j order with one fused step each, so the result is
+/// bitwise-identical to two accumulate_row calls for any V.
+template <class V>
 inline void microgemm_pair(value_t* y0, value_t* y1, const value_t* v0, const value_t* v1,
                            const index_t* slots, const value_t* staged, index_t staged_ld,
                            index_t k, index_t d) {
@@ -139,10 +129,10 @@ inline void microgemm_pair(value_t* y0, value_t* y1, const value_t* v0, const va
         const V x1 = V::load(xr + W);
         const V b0 = V::broadcast(v0[j]);
         const V b1 = V::broadcast(v1[j]);
-        a00 = step<V, Fma>(a00, b0, x0);
-        a01 = step<V, Fma>(a01, b0, x1);
-        a10 = step<V, Fma>(a10, b1, x0);
-        a11 = step<V, Fma>(a11, b1, x1);
+        a00 = V::madd(b0, x0, a00);
+        a01 = V::madd(b0, x1, a01);
+        a10 = V::madd(b1, x0, a10);
+        a11 = V::madd(b1, x1, a11);
       }
       a00.storeu(y0 + kk);
       a01.storeu(y0 + kk + W);
@@ -154,8 +144,8 @@ inline void microgemm_pair(value_t* y0, value_t* y1, const value_t* v0, const va
       V a1 = V::loadu(y1 + kk);
       for (index_t j = 0; j < d; ++j) {
         const V x = V::load(xrow(j) + kk);
-        a0 = step<V, Fma>(a0, V::broadcast(v0[j]), x);
-        a1 = step<V, Fma>(a1, V::broadcast(v1[j]), x);
+        a0 = V::madd(V::broadcast(v0[j]), x, a0);
+        a1 = V::madd(V::broadcast(v1[j]), x, a1);
       }
       a0.storeu(y0 + kk);
       a1.storeu(y1 + kk);
@@ -164,79 +154,62 @@ inline void microgemm_pair(value_t* y0, value_t* y1, const value_t* v0, const va
       for (index_t j = 0; j < d; ++j) {
         const value_t v = v0[j];
         const value_t* xr = xrow(j);
-        for (index_t t = kk; t < k; ++t) y0[t] += v * xr[t];
+        for (index_t t = kk; t < k; ++t) y0[t] = detail::fmadd(v, xr[t], y0[t]);
       }
       for (index_t j = 0; j < d; ++j) {
         const value_t v = v1[j];
         const value_t* xr = xrow(j);
-        for (index_t t = kk; t < k; ++t) y1[t] += v * xr[t];
+        for (index_t t = kk; t < k; ++t) y1[t] = detail::fmadd(v, xr[t], y1[t]);
       }
     }
   }
 }
 
-/// emit(j, val(j) * dot(yr, xrow(j))) for j in [0, nnz).
+/// emit(j, val(j) * detail::dot(yr, xrow(j), k)) for j in [0, nnz).
 ///
-/// Non-fma path: lane-per-nonzero — W nonzeros are processed together,
-/// each lane accumulating one full dot product in ascending kk order
-/// (yr[kk] broadcast, one gathered X element per lane), so every lane
-/// reproduces the scalar dot chain exactly. Fma path: per-nonzero vector
-/// dot with four partial accumulators and an ordered lane reduction.
-template <class V, bool Fma, bool AlignedX, class GetX, class GetV, class Emit>
+/// Vector backends take four nonzeros at a time: a dot's 16 lane sums are
+/// 16/W vectors fed by contiguous loads, each Y load feeds four X rows,
+/// and V::sum16x4 reduces the four dots with shared shuffles. A last group
+/// of fewer than four repeats its final row and emits only its own dots.
+template <class V, bool AlignedX, class GetX, class GetV, class Emit>
 inline void dot_rows(const value_t* yr, index_t k, index_t nnz, GetX&& xrow, GetV&& val,
                      Emit&& emit) {
   if constexpr (V::width == 1) {
     for (index_t j = 0; j < nnz; ++j) emit(j, val(j) * detail::dot(yr, xrow(j), k));
-    return;
-  } else if constexpr (!Fma) {
-    constexpr index_t W = V::width;
-    index_t j = 0;
-    for (; j + W <= nnz; j += W) {
-      const value_t* rows[W];
-      for (index_t l = 0; l < W; ++l) rows[l] = xrow(j + l);
-      V acc = V::zero();
-      for (index_t kk = 0; kk < k; ++kk) {
-        acc = V::add(acc, V::mul(V::broadcast(yr[kk]), V::gather_lanes(rows, kk)));
-      }
-      value_t lanes[W];
-      acc.storeu(lanes);
-      for (index_t l = 0; l < W; ++l) emit(j + l, val(j + l) * lanes[l]);
-    }
-    for (; j < nnz; ++j) emit(j, val(j) * detail::dot(yr, xrow(j), k));
   } else {
     constexpr index_t W = V::width;
-    for (index_t j = 0; j < nnz; ++j) {
-      const value_t* xr = xrow(j);
+    constexpr index_t N = detail::kDotLanes / W;
+    static_assert(N * W == detail::kDotLanes, "the vector width must divide the dot's lanes");
+    for (index_t j = 0; j < nnz; j += 4) {
+      const index_t n = nnz - j < 4 ? nnz - j : 4;
+      const value_t* xr[4] = {};
+      for (index_t q = 0; q < 4; ++q) xr[q] = xrow(j + (q < n ? q : n - 1));
+      V l[4 * N];
+      for (V& v : l) v = V::zero();
       index_t kk = 0;
-      V a0 = V::zero();
-      V a1 = V::zero();
-      V a2 = V::zero();
-      V a3 = V::zero();
-      for (; kk + 4 * W <= k; kk += 4 * W) {
-        a0 = V::madd(V::loadu(yr + kk), load_x<V, AlignedX>(xr + kk), a0);
-        a1 = V::madd(V::loadu(yr + kk + W), load_x<V, AlignedX>(xr + kk + W), a1);
-        a2 = V::madd(V::loadu(yr + kk + 2 * W), load_x<V, AlignedX>(xr + kk + 2 * W), a2);
-        a3 = V::madd(V::loadu(yr + kk + 3 * W), load_x<V, AlignedX>(xr + kk + 3 * W), a3);
+      for (; kk + detail::kDotLanes <= k; kk += detail::kDotLanes) {
+        for (index_t i = 0; i < N; ++i) {
+          const V y = V::loadu(yr + kk + i * W);
+          for (index_t q = 0; q < 4; ++q) {
+            l[q * N + i] = V::madd(y, load_x<V, AlignedX>(xr[q] + kk + i * W), l[q * N + i]);
+          }
+        }
       }
-      a0 = V::add(V::add(a0, a1), V::add(a2, a3));
-      for (; kk + W <= k; kk += W) {
-        a0 = V::madd(V::loadu(yr + kk), load_x<V, AlignedX>(xr + kk), a0);
+      value_t d[4] = {};
+      V::sum16x4(l, d);
+      for (index_t q = 0; q < n; ++q) {
+        for (index_t t = kk; t < k; ++t) d[q] = detail::fmadd(yr[t], xr[q][t], d[q]);
+        emit(j + q, val(j + q) * d[q]);
       }
-      value_t lanes[W];
-      a0.storeu(lanes);
-      value_t acc = 0;
-      for (index_t l = 0; l < W; ++l) acc += lanes[l];
-      for (; kk < k; ++kk) acc += yr[kk] * xr[kk];
-      emit(j, val(j) * acc);
     }
   }
 }
 
 }  // namespace generic
 
-/// The four serial kernel entry points for one (backend, fma) pair; the
-/// backend TUs take their addresses to build KernelTables.
-template <class V, bool Fma>
+/// The serial kernel entry points of one backend; the backend TUs take
+/// their addresses to build KernelTables.
+template <class V>
 struct KernelSet {
   /// Row `rows ? rows[i] : i` of a dense operand with leading dimension
   /// `ld`: where processed row i reads Y or writes its output.
@@ -260,7 +233,7 @@ struct KernelSet {
       if (nnz == 0) continue;
       const index_t* cs = colidx + lo;
       const value_t* vs = vals + lo;
-      generic::accumulate_row<V, Fma, false>(
+      generic::accumulate_row<V, false>(
           yr, k, nnz,
           [&](index_t j) {
             return x + static_cast<std::size_t>(cs[j]) * static_cast<std::size_t>(x_ld);
@@ -281,7 +254,7 @@ struct KernelSet {
       value_t* yr = row_at(y, y_ld, y_rows, row);
       const index_t* slots = dense_slot + lo;
       const value_t* vs = dense_val + lo;
-      generic::accumulate_row<V, Fma, true>(
+      generic::accumulate_row<V, true>(
           yr, k, nnz,
           [&](index_t j) {
             return staged +
@@ -312,7 +285,7 @@ struct KernelSet {
           same_slots = dense_slot[lo + j] == dense_slot[lo1 + j];
         }
         if (same_slots) {
-          generic::microgemm_pair<V, Fma>(
+          generic::microgemm_pair<V>(
               row_at(y, y_ld, y_rows, row), row_at(y, y_ld, y_rows, row + 1), dense_val + lo,
               dense_val + lo1, dense_slot + lo, staged, staged_ld, k, dense_cols);
           row += 2;
@@ -324,7 +297,7 @@ struct KernelSet {
         value_t* yr = row_at(y, y_ld, y_rows, row);
         const index_t* slots = dense_slot + lo;
         const value_t* vs = dense_val + lo;
-        generic::accumulate_row<V, Fma, true>(
+        generic::accumulate_row<V, true>(
             yr, k, nnz,
             [&](index_t j) {
               return staged +
@@ -350,7 +323,7 @@ struct KernelSet {
       const offset_t shift = out_shift ? out_shift[i] : 0;
       const index_t* cs = colidx + base;
       const value_t* vs = vals + base;
-      generic::dot_rows<V, Fma, false>(
+      generic::dot_rows<V, false>(
           yr, k, nnz,
           [&](index_t j) {
             return x + static_cast<std::size_t>(cs[j]) * static_cast<std::size_t>(x_ld);
@@ -379,7 +352,7 @@ struct KernelSet {
       const index_t* slots = dense_slot + lo;
       const value_t* vs = dense_val + lo;
       const offset_t* srcs = dense_src_idx + lo;
-      generic::dot_rows<V, Fma, true>(
+      generic::dot_rows<V, true>(
           yr, k, nnz,
           [&](index_t j) {
             return staged +
@@ -391,19 +364,18 @@ struct KernelSet {
   }
 };
 
-/// Builds the KernelTable for one (backend, fma) pair at compile time, so
-/// the backend TUs' tables are constant-initialised (no code runs in an
-/// ISA-flagged TU before dispatch has checked CPU support).
-template <class V, bool Fma>
+/// Builds one backend's KernelTable at compile time, so the backend TUs'
+/// tables are constant-initialised (no code runs in an ISA-flagged TU
+/// before dispatch has checked CPU support).
+template <class V>
 constexpr KernelTable make_table(Isa isa) {
   KernelTable t{};
   t.isa = isa;
-  t.fma = Fma;
-  t.spmm_rows = &KernelSet<V, Fma>::spmm_rows;
-  t.spmm_panel = &KernelSet<V, Fma>::spmm_panel;
-  t.spmm_panel_dense = &KernelSet<V, Fma>::spmm_panel_dense;
-  t.sddmm_rows = &KernelSet<V, Fma>::sddmm_rows;
-  t.sddmm_panel = &KernelSet<V, Fma>::sddmm_panel;
+  t.spmm_rows = &KernelSet<V>::spmm_rows;
+  t.spmm_panel = &KernelSet<V>::spmm_panel;
+  t.spmm_panel_dense = &KernelSet<V>::spmm_panel_dense;
+  t.sddmm_rows = &KernelSet<V>::sddmm_rows;
+  t.sddmm_panel = &KernelSet<V>::sddmm_panel;
   return t;
 }
 

@@ -9,17 +9,14 @@ namespace rrspmm::kernels::simd {
 #if defined(__ARM_NEON) && !defined(RRSPMM_SIMD_DISABLED)
 
 namespace {
-constexpr KernelTable kTables[2] = {
-    make_spec_table<VecNeon, false>(Isa::neon),
-    make_spec_table<VecNeon, true>(Isa::neon),
-};
+constexpr KernelTable kTable = make_spec_table<VecNeon>(Isa::neon);
 }  // namespace
 
-const KernelTable* neon_tables() { return kTables; }
+const KernelTable* neon_table() { return &kTable; }
 
 #else
 
-const KernelTable* neon_tables() { return nullptr; }
+const KernelTable* neon_table() { return nullptr; }
 
 #endif
 

@@ -1,19 +1,14 @@
-// Scalar backend: always compiled, no ISA flags. Both table entries use
-// the non-fma kernels — the scalar reference never reassociates, so the
-// "fma" slot degrades to the bitwise path (allow_fma is a permission,
-// not a mandate).
+// Scalar backend: always compiled, no ISA flags. Its kernels call the
+// reference helpers directly, so this table is the scalar reference.
 #include "kernels/simd/backends.hpp"
 #include "kernels/simd/kernels_spec.hpp"
 
 namespace rrspmm::kernels::simd {
 
 namespace {
-constexpr KernelTable kTables[2] = {
-    make_spec_table<VecScalar, false>(Isa::scalar),
-    make_spec_table<VecScalar, false>(Isa::scalar),
-};
+constexpr KernelTable kTable = make_spec_table<VecScalar>(Isa::scalar);
 }  // namespace
 
-const KernelTable* scalar_tables() { return kTables; }
+const KernelTable* scalar_table() { return &kTable; }
 
 }  // namespace rrspmm::kernels::simd

@@ -14,14 +14,14 @@
 //    register accumulators with a single store instead of a zero-store /
 //    reload round trip through the output row.
 //
-// Bitwise-equality contract (Fma == false), inherited from
-// kernels_generic.hpp and preserved here: every output element is still
-// the ordered chain ((0 + v0*x0) + v1*x1) + ... with separately rounded
-// multiply and add per step. Constant-folding a trip count, unrolling a
-// loop, or starting an accumulator at literal zero instead of loading a
+// Bitwise-equality contract, inherited from kernels_generic.hpp and
+// preserved here: every output element is still the ordered fused chain
+// fma(v1, x1, fma(v0, x0, 0)) ..., and every SDDMM dot the reference's
+// 16-lane shape. Constant-folding a trip count, unrolling a loop, or
+// starting an accumulator at literal zero instead of loading a
 // just-zeroed memory cell performs the identical operation sequence on
-// identical values, so each specialized non-fma entry is bit-identical
-// to its generic counterpart — and therefore to the scalar reference.
+// identical values, so each specialized entry is bit-identical to its
+// generic counterpart — and therefore to the scalar reference.
 //
 // Included only from the per-ISA backend TUs (same comdat caveats as
 // kernels_generic.hpp: raw loops over raw pointers, nothing else).
@@ -40,10 +40,10 @@ namespace spec {
 /// pattern of generic::accumulate_row with the accumulators starting at
 /// V::zero() instead of loading the (just-zeroed) output row, and one
 /// store at the end. Same chains — loading a zeroed cell and starting at
-/// literal zero feed the identical first add — so the result is
+/// literal zero feed the identical first fma — so the result is
 /// bit-identical to zero-fill + accumulate_row, without the extra store
 /// and reload of the output row.
-template <class V, bool Fma, class GetX, class GetV>
+template <class V, class GetX, class GetV>
 inline void accumulate_row_fresh(value_t* yr, index_t k, index_t nnz, GetX&& xrow, GetV&& val) {
   if constexpr (V::width == 1) {
     for (index_t t = 0; t < k; ++t) yr[t] = value_t{0};
@@ -60,10 +60,10 @@ inline void accumulate_row_fresh(value_t* yr, index_t k, index_t nnz, GetX&& xro
       for (index_t j = 0; j < nnz; ++j) {
         const V v = V::broadcast(val(j));
         const value_t* xr = xrow(j) + kk;
-        a0 = generic::step<V, Fma>(a0, v, V::loadu(xr));
-        a1 = generic::step<V, Fma>(a1, v, V::loadu(xr + W));
-        a2 = generic::step<V, Fma>(a2, v, V::loadu(xr + 2 * W));
-        a3 = generic::step<V, Fma>(a3, v, V::loadu(xr + 3 * W));
+        a0 = V::madd(v, V::loadu(xr), a0);
+        a1 = V::madd(v, V::loadu(xr + W), a1);
+        a2 = V::madd(v, V::loadu(xr + 2 * W), a2);
+        a3 = V::madd(v, V::loadu(xr + 3 * W), a3);
       }
       a0.storeu(yr + kk);
       a1.storeu(yr + kk + W);
@@ -81,8 +81,8 @@ inline void accumulate_row_fresh(value_t* yr, index_t k, index_t nnz, GetX&& xro
       for (index_t j = 0; j < nnz; ++j) {
         const V v = V::broadcast(val(j));
         const value_t* xr = xrow(j) + kk;
-        a0 = generic::step<V, Fma>(a0, v, V::loadu(xr));
-        a1 = generic::step<V, Fma>(a1, v, V::loadu(xr + W));
+        a0 = V::madd(v, V::loadu(xr), a0);
+        a1 = V::madd(v, V::loadu(xr + W), a1);
       }
       a0.storeu(yr + kk);
       a1.storeu(yr + kk + W);
@@ -90,7 +90,7 @@ inline void accumulate_row_fresh(value_t* yr, index_t k, index_t nnz, GetX&& xro
     for (; kk + W <= k; kk += W) {
       V a0 = V::zero();
       for (index_t j = 0; j < nnz; ++j) {
-        a0 = generic::step<V, Fma>(a0, V::broadcast(val(j)), V::loadu(xrow(j) + kk));
+        a0 = V::madd(V::broadcast(val(j)), V::loadu(xrow(j) + kk), a0);
       }
       a0.storeu(yr + kk);
     }
@@ -98,7 +98,7 @@ inline void accumulate_row_fresh(value_t* yr, index_t k, index_t nnz, GetX&& xro
     // inner) leaves each element's chain untouched.
     for (; kk < k; ++kk) {
       value_t acc = 0;
-      for (index_t j = 0; j < nnz; ++j) acc += val(j) * xrow(j)[kk];
+      for (index_t j = 0; j < nnz; ++j) acc = detail::fmadd(val(j), xrow(j)[kk], acc);
       yr[kk] = acc;
     }
   }
@@ -108,14 +108,14 @@ inline void accumulate_row_fresh(value_t* yr, index_t k, index_t nnz, GetX&& xro
 /// is a compile-time constant (integral_constant through the generic
 /// lambda), fully unrolling the nonzero loop. `Fresh` selects the
 /// overwrite (zero_y) body, otherwise the accumulate body.
-template <class V, bool Fma, bool Fresh, class GetX, class GetV>
+template <class V, bool Fresh, class GetX, class GetV>
 inline void accumulate_row_short(value_t* yr, index_t k, index_t nnz, GetX&& xrow, GetV&& val) {
   const auto run = [&](auto n) {
     constexpr index_t kN = decltype(n)::value;
     if constexpr (Fresh) {
-      accumulate_row_fresh<V, Fma>(yr, k, kN, xrow, val);
+      accumulate_row_fresh<V>(yr, k, kN, xrow, val);
     } else {
-      generic::accumulate_row<V, Fma, false>(yr, k, kN, xrow, val);
+      generic::accumulate_row<V, false>(yr, k, kN, xrow, val);
     }
   };
   switch (nnz) {
@@ -125,9 +125,9 @@ inline void accumulate_row_short(value_t* yr, index_t k, index_t nnz, GetX&& xro
     case 4: run(std::integral_constant<index_t, 4>{}); break;
     default:
       if constexpr (Fresh) {
-        accumulate_row_fresh<V, Fma>(yr, k, nnz, xrow, val);
+        accumulate_row_fresh<V>(yr, k, nnz, xrow, val);
       } else {
-        generic::accumulate_row<V, Fma, false>(yr, k, nnz, xrow, val);
+        generic::accumulate_row<V, false>(yr, k, nnz, xrow, val);
       }
       break;
   }
@@ -136,11 +136,11 @@ static_assert(kShortRowMax == 4, "accumulate_row_short unrolls cases 1..kShortRo
 
 }  // namespace spec
 
-/// Specialized serial entry points for one (backend, fma, K-width)
-/// triple. KW == 0 is the runtime-K "classed" driver: no K constant, but
-/// still the short-row unrolled bodies and the fused zero+accumulate.
-/// KW > 0 additionally folds K: callers must guarantee k == KW.
-template <class V, bool Fma, index_t KW>
+/// Specialized serial entry points for one (backend, K-width) pair.
+/// KW == 0 is the runtime-K "classed" driver: no K constant, but still
+/// the short-row unrolled bodies and the fused zero+accumulate. KW > 0
+/// additionally folds K: callers must guarantee k == KW.
+template <class V, index_t KW>
 struct SpecKernelSet {
   static void spmm_rows(const offset_t* rowptr, const index_t* colidx, const value_t* vals,
                         const value_t* x, index_t x_ld, value_t* y, index_t y_ld, index_t k,
@@ -149,7 +149,7 @@ struct SpecKernelSet {
     const index_t kc = KW > 0 ? KW : k;
     for (index_t pos = pos_begin; pos < pos_end; ++pos) {
       const index_t i = order ? order[pos] : pos;
-      value_t* yr = KernelSet<V, Fma>::row_at(y, y_ld, y_rows, i);
+      value_t* yr = KernelSet<V>::row_at(y, y_ld, y_rows, i);
       const offset_t lo = rowptr[static_cast<std::size_t>(i)];
       const index_t nnz = static_cast<index_t>(rowptr[static_cast<std::size_t>(i) + 1] - lo);
       if (nnz == 0) {
@@ -171,15 +171,15 @@ struct SpecKernelSet {
       const bool unroll_short = nnz <= kShortRowMax && kc <= 2 * kSpecKWidths[0];
       if (zero_y) {
         if (unroll_short) {
-          spec::accumulate_row_short<V, Fma, true>(yr, kc, nnz, xrow, val);
+          spec::accumulate_row_short<V, true>(yr, kc, nnz, xrow, val);
         } else {
-          spec::accumulate_row_fresh<V, Fma>(yr, kc, nnz, xrow, val);
+          spec::accumulate_row_fresh<V>(yr, kc, nnz, xrow, val);
         }
       } else {
         if (unroll_short) {
-          spec::accumulate_row_short<V, Fma, false>(yr, kc, nnz, xrow, val);
+          spec::accumulate_row_short<V, false>(yr, kc, nnz, xrow, val);
         } else {
-          generic::accumulate_row<V, Fma, false>(yr, kc, nnz, xrow, val);
+          generic::accumulate_row<V, false>(yr, kc, nnz, xrow, val);
         }
       }
     }
@@ -193,23 +193,23 @@ struct SpecKernelSet {
                          index_t k, value_t* out, const offset_t* src, const index_t* order,
                          const index_t* y_rows, const offset_t* out_shift, index_t pos_begin,
                          index_t pos_end) {
-    KernelSet<V, Fma>::sddmm_rows(rowptr, colidx, vals, x, x_ld, ymat, y_ld, KW > 0 ? KW : k,
-                                  out, src, order, y_rows, out_shift, pos_begin, pos_end);
+    KernelSet<V>::sddmm_rows(rowptr, colidx, vals, x, x_ld, ymat, y_ld, KW > 0 ? KW : k, out,
+                             src, order, y_rows, out_shift, pos_begin, pos_end);
   }
 };
 
 /// make_table plus the specialized entries (stub backends keep them null,
 /// and select_kernels then falls back to the generic path).
-template <class V, bool Fma>
+template <class V>
 constexpr KernelTable make_spec_table(Isa isa) {
-  KernelTable t = make_table<V, Fma>(isa);
-  t.spmm_rows_kw[0] = &SpecKernelSet<V, Fma, kSpecKWidths[0]>::spmm_rows;
-  t.spmm_rows_kw[1] = &SpecKernelSet<V, Fma, kSpecKWidths[1]>::spmm_rows;
-  t.spmm_rows_kw[2] = &SpecKernelSet<V, Fma, kSpecKWidths[2]>::spmm_rows;
-  t.sddmm_rows_kw[0] = &SpecKernelSet<V, Fma, kSpecKWidths[0]>::sddmm_rows;
-  t.sddmm_rows_kw[1] = &SpecKernelSet<V, Fma, kSpecKWidths[1]>::sddmm_rows;
-  t.sddmm_rows_kw[2] = &SpecKernelSet<V, Fma, kSpecKWidths[2]>::sddmm_rows;
-  t.spmm_rows_classed = &SpecKernelSet<V, Fma, 0>::spmm_rows;
+  KernelTable t = make_table<V>(isa);
+  t.spmm_rows_kw[0] = &SpecKernelSet<V, kSpecKWidths[0]>::spmm_rows;
+  t.spmm_rows_kw[1] = &SpecKernelSet<V, kSpecKWidths[1]>::spmm_rows;
+  t.spmm_rows_kw[2] = &SpecKernelSet<V, kSpecKWidths[2]>::spmm_rows;
+  t.sddmm_rows_kw[0] = &SpecKernelSet<V, kSpecKWidths[0]>::sddmm_rows;
+  t.sddmm_rows_kw[1] = &SpecKernelSet<V, kSpecKWidths[1]>::sddmm_rows;
+  t.sddmm_rows_kw[2] = &SpecKernelSet<V, kSpecKWidths[2]>::sddmm_rows;
+  t.spmm_rows_classed = &SpecKernelSet<V, 0>::spmm_rows;
   static_assert(kSpecKWidthCount == 3, "extend the slot assignments above");
   return t;
 }

@@ -15,7 +15,7 @@
 // Specialization never changes what is computed: every variant preserves
 // the scalar reference's per-element accumulation order (see
 // kernels_spec.hpp), so the specialized path stays bitwise-identical to
-// the generic PR 5 kernels on the non-fma path.
+// the generic kernels.
 #pragma once
 
 #include <cstdint>

@@ -21,10 +21,10 @@ inline constexpr index_t kSpecKWidths[] = {32, 64, 128};
 inline constexpr std::size_t kSpecKWidthCount =
     sizeof(kSpecKWidths) / sizeof(kSpecKWidths[0]);
 
-/// Largest K at which a short-row-heavy plan still takes the K-width
-/// row instantiation. Past it the fully K-unrolled row body is front-end
-/// bound on tiny rows (a few percent slower at K=128), so those plans
-/// take the runtime-K classed driver instead.
+/// Largest K at which a short-row-heavy plan still takes a row-driver
+/// substitution (the K-width instantiation, or the classed driver off
+/// the K-width slots). Past it neither pays on tiny rows, so those plans
+/// keep the generic row drivers.
 inline constexpr index_t kShortRowKWidthMax = 64;
 
 /// Slot of a K-width instantiation, or -1 when K has none.
@@ -37,14 +37,11 @@ constexpr int spec_k_slot(index_t k) {
 
 /// One backend's kernel entry points. All functions are serial — callers
 /// that want several cores split the rows (runtime::parallel_*) — and
-/// all of them preserve the scalar kernels' per-element accumulation
-/// order, so a non-`fma` table is bitwise-equal to the scalar reference.
+/// all of them reproduce the scalar reference's fused arithmetic
+/// (kernels/detail/scalar_ref.hpp), so every table is bitwise-equal to
+/// the scalar one.
 struct KernelTable {
   Isa isa = Isa::scalar;
-  /// True for the opt-in fused-multiply-add fast path: same loop
-  /// structure, but contraction (and, for SDDMM, vector partial sums)
-  /// reassociate rounding — equal to scalar only within an ULP bound.
-  bool fma = false;
 
   /// CSR SpMM over positions [pos_begin, pos_end): the processed row is
   /// `i = order ? order[pos] : pos`, and it writes output row
@@ -74,8 +71,8 @@ struct KernelTable {
   /// register-block the two output rows against shared staged X loads —
   /// a small dense GEMM. Partial or unpairable rows fall back to the
   /// spmm_panel body. Bitwise contract unchanged: every element still
-  /// accumulates its nonzeros in storage order with separate mul/add
-  /// roundings; pairing only shares loads.
+  /// accumulates its nonzeros in storage order, one fused step each;
+  /// pairing only shares loads.
   void (*spmm_panel_dense)(const offset_t* dense_rowptr, const index_t* dense_slot,
                            const value_t* dense_val, index_t panel_row_begin,
                            const value_t* staged, index_t staged_ld, value_t* y, index_t y_ld,
@@ -110,18 +107,18 @@ struct KernelTable {
   using SddmmPanelFn = decltype(sddmm_panel);
 
   /// AOT plan-specialized row drivers (kernels_spec.hpp); null when the
-  /// backend is a stub. Same ABI
-  /// and bitwise contract as the generic entries above: specialization
-  /// changes the instruction schedule (compile-time K, fully-unrolled
-  /// short-row bodies), never the per-element reduction order, so every
-  /// non-fma specialized entry stays bit-identical to the scalar
-  /// reference. The caller must only use slot i when k == kSpecKWidths[i]
-  /// (the dispatcher's select_kernels enforces this).
+  /// backend is a stub. Same ABI and bitwise contract as the generic
+  /// entries above: specialization changes the instruction schedule
+  /// (compile-time K, fully-unrolled short-row bodies), never the
+  /// per-element reduction order, so every specialized entry stays
+  /// bit-identical to the scalar reference. The caller must only use
+  /// slot i when k == kSpecKWidths[i] (select_kernels enforces this).
   SpmmRowsFn spmm_rows_kw[kSpecKWidthCount] = {};
   SddmmRowsFn sddmm_rows_kw[kSpecKWidthCount] = {};
 
   /// Runtime-K SpMM row driver with the short-row unrolled bodies, for K
-  /// outside kSpecKWidths on short-row-heavy plans.
+  /// outside kSpecKWidths (up to kShortRowKWidthMax) on short-row-heavy
+  /// plans.
   SpmmRowsFn spmm_rows_classed = nullptr;
 };
 

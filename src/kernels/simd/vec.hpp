@@ -1,25 +1,26 @@
 // Fixed-width vector abstraction over value_t (fp32) lanes.
 //
-// Each backend is a small value type with an identical static interface;
-// the generic kernels (kernels_generic.hpp) are templates over it, so a
-// backend TU compiled with the matching -m flags instantiates exactly one
-// specialisation. Only the backends whose feature macros are defined in
-// the current TU exist — a TU compiled without -mavx2 simply never sees
-// VecAvx2.
+// Each vector backend is a small value type with an identical static
+// interface; the generic kernels (kernels_generic.hpp) are templates over
+// it, so a backend TU compiled with the matching -m flags instantiates
+// exactly one specialisation. Only the backends whose feature macros are
+// defined in the current TU exist — a TU compiled without -mavx2 simply
+// never sees VecAvx2.
 //
 // Interface (W = width, in fp32 lanes):
 //   static V zero()                      all-zero vector
 //   static V broadcast(value_t v)        v in every lane
 //   static V load(const value_t* p)      aligned load (W*4-byte aligned)
 //   static V loadu(const value_t* p)     unaligned load
-//   void store / storeu (value_t* p)     aligned / unaligned store
-//   static V mul(a, b), add(a, b)        lane-wise, separately rounded
-//   static V madd(a, b, c)               a*b + c, fused where the ISA
-//                                        has FMA (reassociates rounding —
-//                                        only the opt-in fma path uses it)
-//   static V gather_lanes(rows, kk)      lane l = rows[l][kk]; rows is an
-//                                        array of W row pointers (SDDMM
-//                                        lane-per-nonzero path)
+//   void storeu(value_t* p)              unaligned store
+//   static V madd(a, b, c)               a*b + c, fused: one rounding per
+//                                        lane, the same bits as the scalar
+//                                        reference's detail::fmadd
+//   static void sum16x4(const V* l,      detail::dot's pairwise tree for
+//                       value_t* out)    four dots at once, in registers:
+//                                        dot q's 16 lane sums are
+//                                        l[q*16/W .. (q+1)*16/W), its sum
+//                                        goes to out[q]
 #pragma once
 
 #include "sparse/types.hpp"
@@ -33,25 +34,11 @@
 
 namespace rrspmm::kernels::simd {
 
-/// Always-available reference backend; the generic kernels short-circuit
-/// width == 1 to the shared scalar helpers, so this mostly serves as the
-/// template parameter naming the scalar table.
+/// The scalar backend's tag: the generic kernels short-circuit width == 1
+/// to the reference helpers (kernels/detail/scalar_ref.hpp), so the
+/// scalar table runs the reference itself and needs no vector interface.
 struct VecScalar {
   static constexpr index_t width = 1;
-  value_t r;
-
-  static VecScalar zero() { return {0.0f}; }
-  static VecScalar broadcast(value_t v) { return {v}; }
-  static VecScalar load(const value_t* p) { return {*p}; }
-  static VecScalar loadu(const value_t* p) { return {*p}; }
-  void store(value_t* p) const { *p = r; }
-  void storeu(value_t* p) const { *p = r; }
-  static VecScalar mul(VecScalar a, VecScalar b) { return {a.r * b.r}; }
-  static VecScalar add(VecScalar a, VecScalar b) { return {a.r + b.r}; }
-  static VecScalar madd(VecScalar a, VecScalar b, VecScalar c) { return {a.r * b.r + c.r}; }
-  static VecScalar gather_lanes(const value_t* const* rows, index_t kk) {
-    return {rows[0][kk]};
-  }
 };
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -63,16 +50,30 @@ struct VecAvx2 {
   static VecAvx2 broadcast(value_t v) { return {_mm256_set1_ps(v)}; }
   static VecAvx2 load(const value_t* p) { return {_mm256_load_ps(p)}; }
   static VecAvx2 loadu(const value_t* p) { return {_mm256_loadu_ps(p)}; }
-  void store(value_t* p) const { _mm256_store_ps(p, r); }
   void storeu(value_t* p) const { _mm256_storeu_ps(p, r); }
-  static VecAvx2 mul(VecAvx2 a, VecAvx2 b) { return {_mm256_mul_ps(a.r, b.r)}; }
-  static VecAvx2 add(VecAvx2 a, VecAvx2 b) { return {_mm256_add_ps(a.r, b.r)}; }
   static VecAvx2 madd(VecAvx2 a, VecAvx2 b, VecAvx2 c) {
     return {_mm256_fmadd_ps(a.r, b.r, c.r)};
   }
-  static VecAvx2 gather_lanes(const value_t* const* rows, index_t kk) {
-    return {_mm256_set_ps(rows[7][kk], rows[6][kk], rows[5][kk], rows[4][kk], rows[3][kk],
-                          rows[2][kk], rows[1][kk], rows[0][kk])};
+  /// Dot q's lanes 0..7 are in l[2q], lanes 8..15 in l[2q+1]. Each dot's
+  /// i+8 step is one add; the i+4 step packs two dots' quarters into one
+  /// ymm (swapping 128-bit halves), and i+2, i+1 permute within the
+  /// halves, leaving the two sums in lanes 0 and 4.
+  static void sum16x4(const VecAvx2* l, value_t* out) {
+    const auto pair = [&](const VecAvx2* a, const VecAvx2* b, value_t* o) {
+      const __m256 sa = _mm256_add_ps(a[0].r, a[1].r);  // i + 8
+      const __m256 sb = _mm256_add_ps(b[0].r, b[1].r);
+      // i + 4, with a's sums in lanes 0..3 and b's in lanes 4..7.
+      __m256 t = _mm256_add_ps(_mm256_permute2f128_ps(sa, sb, 0x20),
+                               _mm256_permute2f128_ps(sa, sb, 0x31));
+      t = _mm256_add_ps(t, _mm256_permute_ps(t, _MM_SHUFFLE(1, 0, 3, 2)));  // i + 2
+      t = _mm256_add_ps(t, _mm256_permute_ps(t, _MM_SHUFFLE(2, 3, 0, 1)));  // i + 1
+      alignas(32) value_t lanes[8];
+      _mm256_store_ps(lanes, t);
+      o[0] = lanes[0];
+      o[1] = lanes[4];
+    };
+    pair(l, l + 2, out);
+    pair(l + 4, l + 6, out + 2);
   }
 };
 #endif  // __AVX2__ && __FMA__
@@ -86,18 +87,32 @@ struct VecAvx512 {
   static VecAvx512 broadcast(value_t v) { return {_mm512_set1_ps(v)}; }
   static VecAvx512 load(const value_t* p) { return {_mm512_load_ps(p)}; }
   static VecAvx512 loadu(const value_t* p) { return {_mm512_loadu_ps(p)}; }
-  void store(value_t* p) const { _mm512_store_ps(p, r); }
   void storeu(value_t* p) const { _mm512_storeu_ps(p, r); }
-  static VecAvx512 mul(VecAvx512 a, VecAvx512 b) { return {_mm512_mul_ps(a.r, b.r)}; }
-  static VecAvx512 add(VecAvx512 a, VecAvx512 b) { return {_mm512_add_ps(a.r, b.r)}; }
   static VecAvx512 madd(VecAvx512 a, VecAvx512 b, VecAvx512 c) {
     return {_mm512_fmadd_ps(a.r, b.r, c.r)};
   }
-  static VecAvx512 gather_lanes(const value_t* const* rows, index_t kk) {
-    return {_mm512_set_ps(rows[15][kk], rows[14][kk], rows[13][kk], rows[12][kk], rows[11][kk],
-                          rows[10][kk], rows[9][kk], rows[8][kk], rows[7][kk], rows[6][kk],
-                          rows[5][kk], rows[4][kk], rows[3][kk], rows[2][kk], rows[1][kk],
-                          rows[0][kk])};
+  /// Dot q's 16 lanes are l[q]. The i+8 step packs two dots' halves per
+  /// zmm (128-bit chunks [a0 a1 b0 b1] + [a2 a3 b2 b3]), the i+4 step all
+  /// four dots' quarters (dot q in chunk q); i+2 and i+1 then permute
+  /// within the chunks, leaving dot q's sum in lane 4q. The all-ones
+  /// maskz intrinsics compile to the plain instructions; the unmasked
+  /// ones pass _mm512_undefined_ps() through, which trips gcc 12's
+  /// -Wmaybe-uninitialized.
+  static void sum16x4(const VecAvx512* l, value_t* out) {
+    constexpr __mmask16 kAll = 0xFFFF;
+    const auto halves = [&](__m512 a, __m512 b) {  // i + 8
+      return _mm512_add_ps(_mm512_maskz_shuffle_f32x4(kAll, a, b, _MM_SHUFFLE(1, 0, 1, 0)),
+                           _mm512_maskz_shuffle_f32x4(kAll, a, b, _MM_SHUFFLE(3, 2, 3, 2)));
+    };
+    const __m512 ab = halves(l[0].r, l[1].r);
+    const __m512 cd = halves(l[2].r, l[3].r);
+    __m512 s = _mm512_add_ps(_mm512_maskz_shuffle_f32x4(kAll, ab, cd, _MM_SHUFFLE(2, 0, 2, 0)),
+                             _mm512_maskz_shuffle_f32x4(kAll, ab, cd, _MM_SHUFFLE(3, 1, 3, 1)));
+    s = _mm512_add_ps(s, _mm512_maskz_permute_ps(kAll, s, _MM_SHUFFLE(1, 0, 3, 2)));  // i + 2
+    s = _mm512_add_ps(s, _mm512_maskz_permute_ps(kAll, s, _MM_SHUFFLE(2, 3, 0, 1)));  // i + 1
+    alignas(64) value_t lanes[16];
+    _mm512_store_ps(lanes, s);
+    for (index_t q = 0; q < 4; ++q) out[q] = lanes[4 * q];
   }
 };
 #endif  // __AVX512F__
@@ -111,17 +126,17 @@ struct VecNeon {
   static VecNeon broadcast(value_t v) { return {vdupq_n_f32(v)}; }
   static VecNeon load(const value_t* p) { return {vld1q_f32(p)}; }
   static VecNeon loadu(const value_t* p) { return {vld1q_f32(p)}; }
-  void store(value_t* p) const { vst1q_f32(p, r); }
   void storeu(value_t* p) const { vst1q_f32(p, r); }
-  static VecNeon mul(VecNeon a, VecNeon b) { return {vmulq_f32(a.r, b.r)}; }
-  static VecNeon add(VecNeon a, VecNeon b) { return {vaddq_f32(a.r, b.r)}; }
   static VecNeon madd(VecNeon a, VecNeon b, VecNeon c) { return {vfmaq_f32(c.r, a.r, b.r)}; }
-  static VecNeon gather_lanes(const value_t* const* rows, index_t kk) {
-    float32x4_t v = vdupq_n_f32(rows[0][kk]);
-    v = vsetq_lane_f32(rows[1][kk], v, 1);
-    v = vsetq_lane_f32(rows[2][kk], v, 2);
-    v = vsetq_lane_f32(rows[3][kk], v, 3);
-    return {v};
+  /// Dot q's lane 4i+c is lane c of l[4q+i].
+  static void sum16x4(const VecNeon* l, value_t* out) {
+    for (index_t q = 0; q < 4; ++q) {
+      const VecNeon* d = l + 4 * q;
+      const float32x4_t s = vaddq_f32(vaddq_f32(d[0].r, d[2].r),   // i + 8
+                                      vaddq_f32(d[1].r, d[3].r));  // then i + 4
+      const float32x2_t t = vadd_f32(vget_low_f32(s), vget_high_f32(s));  // i + 2
+      out[q] = vget_lane_f32(t, 0) + vget_lane_f32(t, 1);                 // i + 1
+    }
   }
 };
 #endif  // __ARM_NEON

@@ -14,10 +14,9 @@
 // multi-core path is runtime::parallel_spmm (or the Server), which fans
 // the row-range entry points out over a runtime::WorkerPool, one ASpT
 // row panel per task. The overloads without a config use the
-// process-wide simd::active_config() (RRSPMM_KERNEL_ISA /
-// RRSPMM_KERNEL_FMA). With allow_fma off — the default — every backend
-// is bitwise-identical to the scalar reference, so results do not depend
-// on which ISA the dispatcher picked.
+// process-wide simd::active_config() (RRSPMM_KERNEL_ISA). Every backend
+// reproduces the scalar reference's fused arithmetic bit for bit, so
+// results do not depend on which ISA the dispatcher picked.
 //
 // Dense operands are passed as borrowed views (sparse/dense_view.hpp) —
 // the zero-copy ABI the serving runtime rides on. DenseMatrix converts

@@ -17,7 +17,7 @@
 //
 // Routing never changes result bits: every arm is one of the existing
 // bitwise-guarded execution paths, all of which preserve the scalar
-// reference's per-element accumulation order on the non-fma path. The
+// reference's per-element accumulation order. The
 // router only chooses *which* of the bit-identical paths runs, so
 // bitwise/chaos CI contracts hold with it enabled.
 //

@@ -55,7 +55,7 @@ void parallel_sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const Csr
   const simd::KernelConfig cfg = core::kernel_config(plan, kernel);
   const simd::KernelSelection sel = simd::select_kernels(cfg, x.cols);
   const std::vector<offset_t> shift = kernels::sddmm_out_shift(plan.tiled, plan.row_perm);
-  std::fill(out, out + out_size, value_t{0});
+  // No fill: the panels' kernels write every output slot exactly once.
   for_each_panel(pool, plan.tiled, metrics, [&](index_t lo, index_t hi) {
     kernels::sddmm_aspt_row_range(plan.tiled, x, y, out, out_size, lo, hi, cfg, &plan.row_perm,
                                   &shift);

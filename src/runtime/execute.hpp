@@ -36,8 +36,8 @@ using sparse::DenseView;
 /// executed panel-parallel on `pool`. `metrics`, when given, counts the
 /// panels and per-ISA kernel invocations. `kernel`, when given, forces
 /// the SIMD backend selection; nullptr uses the process-wide active
-/// configuration (RRSPMM_KERNEL_ISA / RRSPMM_KERNEL_FMA). Either way the
-/// default (non-fma) result is bitwise equal to the scalar reference.
+/// configuration (RRSPMM_KERNEL_ISA). Every backend's result is bitwise
+/// equal to the scalar reference.
 /// DenseMatrix arguments convert implicitly.
 void parallel_spmm(WorkerPool& pool, const core::ExecutionPlan& plan, DenseView x,
                    DenseMutView y, Metrics* metrics = nullptr,

@@ -338,12 +338,12 @@ void Server::drain(Registered& e) {
     std::exception_ptr err;
     const auto exec_t0 = Clock::now();
     try {
-      // The owned API's result is allocated here, on the worker: zero-
-      // filling a large Y inside submit() would stall the submitting
-      // client for as long as the fill takes.
+      // The owned API's result is allocated here, on the worker, and
+      // left uninitialised: the kernels zero and fill every row they own,
+      // so a zero-fill here would only add a serial pass over Y.
       for (SpmmRequest& r : batch) {
         if (r.held && r.y.data == nullptr) {
-          r.held->y = sparse::DenseMatrix(r.y.rows, r.y.cols);
+          r.held->y = sparse::DenseMatrix::uninitialized(r.y.rows, r.y.cols);
           r.y = r.held->y;
         }
       }

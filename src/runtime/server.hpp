@@ -86,8 +86,8 @@ struct ServerConfig {
   /// runs the sequential sort-based accumulator with probes off.
   spgemm::SpgemmConfig spgemm;
   /// SIMD kernel selection for the built-in panel-parallel path; nullopt
-  /// uses the process-wide simd::active_config() (RRSPMM_KERNEL_ISA /
-  /// RRSPMM_KERNEL_FMA env knobs). A configured Executor owns its own
+  /// uses the process-wide simd::active_config() (the RRSPMM_KERNEL_ISA
+  /// env knob). A configured Executor owns its own
   /// kernel choice (see dist::ShardedExecutorConfig::kernel).
   std::optional<kernels::simd::KernelConfig> kernel;
   /// Adaptive-execution router. The default consults RRSPMM_ROUTER

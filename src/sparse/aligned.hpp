@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "sparse/types.hpp"
@@ -40,6 +41,17 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t) noexcept {
     ::operator delete(p, std::align_val_t{Align});
+  }
+
+  /// Default-initialises: resize(n) leaves trivial elements uninitialised
+  /// (DenseMatrix::uninitialized); elements given a value are built from it.
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
   }
 
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) { return true; }

@@ -41,6 +41,14 @@ class DenseMatrix {
     return DenseMatrix(rows, cols, aligned_ld(cols));
   }
 
+  /// Creates a packed rows x cols matrix whose elements are left
+  /// uninitialised, for outputs a kernel overwrites in full (the
+  /// server's owned SpMM result: spmm_aspt writes every element of every
+  /// row), so no serial zero-fill runs ahead of the kernel's own.
+  static DenseMatrix uninitialized(index_t rows, index_t cols) {
+    return DenseMatrix(rows, cols, cols, /*zero=*/false);
+  }
+
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
   /// Leading dimension: elements between consecutive row starts
@@ -83,9 +91,15 @@ class DenseMatrix {
   double max_abs_diff(const DenseMatrix& other) const;
 
  private:
-  DenseMatrix(index_t rows, index_t cols, index_t ld) : rows_(rows), cols_(cols), ld_(ld) {
+  DenseMatrix(index_t rows, index_t cols, index_t ld, bool zero = true)
+      : rows_(rows), cols_(cols), ld_(ld) {
     if (rows < 0 || cols < 0) throw invalid_matrix("negative dense dimensions");
-    data_.assign(static_cast<std::size_t>(rows) * static_cast<std::size_t>(ld), value_t{0});
+    const std::size_t n = static_cast<std::size_t>(rows) * static_cast<std::size_t>(ld);
+    if (zero) {
+      data_.assign(n, value_t{0});
+    } else {
+      data_.resize(n);  // default-initialised by AlignedAllocator
+    }
   }
 
   index_t rows_ = 0;

@@ -1,18 +1,20 @@
 // SIMD kernel layer tests: the bitwise-equivalence matrix (every
 // compiled-and-supported backend must reproduce the scalar reference
-// exactly on the default, non-fma path), the fma fast path's ULP bound,
-// runtime dispatch (ladder fallback, env overrides), and the per-ISA
+// exactly), the fused-arithmetic properties (every backend equals the
+// std::fma reference shapes, and a guard case proves the steps fuse),
+// runtime dispatch (ladder fallback, env override), and the per-ISA
 // invocation counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "aspt/aspt.hpp"
 #include "core/pipeline.hpp"
@@ -40,15 +42,14 @@ std::vector<simd::Isa> runnable_isas() {
   return v;
 }
 
-simd::KernelConfig cfg_of(simd::Isa isa, bool fma = false) {
+simd::KernelConfig cfg_of(simd::Isa isa) {
   simd::KernelConfig cfg;
   cfg.isa = isa;
-  cfg.allow_fma = fma;
   return cfg;
 }
 
 /// The scalar reference: the generic scalar entries, no variant.
-const simd::KernelConfig kScalar{simd::Isa::scalar, false, nullptr, simd::SpecMode::off};
+const simd::KernelConfig kScalar{simd::Isa::scalar, nullptr, simd::SpecMode::off};
 
 /// One equivalence subject: a matrix plus the tiling that stresses a
 /// particular ASpT shape (single-row panels, all-dense, all-sparse, ...).
@@ -123,8 +124,8 @@ void expect_bitwise_eq(const std::vector<value_t>& a, const std::vector<value_t>
 
 class SimdEquivalence : public ::testing::TestWithParam<simd::Isa> {};
 
-// The tentpole contract: with allow_fma off, every backend is
-// bitwise-identical to the scalar reference for all four SpMM variants,
+// The tentpole contract: every backend is bitwise-identical to the
+// scalar reference for all four SpMM variants,
 // across ASpT shapes and K widths (including sub-vector and off-vector
 // widths).
 TEST_P(SimdEquivalence, SpmmMatchesScalarBitwise) {
@@ -285,94 +286,199 @@ INSTANTIATE_TEST_SUITE_P(Backends, SimdEquivalence, ::testing::ValuesIn(runnable
                            return std::string(simd::isa_name(p.param));
                          });
 
-// --- fma fast path ---------------------------------------------------
+// --- one fused arithmetic ---------------------------------------------
 
-/// Distance in units-in-the-last-place between two finite floats
-/// (monotonic integer mapping of the IEEE-754 bit patterns).
-std::int64_t ulp_distance(float a, float b) {
-  const auto key = [](float f) {
-    std::int32_t i;
-    std::memcpy(&i, &f, sizeof(i));
-    return i >= 0 ? static_cast<std::int64_t>(i)
-                  : static_cast<std::int64_t>(0x80000000LL) - static_cast<std::int64_t>(i);
-  };
-  return std::llabs(key(a) - key(b));
+/// The reference shapes written out again with std::fma, independently of
+/// the library's helpers (docs/API.md, "Bitwise contract"): 16 fused lane
+/// partial sums, the pairwise tree (i with i+8, +4, +2, +1), the ordered
+/// fused tail.
+value_t fused_dot(const value_t* y, const value_t* x, index_t k) {
+  value_t l[16] = {};
+  index_t kk = 0;
+  for (; kk + 16 <= k; kk += 16) {
+    for (index_t i = 0; i < 16; ++i) l[i] = std::fma(y[kk + i], x[kk + i], l[i]);
+  }
+  for (index_t step = 8; step >= 1; step /= 2) {
+    for (index_t i = 0; i < step; ++i) l[i] = l[i] + l[i + step];
+  }
+  value_t acc = l[0];
+  for (; kk < k; ++kk) acc = std::fma(y[kk], x[kk], acc);
+  return acc;
 }
 
-/// Bound documented in docs/API.md: on non-cancelling inputs the fma path
-/// stays within a few dozen ULPs of the scalar reference for the K widths
-/// and nonzero counts exercised here.
-constexpr std::int64_t kFmaUlpBound = 64;
+std::uint32_t bits_of(value_t v) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
 
-void make_positive(DenseMatrix& m) {
+/// Uniform values with signed zeros, subnormals, the smallest normal and
+/// values whose products underflow into the subnormal range mixed in.
+void fill_with_specials(DenseMatrix& m, std::uint64_t seed) {
+  sparse::fill_random(m, seed);
+  const value_t specials[] = {0.0f,
+                              -0.0f,
+                              std::numeric_limits<value_t>::denorm_min(),
+                              -std::numeric_limits<value_t>::denorm_min(),
+                              1.0e-39f,
+                              -2.5e-39f,
+                              std::numeric_limits<value_t>::min(),
+                              -3.0e-20f,
+                              1.0e-20f};
+  constexpr std::size_t kSpecials = sizeof(specials) / sizeof(specials[0]);
   for (index_t i = 0; i < m.rows(); ++i) {
-    for (value_t& v : m.row(i)) v = std::fabs(v) + 0.01f;
+    for (index_t j = 0; j < m.cols(); ++j) {
+      const std::uint64_t h = (static_cast<std::uint64_t>(i) * 31 + static_cast<std::uint64_t>(j)) *
+                              0x9E3779B97F4A7C15ULL + seed;
+      if ((h >> 60) < 6) m(i, j) = specials[(h >> 32) % kSpecials];
+    }
   }
 }
 
-CsrMatrix abs_values(const CsrMatrix& s) {
-  std::vector<value_t> vals = s.values();
-  for (value_t& v : vals) v = std::fabs(v) + 0.01f;
-  return CsrMatrix(s.rows(), s.cols(), s.rowptr(), s.colidx(), vals);
+/// A CSR whose rows hold 0 to 40 nonzeros, with values that include
+/// signed zeros and subnormals.
+CsrMatrix fused_subject() {
+  const index_t cols = 48;
+  const index_t lens[] = {0, 1, 2, 5, 17, 40, 3, 0, 9};
+  const value_t special_vals[] = {-0.0f, 1.0e-39f, 0.75f, -1.5f, 1.0e-20f};
+  std::vector<offset_t> rowptr{0};
+  std::vector<index_t> colidx;
+  std::vector<value_t> vals;
+  index_t n = 0;
+  for (const index_t len : lens) {
+    // 7 is coprime to 48, so a row's columns are distinct; sorted below.
+    for (index_t j = 0; j < len; ++j) {
+      colidx.push_back((j * 7 + n) % cols);
+      vals.push_back(special_vals[(n + j) % 5]);
+    }
+    std::sort(colidx.end() - len, colidx.end());
+    rowptr.push_back(static_cast<offset_t>(colidx.size()));
+    ++n;
+  }
+  return CsrMatrix(n, cols, std::move(rowptr), std::move(colidx), std::move(vals));
 }
 
-TEST(SimdFma, SpmmWithinUlpBound) {
-  const CsrMatrix s = abs_values(synth::chung_lu(160, 120, 8.0, 2.4, 7));
+const std::vector<index_t> kFusedWidths = {1, 15, 16, 17, 31, 32, 33, 48, 64, 100, 128, 130};
+
+/// The configurations a fused property runs under on `isa`: the generic
+/// entries, and the plan-specialized ones (the K-width instantiations at
+/// K = 32/64/128, the classed short-row driver elsewhere).
+std::vector<simd::KernelConfig> fused_configs(simd::Isa isa, const CsrMatrix& s) {
+  simd::KernelConfig generic = cfg_of(isa);
+  simd::KernelConfig spec = generic;
+  spec.spec = std::make_shared<const simd::SpecializationPlan>(simd::specialize_rows(s));
+  return {generic, spec};
+}
+
+// Every SDDMM dot, on every runnable ISA (scalar only in a build without
+// the SIMD backends), row-wise and through ASpT dense tiles, equals
+// vals[j] * fused_dot bit for bit — signed zeros and subnormals included.
+TEST(SimdFused, DotMatchesFmaReferenceOnEveryIsa) {
+  const CsrMatrix s = fused_subject();
   const auto tiled = aspt::build_aspt(
-      s, aspt::AsptConfig{.panel_rows = 32, .dense_col_threshold = 2, .max_dense_cols = 64});
-  for (const simd::Isa isa : runnable_isas()) {
-    for (const index_t k : kWidths) {
-      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " k=" + std::to_string(k));
-      DenseMatrix x(s.cols(), k);
-      sparse::fill_random(x, 43);
-      make_positive(x);
-      DenseMatrix y_ref(s.rows(), k), y(s.rows(), k);
-      kernels::spmm_aspt(tiled, x, y_ref, nullptr, kScalar);
-      kernels::spmm_aspt(tiled, x, y, nullptr, cfg_of(isa, /*fma=*/true));
-      for (index_t i = 0; i < s.rows(); ++i) {
-        for (index_t c = 0; c < k; ++c) {
-          ASSERT_LE(ulp_distance(y(i, c), y_ref(i, c)), kFmaUlpBound)
-              << "row " << i << " col " << c << ": " << y(i, c) << " vs " << y_ref(i, c);
+      s, aspt::AsptConfig{.panel_rows = 4, .dense_col_threshold = 2, .max_dense_cols = 16});
+  ASSERT_GT(tiled.stats().nnz_total - tiled.sparse_part().nnz(), 0);
+  for (const index_t k : kFusedWidths) {
+    DenseMatrix x(s.cols(), k), y(s.rows(), k);
+    fill_with_specials(x, 101 + static_cast<std::uint64_t>(k));
+    fill_with_specials(y, 211 + static_cast<std::uint64_t>(k));
+    std::vector<value_t> want;
+    for (index_t i = 0; i < s.rows(); ++i) {
+      const auto cols = s.row_cols(i);
+      const auto vals = s.row_vals(i);
+      for (std::size_t j = 0; j < cols.size(); ++j) {
+        want.push_back(vals[j] * fused_dot(y.row(i).data(), x.row(cols[j]).data(), k));
+      }
+    }
+    for (const simd::Isa isa : runnable_isas()) {
+      for (const simd::KernelConfig& cfg : fused_configs(isa, s)) {
+        SCOPED_TRACE(std::string(simd::isa_name(isa)) + " k=" + std::to_string(k) +
+                     (cfg.spec ? " specialized" : " generic"));
+        std::vector<value_t> rowwise(want.size(), std::nanf("")), tiles(want.size(), std::nanf(""));
+        kernels::sddmm_rowwise(s, x, y, rowwise, cfg);
+        kernels::sddmm_aspt(tiled, x, y, tiles.data(), tiles.size(), nullptr, cfg);
+        for (std::size_t j = 0; j < want.size(); ++j) {
+          ASSERT_EQ(bits_of(rowwise[j]), bits_of(want[j])) << "sddmm_rowwise nonzero " << j;
+          ASSERT_EQ(bits_of(tiles[j]), bits_of(want[j])) << "sddmm_aspt nonzero " << j;
         }
       }
     }
   }
 }
 
-TEST(SimdFma, SddmmWithinUlpBound) {
-  const CsrMatrix s = abs_values(synth::erdos_renyi(96, 80, 700, 13));
-  const auto tiled = aspt::build_aspt(
-      s, aspt::AsptConfig{.panel_rows = 16, .dense_col_threshold = 2, .max_dense_cols = 64});
-  for (const simd::Isa isa : runnable_isas()) {
-    for (const index_t k : kWidths) {
-      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " k=" + std::to_string(k));
-      DenseMatrix x(s.cols(), k), ymat(s.rows(), k);
-      sparse::fill_random(x, 47);
-      sparse::fill_random(ymat, 53);
-      make_positive(x);
-      make_positive(ymat);
-      std::vector<value_t> ref, got;
-      kernels::sddmm_aspt(tiled, x, ymat, ref, nullptr, kScalar);
-      kernels::sddmm_aspt(tiled, x, ymat, got, nullptr, cfg_of(isa, /*fma=*/true));
-      ASSERT_EQ(ref.size(), got.size());
-      for (std::size_t j = 0; j < ref.size(); ++j) {
-        ASSERT_LE(ulp_distance(got[j], ref[j]), kFmaUlpBound)
-            << "nonzero " << j << ": " << got[j] << " vs " << ref[j];
+// Every SpMM element, on every runnable ISA, is the ordered fused chain
+// fma(v_j, x_j[kk], ...fma(v_0, x_0[kk], +0)) bit for bit.
+TEST(SimdFused, AxpyMatchesFmaReferenceOnEveryIsa) {
+  const CsrMatrix s = fused_subject();
+  for (const index_t k : kFusedWidths) {
+    DenseMatrix x(s.cols(), k);
+    fill_with_specials(x, 307 + static_cast<std::uint64_t>(k));
+    DenseMatrix want(s.rows(), k);
+    for (index_t i = 0; i < s.rows(); ++i) {
+      const auto cols = s.row_cols(i);
+      const auto vals = s.row_vals(i);
+      for (index_t kk = 0; kk < k; ++kk) {
+        value_t acc = 0.0f;
+        for (std::size_t j = 0; j < cols.size(); ++j) acc = std::fma(vals[j], x(cols[j], kk), acc);
+        want(i, kk) = acc;
+      }
+    }
+    for (const simd::Isa isa : runnable_isas()) {
+      for (const simd::KernelConfig& cfg : fused_configs(isa, s)) {
+        SCOPED_TRACE(std::string(simd::isa_name(isa)) + " k=" + std::to_string(k) +
+                     (cfg.spec ? " specialized" : " generic"));
+        DenseMatrix got(s.rows(), k);
+        got.fill(std::nanf(""));
+        kernels::spmm_rowwise(s, x, got, cfg);
+        for (index_t i = 0; i < s.rows(); ++i) {
+          for (index_t kk = 0; kk < k; ++kk) {
+            ASSERT_EQ(bits_of(got(i, kk)), bits_of(want(i, kk))) << "(" << i << "," << kk << ")";
+          }
+        }
       }
     }
   }
 }
 
-// On a backend where the fma table slot degrades to the bitwise kernels
-// (scalar), allow_fma must not change the result at all.
-TEST(SimdFma, ScalarBackendIgnoresFmaFlag) {
-  const CsrMatrix s = synth::erdos_renyi(48, 40, 300, 19);
-  DenseMatrix x(s.cols(), 9);
-  sparse::fill_random(x, 59);
-  DenseMatrix a(s.rows(), 9), b(s.rows(), 9);
-  kernels::spmm_rowwise(s, x, a, cfg_of(simd::Isa::scalar, false));
-  kernels::spmm_rowwise(s, x, b, cfg_of(simd::Isa::scalar, true));
-  EXPECT_DOUBLE_EQ(a.max_abs_diff(b), 0.0);
+// The guard: a case where the fused step and a separate multiply and add
+// round differently, so the bitwise properties above cannot pass by
+// accident on unfused kernels. a*a = 1 + 2^-11 + 2^-24 is a tie that a
+// separate multiply rounds to 1 + 2^-11; fma(a, a, -1) keeps the 2^-24.
+TEST(SimdFused, KernelsFuseWhereMulAddRoundsTwice) {
+  const value_t a = 1.0f + std::ldexp(1.0f, -12);
+  const value_t fused = std::ldexp(1.0f, -11) + std::ldexp(1.0f, -24);
+  const value_t product = a * a;  // its own statement: never contracted
+  ASSERT_EQ(std::fma(a, a, -1.0f), fused);
+  ASSERT_NE(product + -1.0f, fused);
+
+  // SpMM: y = fma(a, a, fma(1, -1, +0)) in every element.
+  const CsrMatrix s = test::csr({{1.0f, a}});
+  // SDDMM: Y row (1 at kk=0, a at kk=m) . X row (-1 at kk=0, a at kk=m):
+  // lane 0 of the 16-lane sums at K=32 (m=16), the ordered tail at K=17.
+  const CsrMatrix one = test::csr({{1.0f}});
+  for (const index_t k : {index_t{1}, index_t{17}, index_t{32}, index_t{130}}) {
+    DenseMatrix x(2, k), xd(1, k), yd(1, k);
+    for (index_t kk = 0; kk < k; ++kk) {
+      x(0, kk) = -1.0f;
+      x(1, kk) = a;
+    }
+    const index_t m = k == 32 ? 16 : k - 1;
+    yd(0, 0) = 1.0f;
+    xd(0, 0) = -1.0f;
+    yd(0, m) = a;
+    xd(0, m) = a;
+    for (const simd::Isa isa : runnable_isas()) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " k=" + std::to_string(k));
+      DenseMatrix y(1, k);
+      kernels::spmm_rowwise(s, x, y, cfg_of(isa));
+      for (index_t kk = 0; kk < k; ++kk) ASSERT_EQ(y(0, kk), fused) << "spmm kk=" << kk;
+      if (k == 1) continue;  // the dot needs two terms in one chain
+      std::vector<value_t> out;
+      kernels::sddmm_rowwise(one, xd, yd, out, cfg_of(isa));
+      ASSERT_EQ(out.size(), 1u);
+      EXPECT_EQ(out[0], fused) << "sddmm";
+    }
+  }
 }
 
 // --- dispatch --------------------------------------------------------
@@ -399,7 +505,6 @@ TEST(SimdDispatch, TableReportsResolvedIsa) {
   for (const simd::Isa isa : runnable_isas()) {
     const simd::KernelTable& t = simd::table(cfg_of(isa));
     EXPECT_EQ(t.isa, isa);
-    EXPECT_FALSE(t.fma);
     EXPECT_NE(t.spmm_rows, nullptr);
     EXPECT_NE(t.spmm_panel, nullptr);
     EXPECT_NE(t.sddmm_rows, nullptr);
@@ -407,14 +512,12 @@ TEST(SimdDispatch, TableReportsResolvedIsa) {
   }
 }
 
-TEST(SimdDispatch, EnvOverridesForceIsaAndFma) {
+TEST(SimdDispatch, EnvOverrideForcesIsa) {
   ::setenv("RRSPMM_KERNEL_ISA", "scalar", 1);
-  ::setenv("RRSPMM_KERNEL_FMA", "on", 1);
   simd::reload_env();
   const simd::KernelConfig cfg = simd::active_config();
   ASSERT_TRUE(cfg.isa.has_value());
   EXPECT_EQ(*cfg.isa, simd::Isa::scalar);
-  EXPECT_TRUE(cfg.allow_fma);
   EXPECT_EQ(simd::table(cfg).isa, simd::Isa::scalar);
 
   // An unparseable name falls back to auto instead of failing.
@@ -423,10 +526,8 @@ TEST(SimdDispatch, EnvOverridesForceIsaAndFma) {
   EXPECT_FALSE(simd::active_config().isa.has_value());
 
   ::unsetenv("RRSPMM_KERNEL_ISA");
-  ::unsetenv("RRSPMM_KERNEL_FMA");
   simd::reload_env();
   EXPECT_FALSE(simd::active_config().isa.has_value());
-  EXPECT_FALSE(simd::active_config().allow_fma);
 }
 
 TEST(SimdDispatch, SetActiveConfigOverridesEnv) {

@@ -37,7 +37,7 @@ std::vector<simd::Isa> runnable_isas() {
 }
 
 /// The scalar reference: the generic scalar entries, no variant.
-const simd::KernelConfig kScalar{simd::Isa::scalar, false, nullptr, simd::SpecMode::off};
+const simd::KernelConfig kScalar{simd::Isa::scalar, nullptr, simd::SpecMode::off};
 
 using SpecPtr = std::shared_ptr<const simd::SpecializationPlan>;
 
@@ -415,7 +415,7 @@ TEST(SpecializedSelection, KWidthSlotsSubstituteRowEntriesOnly) {
   }
 }
 
-TEST(SpecializedSelection, ShortRowHeavyPlansFallToClassedDriverAtLargeK) {
+TEST(SpecializedSelection, ShortRowHeavyPlansKeepGenericRowsAtLargeK) {
   const auto shorts = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
   const auto longs = std::make_shared<const simd::SpecializationPlan>(long_only_record());
   const int big_slot = simd::spec_k_slot(128);
@@ -425,12 +425,13 @@ TEST(SpecializedSelection, ShortRowHeavyPlansFallToClassedDriverAtLargeK) {
     SCOPED_TRACE(simd::isa_name(isa));
     const simd::KernelTable& t = simd::table(cfg_of(isa));
 
-    // Short-row-heavy at K=128: the fully K-unrolled row body is
-    // front-end bound on tiny rows, so the runtime-K classed driver wins.
-    const simd::KernelSelection s = simd::select_kernels(cfg_of(isa, shorts), 128);
-    EXPECT_TRUE(s.specialized);
-    EXPECT_EQ(s.spmm_rows, t.spmm_rows_classed);
-    EXPECT_EQ(s.sddmm_rows, t.sddmm_rows);
+    // Short-row-heavy past kShortRowKWidthMax: neither the K-width body
+    // (front-end bound on tiny rows) nor the classed driver (neutral at
+    // K=128) pays, so both the K-width slot and an off-slot K stay generic.
+    for (const index_t k : {index_t{128}, index_t{129}}) {
+      expect_generic(simd::select_kernels(cfg_of(isa, shorts), k), t,
+                     "short-heavy k=" + std::to_string(k));
+    }
 
     // The same K with no short-row mass takes the K-width instantiation.
     const simd::KernelSelection l = simd::select_kernels(cfg_of(isa, longs), 128);
@@ -446,7 +447,7 @@ TEST(SpecializedSelection, OffSlotWidthsUseClassedDriverOnlyForShortRowPlans) {
   for (const simd::Isa isa : runnable_isas()) {
     SCOPED_TRACE(simd::isa_name(isa));
     const simd::KernelTable& t = simd::table(cfg_of(isa));
-    for (const index_t k : {index_t{1}, index_t{31}, index_t{129}}) {
+    for (const index_t k : {index_t{1}, index_t{31}, index_t{48}}) {
       ASSERT_LT(simd::spec_k_slot(k), 0);
       const simd::KernelSelection s = simd::select_kernels(cfg_of(isa, shorts), k);
       EXPECT_TRUE(s.specialized) << "k=" << k;

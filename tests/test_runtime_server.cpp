@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -122,6 +124,42 @@ TEST(ParallelExecute, NrPlansToo) {
     sparse::fill_random(xp, 19);
     sparse::fill_random(yp, 23);
     expect_padded_runs_match(pool, plan, entry.matrix, xp, yp, "nr " + entry.name);
+  }
+}
+
+// The served paths skip every zero-fill ahead of the kernels: the owned
+// SpMM result is allocated uninitialised, and neither parallel_sddmm nor
+// core::run_sddmm clears `out`. The kernels must therefore write every
+// element: NaN-prefilled outputs come back with no NaN left, bitwise
+// equal to the zero-initialised sequential SpMM, on rr and nr plans.
+TEST(ParallelExecute, OverwritesNanPrefilledOutputs) {
+  WorkerPool pool(4);
+  const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+  for (const auto& entry : synth::build_test_corpus()) {
+    for (const bool rr : {true, false}) {
+      const core::ExecutionPlan plan =
+          rr ? core::build_plan(entry.matrix, {}) : core::build_plan_nr(entry.matrix, {});
+      const std::string what = entry.name + (rr ? " rr" : " nr");
+      DenseMatrix x(entry.matrix.cols(), 20), yop(entry.matrix.rows(), 20);
+      sparse::fill_random(x, 29);
+      sparse::fill_random(yop, 31);
+
+      DenseMatrix y_ref(entry.matrix.rows(), 20);
+      core::run_spmm(plan, x, y_ref);
+      DenseMatrix y_par = DenseMatrix::uninitialized(entry.matrix.rows(), 20);
+      y_par.fill(nan);
+      runtime::parallel_spmm(pool, plan, x, y_par);
+      expect_bitwise_equal(y_ref, y_par, "spmm " + what);
+
+      const std::size_t nnz = static_cast<std::size_t>(entry.matrix.nnz());
+      std::vector<value_t> o_ref(nnz, nan), o_par(nnz, nan);
+      core::run_sddmm(plan, entry.matrix, x, yop, o_ref.data(), nnz);
+      runtime::parallel_sddmm(pool, plan, entry.matrix, x, yop, o_par.data(), nnz);
+      for (std::size_t j = 0; j < nnz; ++j) {
+        ASSERT_FALSE(std::isnan(o_ref[j])) << "core sddmm " << what << " left nnz " << j;
+        ASSERT_EQ(o_ref[j], o_par[j]) << "sddmm " << what << " nnz " << j;
+      }
+    }
   }
 }
 

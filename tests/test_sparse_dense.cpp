@@ -34,6 +34,18 @@ TEST(Dense, RejectsNegativeDimensions) {
   EXPECT_THROW(DenseMatrix(2, -1), invalid_matrix);
 }
 
+TEST(Dense, UninitializedIsPackedAndWritable) {
+  DenseMatrix m = DenseMatrix::uninitialized(3, 5);
+  EXPECT_EQ(m.rows(), 3);
+  EXPECT_EQ(m.cols(), 5);
+  EXPECT_EQ(m.ld(), 5);
+  EXPECT_FALSE(m.padded());
+  m.fill(1.5f);
+  const DenseMatrix copy = m;
+  EXPECT_DOUBLE_EQ(copy.max_abs_diff(DenseMatrix(3, 5, std::vector<value_t>(15, 1.5f))), 0.0);
+  EXPECT_THROW(DenseMatrix::uninitialized(-1, 2), invalid_matrix);
+}
+
 TEST(Dense, RowSpanIsContiguousView) {
   DenseMatrix m(2, 3, {1, 2, 3, 4, 5, 6});
   auto r1 = m.row(1);
