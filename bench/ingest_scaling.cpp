@@ -1,19 +1,24 @@
-// Out-of-core ingestion bench: MB/s of the chunked Matrix Market reader
-// into the budgeted streaming builder, swept over chunk sizes from 4 KiB
-// to whole-file, on matrices whose COO footprint is several times the
-// staging budget. Prints a fixed-width table plus PASS/FAIL checks and
-// writes BENCH_ingest.json.
+// Ingestion bench: MB/s of the chunked Matrix Market reader into the
+// budgeted streaming builder, swept over chunk sizes from 4 KiB to
+// whole-file, on matrices whose COO footprint is several times the
+// staging budget, and the whole-matrix .rrsb load time against the .mtx
+// parse time of the same matrix. Prints fixed-width tables plus
+// PASS/FAIL checks and writes BENCH_ingest.json.
 //
 // Checks (all host-independent, so nothing is gated on core count):
 //   * bitwise identity — at every chunk size the streamed CSR must equal
-//     the resident reader's result, and the .mtx -> .rrsb -> CSR round
-//     trip must too.
+//     the reference parser's result (tests/mm_reference.hpp, which
+//     shares no code with the library's reader), and so must the
+//     .mtx -> .rrsb -> CSR round trip.
 //   * memory budget — peak_staging_bytes stays within the configured
 //     budget plus one entry of slack, on inputs >= 4x the budget, with
 //     no degraded (in-memory) runs.
+// The .rrsb-vs-.mtx load times are reported only: each is the median of
+// kLoadReps interleaved calls, the .mtx side at the reader's defaults.
 //
 //   RRSPMM_CORPUS_N — number of matrices (default 2, capped at 4)
 //   RRSPMM_SCALE    — linear multiplier on matrix rows (default 1)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +30,7 @@
 #include "harness/render.hpp"
 #include "io/mm_stream.hpp"
 #include "io/rrsb.hpp"
+#include "mm_reference.hpp"
 #include "sparse/io_mm.hpp"
 #include "synth/corpus.hpp"
 #include "synth/generators.hpp"
@@ -35,6 +41,7 @@ namespace {
 // 4 KiB (forced-minimum window), page-ish, the default, whole-file.
 constexpr std::size_t kChunkBytes[] = {4096, 65536, 1u << 20, ~std::size_t{0} >> 1};
 constexpr std::size_t kBudget = 1u << 19;  // 512 KiB staging budget
+constexpr int kLoadReps = 5;
 
 struct Subject {
   std::string name;
@@ -62,9 +69,9 @@ std::vector<Subject> build_subjects() {
     sparse::write_matrix_market(
         synth::erdos_renyi(rows, rows / 2, nnz, cc.seed + static_cast<std::uint64_t>(i)), s.path);
     s.file_bytes = std::filesystem::file_size(s.path);
-    // The identity baseline is the resident reader on the same file —
+    // The identity baseline is the reference parser on the same file —
     // the text round trip itself is lossy at the last float digit.
-    s.resident = sparse::read_matrix_market(s.path);
+    s.resident = test::reference::read_matrix_market(s.path);
     subjects.push_back(std::move(s));
   }
   return subjects;
@@ -81,7 +88,19 @@ struct Point {
   bool within_budget = true;
 };
 
-std::string to_json(const std::vector<Point>& points) {
+/// Whole-matrix load time of one matrix in both formats (report-only).
+struct LoadRow {
+  std::string matrix;
+  double mtx_ms = 0.0;
+  double rrsb_ms = 0.0;
+};
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+std::string to_json(const std::vector<Point>& points, const std::vector<LoadRow>& loads) {
   bench::JsonWriter js;
   js.obj_begin()
       .field("bench", "ingest_scaling")
@@ -98,6 +117,14 @@ std::string to_json(const std::vector<Point>& points) {
         .field("peak_bytes", p.peak_bytes)
         .field("identical", p.identical)
         .field("within_budget", p.within_budget)
+        .obj_end();
+  }
+  js.arr_end().key("load").arr_begin();
+  for (const LoadRow& l : loads) {
+    js.obj_begin()
+        .field("matrix", l.matrix)
+        .field("mtx_parse_ms", l.mtx_ms)
+        .field("rrsb_load_ms", l.rrsb_ms)
         .obj_end();
   }
   js.arr_end().obj_end();
@@ -117,6 +144,7 @@ int main() {
 
   int failures = 0;
   std::vector<Point> points;
+  std::vector<LoadRow> loads;
   for (const Subject& s : subjects) {
     for (const std::size_t chunk : kChunkBytes) {
       // The bench measures the full out-of-core pipeline: chunked parse
@@ -143,7 +171,7 @@ int main() {
       p.mb_per_s = ms > 0.0 ? static_cast<double>(s.file_bytes) / 1048576.0 / (ms / 1000.0) : 0.0;
       p.spilled_runs = spilled;
       p.peak_bytes = peak;
-      p.identical = streamed == s.resident;
+      p.identical = test::reference::bitwise_equal(streamed, s.resident);
       p.within_budget = peak <= kBudget + sizeof(sparse::CooEntry) && degraded == 0;
       if (!p.identical) {
         ++failures;
@@ -159,16 +187,30 @@ int main() {
     }
 
     // End-to-end .mtx -> .rrsb -> CSR identity at the default chunking.
-    const std::string shard_path = s.path + ".rrsb";
+    const std::string rrsb_path = s.path + ".rrsb";
     io::StreamingBuildConfig cfg;
     cfg.budget_bytes = kBudget;
-    io::ingest_to_rrsb(s.path, shard_path, cfg);
-    const io::RrsbReader shard(shard_path);
-    const bool ok = shard.read_range(0, shard.rows()) == s.resident;
+    io::write_rrsb(io::read_matrix_market_streamed(s.path, cfg), rrsb_path);
+    const bool ok = test::reference::bitwise_equal(io::RrsbReader(rrsb_path).read(), s.resident);
     if (!ok) ++failures;
     std::printf("%s: %s .mtx -> .rrsb -> CSR round trip identical\n", ok ? "PASS" : "FAIL",
                 s.name.c_str());
-    std::remove(shard_path.c_str());
+
+    // Whole-matrix load: .mtx parse at the reader's defaults against a
+    // .rrsb read, interleaved call by call.
+    const auto time_ms = [](const auto& load) {
+      const auto t0 = Clock::now();
+      const sparse::CsrMatrix m = load();  // freed after the clock stops
+      const auto t1 = Clock::now();
+      return std::chrono::duration<double, std::milli>(t1 - t0).count();
+    };
+    std::vector<double> mtx_ms, rrsb_ms;
+    for (int rep = 0; rep < kLoadReps; ++rep) {
+      mtx_ms.push_back(time_ms([&] { return io::read_matrix_market_streamed(s.path); }));
+      rrsb_ms.push_back(time_ms([&] { return io::RrsbReader(rrsb_path).read(); }));
+    }
+    loads.push_back({s.name, median_of(mtx_ms), median_of(rrsb_ms)});
+    std::remove(rrsb_path.c_str());
   }
 
   std::vector<std::vector<std::string>> rows;
@@ -185,7 +227,17 @@ int main() {
                                     rows)
                   .c_str());
 
-  bench::write_bench_json("BENCH_ingest.json", to_json(points));
+  std::vector<std::vector<std::string>> load_rows;
+  for (const LoadRow& l : loads) {
+    load_rows.push_back({l.matrix, harness::fmt(l.mtx_ms, 2), harness::fmt(l.rrsb_ms, 2),
+                         harness::fmt(l.rrsb_ms > 0.0 ? l.mtx_ms / l.rrsb_ms : 0.0, 1)});
+  }
+  std::printf("whole-matrix load, median of %d (report-only):\n%s\n", kLoadReps,
+              harness::render_table({"matrix", "mtx_parse_ms", "rrsb_load_ms", "mtx_over_rrsb"},
+                                    load_rows)
+                  .c_str());
+
+  bench::write_bench_json("BENCH_ingest.json", to_json(points, loads));
 
   for (const Subject& s : subjects) std::remove(s.path.c_str());
 

@@ -13,6 +13,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/plan_io.hpp"
+#include "io/mm_stream.hpp"
 #include "sparse/io_mm.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/stats.hpp"
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
       out_path = "/tmp/demo.reordered.mtx";
       std::printf("demo matrix (scattered latent clusters)\n");
     } else {
-      m = sparse::read_matrix_market(argv[1]);
+      m = io::read_matrix_market_streamed(argv[1]);
       out_path = std::string(argv[1]) + ".reordered.mtx";
     }
   } catch (const std::exception& e) {

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/fingerprint.hpp"
+#include "harness/corpus_dir.hpp"
 
 namespace rrspmm::harness {
 
@@ -40,18 +41,33 @@ bool get_triple(std::istream& in, KernelTriple& t) {
          get_sim(in, t.aspt_rr);
 }
 
-}  // namespace
-
-std::string experiment_fingerprint(const synth::CorpusConfig& corpus,
-                                   const ExperimentConfig& cfg) {
+/// Every ExperimentConfig field that influences the records.
+std::string config_fingerprint(const ExperimentConfig& cfg) {
   std::ostringstream os;
-  os << "corpus:" << corpus.count << ',' << corpus.scale << ',' << corpus.seed;
   os << '|' << core::pipeline_fingerprint(cfg.pipeline);
   os << '|' << core::device_fingerprint(cfg.device);
   os << "|ks:";
   for (index_t k : cfg.ks) os << k << ',';
   os << "|sddmm:" << cfg.run_sddmm << "|model:3";
   return os.str();
+}
+
+}  // namespace
+
+std::string experiment_fingerprint(const synth::CorpusConfig& corpus,
+                                   const ExperimentConfig& cfg) {
+  std::ostringstream os;
+  os << "corpus:" << corpus.count << ',' << corpus.scale << ',' << corpus.seed;
+  return os.str() + config_fingerprint(cfg);
+}
+
+std::string experiment_fingerprint(const std::vector<synth::CorpusEntry>& corpus,
+                                   const ExperimentConfig& cfg) {
+  std::string fp = "dir:";
+  for (const synth::CorpusEntry& e : corpus) {
+    fp += e.name + '=' + core::matrix_fingerprint(e.matrix) + ',';
+  }
+  return fp + config_fingerprint(cfg);
 }
 
 void save_records(const std::string& path, const std::string& fingerprint,
@@ -118,8 +134,20 @@ std::optional<std::vector<MatrixRecord>> load_records(const std::string& path,
 }
 
 std::vector<MatrixRecord> cached_default_experiment(const ExperimentConfig& cfg) {
-  const synth::CorpusConfig corpus = synth::corpus_config_from_env();
-  const std::string fp = experiment_fingerprint(corpus, cfg);
+  // An external corpus is loaded once: its matrices key the cache and,
+  // on a miss, feed the experiment.
+  const std::string dir = corpus_dir_from_env();
+  std::vector<synth::CorpusEntry> external;
+  if (!dir.empty()) {
+    external = load_corpus_dir(dir);
+    if (cfg.verbose) {
+      std::fprintf(stderr, "corpus: %zu external matrices from %s\n", external.size(),
+                   dir.c_str());
+    }
+  }
+  const std::string fp = dir.empty()
+                             ? experiment_fingerprint(synth::corpus_config_from_env(), cfg)
+                             : experiment_fingerprint(external, cfg);
   const char* tmp = std::getenv("TMPDIR");
   const std::string path = std::string(tmp ? tmp : "/tmp") + "/rrspmm_cache_" +
                            std::to_string(core::fnv1a(fp)) + ".txt";
@@ -133,7 +161,7 @@ std::vector<MatrixRecord> cached_default_experiment(const ExperimentConfig& cfg)
       return *cached;
     }
   }
-  auto records = run_default_experiment(cfg);
+  auto records = dir.empty() ? run_default_experiment(cfg) : run_experiment(external, cfg);
   if (!no_cache) save_records(path, fp, records);
   return records;
 }

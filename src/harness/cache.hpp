@@ -5,8 +5,9 @@
 // bench binaries would multiply a minutes-long computation by 12, so the
 // first binary persists the records and the rest reload them. The cache
 // key is a fingerprint of every parameter that influences the records
-// (corpus config, pipeline config, device model, K list); any change
-// invalidates it. Set RRSPMM_NO_CACHE=1 to force recomputation.
+// (corpus config or external matrices, pipeline config, device model,
+// K list); any change invalidates it. Set RRSPMM_NO_CACHE=1 to force
+// recomputation.
 #pragma once
 
 #include <optional>
@@ -21,6 +22,11 @@ namespace rrspmm::harness {
 std::string experiment_fingerprint(const synth::CorpusConfig& corpus,
                                    const ExperimentConfig& cfg);
 
+/// As above for an external corpus (RRSPMM_CORPUS_DIR), keyed on each
+/// entry's name and core::matrix_fingerprint.
+std::string experiment_fingerprint(const std::vector<synth::CorpusEntry>& corpus,
+                                   const ExperimentConfig& cfg);
+
 /// Serialises records to `path`.
 void save_records(const std::string& path, const std::string& fingerprint,
                   const std::vector<MatrixRecord>& records);
@@ -30,8 +36,9 @@ void save_records(const std::string& path, const std::string& fingerprint,
 std::optional<std::vector<MatrixRecord>> load_records(const std::string& path,
                                                       const std::string& fingerprint);
 
-/// The shared entry point for bench binaries: corpus config from env,
-/// cache under $TMPDIR, recompute on miss.
+/// The shared entry point for bench binaries: corpus from env (the
+/// RRSPMM_CORPUS_DIR files, else the synthetic corpus config), cache
+/// under $TMPDIR, recompute on miss.
 std::vector<MatrixRecord> cached_default_experiment(const ExperimentConfig& cfg = {});
 
 }  // namespace rrspmm::harness

@@ -1,6 +1,7 @@
 #include "harness/corpus_dir.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <system_error>
 
@@ -41,12 +42,16 @@ std::vector<synth::CorpusEntry> load_corpus_dir(const std::string& dir) {
     if (p.extension() == ".mtx") {
       entry.matrix = io::read_matrix_market_streamed(p.string());
     } else {
-      const io::RrsbReader shard(p.string());
-      entry.matrix = shard.read_range(0, shard.rows());
+      entry.matrix = io::RrsbReader(p.string()).read();
     }
     corpus.push_back(std::move(entry));
   }
   return corpus;
+}
+
+std::string corpus_dir_from_env() {
+  const char* dir = std::getenv("RRSPMM_CORPUS_DIR");
+  return dir != nullptr ? dir : "";
 }
 
 }  // namespace rrspmm::harness

@@ -1,10 +1,8 @@
 // External-corpus loading: point the harness at a directory of real
-// matrices instead of the synthetic corpus. Every `.mtx` file is
-// ingested through the streaming Matrix Market reader (so a matrix
-// larger than memory still loads under the builder's budget) and every
-// `.rrsb` shard file is materialised through RrsbReader — the two ingest
-// paths of src/io, which keeps the harness an end-to-end exercise of
-// them rather than a separate code path.
+// matrices instead of the synthetic corpus. Every `.mtx` file is read
+// through io::read_matrix_market_streamed and every `.rrsb` file through
+// RrsbReader — the two readers of src/io, so the harness exercises them
+// rather than a separate code path.
 #pragma once
 
 #include <string>
@@ -22,5 +20,9 @@ namespace rrspmm::harness {
 /// errors; other file types are ignored. Throws io_error when `dir`
 /// cannot be opened or contains no matrix files.
 std::vector<synth::CorpusEntry> load_corpus_dir(const std::string& dir);
+
+/// The directory RRSPMM_CORPUS_DIR names; empty when the knob is unset or
+/// empty, and the harness runs the synthetic corpus.
+std::string corpus_dir_from_env();
 
 }  // namespace rrspmm::harness

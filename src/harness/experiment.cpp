@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include <cstdlib>
-
 #include "harness/corpus_dir.hpp"
 #include "kernels/simd/dispatch.hpp"
 #include "runtime/worker_pool.hpp"
@@ -120,12 +118,12 @@ std::vector<MatrixRecord> run_experiment(const std::vector<synth::CorpusEntry>& 
 
 std::vector<MatrixRecord> run_default_experiment(const ExperimentConfig& cfg) {
   // RRSPMM_CORPUS_DIR swaps the synthetic corpus for real matrices
-  // (.mtx streamed in under the io budget, .rrsb sliced); everything
-  // downstream of the corpus is unchanged.
-  if (const char* dir = std::getenv("RRSPMM_CORPUS_DIR"); dir != nullptr && dir[0] != '\0') {
+  // (.mtx or .rrsb files); everything downstream of the corpus is
+  // unchanged.
+  if (const std::string dir = corpus_dir_from_env(); !dir.empty()) {
     const std::vector<synth::CorpusEntry> corpus = load_corpus_dir(dir);
     if (cfg.verbose) {
-      std::fprintf(stderr, "corpus: %zu external matrices from %s\n", corpus.size(), dir);
+      std::fprintf(stderr, "corpus: %zu external matrices from %s\n", corpus.size(), dir.c_str());
     }
     return run_experiment(corpus, cfg);
   }

@@ -1,7 +1,7 @@
-// Umbrella header for the out-of-core ingestion subsystem: chunked
-// Matrix Market reading, budgeted streaming CSR construction and the
-// .rrsb shard format. Ingest ends in a resident CsrMatrix; preprocessing
-// and execution always run on that.
+// Umbrella header for ingestion: the chunked Matrix Market reader,
+// budgeted streaming CSR construction and the .rrsb format. Ingest ends
+// in a resident CsrMatrix; preprocessing and execution always run on
+// that.
 #pragma once
 
 #include "io/byte_reader.hpp"

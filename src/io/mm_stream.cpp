@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 
 namespace rrspmm::io {
 
@@ -18,14 +21,62 @@ namespace {
 /// tokens are never split across a refill.
 constexpr std::size_t kTokenSlack = 64;
 
+std::string to_lower(std::string s) {
+  std::transform(s.begin(), s.end(), s.begin(),
+                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  return s;
+}
+
 }  // namespace
+
+MmBanner parse_mm_banner(const std::string& banner_line) {
+  std::istringstream hs(banner_line);
+  std::string banner, object, format, field, symmetry;
+  hs >> banner >> object >> format >> field >> symmetry;
+  if (banner != "%%MatrixMarket") throw io_error("not a Matrix Market file");
+  if (object.empty() || format.empty() || field.empty() || symmetry.empty()) {
+    throw io_error("truncated Matrix Market banner");
+  }
+  if (to_lower(object) != "matrix" || to_lower(format) != "coordinate") {
+    throw io_error("only 'matrix coordinate' Matrix Market files are supported");
+  }
+  const std::string f = to_lower(field);
+  if (f != "real" && f != "integer" && f != "pattern") {
+    throw io_error("unsupported Matrix Market field: " + field);
+  }
+  const std::string sym = to_lower(symmetry);
+  if (sym != "general" && sym != "symmetric") {
+    throw io_error("unsupported Matrix Market symmetry: " + symmetry);
+  }
+  return MmBanner{f == "pattern", sym == "symmetric"};
+}
+
+void check_mm_sizes(std::int64_t rows, std::int64_t cols, std::int64_t entries) {
+  if (rows < 0 || cols < 0) {
+    throw io_error("negative Matrix Market dimensions: " + std::to_string(rows) + " x " +
+                   std::to_string(cols));
+  }
+  if (entries < 0) throw io_error("negative Matrix Market entry count: " + std::to_string(entries));
+  // checked_index reports out-of-range dimensions as invalid_matrix;
+  // re-type as io_error — at this point it is a file problem.
+  try {
+    checked_index(rows);
+    checked_index(cols);
+  } catch (const sparse::invalid_matrix& e) {
+    throw io_error(std::string("Matrix Market dimensions out of range: ") + e.what());
+  }
+  // rows, cols <= 2^31 after the checks above, so the product fits i64.
+  if (entries > rows * cols) {
+    throw io_error("Matrix Market entry count " + std::to_string(entries) + " exceeds rows*cols " +
+                   std::to_string(rows * cols));
+  }
+}
 
 MmChunkReader::MmChunkReader(const std::string& path, std::size_t chunk_bytes)
     : bytes_(path), chunk_bytes_(std::max<std::size_t>(chunk_bytes, 2 * kTokenSlack)) {
   window_.resize(std::clamp<std::size_t>(chunk_bytes_, 4096, 256u << 10));
 
-  // Header: banner line, comment lines, size line — line-oriented, with
-  // the same acceptance rules as the resident reader.
+  // Header: banner line, comment lines, size line — line-oriented.
   std::string line;
   const auto read_line = [&](std::string& out) {
     out.clear();
@@ -45,7 +96,7 @@ MmChunkReader::MmChunkReader(const std::string& path, std::size_t chunk_bytes)
 
   if (!read_line(line)) throw io_error("empty Matrix Market stream");
   strip_cr(line);
-  const sparse::MmBanner banner = sparse::parse_mm_banner(line);
+  const MmBanner banner = parse_mm_banner(line);
 
   bool have_size = false;
   while (read_line(line)) {
@@ -59,7 +110,7 @@ MmChunkReader::MmChunkReader(const std::string& path, std::size_t chunk_bytes)
   std::istringstream ss(line);
   std::int64_t rows = 0, cols = 0, nnz = 0;
   if (!(ss >> rows >> cols >> nnz)) throw io_error("malformed size line: " + line);
-  sparse::check_mm_sizes(rows, cols, nnz);
+  check_mm_sizes(rows, cols, nnz);
 
   hdr_.rows = static_cast<index_t>(rows);
   hdr_.cols = static_cast<index_t>(cols);
@@ -90,44 +141,51 @@ void MmChunkReader::skip_ws() {
   }
 }
 
-std::int64_t MmChunkReader::parse_int(const char* what) {
+template <typename T>
+bool MmChunkReader::parse_number(T& v) {
   skip_ws();
   if (wlen_ - wpos_ < kTokenSlack && fpos_ < bytes_.size()) refill();
-  std::int64_t v = 0;
-  const auto [p, ec] = std::from_chars(window_.data() + wpos_, window_.data() + wlen_, v);
-  if (ec != std::errc{}) throw io_error(what);
+  const char* first = window_.data() + wpos_;
+  const char* last = window_.data() + wlen_;
+  // Accept what istream extraction accepts and nothing it rejects: one
+  // leading '+' (from_chars takes none), a number that ends at
+  // whitespace or at the end of the file, and no "nan" or "inf".
+  // A value below double's range reads as istream reads it (strtod's
+  // subnormal or zero); only overflow is an error.
+  if (last - first > 1 && first[0] == '+' && first[1] != '-' && first[1] != '+') ++first;
+  auto [p, ec] = std::from_chars(first, last, v);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (ec == std::errc::result_out_of_range) {
+      v = std::strtod(std::string(first, p).c_str(), nullptr);
+      ec = std::errc{};
+    }
+    if (!std::isfinite(v)) return false;
+  }
+  if (ec != std::errc{} || (p != last && !std::isspace(static_cast<unsigned char>(*p)))) {
+    return false;
+  }
   wpos_ = static_cast<std::size_t>(p - window_.data());
-  return v;
-}
-
-double MmChunkReader::parse_value() {
-  skip_ws();
-  if (wlen_ - wpos_ < kTokenSlack && fpos_ < bytes_.size()) refill();
-  double v = 0.0;
-  const auto [p, ec] = std::from_chars(window_.data() + wpos_, window_.data() + wlen_, v);
-  if (ec != std::errc{}) throw io_error("malformed value");
-  wpos_ = static_cast<std::size_t>(p - window_.data());
-  return v;
+  return true;
 }
 
 bool MmChunkReader::next_chunk(std::vector<CooEntry>& out) {
   out.clear();
   if (parsed_ >= hdr_.declared_entries) return false;
 
+  // Built only on failure: one string per entry would cost more than
+  // parsing it.
+  const auto at = [&] {
+    return "at entry " + std::to_string(parsed_ + 1) + " of " +
+           std::to_string(hdr_.declared_entries);
+  };
   const std::uint64_t start = fpos_ - (wlen_ - wpos_);
   while (parsed_ < hdr_.declared_entries) {
-    const std::string at = "at entry " + std::to_string(parsed_ + 1) + " of " +
-                           std::to_string(hdr_.declared_entries);
-    const std::int64_t r = parse_int(("malformed or truncated entry list " + at).c_str());
-    const std::int64_t c = parse_int(("malformed or truncated entry list " + at).c_str());
+    std::int64_t r = 0, c = 0;
     double v = 1.0;
-    if (!hdr_.pattern) {
-      try {
-        v = parse_value();
-      } catch (const io_error&) {
-        throw io_error("malformed or truncated value " + at);
-      }
+    if (!parse_number(r) || !parse_number(c)) {
+      throw io_error("malformed or truncated entry list " + at());
     }
+    if (!hdr_.pattern && !parse_number(v)) throw io_error("malformed or truncated value " + at());
     if (r < 1 || r > hdr_.rows || c < 1 || c > hdr_.cols) {
       throw io_error("entry " + std::to_string(parsed_ + 1) + ": index (" + std::to_string(r) +
                      ", " + std::to_string(c) + ") out of range for " + std::to_string(hdr_.rows) +
@@ -156,16 +214,6 @@ sparse::CsrMatrix read_matrix_market_streamed(const std::string& path,
   std::vector<CooEntry> chunk;
   while (reader.next_chunk(chunk)) builder.add_entries(chunk);
   return builder.finish();
-}
-
-void ingest_to_rrsb(const std::string& mm_path, const std::string& rrsb_path,
-                    const StreamingBuildConfig& cfg, index_t block_rows,
-                    std::size_t chunk_bytes) {
-  MmChunkReader reader(mm_path, chunk_bytes);
-  StreamingCsrBuilder builder(reader.header().rows, reader.header().cols, cfg);
-  std::vector<CooEntry> chunk;
-  while (reader.next_chunk(chunk)) builder.add_entries(chunk);
-  builder.finish_to_rrsb(rrsb_path, block_rows);
 }
 
 }  // namespace rrspmm::io

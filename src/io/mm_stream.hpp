@@ -1,19 +1,20 @@
-// Chunked Matrix Market reader — the acquisition half of the
-// out-of-core ingestion path.
+// The library's Matrix Market (.mtx) reader — the interchange format of
+// SuiteSparse and the Network Repository, so the library runs on the
+// paper's original corpus when it is on disk.
 //
-// Parses the same dialect as sparse/io_mm (`matrix coordinate
-// (real|integer|pattern) (general|symmetric)`, via the shared banner
-// parser) but never holds more than a bounded window of the file:
-// next_chunk() emits batches of COO entries in file order, with
-// symmetric expansion applied inline (each off-diagonal entry is
-// immediately followed by its mirror — the exact arrival order the
-// resident reader produces, so feeding the chunks to
-// StreamingCsrBuilder yields a bit-identical CSR at any chunk size).
+// Dialect: `matrix coordinate (real|integer|pattern) (general|symmetric)`.
+// Pattern entries get value 1.0; symmetric files are expanded to
+// general storage. The reader never holds more than a bounded window of
+// the file: next_chunk() emits batches of COO entries in file order,
+// with symmetric expansion applied inline (each off-diagonal entry is
+// immediately followed by its mirror), and StreamingCsrBuilder sums
+// duplicates in that arrival order — the result equals
+// CsrMatrix::from_coo on the file's entry sequence bit for bit, at any
+// chunk size and staging budget.
 //
 // Reads go through ByteReader: mmap fast path, io.read fault probe,
 // degrade to buffered pread. Numbers are parsed with std::from_chars,
-// which rounds identically to the istream extraction the resident
-// reader uses.
+// which rounds correctly (as istream extraction does).
 #pragma once
 
 #include <cstddef>
@@ -25,9 +26,24 @@
 #include "io/streaming_builder.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/io_mm.hpp"
 
 namespace rrspmm::io {
+
+/// Parsed `%%MatrixMarket ...` banner.
+struct MmBanner {
+  bool pattern = false;    ///< entries carry no value (implied 1.0)
+  bool symmetric = false;  ///< lower triangle stored; expanded on read
+};
+
+/// Parses the banner line. Throws io_error on anything but
+/// `matrix coordinate (real|integer|pattern) (general|symmetric)`.
+MmBanner parse_mm_banner(const std::string& banner_line);
+
+/// Validates a Matrix Market size line's numbers: dimensions must be
+/// non-negative and fit index_t, the entry count must be non-negative
+/// and no larger than rows * cols (coordinate entries are unique per
+/// the format spec). Throws io_error with the offending value.
+void check_mm_sizes(std::int64_t rows, std::int64_t cols, std::int64_t entries);
 
 struct MmStreamHeader {
   index_t rows = 0;
@@ -39,11 +55,11 @@ struct MmStreamHeader {
 
 class MmChunkReader {
  public:
-  /// Opens and parses the banner, comments and size line (with the same
-  /// hardening as the resident reader: typed io_error for malformed or
-  /// truncated headers, negative or overflowing sizes). `chunk_bytes`
-  /// bounds how much of the entry section one next_chunk call consumes;
-  /// it is clamped up so a chunk always holds at least one entry.
+  /// Opens and parses the banner, comments and size line: typed io_error
+  /// for a missing file, malformed or truncated headers, and negative or
+  /// overflowing sizes. `chunk_bytes` bounds how much of the entry
+  /// section one next_chunk call consumes; it is clamped up so a chunk
+  /// always holds at least one entry.
   explicit MmChunkReader(const std::string& path, std::size_t chunk_bytes = 1u << 20);
 
   const MmStreamHeader& header() const { return hdr_; }
@@ -64,8 +80,9 @@ class MmChunkReader {
  private:
   bool refill();  ///< slides the window; false when the file is drained
   void skip_ws();
-  std::int64_t parse_int(const char* what);
-  double parse_value();
+  /// Parses the next number into `v`; false on a malformed or missing one.
+  template <typename T>
+  bool parse_number(T& v);
 
   ByteReader bytes_;
   MmStreamHeader hdr_;
@@ -78,17 +95,13 @@ class MmChunkReader {
   std::int64_t emitted_ = 0;  ///< entries emitted, post-expansion
 };
 
-/// End-to-end streaming ingest: chunked parse into a budgeted builder,
-/// returning the resident CSR. Bit-identical to
-/// sparse::read_matrix_market for any chunk size and budget.
+/// Reads a Matrix Market file: chunked parse into a budgeted builder,
+/// returning the resident CSR. Throws io_error on malformed input: a bad
+/// banner or size line, a truncated or non-numeric entry list, and
+/// 1-based indices outside the declared dimensions are all reported with
+/// their position. The result is the same for any chunk size and budget.
 sparse::CsrMatrix read_matrix_market_streamed(const std::string& path,
                                               const StreamingBuildConfig& cfg = {},
                                               std::size_t chunk_bytes = 1u << 20);
-
-/// Out-of-core ingest: .mtx to .rrsb without ever holding the matrix
-/// resident (peak memory is the builder budget plus one output block).
-void ingest_to_rrsb(const std::string& mm_path, const std::string& rrsb_path,
-                    const StreamingBuildConfig& cfg = {},
-                    index_t block_rows = kDefaultBlockRows, std::size_t chunk_bytes = 1u << 20);
 
 }  // namespace rrspmm::io

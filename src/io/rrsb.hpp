@@ -1,9 +1,9 @@
-// .rrsb — the row-range shard binary format (version 1).
+// .rrsb — the row-block binary matrix format (version 1).
 //
-// A .rrsb file stores one CSR matrix split into fixed-height row blocks
-// so that any row range can be materialised by reading only the blocks
-// it overlaps — the on-disk counterpart of the row-range slices the
-// sharded executor works in. All integers are little-endian.
+// A .rrsb file stores one CSR matrix split into fixed-height row blocks,
+// each with its own checksum. It is written and read whole: loading one
+// takes a small fraction of a .mtx parse of the same matrix
+// (EXPERIMENTS.md). All integers are little-endian.
 //
 //   header (64 bytes, at offset 0)
 //     0   char[4]  magic            "RRSB"
@@ -31,16 +31,15 @@
 // Integrity: the reader verifies index_fnv at open and each block's fnv
 // on every load from disk, so a torn write or bit rot surfaces as a
 // typed io_error instead of a wrong answer. At open it also checks that
-// every block's extent, (nrows_b + 1) * 8 + nnz_b * 8 bytes from its
-// offset, lies inside the file, so no read allocates from a header count
-// the file cannot hold. Versions other than 1 are rejected.
+// the blocks lie back to back from offset 64 up to the index, each
+// (nrows_b + 1) * 8 + nnz_b * 8 bytes long, so every count a read
+// allocates from is bounded by the file's size. Versions other than 1
+// are rejected.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -52,58 +51,13 @@ namespace rrspmm::io {
 inline constexpr std::uint32_t kRrsbVersion = 1;
 inline constexpr index_t kDefaultBlockRows = 4096;
 
-/// Incremental writer: blocks are appended front to back, then finish()
-/// writes the index and backpatches the header. The StreamingCsrBuilder
-/// drives this with one block of rows in memory at a time.
-class RrsbWriter {
- public:
-  RrsbWriter(const std::string& path, index_t rows, index_t cols,
-             index_t block_rows = kDefaultBlockRows);
-  /// Closes the file; an unfinished writer removes its partial output.
-  ~RrsbWriter();
-
-  RrsbWriter(const RrsbWriter&) = delete;
-  RrsbWriter& operator=(const RrsbWriter&) = delete;
-
-  /// Appends the next block. `local_rowptr` has nrows + 1 entries
-  /// starting at 0, where nrows must be exactly block_rows — or, for the
-  /// final block, the remaining row count. colidx/values hold the
-  /// block's nonzeros (global columns, sorted within each row).
-  void append_block(std::span<const offset_t> local_rowptr, std::span<const index_t> colidx,
-                    std::span<const value_t> values);
-
-  /// Writes the index and the header. Throws invalid_matrix when the
-  /// appended blocks do not cover every row.
-  void finish();
-
-  offset_t nnz_written() const { return nnz_; }
-
- private:
-  struct IndexEntry {
-    std::uint64_t offset = 0;
-    offset_t nnz_before = 0;
-    std::uint64_t fnv = 0;
-  };
-
-  std::string path_;
-  std::FILE* f_ = nullptr;
-  index_t rows_ = 0;
-  index_t cols_ = 0;
-  index_t block_rows_ = 0;
-  index_t rows_written_ = 0;
-  offset_t nnz_ = 0;
-  bool finished_ = false;
-  std::vector<IndexEntry> index_;
-};
-
-/// Writes a resident matrix as .rrsb (block slices of a CSR are
-/// contiguous, so this is a straight pass over the arrays).
+/// Writes `m` as .rrsb. A write that fails part way removes its
+/// partial output.
 void write_rrsb(const sparse::CsrMatrix& m, const std::string& path,
                 index_t block_rows = kDefaultBlockRows);
 
-/// Random row-range access to a .rrsb file. read_range is const and
-/// thread-safe (per-call scratch only; the underlying ByteReader allows
-/// concurrent reads), so concurrent callers can slice the same reader.
+/// A .rrsb file opened for reading: the header and the block index are
+/// checked at open, the blocks on read().
 class RrsbReader {
  public:
   explicit RrsbReader(const std::string& path);
@@ -111,21 +65,11 @@ class RrsbReader {
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
   offset_t nnz() const { return nnz_; }
-  index_t block_rows() const { return block_rows_; }
-  index_t num_blocks() const { return static_cast<index_t>(index_.size()); }
 
-  /// First row of block b.
-  index_t block_begin(index_t b) const { return b * block_rows_; }
-  /// One past the last row of block b.
-  index_t block_end(index_t b) const {
-    return static_cast<index_t>(
-        std::min<std::int64_t>(std::int64_t{b + 1} * block_rows_, rows_));
-  }
-  /// Materialises rows [row_begin, row_end) as a CSR slice with global
-  /// column ids (local row 0 = global row_begin). The slice is validated
-  /// on construction, so a corrupt file cannot smuggle in a malformed
-  /// matrix.
-  sparse::CsrMatrix read_range(index_t row_begin, index_t row_end) const;
+  /// Loads the whole matrix, verifying every block's checksum. The
+  /// result is validated on construction, so a corrupt file cannot
+  /// smuggle in a malformed matrix.
+  sparse::CsrMatrix read() const;
 
   /// True once the underlying reads degraded from mmap to buffered.
   bool buffered() const { return bytes_->buffered(); }
@@ -137,12 +81,18 @@ class RrsbReader {
     std::uint64_t fnv = 0;
   };
 
+  index_t num_blocks() const { return static_cast<index_t>(index_.size()); }
+  /// First row of block b.
+  index_t block_begin(index_t b) const { return b * block_rows_; }
+  /// One past the last row of block b.
+  index_t block_end(index_t b) const {
+    return static_cast<index_t>(
+        std::min<std::int64_t>(std::int64_t{b + 1} * block_rows_, rows_));
+  }
   /// Nonzeros of block b, from the index alone (no block read).
   offset_t block_nnz(index_t b) const;
-  /// Nonzeros in all blocks before b.
-  offset_t nnz_before(index_t b) const;
-  void load_block(index_t b, std::vector<offset_t>& rowptr, std::vector<index_t>& colidx,
-                  std::vector<value_t>& values) const;
+  /// Bytes block b occupies on disk.
+  std::uint64_t block_bytes(index_t b) const;
 
   std::unique_ptr<ByteReader> bytes_;
   index_t rows_ = 0;

@@ -147,8 +147,9 @@ void StreamingCsrBuilder::spill() {
   }
 }
 
-template <typename Emit>
-void StreamingCsrBuilder::merge_runs(Emit&& emit) {
+sparse::CsrMatrix StreamingCsrBuilder::finish() {
+  if (finished_) throw invalid_matrix("builder already finished");
+  finished_ = true;
   // The final staging window acts as the last run, sorted in place.
   std::stable_sort(staging_.begin(), staging_.end(), by_row_col);
 
@@ -189,6 +190,14 @@ void StreamingCsrBuilder::merge_runs(Emit&& emit) {
   }
   std::make_heap(heap.begin(), heap.end(), heap_less);
 
+  std::vector<offset_t> rowptr(static_cast<std::size_t>(rows_) + 1, 0);
+  std::vector<index_t> colidx;
+  std::vector<value_t> values;
+  const auto emit = [&](const CooEntry& e) {
+    ++rowptr[static_cast<std::size_t>(e.row) + 1];
+    colidx.push_back(e.col);
+    values.push_back(e.value);
+  };
   bool have = false;
   CooEntry pending{};
   while (!heap.empty()) {
@@ -210,55 +219,8 @@ void StreamingCsrBuilder::merge_runs(Emit&& emit) {
     }
   }
   if (have) emit(pending);
-}
-
-sparse::CsrMatrix StreamingCsrBuilder::finish() {
-  if (finished_) throw invalid_matrix("builder already finished");
-  finished_ = true;
-  std::vector<offset_t> rowptr(static_cast<std::size_t>(rows_) + 1, 0);
-  std::vector<index_t> colidx;
-  std::vector<value_t> values;
-  merge_runs([&](const CooEntry& e) {
-    ++rowptr[static_cast<std::size_t>(e.row) + 1];
-    colidx.push_back(e.col);
-    values.push_back(e.value);
-  });
   for (std::size_t i = 1; i < rowptr.size(); ++i) rowptr[i] += rowptr[i - 1];
   return sparse::CsrMatrix(rows_, cols_, std::move(rowptr), std::move(colidx), std::move(values));
-}
-
-void StreamingCsrBuilder::finish_to_rrsb(const std::string& path, index_t block_rows) {
-  if (finished_) throw invalid_matrix("builder already finished");
-  finished_ = true;
-  RrsbWriter writer(path, rows_, cols_, block_rows);
-  std::vector<offset_t> local_rowptr{0};
-  std::vector<index_t> colbuf;
-  std::vector<value_t> valbuf;
-  index_t next_row = 0;
-
-  // Closes rows [next_row, upto), flushing each block as it completes.
-  // Merge emission is row-ascending, so a row's entries are all in
-  // colbuf/valbuf by the time the row closes.
-  const auto close_rows_until = [&](index_t upto) {
-    while (next_row < upto) {
-      local_rowptr.push_back(static_cast<offset_t>(colbuf.size()));
-      ++next_row;
-      if (next_row % block_rows == 0 || next_row == rows_) {
-        writer.append_block(local_rowptr, colbuf, valbuf);
-        local_rowptr.assign(1, 0);
-        colbuf.clear();
-        valbuf.clear();
-      }
-    }
-  };
-
-  merge_runs([&](const CooEntry& e) {
-    close_rows_until(e.row);
-    colbuf.push_back(e.col);
-    valbuf.push_back(e.value);
-  });
-  close_rows_until(rows_);
-  writer.finish();
 }
 
 }  // namespace rrspmm::io

@@ -1,12 +1,10 @@
-// Budgeted incremental CSR construction — the assembly half of the
-// out-of-core ingestion path.
+// Budgeted incremental CSR construction — the assembly half of .mtx
+// ingest.
 //
 // Entries arrive in any order (typically chunk by chunk from
 // io/mm_stream) and are staged in memory; when staging reaches the
 // configured budget it is stably sorted by (row, col) and spilled to a
-// temporary run file. finish() merges the runs into the final CSR (or
-// finish_to_rrsb streams the merge straight to a .rrsb shard file, so
-// the full matrix is never resident).
+// temporary run file. finish() merges the runs into the final CSR.
 //
 // Bitwise identity: CsrMatrix::from_coo stable-sorts, so duplicate
 // (row, col) entries sum left to right in *arrival* order. The builder
@@ -30,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "io/rrsb.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
@@ -65,10 +62,6 @@ class StreamingCsrBuilder {
   /// Merges all runs into the resident CSR. The builder is consumed.
   sparse::CsrMatrix finish();
 
-  /// Merges all runs directly into a .rrsb shard file, holding at most
-  /// one block of output rows in memory. The builder is consumed.
-  void finish_to_rrsb(const std::string& path, index_t block_rows = kDefaultBlockRows);
-
   offset_t entries_added() const { return entries_added_; }
   /// High-water mark of staged bytes (staging vector plus any runs that
   /// degraded to memory) — what the ingest bench gates against the
@@ -87,9 +80,6 @@ class StreamingCsrBuilder {
 
   void spill();
   void note_bytes();
-  /// Merges every run, emitting combined entries in (row, col) order.
-  template <typename Emit>
-  void merge_runs(Emit&& emit);
 
   index_t rows_ = 0;
   index_t cols_ = 0;

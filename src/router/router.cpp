@@ -84,7 +84,11 @@ Decision Router::decide(const std::string& fingerprint, Workload w, index_t k,
 
   std::lock_guard<std::mutex> lk(m_);
   KeyState* ks = key_locked(table_key(fingerprint, w, k));
-  if (!ks) return dec;  // table full: default, unrouted
+  if (!ks) {  // table full: default, unrouted
+    ++table_full_fallbacks_;
+    dec.table_full = true;
+    return dec;
+  }
   ++decisions_;
   dec.routed = true;
   const std::uint64_t c = ks->counter++;
@@ -191,7 +195,7 @@ std::string Router::to_json() const {
   {
     std::lock_guard<std::mutex> lk(m_);
     js << "{\"keys\":" << table_.size() << ",\"decisions\":" << decisions_
-       << ",\"explorations\":" << explorations_;
+       << ",\"explorations\":" << explorations_ << ",\"table_full\":" << table_full_fallbacks_;
     for (const auto& [key, ks] : table_) {
       for (const Arm& a : ks.arms) entries.emplace_back(key + '|' + a.choice.key(), a.stats);
     }
@@ -218,6 +222,11 @@ std::uint64_t Router::decisions() const {
 std::uint64_t Router::explorations() const {
   std::lock_guard<std::mutex> lk(m_);
   return explorations_;
+}
+
+std::uint64_t Router::table_full_fallbacks() const {
+  std::lock_guard<std::mutex> lk(m_);
+  return table_full_fallbacks_;
 }
 
 std::size_t Router::keys() const {

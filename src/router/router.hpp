@@ -96,8 +96,9 @@ struct ArmStats {
 
 struct Decision {
   RouteChoice choice;
-  bool routed = false;    ///< false: no arms or table full — caller's defaults ran
-  bool explored = false;  ///< true: this pick samples, it is not the argmin
+  bool routed = false;      ///< false: no arms or table full — caller's defaults ran
+  bool explored = false;    ///< true: this pick samples, it is not the argmin
+  bool table_full = false;  ///< true: unrouted because max_keys keys exist
 };
 
 struct RouterConfig {
@@ -108,7 +109,8 @@ struct RouterConfig {
   /// rotation so a drifting workload can re-converge. 0 disables.
   std::uint32_t explore_period = 16;
   /// Bound on distinct (fingerprint, workload, k-bucket) keys; new keys
-  /// beyond it fall back to the default arm unrouted.
+  /// beyond it fall back to the default arm unrouted, and are counted
+  /// (Router::table_full_fallbacks).
   std::size_t max_keys = 1 << 14;
 };
 
@@ -154,6 +156,8 @@ class Router {
 
   std::uint64_t decisions() const;
   std::uint64_t explorations() const;
+  /// Decisions a full table returned unrouted (a new key past max_keys).
+  std::uint64_t table_full_fallbacks() const;
   std::size_t keys() const;
 
  private:
@@ -175,6 +179,7 @@ class Router {
   std::unordered_map<std::string, KeyState> table_;
   std::uint64_t decisions_ = 0;
   std::uint64_t explorations_ = 0;
+  std::uint64_t table_full_fallbacks_ = 0;
 };
 
 /// Builds a Router from RRSPMM_ROUTER: "on"/"1" builds one, unset,

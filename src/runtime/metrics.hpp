@@ -170,10 +170,12 @@ struct Metrics {
   LatencyHistogram latency;
 
   /// Adaptive-execution router activity, serving-scoped (the Router keeps
-  /// its own totals): decisions taken for this server's requests, and how
-  /// many of them were exploration picks rather than the current argmin.
+  /// its own totals): decisions taken for this server's requests, how
+  /// many of them were exploration picks rather than the current argmin,
+  /// and how many ran the default unrouted because the table was full.
   std::atomic<std::uint64_t> router_decisions{0};
   std::atomic<std::uint64_t> router_explorations{0};
+  std::atomic<std::uint64_t> router_table_full{0};
 
   /// One JSON object with every counter plus p50/p95/p99/p999 latency in
   /// seconds (and p999_us in microseconds for tail-SLO dashboards).

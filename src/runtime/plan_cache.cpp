@@ -17,7 +17,6 @@ char mode_tag(PlanMode mode) {
   switch (mode) {
     case PlanMode::rr: return 'r';
     case PlanMode::nr: return 'n';
-    case PlanMode::autotune: return 'a';
   }
   return '?';
 }
@@ -140,9 +139,6 @@ PlanPtr PlanCache::build(const sparse::CsrMatrix& m, PlanMode mode,
   switch (mode) {
     case PlanMode::nr:
       plan = core::build_plan_nr(m, cfg_.pipeline);
-      break;
-    case PlanMode::autotune:
-      plan = core::autotune_plan(m, cfg_.autotune_k, cfg_.device, cfg_.pipeline);
       break;
     case PlanMode::rr:
       plan = core::build_plan(m, cfg_.pipeline);

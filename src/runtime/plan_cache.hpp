@@ -24,7 +24,6 @@
 #include <unordered_map>
 
 #include "core/pipeline.hpp"
-#include "gpusim/device.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/topology.hpp"
 #include "sparse/csr.hpp"
@@ -33,9 +32,8 @@ namespace rrspmm::runtime {
 
 /// Which pipeline entry point a cached plan came from.
 enum class PlanMode {
-  rr,        ///< core::build_plan — the paper's full ASpT-RR workflow
-  nr,        ///< core::build_plan_nr — tiling only
-  autotune,  ///< core::autotune_plan — RR vs NR via the device model
+  rr,  ///< core::build_plan — the paper's full ASpT-RR workflow
+  nr,  ///< core::build_plan_nr — tiling only
 };
 
 /// Plans are shared immutable: every kernel entry point takes them const,
@@ -45,8 +43,6 @@ using PlanPtr = std::shared_ptr<const core::ExecutionPlan>;
 struct PlanCacheConfig {
   std::size_t capacity = 32;             ///< max resident plans (≥ 1)
   core::PipelineConfig pipeline;         ///< knobs baked into every build
-  gpusim::DeviceConfig device = gpusim::DeviceConfig::p100();
-  index_t autotune_k = 512;              ///< K the autotune mode simulates at
   /// NUMA topology for plan placement (borrowed; must outlive the
   /// cache). nullptr — or a single-node topology — makes the node-hint
   /// get() overload behave exactly like the plain one.

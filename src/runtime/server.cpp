@@ -63,8 +63,8 @@ bool zero_copy_from_env() {
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)),
       numa_on_(topo::numa_active(cfg_.numa, topo::system())),
-      plan_cache_(PlanCacheConfig{cfg_.plan_cache_capacity, cfg_.pipeline, cfg_.device,
-                                  cfg_.autotune_k, numa_on_ ? &topo::system() : nullptr},
+      plan_cache_(PlanCacheConfig{cfg_.plan_cache_capacity, cfg_.pipeline,
+                                  numa_on_ ? &topo::system() : nullptr},
                   &metrics_),
       pool_(cfg_.threads, numa_on_ ? &topo::system() : nullptr, &metrics_) {
   if (cfg_.max_batch == 0) cfg_.max_batch = 1;
@@ -211,6 +211,7 @@ PlanPtr Server::plan_of(Registered& e) {
 }
 
 void Server::count_decision(const router::Decision& dec) {
+  if (dec.table_full) metrics_.router_table_full.fetch_add(1, std::memory_order_relaxed);
   if (!dec.routed) return;
   metrics_.router_decisions.fetch_add(1, std::memory_order_relaxed);
   if (dec.explored) metrics_.router_explorations.fetch_add(1, std::memory_order_relaxed);

@@ -75,8 +75,6 @@ struct ServerConfig {
   PlanMode mode = PlanMode::rr;          ///< how plans are built
   std::size_t max_batch = 8;             ///< max requests coalesced per execution
   core::PipelineConfig pipeline;
-  gpusim::DeviceConfig device = gpusim::DeviceConfig::p100();
-  index_t autotune_k = 512;
   /// Execution strategy for accepted requests; null selects the built-in
   /// panel-parallel path. dist::ShardedExecutor plugs in here.
   std::shared_ptr<Executor> executor;

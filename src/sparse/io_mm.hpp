@@ -1,10 +1,6 @@
-// Matrix Market (.mtx) reader/writer — the interchange format of
-// SuiteSparse and the Network Repository, so users can run this library
-// on the paper's original corpus when they have it on disk.
-//
-// Supported: `matrix coordinate (real|integer|pattern) (general|symmetric)`.
-// Pattern matrices get value 1.0 for every entry; symmetric matrices are
-// expanded to general storage on read.
+// Matrix Market (.mtx) writer — the interchange format of SuiteSparse
+// and the Network Repository. The one reader is
+// io::read_matrix_market_streamed (io/mm_stream.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -13,34 +9,6 @@
 #include "sparse/csr.hpp"
 
 namespace rrspmm::sparse {
-
-/// Parsed `%%MatrixMarket ...` banner. Shared between the resident
-/// reader below and the chunked out-of-core reader (io/mm_stream) so
-/// both accept and reject exactly the same files.
-struct MmBanner {
-  bool pattern = false;    ///< entries carry no value (implied 1.0)
-  bool symmetric = false;  ///< lower triangle stored; expanded on read
-};
-
-/// Parses the banner line. Throws io_error on anything but
-/// `matrix coordinate (real|integer|pattern) (general|symmetric)`.
-MmBanner parse_mm_banner(const std::string& banner_line);
-
-/// Validates a Matrix Market size line's numbers: dimensions must be
-/// non-negative and fit index_t, the entry count must be non-negative
-/// and no larger than rows * cols (coordinate entries are unique per
-/// the format spec). Throws io_error with the offending value.
-void check_mm_sizes(std::int64_t rows, std::int64_t cols, std::int64_t entries);
-
-/// Reads a Matrix Market file. Throws io_error on malformed input:
-/// a bad banner or size line, a truncated or non-numeric entry list,
-/// and 1-based indices outside the declared dimensions are all
-/// reported with their position. The result passes CsrMatrix
-/// validation by construction.
-CsrMatrix read_matrix_market(const std::string& path);
-
-/// Stream variant (testable without touching the filesystem).
-CsrMatrix read_matrix_market(std::istream& in);
 
 /// Writes `m` in `matrix coordinate real general` format (1-based indices).
 void write_matrix_market(const CsrMatrix& m, const std::string& path);

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "harness/cache.hpp"
+#include "harness/corpus_dir.hpp"
+#include "io/rrsb.hpp"
+#include "sparse/io_mm.hpp"
 #include "synth/corpus.hpp"
+#include "synth/generators.hpp"
 #include "test_util.hpp"
 
 namespace rrspmm {
@@ -115,6 +120,79 @@ TEST(Cache, FingerprintCoversEveryKnob) {
 
   // And it is stable for identical inputs.
   EXPECT_EQ(harness::experiment_fingerprint(corpus, base), fp0);
+}
+
+/// A temp_path() directory, removed with its contents on scope exit.
+struct TempDir {
+  explicit TempDir(const std::string& stem) : path(test::temp_path(stem)) {
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  std::string file(const std::string& name) const { return path + "/" + name; }
+
+  const std::string path;
+};
+
+TEST(CorpusDir, LoadsBothFormatsInFilenameOrder) {
+  const TempDir dir("corpus");
+  // .mtx text rounds values, so its source is a pattern-like matrix
+  // whose values (all 1.0) survive the text round trip exactly.
+  const sparse::CsrMatrix a = synth::erdos_renyi(50, 40, 300, 1);
+  const sparse::CsrMatrix a_ones(a.rows(), a.cols(), a.rowptr(), a.colidx(),
+                                 std::vector<value_t>(a.values().size(), 1.0f));
+  const sparse::CsrMatrix b = synth::erdos_renyi(70, 30, 400, 2);
+  sparse::write_matrix_market(a_ones, dir.file("b_first.mtx"));
+  io::write_rrsb(b, dir.file("a_second.rrsb"), 16);
+  {
+    std::ofstream notes(dir.file("README.txt"));
+    notes << "not a matrix\n";
+  }
+
+  const std::vector<synth::CorpusEntry> corpus = harness::load_corpus_dir(dir.path);
+  ASSERT_EQ(corpus.size(), 2u);  // README.txt ignored
+  EXPECT_EQ(corpus[0].name, "a_second");
+  EXPECT_EQ(corpus[1].name, "b_first");
+  for (const synth::CorpusEntry& e : corpus) EXPECT_EQ(e.family, "external");
+  EXPECT_EQ(corpus[0].matrix, b);
+  EXPECT_EQ(corpus[1].matrix, a_ones);
+}
+
+TEST(CorpusDir, EmptyOrUnopenableDirectoryRaisesIoError) {
+  const TempDir dir("corpus_empty");
+  EXPECT_THROW(harness::load_corpus_dir(dir.path), io_error);
+  {
+    std::ofstream notes(dir.file("README.txt"));
+    notes << "still no matrices\n";
+  }
+  EXPECT_THROW(harness::load_corpus_dir(dir.path), io_error);
+  EXPECT_THROW(harness::load_corpus_dir(dir.file("no_such_subdir")), io_error);
+}
+
+TEST(Cache, ExternalCorpusKeysOnItsMatrices) {
+  const ExperimentConfig cfg = tiny_cfg();
+  const TempDir d1("corpus1");
+  const TempDir d2("corpus2");
+  io::write_rrsb(synth::erdos_renyi(40, 40, 200, 1), d1.file("m.rrsb"));
+  io::write_rrsb(synth::erdos_renyi(40, 40, 200, 2), d2.file("m.rrsb"));
+  const auto c1 = harness::load_corpus_dir(d1.path);
+  const auto c2 = harness::load_corpus_dir(d2.path);
+
+  const std::string synthetic = harness::experiment_fingerprint(synth::corpus_config_from_env(), cfg);
+  const std::string fp1 = harness::experiment_fingerprint(c1, cfg);
+  // Same file name, different matrix: a different key.
+  EXPECT_NE(fp1, synthetic);
+  EXPECT_NE(harness::experiment_fingerprint(c2, cfg), fp1);
+  // Stable for the same directory, and still covers the config.
+  EXPECT_EQ(harness::experiment_fingerprint(harness::load_corpus_dir(d1.path), cfg), fp1);
+  ExperimentConfig wider = cfg;
+  wider.ks = {32};
+  EXPECT_NE(harness::experiment_fingerprint(c1, wider), fp1);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // StreamingCsrBuilder tests: bitwise identity with CsrMatrix::from_coo
 // at every budget (no spill, many spills, one-entry runs), the
-// peak-memory accounting, direct-to-.rrsb finish, bounds checking, and
-// the io.spill / io.read fault degrade paths.
+// peak-memory accounting, the .rrsb round trip of its output, bounds
+// checking, and the io.spill / io.read fault degrade paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -94,7 +94,7 @@ TEST(IoBuilder, PeakStagingStaysNearBudget) {
   EXPECT_EQ(b.finish(), reference(rows, cols, entries));
 }
 
-TEST(IoBuilder, FinishToRrsbMatchesResidentBuild) {
+TEST(IoBuilder, FinishThenWriteRrsbMatchesFromCoo) {
   const test::TempFile file("iobuilder.rrsb");
   const index_t rows = 150, cols = 70;
   const auto entries = arrival(rows, cols, 4000, 6);
@@ -103,9 +103,8 @@ TEST(IoBuilder, FinishToRrsbMatchesResidentBuild) {
   cfg.budget_bytes = 2048;
   io::StreamingCsrBuilder b(rows, cols, cfg);
   b.add_entries(entries);
-  b.finish_to_rrsb(file.path, /*block_rows=*/32);
-  const io::RrsbReader shard(file.path);
-  EXPECT_EQ(shard.read_range(0, shard.rows()), ref);
+  io::write_rrsb(b.finish(), file.path, /*block_rows=*/32);
+  EXPECT_EQ(io::RrsbReader(file.path).read(), ref);
 }
 
 TEST(IoBuilder, RejectsOutOfRangeEntries) {

@@ -1,7 +1,7 @@
 // Chunked Matrix Market reader tests: bitwise identity with the
-// resident reader across chunk sizes and budgets, symmetric/pattern
-// dialects, arrival-order duplicate summation, header hardening, and
-// the end-to-end .mtx -> .rrsb ingest.
+// reference parser across chunk sizes and budgets, symmetric/pattern
+// dialects, arrival-order duplicate summation, the banner and size-line
+// checks, header hardening, and the .mtx -> .rrsb -> CSR round trip.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -10,6 +10,7 @@
 
 #include "io/mm_stream.hpp"
 #include "io/rrsb.hpp"
+#include "mm_reference.hpp"
 #include "sparse/io_mm.hpp"
 #include "synth/generators.hpp"
 #include "test_util.hpp"
@@ -24,30 +25,21 @@ void write_text(const std::string& path, const std::string& body) {
   f << body;
 }
 
-// Chunk sizes the identity sweep runs at: forced-minimum (one entry per
-// refill), small, and larger than the whole file.
-constexpr std::size_t kChunks[] = {1, 4096, 1u << 20};
+using test::reference::streamed_mismatch;
 
 TEST(IoMm, StreamedMatchesResidentAtEveryChunkSize) {
   const test::TempFile mm("iomm.mtx");
   const CsrMatrix m = synth::erdos_renyi(120, 90, 900, 7);
   sparse::write_matrix_market(m, mm.path);
-  const CsrMatrix resident = sparse::read_matrix_market(mm.path);
-  for (const std::size_t chunk : kChunks) {
-    EXPECT_EQ(io::read_matrix_market_streamed(mm.path, {}, chunk), resident) << chunk;
-  }
+  EXPECT_EQ(streamed_mismatch(mm.path), "");
 }
 
 TEST(IoMm, TinyBudgetSpillsAndStaysIdentical) {
   const test::TempFile mm("iomm.mtx");
   const CsrMatrix m = synth::erdos_renyi(200, 150, 3000, 8);
   sparse::write_matrix_market(m, mm.path);
-  const CsrMatrix resident = sparse::read_matrix_market(mm.path);
-  io::StreamingBuildConfig cfg;
-  cfg.budget_bytes = 1u << 10;  // dozens of spill runs
-  for (const std::size_t chunk : kChunks) {
-    EXPECT_EQ(io::read_matrix_market_streamed(mm.path, cfg, chunk), resident) << chunk;
-  }
+  // The 1024-entry budget floor spills this file twice at every chunk size.
+  EXPECT_EQ(streamed_mismatch(mm.path), "");
 }
 
 TEST(IoMm, SymmetricExpansionMatchesResident) {
@@ -61,11 +53,8 @@ TEST(IoMm, SymmetricExpansionMatchesResident) {
              "3 2 -4.0\n"
              "4 1 0.125\n"
              "4 4 1.0\n");
-  const CsrMatrix resident = sparse::read_matrix_market(mm.path);
-  EXPECT_EQ(resident.nnz(), 8);  // 2 diagonal + 3 mirrored pairs
-  for (const std::size_t chunk : kChunks) {
-    EXPECT_EQ(io::read_matrix_market_streamed(mm.path, {}, chunk), resident) << chunk;
-  }
+  EXPECT_EQ(io::read_matrix_market_streamed(mm.path).nnz(), 8);  // 2 diagonal + 3 mirrored pairs
+  EXPECT_EQ(streamed_mismatch(mm.path), "");
 }
 
 TEST(IoMm, PatternMatrixMatchesResident) {
@@ -76,8 +65,7 @@ TEST(IoMm, PatternMatrixMatchesResident) {
              "1 1\n"
              "2 4\n"
              "3 5\n");
-  const CsrMatrix resident = sparse::read_matrix_market(mm.path);
-  EXPECT_EQ(io::read_matrix_market_streamed(mm.path, {}, 1), resident);
+  EXPECT_EQ(streamed_mismatch(mm.path), "");
 }
 
 TEST(IoMm, DuplicatesSumInArrivalOrder) {
@@ -85,7 +73,7 @@ TEST(IoMm, DuplicatesSumInArrivalOrder) {
   // 1e8f + 1.0f == 1e8f in float, so the grouping order is visible in
   // the result bits: ((1e8 + 1) + -1e8) + 1 == 1, while any regrouping
   // gives 2. The streamed path must reproduce from_coo's left-to-right
-  // arrival-order sum at every chunk size.
+  // arrival-order sum at every chunk size and budget.
   write_text(mm.path,
              "%%MatrixMarket matrix coordinate real general\n"
              "2 2 4\n"
@@ -93,13 +81,10 @@ TEST(IoMm, DuplicatesSumInArrivalOrder) {
              "1 1 1\n"
              "1 1 -1e8\n"
              "1 1 1\n");
-  const CsrMatrix resident = sparse::read_matrix_market(mm.path);
-  ASSERT_EQ(resident.nnz(), 1);
-  EXPECT_FLOAT_EQ(resident.values()[0], 1.0f);
-  for (const std::size_t chunk : kChunks) {
-    const CsrMatrix s = io::read_matrix_market_streamed(mm.path, {}, chunk);
-    EXPECT_EQ(s, resident) << chunk;
-  }
+  const CsrMatrix s = io::read_matrix_market_streamed(mm.path);
+  ASSERT_EQ(s.nnz(), 1);
+  EXPECT_FLOAT_EQ(s.values()[0], 1.0f);
+  EXPECT_EQ(streamed_mismatch(mm.path), "");
 }
 
 TEST(IoMm, HeaderExposesDialect) {
@@ -155,16 +140,42 @@ TEST(IoMm, RejectsBadEntries) {
   EXPECT_THROW(io::read_matrix_market_streamed(mm.path), sparse::io_error);
 }
 
-TEST(IoMm, IngestToRrsbNeverResidentMatchesResident) {
+TEST(IoMm, RrsbOfStreamedReadMatchesReference) {
   const test::TempFile mm("iomm.mtx");
   const test::TempFile rrsb("iomm.rrsb");
   const CsrMatrix m = synth::erdos_renyi(300, 80, 2400, 9);
   sparse::write_matrix_market(m, mm.path);
   io::StreamingBuildConfig cfg;
   cfg.budget_bytes = 1u << 12;
-  io::ingest_to_rrsb(mm.path, rrsb.path, cfg, /*block_rows=*/64, /*chunk_bytes=*/4096);
-  const io::RrsbReader shard(rrsb.path);
-  EXPECT_EQ(shard.read_range(0, shard.rows()), sparse::read_matrix_market(mm.path));
+  io::write_rrsb(io::read_matrix_market_streamed(mm.path, cfg, /*chunk_bytes=*/4096), rrsb.path,
+                 /*block_rows=*/64);
+  EXPECT_TRUE(test::reference::bitwise_equal(io::RrsbReader(rrsb.path).read(),
+                                             test::reference::read_matrix_market(mm.path)));
+}
+
+TEST(MatrixMarket, BannerParserIsExposed) {
+  const io::MmBanner plain = io::parse_mm_banner("%%MatrixMarket matrix coordinate real general");
+  EXPECT_FALSE(plain.pattern);
+  EXPECT_FALSE(plain.symmetric);
+  const io::MmBanner sym =
+      io::parse_mm_banner("%%MatrixMarket matrix coordinate pattern symmetric");
+  EXPECT_TRUE(sym.pattern);
+  EXPECT_TRUE(sym.symmetric);
+  EXPECT_THROW(io::parse_mm_banner("%%MatrixMarket matrix coordinate"), io_error);
+  EXPECT_THROW(io::parse_mm_banner("%%MatrixMarket tensor coordinate real general"), io_error);
+}
+
+TEST(MatrixMarket, SizeCheckerRejectsBadDeclarations) {
+  EXPECT_NO_THROW(io::check_mm_sizes(3, 4, 12));
+  EXPECT_NO_THROW(io::check_mm_sizes(0, 0, 0));
+  EXPECT_THROW(io::check_mm_sizes(-1, 4, 0), io_error);
+  EXPECT_THROW(io::check_mm_sizes(3, -4, 0), io_error);
+  EXPECT_THROW(io::check_mm_sizes(3, 4, -1), io_error);
+  EXPECT_THROW(io::check_mm_sizes(3, 4, 13), io_error);  // > rows*cols
+  // Dimensions past index_t must fail as a typed io_error, not wrap.
+  EXPECT_THROW(io::check_mm_sizes(1LL << 40, 4, 0), io_error);
+  // Huge-but-legal dimensions must not overflow the rows*cols product.
+  EXPECT_NO_THROW(io::check_mm_sizes(2000000000, 2000000000, 1000000));
 }
 
 }  // namespace

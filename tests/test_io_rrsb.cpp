@@ -1,6 +1,6 @@
-// .rrsb shard format tests: round trips, row-range slices against the
-// resident matrix, index arithmetic, corruption and version rejection,
-// io.read fault degrade, and header counts the file cannot hold.
+// .rrsb format tests: whole-matrix round trips at every block height,
+// corruption and version rejection, io.read fault degrade, and header
+// or index counts the file cannot hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,46 +41,27 @@ TEST(IoRrsb, RoundTripsWholeMatrix) {
   EXPECT_EQ(r.rows(), m.rows());
   EXPECT_EQ(r.cols(), m.cols());
   EXPECT_EQ(r.nnz(), m.nnz());
-  EXPECT_EQ(r.read_range(0, r.rows()), m);
+  EXPECT_EQ(r.read(), m);
 }
 
-TEST(IoRrsb, SlicesMatchResidentRows) {
+TEST(IoRrsb, RoundTripsAtEveryBlockHeight) {
   const test::TempFile file("iorrsb.rrsb");
+  // One row per block, block seams mid-matrix, a ragged final block
+  // (257 rows at 32 and 256), one block exactly, one block with room.
   const CsrMatrix m = sample();
-  io::write_rrsb(m, file.path, 32);
-  const io::RrsbReader r(file.path);
-  // Within a block, across block seams, block-aligned, and the ragged
-  // final block (257 rows at block_rows 32).
-  const std::pair<index_t, index_t> ranges[] = {{3, 7}, {30, 70}, {64, 96}, {250, 257}, {0, 1}};
-  for (const auto& [lo, hi] : ranges) {
-    const CsrMatrix s = r.read_range(lo, hi);
-    ASSERT_EQ(s.rows(), hi - lo);
-    EXPECT_EQ(s.cols(), m.cols());
-    for (index_t i = 0; i < s.rows(); ++i) {
-      ASSERT_TRUE(std::ranges::equal(s.row_cols(i), m.row_cols(lo + i))) << lo + i;
-      ASSERT_TRUE(std::ranges::equal(s.row_vals(i), m.row_vals(lo + i))) << lo + i;
-    }
+  for (const index_t block_rows : {1, 32, 256, 257, 4096}) {
+    io::write_rrsb(m, file.path, block_rows);
+    EXPECT_EQ(io::RrsbReader(file.path).read(), m) << block_rows;
   }
-  EXPECT_EQ(r.read_range(40, 40).rows(), 0);
-  EXPECT_EQ(r.read_range(40, 40).nnz(), 0);
-}
-
-TEST(IoRrsb, IndexArithmeticIsConsistent) {
-  const test::TempFile file("iorrsb.rrsb");
-  const CsrMatrix m = sample();
-  io::write_rrsb(m, file.path, 32);
-  const io::RrsbReader r(file.path);
-  ASSERT_EQ(r.num_blocks(), (m.rows() + 31) / 32);
-  offset_t sum = 0;
-  for (index_t b = 0; b < r.num_blocks(); ++b) {
-    EXPECT_EQ(r.read_range(0, r.block_begin(b)).nnz(), sum);
-    EXPECT_EQ(r.block_end(b) - r.block_begin(b), b + 1 < r.num_blocks() ? 32 : m.rows() - 32 * b);
-    const CsrMatrix block = r.read_range(r.block_begin(b), r.block_end(b));
-    EXPECT_EQ(block.nnz(), m.rowptr()[static_cast<std::size_t>(r.block_end(b))] -
-                               m.rowptr()[static_cast<std::size_t>(r.block_begin(b))]);
-    sum += block.nnz();
+  // Empty rows, an empty matrix, and rows but no nonzeros.
+  const CsrMatrix gappy = test::csr({{0, 0, 0}, {1, 0, 2}, {0, 0, 0}, {0, 3, 0}});
+  const CsrMatrix shapes[] = {gappy, CsrMatrix(0, 5, {0}, {}, {}),
+                              CsrMatrix(3, 2, {0, 0, 0, 0}, {}, {})};
+  for (const CsrMatrix& s : shapes) {
+    io::write_rrsb(s, file.path, 2);
+    EXPECT_EQ(io::RrsbReader(file.path).read(), s) << s.rows() << " x " << s.cols();
   }
-  EXPECT_EQ(sum, m.nnz());
+  EXPECT_THROW(io::write_rrsb(m, file.path, 0), sparse::invalid_matrix);
 }
 
 TEST(IoRrsb, RejectsCorruptIndexAtOpen) {
@@ -98,7 +79,7 @@ TEST(IoRrsb, RejectsCorruptBlockOnRead) {
   // check does not touch them, the per-load checksum does.
   flip_byte(file.path, 80);
   const io::RrsbReader r(file.path);
-  EXPECT_THROW(r.read_range(0, 8), sparse::io_error);
+  EXPECT_THROW(r.read(), sparse::io_error);
 }
 
 TEST(IoRrsb, RejectsUnknownVersion) {
@@ -123,17 +104,33 @@ TEST(IoRrsb, InjectedReadFaultDegradesToBufferedAndRetries) {
   fault::ScopedFaultPlan armed(std::move(plan));
 
   const io::RrsbReader r(file.path);  // open survives the injected faults
-  EXPECT_EQ(r.read_range(0, r.rows()), m);
+  EXPECT_EQ(r.read(), m);
   EXPECT_TRUE(r.buffered());  // mmap path permanently degraded
 }
 
-TEST(IoRrsb, WriterRemovesUnfinishedFile) {
+// A valid two-block file whose second index entry is rewritten to point
+// at the first block, with the index checksum recomputed: both blocks
+// pass their own checksums, but the layout would let a small file
+// declare more rows and nonzeros than it holds.
+TEST(IoRrsb, RejectsOverlappingBlocks) {
   const test::TempFile file("iorrsb.rrsb");
-  const CsrMatrix m = sample(64, 16);
-  {
-    io::RrsbWriter w(file.path, m.rows(), m.cols(), 32);
-    // No finish(): the partial file must not survive.
-  }
+  const CsrMatrix m = synth::erdos_renyi(64, 16, 64 * 4, 3);
+  io::write_rrsb(m, file.path, 32);
+  std::fstream f(file.path, std::ios::in | std::ios::out | std::ios::binary);
+  std::uint64_t index_offset = 0;
+  f.seekg(40);
+  f.read(reinterpret_cast<char*>(&index_offset), 8);
+  unsigned char index[48];
+  f.seekg(static_cast<std::streamoff>(index_offset));
+  f.read(reinterpret_cast<char*>(index), sizeof index);
+  std::memcpy(index + 24, index, 8);  // block 1 offset := block 0 offset
+  std::uint64_t fnv = 1469598103934665603ULL;
+  for (const unsigned char c : index) fnv = (fnv ^ c) * 1099511628211ULL;
+  f.seekp(static_cast<std::streamoff>(index_offset));
+  f.write(reinterpret_cast<const char*>(index), sizeof index);
+  f.seekp(48);
+  f.write(reinterpret_cast<const char*>(&fnv), 8);
+  f.close();
   EXPECT_THROW(io::RrsbReader{file.path}, sparse::io_error);
 }
 

@@ -313,6 +313,14 @@ TEST(Router, BoundsItsKeySet) {
   EXPECT_EQ(r.to_json().find("fp-new"), std::string::npos);
   // Known keys keep routing.
   EXPECT_TRUE(r.decide("fp0", Workload::spmm, 32, arms).routed);
+  // The fallback is counted, once per unrouted decision, and only then.
+  EXPECT_TRUE(d.table_full);
+  EXPECT_EQ(r.table_full_fallbacks(), 1u);
+  EXPECT_FALSE(r.decide("fp-other", Workload::spmm, 32, arms).routed);
+  EXPECT_EQ(r.table_full_fallbacks(), 2u);
+  EXPECT_NE(r.to_json().find("\"table_full\":2"), std::string::npos) << r.to_json();
+  EXPECT_FALSE(r.decide("fp0", Workload::spmm, 32, {}).table_full);
+  EXPECT_EQ(r.table_full_fallbacks(), 2u);
 }
 
 // --- Server integration ----------------------------------------------
@@ -386,6 +394,28 @@ TEST(ServerRouter, RoutedExecutionIsBitwiseIdenticalAndAttributed) {
   }
   EXPECT_EQ(spmm_batches, server.metrics().batches_executed.load()) << table;
   EXPECT_NE(server.metrics_json().find("\"router_decisions\""), std::string::npos);
+  EXPECT_NE(server.metrics_json().find("\"router_table_full\":0"), std::string::npos);
+}
+
+TEST(ServerRouter, TableFullFallbacksAreCounted) {
+  // One key fits: the coalescing decision takes it, so every SpMM
+  // decision after it runs the default arm unrouted — and is counted.
+  RouterConfig cfg;
+  cfg.max_keys = 1;
+  auto router_ptr = std::make_shared<Router>(cfg);
+  runtime::ServerConfig scfg;
+  scfg.threads = 2;
+  scfg.router = router_ptr;
+  runtime::Server server(scfg);
+  const sparse::CsrMatrix m = synth::erdos_renyi(64, 64, 512, 5);
+  server.register_matrix("m", m);
+  sparse::DenseMatrix x(m.cols(), 8);
+  sparse::fill_random(x, 1);
+  for (int i = 0; i < 3; ++i) server.submit("m", x).get();
+  server.wait_idle();
+  EXPECT_GE(server.metrics().router_table_full.load(), 3u);
+  EXPECT_EQ(server.metrics().router_table_full.load(), router_ptr->table_full_fallbacks());
+  EXPECT_EQ(router_ptr->keys(), 1u);
 }
 
 TEST(ServerRouter, DecisionsSurvivePlanCacheEvictionAndReload) {
