@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "harness/corpus_dir.hpp"
 #include "kernels/simd/dispatch.hpp"
 #include "runtime/worker_pool.hpp"
 
@@ -117,17 +116,6 @@ std::vector<MatrixRecord> run_experiment(const std::vector<synth::CorpusEntry>& 
 }
 
 std::vector<MatrixRecord> run_default_experiment(const ExperimentConfig& cfg) {
-  // RRSPMM_CORPUS_DIR swaps the synthetic corpus for real matrices
-  // (.mtx or .rrsb files); everything downstream of the corpus is
-  // unchanged.
-  if (const std::string dir = corpus_dir_from_env(); !dir.empty()) {
-    const std::vector<synth::CorpusEntry> corpus = load_corpus_dir(dir);
-    if (cfg.verbose) {
-      std::fprintf(stderr, "corpus: %zu external matrices from %s\n", corpus.size(), dir.c_str());
-    }
-    return run_experiment(corpus, cfg);
-  }
-
   const synth::CorpusConfig ccfg = synth::corpus_config_from_env();
   if (cfg.verbose) {
     std::fprintf(stderr, "corpus: %d matrices, scale %.2f, seed %llu\n", ccfg.count, ccfg.scale,

@@ -79,7 +79,9 @@ struct ExperimentConfig {
 std::vector<MatrixRecord> run_experiment(const std::vector<synth::CorpusEntry>& corpus,
                                          const ExperimentConfig& cfg);
 
-/// Convenience used by every bench main(): corpus from env + experiment.
+/// The synthetic corpus from env (synth::corpus_config_from_env) run
+/// through run_experiment. An external RRSPMM_CORPUS_DIR corpus enters
+/// through cached_default_experiment instead.
 std::vector<MatrixRecord> run_default_experiment(const ExperimentConfig& cfg = {});
 
 /// Speedup helpers (a speedup of 1.12 = 12% faster).

@@ -4,8 +4,8 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+#include <locale>
 #include <sstream>
 #include <type_traits>
 
@@ -16,10 +16,13 @@ using sparse::io_error;
 
 namespace {
 
-/// A numeric token is never longer than this; when fewer bytes remain
-/// in the window and the file has more, the window slides first so
-/// tokens are never split across a refill.
+/// When fewer bytes than this remain in the window and the file has
+/// more, the window slides before a number is parsed, so a token seldom
+/// reaches the window's edge; one that does is parsed again after a
+/// refill.
 constexpr std::size_t kTokenSlack = 64;
+
+bool is_space(char ch) { return std::isspace(static_cast<unsigned char>(ch)) != 0; }
 
 std::string to_lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
@@ -135,7 +138,7 @@ bool MmChunkReader::refill() {
 
 void MmChunkReader::skip_ws() {
   for (;;) {
-    while (wpos_ < wlen_ && std::isspace(static_cast<unsigned char>(window_[wpos_]))) ++wpos_;
+    while (wpos_ < wlen_ && is_space(window_[wpos_])) ++wpos_;
     if (wpos_ < wlen_ || fpos_ >= bytes_.size()) return;
     refill();
   }
@@ -145,27 +148,40 @@ template <typename T>
 bool MmChunkReader::parse_number(T& v) {
   skip_ws();
   if (wlen_ - wpos_ < kTokenSlack && fpos_ < bytes_.size()) refill();
-  const char* first = window_.data() + wpos_;
-  const char* last = window_.data() + wlen_;
-  // Accept what istream extraction accepts and nothing it rejects: one
-  // leading '+' (from_chars takes none), a number that ends at
-  // whitespace or at the end of the file, and no "nan" or "inf".
-  // A value below double's range reads as istream reads it (strtod's
-  // subnormal or zero); only overflow is an error.
-  if (last - first > 1 && first[0] == '+' && first[1] != '-' && first[1] != '+') ++first;
-  auto [p, ec] = std::from_chars(first, last, v);
-  if constexpr (std::is_floating_point_v<T>) {
-    if (ec == std::errc::result_out_of_range) {
-      v = std::strtod(std::string(first, p).c_str(), nullptr);
-      ec = std::errc{};
+  for (;;) {
+    const char* first = window_.data() + wpos_;
+    const char* last = window_.data() + wlen_;
+    // Accept what istream extraction accepts and nothing it rejects: one
+    // leading '+' (from_chars takes none), a number that ends at
+    // whitespace or at the end of the file, and no "nan" or "inf".
+    if (last - first > 1 && first[0] == '+' && first[1] != '-' && first[1] != '+') ++first;
+    auto [p, ec] = std::from_chars(first, last, v);
+    if constexpr (std::is_floating_point_v<T>) {
+      // A value below double's range reads as istream reads it
+      // (strtod's subnormal or zero, in the classic locale); only
+      // overflow is an error.
+      if (ec == std::errc::result_out_of_range) {
+        std::istringstream is(std::string(first, p));
+        is.imbue(std::locale::classic());
+        ec = (is >> v) ? std::errc{} : std::errc::result_out_of_range;
+      }
+      if (ec == std::errc{} && !std::isfinite(v)) ec = std::errc::invalid_argument;
     }
-    if (!std::isfinite(v)) return false;
+    const bool ok = ec == std::errc{} && (p == last || is_space(*p));
+    // A token that runs to the window's edge may go on in the file:
+    // slide the window and parse it whole.
+    if (fpos_ < bytes_.size() && (p == last || (!ok && std::none_of(first, last, is_space)))) {
+      if (wpos_ == 0 && wlen_ == window_.size()) {
+        throw io_error("Matrix Market number longer than the " +
+                       std::to_string(window_.size()) + "-byte read window");
+      }
+      refill();
+      continue;
+    }
+    if (!ok) return false;
+    wpos_ = static_cast<std::size_t>(p - window_.data());
+    return true;
   }
-  if (ec != std::errc{} || (p != last && !std::isspace(static_cast<unsigned char>(*p)))) {
-    return false;
-  }
-  wpos_ = static_cast<std::size_t>(p - window_.data());
-  return true;
 }
 
 bool MmChunkReader::next_chunk(std::vector<CooEntry>& out) {

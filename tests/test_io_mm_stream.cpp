@@ -87,6 +87,26 @@ TEST(IoMm, DuplicatesSumInArrivalOrder) {
   EXPECT_EQ(streamed_mismatch(mm.path), "");
 }
 
+TEST(IoMm, LongTokensAcrossWindowEdgesMatchReference) {
+  const test::TempFile mm("iomm.mtx");
+  // Row indices of about 70 characters and values of about 100, enough
+  // of them that tokens straddle the 4096-byte window edge many times.
+  std::string body = "%%MatrixMarket matrix coordinate real general\n40 30 400\n";
+  for (int i = 0; i < 400; ++i) {
+    const int pad = i % 37;
+    body += std::string(60 + pad % 11, '0') + std::to_string(1 + i % 40) + " " +
+            std::to_string(1 + (i * 7) % 30) + " " + std::string(pad, '0') +
+            std::to_string(i % 9) + ".25" + std::string(96 - pad, '0') + "\n";
+  }
+  write_text(mm.path, body);
+  EXPECT_EQ(streamed_mismatch(mm.path), "");
+
+  // A number longer than the whole read window is refused, not split.
+  write_text(mm.path, "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 " +
+                          std::string(5000, '0') + "1\n");
+  EXPECT_THROW(io::read_matrix_market_streamed(mm.path, {}, /*chunk_bytes=*/1), sparse::io_error);
+}
+
 TEST(IoMm, HeaderExposesDialect) {
   const test::TempFile mm("iomm.mtx");
   write_text(mm.path,

@@ -1,11 +1,15 @@
 // .rrsb format tests: whole-matrix round trips at every block height,
-// corruption and version rejection, io.read fault degrade, and header
-// or index counts the file cannot hold.
+// a failed write leaving no file, corruption and version rejection,
+// io.read fault degrade, and header or index counts the file cannot hold.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -62,6 +66,29 @@ TEST(IoRrsb, RoundTripsAtEveryBlockHeight) {
     EXPECT_EQ(io::RrsbReader(file.path).read(), s) << s.rows() << " x " << s.cols();
   }
   EXPECT_THROW(io::write_rrsb(m, file.path, 0), sparse::invalid_matrix);
+}
+
+TEST(IoRrsb, WriterRemovesUnfinishedFile) {
+  const test::TempFile file("iorrsb.rrsb");
+  const CsrMatrix m = sample(4000, 256);  // about 200 KB on disk
+  // A file-size limit makes the write fail part way. The limit and the
+  // ignored SIGXFSZ stay in the forked child.
+  EXPECT_EXIT(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit lim{};
+        getrlimit(RLIMIT_FSIZE, &lim);
+        lim.rlim_cur = 16 << 10;
+        setrlimit(RLIMIT_FSIZE, &lim);
+        int code = 1;
+        try {
+          io::write_rrsb(m, file.path);
+        } catch (const sparse::io_error&) {
+          code = std::filesystem::exists(file.path) ? 2 : 0;
+        }
+        std::_Exit(code);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(IoRrsb, RejectsCorruptIndexAtOpen) {
