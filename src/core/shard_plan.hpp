@@ -46,23 +46,13 @@ struct ShardPlan {
   int num_devices = 1;
   index_t rows = 0;  ///< row count of the partitioned matrix
   index_t cols = 0;  ///< column count of the partitioned matrix
-  /// Sub-range [span_begin, span_end) of the rows that the shards
-  /// cover. The defaults (0, -1) mean all rows; shard failover re-plans
-  /// a failed shard's range and produces plans whose span is that range
-  /// only.
-  index_t span_begin = 0;
-  index_t span_end = -1;  ///< -1 → rows
   std::vector<RowShard> row_shards;  ///< size num_devices
 
   offset_t total_nnz() const;
 
-  /// The span's effective bounds with the -1 sentinel resolved.
-  index_t span_lo() const { return span_begin; }
-  index_t span_hi() const { return span_end < 0 ? rows : span_end; }
-
   /// Checks the partition invariant: one shard per device, ranges
-  /// contiguous and in order, together covering [span_lo, span_hi) —
-  /// by default [0, rows) — exactly once, nonzero counts non-negative.
+  /// contiguous and in order, together covering [0, rows) exactly once,
+  /// nonzero counts non-negative.
   /// Throws invalid_matrix on the first violation.
   void validate() const;
 

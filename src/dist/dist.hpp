@@ -1,8 +1,7 @@
-// Umbrella header for multi-device sharded execution: shard planner,
-// interconnect model, multi-device simulator, sharded executor.
+// Umbrella header for the multi-device model: shard planner,
+// interconnect model, multi-device simulator.
 #pragma once
 
-#include "dist/executor.hpp"
 #include "dist/interconnect.hpp"
 #include "dist/multi_device.hpp"
 #include "dist/shard_planner.hpp"

@@ -52,20 +52,16 @@ std::vector<offset_t> prefix_sum(const std::vector<offset_t>& weights) {
   return prefix;
 }
 
-/// Cut point of the d-th of n nnz-balanced shards over rows [lo, hi):
-/// the smallest index r with prefix[r] >= prefix[lo] + range_nnz * d / n,
-/// kept monotone against `floor_cut` and clamped to the range.
-index_t balanced_cut(const std::vector<offset_t>& prefix, index_t lo, index_t hi, int d, int n,
-                     index_t floor_cut) {
-  const double base = static_cast<double>(prefix[static_cast<std::size_t>(lo)]);
-  const double range_nnz =
-      static_cast<double>(prefix[static_cast<std::size_t>(hi)]) - base;
-  const double ideal = base + range_nnz * static_cast<double>(d) / static_cast<double>(n);
-  const auto first = prefix.begin() + lo;
-  const auto last = prefix.begin() + hi + 1;
-  const auto it = std::lower_bound(first, last, static_cast<offset_t>(std::ceil(ideal)));
+/// Cut point of the d-th of n nnz-balanced shards over all rows: the
+/// smallest index r with prefix[r] >= total_nnz * d / n, kept monotone
+/// against `floor_cut` and clamped to the row count.
+index_t balanced_cut(const std::vector<offset_t>& prefix, int d, int n, index_t floor_cut) {
+  const double ideal =
+      static_cast<double>(prefix.back()) * static_cast<double>(d) / static_cast<double>(n);
+  const auto it = std::lower_bound(prefix.begin(), prefix.end(),
+                                   static_cast<offset_t>(std::ceil(ideal)));
   auto cut = static_cast<index_t>(it - prefix.begin());
-  cut = std::min(cut, hi);
+  cut = std::min(cut, static_cast<index_t>(prefix.size() - 1));
   return std::max(cut, floor_cut);
 }
 
@@ -81,48 +77,32 @@ struct Boundary {
 
 ShardPlan ShardPlanner::plan_rows(const core::ExecutionPlan& plan, int num_devices,
                                   ShardStrategy strategy) const {
-  return plan_rows_impl(plan, 0, plan.tiled.rows(), num_devices, strategy, /*full_span=*/true);
-}
-
-ShardPlan ShardPlanner::plan_row_range(const core::ExecutionPlan& plan, index_t row_begin,
-                                       index_t row_end, int num_devices,
-                                       ShardStrategy strategy) const {
-  if (row_begin < 0 || row_begin > row_end || row_end > plan.tiled.rows()) {
-    throw sparse::invalid_matrix("ShardPlanner: row range outside the plan's row space");
-  }
-  return plan_rows_impl(plan, row_begin, row_end, num_devices, strategy, /*full_span=*/false);
-}
-
-ShardPlan ShardPlanner::plan_rows_impl(const core::ExecutionPlan& plan, index_t lo, index_t hi,
-                                       int num_devices, ShardStrategy strategy,
-                                       bool full_span) const {
   if (num_devices < 1) throw sparse::invalid_matrix("ShardPlanner: num_devices must be >= 1");
   const aspt::AsptMatrix& tiled = plan.tiled;
   const index_t rows = tiled.rows();
   const std::vector<offset_t> prefix = prefix_sum(per_row_nnz(tiled));
-  const offset_t total =
-      prefix[static_cast<std::size_t>(hi)] - prefix[static_cast<std::size_t>(lo)];
+  const offset_t total = prefix.back();
 
-  std::vector<index_t> cuts(static_cast<std::size_t>(num_devices) + 1, lo);
-  cuts.back() = hi;
+  std::vector<index_t> cuts(static_cast<std::size_t>(num_devices) + 1, 0);
+  cuts.back() = rows;
 
   switch (strategy) {
     case ShardStrategy::contiguous:
       for (int d = 1; d < num_devices; ++d) {
-        cuts[static_cast<std::size_t>(d)] = lo + static_cast<index_t>(
-            static_cast<std::int64_t>(hi - lo) * d / num_devices);
+        cuts[static_cast<std::size_t>(d)] =
+            static_cast<index_t>(static_cast<std::int64_t>(rows) * d / num_devices);
       }
       break;
 
     case ShardStrategy::nnz_balanced:
       for (int d = 1; d < num_devices; ++d) {
         cuts[static_cast<std::size_t>(d)] =
-            balanced_cut(prefix, lo, hi, d, num_devices, cuts[static_cast<std::size_t>(d) - 1]);
+            balanced_cut(prefix, d, num_devices, cuts[static_cast<std::size_t>(d) - 1]);
       }
       break;
 
     case ShardStrategy::reorder_aware: {
-      // Candidates: panel boundaries strictly inside the range, scored by
+      // Candidates: panel boundaries strictly inside the rows, scored by
       // the similarity of the row pair each one separates. A low score
       // means the cut falls between clusters.
       std::vector<Boundary> bounds;
@@ -130,7 +110,7 @@ ShardPlan ShardPlanner::plan_rows_impl(const core::ExecutionPlan& plan, index_t 
       for (std::size_t pi = 0; pi + 1 < panels.size(); ++pi) {
         Boundary b;
         b.row = panels[pi].row_end;
-        if (b.row <= lo || b.row >= hi) continue;
+        if (b.row <= 0 || b.row >= rows) continue;
         b.cum = prefix[static_cast<std::size_t>(b.row)];
         const std::vector<index_t> above = row_columns(tiled, b.row - 1);
         const std::vector<index_t> below = row_columns(tiled, b.row);
@@ -138,12 +118,11 @@ ShardPlan ShardPlanner::plan_rows_impl(const core::ExecutionPlan& plan, index_t 
         bounds.push_back(b);
       }
 
-      const double base = static_cast<double>(prefix[static_cast<std::size_t>(lo)]);
       const double share = static_cast<double>(total) / static_cast<double>(num_devices);
       const double window = cfg_.balance_slack * share;
       for (int d = 1; d < num_devices; ++d) {
         const index_t prev = cuts[static_cast<std::size_t>(d) - 1];
-        const double ideal = base + share * static_cast<double>(d);
+        const double ideal = share * static_cast<double>(d);
         const Boundary* best = nullptr;
         bool best_in_window = false;
         for (const Boundary& b : bounds) {
@@ -180,7 +159,7 @@ ShardPlan ShardPlanner::plan_rows_impl(const core::ExecutionPlan& plan, index_t 
         }
         // No boundary left: this shard takes the remainder and the rest
         // come out empty (more devices than panel seams).
-        cuts[static_cast<std::size_t>(d)] = best ? best->row : hi;
+        cuts[static_cast<std::size_t>(d)] = best ? best->row : rows;
       }
       break;
     }
@@ -191,10 +170,6 @@ ShardPlan ShardPlanner::plan_rows_impl(const core::ExecutionPlan& plan, index_t 
   sp.num_devices = num_devices;
   sp.rows = rows;
   sp.cols = tiled.cols();
-  if (!full_span) {
-    sp.span_begin = lo;
-    sp.span_end = hi;
-  }
   sp.row_shards.resize(static_cast<std::size_t>(num_devices));
   for (int d = 0; d < num_devices; ++d) {
     core::RowShard& s = sp.row_shards[static_cast<std::size_t>(d)];

@@ -49,19 +49,7 @@ class ShardPlanner {
   ShardPlan plan_rows(const core::ExecutionPlan& plan, int num_devices,
                       ShardStrategy strategy) const;
 
-  /// Partition of the sub-range [row_begin, row_end) of `plan`'s
-  /// permuted row space — the failover seam: when a device dies, its
-  /// shard's range is re-cut across the survivors with the same
-  /// seam-aware logic as the full partition (reorder_aware considers only
-  /// panel boundaries strictly inside the range). The result's span is
-  /// the given range and validates against it.
-  ShardPlan plan_row_range(const core::ExecutionPlan& plan, index_t row_begin, index_t row_end,
-                           int num_devices, ShardStrategy strategy) const;
-
  private:
-  ShardPlan plan_rows_impl(const core::ExecutionPlan& plan, index_t lo, index_t hi,
-                           int num_devices, ShardStrategy strategy, bool full_span) const;
-
   ShardPlannerConfig cfg_;
 };
 

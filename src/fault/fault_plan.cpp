@@ -105,26 +105,18 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;
 
-  // Guaranteed shard failure, so every chaos run exercises failover (or,
-  // when the cap empties all devices in one round, the retry path).
+  // Guaranteed plan-build failure: the first build always throws, so
+  // every chaos run exercises the batch retry (or, once the attempts run
+  // out, the sequential degrade). Every served batch fetches its plan,
+  // and a failed build is dropped from the cache, so the retry rebuilds.
+  // Every throw is capped so recovery can always outlast the plan;
+  // race-window points get stalls, never throws.
   {
-    FaultRule r;
-    r.point = points::kShardExec;
-    r.kind = FaultKind::throw_error;
-    r.probability = 1.0;
-    r.after_hits = mix.below(3);
-    r.max_triggers = 1 + mix.below(3);
-    plan.rules.push_back(std::move(r));
-  }
-
-  // Seed-dependent extras. Every throw is capped so recovery can always
-  // outlast the plan; race-window points get stalls, never throws.
-  if (mix.below(2) == 0) {
     FaultRule r;
     r.point = points::kPlanCacheBuild;
     r.kind = FaultKind::throw_error;
-    r.probability = 0.3 + 0.4 * mix.unit();
-    r.max_triggers = 1 + mix.below(2);
+    r.probability = 1.0;
+    r.max_triggers = 1 + mix.below(3);
     plan.rules.push_back(std::move(r));
   }
   if (mix.below(2) == 0) {
@@ -132,14 +124,6 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed) {
     r.point = points::kWorkerChunk;
     r.kind = FaultKind::throw_error;
     r.probability = 0.02 + 0.05 * mix.unit();
-    r.max_triggers = 1 + mix.below(2);
-    plan.rules.push_back(std::move(r));
-  }
-  if (mix.below(2) == 0) {
-    FaultRule r;
-    r.point = points::kShardInterconnect;
-    r.kind = FaultKind::throw_error;
-    r.probability = 0.5;
     r.max_triggers = 1 + mix.below(2);
     plan.rules.push_back(std::move(r));
   }
@@ -201,8 +185,8 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed) {
     r.max_triggers = 1 + mix.below(2);
     plan.rules.push_back(std::move(r));
   }
-  for (const char* p : {points::kServerDrain, points::kServerSubmit, points::kShardStraggler,
-                        points::kPlanCacheEvict, points::kWorkerTask}) {
+  for (const char* p : {points::kServerDrain, points::kServerSubmit, points::kPlanCacheEvict,
+                        points::kWorkerTask}) {
     if (mix.below(3) != 0) continue;
     FaultRule r;
     r.point = p;

@@ -48,11 +48,12 @@ struct FaultPlan {
   /// spec or an unknown kind.
   static FaultPlan parse(const std::string& spec);
 
-  /// Deterministic chaos plan for the soak suite: always one guaranteed
-  /// shard-failure rule (so failover actually exercises), plus a
-  /// seed-dependent mix of build failures, chunk throws, and stalls on
-  /// the race-window points. Every throw rule is capped (max_triggers),
-  /// so any execution retried enough times eventually succeeds.
+  /// Deterministic chaos plan for the soak suite: always a guaranteed
+  /// throw on the first plan build (so the batch retry actually
+  /// exercises), plus a seed-dependent mix of chunk throws, probe
+  /// throws, and stalls on the race-window points. Every throw rule is
+  /// capped (max_triggers), so any execution retried enough times
+  /// eventually succeeds.
   static FaultPlan chaos(std::uint64_t seed);
 
   bool operator==(const FaultPlan&) const = default;

@@ -47,19 +47,14 @@ inline constexpr const char* kPreprocSignature = "preproc.signature";
 /// Same degradation contract as preproc.signature.
 inline constexpr const char* kPreprocScore = "preproc.score";
 
-/// dist::ShardedExecutor: before a shard's kernel runs. A throw is a
-/// shard kernel failure; the shard's device is marked dead and the row
-/// range fails over to survivors.
-inline constexpr const char* kShardExec = "shard.exec";
-
-/// dist::ShardedExecutor / multi-device simulator: inside a shard's
-/// execution. A stall is a slow straggler device; a throw is treated
-/// like a kernel failure.
+/// Multi-device simulator (dist::simulate_spmm_sharded): once per
+/// non-empty simulated shard. Stall-only: a stall is a slow straggler
+/// device.
 inline constexpr const char* kShardStraggler = "shard.straggler";
 
-/// dist::ShardedExecutor: after a shard's kernel, before its result is
-/// considered delivered. A throw models an interconnect timeout on the
-/// result gather and triggers the same failover as a kernel failure.
+/// Multi-device simulator: once per non-empty simulated shard, before
+/// its kernel is modelled. A throw models an interconnect timeout and
+/// propagates out of the simulation.
 inline constexpr const char* kShardInterconnect = "shard.interconnect";
 
 /// spgemm: before a symbolic (row-counting) chunk runs. A throw
@@ -69,9 +64,7 @@ inline constexpr const char* kShardInterconnect = "shard.interconnect";
 inline constexpr const char* kSpgemmSymbolic = "spgemm.symbolic";
 
 /// spgemm: before a numeric (accumulation) row-range runs. Same
-/// degradation contract as spgemm.symbolic; under ShardedExecutor the
-/// throw is additionally a shard failure and triggers row-range
-/// failover first.
+/// degradation contract as spgemm.symbolic.
 inline constexpr const char* kSpgemmAccumulate = "spgemm.accumulate";
 
 /// io: before a disk read (an mmap-path block access or a buffered

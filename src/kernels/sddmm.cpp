@@ -64,7 +64,8 @@ void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, std::vector<val
   sparse::validate_csr(s, "sddmm_rowwise");
   check_sddmm_shapes(s.rows(), s.cols(), x, y);
   const simd::KernelSelection t = detail::select_counted(cfg, x.cols);
-  out.assign(static_cast<std::size_t>(s.nnz()), value_t{0});
+  // No fill: the kernel writes every output slot exactly once.
+  out.resize(static_cast<std::size_t>(s.nnz()));
   t.sddmm_rows(s.rowptr().data(), s.colidx().data(), s.values().data(), x.data, x.ld, y.data,
                y.ld, x.cols, out.data(), /*src=*/nullptr, /*order=*/nullptr, /*y_rows=*/nullptr,
                /*out_shift=*/nullptr, 0, s.rows());

@@ -33,8 +33,8 @@ enum class SpecMode : std::uint8_t {
   rows = 2,  ///< row-wise substitutions + the micro-GEMM (default)
 };
 
-/// Kernel selection carried by callers (ServerConfig, ShardedExecutor,
-/// bench drivers). Default-constructed = auto ISA.
+/// Kernel selection carried by callers (ServerConfig, bench drivers).
+/// Default-constructed = auto ISA.
 struct KernelConfig {
   /// Forced ISA; nullopt picks the best compiled-and-supported backend.
   std::optional<Isa> isa;

@@ -63,47 +63,38 @@ void parallel_sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const Csr
   });
 }
 
-spgemm::SymbolicResult parallel_spgemm_symbolic(WorkerPool& pool, const CsrMatrix& a,
-                                                const CsrMatrix& b,
-                                                const spgemm::SpgemmConfig& cfg,
-                                                Metrics* metrics) {
-  if (a.cols() != b.rows()) {
-    throw sparse::invalid_matrix("parallel_spgemm: A cols must equal B rows");
-  }
-  spgemm::SymbolicResult res;
-  res.rowptr.assign(static_cast<std::size_t>(a.rows()) + 1, 0);
-
-  // Fixed row blocks, counts stored at their row index: identical output
-  // for any thread count or chunk interleaving.
-  constexpr index_t kRowBlock = 64;
-  const std::size_t blocks = static_cast<std::size_t>((a.rows() + kRowBlock - 1) / kRowBlock);
-  if (blocks > 0) {
-    pool.parallel_for(blocks, [&](std::size_t bi) {
-      const index_t rb = static_cast<index_t>(bi) * kRowBlock;
-      const index_t re = std::min<index_t>(rb + kRowBlock, a.rows());
-      spgemm::symbolic_rows(a, b, res.rowptr.data() + rb + 1, rb, re, cfg);
-    });
-  }
-  for (std::size_t i = 1; i < res.rowptr.size(); ++i) res.rowptr[i] += res.rowptr[i - 1];
-  for (index_t i = 0; i < a.rows(); ++i) res.upper_bound_nnz += spgemm::row_upper_bound(a, b, i);
-  res.flops = 2.0 * static_cast<double>(res.upper_bound_nnz);
-
-  if (metrics) {
-    metrics->spgemm_flops.fetch_add(static_cast<std::uint64_t>(res.flops),
-                                    std::memory_order_relaxed);
-    metrics->spgemm_output_nnz.fetch_add(static_cast<std::uint64_t>(res.nnz()),
-                                         std::memory_order_relaxed);
-  }
-  return res;
-}
-
 void parallel_spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& a,
                      const CsrMatrix& b, CsrMatrix& c, Metrics* metrics,
                      const spgemm::SpgemmConfig& cfg) {
   if (a.rows() != plan.tiled.rows()) {
     throw sparse::invalid_matrix("parallel_spgemm: left operand does not match the plan");
   }
-  spgemm::SymbolicResult sym = parallel_spgemm_symbolic(pool, a, b, cfg, metrics);
+  if (a.cols() != b.rows()) {
+    throw sparse::invalid_matrix("parallel_spgemm: A cols must equal B rows");
+  }
+  // Symbolic in fixed row blocks, counts stored at their row index:
+  // identical output for any thread count or chunk interleaving.
+  spgemm::SymbolicResult sym;
+  sym.rowptr.assign(static_cast<std::size_t>(a.rows()) + 1, 0);
+  constexpr index_t kRowBlock = 64;
+  const std::size_t blocks = static_cast<std::size_t>((a.rows() + kRowBlock - 1) / kRowBlock);
+  if (blocks > 0) {
+    pool.parallel_for(blocks, [&](std::size_t bi) {
+      const index_t rb = static_cast<index_t>(bi) * kRowBlock;
+      const index_t re = std::min<index_t>(rb + kRowBlock, a.rows());
+      spgemm::symbolic_rows(a, b, sym.rowptr.data() + rb + 1, rb, re, cfg);
+    });
+  }
+  for (std::size_t i = 1; i < sym.rowptr.size(); ++i) sym.rowptr[i] += sym.rowptr[i - 1];
+  for (index_t i = 0; i < a.rows(); ++i) sym.upper_bound_nnz += spgemm::row_upper_bound(a, b, i);
+  sym.flops = 2.0 * static_cast<double>(sym.upper_bound_nnz);
+  if (metrics) {
+    metrics->spgemm_flops.fetch_add(static_cast<std::uint64_t>(sym.flops),
+                                    std::memory_order_relaxed);
+    metrics->spgemm_output_nnz.fetch_add(static_cast<std::uint64_t>(sym.nnz()),
+                                         std::memory_order_relaxed);
+  }
+
   std::vector<index_t> colidx(static_cast<std::size_t>(sym.nnz()));
   std::vector<value_t> values(static_cast<std::size_t>(sym.nnz()));
 

@@ -51,16 +51,6 @@ void parallel_sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const Csr
                     Metrics* metrics = nullptr,
                     const kernels::simd::KernelConfig* kernel = nullptr);
 
-/// SpGEMM symbolic phase fanned out over `pool` in fixed row blocks:
-/// exact per-row counts, prefix-summed into C's rowptr. Deterministic at
-/// every thread count (counts land at their row index). Bumps
-/// spgemm_flops / spgemm_output_nnz when `metrics` is given — the one
-/// place both the panel-parallel and the sharded numeric paths share.
-spgemm::SymbolicResult parallel_spgemm_symbolic(WorkerPool& pool, const CsrMatrix& a,
-                                                const CsrMatrix& b,
-                                                const spgemm::SpgemmConfig& cfg,
-                                                Metrics* metrics = nullptr);
-
 /// CSR×CSR through a plan built on the LEFT operand: c = a * b, c in
 /// a's original row order. Symbolic runs pool-parallel in row blocks;
 /// numeric fans out one task per ASpT row panel of the permuted row
@@ -72,11 +62,14 @@ void parallel_spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const Cs
                      const CsrMatrix& b, CsrMatrix& c, Metrics* metrics = nullptr,
                      const spgemm::SpgemmConfig& cfg = {});
 
-/// Pluggable execution strategy for the Server. The default (no executor
-/// configured) is the panel-parallel path above; dist::ShardedExecutor
-/// substitutes multi-device sharded execution without the runtime linking
-/// against dist. Implementations must keep the parallel_spmm contract:
-/// results bitwise equal to core::run_spmm, y in the caller's row order.
+/// Execution seam for the Server: ServerConfig::executor, when set,
+/// receives every batch instead of the panel-parallel functions above.
+/// The library ships no implementation. The seam stays only because
+/// perfbench's server_config assigns `executor = nullptr`, and the
+/// benchmark is edited only in changes of its own; remove the seam once
+/// perfbench stops naming the field (ROADMAP item 1).
+/// Implementations must keep the parallel_spmm contract: results bitwise
+/// equal to core::run_spmm, y in the caller's row order.
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -87,15 +80,13 @@ class Executor {
   virtual void spmm(WorkerPool& pool, const core::ExecutionPlan& plan, DenseView x,
                     DenseMutView y, Metrics* metrics) = 0;
 
-  /// Default SDDMM: panel-parallel into a pre-sized output buffer
-  /// (shard-specific SDDMM layouts can override).
+  /// Default SDDMM: panel-parallel into a pre-sized output buffer.
   virtual void sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& m,
                      DenseView x, DenseView y, value_t* out, std::size_t out_size,
                      Metrics* metrics);
 
-  /// Default SpGEMM: panel-parallel via parallel_spgemm.
-  /// dist::ShardedExecutor overrides with row-range shards + failover;
-  /// every implementation must stay bitwise equal to spgemm::multiply.
+  /// Default SpGEMM: panel-parallel via parallel_spgemm. Every
+  /// implementation must stay bitwise equal to spgemm::multiply.
   virtual void spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& a,
                       const CsrMatrix& b, CsrMatrix& c, Metrics* metrics,
                       const spgemm::SpgemmConfig& cfg);

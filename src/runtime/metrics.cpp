@@ -66,8 +66,6 @@ std::string Metrics::to_json() const {
   os << "\"batches_executed\":" << get(batches_executed) << ",";
   os << "\"requests_coalesced\":" << get(requests_coalesced) << ",";
   os << "\"panels_executed\":" << get(panels_executed) << ",";
-  os << "\"sharded_batches\":" << get(sharded_batches) << ",";
-  os << "\"shards_executed\":" << get(shards_executed) << ",";
   os << "\"queue_depth\":" << get(queue_depth) << ",";
   os << "\"kernel_invocations\":{";
   for (std::size_t i = 0; i < kernels::simd::kIsaCount; ++i) {
@@ -85,9 +83,7 @@ std::string Metrics::to_json() const {
   os << "\"spgemm_rows_dense\":" << get(spgemm_rows_dense) << ",";
   os << "\"spgemm_degradations\":" << get(spgemm_degradations) << ",";
   os << "\"faults_injected\":" << get(faults_injected) << ",";
-  os << "\"shard_failures\":" << get(shard_failures) << ",";
   os << "\"retries\":" << get(retries) << ",";
-  os << "\"failovers\":" << get(failovers) << ",";
   os << "\"degradations\":" << get(degradations) << ",";
   os << "\"preproc_sig_us\":" << get(preproc_sig_us) << ",";
   os << "\"preproc_band_us\":" << get(preproc_band_us) << ",";

@@ -60,14 +60,6 @@ struct Metrics {
   std::atomic<std::uint64_t> requests_coalesced{0};
   /// Row-panel tasks executed by the panel-parallel kernels.
   std::atomic<std::uint64_t> panels_executed{0};
-  /// Batches executed through a sharded (multi-device) executor.
-  std::atomic<std::uint64_t> sharded_batches{0};
-  /// Per-device shard tasks executed by dist::ShardedExecutor; stays 0
-  /// under the default
-  /// panel-parallel path. A shard writes its rows straight through the
-  /// plan's row_perm into the caller's y, so no shard result is gathered
-  /// or scattered afterwards.
-  std::atomic<std::uint64_t> shards_executed{0};
   /// Requests currently queued or executing (gauge, not a counter).
   std::atomic<std::uint64_t> queue_depth{0};
 
@@ -138,22 +130,17 @@ struct Metrics {
   std::atomic<std::uint64_t> spgemm_rows_sort{0};
   std::atomic<std::uint64_t> spgemm_rows_dense{0};
   /// SpGEMM requests that fell back to the sequential sort-based
-  /// multiply after retries/failover were exhausted.
+  /// multiply after retries were exhausted.
   std::atomic<std::uint64_t> spgemm_degradations{0};
 
-  /// fault::injected_fault exceptions observed by the recovery layers
-  /// (shard failover, batch retry). Stall injections and faults that
-  /// never reach a recovery site are counted by the FaultRegistry, not
-  /// here.
+  /// fault::injected_fault exceptions observed by the batch retry loop.
+  /// Stall injections and faults that never reach it are counted by the
+  /// FaultRegistry, not here.
   std::atomic<std::uint64_t> faults_injected{0};
-  /// Shard executions that failed and were handed to failover.
-  std::atomic<std::uint64_t> shard_failures{0};
   /// Batch execution attempts repeated after a failure (with backoff).
   std::atomic<std::uint64_t> retries{0};
-  /// Failed shard row ranges re-planned onto surviving devices.
-  std::atomic<std::uint64_t> failovers{0};
   /// Batches that fell back to single-device sequential execution after
-  /// retries and failover were exhausted.
+  /// retries were exhausted.
   std::atomic<std::uint64_t> degradations{0};
 
   /// Preprocessing phase totals (µs) accumulated from every plan built

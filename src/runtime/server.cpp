@@ -415,9 +415,12 @@ void Server::execute_spmm_batch(Registered& e, std::vector<SpmmRequest>& batch) 
   // Coalesce: concatenate the X operands column-wise, run one multi-K
   // SpMM, scatter the product back into each request's y. The batch
   // buffers use the aligned (padded-ld) storage mode so every row
-  // pointer the SIMD kernels see is vector-aligned.
+  // pointer the SIMD kernels see is vector-aligned, and are not
+  // zero-filled: the gather writes every element of x_all, and the
+  // kernels zero and overwrite every row of y_all.
   const auto gather_t0 = Clock::now();
-  sparse::DenseMatrix x_all = sparse::DenseMatrix::aligned(e.matrix.cols(), k_total);
+  sparse::DenseMatrix x_all =
+      sparse::DenseMatrix::aligned_uninitialized(e.matrix.cols(), k_total);
   index_t off = 0;
   for (const SpmmRequest& r : batch) {
     for (index_t c = 0; c < r.x.rows; ++c) {
@@ -428,7 +431,8 @@ void Server::execute_spmm_batch(Registered& e, std::vector<SpmmRequest>& batch) 
   }
   add_us(metrics_.submit_copy_us, gather_t0);
 
-  sparse::DenseMatrix y_all = sparse::DenseMatrix::aligned(e.matrix.rows(), k_total);
+  sparse::DenseMatrix y_all =
+      sparse::DenseMatrix::aligned_uninitialized(e.matrix.rows(), k_total);
   run(x_all, y_all);
 
   const auto split_t0 = Clock::now();

@@ -75,8 +75,9 @@ struct ServerConfig {
   PlanMode mode = PlanMode::rr;          ///< how plans are built
   std::size_t max_batch = 8;             ///< max requests coalesced per execution
   core::PipelineConfig pipeline;
-  /// Execution strategy for accepted requests; null selects the built-in
-  /// panel-parallel path. dist::ShardedExecutor plugs in here.
+  /// Execution seam (see runtime::Executor); null, the default, runs the
+  /// built-in panel-parallel path. The library ships no executor: the
+  /// field stays only while perfbench assigns it.
   std::shared_ptr<Executor> executor;
   RetryPolicy retry;
   /// SpGEMM accumulator policy for submit_spgemm requests. The choice
@@ -85,8 +86,7 @@ struct ServerConfig {
   spgemm::SpgemmConfig spgemm;
   /// SIMD kernel selection for the built-in panel-parallel path; nullopt
   /// uses the process-wide simd::active_config() (the RRSPMM_KERNEL_ISA
-  /// env knob). A configured Executor owns its own
-  /// kernel choice (see dist::ShardedExecutorConfig::kernel).
+  /// env knob). A configured Executor owns its own kernel choice.
   std::optional<kernels::simd::KernelConfig> kernel;
   /// Adaptive-execution router. The default consults RRSPMM_ROUTER
   /// (off/on) via router::from_env(); null keeps every decision
@@ -179,9 +179,9 @@ class Server {
   /// future resolves to C = S_a * S_b in CSR, C in S_a's row order. The
   /// plan (and so the paper's reordering) is built on the LEFT operand
   /// and drives numeric-phase locality; results are bitwise-identical
-  /// across accumulator choice, thread count, shard strategy, and the
-  /// retry/degradation path. Executed singly, like SDDMM (sparse-output
-  /// products do not concatenate).
+  /// across accumulator choice, thread count, and the retry/degradation
+  /// path. Executed singly, like SDDMM (sparse-output products do not
+  /// concatenate).
   std::future<sparse::CsrMatrix> submit_spgemm(const std::string& a_name,
                                                const std::string& b_name);
 

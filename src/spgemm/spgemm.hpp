@@ -11,14 +11,14 @@
 //
 // Determinism contract (mirrors the kernels/ row-range ABI): every
 // numeric entry point writes its target rows' segments completely and
-// independently, so any partition of [0, rows) across threads, shards or
+// independently, so any partition of [0, rows) across threads or
 // re-executions is bitwise identical to the sequential multiply — and
 // the accumulator choice never changes result bits either (see
 // accumulators.hpp for why). The row-range overloads take an optional
-// processing-order permutation so runtime::WorkerPool and
-// dist::ShardedExecutor can fan out contiguous ranges of the *permuted*
-// row space — reusing the paper's LSH/cluster reordering of the left
-// operand for shard locality — while C stays in A's original row order.
+// processing-order permutation so runtime::parallel_spgemm can fan out
+// contiguous ranges of the *permuted* row space — reusing the paper's
+// LSH/cluster reordering of the left operand for locality — while C
+// stays in A's original row order.
 //
 // Fault probes: symbolic chunks hit fault::points::kSpgemmSymbolic and
 // numeric ranges kSpgemmAccumulate when cfg.probes is set. Recovery
@@ -39,7 +39,7 @@ using sparse::CsrMatrix;
 /// when B has at most kDenseMaxCols columns; on wider B it picks per row
 /// by the row's upper-bound contribution count (≤ sort_threshold → sort,
 /// else hash). Either way the choice is a pure function of the input
-/// structure, so it is identical on every thread/shard and never affects
+/// structure, so it is identical on every thread and never affects
 /// result bits, only speed.
 enum class Accumulator : std::uint8_t {
   hash = 0,

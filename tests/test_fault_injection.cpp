@@ -267,18 +267,23 @@ TEST(FaultInjection, ChaosPlansAreDeterministicAndBounded) {
   EXPECT_NE(a, fault::FaultPlan::chaos(12));
   EXPECT_FALSE(a.empty());
 
-  // Every chaos plan guarantees at least one shard failure (so failover
-  // exercises) and caps every throw rule (so retries eventually win).
+  // Every chaos plan guarantees that the first plan build throws (so
+  // the batch retry exercises) and caps every throw rule (so retries
+  // eventually win).
   for (std::uint64_t seed : {11u, 23u, 47u, 1000003u}) {
     const fault::FaultPlan p = fault::FaultPlan::chaos(seed);
-    bool has_shard_throw = false;
+    bool has_first_build_throw = false;
     for (const fault::FaultRule& r : p.rules) {
       if (r.kind == fault::FaultKind::throw_error) {
         EXPECT_GT(r.max_triggers, 0u) << "uncapped throw rule in chaos(" << seed << ")";
-        if (r.point == fault::points::kShardExec) has_shard_throw = true;
+        if (r.point == fault::points::kPlanCacheBuild && r.probability == 1.0 &&
+            r.after_hits == 0) {
+          has_first_build_throw = true;
+        }
       }
     }
-    EXPECT_TRUE(has_shard_throw) << "chaos(" << seed << ") has no shard.exec throw rule";
+    EXPECT_TRUE(has_first_build_throw)
+        << "chaos(" << seed << ") does not throw on the first plan build";
     // The spec line printed by the soak suite must reproduce the plan.
     EXPECT_EQ(fault::FaultPlan::parse(p.to_string()), p);
   }

@@ -10,12 +10,13 @@
 // never *results*.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "core/pipeline.hpp"
 #include "core/plan_io.hpp"
-#include "dist/executor.hpp"
 #include "fault/fault.hpp"
 #include "kernels/sddmm.hpp"
 #include "kernels/spmm.hpp"
@@ -192,16 +193,29 @@ TEST_P(FuzzSimt, ExecutorAgreesWithModelAndKernels) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSimt, ::testing::Range<std::uint64_t>(1, 13));
 
-// Failover dimension: the same random draw, but executed through the
-// sharded executor with a shard failure injected mid-plan. Recovery
-// re-plans the dead device's rows onto survivors; the contract is the
-// same as everywhere else — fault handling changes data movement, never
-// results. Bitwise, not tolerance: the row-range kernel makes recovered
-// rows identical, not merely close.
+// Bitwise (not tolerance) equality of two equally shaped dense matrices.
+void expect_same_bits(const DenseMatrix& want, const DenseMatrix& got) {
+  ASSERT_EQ(want.rows(), got.rows());
+  ASSERT_EQ(want.cols(), got.cols());
+  for (index_t i = 0; i < want.rows(); ++i) {
+    ASSERT_EQ(0, std::memcmp(want.row(i).data(), got.row(i).data(),
+                             static_cast<std::size_t>(want.cols()) * sizeof(value_t)))
+        << "row " << i;
+  }
+}
+
+// Failover dimension: the same random draw, served through a Server
+// whose panel-parallel SpMM loses one panel task (a worker.chunk throw)
+// mid-plan. The batch retry re-runs the whole plan; the kernels zero and
+// rewrite every row they own, so the rows the failed attempt left
+// half-written come out identical to a fault-free run — bitwise, not
+// within a tolerance.
 class FuzzFailover : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzFailover, ShardFailureMidPlanReproducesResultsExactly) {
-  const Drawn d = draw(GetParam() + 2000);
+  Drawn d = draw(GetParam() + 2000);
+  // At least two panels, so the fault can also land on the second task.
+  d.cfg.aspt.panel_rows = std::min(d.cfg.aspt.panel_rows, d.m.rows() / 2);
   const CsrMatrix& m = d.m;
   SCOPED_TRACE("rows=" + std::to_string(m.rows()) + " nnz=" + std::to_string(m.nnz()) +
                " k=" + std::to_string(d.k));
@@ -212,17 +226,19 @@ TEST_P(FuzzFailover, ShardFailureMidPlanReproducesResultsExactly) {
   DenseMatrix y_ref(m.rows(), d.k);
   core::run_spmm(plan, x, y_ref);
 
-  runtime::WorkerPool pool(3);
-  runtime::Metrics metrics;
-  dist::ShardedExecutorConfig ex;
-  ex.num_devices = 2 + static_cast<int>(GetParam() % 3);
-  ex.strategy = dist::ShardStrategy::reorder_aware;
-  dist::ShardedExecutor executor(ex);
+  runtime::ServerConfig cfg;
+  cfg.threads = 3;
+  cfg.pipeline = d.cfg;
+  cfg.retry.max_attempts = 2;
+  cfg.retry.backoff_base = std::chrono::microseconds(100);
+  runtime::Server server(cfg);
+  server.register_matrix("m", m);
+  server.warm("m");  // the plan build runs before the fault arms
 
   fault::FaultPlan fp;
   fp.seed = GetParam();
   fault::FaultRule r;
-  r.point = fault::points::kShardExec;
+  r.point = fault::points::kWorkerChunk;
   r.kind = fault::FaultKind::throw_error;
   r.probability = 1.0;
   r.after_hits = GetParam() % 2;
@@ -230,24 +246,27 @@ TEST_P(FuzzFailover, ShardFailureMidPlanReproducesResultsExactly) {
   fp.rules.push_back(r);
   fault::ScopedFaultPlan armed(std::move(fp));
 
-  DenseMatrix y_failover(m.rows(), d.k);
-  executor.spmm(pool, plan, x, y_failover, &metrics);
-  EXPECT_DOUBLE_EQ(y_failover.max_abs_diff(y_ref), 0.0);
-  EXPECT_GE(metrics.faults_injected.load(), 1u);
-  EXPECT_GE(metrics.failovers.load(), 1u);
+  const DenseMatrix y_served = server.submit("m", x).get();
+  server.stop();
+  expect_same_bits(y_ref, y_served);
+  EXPECT_EQ(server.metrics().faults_injected.load(), 1u);
+  EXPECT_EQ(server.metrics().retries.load(), 1u);
+  EXPECT_EQ(server.metrics().degradations.load(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzFailover, ::testing::Range<std::uint64_t>(1, 11));
 
-// End-to-end flavour: SpMM and SDDMM served through a Server whose
-// executor loses a device mid-batch, with retry + degradation armed.
+// End-to-end flavour: SpMM and SDDMM served while every panel task
+// fails (an uncapped worker.chunk throw), so both requests exhaust their
+// retries and degrade to the sequential core path on the same plan.
 class FuzzServedFailover : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzServedFailover, ServedResultsSurviveShardFailureBitwise) {
-  const Drawn d = draw(GetParam() + 3000);
+  Drawn d = draw(GetParam() + 3000);
+  d.cfg.aspt.panel_rows = std::min(d.cfg.aspt.panel_rows, d.m.rows() / 2);
   const CsrMatrix& m = d.m;
 
-  const ExecutionPlan ref_plan = core::build_plan(m, {});
+  const ExecutionPlan ref_plan = core::build_plan(m, d.cfg);
   DenseMatrix x(m.cols(), d.k), yd(m.rows(), d.k);
   sparse::fill_random(x, GetParam() ^ 0xBEE);
   sparse::fill_random(yd, GetParam() ^ 0xFEED);
@@ -258,22 +277,20 @@ TEST_P(FuzzServedFailover, ServedResultsSurviveShardFailureBitwise) {
 
   runtime::ServerConfig cfg;
   cfg.threads = 3;
-  cfg.retry.max_attempts = 3;
+  cfg.pipeline = d.cfg;
+  cfg.retry.max_attempts = 1 + static_cast<int>(GetParam() % 3);
   cfg.retry.backoff_base = std::chrono::microseconds(100);
   cfg.retry.degrade_to_single_device = true;
-  dist::ShardedExecutorConfig ex;
-  ex.num_devices = 3;
-  cfg.executor = std::make_shared<dist::ShardedExecutor>(ex);
   runtime::Server server(cfg);
   server.register_matrix("m", m);
+  server.warm("m");
 
   fault::FaultPlan fp;
   fp.seed = GetParam() * 7 + 1;
   fault::FaultRule r;
-  r.point = fault::points::kShardExec;
+  r.point = fault::points::kWorkerChunk;
   r.kind = fault::FaultKind::throw_error;
-  r.probability = 1.0;
-  r.max_triggers = 1 + GetParam() % 3;
+  r.probability = 1.0;  // unlimited: every pooled attempt fails
   fp.rules.push_back(r);
   fault::ScopedFaultPlan armed(std::move(fp));
 
@@ -281,11 +298,13 @@ TEST_P(FuzzServedFailover, ServedResultsSurviveShardFailureBitwise) {
   const std::vector<value_t> o_served = server.submit_sddmm("m", x, yd).get();
   server.stop();
 
-  EXPECT_DOUBLE_EQ(y_served.max_abs_diff(y_ref), 0.0);
+  expect_same_bits(y_ref, y_served);
   ASSERT_EQ(o_served.size(), o_ref.size());
   for (std::size_t j = 0; j < o_ref.size(); ++j) ASSERT_EQ(o_served[j], o_ref[j]);
   EXPECT_EQ(server.metrics().requests_failed.load(), 0u);
-  EXPECT_GE(server.metrics().faults_injected.load(), 1u);
+  EXPECT_EQ(server.metrics().degradations.load(), 2u);
+  EXPECT_EQ(server.metrics().faults_injected.load(),
+            2u * static_cast<std::uint64_t>(cfg.retry.max_attempts));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzServedFailover, ::testing::Range<std::uint64_t>(1, 7));

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "aspt/aspt.hpp"
 #include "kernels/sddmm.hpp"
 #include "sparse/permute.hpp"
@@ -60,6 +63,27 @@ TEST(SddmmRowwise, MatchesDenseReference) {
   std::vector<value_t> out;
   kernels::sddmm_rowwise(s, x, y, out);
   expect_near(out, test::dense_sddmm(s, x, y), 1e-4);
+}
+
+// `out` is sized, not zero-filled: the kernel must write every slot, so
+// stale contents (NaN here) never survive on any backend.
+TEST(SddmmRowwise, OverwritesStaleOutputOnEveryBackend) {
+  const CsrMatrix s = synth::erdos_renyi(80, 70, 500, 7);
+  DenseMatrix x(s.cols(), 20), y(s.rows(), 20);
+  sparse::fill_random(x, 3);
+  sparse::fill_random(y, 4);
+  const std::vector<value_t> ref = test::dense_sddmm(s, x, y);
+  for (int i = 0; i < static_cast<int>(kernels::simd::kIsaCount); ++i) {
+    const auto isa = static_cast<kernels::simd::Isa>(i);
+    if (!kernels::simd::isa_supported(isa)) continue;
+    SCOPED_TRACE(std::string(kernels::simd::isa_name(isa)));
+    kernels::simd::KernelConfig cfg;
+    cfg.isa = isa;
+    std::vector<value_t> out(static_cast<std::size_t>(s.nnz()),
+                             std::numeric_limits<value_t>::quiet_NaN());
+    kernels::sddmm_rowwise(s, x, y, out, cfg);
+    expect_near(out, ref, 1e-4);
+  }
 }
 
 TEST(SddmmRowwise, RejectsShapeMismatch) {

@@ -3,10 +3,9 @@
 // plan's permuted row space, and the result is moved back to the caller's
 // order by explicit copies (the allocating unpermute_dense_rows for SpMM,
 // a per-row segment copy for SDDMM). Every plan-driven path — core::run_*,
-// runtime::parallel_* at 1 and 4 threads, the ShardedExecutor under each
-// strategy, and a zero-copy Server submit — must match it bit for bit on
-// every corpus matrix, for identity, round-1, round-2 and two-round plans,
-// through packed and padded (ld > cols) views.
+// runtime::parallel_* at 1 and 4 threads, and a zero-copy Server submit —
+// must match it bit for bit on every corpus matrix, for identity, round-1,
+// round-2 and two-round plans, through packed and padded (ld > cols) views.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "dist/executor.hpp"
 #include "kernels/sddmm.hpp"
 #include "kernels/spmm.hpp"
 #include "runtime/runtime.hpp"
@@ -111,10 +109,6 @@ DenseMatrix make_dense(index_t rows, bool padded, std::uint64_t seed) {
   return d;
 }
 
-const core::ShardStrategy kStrategies[] = {core::ShardStrategy::contiguous,
-                                           core::ShardStrategy::nnz_balanced,
-                                           core::ShardStrategy::reorder_aware};
-
 TEST(ReorderedReference, SpmmEveryPathMatchesBitwise) {
   const auto corpus = synth::build_test_corpus();
   runtime::WorkerPool pool1(1);
@@ -153,17 +147,6 @@ TEST(ReorderedReference, SpmmEveryPathMatchesBitwise) {
           runtime::parallel_spmm(*pool, plan, DenseView(x), DenseMutView(y));
           expect_same_bits(want, y,
                            "parallel_spmm t=" + std::to_string(pool->size()) + " " + what);
-        }
-
-        for (const core::ShardStrategy strategy : kStrategies) {
-          dist::ShardedExecutorConfig ecfg;
-          ecfg.num_devices = 3;
-          ecfg.strategy = strategy;
-          dist::ShardedExecutor exec(ecfg);
-          y = make_dense(m.rows(), padded, 7);
-          exec.spmm(pool4, plan, DenseView(x), DenseMutView(y), nullptr);
-          expect_same_bits(want, y,
-                           std::string("sharded ") + core::to_string(strategy) + " " + what);
         }
 
         y = make_dense(m.rows(), padded, 7);
@@ -216,18 +199,6 @@ TEST(ReorderedReference, SddmmEveryPathMatchesBitwise) {
                                   out.size());
           expect_same_bits(want, out,
                            "parallel_sddmm t=" + std::to_string(pool->size()) + " " + what);
-        }
-
-        for (const core::ShardStrategy strategy : kStrategies) {
-          dist::ShardedExecutorConfig ecfg;
-          ecfg.num_devices = 3;
-          ecfg.strategy = strategy;
-          dist::ShardedExecutor exec(ecfg);
-          std::fill(out.begin(), out.end(), value_t{-1});
-          exec.sddmm(pool4, plan, m, DenseView(x), DenseView(y), out.data(), out.size(),
-                     nullptr);
-          expect_same_bits(want, out,
-                           std::string("sharded ") + core::to_string(strategy) + " " + what);
         }
 
         std::fill(out.begin(), out.end(), value_t{-1});

@@ -5,11 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <future>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "dist/executor.hpp"
 #include "fault/fault.hpp"
 #include "runtime/runtime.hpp"
 #include "spgemm/spgemm.hpp"
@@ -86,25 +84,6 @@ TEST(ServerSpgemm, RejectsShapeMismatchSynchronously) {
   server.register_matrix("b", synth::erdos_renyi(41, 16, 100, 2));
   EXPECT_THROW(server.submit_spgemm("a", "b"), invalid_matrix);
   EXPECT_THROW(server.submit_spgemm("a", "missing"), invalid_matrix);
-}
-
-TEST(ServerSpgemm, WorksThroughShardedExecutor) {
-  constexpr int kDevices = 3;
-  ServerConfig cfg;
-  cfg.threads = 4;
-  dist::ShardedExecutorConfig scfg;
-  scfg.num_devices = kDevices;
-  scfg.strategy = dist::ShardStrategy::reorder_aware;
-  cfg.executor = std::make_shared<dist::ShardedExecutor>(scfg);
-  Server server(cfg);
-
-  const auto entry = synth::build_test_corpus().front();
-  server.register_matrix(entry.name, entry.matrix);
-  const CsrMatrix want = spgemm::multiply(entry.matrix, entry.matrix);
-  expect_bitwise_equal(want, server.submit_spgemm(entry.name, entry.name).get(), "sharded");
-  server.wait_idle();
-  EXPECT_EQ(server.metrics().shards_executed.load(), static_cast<std::uint64_t>(kDevices));
-  EXPECT_EQ(server.metrics().sharded_batches.load(), 1u);
 }
 
 // With every numeric attempt faulted, the retry budget exhausts and the

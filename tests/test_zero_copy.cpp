@@ -1,6 +1,6 @@
 // Zero-copy serving data path tests. The contract: borrowed-view
 // submits are bitwise equal to the owned-copy path on every execution
-// configuration — thread counts, shard strategies, chaos fault plans —
+// configuration — thread counts, recovery paths, chaos fault plans —
 // and misaligned callers transparently fall back to the copy path with
 // identical bits. SpMM results land in the caller's y buffer, SDDMM in
 // the caller's raw nnz-sized output.
@@ -9,12 +9,10 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "dist/executor.hpp"
 #include "fault/fault.hpp"
 #include "runtime/runtime.hpp"
 #include "synth/corpus.hpp"
@@ -68,28 +66,14 @@ ServerConfig zc_cfg(unsigned threads) {
   return cfg;
 }
 
-// SpMM + SDDMM view submits across thread counts and shard strategies:
+// SpMM + SDDMM view submits across thread counts and recovery paths:
 // every combination must reproduce the sequential core result bit for
 // bit, through borrowed views, into caller-owned buffers. The "degraded"
 // row fails every pool chunk, so both requests exhaust their retries and
 // degrade to the sequential core path on the caller's views.
-TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndShardStrategies) {
+TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndRecoveryPaths) {
   const auto corpus = synth::build_test_corpus();
   ASSERT_GE(corpus.size(), 2u);
-
-  struct Strategy {
-    const char* name;
-    int devices;  ///< 0 = no executor (panel-parallel path)
-    core::ShardStrategy strategy;
-    bool degrade = false;  ///< inject a persistent fault, degrade_to_single_device on
-  };
-  const Strategy strategies[] = {
-      {"panel", 0, core::ShardStrategy::contiguous},
-      {"contiguous", 2, core::ShardStrategy::contiguous},
-      {"nnz_balanced", 3, core::ShardStrategy::nnz_balanced},
-      {"reorder_aware", 2, core::ShardStrategy::reorder_aware},
-      {"degraded", 0, core::ShardStrategy::contiguous, true},
-  };
 
   for (std::size_t mi = 0; mi < 2; ++mi) {
     const auto& entry = corpus[mi];
@@ -106,15 +90,9 @@ TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndShardStrategies) {
     const std::vector<value_t> sddmm_ref = sddmm_reference(plan, entry.matrix, x, ys);
 
     for (const unsigned threads : {1u, 4u}) {
-      for (const Strategy& s : strategies) {
+      for (const bool degrade : {false, true}) {
         ServerConfig cfg = zc_cfg(threads);
-        if (s.devices > 0) {
-          dist::ShardedExecutorConfig ex;
-          ex.num_devices = s.devices;
-          ex.strategy = s.strategy;
-          cfg.executor = std::make_shared<dist::ShardedExecutor>(ex);
-        }
-        if (s.degrade) {
+        if (degrade) {
           cfg.retry.max_attempts = 2;
           cfg.retry.backoff_base = std::chrono::microseconds(10);
           cfg.retry.degrade_to_single_device = true;
@@ -123,7 +101,7 @@ TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndShardStrategies) {
         server.register_matrix(entry.name, entry.matrix);
 
         fault::FaultPlan fp;
-        if (s.degrade) {
+        if (degrade) {
           server.warm(entry.name);  // the plan build runs before the fault arms
           fault::FaultRule r;
           r.point = fault::points::kWorkerChunk;
@@ -133,7 +111,7 @@ TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndShardStrategies) {
         fault::ScopedFaultPlan armed(fp);
 
         const std::string what =
-            entry.name + " t=" + std::to_string(threads) + " " + s.name;
+            entry.name + " t=" + std::to_string(threads) + (degrade ? " degraded" : " panel");
 
         DenseMatrix y = DenseMatrix::aligned(entry.matrix.rows(), k);
         server.submit(entry.name, DenseView(x), DenseMutView(y)).get();
@@ -152,7 +130,7 @@ TEST(ZeroCopy, BitwiseSweepAcrossThreadsAndShardStrategies) {
         EXPECT_EQ(server.metrics().zero_copy_requests.load(), 2u) << what;
         // A one-worker pool runs parallel_for inline, past the chunk
         // fail point, so only the multi-worker rows actually degrade.
-        const bool degraded = s.degrade && threads > 1;
+        const bool degraded = degrade && threads > 1;
         EXPECT_EQ(server.metrics().degradations.load(), degraded ? 2u : 0u) << what;
         server.stop();
       }
@@ -307,8 +285,8 @@ TEST(ZeroCopy, ShapeMismatchesThrow) {
   server.stop();
 }
 
-// Chaos sweep: under seeded random fault plans (with retry + sharded
-// failover + degradation in path), borrowed-view requests must complete
+// Chaos sweep: under seeded random fault plans (with retry and
+// degradation in path), borrowed-view requests must complete
 // and stay bitwise equal to the fault-free reference — faults may force
 // the runtime onto the degraded path, which materializes the views, but
 // never change the caller-visible bits.
@@ -331,10 +309,6 @@ TEST(ZeroCopy, ChaosSeedsKeepBorrowedSubmitsBitwiseEqual) {
     cfg.retry.max_attempts = 4;
     cfg.retry.backoff_base = std::chrono::microseconds(100);
     cfg.retry.degrade_to_single_device = true;
-    dist::ShardedExecutorConfig ex;
-    ex.num_devices = 3;
-    ex.max_failover_rounds = 3;
-    cfg.executor = std::make_shared<dist::ShardedExecutor>(ex);
     Server server(cfg);
     server.register_matrix(entry.name, entry.matrix);
 
