@@ -7,7 +7,7 @@
 // (K=128..256, ~2 nnz/row, where the submit/result copies rival the
 // kernel itself) the borrowed-view path must beat the owned-copy path by
 // >=1.15x throughput OR >=20% p99 reduction, and every configuration
-// (zero-copy on/off, NUMA on/off, 1..4 threads, owned vs view submits)
+// (zero-copy on/off, 1..4 threads, owned vs view submits)
 // must produce bitwise-identical results. Violations print FAIL and make
 // the binary exit nonzero, so CI's bench-smoke job catches regressions.
 //
@@ -38,7 +38,6 @@ struct MixResult {
   double p50_s = 0.0;
   double p95_s = 0.0;
   std::uint64_t plans_built = 0;
-  std::uint64_t coalesced = 0;
 };
 
 MixResult run_mix(unsigned threads, bool warm, const std::vector<synth::CorpusEntry>& corpus,
@@ -82,7 +81,6 @@ MixResult run_mix(unsigned threads, bool warm, const std::vector<synth::CorpusEn
   res.p50_s = m.latency.quantile(0.50);
   res.p95_s = m.latency.quantile(0.95);
   res.plans_built = m.plans_built.load();
-  res.coalesced = m.requests_coalesced.load();
   return res;
 }
 
@@ -145,14 +143,13 @@ ZeroCopyResult run_zero_copy(bool zero_copy, const sparse::CsrMatrix& m, index_t
 
 // ---------------------------------------------------------------------------
 // Bitwise-equality sweep: every serving configuration must reproduce the
-// reference bits exactly. The standing contract says zero-copy, NUMA
-// placement, and thread count are pure data-path/perf knobs.
+// reference bits exactly. The standing contract says zero-copy and
+// thread count are pure data-path/perf knobs.
 
 struct BitwiseConfig {
   const char* name;
   bool zero_copy;
   unsigned threads;
-  runtime::topo::NumaMode numa;
   bool owned;  ///< submit owning DenseMatrix instead of borrowed views
 };
 
@@ -162,7 +159,6 @@ std::vector<sparse::DenseMatrix> run_bitwise_config(const BitwiseConfig& c,
   runtime::ServerConfig cfg;
   cfg.threads = c.threads;
   cfg.zero_copy = c.zero_copy;
-  cfg.numa = c.numa;
   runtime::Server server(cfg);
   server.register_matrix("bw", m);
   server.warm("bw");
@@ -207,7 +203,6 @@ std::string to_json(const std::vector<MixResult>& results, const std::vector<Zer
         .field("latency_p50_s", r.p50_s)
         .field("latency_p95_s", r.p95_s)
         .field("plans_built", r.plans_built)
-        .field("requests_coalesced", r.coalesced)
         .obj_end();
   }
   js.arr_end().key("zero_copy").arr_begin();
@@ -254,12 +249,11 @@ int main() {
   for (const MixResult& r : results) {
     rows.push_back({r.mix, std::to_string(r.threads), std::to_string(r.requests),
                     harness::fmt(r.req_per_s, 1), harness::fmt(r.p50_s * 1e3, 3),
-                    harness::fmt(r.p95_s * 1e3, 3), std::to_string(r.plans_built),
-                    std::to_string(r.coalesced)});
+                    harness::fmt(r.p95_s * 1e3, 3), std::to_string(r.plans_built)});
   }
   std::printf("%s\n",
               harness::render_table({"mix", "threads", "requests", "req/s", "p50_ms", "p95_ms",
-                                     "plans_built", "coalesced"},
+                                     "plans_built"},
                                     rows)
                   .c_str());
 
@@ -308,19 +302,17 @@ int main() {
                           .c_str());
 
   // Bitwise sweep: one reference run, every other config must match it
-  // bit for bit — zero-copy, NUMA mode, threads, owned vs view submits.
+  // bit for bit — zero-copy, threads, owned vs view submits.
   std::printf("== bitwise-equality sweep ==\n");
   const sparse::CsrMatrix bw_matrix = synth::erdos_renyi(2048, 2048, 8192, 11);
   constexpr index_t kBwK = 128;
   constexpr std::size_t kBwRequests = 4;
-  const BitwiseConfig bw_ref{"ref zc=on t=1 numa=off view", true, 1, runtime::topo::NumaMode::off, false};
+  const BitwiseConfig bw_ref{"ref zc=on t=1 view", true, 1, false};
   const BitwiseConfig bw_configs[] = {
-      {"zc=off t=1 numa=off view", false, 1, runtime::topo::NumaMode::off, false},
-      {"zc=on  t=4 numa=off view", true, 4, runtime::topo::NumaMode::off, false},
-      {"zc=off t=4 numa=off view", false, 4, runtime::topo::NumaMode::off, false},
-      {"zc=on  t=4 numa=on  view", true, 4, runtime::topo::NumaMode::on, false},
-      {"zc=on  t=1 numa=on  view", true, 1, runtime::topo::NumaMode::on, false},
-      {"zc=on  t=4 numa=off owned", true, 4, runtime::topo::NumaMode::off, true},
+      {"zc=off t=1 view", false, 1, false},
+      {"zc=on  t=4 view", true, 4, false},
+      {"zc=off t=4 view", false, 4, false},
+      {"zc=on  t=4 owned", true, 4, true},
   };
   const auto ref = run_bitwise_config(bw_ref, bw_matrix, kBwK, kBwRequests);
   bool bitwise_ok = true;

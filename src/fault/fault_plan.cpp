@@ -106,8 +106,8 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed) {
   plan.seed = seed;
 
   // Guaranteed plan-build failure: the first build always throws, so
-  // every chaos run exercises the batch retry (or, once the attempts run
-  // out, the sequential degrade). Every served batch fetches its plan,
+  // every chaos run exercises the request retry (or, once the attempts run
+  // out, the sequential degrade). Every served request fetches its plan,
   // and a failed build is dropped from the cache, so the retry rebuilds.
   // Every throw is capped so recovery can always outlast the plan;
   // race-window points get stalls, never throws.

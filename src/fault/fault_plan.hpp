@@ -49,7 +49,7 @@ struct FaultPlan {
   static FaultPlan parse(const std::string& spec);
 
   /// Deterministic chaos plan for the soak suite: always a guaranteed
-  /// throw on the first plan build (so the batch retry actually
+  /// throw on the first plan build (so the request retry actually
   /// exercises), plus a seed-dependent mix of chunk throws, probe
   /// throws, and stalls on the race-window points. Every throw rule is
   /// capped (max_triggers), so any execution retried enough times

@@ -33,7 +33,7 @@ inline constexpr const char* kPlanCacheEvict = "plan_cache.evict";
 /// already counted in flight).
 inline constexpr const char* kServerSubmit = "server.submit";
 
-/// Server drain task: between popping a batch and executing it — the
+/// Server drain task: between popping a request and executing it — the
 /// stop-during-drain window. Stall-only.
 inline constexpr const char* kServerDrain = "server.drain";
 

@@ -36,7 +36,6 @@ const char* workload_name(Workload w) {
     case Workload::spmm: return "spmm";
     case Workload::sddmm: return "sddmm";
     case Workload::spgemm: return "spgemm";
-    case Workload::coalesce: return "coalesce";
   }
   return "?";
 }
@@ -54,9 +53,8 @@ int k_bucket(index_t k) {
 
 std::string RouteChoice::key() const {
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "s%ut%ub%ua%u", static_cast<unsigned>(spec_mode),
-                static_cast<unsigned>(threads), static_cast<unsigned>(batch),
-                static_cast<unsigned>(accumulator));
+  std::snprintf(buf, sizeof(buf), "s%ut%ua%u", static_cast<unsigned>(spec_mode),
+                static_cast<unsigned>(threads), static_cast<unsigned>(accumulator));
   return buf;
 }
 
@@ -176,15 +174,6 @@ std::vector<RouteChoice> Router::spgemm_arms() {
   RouteChoice sort;
   sort.accumulator = 1;
   arms.push_back(sort);
-  return arms;
-}
-
-std::vector<RouteChoice> Router::coalesce_arms() {
-  std::vector<RouteChoice> arms;
-  arms.emplace_back();  // batch = 0: the server's configured max_batch
-  RouteChoice single;
-  single.batch = 1;
-  arms.push_back(single);
   return arms;
 }
 

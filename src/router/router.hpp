@@ -1,16 +1,16 @@
 // Adaptive execution: a per-plan router that turns measured latency
-// into closed-loop kernel/batch decisions.
+// into closed-loop kernel and accumulator decisions.
 //
 // The paper's thesis is that the right layout and execution strategy
 // depend on the matrix. The Router picks among the repo's existing
 // execution paths (specialization on/off, sequential vs worker pool,
-// hash/sort SpGEMM accumulators, batch coalescing) from a cost table
+// hash/sort SpGEMM accumulators) from a cost table
 // keyed on
 //
 //   (matrix fingerprint, workload, ceil-log2 K bucket)
 //
 // that maps candidate configurations ("arms") to measured latency stats.
-// The Server asks it to decide() before each batch and observe() the
+// The Server asks it to decide() before each execution and observe() the
 // measured latency after — a deterministic epsilon-greedy bandit per
 // key. The table lives in memory only; Router::to_json() is its one
 // record.
@@ -42,12 +42,12 @@
 namespace rrspmm::router {
 
 /// Workloads routed independently (same matrix, different cost shape).
-/// Id 3 was the retired shard-strategy workload.
+/// Ids 3 and 4 were the retired shard-strategy and coalescing-width
+/// workloads.
 enum class Workload : std::uint8_t {
-  spmm = 0,      ///< server SpMM batches (kernel variant + threads)
-  sddmm = 1,     ///< server SDDMM requests (kernel variant)
-  spgemm = 2,    ///< server SpGEMM requests (accumulator)
-  coalesce = 4,  ///< server batch formation (coalescing width)
+  spmm = 0,    ///< server SpMM requests (kernel variant + threads)
+  sddmm = 1,   ///< server SDDMM requests (kernel variant)
+  spgemm = 2,  ///< server SpGEMM requests (accumulator)
 };
 const char* workload_name(Workload w);
 
@@ -63,17 +63,14 @@ struct RouteChoice {
   std::uint8_t spec_mode = 0;
   /// 0 = worker pool, 1 = sequential in-thread execution.
   std::uint8_t threads = 0;
-  /// Batch coalescing cap; 0 = the server's configured max_batch.
-  std::uint8_t batch = 0;
   /// spgemm::Accumulator as uint8, kDefaultAccumulator = config default.
   std::uint8_t accumulator = kDefaultAccumulator;
 
-  /// Compact stable encoding, e.g. "s2t0b0a255" — the arm's identity in
+  /// Compact stable encoding, e.g. "s2t0a255" — the arm's identity in
   /// route keys and the to_json() table.
   std::string key() const;
   bool operator==(const RouteChoice& o) const {
-    return spec_mode == o.spec_mode && threads == o.threads && batch == o.batch &&
-           accumulator == o.accumulator;
+    return spec_mode == o.spec_mode && threads == o.threads && accumulator == o.accumulator;
   }
   bool operator!=(const RouteChoice& o) const { return !(*this == o); }
 };
@@ -147,8 +144,6 @@ class Router {
   static std::vector<RouteChoice> spmm_arms(index_t rows);
   /// SpGEMM accumulator arms: config default, then hash and sort pinned.
   static std::vector<RouteChoice> spgemm_arms();
-  /// Coalescing arms: configured max_batch (0) vs no coalescing (1).
-  static std::vector<RouteChoice> coalesce_arms();
 
   /// Whole table as JSON: decision totals plus one entry per observed
   /// arm, keyed by route_key() and sorted by key.

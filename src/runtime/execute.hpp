@@ -63,7 +63,7 @@ void parallel_spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const Cs
                      const spgemm::SpgemmConfig& cfg = {});
 
 /// Execution seam for the Server: ServerConfig::executor, when set,
-/// receives every batch instead of the panel-parallel functions above.
+/// receives every request instead of the panel-parallel functions above.
 /// The library ships no implementation. The seam stays only because
 /// perfbench's server_config assigns `executor = nullptr`, and the
 /// benchmark is edited only in changes of its own; remove the seam once

@@ -64,7 +64,6 @@ std::string Metrics::to_json() const {
   os << "\"requests_completed\":" << get(requests_completed) << ",";
   os << "\"requests_failed\":" << get(requests_failed) << ",";
   os << "\"batches_executed\":" << get(batches_executed) << ",";
-  os << "\"requests_coalesced\":" << get(requests_coalesced) << ",";
   os << "\"panels_executed\":" << get(panels_executed) << ",";
   os << "\"queue_depth\":" << get(queue_depth) << ",";
   os << "\"kernel_invocations\":{";
@@ -97,18 +96,6 @@ std::string Metrics::to_json() const {
   os << "\"zero_copy_fallbacks\":" << get(zero_copy_fallbacks) << ",";
   os << "\"submit_copy_us\":" << get(submit_copy_us) << ",";
   os << "\"execute_us\":" << get(execute_us) << ",";
-  os << "\"numa_local_batches\":[";
-  for (std::size_t i = 0; i < kMaxTrackedNodes; ++i) {
-    if (i) os << ",";
-    os << get(numa_local_batches[i]);
-  }
-  os << "],";
-  os << "\"numa_remote_steals\":[";
-  for (std::size_t i = 0; i < kMaxTrackedNodes; ++i) {
-    if (i) os << ",";
-    os << get(numa_remote_steals[i]);
-  }
-  os << "],";
   os << "\"latency_count\":" << latency.count() << ",";
   os << "\"latency_total_s\":" << latency.total_seconds() << ",";
   os << "\"latency_p50_s\":" << latency.quantile(0.50) << ",";

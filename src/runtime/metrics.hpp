@@ -5,7 +5,6 @@
 // interleaving does not matter, only their eventual totals.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -55,9 +54,9 @@ struct Metrics {
   std::atomic<std::uint64_t> requests_submitted{0};
   std::atomic<std::uint64_t> requests_completed{0};
   std::atomic<std::uint64_t> requests_failed{0};
+  /// SpMM executions: one per served SpMM request. SDDMM and SpGEMM
+  /// requests are not counted here (spgemm_batches counts SpGEMM).
   std::atomic<std::uint64_t> batches_executed{0};
-  /// Requests that shared a batch with at least one other request.
-  std::atomic<std::uint64_t> requests_coalesced{0};
   /// Row-panel tasks executed by the panel-parallel kernels.
   std::atomic<std::uint64_t> panels_executed{0};
   /// Requests currently queued or executing (gauge, not a counter).
@@ -70,32 +69,11 @@ struct Metrics {
   /// neither.
   std::atomic<std::uint64_t> zero_copy_requests{0};
   std::atomic<std::uint64_t> zero_copy_fallbacks{0};
-  /// Batch-formation/result copy time vs kernel execution time (µs
-  /// totals) on the Server's SpMM/SDDMM paths — the honest attribution
-  /// split behind the zero-copy win (a zero-copy batch accrues ~no
-  /// submit_copy_us).
+  /// Operand copy time of the view fallback vs SpMM kernel execution
+  /// time (µs totals) on the Server — the attribution split behind the
+  /// zero-copy win (a zero-copy request accrues no submit_copy_us).
   std::atomic<std::uint64_t> submit_copy_us{0};
   std::atomic<std::uint64_t> execute_us{0};
-
-  /// NUMA placement counters, indexed by node id (bounded; nodes past
-  /// the bound fold into the last slot). numa_local_batches counts
-  /// batches drained on their plan's home node; numa_remote_steals
-  /// counts worker-pool steals that crossed nodes (attributed to the
-  /// stealing worker's node). Both stay 0 when the topology layer is
-  /// inactive.
-  static constexpr std::size_t kMaxTrackedNodes = 8;
-  std::array<std::atomic<std::uint64_t>, kMaxTrackedNodes> numa_local_batches{};
-  std::array<std::atomic<std::uint64_t>, kMaxTrackedNodes> numa_remote_steals{};
-  static std::size_t clamp_node(int node) {
-    return node <= 0 ? 0
-                     : std::min(static_cast<std::size_t>(node), kMaxTrackedNodes - 1);
-  }
-  void count_numa_local(int node) {
-    numa_local_batches[clamp_node(node)].fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_remote_steal(int node) {
-    numa_remote_steals[clamp_node(node)].fetch_add(1, std::memory_order_relaxed);
-  }
 
   /// Kernel invocations by resolved SIMD backend (index = simd::Isa):
   /// which ISA the dispatcher actually ran, per row-range / full kernel
@@ -133,13 +111,13 @@ struct Metrics {
   /// multiply after retries were exhausted.
   std::atomic<std::uint64_t> spgemm_degradations{0};
 
-  /// fault::injected_fault exceptions observed by the batch retry loop.
+  /// fault::injected_fault exceptions observed by the request retry loop.
   /// Stall injections and faults that never reach it are counted by the
   /// FaultRegistry, not here.
   std::atomic<std::uint64_t> faults_injected{0};
-  /// Batch execution attempts repeated after a failure (with backoff).
+  /// Execution attempts repeated after a failure (with backoff).
   std::atomic<std::uint64_t> retries{0};
-  /// Batches that fell back to single-device sequential execution after
+  /// Requests that fell back to single-device sequential execution after
   /// retries were exhausted.
   std::atomic<std::uint64_t> degradations{0};
 

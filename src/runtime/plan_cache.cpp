@@ -21,30 +21,6 @@ char mode_tag(PlanMode mode) {
   return '?';
 }
 
-// Best-effort mbind of every array an execution traverses: the
-// permutations, the sparse remainder's CSR, and each panel's dense tile.
-// Failures are ignored — placement is a locality hint, never a
-// correctness dependency.
-void bind_plan_to_node(const core::ExecutionPlan& plan, const topo::Topology& t, int node) {
-  const auto bindv = [&](const auto& v) {
-    if (!v.empty()) topo::bind_memory_to_node(t, v.data(), v.size() * sizeof(v[0]), node);
-  };
-  bindv(plan.row_perm);
-  bindv(plan.sparse_order);
-  const sparse::CsrMatrix& sp = plan.tiled.sparse_part();
-  bindv(sp.rowptr());
-  bindv(sp.colidx());
-  bindv(sp.values());
-  bindv(plan.tiled.sparse_src_idx());
-  for (const aspt::Panel& p : plan.tiled.panels()) {
-    bindv(p.dense_cols);
-    bindv(p.dense_rowptr);
-    bindv(p.dense_slot);
-    bindv(p.dense_val);
-    bindv(p.dense_src_idx);
-  }
-}
-
 }  // namespace
 
 PlanCache::PlanCache(PlanCacheConfig cfg, Metrics* metrics)
@@ -58,11 +34,6 @@ PlanPtr PlanCache::get(const sparse::CsrMatrix& m, PlanMode mode) {
 
 PlanPtr PlanCache::get(const std::string& matrix_fingerprint, const sparse::CsrMatrix& m,
                        PlanMode mode) {
-  return get(matrix_fingerprint, m, mode, -1);
-}
-
-PlanPtr PlanCache::get(const std::string& matrix_fingerprint, const sparse::CsrMatrix& m,
-                       PlanMode mode, int numa_node) {
   std::string key = matrix_fingerprint;
   key += '|';
   key += mode_tag(mode);
@@ -93,9 +64,6 @@ PlanPtr PlanCache::get(const std::string& matrix_fingerprint, const sparse::CsrM
     // must keep hitting while it runs.
     try {
       PlanPtr plan = build(m, mode, matrix_fingerprint);
-      if (cfg_.topology != nullptr && cfg_.topology->multi_node() && numa_node >= 0) {
-        bind_plan_to_node(*plan, *cfg_.topology, cfg_.topology->clamp(numa_node));
-      }
       metrics_->plans_built.fetch_add(1, std::memory_order_relaxed);
       const core::PipelineStats& ps = plan->stats;
       metrics_->preproc_sig_us.fetch_add(to_us(ps.sig_ms), std::memory_order_relaxed);

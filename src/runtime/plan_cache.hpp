@@ -25,7 +25,6 @@
 
 #include "core/pipeline.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/topology.hpp"
 #include "sparse/csr.hpp"
 
 namespace rrspmm::runtime {
@@ -43,10 +42,6 @@ using PlanPtr = std::shared_ptr<const core::ExecutionPlan>;
 struct PlanCacheConfig {
   std::size_t capacity = 32;             ///< max resident plans (≥ 1)
   core::PipelineConfig pipeline;         ///< knobs baked into every build
-  /// NUMA topology for plan placement (borrowed; must outlive the
-  /// cache). nullptr — or a single-node topology — makes the node-hint
-  /// get() overload behave exactly like the plain one.
-  const topo::Topology* topology = nullptr;
 };
 
 class PlanCache {
@@ -64,16 +59,6 @@ class PlanCache {
   /// As above with the matrix fingerprint precomputed by the caller
   /// (core::matrix_fingerprint). `m` is only touched on a miss.
   PlanPtr get(const std::string& matrix_fingerprint, const sparse::CsrMatrix& m, PlanMode mode);
-
-  /// As above with a NUMA placement hint: when the cache has a
-  /// multi-node topology and `numa_node` >= 0, a freshly built plan's
-  /// arrays are bound to that node's memory (best-effort mbind) so
-  /// batches dispatched to the node's workers read the plan locally.
-  /// Placement happens once, at build; hits return the plan wherever it
-  /// already lives. Purely a performance hint — result bits never
-  /// depend on it.
-  PlanPtr get(const std::string& matrix_fingerprint, const sparse::CsrMatrix& m, PlanMode mode,
-              int numa_node);
 
   /// Resident entries (including in-flight builds).
   std::size_t size() const;

@@ -62,17 +62,12 @@ bool zero_copy_from_env() {
 
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)),
-      numa_on_(topo::numa_active(cfg_.numa, topo::system())),
-      plan_cache_(PlanCacheConfig{cfg_.plan_cache_capacity, cfg_.pipeline,
-                                  numa_on_ ? &topo::system() : nullptr},
-                  &metrics_),
-      pool_(cfg_.threads, numa_on_ ? &topo::system() : nullptr, &metrics_) {
-  if (cfg_.max_batch == 0) cfg_.max_batch = 1;
-}
+      plan_cache_(PlanCacheConfig{cfg_.plan_cache_capacity, cfg_.pipeline}, &metrics_),
+      pool_(cfg_.threads) {}
 
 Server::~Server() {
   // Drain before the member destructors run: the pool must not start
-  // joining while admitted batches are still queued behind a drain task.
+  // joining while admitted requests are still queued behind a drain task.
   stop();
 }
 
@@ -121,8 +116,8 @@ void Server::stop() {
   }
   // Every request admitted before the flag flipped is counted in
   // inflight_ (admit() holds the same lock), so this wait returns only
-  // once all of them — including coalesced batches a drain task has yet
-  // to pick up — have resolved their futures.
+  // once all of them — including requests a drain task has yet to pick
+  // up — have resolved their futures.
   wait_idle();
 }
 
@@ -174,9 +169,6 @@ void Server::register_matrix(const std::string& name, sparse::CsrMatrix m) {
   reg->fingerprint = core::matrix_fingerprint(m);
   reg->matrix = std::move(m);
   std::lock_guard<std::mutex> lk(reg_m_);
-  // Round-robin home-node assignment spreads matrices (and so their plan
-  // memory and batch executions) across the nodes.
-  reg->node = numa_on_ ? static_cast<int>(registry_.size()) % pool_.node_count() : 0;
   if (!registry_.emplace(name, std::move(reg)).second) {
     throw sparse::invalid_matrix("Server: matrix name already registered: " + name);
   }
@@ -207,7 +199,7 @@ Server::Registered& Server::entry(const std::string& name) const {
 }
 
 PlanPtr Server::plan_of(Registered& e) {
-  return plan_cache_.get(e.fingerprint, e.matrix, cfg_.mode, numa_on_ ? e.node : -1);
+  return plan_cache_.get(e.fingerprint, e.matrix, cfg_.mode);
 }
 
 void Server::count_decision(const router::Decision& dec) {
@@ -276,175 +268,77 @@ void Server::enqueue_spmm(Registered& e, SpmmRequest req) {
     }
   }
   // One drain task per matrix at a time: it owns the queue until empty,
-  // so same-matrix requests queued while it runs coalesce into its next
-  // batch instead of spawning competing executions. The drain runs on
-  // the matrix's home node, next to its plan memory.
-  if (schedule) pool_.submit_on_node(e.node, [this, &e] { drain(e); });
+  // so same-matrix requests queued while it runs wait their turn instead
+  // of spawning competing executions. (One pool task per request held
+  // throughput but raised p50 and p95 on perfbench's clustered_spmm;
+  // EXPERIMENTS.md, "Drain vs one pool task per request".)
+  if (schedule) pool_.submit([this, &e] { drain(e); });
 }
 
 void Server::drain(Registered& e) {
   for (;;) {
+    SpmmRequest r;
     {
       std::lock_guard<std::mutex> lk(e.m);
       if (e.queue.empty()) {
         e.drain_scheduled = false;
         return;
       }
+      r = std::move(e.queue.front());
+      e.queue.pop_front();
     }
 
-    // Coalescing-width decision: full configured batching vs per-request
-    // execution. Taken before pickup (the width shapes the batch), scored
-    // on per-request latency after it — wide batches amortise the matrix
-    // traversal but make early requests wait for the whole batch. K is
-    // not known until pickup, so this key uses bucket 0. The queue only
-    // grows between this check and pickup (drain is the sole consumer).
-    std::size_t limit = cfg_.max_batch;
-    router::Decision cdec;
-    if (cfg_.router) {
-      cdec = cfg_.router->decide(e.fingerprint, router::Workload::coalesce, 0,
-                                 router::Router::coalesce_arms());
-      count_decision(cdec);
-      if (cdec.routed && cdec.choice.batch != 0) {
-        limit = std::min<std::size_t>(limit, cdec.choice.batch);
-      }
-    }
-
-    std::vector<SpmmRequest> batch;
-    {
-      std::lock_guard<std::mutex> lk(e.m);
-      const std::size_t n = std::min(e.queue.size(), limit);
-      if (n == 0) {
-        e.drain_scheduled = false;
-        return;
-      }
-      batch.reserve(n);
-      // A request that reads caller memory (no server-held operand)
-      // executes alone — coalescing it would mean copying its operand
-      // into the concatenated X, exactly the copy it exists to avoid.
-      // FIFO order is preserved: such a request at the front forms its
-      // own batch of one; otherwise the batch stops just before it.
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool borrowed = !e.queue.front().held;
-        if (borrowed && !batch.empty()) break;
-        batch.push_back(std::move(e.queue.front()));
-        e.queue.pop_front();
-        if (borrowed) break;
-      }
-    }
-
-    // Stall-only: pins the drain between batch pickup and execution,
-    // widening the stop()-during-drain race window for the chaos tests.
+    // Stall-only: pins the drain between pickup and execution, widening
+    // the stop()-during-drain race window for the chaos tests.
     fault::hit_nothrow(fault::points::kServerDrain);
 
     std::exception_ptr err;
-    const auto exec_t0 = Clock::now();
     try {
       // The owned API's result is allocated here, on the worker, and
       // left uninitialised: the kernels zero and fill every row they own,
       // so a zero-fill here would only add a serial pass over Y.
-      for (SpmmRequest& r : batch) {
-        if (r.held && r.y.data == nullptr) {
-          r.held->y = sparse::DenseMatrix::uninitialized(r.y.rows, r.y.cols);
-          r.y = r.held->y;
-        }
+      if (r.held && r.y.data == nullptr) {
+        r.held->y = sparse::DenseMatrix::uninitialized(r.y.rows, r.y.cols);
+        r.y = r.held->y;
       }
-      with_recovery([&] { execute_spmm_batch(e, batch); },
-                    [&] {
-                      const PlanPtr plan = plan_of(e);
-                      for (const SpmmRequest& r : batch) core::run_spmm(*plan, r.x, r.y);
-                    });
+      with_recovery([&] { execute_spmm(e, r); },
+                    [&] { core::run_spmm(*plan_of(e), r.x, r.y); });
+      metrics_.batches_executed.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
       err = std::current_exception();
     }
-    if (!err) {
-      // The coalescing arm is judged on latency per request, not per
-      // batch — that is what the width trades off.
-      observe_route(e, router::Workload::coalesce, 0, cdec,
-                    micros_since(exec_t0) / static_cast<double>(batch.size()));
-      metrics_.batches_executed.fetch_add(1, std::memory_order_relaxed);
-      if (numa_on_ && WorkerPool::current_node() == e.node) {
-        metrics_.count_numa_local(e.node);
-      }
-      if (batch.size() > 1) {
-        metrics_.requests_coalesced.fetch_add(batch.size(), std::memory_order_relaxed);
-      }
-    }
-    for (const SpmmRequest& r : batch) complete(r.done, r.t0, err);
-    finish_requests(batch.size());
+    complete(r.done, r.t0, err);
+    finish_requests(1);
   }
 }
 
-void Server::execute_spmm_batch(Registered& e, std::vector<SpmmRequest>& batch) {
+void Server::execute_spmm(Registered& e, const SpmmRequest& r) {
   // The plan fetch is part of the attempt: a failed build drops its cache
   // entry, so a retry rebuilds instead of re-fetching the exception.
   const PlanPtr plan = plan_of(e);
-  index_t k_total = 0;
-  for (const SpmmRequest& r : batch) k_total += r.x.cols;
 
-  // Kernel-variant decision for this batch. Only the built-in
-  // panel-parallel path is routed here — a configured Executor owns its
-  // own kernel choice.
+  // Kernel-variant decision. Only the built-in panel-parallel path is
+  // routed here — a configured Executor owns its own kernel choice.
   // Every arm is a bitwise-guarded path: routing changes which of the
   // bit-identical executions runs, never the result.
   router::Decision dec;
   if (cfg_.router && !cfg_.executor) {
-    dec = cfg_.router->decide(e.fingerprint, router::Workload::spmm, k_total,
+    dec = cfg_.router->decide(e.fingerprint, router::Workload::spmm, r.x.cols,
                               router::Router::spmm_arms(e.matrix.rows()));
     count_decision(dec);
   }
-  const auto run = [&](sparse::DenseView x, sparse::DenseMutView y) {
-    const auto t0 = Clock::now();
-    if (dec.routed && dec.choice.threads == 1) {
-      // Sequential arm: core::run_spmm runs the whole plan on this
-      // worker thread alone, skipping the pool fan-out (it wins on tiny
-      // matrices and loses on dense-tile-heavy ones; EXPERIMENTS.md,
-      // "Sequential vs pool arm").
-      core::run_spmm(*plan, x, y);
-    } else {
-      exec_spmm(*plan, x, y, kernel_for(dec));
-    }
-    add_us(metrics_.execute_us, t0);
-    observe_route(e, router::Workload::spmm, k_total, dec, micros_since(t0));
-  };
-
-  if (batch.size() == 1) {
-    run(batch[0].x, batch[0].y);
-    return;
+  const auto t0 = Clock::now();
+  if (dec.routed && dec.choice.threads == 1) {
+    // Sequential arm: core::run_spmm runs the whole plan on this worker
+    // thread alone, skipping the pool fan-out (it wins on tiny matrices
+    // and loses on dense-tile-heavy ones; EXPERIMENTS.md, "Sequential vs
+    // pool arm").
+    core::run_spmm(*plan, r.x, r.y);
+  } else {
+    exec_spmm(*plan, r.x, r.y, kernel_for(dec));
   }
-
-  // Coalesce: concatenate the X operands column-wise, run one multi-K
-  // SpMM, scatter the product back into each request's y. The batch
-  // buffers use the aligned (padded-ld) storage mode so every row
-  // pointer the SIMD kernels see is vector-aligned, and are not
-  // zero-filled: the gather writes every element of x_all, and the
-  // kernels zero and overwrite every row of y_all.
-  const auto gather_t0 = Clock::now();
-  sparse::DenseMatrix x_all =
-      sparse::DenseMatrix::aligned_uninitialized(e.matrix.cols(), k_total);
-  index_t off = 0;
-  for (const SpmmRequest& r : batch) {
-    for (index_t c = 0; c < r.x.rows; ++c) {
-      const value_t* src = r.x.row(c);
-      std::copy(src, src + r.x.cols, x_all.row(c).data() + off);
-    }
-    off += r.x.cols;
-  }
-  add_us(metrics_.submit_copy_us, gather_t0);
-
-  sparse::DenseMatrix y_all =
-      sparse::DenseMatrix::aligned_uninitialized(e.matrix.rows(), k_total);
-  run(x_all, y_all);
-
-  const auto split_t0 = Clock::now();
-  off = 0;
-  for (const SpmmRequest& r : batch) {
-    for (index_t i = 0; i < r.y.rows; ++i) {
-      const value_t* src = y_all.row(i).data() + off;
-      std::copy(src, src + r.y.cols, r.y.row(i));
-    }
-    off += r.y.cols;
-  }
-  add_us(metrics_.submit_copy_us, split_t0);
+  add_us(metrics_.execute_us, t0);
+  observe_route(e, router::Workload::spmm, r.x.cols, dec, micros_since(t0));
 }
 
 void Server::with_recovery(const std::function<void()>& attempt,
@@ -529,7 +423,7 @@ void Server::enqueue_sddmm(Registered& e, SddmmRequest req) {
     }
   });
   auto r = std::make_shared<SddmmRequest>(std::move(req));
-  pool_.submit_on_node(e.node, [this, &e, r] {
+  pool_.submit([this, &e, r] {
     std::exception_ptr err;
     try {
       if (r->out == nullptr) {
@@ -572,7 +466,7 @@ std::future<sparse::CsrMatrix> Server::submit_spgemm(const std::string& a_name,
   std::future<sparse::CsrMatrix> fut = p->get_future();
   const auto t0 = Clock::now();
   admit();
-  pool_.submit_on_node(ea.node, [this, &ea, &eb, p, t0] {
+  pool_.submit([this, &ea, &eb, p, t0] {
     sparse::CsrMatrix c;
     std::exception_ptr err;
     try {

@@ -5,14 +5,16 @@
 // the product; the server amortises the paper's expensive preprocessing
 // through the plan cache and executes each request panel-parallel.
 //
-// Batching: requests against the same matrix that are queued together are
-// coalesced into one multi-K execution — their X operands are
-// concatenated column-wise, one SpMM runs at K = ΣK_i, and the result is
-// split back per request. The sparse matrix (and its plan) is then
-// traversed once per batch instead of once per request, which is exactly
-// the amortisation the paper's transformation needs. Column
-// concatenation leaves each output element's accumulation order intact,
-// so batched results are bitwise equal to individually-executed ones.
+// One request, one execution: each registered matrix has a FIFO queue
+// and at most one drain task, which runs the queued SpMM requests one at
+// a time, each panel-parallel straight on its own operands. The plan
+// cache is what amortises the paper's preprocessing across requests.
+// Queued requests are not coalesced into one multi-K SpMM: the serial
+// copies that gather their operands and scatter the product cost more
+// than the shared sparse traversal saves. Measured on the perfbench
+// generators, coalesced service ran at 0.20–0.83x the requests per
+// second wherever batches formed (EXPERIMENTS.md, "Coalescing vs one
+// request per execution").
 #pragma once
 
 #include <chrono>
@@ -33,11 +35,15 @@
 #include "runtime/execute.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/plan_cache.hpp"
-#include "runtime/topology.hpp"
 #include "runtime/worker_pool.hpp"
 #include "sparse/dense_view.hpp"
 
 namespace rrspmm::runtime {
+
+namespace topo {
+/// The type of the unread ServerConfig::numa field.
+enum class NumaMode { off };
+}  // namespace topo
 
 /// The RRSPMM_ZERO_COPY env knob: "off"/"0" forces the owned-copy
 /// fallback in the view-based submit overloads; anything else (or
@@ -52,12 +58,12 @@ class server_stopped : public std::runtime_error {
   explicit server_stopped(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Recovery policy for batch execution failures. Defaults are a single
+/// Recovery policy for execution failures. Defaults are a single
 /// attempt and no degradation — identical behavior to a server without a
 /// recovery layer. Every recovery path re-executes through the same plan,
 /// so recovered results stay bitwise-equal to a fault-free run.
 struct RetryPolicy {
-  /// Total execution attempts per batch (>= 1). Attempt n > 1 sleeps
+  /// Total execution attempts per request (>= 1). Attempt n > 1 sleeps
   /// min(backoff_base * backoff_multiplier^(n-2), backoff_cap) first.
   int max_attempts = 1;
   std::chrono::microseconds backoff_base{500};
@@ -73,7 +79,9 @@ struct ServerConfig {
   unsigned threads = 0;                  ///< worker count; 0 → default_threads()
   std::size_t plan_cache_capacity = 32;
   PlanMode mode = PlanMode::rr;          ///< how plans are built
-  std::size_t max_batch = 8;             ///< max requests coalesced per execution
+  /// Unread: every request executes alone. The field stays only while
+  /// perfbench assigns it.
+  std::size_t max_batch = 8;
   core::PipelineConfig pipeline;
   /// Execution seam (see runtime::Executor); null, the default, runs the
   /// built-in panel-parallel path. The library ships no executor: the
@@ -91,26 +99,21 @@ struct ServerConfig {
   /// Adaptive-execution router. The default consults RRSPMM_ROUTER
   /// (off/on) via router::from_env(); null keeps every decision
   /// static, exactly the pre-router behaviour. When set, the server asks
-  /// it per batch for the kernel variant (specialization mode,
-  /// sequential fallback), the SpGEMM accumulator, and the
-  /// coalescing width, and feeds measured latency back through observe().
-  /// Every arm is one of the existing bitwise-guarded paths, so routing
-  /// never changes result bits. Kernel-variant arms apply only to the
-  /// built-in panel-parallel path (a configured Executor owns its own
-  /// kernel choice); accumulator and coalescing arms apply either way.
+  /// it per request for the kernel variant (specialization mode,
+  /// sequential fallback) and the SpGEMM accumulator, and feeds measured
+  /// latency back through observe(). Every arm is one of the existing
+  /// bitwise-guarded paths, so routing never changes result bits. Only
+  /// the built-in panel-parallel path is routed (a configured Executor
+  /// owns its own kernel choice).
   std::shared_ptr<router::Router> router = router::from_env();
   /// Borrow caller buffers in the view-based submit overloads instead of
   /// copying (RRSPMM_ZERO_COPY; default on). Misaligned views fall back
   /// to the owned-copy path either way — the knob and the gate choose
   /// between two bitwise-identical executions.
   bool zero_copy = zero_copy_from_env();
-  /// NUMA placement (RRSPMM_NUMA; default auto). Active only on a
-  /// multi-node topology: then the worker pool pins per node, each
-  /// registered matrix gets a home node for its plan memory and batch
-  /// dispatch, and per-node local/steal counters appear in the metrics.
-  /// Single-node hosts (and "off") run the topology-blind pool —
-  /// byte-identical scheduling to a server without this layer.
-  topo::NumaMode numa = topo::mode_from_env();
+  /// Unread: the runtime does no NUMA placement. The field stays only
+  /// while perfbench assigns it.
+  topo::NumaMode numa = topo::NumaMode::off;
 };
 
 class Server {
@@ -138,24 +141,20 @@ class Server {
   /// Owned SpMM: the future resolves to Y = S_name * x (x is
   /// S.cols() x K, the result S.rows() x K). A thin wrapper over the view
   /// path: `x` moves into server-held storage, which also receives the
-  /// result (allocated by the worker that runs the request), so the
-  /// request coalesces with other queued server-held requests and counts
-  /// in neither zero-copy counter.
+  /// result (allocated by the worker that runs the request); the request
+  /// counts in neither zero-copy counter.
   std::future<sparse::DenseMatrix> submit(const std::string& name, sparse::DenseMatrix x);
 
   /// Zero-copy SpMM: the server reads `x` and writes the product
   /// directly into `y` (pre-shaped S.rows() x x.cols); the future
   /// resolves once `y` is fully written. Both buffers must stay alive —
   /// and `y` untouched by the caller — until then. Shape mismatches throw
-  /// here, synchronously (a misshapen operand must not poison the batch
-  /// it would join); plan-build failures arrive through the future.
+  /// here, synchronously; plan-build failures arrive through the future.
   /// Views whose base pointer is not kDenseAlignBytes-aligned (or a
   /// server with zero_copy off) take the copy fallback: `x` is copied
   /// into aligned server-held storage (counted in zero_copy_fallbacks /
-  /// submit_copy_us), the result still lands straight in `y`, and the
-  /// request may coalesce with other server-held requests. A request
-  /// that reads the caller's `x` executes alone — coalescing it would
-  /// mean copying it anyway. Thread-safe.
+  /// submit_copy_us), and the result still lands straight in `y`.
+  /// Thread-safe.
   std::future<void> submit(const std::string& name, sparse::DenseView x,
                            sparse::DenseMutView y);
 
@@ -170,8 +169,8 @@ class Server {
   /// straight into out[0..out_size), which must be exactly S.nnz() long.
   /// Same lifetime and alignment rules as the zero-copy submit() (the
   /// fallback copies both operands); out itself has no alignment
-  /// requirement (the kernels write it scalar-wise). SDDMM requests
-  /// execute singly (their two operands do not concatenate).
+  /// requirement (the kernels write it scalar-wise). Each SDDMM request
+  /// runs as its own pool task, outside the matrix's SpMM queue.
   std::future<void> submit_sddmm(const std::string& name, sparse::DenseView x,
                                  sparse::DenseView y, value_t* out, std::size_t out_size);
 
@@ -180,8 +179,7 @@ class Server {
   /// plan (and so the paper's reordering) is built on the LEFT operand
   /// and drives numeric-phase locality; results are bitwise-identical
   /// across accumulator choice, thread count, and the retry/degradation
-  /// path. Executed singly, like SDDMM (sparse-output products do not
-  /// concatenate).
+  /// path. Each request runs as its own pool task, like SDDMM.
   std::future<sparse::CsrMatrix> submit_spgemm(const std::string& a_name,
                                                const std::string& b_name);
 
@@ -189,8 +187,8 @@ class Server {
   void wait_idle();
 
   /// Stops accepting new requests and drains everything already
-  /// admitted — including coalesced batches still queued per matrix —
-  /// before returning. A submit() racing with stop() either gets its
+  /// admitted — including requests still queued per matrix — before
+  /// returning. A submit() racing with stop() either gets its
   /// future (and the request completes) or throws server_stopped;
   /// nothing is dropped half-way. Idempotent; called by the destructor
   /// before the worker pool joins.
@@ -201,12 +199,6 @@ class Server {
 
   const Metrics& metrics() const { return metrics_; }
   std::string metrics_json() const { return metrics_.to_json(); }
-
-  /// True when NUMA placement is in effect (multi-node topology and the
-  /// numa mode allows it).
-  bool numa_active() const { return numa_on_; }
-  /// Home node of a registered matrix (0 on single-node servers).
-  int matrix_node(const std::string& name) const { return entry(name).node; }
 
   WorkerPool& pool() { return pool_; }
   PlanCache& plan_cache() { return plan_cache_; }
@@ -225,10 +217,9 @@ class Server {
     std::vector<value_t> out;  ///< owned SDDMM result
   };
 
-  /// y = S * x. The views point at caller memory or into `held`; a
-  /// request whose operand the server holds can join a coalesced batch,
-  /// one that reads caller memory executes alone. The owned API's y has
-  /// its shape but no storage until the drain allocates held->y.
+  /// y = S * x. The views point at caller memory or into `held`. The
+  /// owned API's y has its shape but no storage until the drain
+  /// allocates held->y.
   struct SpmmRequest {
     sparse::DenseView x;
     sparse::DenseMutView y;
@@ -251,9 +242,6 @@ class Server {
   struct Registered {
     sparse::CsrMatrix matrix;
     std::string fingerprint;
-    /// Home NUMA node: plan memory is bound here and drains dispatch to
-    /// this node's workers. Always 0 when placement is off.
-    int node = 0;
     std::mutex m;                       ///< guards queue + drain_scheduled
     std::deque<SpmmRequest> queue;
     bool drain_scheduled = false;
@@ -284,16 +272,17 @@ class Server {
   /// as submit_copy_us. Null: the request borrows the caller's memory.
   std::shared_ptr<Held> gate(sparse::DenseView x, sparse::DenseView y, bool y_is_operand);
   /// Admits the request, queues it, and schedules the matrix's drain
-  /// task (on its home node) if one is not already running.
+  /// task if one is not already running.
   void enqueue_spmm(Registered& e, SpmmRequest req);
-  /// Admits the request and runs it as one pool task on its home node.
+  /// Admits the request and runs it as one pool task.
   void enqueue_sddmm(Registered& e, SddmmRequest req);
+  /// Runs the matrix's queued SpMM requests one at a time, in FIFO
+  /// order, until the queue is empty.
   void drain(Registered& e);
-  /// One execution attempt: fetch the plan, run the batch — a batch of
-  /// one straight on its views, a coalesced batch gathered into one
-  /// multi-K operand and scattered back into each request's y. Touches
-  /// no completion state, so a failed attempt is fully retryable.
-  void execute_spmm_batch(Registered& e, std::vector<SpmmRequest>& batch);
+  /// One execution attempt: fetch the plan, run the request on its
+  /// views. Touches no completion state, so a failed attempt is fully
+  /// retryable.
+  void execute_spmm(Registered& e, const SpmmRequest& r);
   void execute_sddmm(Registered& e, const SddmmRequest& r);
   sparse::CsrMatrix execute_spgemm(Registered& ea, Registered& eb);
   /// The cfg_.retry recovery loop every request kind runs through: up to
@@ -323,7 +312,6 @@ class Server {
 
   ServerConfig cfg_;
   Metrics metrics_;
-  bool numa_on_ = false;  ///< numa_active(cfg_.numa, topo::system()), fixed at construction
   PlanCache plan_cache_;
 
   mutable std::mutex reg_m_;

@@ -9,11 +9,6 @@
 
 namespace rrspmm::runtime {
 
-namespace {
-// Node of the currently running pool worker; -1 on external threads.
-thread_local int t_current_node = -1;
-}  // namespace
-
 unsigned WorkerPool::default_threads() {
   if (const char* env = std::getenv("RRSPMM_THREADS")) {
     const long v = std::strtol(env, nullptr, 10);
@@ -23,26 +18,10 @@ unsigned WorkerPool::default_threads() {
   return hw > 0 ? hw : 1;
 }
 
-int WorkerPool::current_node() { return t_current_node; }
-
-WorkerPool::WorkerPool(unsigned threads, const topo::Topology* topology, Metrics* metrics)
-    : topo_(topology), metrics_(metrics) {
+WorkerPool::WorkerPool(unsigned threads) {
   const unsigned n = threads > 0 ? threads : default_threads();
-  node_count_ = topo_ != nullptr ? std::min(topo_->node_count(), topo::kMaxNodes) : 1;
-  if (node_count_ < 1) node_count_ = 1;
-
   slots_.reserve(n);
-  node_slots_.assign(static_cast<std::size_t>(node_count_), {});
-  for (unsigned i = 0; i < n; ++i) {
-    auto slot = std::make_unique<Slot>();
-    // Round-robin worker→node assignment keeps nodes balanced for any
-    // thread count; with one node this is the plain pool.
-    slot->node = static_cast<int>(i) % node_count_;
-    node_slots_[static_cast<std::size_t>(slot->node)].push_back(i);
-    slots_.push_back(std::move(slot));
-  }
-  node_next_ = std::vector<std::atomic<std::size_t>>(static_cast<std::size_t>(node_count_));
-
+  for (unsigned i = 0; i < n; ++i) slots_.push_back(std::make_unique<Slot>());
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) workers_.emplace_back([this, i] { worker_loop(i); });
 }
@@ -56,10 +35,11 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void WorkerPool::enqueue(std::size_t slot, std::function<void()> task) {
+void WorkerPool::submit(std::function<void()> task) {
+  Slot& s = *slots_[next_slot_.fetch_add(1, std::memory_order_relaxed) % slots_.size()];
   {
-    std::lock_guard<std::mutex> lk(slots_[slot]->m);
-    slots_[slot]->q.push_back(std::move(task));
+    std::lock_guard<std::mutex> lk(s.m);
+    s.q.push_back(std::move(task));
   }
   {
     // Increment under wake_m_ so it cannot slip between a worker's
@@ -70,32 +50,8 @@ void WorkerPool::enqueue(std::size_t slot, std::function<void()> task) {
   wake_cv_.notify_one();
 }
 
-void WorkerPool::submit(std::function<void()> task) {
-  const std::size_t slot = next_slot_.fetch_add(1, std::memory_order_relaxed) % slots_.size();
-  enqueue(slot, std::move(task));
-}
-
-void WorkerPool::submit_on_node(int node, std::function<void()> task) {
-  if (node_count_ <= 1) {
-    submit(std::move(task));
-    return;
-  }
-  const std::size_t nd =
-      static_cast<std::size_t>(((node % node_count_) + node_count_) % node_count_);
-  const auto& owners = node_slots_[nd];
-  if (owners.empty()) {
-    submit(std::move(task));
-    return;
-  }
-  const std::size_t slot =
-      owners[node_next_[nd].fetch_add(1, std::memory_order_relaxed) % owners.size()];
-  enqueue(slot, std::move(task));
-}
-
 bool WorkerPool::try_run_one(unsigned self) {
   std::function<void()> task;
-  bool crossed_node = false;
-  const int self_node = slots_[self]->node;
   // Own deque: back (LIFO).
   {
     Slot& s = *slots_[self];
@@ -105,27 +61,17 @@ bool WorkerPool::try_run_one(unsigned self) {
       s.q.pop_back();
     }
   }
-  // Steal from a victim's front (FIFO) — same-node victims first, so a
-  // cross-node steal (which drags the task's data over the interconnect)
-  // happens only when this worker's whole node has run dry.
-  if (!task) {
-    const unsigned n = static_cast<unsigned>(slots_.size());
-    for (int pass = 0; pass < (node_count_ > 1 ? 2 : 1) && !task; ++pass) {
-      for (unsigned d = 1; d < n && !task; ++d) {
-        Slot& s = *slots_[(self + d) % n];
-        const bool same_node = s.node == self_node;
-        if ((pass == 0) != same_node) continue;
-        std::lock_guard<std::mutex> lk(s.m);
-        if (!s.q.empty()) {
-          task = std::move(s.q.front());
-          s.q.pop_front();
-          crossed_node = pass == 1;
-        }
-      }
+  // Steal from a victim's front (FIFO).
+  const unsigned n = static_cast<unsigned>(slots_.size());
+  for (unsigned d = 1; d < n && !task; ++d) {
+    Slot& s = *slots_[(self + d) % n];
+    std::lock_guard<std::mutex> lk(s.m);
+    if (!s.q.empty()) {
+      task = std::move(s.q.front());
+      s.q.pop_front();
     }
   }
   if (!task) return false;
-  if (crossed_node && metrics_ != nullptr) metrics_->count_remote_steal(self_node);
   queued_.fetch_sub(1, std::memory_order_acq_rel);
   // Stall-only: a throw here would escape the worker loop and terminate.
   fault::hit_nothrow(fault::points::kWorkerTask);
@@ -134,12 +80,6 @@ bool WorkerPool::try_run_one(unsigned self) {
 }
 
 void WorkerPool::worker_loop(unsigned id) {
-  t_current_node = slots_[id]->node;
-  // Pin to the node's CPUs only when there is more than one node —
-  // single-node pinning would just re-state the default affinity.
-  if (topo_ != nullptr && node_count_ > 1) {
-    topo::bind_thread_to_node(*topo_, slots_[id]->node);
-  }
   for (;;) {
     if (try_run_one(id)) continue;
     std::unique_lock<std::mutex> lk(wake_m_);

@@ -6,16 +6,6 @@
 // task, the classic work-stealing discipline). External submissions are
 // distributed round-robin across the deques.
 //
-// A pool constructed with a topology (runtime/topology.hpp) becomes
-// NUMA-aware: workers are assigned round-robin across the topology's
-// nodes and pinned to their node's CPUs, submit_on_node() targets a
-// node's own workers, and stealing prefers same-node victims — a worker
-// crosses nodes only when its whole node is dry (imbalance), and each
-// cross-node steal is counted in Metrics::numa_remote_steals. On a
-// single-node topology all of this collapses to the plain pool: no
-// pinning, no remote steals, identical scheduling. Placement is
-// performance-only; task results never depend on which node ran them.
-//
 // parallel_for is the primitive the SpMM runtime builds on: the caller
 // thread participates, chunks are claimed from a shared atomic cursor
 // (so the loop also balances within a single large matrix), and the call
@@ -36,21 +26,13 @@
 #include <type_traits>
 #include <vector>
 
-#include "runtime/metrics.hpp"
-#include "runtime/topology.hpp"
 
 namespace rrspmm::runtime {
 
 class WorkerPool {
  public:
   /// `threads` == 0 means default_threads().
-  explicit WorkerPool(unsigned threads = 0) : WorkerPool(threads, nullptr, nullptr) {}
-
-  /// Topology-aware pool. `topology` (borrowed; must outlive the pool,
-  /// nullptr = topology-blind) assigns workers round-robin across nodes
-  /// and pins them there when it has more than one node. `metrics`, when
-  /// given, receives per-node remote-steal counts.
-  WorkerPool(unsigned threads, const topo::Topology* topology, Metrics* metrics = nullptr);
+  explicit WorkerPool(unsigned threads = 0);
 
   /// Drains every queued task, then joins the workers.
   ~WorkerPool();
@@ -60,22 +42,8 @@ class WorkerPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Nodes this pool schedules across (1 for topology-blind pools).
-  int node_count() const { return node_count_; }
-  /// True when per-node placement is actually in effect (>1 node).
-  bool numa_active() const { return node_count_ > 1; }
-
-  /// Node of the calling pool worker, -1 on non-pool threads.
-  static int current_node();
-
   /// Enqueues a fire-and-forget task.
   void submit(std::function<void()> task);
-
-  /// Enqueues onto a worker assigned to `node` (round-robin within that
-  /// node's workers), so the task first-touches and computes on the
-  /// node's memory. Falls back to plain submit() when the pool is
-  /// topology-blind or the node has no workers.
-  void submit_on_node(int node, std::function<void()> task);
 
   /// Enqueues a task and returns a future for its result.
   template <typename F>
@@ -100,12 +68,10 @@ class WorkerPool {
   struct Slot {
     std::mutex m;
     std::deque<std::function<void()>> q;
-    int node = 0;
   };
 
   void worker_loop(unsigned id);
   bool try_run_one(unsigned self);
-  void enqueue(std::size_t slot, std::function<void()> task);
 
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::thread> workers_;
@@ -114,14 +80,6 @@ class WorkerPool {
   std::atomic<std::size_t> queued_{0};
   std::atomic<std::size_t> next_slot_{0};
   std::atomic<bool> stop_{false};
-
-  const topo::Topology* topo_ = nullptr;
-  Metrics* metrics_ = nullptr;
-  int node_count_ = 1;
-  /// Slot ids per node (empty for nodes with no workers) and a
-  /// round-robin cursor per node for submit_on_node.
-  std::vector<std::vector<std::size_t>> node_slots_;
-  std::vector<std::atomic<std::size_t>> node_next_;
 };
 
 }  // namespace rrspmm::runtime

@@ -49,14 +49,6 @@ class DenseMatrix {
     return DenseMatrix(rows, cols, cols, /*zero=*/false);
   }
 
-  /// aligned() layout with elements and padding left uninitialised, for
-  /// the server's coalesced batch operands: the gather writes every X
-  /// element a kernel reads, and the kernels zero and fill every row of
-  /// Y. No kernel reads padding lanes.
-  static DenseMatrix aligned_uninitialized(index_t rows, index_t cols) {
-    return DenseMatrix(rows, cols, aligned_ld(cols), /*zero=*/false);
-  }
-
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
   /// Leading dimension: elements between consecutive row starts

@@ -33,13 +33,13 @@ struct Bytes {
 
 /// One router record in the old writer's field-by-field v4 layout.
 struct V4RouteRecord {
-  std::uint8_t workload = 0;  ///< 0 spmm .. 4 coalesce; 3 was the shard workload
+  std::uint8_t workload = 0;  ///< 0 spmm .. 2 spgemm; retired: 3 shard, 4 coalesce
   std::int32_t k_bucket = 5;
   std::uint8_t spec_mode = 0;  ///< 3 was the retired spec-all mode
   std::uint8_t micro_gemm = 0;  ///< 1 was the retired micro-GEMM arm
   std::uint8_t shard_strategy = 255;  ///< anything but 255 pinned a retired strategy
   std::uint8_t threads = 0;
-  std::uint8_t batch = 0;
+  std::uint8_t batch = 0;  ///< the retired coalescing cap
   std::uint8_t accumulator = 255;
   std::uint64_t count = 4;
   double total_us = 40.0;

@@ -1,6 +1,6 @@
 // Chaos soak: seeded random fault plans against the full serving stack
 // (Server + PlanCache + WorkerPool on the built-in panel-parallel path,
-// with batch retry and sequential degrade armed).
+// with request retry and sequential degrade armed).
 //
 // The contract under test is the acceptance criterion of the fault
 // framework: under any chaos plan, every served request completes and
@@ -49,7 +49,6 @@ void expect_bitwise_equal(const DenseMatrix& a, const DenseMatrix& b, const std:
 runtime::ServerConfig soak_server_cfg() {
   runtime::ServerConfig cfg;
   cfg.threads = 3;
-  cfg.max_batch = 3;
   cfg.retry.max_attempts = 4;
   cfg.retry.backoff_base = std::chrono::microseconds(200);
   cfg.retry.backoff_multiplier = 2.0;
@@ -82,6 +81,10 @@ TEST(ChaosSoak, EveryServedRequestIsBitwiseEqualToTheFaultFreeReference) {
     };
     const core::ExecutionPlan plan0 = core::build_plan(m0.matrix, {});
     const core::ExecutionPlan plan1 = core::build_plan(m1.matrix, {});
+    // The degrade phase below needs a chunk to throw in every attempt:
+    // a one-panel plan runs its only chunk without a fail point.
+    ASSERT_GE(plan0.tiled.panels().size(), 2u);
+    ASSERT_GE(plan1.tiled.panels().size(), 2u);
 
     std::vector<SpmmCase> spmm_cases;
     for (int i = 0; i < 30; ++i) {
@@ -167,17 +170,41 @@ TEST(ChaosSoak, EveryServedRequestIsBitwiseEqualToTheFaultFreeReference) {
         ASSERT_EQ(spgemm_cases[i].ref.colidx(), c.colidx()) << "seed " << seed << " spgemm " << i;
         ASSERT_EQ(spgemm_cases[i].ref.values(), c.values()) << "seed " << seed << " spgemm " << i;
       }
-      server.stop();
-
-      const runtime::Metrics& m = server.metrics();
-      faults = m.faults_injected.load();
-      retries = m.retries.load();
-      degradations = m.degradations.load();
-      EXPECT_EQ(m.requests_failed.load(), 0u) << "seed " << seed;
-      EXPECT_EQ(m.requests_completed.load(),
-                spmm_cases.size() + sddmm_cases.size() + spgemm_cases.size())
-          << "seed " << seed;
     }
+
+    // Degrade phase: with the plans built, every pool chunk throws, so
+    // each SpMM request below fails all of its attempts and the drain
+    // serves it through the sequential degrade, still bitwise equal.
+    // The capped chaos throws above rarely exhaust a request's attempts.
+    const std::uint64_t degraded_before = server.metrics().degradations.load();
+    {
+      fault::FaultPlan every_chunk;
+      every_chunk.seed = seed;
+      fault::FaultRule r;
+      r.point = fault::points::kWorkerChunk;
+      r.kind = fault::FaultKind::throw_error;
+      every_chunk.rules.push_back(r);
+      fault::ScopedFaultPlan armed(std::move(every_chunk));
+      for (std::size_t i = 0; i < 2; ++i) {
+        const SpmmCase& c = spmm_cases[i];
+        DenseMatrix y;
+        ASSERT_NO_THROW(y = server.submit(c.entry->name, c.x).get())
+            << "degraded spmm request " << i << " failed under seed " << seed;
+        expect_bitwise_equal(c.y_ref, y,
+                             "seed " + std::to_string(seed) + " degraded spmm " + std::to_string(i));
+      }
+    }
+    server.stop();
+    EXPECT_EQ(server.metrics().degradations.load() - degraded_before, 2u) << "seed " << seed;
+
+    const runtime::Metrics& m = server.metrics();
+    faults = m.faults_injected.load();
+    retries = m.retries.load();
+    degradations = m.degradations.load();
+    EXPECT_EQ(m.requests_failed.load(), 0u) << "seed " << seed;
+    EXPECT_EQ(m.requests_completed.load(),
+              spmm_cases.size() + sddmm_cases.size() + spgemm_cases.size() + 2)
+        << "seed " << seed;
 
     // The chaos generator guarantees that the first plan build throws,
     // so recovery must have actually run — and every retry and every
@@ -185,6 +212,7 @@ TEST(ChaosSoak, EveryServedRequestIsBitwiseEqualToTheFaultFreeReference) {
     std::cout << "[chaos] seed=" << seed << " faults=" << faults << " retries=" << retries
               << " degradations=" << degradations << std::endl;
     EXPECT_GT(retries + degradations, 0u) << "seed " << seed << " exercised no recovery path";
+    EXPECT_GT(degradations, 0u) << "seed " << seed << " never reached the sequential degrade";
     EXPECT_GE(faults, retries + degradations) << "seed " << seed;
   }
 }

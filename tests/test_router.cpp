@@ -8,7 +8,7 @@
 //   - v4 plan files that carry the route records of older binaries,
 //     retired arms included, still load and key the same table rows;
 //   - routed Server execution stays bitwise identical to the sequential
-//     core kernels, and every routed batch lands in the router's table,
+//     core kernels, and every routed SpMM execution lands in the router's table,
 //     across plan-cache eviction.
 #include <gtest/gtest.h>
 
@@ -222,7 +222,7 @@ TEST(Router, RetiredArmsInOldTablesAndPlansAreDropped) {
   // Every arm the router can build encodes only the live fields: no
   // micro-GEMM or shard-strategy field, no spec-all mode.
   std::vector<RouteChoice> all = Router::spmm_arms(64);
-  for (const auto& arms : {Router::sddmm_arms(), Router::spgemm_arms(), Router::coalesce_arms()}) {
+  for (const auto& arms : {Router::sddmm_arms(), Router::spgemm_arms()}) {
     all.insert(all.end(), arms.begin(), arms.end());
   }
   for (const RouteChoice& c : all) {
@@ -279,7 +279,7 @@ TEST(Router, ToJsonAttributesLatencyPerRouteKey) {
   r.observe("fp", Workload::spmm, 32, arm_default(), 10.0);
   r.observe("fp", Workload::spmm, 32, arm_default(), 30.0);
   r.observe("fp", Workload::spmm, 32, arm_spec_off(), 5.0);
-  r.observe("fp", Workload::coalesce, 0, arm_default(), 7.0);
+  r.observe("fp", Workload::sddmm, 0, arm_default(), 7.0);
   EXPECT_EQ(r.keys(), 2u);
 
   const std::string json = r.to_json();
@@ -289,7 +289,7 @@ TEST(Router, ToJsonAttributesLatencyPerRouteKey) {
       << json;
   EXPECT_NE(json.find(json_entry("fp", Workload::spmm, 32, arm_spec_off(), 1)), std::string::npos)
       << json;
-  EXPECT_NE(json.find(json_entry("fp", Workload::coalesce, 0, arm_default(), 1)),
+  EXPECT_NE(json.find(json_entry("fp", Workload::sddmm, 0, arm_default(), 1)),
             std::string::npos)
       << json;
 }
@@ -398,8 +398,8 @@ TEST(ServerRouter, RoutedExecutionIsBitwiseIdenticalAndAttributed) {
 }
 
 TEST(ServerRouter, TableFullFallbacksAreCounted) {
-  // One key fits: the coalescing decision takes it, so every SpMM
-  // decision after it runs the default arm unrouted — and is counted.
+  // One key fits: the SDDMM decision takes it, so every SpMM decision
+  // after it runs the default arm unrouted — and is counted.
   RouterConfig cfg;
   cfg.max_keys = 1;
   auto router_ptr = std::make_shared<Router>(cfg);
@@ -409,11 +409,13 @@ TEST(ServerRouter, TableFullFallbacksAreCounted) {
   runtime::Server server(scfg);
   const sparse::CsrMatrix m = synth::erdos_renyi(64, 64, 512, 5);
   server.register_matrix("m", m);
-  sparse::DenseMatrix x(m.cols(), 8);
+  sparse::DenseMatrix x(m.cols(), 8), y(m.rows(), 8);
   sparse::fill_random(x, 1);
+  sparse::fill_random(y, 2);
+  server.submit_sddmm("m", x, y).get();
   for (int i = 0; i < 3; ++i) server.submit("m", x).get();
   server.wait_idle();
-  EXPECT_GE(server.metrics().router_table_full.load(), 3u);
+  EXPECT_EQ(server.metrics().router_table_full.load(), 3u);
   EXPECT_EQ(server.metrics().router_table_full.load(), router_ptr->table_full_fallbacks());
   EXPECT_EQ(router_ptr->keys(), 1u);
 }
@@ -455,7 +457,7 @@ TEST(ServerRouter, DecisionsSurvivePlanCacheEvictionAndReload) {
   for (index_t r = 0; r < before.rows(); ++r) {
     for (index_t cc = 0; cc < before.cols(); ++cc) ASSERT_EQ(before(r, cc), after(r, cc));
   }
-  // The fill phase went on across the eviction: the first batch sampled
+  // The fill phase went on across the eviction: the first request sampled
   // the default arm, the second the next arm of the same key, rather
   // than a fresh key sampling the default again.
   const std::string table = router_ptr->to_json();

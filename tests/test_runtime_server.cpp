@@ -1,7 +1,7 @@
 // Server + panel-parallel execution tests. The headline property is the
-// acceptance criterion: everything the runtime computes — panel-parallel,
-// batched, or both — is bitwise equal to the sequential core kernels on
-// every synth-corpus matrix.
+// acceptance criterion: everything the runtime computes — panel-parallel
+// or served — is bitwise equal to the sequential core kernels on every
+// synth-corpus matrix.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -164,10 +164,9 @@ TEST(ParallelExecute, OverwritesNanPrefilledOutputs) {
   }
 }
 
-ServerConfig test_server_cfg(unsigned threads, std::size_t max_batch = 8) {
+ServerConfig test_server_cfg(unsigned threads) {
   ServerConfig cfg;
   cfg.threads = threads;
-  cfg.max_batch = max_batch;
   return cfg;
 }
 
@@ -209,11 +208,12 @@ TEST(Server, SddmmMatchesSequentialKernels) {
   for (std::size_t j = 0; j < out_seq.size(); ++j) ASSERT_EQ(out_seq[j], out_served[j]);
 }
 
-TEST(Server, BatchingCoalescesQueuedRequestsAndStaysExact) {
+TEST(Server, QueuedRequestsRunOneAtATimeInSubmitOrder) {
   // One worker, and a blocker task holding it, so every request queues
-  // before the drain starts: 6 requests with max_batch 4 must execute as
-  // exactly two batches (4 + 2), all coalesced, all bitwise-correct.
-  Server server(test_server_cfg(1, 4));
+  // before the drain starts: 6 requests of mixed K, owned and zero-copy
+  // view submits alternating, must execute as 6 single executions in
+  // submit order, each bitwise equal to the sequential kernel.
+  Server server(test_server_cfg(1));
   const auto entry = synth::build_test_corpus().front();
   server.register_matrix("m", entry.matrix);
   server.warm("m");
@@ -230,37 +230,60 @@ TEST(Server, BatchingCoalescesQueuedRequestsAndStaysExact) {
   blocking_f.wait();
 
   constexpr int kReqs = 6;
-  std::vector<DenseMatrix> xs;
-  std::vector<std::future<DenseMatrix>> futs;
+  std::vector<DenseMatrix> xs, view_ys(kReqs);
+  xs.reserve(kReqs);  // the view requests borrow these buffers
+  std::vector<std::future<DenseMatrix>> owned(kReqs);
+  std::vector<std::future<void>> viewed(kReqs);
   for (int r = 0; r < kReqs; ++r) {
-    DenseMatrix x(entry.matrix.cols(), 4 + r);  // deliberately mixed K
+    const auto i = static_cast<std::size_t>(r);
+    DenseMatrix x = DenseMatrix::aligned(entry.matrix.cols(), 4 + r);  // deliberately mixed K
     sparse::fill_random(x, 100 + static_cast<std::uint64_t>(r));
     xs.push_back(x);
-    futs.push_back(server.submit("m", std::move(x)));
+    if (r % 2 == 0) {
+      owned[i] = server.submit("m", std::move(x));
+    } else {
+      view_ys[i] = DenseMatrix::aligned(entry.matrix.rows(), x.cols());
+      viewed[i] = server.submit("m", xs[i], view_ys[i]);
+    }
   }
   EXPECT_EQ(server.metrics().queue_depth.load(), static_cast<std::uint64_t>(kReqs));
   gate.set_value();
 
+  // FIFO: by the time the last request completes, every earlier one has.
+  viewed[kReqs - 1].wait();
+  for (int r = 0; r < kReqs - 1; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    const auto st = r % 2 == 0 ? owned[i].wait_for(std::chrono::seconds(0))
+                               : viewed[i].wait_for(std::chrono::seconds(0));
+    EXPECT_EQ(st, std::future_status::ready) << "request " << r << " completed out of order";
+  }
+
   const core::ExecutionPlan plan = core::build_plan(entry.matrix, {});
   for (int r = 0; r < kReqs; ++r) {
-    DenseMatrix y_seq(entry.matrix.rows(), xs[static_cast<std::size_t>(r)].cols());
-    core::run_spmm(plan, xs[static_cast<std::size_t>(r)], y_seq);
-    expect_bitwise_equal(y_seq, futs[static_cast<std::size_t>(r)].get(),
-                         "batched request " + std::to_string(r));
+    const auto i = static_cast<std::size_t>(r);
+    DenseMatrix y_seq(entry.matrix.rows(), xs[i].cols());
+    core::run_spmm(plan, packed(xs[i]), y_seq);
+    if (r % 2 == 0) {
+      expect_bitwise_equal(y_seq, owned[i].get(), "owned request " + std::to_string(r));
+    } else {
+      viewed[i].get();
+      expect_bitwise_equal(y_seq, packed(view_ys[i]), "view request " + std::to_string(r));
+    }
   }
   server.wait_idle();
 
   const auto& m = server.metrics();
-  EXPECT_EQ(m.batches_executed.load(), 2u);
-  EXPECT_EQ(m.requests_coalesced.load(), static_cast<std::uint64_t>(kReqs));
+  EXPECT_EQ(m.batches_executed.load(), static_cast<std::uint64_t>(kReqs));
   EXPECT_EQ(m.requests_completed.load(), static_cast<std::uint64_t>(kReqs));
+  EXPECT_EQ(m.zero_copy_requests.load(), static_cast<std::uint64_t>(kReqs / 2));
+  EXPECT_EQ(m.zero_copy_fallbacks.load(), 0u);
   EXPECT_EQ(m.queue_depth.load(), 0u);
   // Warm plan: the whole burst hit the cache; nothing was rebuilt.
   EXPECT_EQ(m.plans_built.load(), 1u);
 }
 
 TEST(Server, ConcurrentClientsOnSharedMatrices) {
-  Server server(test_server_cfg(4, 4));
+  Server server(test_server_cfg(4));
   const auto corpus = synth::build_test_corpus();
   server.register_matrix("a", corpus[0].matrix);
   server.register_matrix("b", corpus[1].matrix);
@@ -375,10 +398,10 @@ TEST(Server, SubmitAfterStopThrowsAndNothingIsDropped) {
 // is being stopped either complete (future ready, correct result) or are
 // rejected with server_stopped — never dropped, never a crash from a
 // drain task outliving the pool. A gated single worker guarantees the
-// stop begins while a coalesced batch is still queued.
+// stop begins while requests are still queued.
 TEST(Server, StopDrainsInFlightBatchesWhileClientsKeepSubmitting) {
   for (int round = 0; round < 10; ++round) {
-    auto server = std::make_unique<Server>(test_server_cfg(1, 4));
+    auto server = std::make_unique<Server>(test_server_cfg(1));
     const auto entry = synth::build_test_corpus().front();
     server->register_matrix("m", entry.matrix);
     server->warm("m");
@@ -420,7 +443,7 @@ TEST(Server, StopDrainsInFlightBatchesWhileClientsKeepSubmitting) {
 
 // The same shutdown race with the windows forced open: stall fail
 // points inside submit (between admit and enqueue) and drain (between
-// batch pop and execution) stretch exactly the intervals where a racing
+// request pickup and execution) stretch exactly the intervals where a racing
 // stop() could strand a request. Under those stalls the accounting
 // invariant must still hold on every round: admitted implies completed,
 // rejected implies server_stopped, nothing vanishes.
@@ -440,7 +463,7 @@ TEST(Server, StopDuringDrainWithInjectedStallsDropsNothing) {
   }
 
   for (int round = 0; round < 6; ++round) {
-    auto server = std::make_unique<Server>(test_server_cfg(2, 3));
+    auto server = std::make_unique<Server>(test_server_cfg(2));
     server->register_matrix("m", entry.matrix);
     server->warm("m");
     fault::ScopedFaultPlan armed(stalls);
@@ -487,7 +510,7 @@ TEST(Server, DestructorDrainsAdmittedWork) {
   const auto entry = synth::build_test_corpus().front();
   std::future<DenseMatrix> fut;
   {
-    Server server(test_server_cfg(1, 4));
+    Server server(test_server_cfg(1));
     server.register_matrix("m", entry.matrix);
     server.warm("m");
     std::promise<void> gate;
