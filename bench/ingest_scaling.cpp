@@ -1,18 +1,13 @@
-// Ingestion bench: MB/s of the chunked Matrix Market reader into the
-// budgeted streaming builder, swept over chunk sizes from 4 KiB to
-// whole-file, on matrices whose COO footprint is several times the
-// staging budget, and the whole-matrix .rrsb load time against the .mtx
-// parse time of the same matrix. Prints fixed-width tables plus
-// PASS/FAIL checks and writes BENCH_ingest.json.
+// Ingestion bench: MB/s of io::read_matrix_market_streamed swept over
+// chunk sizes from 4 KiB to whole-file, and the whole-matrix .rrsb load
+// time against the .mtx parse time of the same matrix. Prints
+// fixed-width tables plus PASS/FAIL checks and writes BENCH_ingest.json.
 //
 // Checks (all host-independent, so nothing is gated on core count):
 //   * bitwise identity — at every chunk size the streamed CSR must equal
 //     the reference parser's result (tests/mm_reference.hpp, which
 //     shares no code with the library's reader), and so must the
 //     .mtx -> .rrsb -> CSR round trip.
-//   * memory budget — peak_staging_bytes stays within the configured
-//     budget plus one entry of slack, on inputs >= 4x the budget, with
-//     no degraded (in-memory) runs.
 // The .rrsb-vs-.mtx load times are reported only: each is the median of
 // kLoadReps interleaved calls, the .mtx side at the reader's defaults.
 //
@@ -40,7 +35,6 @@ namespace {
 
 // 4 KiB (forced-minimum window), page-ish, the default, whole-file.
 constexpr std::size_t kChunkBytes[] = {4096, 65536, 1u << 20, ~std::size_t{0} >> 1};
-constexpr std::size_t kBudget = 1u << 19;  // 512 KiB staging budget
 constexpr int kLoadReps = 5;
 
 struct Subject {
@@ -60,7 +54,7 @@ std::vector<Subject> build_subjects() {
   const std::string dir = std::filesystem::temp_directory_path().string();
   std::vector<Subject> subjects;
   for (int i = 0; i < count; ++i) {
-    // ~720K entries at scale 1: COO footprint ~8.6 MB, 16x the budget.
+    // ~720K entries at scale 1: COO footprint ~8.6 MB.
     const auto rows = static_cast<index_t>(static_cast<double>(24000 + 8000 * i) * cc.scale);
     const offset_t nnz = static_cast<offset_t>(rows) * 30;
     Subject s;
@@ -82,10 +76,7 @@ struct Point {
   std::size_t chunk_bytes = 0;
   double wall_ms = 0.0;
   double mb_per_s = 0.0;
-  int spilled_runs = 0;
-  std::size_t peak_bytes = 0;
   bool identical = true;
-  bool within_budget = true;
 };
 
 /// Whole-matrix load time of one matrix in both formats (report-only).
@@ -104,7 +95,6 @@ std::string to_json(const std::vector<Point>& points, const std::vector<LoadRow>
   bench::JsonWriter js;
   js.obj_begin()
       .field("bench", "ingest_scaling")
-      .field("budget_bytes", kBudget)
       .key("results")
       .arr_begin();
   for (const Point& p : points) {
@@ -113,10 +103,7 @@ std::string to_json(const std::vector<Point>& points, const std::vector<LoadRow>
         .field("chunk_bytes", p.chunk_bytes)
         .field("wall_ms", p.wall_ms)
         .field("mb_per_s", p.mb_per_s)
-        .field("spilled_runs", p.spilled_runs)
-        .field("peak_bytes", p.peak_bytes)
         .field("identical", p.identical)
-        .field("within_budget", p.within_budget)
         .obj_end();
   }
   js.arr_end().key("load").arr_begin();
@@ -139,27 +126,15 @@ int main() {
   using Clock = std::chrono::steady_clock;
 
   const auto subjects = build_subjects();
-  std::printf("== ingest scaling: %zu matrices, %zu KiB staging budget ==\n", subjects.size(),
-              kBudget / 1024);
+  std::printf("== ingest scaling: %zu matrices ==\n", subjects.size());
 
   int failures = 0;
   std::vector<Point> points;
   std::vector<LoadRow> loads;
   for (const Subject& s : subjects) {
     for (const std::size_t chunk : kChunkBytes) {
-      // The bench measures the full out-of-core pipeline: chunked parse
-      // into the budgeted builder, spill runs on disk, k-way merge out.
-      io::StreamingBuildConfig cfg;
-      cfg.budget_bytes = kBudget;
-      io::MmChunkReader reader(s.path, chunk);
-      io::StreamingCsrBuilder builder(reader.header().rows, reader.header().cols, cfg);
       const auto t0 = Clock::now();
-      std::vector<sparse::CooEntry> batch;
-      while (reader.next_chunk(batch)) builder.add_entries(batch);
-      const int spilled = builder.spilled_runs();
-      const std::size_t peak = builder.peak_staging_bytes();
-      const int degraded = builder.degraded_runs();
-      const sparse::CsrMatrix streamed = builder.finish();
+      const sparse::CsrMatrix streamed = io::read_matrix_market_streamed(s.path, {}, chunk);
       const double ms =
           std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(Clock::now() - t0)
               .count();
@@ -169,28 +144,18 @@ int main() {
       p.chunk_bytes = chunk;
       p.wall_ms = ms;
       p.mb_per_s = ms > 0.0 ? static_cast<double>(s.file_bytes) / 1048576.0 / (ms / 1000.0) : 0.0;
-      p.spilled_runs = spilled;
-      p.peak_bytes = peak;
       p.identical = test::reference::bitwise_equal(streamed, s.resident);
-      p.within_budget = peak <= kBudget + sizeof(sparse::CooEntry) && degraded == 0;
       if (!p.identical) {
         ++failures;
         std::printf("FAIL: %s chunk=%zu streamed CSR differs from resident reader\n",
                     s.name.c_str(), chunk);
-      }
-      if (!p.within_budget) {
-        ++failures;
-        std::printf("FAIL: %s chunk=%zu peak staging %zu bytes exceeds budget %zu (+slack)\n",
-                    s.name.c_str(), chunk, peak, kBudget);
       }
       points.push_back(std::move(p));
     }
 
     // End-to-end .mtx -> .rrsb -> CSR identity at the default chunking.
     const std::string rrsb_path = s.path + ".rrsb";
-    io::StreamingBuildConfig cfg;
-    cfg.budget_bytes = kBudget;
-    io::write_rrsb(io::read_matrix_market_streamed(s.path, cfg), rrsb_path);
+    io::write_rrsb(io::read_matrix_market_streamed(s.path), rrsb_path);
     const bool ok = test::reference::bitwise_equal(io::RrsbReader(rrsb_path).read(), s.resident);
     if (!ok) ++failures;
     std::printf("%s: %s .mtx -> .rrsb -> CSR round trip identical\n", ok ? "PASS" : "FAIL",
@@ -218,14 +183,11 @@ int main() {
     rows.push_back({p.matrix,
                     p.chunk_bytes > (1u << 20) ? "whole" : std::to_string(p.chunk_bytes / 1024),
                     harness::fmt(p.wall_ms, 2), harness::fmt(p.mb_per_s, 1),
-                    std::to_string(p.spilled_runs), std::to_string(p.peak_bytes / 1024),
-                    p.identical ? "yes" : "NO", p.within_budget ? "yes" : "NO"});
+                    p.identical ? "yes" : "NO"});
   }
-  std::printf("%s\n",
-              harness::render_table({"matrix", "chunk_KiB", "wall_ms", "MB_per_s", "spills",
-                                     "peak_KiB", "identical", "in_budget"},
-                                    rows)
-                  .c_str());
+  std::printf("%s\n", harness::render_table(
+                           {"matrix", "chunk_KiB", "wall_ms", "MB_per_s", "identical"}, rows)
+                           .c_str());
 
   std::vector<std::vector<std::string>> load_rows;
   for (const LoadRow& l : loads) {

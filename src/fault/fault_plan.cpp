@@ -166,22 +166,14 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed) {
     r.max_triggers = 1 + mix.below(3);
     plan.rules.push_back(std::move(r));
   }
-  // io probes: both degrade (mmap -> buffered reads, spill -> stay in
-  // memory) and the read retry bound is two attempts, so the caps below
-  // guarantee forward progress for any schedule.
+  // io.read degrades mmap -> buffered reads and a read is retried up to
+  // two more times, so the cap below guarantees forward progress for any
+  // schedule.
   if (mix.below(2) == 0) {
     FaultRule r;
     r.point = points::kIoRead;
     r.kind = FaultKind::throw_error;
     r.probability = 0.3 + 0.4 * mix.unit();
-    r.max_triggers = 1 + mix.below(2);
-    plan.rules.push_back(std::move(r));
-  }
-  if (mix.below(3) == 0) {
-    FaultRule r;
-    r.point = points::kIoSpill;
-    r.kind = FaultKind::throw_error;
-    r.probability = 0.5;
     r.max_triggers = 1 + mix.below(2);
     plan.rules.push_back(std::move(r));
   }

@@ -68,16 +68,10 @@ inline constexpr const char* kSpgemmSymbolic = "spgemm.symbolic";
 inline constexpr const char* kSpgemmAccumulate = "spgemm.accumulate";
 
 /// io: before a disk read (an mmap-path block access or a buffered
-/// pread/refill) in the .rrsb reader, the Matrix Market chunk reader,
-/// and spill-run read-back. A throw models a failed read: the mmap fast
-/// path degrades permanently to buffered reads and retries; the
-/// buffered path retries once, then propagates as io_error.
+/// pread/refill) in the .rrsb reader and the Matrix Market chunk
+/// reader. A throw models a failed read: the mmap fast path degrades
+/// permanently to buffered reads and retries; the buffered path retries
+/// once, then propagates as io_error.
 inline constexpr const char* kIoRead = "io.read";
-
-/// io: before StreamingCsrBuilder writes a spill run. A throw models a
-/// full or failing spill device: the write is retried once, and a
-/// second failure degrades that run to staying in memory (the budget is
-/// exceeded rather than data lost).
-inline constexpr const char* kIoSpill = "io.spill";
 
 }  // namespace rrspmm::fault::points

@@ -1,13 +1,13 @@
 // Positioned byte reads over one file, with an mmap fast path and a
 // deterministic degrade story.
 //
-// Every on-disk consumer in src/io (the .rrsb reader, the Matrix Market
-// chunk reader, spill-run read-back) funnels its reads through this
-// class so they all share the same failure semantics: each read carries
-// the io.read fail point; an injected failure on the mmap path degrades
-// the reader permanently to buffered pread and retries, a failure on the
-// buffered path retries once more, and a third consecutive failure
-// propagates as io_error. Real short reads and syscall errors are never
+// Every on-disk consumer in src/io (the .rrsb reader and the Matrix
+// Market chunk reader) funnels its reads through this class so they all
+// share the same failure semantics: each read carries the io.read fail
+// point; an injected failure on the mmap path degrades the reader
+// permanently to buffered pread and retries, a failure on the buffered
+// path retries once more, and a third consecutive failure propagates as
+// io_error. Real short reads and syscall errors are never
 // retried — only injected faults are, because those model transient
 // device hiccups the caller asked the chaos framework to simulate.
 //

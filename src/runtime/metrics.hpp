@@ -65,7 +65,7 @@ struct Metrics {
   /// Zero-copy serving data path: requests admitted on borrowed views
   /// (no input copy, kernels write the caller's buffer) vs view requests
   /// that fell back to the owned-copy path (misaligned storage or
-  /// RRSPMM_ZERO_COPY=off). Owned DenseMatrix submissions count in
+  /// ServerConfig::zero_copy off). Owned DenseMatrix submissions count in
   /// neither.
   std::atomic<std::uint64_t> zero_copy_requests{0};
   std::atomic<std::uint64_t> zero_copy_fallbacks{0};

@@ -1,8 +1,6 @@
 #include "runtime/server.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -52,13 +50,6 @@ void add_us(std::atomic<std::uint64_t>& counter, Clock::time_point t0) {
 }
 
 }  // namespace
-
-bool zero_copy_from_env() {
-  const char* s = std::getenv("RRSPMM_ZERO_COPY");
-  if (s == nullptr) return true;
-  const std::string_view v(s);
-  return !(v == "off" || v == "0");
-}
 
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)),

@@ -45,11 +45,6 @@ namespace topo {
 enum class NumaMode { off };
 }  // namespace topo
 
-/// The RRSPMM_ZERO_COPY env knob: "off"/"0" forces the owned-copy
-/// fallback in the view-based submit overloads; anything else (or
-/// unset) leaves zero-copy on.
-bool zero_copy_from_env();
-
 /// Thrown by submit()/submit_sddmm() once stop() has begun: the server no
 /// longer accepts work, but everything admitted before the stop still
 /// completes.
@@ -107,10 +102,10 @@ struct ServerConfig {
   /// owns its own kernel choice).
   std::shared_ptr<router::Router> router = router::from_env();
   /// Borrow caller buffers in the view-based submit overloads instead of
-  /// copying (RRSPMM_ZERO_COPY; default on). Misaligned views fall back
-  /// to the owned-copy path either way — the knob and the gate choose
-  /// between two bitwise-identical executions.
-  bool zero_copy = zero_copy_from_env();
+  /// copying (default on). Misaligned views fall back to the owned-copy
+  /// path either way — the field and the gate choose between two
+  /// bitwise-identical executions.
+  bool zero_copy = true;
   /// Unread: the runtime does no NUMA placement. The field stays only
   /// while perfbench assigns it.
   topo::NumaMode numa = topo::NumaMode::off;

@@ -16,11 +16,9 @@ void CooMatrix::add(index_t row, index_t col, value_t value) {
 
 void CooMatrix::sort_and_combine() {
   // Stable, so duplicate coordinates keep their arrival order and their
-  // values sum left-to-right in that order. The out-of-core builder
-  // (io::StreamingCsrBuilder) spills sorted runs of contiguous arrival
-  // windows and merges them in run order, which reproduces exactly this
-  // summation order — that equivalence is what makes the streamed CSR
-  // bitwise identical to from_coo.
+  // values sum left-to-right in that order — the order Matrix Market
+  // ingest (io::read_matrix_market_streamed) promises for a file's
+  // duplicate entries.
   std::stable_sort(entries_.begin(), entries_.end(), [](const CooEntry& a, const CooEntry& b) {
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   });

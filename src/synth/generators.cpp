@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sparse/coo.hpp"
@@ -23,7 +24,7 @@ CsrMatrix erdos_renyi(index_t rows, index_t cols, offset_t nnz_target, std::uint
     const auto c = static_cast<index_t>(rng.next_below(static_cast<std::uint64_t>(cols)));
     coo.add(r, c, rng.next_signed_float());
   }
-  return CsrMatrix::from_coo(coo);
+  return CsrMatrix::from_coo(std::move(coo));
 }
 
 CsrMatrix rmat(index_t scale, offset_t nnz_target, std::uint64_t seed, RmatParams p) {
@@ -50,7 +51,7 @@ CsrMatrix rmat(index_t scale, offset_t nnz_target, std::uint64_t seed, RmatParam
     }
     coo.add(r, c, rng.next_signed_float());
   }
-  return CsrMatrix::from_coo(coo);
+  return CsrMatrix::from_coo(std::move(coo));
 }
 
 CsrMatrix chung_lu(index_t rows, index_t cols, double avg_degree, double gamma,
@@ -85,7 +86,7 @@ CsrMatrix chung_lu(index_t rows, index_t cols, double avg_degree, double gamma,
     const auto c = static_cast<index_t>(std::distance(cdf.begin(), it));
     coo.add(r, std::min(c, static_cast<index_t>(cols - 1)), rng.next_signed_float());
   }
-  return CsrMatrix::from_coo(coo);
+  return CsrMatrix::from_coo(std::move(coo));
 }
 
 CsrMatrix banded(index_t n, index_t bandwidth, double fill, std::uint64_t seed) {
@@ -98,13 +99,13 @@ CsrMatrix banded(index_t n, index_t bandwidth, double fill, std::uint64_t seed) 
       if (c == i || rng.next_double() < fill) coo.add(i, c, rng.next_signed_float());
     }
   }
-  return CsrMatrix::from_coo(coo);
+  return CsrMatrix::from_coo(std::move(coo));
 }
 
 CsrMatrix diagonal(index_t n) {
   CooMatrix coo(n, n);
   for (index_t i = 0; i < n; ++i) coo.add(i, i, 1.0f);
-  return CsrMatrix::from_coo(coo);
+  return CsrMatrix::from_coo(std::move(coo));
 }
 
 CsrMatrix clustered_rows(const ClusteredParams& p, std::uint64_t seed) {
@@ -169,7 +170,7 @@ CsrMatrix clustered_rows(const ClusteredParams& p, std::uint64_t seed) {
       if (used.insert(c).second) coo.add(i, c, rng.next_signed_float());
     }
   }
-  return CsrMatrix::from_coo(coo);
+  return CsrMatrix::from_coo(std::move(coo));
 }
 
 CsrMatrix gnn_frontier(const GnnFrontierParams& p, std::uint64_t seed) {
@@ -221,7 +222,7 @@ CsrMatrix gnn_frontier(const GnnFrontierParams& p, std::uint64_t seed) {
       }
     }
   }
-  return CsrMatrix::from_coo(coo);
+  return CsrMatrix::from_coo(std::move(coo));
 }
 
 CsrMatrix scrna_cells(const ScrnaParams& p, std::uint64_t seed) {
@@ -284,7 +285,7 @@ CsrMatrix scrna_cells(const ScrnaParams& p, std::uint64_t seed) {
       }
     }
   }
-  return CsrMatrix::from_coo(coo);
+  return CsrMatrix::from_coo(std::move(coo));
 }
 
 CsrMatrix dlmc_pruned(const DlmcParams& p, std::uint64_t seed) {
@@ -314,7 +315,7 @@ CsrMatrix dlmc_pruned(const DlmcParams& p, std::uint64_t seed) {
       }
     }
   }
-  return CsrMatrix::from_coo(coo);
+  return CsrMatrix::from_coo(std::move(coo));
 }
 
 CsrMatrix shuffle_rows(const CsrMatrix& m, std::uint64_t seed) {

@@ -96,22 +96,15 @@ inline bool bitwise_equal(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b
 }
 
 /// Reads `path` with io::read_matrix_market_streamed at chunk sizes 1,
-/// 4096, the default and whole-file, each under the default staging
-/// budget and under the 1024-entry floor (which spills every input past
-/// 1024 entries), and compares each result with the reference reader
-/// bit for bit. Returns "" when all agree, else the first configuration
-/// that differs.
+/// 4096, the default and whole-file, and compares each result with the
+/// reference reader bit for bit. Returns "" when all agree, else the
+/// first chunk size that differs.
 inline std::string streamed_mismatch(const std::string& path) {
   const sparse::CsrMatrix ref = read_matrix_market(path);
   const std::size_t chunks[] = {1, 4096, 1u << 20, ~std::size_t{0} >> 1};
-  const std::size_t budgets[] = {io::StreamingBuildConfig{}.budget_bytes, 1};
   for (const std::size_t chunk : chunks) {
-    for (const std::size_t budget : budgets) {
-      io::StreamingBuildConfig cfg;
-      cfg.budget_bytes = budget;
-      if (!bitwise_equal(io::read_matrix_market_streamed(path, cfg, chunk), ref)) {
-        return "chunk " + std::to_string(chunk) + ", budget " + std::to_string(budget);
-      }
+    if (!bitwise_equal(io::read_matrix_market_streamed(path, {}, chunk), ref)) {
+      return "chunk " + std::to_string(chunk);
     }
   }
   return "";

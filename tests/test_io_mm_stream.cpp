@@ -1,13 +1,15 @@
 // Chunked Matrix Market reader tests: bitwise identity with the
-// reference parser across chunk sizes and budgets, symmetric/pattern
-// dialects, arrival-order duplicate summation, the banner and size-line
-// checks, header hardening, and the .mtx -> .rrsb -> CSR round trip.
+// reference parser across chunk sizes, symmetric/pattern dialects,
+// arrival-order duplicate summation, the banner and size-line checks,
+// header hardening, the io.read fault degrade, and the
+// .mtx -> .rrsb -> CSR round trip.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "io/mm_stream.hpp"
 #include "io/rrsb.hpp"
 #include "mm_reference.hpp"
@@ -31,14 +33,6 @@ TEST(IoMm, StreamedMatchesResidentAtEveryChunkSize) {
   const test::TempFile mm("iomm.mtx");
   const CsrMatrix m = synth::erdos_renyi(120, 90, 900, 7);
   sparse::write_matrix_market(m, mm.path);
-  EXPECT_EQ(streamed_mismatch(mm.path), "");
-}
-
-TEST(IoMm, TinyBudgetSpillsAndStaysIdentical) {
-  const test::TempFile mm("iomm.mtx");
-  const CsrMatrix m = synth::erdos_renyi(200, 150, 3000, 8);
-  sparse::write_matrix_market(m, mm.path);
-  // The 1024-entry budget floor spills this file twice at every chunk size.
   EXPECT_EQ(streamed_mismatch(mm.path), "");
 }
 
@@ -73,7 +67,7 @@ TEST(IoMm, DuplicatesSumInArrivalOrder) {
   // 1e8f + 1.0f == 1e8f in float, so the grouping order is visible in
   // the result bits: ((1e8 + 1) + -1e8) + 1 == 1, while any regrouping
   // gives 2. The streamed path must reproduce from_coo's left-to-right
-  // arrival-order sum at every chunk size and budget.
+  // arrival-order sum at every chunk size.
   write_text(mm.path,
              "%%MatrixMarket matrix coordinate real general\n"
              "2 2 4\n"
@@ -165,12 +159,45 @@ TEST(IoMm, RrsbOfStreamedReadMatchesReference) {
   const test::TempFile rrsb("iomm.rrsb");
   const CsrMatrix m = synth::erdos_renyi(300, 80, 2400, 9);
   sparse::write_matrix_market(m, mm.path);
-  io::StreamingBuildConfig cfg;
-  cfg.budget_bytes = 1u << 12;
-  io::write_rrsb(io::read_matrix_market_streamed(mm.path, cfg, /*chunk_bytes=*/4096), rrsb.path,
+  io::write_rrsb(io::read_matrix_market_streamed(mm.path, {}, /*chunk_bytes=*/4096), rrsb.path,
                  /*block_rows=*/64);
   EXPECT_TRUE(test::reference::bitwise_equal(io::RrsbReader(rrsb.path).read(),
                                              test::reference::read_matrix_market(mm.path)));
+}
+
+// Two injected io.read failures on the first read: the mmap fast path
+// degrades to buffered pread for good, the read is retried, and ingest
+// still returns the reference reader's CSR bit for bit.
+TEST(IoMm, InjectedReadFaultDegradesToBufferedAndMatchesReference) {
+  const test::TempFile mm("iomm.mtx");
+  sparse::write_matrix_market(synth::erdos_renyi(200, 150, 3000, 8), mm.path);
+  const CsrMatrix ref = test::reference::read_matrix_market(mm.path);
+  const auto arm = [] {
+    fault::FaultPlan plan;
+    plan.seed = 7;
+    fault::FaultRule rule;
+    rule.point = fault::points::kIoRead;
+    rule.kind = fault::FaultKind::throw_error;
+    rule.probability = 1.0;
+    rule.max_triggers = 2;
+    plan.rules.push_back(rule);
+    return plan;
+  };
+  {
+    fault::ScopedFaultPlan armed(arm());
+    EXPECT_TRUE(test::reference::bitwise_equal(
+        io::read_matrix_market_streamed(mm.path, {}, /*chunk_bytes=*/4096), ref));
+    EXPECT_EQ(fault::FaultRegistry::instance().point_stats(fault::points::kIoRead).triggered, 2u);
+  }
+  {
+    fault::ScopedFaultPlan armed(arm());
+    io::MmChunkReader reader(mm.path, /*chunk_bytes=*/4096);
+    std::vector<sparse::CooEntry> chunk;
+    while (reader.next_chunk(chunk)) {
+    }
+    EXPECT_TRUE(reader.buffered());
+    EXPECT_EQ(reader.entries_emitted(), ref.nnz());
+  }
 }
 
 TEST(MatrixMarket, BannerParserIsExposed) {
