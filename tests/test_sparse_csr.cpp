@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "test_util.hpp"
@@ -50,6 +52,18 @@ TEST(Csr, FromCooLeavesInputIntact) {
   coo.add(0, 0, 1.0f);
   (void)CsrMatrix::from_coo(coo);
   EXPECT_EQ(coo.entries()[0].row, 1);  // still unsorted
+}
+
+TEST(Csr, FromCooRejectsEntriesAppendedOutOfRange) {
+  // entries() bypasses add()'s bounds check; from_coo must still refuse.
+  for (const sparse::CooEntry e : {sparse::CooEntry{2, 0, 1.0f}, sparse::CooEntry{-1, 0, 1.0f},
+                                   sparse::CooEntry{0, 2, 1.0f}, sparse::CooEntry{0, -1, 1.0f}}) {
+    CooMatrix coo(2, 2);
+    coo.add(1, 1, 1.0f);
+    coo.entries().push_back(e);
+    EXPECT_THROW((void)CsrMatrix::from_coo(std::move(coo)), sparse::invalid_matrix)
+        << e.row << "," << e.col;
+  }
 }
 
 TEST(Csr, RowptrIndexing) {

@@ -137,6 +137,18 @@ TEST(MatrixMarket, HostileEntryCountRaisesIoError) {
   }
 }
 
+// Entry (1,5) is in range as written, but its mirror (5,1) is not: a
+// symmetric header must be square, or the mirrors index past the rows.
+TEST(MatrixMarket, RejectsNonSquareSymmetric) {
+  expect_rejected(
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "2 5 1\n"
+      "1 5 1.0\n");
+  expect_rejected(
+      "%%MatrixMarket matrix coordinate pattern symmetric\n"
+      "5 2 0\n");
+}
+
 TEST(MatrixMarket, RejectsEmptyStream) { expect_rejected(""); }
 
 TEST(MatrixMarket, RejectsMissingFile) {
