@@ -19,6 +19,21 @@
 //   * speedup — >= 1.2x on the short-row-dominated family at k=32, and
 //     never below 0.95x on any family/K; AVX2 hosts only.
 //
+// A third section backs select_kernels' dense-tile micro-GEMM rule
+// (micro-GEMM at k <= 32 on plans whose dense tile rows are mostly fully
+// dense). It times the two table entries of the auto-resolved backend,
+// spmm_panel_dense against spmm_panel, directly over the ASpT dense-tile
+// phase of each family's default plan, so the comparison does not depend
+// on the rule that picks between them:
+//   * bitwise identity — the micro-GEMM must equal the generic panel
+//     body exactly, on every row.
+//   * speedup — >= 1.2x on the dense_full family (every dense-tile row
+//     fully dense) at k=32, where the staged tile stays L1-resident
+//     (d*k*4B = 8 KiB); scalar-only hosts skip the gate. INFO rows:
+//     dense_full at k = 8, 16 and 64 (where the tile spills L1 and the
+//     micro-GEMM loses), and short_rows and tiny at k=32, which have no
+//     fully dense tile rows.
+//
 //   RRSPMM_SCALE — linear multiplier on matrix rows (default 1)
 #include <algorithm>
 #include <chrono>
@@ -31,7 +46,9 @@
 
 #include "aspt/aspt.hpp"
 #include "bench_common.hpp"
+#include "core/pipeline.hpp"
 #include "harness/render.hpp"
+#include "kernels/detail/staging.hpp"
 #include "kernels/sddmm.hpp"
 #include "kernels/simd/dispatch.hpp"
 #include "kernels/simd/specialize.hpp"
@@ -56,6 +73,13 @@ constexpr index_t kSpecWidths[] = {32, 48, 64, 128};
 constexpr int kSpecReps = 9;  ///< interleaved pairs; speedup = median ratio
 constexpr double kSpecShortRowGate = 1.2;  ///< short_rows at k=32
 constexpr double kSpecFloor = 0.95;        ///< any family, any K
+
+/// Micro-GEMM section: the gated width, the gate, and the dense_full
+/// widths its INFO rows cover.
+constexpr index_t kMicroK = 32;
+constexpr double kMicroGate = 1.2;   ///< micro-GEMM vs generic panel body
+constexpr int kMicroReps = 9;        ///< interleaved pairs; speedup = median ratio
+constexpr index_t kMicroWidths[] = {8, 16, 32, 64};
 
 double env_scale() {
   if (const char* s = std::getenv("RRSPMM_SCALE")) {
@@ -236,6 +260,70 @@ std::vector<SpecSubject> build_spec_subjects() {
   return out;
 }
 
+/// Micro-GEMM section family: a matrix and its default RR plan.
+struct MicroFamily {
+  std::string name;
+  CsrMatrix s;
+  core::ExecutionPlan plan;
+};
+
+/// dense_full first (the gated family), then short_rows and tiny.
+std::vector<MicroFamily> build_micro_families() {
+  const double scale = env_scale();
+  std::vector<MicroFamily> out;
+  {
+    // Row groups exactly one panel tall whose rows each cover the whole
+    // 64-column pool: every dense-tile row is fully populated, so the
+    // micro-GEMM pairs all of them (dense_full_fraction == 1).
+    synth::ClusteredParams p;
+    p.rows = static_cast<index_t>(4096 * scale);
+    p.cols = 4096;
+    p.num_groups = 64;
+    p.group_cols = 64;
+    p.row_nnz = 64;
+    p.noise_nnz = 0;
+    p.scatter = false;
+    p.disjoint_pools = true;
+    out.push_back({"dense_full", synth::clustered_rows(p, 331), {}});
+  }
+  out.push_back({"short_rows", short_row_matrix(static_cast<index_t>(4096 * scale), 512, 311), {}});
+  out.push_back({"tiny", synth::erdos_renyi(128, 128, 4096, 337), {}});
+  for (MicroFamily& f : out) f.plan = core::build_plan(f.s, {});
+  return out;
+}
+
+/// The ASpT dense-tile phase of `a` alone, serial, through one table
+/// entry of the auto-resolved backend: the micro-GEMM when `micro`, else
+/// the generic panel body. Accumulates into y.
+void dense_phase(const aspt::AsptMatrix& a, const DenseMatrix& x, DenseMatrix& y, bool micro) {
+  const simd::KernelTable& t = simd::table(simd::KernelConfig{});
+  const index_t k = x.cols();
+  const index_t ld = sparse::aligned_ld(k);
+  sparse::AlignedVector<value_t> staged(kernels::detail::max_panel_dense_cols(a, 0, a.rows()) *
+                                        static_cast<std::size_t>(ld));
+  for (const aspt::Panel& p : a.panels()) {
+    if (p.dense_cols.empty()) continue;
+    kernels::detail::stage_panel(p, x, k, staged.data(), ld);
+    if (micro) {
+      t.spmm_panel_dense(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(),
+                         p.row_begin, staged.data(), ld, y.data(), y.ld(), k, nullptr,
+                         p.row_begin, p.row_end, static_cast<index_t>(p.dense_cols.size()));
+    } else {
+      t.spmm_panel(p.dense_rowptr.data(), p.dense_slot.data(), p.dense_val.data(), p.row_begin,
+                   staged.data(), ld, y.data(), y.ld(), k, nullptr, p.row_begin, p.row_end);
+    }
+  }
+}
+
+struct MicroPoint {
+  std::string family;
+  index_t k = 0;
+  bool selected = false;  ///< select_kernels picks the micro-GEMM at k
+  double generic_ms = 0.0, micro_ms = 0.0;
+  double speedup = 1.0;   ///< median generic / micro ratio
+  bool identical = true;  ///< bitwise, micro-GEMM vs generic panel body
+};
+
 struct SpecPoint {
   std::string subject;
   std::string op;
@@ -281,7 +369,8 @@ int calibrate_iters(const CsrMatrix& s, index_t k) {
   return std::clamp(static_cast<int>(1e8 / std::max(flops, 1.0)), 1, 64);
 }
 
-std::string to_json(const std::vector<Point>& points, const std::vector<SpecPoint>& spec) {
+std::string to_json(const std::vector<Point>& points, const std::vector<SpecPoint>& spec,
+                    const std::vector<MicroPoint>& micro) {
   bench::JsonWriter js;
   js.obj_begin()
       .field("bench", "kernel_scaling")
@@ -308,6 +397,18 @@ std::string to_json(const std::vector<Point>& points, const std::vector<SpecPoin
         .field("specialized", p.specialized)
         .field("generic_ms", p.generic_ms)
         .field("spec_ms", p.spec_ms)
+        .field("speedup", p.speedup)
+        .field("identical", p.identical)
+        .obj_end();
+  }
+  js.arr_end().key("micro_gemm").arr_begin();
+  for (const MicroPoint& p : micro) {
+    js.obj_begin()
+        .field("family", p.family)
+        .field("k", p.k)
+        .field("selected", p.selected)
+        .field("generic_ms", p.generic_ms)
+        .field("micro_ms", p.micro_ms)
         .field("speedup", p.speedup)
         .field("identical", p.identical)
         .obj_end();
@@ -535,7 +636,75 @@ int main() {
     std::printf("SKIP: specialization speedup gates (host does not run AVX2)\n");
   }
 
-  bench::write_bench_json("BENCH_kernels.json", to_json(points, spec_points));
+  // == Dense-tile micro-GEMM vs the generic panel body ==
+  const std::vector<MicroFamily> micro_families = build_micro_families();
+  const MicroFamily& dense_full = micro_families.front();
+  std::vector<std::pair<const MicroFamily*, index_t>> micro_cases;
+  for (const index_t k : kMicroWidths) micro_cases.emplace_back(&dense_full, k);
+  for (const MicroFamily& f : micro_families) {
+    if (&f != &dense_full) micro_cases.emplace_back(&f, kMicroK);
+  }
+  std::vector<MicroPoint> micro_points;
+  const bool scalar_only = best_isa == simd::Isa::scalar;
+  for (const auto& [fam, k] : micro_cases) {
+    const aspt::AsptMatrix& tiled = fam->plan.tiled;
+    DenseMatrix x(fam->s.cols(), k);
+    sparse::fill_random(x, 419);
+    DenseMatrix y_gen(fam->s.rows(), k), y_micro(fam->s.rows(), k);
+    dense_phase(tiled, x, y_gen, false);
+    dense_phase(tiled, x, y_micro, true);
+
+    MicroPoint p;
+    p.family = fam->name;
+    p.k = k;
+    simd::KernelConfig plan_cfg;
+    plan_cfg.spec = fam->plan.spec;
+    p.selected = simd::select_kernels(plan_cfg, k).spmm_panel_dense != nullptr;
+    p.identical = y_micro.max_abs_diff(y_gen) == 0.0;
+    if (!p.identical) {
+      ++failures;
+      std::printf("FAIL: %s k=%d micro-GEMM not bitwise equal to generic panel\n",
+                  p.family.c_str(), k);
+    }
+    const double flops = 2.0 * static_cast<double>(tiled.stats().nnz_dense) * k;
+    const int iters = std::clamp(static_cast<int>(1e8 / std::max(flops, 1.0)), 2, 256);
+    using Clock = std::chrono::steady_clock;
+    const auto time_once = [&](bool micro, DenseMatrix& y) {
+      const auto t0 = Clock::now();
+      for (int it = 0; it < iters; ++it) dense_phase(tiled, x, y, micro);
+      return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(Clock::now() -
+                                                                                   t0)
+                 .count() /
+             iters;
+    };
+    // Interleaved pairs, as in the specialization section; reported wall
+    // times are the per-side minima.
+    std::vector<double> ratios;
+    for (int rep = 0; rep < kMicroReps; ++rep) {
+      const double g = time_once(false, y_gen);
+      const double m = time_once(true, y_micro);
+      if (m > 0.0) ratios.push_back(g / m);
+      if (rep == 0 || g < p.generic_ms) p.generic_ms = g;
+      if (rep == 0 || m < p.micro_ms) p.micro_ms = m;
+    }
+    std::sort(ratios.begin(), ratios.end());
+    p.speedup = ratios.empty() ? 1.0 : ratios[ratios.size() / 2];
+    const bool gated = fam == &dense_full && k == kMicroK;
+    if (gated && scalar_only) {
+      std::printf("SKIP: micro-GEMM gate at k=%d: %.2fx (scalar-only host)\n", k, p.speedup);
+    } else if (gated) {
+      const bool ok = p.speedup >= kMicroGate;
+      if (!ok) ++failures;
+      std::printf("%s: dense_full micro-GEMM speedup at k=%d: %.2fx (need >= %.2fx)\n",
+                  ok ? "PASS" : "FAIL", k, p.speedup, kMicroGate);
+    } else {
+      std::printf("INFO: %s micro-GEMM speedup at k=%d: %.2fx (%s by select_kernels)\n",
+                  p.family.c_str(), k, p.speedup, p.selected ? "selected" : "not selected");
+    }
+    micro_points.push_back(std::move(p));
+  }
+
+  bench::write_bench_json("BENCH_kernels.json", to_json(points, spec_points, micro_points));
 
   if (failures > 0) {
     std::printf("%d kernel scaling check(s) FAILED\n", failures);

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "aspt/aspt.hpp"
@@ -113,12 +112,6 @@ struct ExecutionPlan {
   /// executions keep theirs alive; plan-aware execution paths attach it
   /// to the KernelConfig they hand the kernels.
   std::shared_ptr<const kernels::simd::SpecializationPlan> spec;
-  /// Fingerprint of the matrix the plan was built from (see
-  /// core/fingerprint.hpp). Set by the PlanCache and by load_plan (v4
-  /// files); empty for plans built directly through build_plan. The
-  /// router keys its cost table on it, so its entries survive cache
-  /// eviction.
-  std::string fingerprint;
 };
 
 /// Full ASpT-RR pipeline.

@@ -19,9 +19,10 @@ constexpr char kMagic[10] = {'R', 'R', 'S', 'P', 'M', 'M', 'P', 'L', 'A', 'N'};
 // the tiled matrix; loading an older file recomputes the record from the
 // tiling, so every loaded plan carries one. Version 4 appends the
 // record's dense_full_rows counter (recomputed for v3 files), the matrix
-// fingerprint, and a count of router records. The router no longer
-// persists anything: the writer emits a count of 0, and the reader
-// skips the records of files written by older binaries.
+// fingerprint, and a count of router records. Both of the last two are
+// vestigial since the router was deleted: the writer emits an empty
+// fingerprint and a count of 0, and the reader skips the fingerprint and
+// the records of files written by older binaries.
 constexpr std::uint32_t kVersion = 4;
 
 // POD write/read helpers. The format is defined as little-endian; this
@@ -180,10 +181,10 @@ void save_plan(const ExecutionPlan& plan, std::ostream& out) {
     put<std::uint8_t>(out, spec.variant[c]);
   }
 
-  // Version 4: the micro-GEMM density counter, the matrix fingerprint,
-  // and an empty router-record list.
+  // Version 4: the micro-GEMM density counter, an empty fingerprint and
+  // an empty router-record list.
   put<std::uint64_t>(out, spec.dense_full_rows);
-  put_str(out, plan.fingerprint);
+  put_str(out, "");
   put<std::uint64_t>(out, 0);
   if (!out) throw io_error("failed writing plan");
 }
@@ -257,7 +258,7 @@ ExecutionPlan load_plan(std::istream& in) {
     }
     if (version >= 4) {
       spec.dense_full_rows = get<std::uint64_t>(in);
-      plan.fingerprint = get_str(in);
+      get_str(in);  // the fingerprint older writers stamped; unused
       const auto nroutes = get<std::uint64_t>(in);
       if (nroutes > (1ULL << 20)) throw io_error("implausible route-record count");
       for (std::uint64_t i = 0; i < nroutes; ++i) {

@@ -94,7 +94,7 @@ KernelSelection select_kernels(const KernelConfig& cfg, index_t k) {
   sel.sddmm_rows = t.sddmm_rows;
   sel.sddmm_panel = t.sddmm_panel;
   if (cfg.spec_mode == SpecMode::off || !cfg.spec || !cfg.spec->enabled) return sel;
-  // Dense-tile micro-GEMM (router_scaling micro-GEMM rows): dense_full
+  // Dense-tile micro-GEMM (kernel_scaling micro-GEMM rows): dense_full
   // wins at K <= 32 and loses at K=64; short_rows and tiny, with no fully
   // dense tile rows, lose at K=32.
   if (k <= kMicroGemmKMax && cfg.spec->dense_full_fraction() >= kMicroGemmMinFullFraction) {

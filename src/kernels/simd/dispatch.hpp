@@ -25,9 +25,8 @@ namespace rrspmm::kernels::simd {
 
 struct SpecializationPlan;  // specialize.hpp
 
-/// Kernel-variant mode of one config (select_kernels). The values are
-/// stable: the router stores them as RouteChoice::spec_mode, where 0
-/// means "the configured mode".
+/// Kernel-variant mode of one config (select_kernels). `off` pins the
+/// scalar reference that the tests and perfbench compare against.
 enum class SpecMode : std::uint8_t {
   off = 1,   ///< generic entries only
   rows = 2,  ///< row-wise substitutions + the micro-GEMM (default)
@@ -44,8 +43,7 @@ struct KernelConfig {
   /// entries only, exactly the PR 5 behaviour. Shared so the record
   /// lives as long as any config or plan referencing it.
   std::shared_ptr<const SpecializationPlan> spec;
-  /// Kernel-variant mode; `off` pins the generic entries. The router
-  /// may override it per decision.
+  /// Kernel-variant mode; `off` pins the generic entries.
   SpecMode spec_mode = SpecMode::rows;
 };
 
@@ -78,7 +76,7 @@ struct KernelSelection {
   KernelTable::SpmmPanelDenseFn spmm_panel_dense = nullptr;
 };
 
-/// The micro-GEMM rule's bounds (EXPERIMENTS.md, router_scaling micro-GEMM
+/// The micro-GEMM rule's bounds (EXPERIMENTS.md, kernel_scaling micro-GEMM
 /// rows): it wins on fully dense tiles up to K=32 and loses at K=64, and
 /// on plans without fully dense tile rows its fallback loses to the
 /// generic panel body.

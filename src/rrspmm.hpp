@@ -23,7 +23,6 @@
 #include "kernels/spmv.hpp"
 #include "lsh/candidates.hpp"
 #include "lsh/minhash.hpp"
-#include "router/router.hpp"
 #include "runtime/runtime.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"

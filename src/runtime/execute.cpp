@@ -119,16 +119,4 @@ void parallel_spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const Cs
   c = CsrMatrix(a.rows(), b.cols(), std::move(sym.rowptr), std::move(colidx), std::move(values));
 }
 
-void Executor::sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& m,
-                     DenseView x, DenseView y, value_t* out, std::size_t out_size,
-                     Metrics* metrics) {
-  parallel_sddmm(pool, plan, m, x, y, out, out_size, metrics);
-}
-
-void Executor::spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& a,
-                      const CsrMatrix& b, CsrMatrix& c, Metrics* metrics,
-                      const spgemm::SpgemmConfig& cfg) {
-  parallel_spgemm(pool, plan, a, b, c, metrics, cfg);
-}
-
 }  // namespace rrspmm::runtime

@@ -62,34 +62,4 @@ void parallel_spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const Cs
                      const CsrMatrix& b, CsrMatrix& c, Metrics* metrics = nullptr,
                      const spgemm::SpgemmConfig& cfg = {});
 
-/// Execution seam for the Server: ServerConfig::executor, when set,
-/// receives every request instead of the panel-parallel functions above.
-/// The library ships no implementation. The seam stays only because
-/// perfbench's server_config assigns `executor = nullptr`, and the
-/// benchmark is edited only in changes of its own; remove the seam once
-/// perfbench stops naming the field (ROADMAP item 1).
-/// Implementations must keep the parallel_spmm contract: results bitwise
-/// equal to core::run_spmm, y in the caller's row order.
-class Executor {
- public:
-  virtual ~Executor() = default;
-
-  /// View-based (zero-copy) ABI: `y` is pre-shaped caller storage.
-  /// DenseMatrix arguments convert implicitly, so owning callers use the
-  /// same entry point.
-  virtual void spmm(WorkerPool& pool, const core::ExecutionPlan& plan, DenseView x,
-                    DenseMutView y, Metrics* metrics) = 0;
-
-  /// Default SDDMM: panel-parallel into a pre-sized output buffer.
-  virtual void sddmm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& m,
-                     DenseView x, DenseView y, value_t* out, std::size_t out_size,
-                     Metrics* metrics);
-
-  /// Default SpGEMM: panel-parallel via parallel_spgemm. Every
-  /// implementation must stay bitwise equal to spgemm::multiply.
-  virtual void spgemm(WorkerPool& pool, const core::ExecutionPlan& plan, const CsrMatrix& a,
-                      const CsrMatrix& b, CsrMatrix& c, Metrics* metrics,
-                      const spgemm::SpgemmConfig& cfg);
-};
-
 }  // namespace rrspmm::runtime

@@ -89,9 +89,6 @@ std::string Metrics::to_json() const {
   os << "\"preproc_score_us\":" << get(preproc_score_us) << ",";
   os << "\"preproc_merge_us\":" << get(preproc_merge_us) << ",";
   os << "\"preproc_degradations\":" << get(preproc_degradations) << ",";
-  os << "\"router_decisions\":" << get(router_decisions) << ",";
-  os << "\"router_explorations\":" << get(router_explorations) << ",";
-  os << "\"router_table_full\":" << get(router_table_full) << ",";
   os << "\"zero_copy_requests\":" << get(zero_copy_requests) << ",";
   os << "\"zero_copy_fallbacks\":" << get(zero_copy_fallbacks) << ",";
   os << "\"submit_copy_us\":" << get(submit_copy_us) << ",";

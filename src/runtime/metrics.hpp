@@ -69,9 +69,11 @@ struct Metrics {
   /// neither.
   std::atomic<std::uint64_t> zero_copy_requests{0};
   std::atomic<std::uint64_t> zero_copy_fallbacks{0};
-  /// Operand copy time of the view fallback vs SpMM kernel execution
-  /// time (µs totals) on the Server — the attribution split behind the
-  /// zero-copy win (a zero-copy request accrues no submit_copy_us).
+  /// Operand copy time of the view fallback vs execution time (µs
+  /// totals) on the Server. execute_us adds the panel-parallel run of
+  /// every execution attempt of every request kind (SpMM, SDDMM and
+  /// SpGEMM), plan fetch excluded; the degraded sequential path is not
+  /// counted. A zero-copy request accrues no submit_copy_us.
   std::atomic<std::uint64_t> submit_copy_us{0};
   std::atomic<std::uint64_t> execute_us{0};
 
@@ -133,14 +135,6 @@ struct Metrics {
   std::atomic<std::uint64_t> preproc_degradations{0};
 
   LatencyHistogram latency;
-
-  /// Adaptive-execution router activity, serving-scoped (the Router keeps
-  /// its own totals): decisions taken for this server's requests, how
-  /// many of them were exploration picks rather than the current argmin,
-  /// and how many ran the default unrouted because the table was full.
-  std::atomic<std::uint64_t> router_decisions{0};
-  std::atomic<std::uint64_t> router_explorations{0};
-  std::atomic<std::uint64_t> router_table_full{0};
 
   /// One JSON object with every counter plus p50/p95/p99/p999 latency in
   /// seconds (and p999_us in microseconds for tail-SLO dashboards).

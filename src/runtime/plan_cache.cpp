@@ -63,7 +63,7 @@ PlanPtr PlanCache::get(const std::string& matrix_fingerprint, const sparse::CsrM
     // Build outside the lock — this is the expensive part, and other keys
     // must keep hitting while it runs.
     try {
-      PlanPtr plan = build(m, mode, matrix_fingerprint);
+      PlanPtr plan = build(m, mode);
       metrics_->plans_built.fetch_add(1, std::memory_order_relaxed);
       const core::PipelineStats& ps = plan->stats;
       metrics_->preproc_sig_us.fetch_add(to_us(ps.sig_ms), std::memory_order_relaxed);
@@ -100,8 +100,7 @@ PlanPtr PlanCache::get(const std::string& matrix_fingerprint, const sparse::CsrM
   return fut.get();
 }
 
-PlanPtr PlanCache::build(const sparse::CsrMatrix& m, PlanMode mode,
-                         const std::string& matrix_fingerprint) const {
+PlanPtr PlanCache::build(const sparse::CsrMatrix& m, PlanMode mode) const {
   fault::hit(fault::points::kPlanCacheBuild);
   core::ExecutionPlan plan;
   switch (mode) {
@@ -112,9 +111,6 @@ PlanPtr PlanCache::build(const sparse::CsrMatrix& m, PlanMode mode,
       plan = core::build_plan(m, cfg_.pipeline);
       break;
   }
-  // Stamp the matrix fingerprint so router keys survive eviction and
-  // rebuild: the same matrix always maps to the same cost-table rows.
-  plan.fingerprint = matrix_fingerprint;
   return std::make_shared<const core::ExecutionPlan>(std::move(plan));
 }
 

@@ -78,8 +78,7 @@ class PlanCache {
   };
   using EntryList = std::list<Entry>;
 
-  PlanPtr build(const sparse::CsrMatrix& m, PlanMode mode,
-                const std::string& matrix_fingerprint) const;
+  PlanPtr build(const sparse::CsrMatrix& m, PlanMode mode) const;
   void evict_excess_locked();
 
   PlanCacheConfig cfg_;

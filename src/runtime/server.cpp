@@ -14,7 +14,6 @@ namespace rrspmm::runtime {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-namespace simd = kernels::simd;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -117,44 +116,6 @@ bool Server::stopped() const {
   return !accepting_;
 }
 
-void Server::exec_spmm(const core::ExecutionPlan& plan, sparse::DenseView x,
-                       sparse::DenseMutView y,
-                       const std::optional<simd::KernelConfig>& kernel) {
-  if (cfg_.executor) {
-    cfg_.executor->spmm(pool_, plan, x, y, &metrics_);
-  } else {
-    parallel_spmm(pool_, plan, x, y, &metrics_, kernel ? &*kernel : nullptr);
-  }
-}
-
-void Server::exec_sddmm(const core::ExecutionPlan& plan, const sparse::CsrMatrix& m,
-                        sparse::DenseView x, sparse::DenseView y, value_t* out,
-                        std::size_t out_size,
-                        const std::optional<simd::KernelConfig>& kernel) {
-  if (cfg_.executor) {
-    cfg_.executor->sddmm(pool_, plan, m, x, y, out, out_size, &metrics_);
-  } else {
-    parallel_sddmm(pool_, plan, m, x, y, out, out_size, &metrics_, kernel ? &*kernel : nullptr);
-  }
-}
-
-void Server::exec_spgemm(const core::ExecutionPlan& plan, const sparse::CsrMatrix& a,
-                         const sparse::CsrMatrix& b, sparse::CsrMatrix& c,
-                         const spgemm::SpgemmConfig& cfg) {
-  if (cfg_.executor) {
-    cfg_.executor->spgemm(pool_, plan, a, b, c, &metrics_, cfg);
-  } else {
-    parallel_spgemm(pool_, plan, a, b, c, &metrics_, cfg);
-  }
-}
-
-std::optional<simd::KernelConfig> Server::kernel_for(const router::Decision& dec) const {
-  if (!dec.routed) return cfg_.kernel;
-  simd::KernelConfig kc = cfg_.kernel ? *cfg_.kernel : simd::active_config();
-  if (dec.choice.spec_mode != 0) kc.spec_mode = static_cast<simd::SpecMode>(dec.choice.spec_mode);
-  return kc;
-}
-
 void Server::register_matrix(const std::string& name, sparse::CsrMatrix m) {
   auto reg = std::make_unique<Registered>();
   reg->fingerprint = core::matrix_fingerprint(m);
@@ -191,18 +152,6 @@ Server::Registered& Server::entry(const std::string& name) const {
 
 PlanPtr Server::plan_of(Registered& e) {
   return plan_cache_.get(e.fingerprint, e.matrix, cfg_.mode);
-}
-
-void Server::count_decision(const router::Decision& dec) {
-  if (dec.table_full) metrics_.router_table_full.fetch_add(1, std::memory_order_relaxed);
-  if (!dec.routed) return;
-  metrics_.router_decisions.fetch_add(1, std::memory_order_relaxed);
-  if (dec.explored) metrics_.router_explorations.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Server::observe_route(Registered& e, router::Workload w, index_t k,
-                           const router::Decision& dec, double us) {
-  if (dec.routed) cfg_.router->observe(e.fingerprint, w, k, dec.choice, us);
 }
 
 PlanPtr Server::warm(const std::string& name) { return plan_of(entry(name)); }
@@ -307,29 +256,9 @@ void Server::execute_spmm(Registered& e, const SpmmRequest& r) {
   // The plan fetch is part of the attempt: a failed build drops its cache
   // entry, so a retry rebuilds instead of re-fetching the exception.
   const PlanPtr plan = plan_of(e);
-
-  // Kernel-variant decision. Only the built-in panel-parallel path is
-  // routed here — a configured Executor owns its own kernel choice.
-  // Every arm is a bitwise-guarded path: routing changes which of the
-  // bit-identical executions runs, never the result.
-  router::Decision dec;
-  if (cfg_.router && !cfg_.executor) {
-    dec = cfg_.router->decide(e.fingerprint, router::Workload::spmm, r.x.cols,
-                              router::Router::spmm_arms(e.matrix.rows()));
-    count_decision(dec);
-  }
   const auto t0 = Clock::now();
-  if (dec.routed && dec.choice.threads == 1) {
-    // Sequential arm: core::run_spmm runs the whole plan on this worker
-    // thread alone, skipping the pool fan-out (it wins on tiny matrices
-    // and loses on dense-tile-heavy ones; EXPERIMENTS.md, "Sequential vs
-    // pool arm").
-    core::run_spmm(*plan, r.x, r.y);
-  } else {
-    exec_spmm(*plan, r.x, r.y, kernel_for(dec));
-  }
+  parallel_spmm(pool_, *plan, r.x, r.y, &metrics_, cfg_.kernel ? &*cfg_.kernel : nullptr);
   add_us(metrics_.execute_us, t0);
-  observe_route(e, router::Workload::spmm, r.x.cols, dec, micros_since(t0));
 }
 
 void Server::with_recovery(const std::function<void()>& attempt,
@@ -435,15 +364,10 @@ void Server::enqueue_sddmm(Registered& e, SddmmRequest req) {
 
 void Server::execute_sddmm(Registered& e, const SddmmRequest& r) {
   const PlanPtr plan = plan_of(e);
-  router::Decision dec;
-  if (cfg_.router && !cfg_.executor) {
-    dec = cfg_.router->decide(e.fingerprint, router::Workload::sddmm, r.x.cols,
-                              router::Router::sddmm_arms());
-    count_decision(dec);
-  }
   const auto t0 = Clock::now();
-  exec_sddmm(*plan, e.matrix, r.x, r.y, r.out, r.out_size, kernel_for(dec));
-  observe_route(e, router::Workload::sddmm, r.x.cols, dec, micros_since(t0));
+  parallel_sddmm(pool_, *plan, e.matrix, r.x, r.y, r.out, r.out_size, &metrics_,
+                 cfg_.kernel ? &*cfg_.kernel : nullptr);
+  add_us(metrics_.execute_us, t0);
 }
 
 std::future<sparse::CsrMatrix> Server::submit_spgemm(const std::string& a_name,
@@ -486,24 +410,10 @@ std::future<sparse::CsrMatrix> Server::submit_spgemm(const std::string& a_name,
 
 sparse::CsrMatrix Server::execute_spgemm(Registered& ea, Registered& eb) {
   const PlanPtr plan = plan_of(ea);
-  // Accumulator decision: config default vs hash vs sort pinned. The
-  // accumulators are bitwise-equal by construction (see
-  // spgemm/accumulators.hpp), so the choice is pure speed. SpGEMM has no
-  // dense operand width; the key uses bucket 0.
-  router::Decision dec;
-  spgemm::SpgemmConfig sc = cfg_.spgemm;
-  if (cfg_.router && !cfg_.executor) {
-    dec = cfg_.router->decide(ea.fingerprint, router::Workload::spgemm, 0,
-                              router::Router::spgemm_arms());
-    count_decision(dec);
-    if (dec.routed && dec.choice.accumulator != router::kDefaultAccumulator) {
-      sc.accumulator = static_cast<spgemm::Accumulator>(dec.choice.accumulator);
-    }
-  }
   sparse::CsrMatrix c;
   const auto t0 = Clock::now();
-  exec_spgemm(*plan, ea.matrix, eb.matrix, c, sc);
-  observe_route(ea, router::Workload::spgemm, 0, dec, micros_since(t0));
+  parallel_spgemm(pool_, *plan, ea.matrix, eb.matrix, c, &metrics_, cfg_.spgemm);
+  add_us(metrics_.execute_us, t0);
   return c;
 }
 

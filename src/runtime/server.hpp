@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -31,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "router/router.hpp"
 #include "runtime/execute.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/plan_cache.hpp"
@@ -78,29 +78,20 @@ struct ServerConfig {
   /// perfbench assigns it.
   std::size_t max_batch = 8;
   core::PipelineConfig pipeline;
-  /// Execution seam (see runtime::Executor); null, the default, runs the
-  /// built-in panel-parallel path. The library ships no executor: the
+  /// Unread: every request runs the built-in panel-parallel path. The
   /// field stays only while perfbench assigns it.
-  std::shared_ptr<Executor> executor;
+  std::nullptr_t executor = nullptr;
   RetryPolicy retry;
   /// SpGEMM accumulator policy for submit_spgemm requests. The choice
   /// never affects result bits, only speed; the degraded path always
   /// runs the sequential sort-based accumulator with probes off.
   spgemm::SpgemmConfig spgemm;
-  /// SIMD kernel selection for the built-in panel-parallel path; nullopt
-  /// uses the process-wide simd::active_config() (the RRSPMM_KERNEL_ISA
-  /// env knob). A configured Executor owns its own kernel choice.
+  /// SIMD kernel selection for the panel-parallel path; nullopt uses the
+  /// process-wide simd::active_config() (the RRSPMM_KERNEL_ISA env knob).
   std::optional<kernels::simd::KernelConfig> kernel;
-  /// Adaptive-execution router. The default consults RRSPMM_ROUTER
-  /// (off/on) via router::from_env(); null keeps every decision
-  /// static, exactly the pre-router behaviour. When set, the server asks
-  /// it per request for the kernel variant (specialization mode,
-  /// sequential fallback) and the SpGEMM accumulator, and feeds measured
-  /// latency back through observe(). Every arm is one of the existing
-  /// bitwise-guarded paths, so routing never changes result bits. Only
-  /// the built-in panel-parallel path is routed (a configured Executor
-  /// owns its own kernel choice).
-  std::shared_ptr<router::Router> router = router::from_env();
+  /// Unread: no request is routed. The field stays only while perfbench
+  /// assigns it.
+  std::nullptr_t router = nullptr;
   /// Borrow caller buffers in the view-based submit overloads instead of
   /// copying (default on). Misaligned views fall back to the owned-copy
   /// path either way — the field and the gate choose between two
@@ -244,16 +235,6 @@ class Server {
 
   Registered& entry(const std::string& name) const;
   PlanPtr plan_of(Registered& e);
-  /// Bumps the serving-scoped router counters for a routed decision.
-  void count_decision(const router::Decision& dec);
-  /// Feeds a measured latency back to the router; no-op for unrouted
-  /// decisions.
-  void observe_route(Registered& e, router::Workload w, index_t k,
-                     const router::Decision& dec, double us);
-  /// The SIMD configuration a decision selects: cfg_.kernel when
-  /// unrouted, else the server's choice with the arm's spec mode applied
-  /// (spec_mode 0 keeps the configured mode).
-  std::optional<kernels::simd::KernelConfig> kernel_for(const router::Decision& dec) const;
   /// Gate every admission through: throws server_stopped after stop()
   /// has begun, otherwise counts the request as in flight. The check and
   /// the increment are one critical section, so stop() can never observe
@@ -274,9 +255,9 @@ class Server {
   /// Runs the matrix's queued SpMM requests one at a time, in FIFO
   /// order, until the queue is empty.
   void drain(Registered& e);
-  /// One execution attempt: fetch the plan, run the request on its
-  /// views. Touches no completion state, so a failed attempt is fully
-  /// retryable.
+  /// One execution attempt: fetch the plan, run the request
+  /// panel-parallel on its views, and add the run to execute_us. Touches
+  /// no completion state, so a failed attempt is fully retryable.
   void execute_spmm(Registered& e, const SpmmRequest& r);
   void execute_sddmm(Registered& e, const SddmmRequest& r);
   sparse::CsrMatrix execute_spgemm(Registered& ea, Registered& eb);
@@ -292,18 +273,6 @@ class Server {
   /// that observed its future ready always sees itself counted.
   void complete(const Completion& done, Clock::time_point t0, std::exception_ptr err);
   void finish_requests(std::size_t n);
-  /// Dispatch through cfg_.executor when set, else the built-in
-  /// panel-parallel path with `kernel` (see kernel_for). Both sides keep
-  /// the bitwise-equality contract.
-  void exec_spmm(const core::ExecutionPlan& plan, sparse::DenseView x, sparse::DenseMutView y,
-                 const std::optional<kernels::simd::KernelConfig>& kernel);
-  void exec_sddmm(const core::ExecutionPlan& plan, const sparse::CsrMatrix& m,
-                  sparse::DenseView x, sparse::DenseView y, value_t* out,
-                  std::size_t out_size,
-                  const std::optional<kernels::simd::KernelConfig>& kernel);
-  void exec_spgemm(const core::ExecutionPlan& plan, const sparse::CsrMatrix& a,
-                   const sparse::CsrMatrix& b, sparse::CsrMatrix& c,
-                   const spgemm::SpgemmConfig& cfg);
 
   ServerConfig cfg_;
   Metrics metrics_;

@@ -1,7 +1,8 @@
-// Hand-written plan-file fixtures for version-4 files that carry router
-// records. Binaries that persisted their router table wrote those
-// records after the fingerprint; the current writer always writes a
-// record count of 0, and the reader skips any records it finds.
+// Hand-written plan-file fixtures for version-4 files that carry a matrix
+// fingerprint and router records. Binaries that had a router stamped the
+// fingerprint and persisted their router table after it; the current
+// writer writes an empty fingerprint and a record count of 0, and the
+// reader skips whatever it finds in both.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -50,19 +51,25 @@ struct V4RouteRecord {
 /// Bytes of one record on disk.
 inline constexpr std::size_t kV4RouteRecordBytes = 43;
 
-/// `plan` saved by the current writer, with `count` in place of its
-/// trailing zero record count and `records` appended after it.
-inline std::string v4_plan_with_records(const core::ExecutionPlan& plan, std::uint64_t count,
+/// `plan` saved by the current writer, with `fingerprint` in place of its
+/// empty fingerprint, `count` in place of its trailing zero record count,
+/// and `records` appended after it: the tail an older binary that stamped
+/// a fingerprint and persisted its router table wrote.
+inline std::string v4_plan_with_records(const core::ExecutionPlan& plan,
+                                        const std::string& fingerprint, std::uint64_t count,
                                         const std::vector<V4RouteRecord>& records) {
   std::stringstream ss;
   core::save_plan(plan, ss);
   const std::string current = ss.str();
-  const std::string body = current.substr(0, current.size() - sizeof(std::uint64_t));
-  Bytes zero;
-  zero.put<std::uint64_t>(0);
-  EXPECT_EQ(current.substr(body.size()), zero.s) << "writer no longer ends with a zero count";
+  const std::string body = current.substr(0, current.size() - 2 * sizeof(std::uint64_t));
+  Bytes zeros;
+  zeros.put<std::uint64_t>(0).put<std::uint64_t>(0);
+  EXPECT_EQ(current.substr(body.size()), zeros.s)
+      << "writer no longer ends with an empty fingerprint and a zero count";
 
   Bytes b{body};
+  b.put<std::uint64_t>(fingerprint.size());
+  b.s += fingerprint;
   b.put(count);
   for (const V4RouteRecord& r : records) {
     b.put(r.workload).put(r.k_bucket);
@@ -70,7 +77,8 @@ inline std::string v4_plan_with_records(const core::ExecutionPlan& plan, std::ui
     b.put(r.threads).put(r.batch).put(r.accumulator);
     b.put(r.count).put(r.total_us).put(r.min_us).put(r.max_us);
   }
-  EXPECT_EQ(b.s.size(), body.size() + 8 + records.size() * kV4RouteRecordBytes);
+  EXPECT_EQ(b.s.size(), body.size() + 16 + fingerprint.size() +
+                            records.size() * kV4RouteRecordBytes);
   return b.s;
 }
 

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/fingerprint.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan_io.hpp"
 #include "kernels/spmm.hpp"
@@ -157,33 +158,55 @@ TEST(PlanIo, HostileHeaderCountsRaiseIoError) {
 }
 
 // Plan files from binaries that persisted router records: v4 ends with a
-// record count and 43-byte records, which the reader skips.
+// matrix fingerprint, a record count and 43-byte records, which the
+// reader skips. Two inputs: two live-arm records, and a table of arms
+// retired before the router was (micro-GEMM, spec-all, shard workload,
+// pinned shard strategy).
 TEST(PlanIo, V4RouteRecordsAreSkipped) {
+  const auto expect_loads_exactly = [](const CsrMatrix& m, const ExecutionPlan& plan,
+                                       const std::string& fixture, const char* what) {
+    SCOPED_TRACE(what);
+    std::stringstream in(fixture);
+    const ExecutionPlan loaded = core::load_plan(in);
+    EXPECT_EQ(in.peek(), std::char_traits<char>::eof()) << "records not skipped exactly";
+    DenseMatrix x(m.cols(), 8);
+    sparse::fill_random(x, 2);
+    DenseMatrix y_plan(m.rows(), 8), y_loaded(m.rows(), 8);
+    core::run_spmm(plan, x, y_plan);
+    core::run_spmm(loaded, x, y_loaded);
+    EXPECT_DOUBLE_EQ(y_plan.max_abs_diff(y_loaded), 0.0);
+  };
+
   const auto m = subject_matrix();
-  ExecutionPlan plan = build_plan(m, small_cfg());
-  plan.fingerprint = "fixture-fp";
+  const ExecutionPlan plan = build_plan(m, small_cfg());
   test::V4RouteRecord fast;
   fast.spec_mode = 1;
-  const std::string fixture = test::v4_plan_with_records(plan, 2, {test::V4RouteRecord{}, fast});
+  const std::string fixture =
+      test::v4_plan_with_records(plan, "fixture-fp", 2, {test::V4RouteRecord{}, fast});
+  expect_loads_exactly(m, plan, fixture, "live arms");
 
-  std::stringstream in(fixture);
-  const ExecutionPlan loaded = core::load_plan(in);
-  EXPECT_EQ(in.peek(), std::char_traits<char>::eof()) << "records not skipped exactly";
-  EXPECT_EQ(loaded.fingerprint, plan.fingerprint);
-  DenseMatrix x(m.cols(), 8);
-  sparse::fill_random(x, 2);
-  DenseMatrix y_plan(m.rows(), 8), y_loaded(m.rows(), 8);
-  core::run_spmm(plan, x, y_plan);
-  core::run_spmm(loaded, x, y_loaded);
-  EXPECT_DOUBLE_EQ(y_plan.max_abs_diff(y_loaded), 0.0);
+  const CsrMatrix small = synth::erdos_renyi(64, 64, 512, 42);
+  const ExecutionPlan small_plan = build_plan(small);
+  test::V4RouteRecord live, micro_gemm, spec_all, shard, pinned;
+  micro_gemm.micro_gemm = 1;
+  spec_all.spec_mode = 3;
+  shard.workload = 3;
+  shard.shard_strategy = 2;
+  pinned.spec_mode = 1;
+  pinned.shard_strategy = 1;
+  const std::vector<test::V4RouteRecord> retired = {live, micro_gemm, spec_all, shard, pinned};
+  expect_loads_exactly(small, small_plan,
+                       test::v4_plan_with_records(small_plan, core::matrix_fingerprint(small),
+                                                  retired.size(), retired),
+                       "retired arms");
 
   // A record cut mid-way is a truncated file.
   std::stringstream cut(fixture.substr(0, fixture.size() - 20));
   EXPECT_THROW(core::load_plan(cut), io_error);
 
   // The count stays bounded: one past 2^20 is rejected before any skip.
-  std::stringstream huge(
-      test::v4_plan_with_records(plan, (1ULL << 20) + 1, {test::V4RouteRecord{}, fast}));
+  std::stringstream huge(test::v4_plan_with_records(plan, "fixture-fp", (1ULL << 20) + 1,
+                                                    {test::V4RouteRecord{}, fast}));
   try {
     core::load_plan(huge);
     ADD_FAILURE() << "route-record count 2^20+1 loaded";

@@ -223,7 +223,7 @@ TEST_P(SimdEquivalence, PaddedOperandsAreBitwiseEqualToPacked) {
   }
 }
 
-/// router_scaling's dense_full shape at test size: row groups one panel
+/// kernel_scaling's dense_full micro-GEMM shape at test size: row groups one panel
 /// tall, each row covering its group's whole disjoint 64-column pool, so
 /// every dense-tile row is fully dense and the micro-GEMM pairs them all.
 CsrMatrix dense_full_matrix() {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <limits>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "runtime/runtime.hpp"
 #include "spgemm/spgemm.hpp"
 #include "synth/corpus.hpp"
+#include "synth/generators.hpp"
 #include "test_util.hpp"
 
 namespace rrspmm {
@@ -525,71 +527,27 @@ TEST(Server, DestructorDrainsAdmittedWork) {
   EXPECT_NO_THROW(fut.get());
 }
 
-// The ServerConfig::executor seam: a configured Executor receives every
-// request kind in place of the built-in panel-parallel path. This fake
-// runs the sequential reference paths and counts its calls, so the
-// counts prove the dispatch and the bits prove the contract.
-class SequentialExecutor final : public runtime::Executor {
- public:
-  void spmm(WorkerPool&, const core::ExecutionPlan& plan, sparse::DenseView x,
-            sparse::DenseMutView y, runtime::Metrics*) override {
-    ++spmm_calls;
-    core::run_spmm(plan, x, y);
-  }
-  void sddmm(WorkerPool&, const core::ExecutionPlan& plan, const sparse::CsrMatrix& m,
-             sparse::DenseView x, sparse::DenseView y, value_t* out, std::size_t out_size,
-             runtime::Metrics*) override {
-    ++sddmm_calls;
-    core::run_sddmm(plan, m, x, y, out, out_size);
-  }
-  void spgemm(WorkerPool&, const core::ExecutionPlan&, const sparse::CsrMatrix& a,
-              const sparse::CsrMatrix& b, sparse::CsrMatrix& c, runtime::Metrics*,
-              const spgemm::SpgemmConfig& cfg) override {
-    ++spgemm_calls;
-    c = spgemm::multiply(a, b, cfg);
-  }
-
-  std::atomic<int> spmm_calls{0};
-  std::atomic<int> sddmm_calls{0};
-  std::atomic<int> spgemm_calls{0};
-};
-
-TEST(ServerExecutor, EveryRequestKindDispatchesThroughTheSeamBitwiseEqual) {
-  const auto entry = synth::build_test_corpus().front();
-  const sparse::CsrMatrix& m = entry.matrix;
-  ASSERT_EQ(m.rows(), m.cols());
-  auto exec = std::make_shared<SequentialExecutor>();
-  ServerConfig cfg = test_server_cfg(3);
-  cfg.executor = exec;
-  Server server(cfg);
+// execute_us counts every request kind, not only SpMM: one served SDDMM
+// and one served SpGEMM each add their execution time, while
+// batches_executed still counts SpMM executions alone. The operands are
+// sized so each request runs well past 1 µs (add_us truncates).
+TEST(Server, ExecuteUsCountsSddmmAndSpgemm) {
+  const sparse::CsrMatrix m = synth::erdos_renyi(2048, 2048, 32768, 17);
+  Server server(test_server_cfg(2));
   server.register_matrix("m", m);
+  server.warm("m");
 
-  // Built-in panel-parallel references through the same plan.
-  const runtime::PlanPtr plan = server.warm("m");
-  WorkerPool pool(3);
-  DenseMatrix x(m.cols(), 8), yd(m.rows(), 8);
-  sparse::fill_random(x, 5);
-  sparse::fill_random(yd, 6);
-  DenseMatrix y_ref(m.rows(), 8);
-  runtime::parallel_spmm(pool, *plan, x, y_ref);
-  std::vector<value_t> o_ref(static_cast<std::size_t>(m.nnz()));
-  runtime::parallel_sddmm(pool, *plan, m, x, yd, o_ref.data(), o_ref.size());
-  sparse::CsrMatrix c_ref;
-  runtime::parallel_spgemm(pool, *plan, m, m, c_ref);
+  DenseMatrix x(m.cols(), 32), y(m.rows(), 32);
+  sparse::fill_random(x, 3);
+  sparse::fill_random(y, 4);
+  server.submit_sddmm("m", std::move(x), std::move(y)).get();
+  const std::uint64_t after_sddmm = server.metrics().execute_us.load();
+  EXPECT_GT(after_sddmm, 0u) << "SDDMM execution not counted";
 
-  expect_bitwise_equal(y_ref, server.submit("m", x).get(), "spmm through the seam");
-  const std::vector<value_t> o = server.submit_sddmm("m", x, yd).get();
-  EXPECT_EQ(o, o_ref);
-  const sparse::CsrMatrix c = server.submit_spgemm("m", "m").get();
-  EXPECT_EQ(c.rowptr(), c_ref.rowptr());
-  EXPECT_EQ(c.colidx(), c_ref.colidx());
-  EXPECT_EQ(c.values(), c_ref.values());
-  server.stop();
-
-  EXPECT_EQ(exec->spmm_calls.load(), 1);
-  EXPECT_EQ(exec->sddmm_calls.load(), 1);
-  EXPECT_EQ(exec->spgemm_calls.load(), 1);
-  EXPECT_EQ(server.metrics().panels_executed.load(), 0u);  // the built-in path never ran
+  server.submit_spgemm("m", "m").get();
+  EXPECT_GT(server.metrics().execute_us.load(), after_sddmm) << "SpGEMM execution not counted";
+  EXPECT_EQ(server.metrics().batches_executed.load(), 0u);
+  EXPECT_EQ(server.metrics().spgemm_batches.load(), 1u);
 }
 
 }  // namespace
