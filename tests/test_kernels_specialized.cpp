@@ -7,12 +7,14 @@
 // distributions against the generic SIMD kernels.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "aspt/aspt.hpp"
+#include "core/pipeline.hpp"
 #include "kernels/sddmm.hpp"
 #include "kernels/simd/dispatch.hpp"
 #include "kernels/simd/specialize.hpp"
@@ -507,6 +509,133 @@ TEST(SpecializedSelection, MicroGemmNeedsKUpTo32AndFullDenseTiles) {
           << "partial k=" << k;
       EXPECT_EQ(simd::select_kernels(cfg_of(isa), k).spmm_panel_dense, nullptr)
           << "no record k=" << k;
+    }
+  }
+}
+
+// --- pinned decisions --------------------------------------------------
+
+/// The config select_kernels sees for `record` on `isa`: rows mode with
+/// the record attached.
+simd::KernelConfig with_record(simd::Isa isa, const simd::SpecializationPlan& record) {
+  return cfg_of(isa, std::make_shared<const simd::SpecializationPlan>(record));
+}
+
+/// Sparse-remainder rows with 1..kShortRowMax nonzeros: the fact that
+/// trips the short-row guard.
+std::uint64_t short_rows_of(const CsrMatrix& sparse_part) {
+  std::uint64_t n = 0;
+  for (index_t i = 0; i < sparse_part.rows(); ++i) {
+    const index_t nnz = sparse_part.row_nnz(i);
+    if (nnz > 0 && nnz <= simd::kShortRowMax) ++n;
+  }
+  return n;
+}
+
+/// One selection, coded as four characters: 'S' when specialized ('-'
+/// otherwise); the SpMM row entry and the SDDMM row entry, each 'g'
+/// generic, 'k' the K-width instantiation or 'c' the classed short-row
+/// driver; 'M' when the dense-tile micro-GEMM was picked ('-' otherwise).
+std::string selection_code(const simd::KernelSelection& sel, const simd::KernelTable& t,
+                           index_t k) {
+  const int slot = simd::spec_k_slot(k);
+  const auto entry = [&](auto got, auto generic, auto kw, auto classed) {
+    if (got == generic) return 'g';
+    if (slot >= 0 && got == kw[slot]) return 'k';
+    if (classed != nullptr && got == classed) return 'c';
+    return '?';
+  };
+  std::string code;
+  code += sel.specialized ? 'S' : '-';
+  code += entry(sel.spmm_rows, t.spmm_rows, t.spmm_rows_kw, t.spmm_rows_classed);
+  code += entry(sel.sddmm_rows, t.sddmm_rows, t.sddmm_rows_kw,
+                static_cast<simd::KernelTable::SddmmRowsFn>(nullptr));
+  code += sel.spmm_panel_dense == nullptr ? '-' : (sel.spmm_panel_dense == t.spmm_panel_dense
+                                                       ? 'M'
+                                                       : '?');
+  EXPECT_EQ(sel.spmm_panel, t.spmm_panel);
+  EXPECT_EQ(sel.sddmm_panel, t.sddmm_panel);
+  return code;
+}
+
+constexpr index_t kPinnedWidths[] = {8, 16, 32, 48, 64, 96, 128};
+
+/// perfbench's scattered_attn matrix (seed 1) and its default plan.
+core::ExecutionPlan scattered_attn_plan() {
+  return core::build_plan(synth::erdos_renyi(8192, 8192, 8192 * 12, 1));
+}
+
+// Today's kernel choices, recorded per plan, ISA and K. The decisions
+// follow from two facts of the tiling: whether any sparse-remainder row
+// has 1..kShortRowMax nonzeros, and what fraction of the dense-tile rows
+// is fully dense. Two quirks are pinned as they stand: scattered_attn's 62
+// short rows of 8192 keep K=96/128 on the generic drivers, and its
+// near-empty dense tiles (dense ratio below 0.001) still pick the
+// micro-GEMM at K <= 32.
+TEST(SpecializedSelection, PinnedDecisionsPerPlanIsaAndK) {
+  core::PipelineConfig no_tiles;
+  no_tiles.aspt.dense_col_threshold = 1 << 20;
+  const core::ExecutionPlan short_plan = core::build_plan(short_rows_matrix(512, 256, 5));
+  const core::ExecutionPlan long_plan =
+      core::build_plan_nr(uniform_rows(256, 512, 12, 7), no_tiles);
+  const core::ExecutionPlan dense_plan = core::build_plan(synth::clustered_rows(
+      synth::ClusteredParams{.rows = 256, .cols = 512, .num_groups = 4, .group_cols = 64,
+                             .row_nnz = 64, .noise_nnz = 0, .scatter = false,
+                             .disjoint_pools = true},
+      331));
+  const core::ExecutionPlan attn_plan = scattered_attn_plan();
+  const CsrMatrix power_law = synth::chung_lu(512, 256, 6.0, 2.3, 109);
+  const CsrMatrix long_rows = uniform_rows(128, 256, 40, 11);
+
+  ASSERT_GT(short_rows_of(short_plan.tiled.sparse_part()), 0u);
+  ASSERT_EQ(short_rows_of(long_plan.tiled.sparse_part()), 0u);
+  ASSERT_EQ(attn_plan.tiled.sparse_part().rows(), 8192);
+  ASSERT_EQ(short_rows_of(attn_plan.tiled.sparse_part()), 62u);
+  ASSERT_LT(attn_plan.tiled.stats().dense_ratio(), 0.001);
+  ASSERT_GT(short_rows_of(power_law), 0u);
+  ASSERT_EQ(short_rows_of(long_rows), 0u);
+
+  struct Case {
+    std::string name;
+    std::function<simd::KernelConfig(simd::Isa)> cfg;
+    std::vector<std::string> codes;  ///< one per kPinnedWidths entry
+  };
+  const auto plan_cfg = [](const core::ExecutionPlan& plan) {
+    return [&plan](simd::Isa isa) {
+      const simd::KernelConfig pinned = cfg_of(isa);
+      return core::kernel_config(plan, &pinned);
+    };
+  };
+  const auto rows_cfg = [](const CsrMatrix& m) {
+    return [&m](simd::Isa isa) { return with_record(isa, simd::specialize_rows(m)); };
+  };
+  ASSERT_GE(plan_cfg(dense_plan)(simd::Isa::scalar).spec->dense_full_fraction(), 0.5);
+
+  const std::vector<Case> cases = {
+      //                        K=8     16      32      48      64      96      128
+      {"short_rows", plan_cfg(short_plan),
+       {"Scg-", "Scg-", "Skk-", "Scg-", "Skk-", "-gg-", "-gg-"}},
+      {"no_short_rows", plan_cfg(long_plan),
+       {"-gg-", "-gg-", "Skk-", "-gg-", "Skk-", "-gg-", "Skk-"}},
+      {"dense_full", plan_cfg(dense_plan),
+       {"-ggM", "-ggM", "SkkM", "-gg-", "Skk-", "-gg-", "Skk-"}},
+      {"scattered_attn", plan_cfg(attn_plan),
+       {"ScgM", "ScgM", "SkkM", "Scg-", "Skk-", "-gg-", "-gg-"}},
+      {"rows_power_law", rows_cfg(power_law),
+       {"Scg-", "Scg-", "Skk-", "Scg-", "Skk-", "-gg-", "-gg-"}},
+      {"rows_long", rows_cfg(long_rows),
+       {"-gg-", "-gg-", "Skk-", "-gg-", "Skk-", "-gg-", "Skk-"}},
+  };
+  for (const Case& c : cases) {
+    ASSERT_EQ(c.codes.size(), std::size(kPinnedWidths));
+    for (const simd::Isa isa : runnable_isas()) {
+      const simd::KernelConfig cfg = c.cfg(isa);
+      const simd::KernelTable& t = simd::table(cfg);
+      for (std::size_t i = 0; i < std::size(kPinnedWidths); ++i) {
+        const index_t k = kPinnedWidths[i];
+        EXPECT_EQ(selection_code(simd::select_kernels(cfg, k), t, k), c.codes[i])
+            << c.name << " " << simd::isa_name(isa) << " k=" << k;
+      }
     }
   }
 }
