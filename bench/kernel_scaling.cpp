@@ -40,7 +40,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -171,7 +170,7 @@ struct SpecSubject {
   std::string op;  ///< "spmm_rowwise" | "spmm_aspt" | "sddmm_aspt"
   CsrMatrix s;
   aspt::AsptMatrix tiled;  ///< used by the aspt ops only
-  std::shared_ptr<const simd::SpecializationPlan> spec;
+  simd::SpecializationPlan spec;
 };
 
 /// Every row 1..4 nonzeros over a narrow column range (X stays cache
@@ -204,7 +203,7 @@ std::vector<SpecSubject> build_spec_subjects() {
   const double scale = env_scale();
   std::vector<SpecSubject> out;
   const auto rows_spec = [](const CsrMatrix& s) {
-    return std::make_shared<const simd::SpecializationPlan>(simd::specialize_rows(s));
+    return simd::specialize_rows(s);
   };
 
   {
@@ -250,8 +249,7 @@ std::vector<SpecSubject> build_spec_subjects() {
     sub.tiled = aspt::build_aspt(sub.s, aspt::AsptConfig{.panel_rows = 64,
                                                          .dense_col_threshold = 2,
                                                          .max_dense_cols = 128});
-    sub.spec = std::make_shared<const simd::SpecializationPlan>(
-        simd::specialize_plan(sub.tiled));
+    sub.spec = simd::specialize_plan(sub.tiled);
     SpecSubject sddmm = sub;
     sddmm.op = "sddmm_aspt";
     out.push_back(std::move(sub));

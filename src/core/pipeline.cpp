@@ -64,8 +64,7 @@ ExecutionPlan build_plan_nr(const CsrMatrix& m, const PipelineConfig& cfg) {
   plan.stats.dense_ratio_after = plan.stats.dense_ratio_before;
   plan.stats.avg_sim_before = avg_sim_nonempty(plan.tiled.sparse_part(), plan.sparse_order);
   plan.stats.avg_sim_after = plan.stats.avg_sim_before;
-  plan.spec = std::make_shared<kernels::simd::SpecializationPlan>(
-      kernels::simd::specialize_plan(plan.tiled));
+  plan.spec = kernels::simd::specialize_plan(plan.tiled);
   plan.stats.preprocess_seconds = seconds_since(t0);
   return plan;
 }
@@ -129,8 +128,7 @@ ExecutionPlan build_plan(const CsrMatrix& m, const PipelineConfig& cfg) {
     plan.stats.avg_sim_after = plan.stats.avg_sim_before;
   }
 
-  plan.spec = std::make_shared<kernels::simd::SpecializationPlan>(
-      kernels::simd::specialize_plan(plan.tiled));
+  plan.spec = kernels::simd::specialize_plan(plan.tiled);
   plan.stats.preprocess_seconds = seconds_since(t0);
   return plan;
 }

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "aspt/aspt.hpp"
@@ -106,12 +105,10 @@ struct ExecutionPlan {
   /// permuted row space (identity when skipped).
   std::vector<index_t> sparse_order;
   PipelineStats stats;
-  /// AOT kernel-specialization record built from the tiling's row-length
-  /// and panel statistics (kernels/simd/specialize.hpp). Shared so the
-  /// PlanCache drops it together with an evicted plan while in-flight
-  /// executions keep theirs alive; plan-aware execution paths attach it
+  /// AOT kernel-specialization record: specialize_plan(tiled)
+  /// (kernels/simd/specialize.hpp). Plan-aware execution paths attach it
   /// to the KernelConfig they hand the kernels.
-  std::shared_ptr<const kernels::simd::SpecializationPlan> spec;
+  kernels::simd::SpecializationPlan spec;
 };
 
 /// Full ASpT-RR pipeline.

@@ -15,15 +15,12 @@ namespace {
 constexpr char kMagic[10] = {'R', 'R', 'S', 'P', 'M', 'M', 'P', 'L', 'A', 'N'};
 // Version 2 appends the per-phase preprocessing timings and the
 // degradation flag to the stats block; version 1 files load with zeroed
-// timings. Version 3 appends the kernel SpecializationPlan record after
-// the tiled matrix; loading an older file recomputes the record from the
-// tiling, so every loaded plan carries one. Version 4 appends the
-// record's dense_full_rows counter (recomputed for v3 files), the matrix
-// fingerprint, and a count of router records. Both of the last two are
-// vestigial since the router was deleted: the writer emits an empty
-// fingerprint and a count of 0, and the reader skips the fingerprint and
-// the records of files written by older binaries.
-constexpr std::uint32_t kVersion = 4;
+// timings. Versions 3 and 4 appended a stored kernel-specialization
+// record after the tiled matrix, and version 4 also a matrix fingerprint
+// and router records; the reader validates and skips all of them.
+// Version 5 is the version 2 layout: the record is a function of the
+// tiling, so every loaded plan recomputes it.
+constexpr std::uint32_t kVersion = 5;
 
 // POD write/read helpers. The format is defined as little-endian; this
 // library targets little-endian hosts (x86-64, AArch64 Linux), which the
@@ -74,11 +71,6 @@ std::vector<T> get_vec(std::istream& in, std::uint64_t max_elems = (1ULL << 33))
   return v;
 }
 
-void put_str(std::ostream& out, const std::string& s) {
-  put<std::uint64_t>(out, s.size());
-  if (!s.empty()) out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
 std::string get_str(std::istream& in, std::uint64_t max_len = (1ULL << 16)) {
   const auto n = get<std::uint64_t>(in);
   if (n > max_len) throw io_error("plan file declares an implausible string size");
@@ -93,6 +85,35 @@ std::string get_str(std::istream& in, std::uint64_t max_len = (1ULL << 16)) {
 // Size of one v4 router record on disk (workload u8, k_bucket i32, six
 // u8 arm fields, count u64, total/min/max f64), skipped on load.
 constexpr std::streamsize kRouterRecordBytes = 43;
+
+// Reads past the stored specialization record of a v3/v4 file (and v4's
+// fingerprint and router records), rejecting a corrupt one. Layout: an
+// enabled flag u8, short_max and medium_max thresholds, four row-class
+// counts, dense_panels and dense_tile_rows u64, four variant bytes (at
+// most 2, the largest variant the writers knew), and in v4
+// dense_full_rows u64, the fingerprint string and the record list.
+void skip_stored_record(std::istream& in, std::uint32_t version) {
+  get<std::uint8_t>(in);
+  const auto short_max = get<index_t>(in);
+  const auto medium_max = get<index_t>(in);
+  for (int i = 0; i < 4 + 2; ++i) get<std::uint64_t>(in);
+  for (int c = 0; c < 4; ++c) {
+    if (get<std::uint8_t>(in) > 2) throw io_error("plan specialization record is corrupt");
+  }
+  if (short_max <= 0 || medium_max < short_max) {
+    throw io_error("plan specialization record is corrupt");
+  }
+  if (version < 4) return;
+  get<std::uint64_t>(in);
+  get_str(in);  // the fingerprint
+  const auto nroutes = get<std::uint64_t>(in);
+  if (nroutes > (1ULL << 20)) throw io_error("implausible route-record count");
+  for (std::uint64_t i = 0; i < nroutes; ++i) {
+    if (in.ignore(kRouterRecordBytes).gcount() != kRouterRecordBytes) {
+      throw io_error("plan file truncated inside a route record");
+    }
+  }
+}
 
 void put_stats(std::ostream& out, const PipelineStats& s) {
   put(out, s.dense_ratio_before);
@@ -165,27 +186,6 @@ void save_plan(const ExecutionPlan& plan, std::ostream& out) {
   put_vec(out, sp.values());
   put_vec(out, t.sparse_src_idx());
 
-  // Version 3: the specialization record. A plan assembled by hand may
-  // not carry one; serialize the recomputed record so files are uniform.
-  const kernels::simd::SpecializationPlan spec =
-      plan.spec ? *plan.spec : kernels::simd::specialize_plan(plan.tiled);
-  put<std::uint8_t>(out, spec.enabled ? 1 : 0);
-  put(out, spec.short_max);
-  put(out, spec.medium_max);
-  for (std::size_t c = 0; c < kernels::simd::kRowClassCount; ++c) {
-    put<std::uint64_t>(out, spec.rows_by_class[c]);
-  }
-  put<std::uint64_t>(out, spec.dense_panels);
-  put<std::uint64_t>(out, spec.dense_tile_rows);
-  for (std::size_t c = 0; c < kernels::simd::kRowClassCount; ++c) {
-    put<std::uint8_t>(out, spec.variant[c]);
-  }
-
-  // Version 4: the micro-GEMM density counter, an empty fingerprint and
-  // an empty router-record list.
-  put<std::uint64_t>(out, spec.dense_full_rows);
-  put_str(out, "");
-  put<std::uint64_t>(out, 0);
   if (!out) throw io_error("failed writing plan");
 }
 
@@ -237,46 +237,8 @@ ExecutionPlan load_plan(std::istream& in) {
   plan.tiled = aspt::AsptMatrix::from_parts(rows, cols, std::move(panels), std::move(sp),
                                             std::move(src_idx));
 
-  if (version >= 3) {
-    kernels::simd::SpecializationPlan spec;
-    spec.enabled = get<std::uint8_t>(in) != 0;
-    spec.short_max = get<index_t>(in);
-    spec.medium_max = get<index_t>(in);
-    for (std::size_t c = 0; c < kernels::simd::kRowClassCount; ++c) {
-      spec.rows_by_class[c] = get<std::uint64_t>(in);
-    }
-    spec.dense_panels = get<std::uint64_t>(in);
-    spec.dense_tile_rows = get<std::uint64_t>(in);
-    for (std::size_t c = 0; c < kernels::simd::kRowClassCount; ++c) {
-      spec.variant[c] = get<std::uint8_t>(in);
-      if (spec.variant[c] > static_cast<std::uint8_t>(kernels::simd::SpecVariant::kwidth)) {
-        throw io_error("plan specialization record is corrupt");
-      }
-    }
-    if (spec.short_max <= 0 || spec.medium_max < spec.short_max) {
-      throw io_error("plan specialization record is corrupt");
-    }
-    if (version >= 4) {
-      spec.dense_full_rows = get<std::uint64_t>(in);
-      get_str(in);  // the fingerprint older writers stamped; unused
-      const auto nroutes = get<std::uint64_t>(in);
-      if (nroutes > (1ULL << 20)) throw io_error("implausible route-record count");
-      for (std::uint64_t i = 0; i < nroutes; ++i) {
-        if (in.ignore(kRouterRecordBytes).gcount() != kRouterRecordBytes) {
-          throw io_error("plan file truncated inside a route record");
-        }
-      }
-    } else {
-      // v3 predates the counter: recompute it from the tiling.
-      spec.dense_full_rows =
-          kernels::simd::specialize_plan(plan.tiled).dense_full_rows;
-    }
-    plan.spec = std::make_shared<kernels::simd::SpecializationPlan>(spec);
-  } else {
-    // Pre-v3 file: recompute so loaded plans behave like built ones.
-    plan.spec = std::make_shared<kernels::simd::SpecializationPlan>(
-        kernels::simd::specialize_plan(plan.tiled));
-  }
+  if (version == 3 || version == 4) skip_stored_record(in, version);
+  plan.spec = kernels::simd::specialize_plan(plan.tiled);
 
   if (!sparse::is_permutation(plan.row_perm, rows) ||
       !sparse::is_permutation(plan.sparse_order, rows)) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/fault.hpp"
 #include "sparse/permute.hpp"
 
 namespace rrspmm::dist {
@@ -101,8 +100,6 @@ MultiDeviceResult simulate_spmm_sharded(const core::ExecutionPlan& plan,
     ShardSim ss;
     ss.device = d;
     if (s.rows() > 0) {
-      fault::hit_nothrow(fault::points::kShardStraggler);
-      fault::hit(fault::points::kShardInterconnect);
       const aspt::AsptMatrix shard = extract_row_range(plan.tiled, s.row_begin, s.row_end);
 
       std::vector<index_t> order;

@@ -47,16 +47,6 @@ inline constexpr const char* kPreprocSignature = "preproc.signature";
 /// Same degradation contract as preproc.signature.
 inline constexpr const char* kPreprocScore = "preproc.score";
 
-/// Multi-device simulator (dist::simulate_spmm_sharded): once per
-/// non-empty simulated shard. Stall-only: a stall is a slow straggler
-/// device.
-inline constexpr const char* kShardStraggler = "shard.straggler";
-
-/// Multi-device simulator: once per non-empty simulated shard, before
-/// its kernel is modelled. A throw models an interconnect timeout and
-/// propagates out of the simulation.
-inline constexpr const char* kShardInterconnect = "shard.interconnect";
-
 /// spgemm: before a symbolic (row-counting) chunk runs. A throw
 /// propagates out of the symbolic pass; the server's retry loop catches
 /// it and ultimately degrades to the sequential sort-based multiply,

@@ -1,5 +1,5 @@
-// ASpT panel staging (and per-row argument checks and counted kernel
-// selection) shared by the SpMM and SDDMM wrappers.
+// ASpT panel staging (and per-row argument checks) shared by the SpMM
+// and SDDMM wrappers.
 //
 // The staged buffer is the host analogue of the GPU kernels' shared
 // memory: the panel's dense-column X rows are gathered once into a
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "aspt/aspt.hpp"
-#include "kernels/simd/dispatch.hpp"
 #include "sparse/aligned.hpp"
 #include "sparse/dense_view.hpp"
 
@@ -58,14 +57,6 @@ inline std::size_t max_panel_dense_cols(const aspt::AsptMatrix& a, index_t row_b
     m = std::max(m, p.dense_cols.size());
   }
   return m;
-}
-
-/// simd::select_kernels, counted as one public kernel call.
-inline simd::KernelSelection select_counted(const simd::KernelConfig& cfg, index_t k) {
-  const simd::KernelSelection t = simd::select_kernels(cfg, k);
-  simd::count_invocation(t.isa);
-  if (t.specialized) simd::count_specialized(t.isa);
-  return t;
 }
 
 /// Copies the panel's dense-column X rows into the staged buffer with

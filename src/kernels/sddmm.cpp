@@ -36,7 +36,7 @@ void aspt_rows(const AsptMatrix& a, DenseView x, DenseView y, value_t* out,
   check_out_size(a, out_size);
   const index_t* rows = detail::per_row(y_rows, a);
   const offset_t* shift = detail::per_row(out_shift, a);
-  const simd::KernelSelection t = detail::select_counted(cfg, x.cols);
+  const simd::KernelSelection t = simd::select_kernels(cfg, x.cols);
   const index_t k = x.cols;
 
   detail::for_each_staged_panel(a, x, row_begin, row_end,
@@ -63,7 +63,7 @@ void sddmm_rowwise(const CsrMatrix& s, DenseView x, DenseView y, std::vector<val
                    const simd::KernelConfig& cfg) {
   sparse::validate_csr(s, "sddmm_rowwise");
   check_sddmm_shapes(s.rows(), s.cols(), x, y);
-  const simd::KernelSelection t = detail::select_counted(cfg, x.cols);
+  const simd::KernelSelection t = simd::select_kernels(cfg, x.cols);
   // No fill: the kernel writes every output slot exactly once.
   out.resize(static_cast<std::size_t>(s.nnz()));
   t.sddmm_rows(s.rowptr().data(), s.colidx().data(), s.values().data(), x.data, x.ld, y.data,

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "kernels/simd/backends.hpp"
-#include "kernels/simd/specialize.hpp"
 
 namespace rrspmm::kernels::simd {
 
@@ -16,9 +15,6 @@ namespace {
 // "auto", else static_cast<int>(Isa).
 std::atomic<int> g_isa{-1};
 std::once_flag g_env_once;
-
-std::atomic<std::uint64_t> g_counts[kIsaCount]{};
-std::atomic<std::uint64_t> g_spec_counts[kIsaCount]{};
 
 const KernelTable* table_for(Isa isa) {
   switch (isa) {
@@ -93,18 +89,19 @@ KernelSelection select_kernels(const KernelConfig& cfg, index_t k) {
   sel.spmm_panel = t.spmm_panel;
   sel.sddmm_rows = t.sddmm_rows;
   sel.sddmm_panel = t.sddmm_panel;
-  if (cfg.spec_mode == SpecMode::off || !cfg.spec || !cfg.spec->enabled) return sel;
+  if (cfg.spec_mode == SpecMode::off || !cfg.spec) return sel;
   // Dense-tile micro-GEMM (kernel_scaling micro-GEMM rows): dense_full
   // wins at K <= 32 and loses at K=64; short_rows and tiny, with no fully
   // dense tile rows, lose at K=32.
   if (k <= kMicroGemmKMax && cfg.spec->dense_full_fraction() >= kMicroGemmMinFullFraction) {
     sel.spmm_panel_dense = t.spmm_panel_dense;
   }
-  // Short-row-heavy plans past kShortRowKWidthMax keep the generic row
-  // drivers (kernel_scaling short_rows/spmm_rowwise, k=128): the fully
-  // K-unrolled body is front-end bound on tiny rows, and the classed
-  // driver read 0.97-1.02x over generic in 5 runs, so neither pays there.
-  const bool short_rows = cfg.spec->wants_short_unroll();
+  // Plans with short rows keep the generic row drivers past
+  // kShortRowKWidthMax (kernel_scaling short_rows/spmm_rowwise, k=128):
+  // the fully K-unrolled body is front-end bound on tiny rows, and the
+  // classed driver read 0.97-1.02x over generic in 5 runs, so neither
+  // pays there. One short row is enough to trip this guard.
+  const bool short_rows = cfg.spec->has_short_rows();
   if (short_rows && k > kShortRowKWidthMax) return sel;
   const int slot = spec_k_slot(k);
   if (slot >= 0 && t.spmm_rows_kw[slot] != nullptr) {
@@ -136,35 +133,6 @@ void set_active_config(const KernelConfig& cfg) {
 void reload_env() {
   ensure_env_loaded();
   load_env();
-}
-
-void count_invocation(Isa isa) {
-  g_counts[static_cast<std::size_t>(isa)].fetch_add(1, std::memory_order_relaxed);
-}
-
-std::array<std::uint64_t, kIsaCount> invocation_counts() {
-  std::array<std::uint64_t, kIsaCount> out{};
-  for (std::size_t i = 0; i < kIsaCount; ++i) {
-    out[i] = g_counts[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void count_specialized(Isa isa) {
-  g_spec_counts[static_cast<std::size_t>(isa)].fetch_add(1, std::memory_order_relaxed);
-}
-
-std::array<std::uint64_t, kIsaCount> specialized_counts() {
-  std::array<std::uint64_t, kIsaCount> out{};
-  for (std::size_t i = 0; i < kIsaCount; ++i) {
-    out[i] = g_spec_counts[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void reset_invocation_counts() {
-  for (auto& c : g_counts) c.store(0, std::memory_order_relaxed);
-  for (auto& c : g_spec_counts) c.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace rrspmm::kernels::simd

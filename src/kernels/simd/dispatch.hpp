@@ -13,17 +13,14 @@
 // failing, so a forced configuration is always runnable.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "kernels/simd/isa.hpp"
+#include "kernels/simd/specialize.hpp"
 #include "kernels/simd/table.hpp"
 
 namespace rrspmm::kernels::simd {
-
-struct SpecializationPlan;  // specialize.hpp
 
 /// Kernel-variant mode of one config (select_kernels). `off` pins the
 /// scalar reference that the tests and perfbench compare against.
@@ -37,12 +34,10 @@ enum class SpecMode : std::uint8_t {
 struct KernelConfig {
   /// Forced ISA; nullopt picks the best compiled-and-supported backend.
   std::optional<Isa> isa;
-  /// Per-matrix AOT specialization record, built at plan-build time and
-  /// attached to every plan-driven execution by core::kernel_config.
-  /// Null = generic
-  /// entries only, exactly the PR 5 behaviour. Shared so the record
-  /// lives as long as any config or plan referencing it.
-  std::shared_ptr<const SpecializationPlan> spec;
+  /// Per-matrix AOT specialization record, attached to every
+  /// plan-driven execution by core::kernel_config. Empty = generic
+  /// entries only.
+  std::optional<SpecializationPlan> spec;
   /// Kernel-variant mode; `off` pins the generic entries.
   SpecMode spec_mode = SpecMode::rows;
 };
@@ -84,14 +79,15 @@ inline constexpr index_t kMicroGemmKMax = 32;
 inline constexpr double kMicroGemmMinFullFraction = 0.5;
 
 /// The one place a kernel variant is chosen. Resolves cfg down the same
-/// ladder as table(); then, unless cfg.spec_mode is off and given an
-/// enabled spec record:
+/// ladder as table(); then, unless cfg.spec_mode is off, given a spec
+/// record:
 ///  - k <= kMicroGemmKMax and a record dense_full_fraction() of at least
 ///    kMicroGemmMinFullFraction select the dense-tile micro-GEMM;
 ///  - a K in kSpecKWidths swaps the row-wise SpMM and SDDMM drivers for
-///    the K-width instantiations, and a short-row-heavy plan otherwise
-///    swaps the SpMM row driver for the classed (unrolled-short) one;
-///    short-row-heavy plans take neither past kShortRowKWidthMax.
+///    the K-width instantiations, and a plan with short rows
+///    (has_short_rows) otherwise swaps the SpMM row driver for the
+///    classed (unrolled-short) one; plans with short rows take neither
+///    past kShortRowKWidthMax.
 /// Otherwise the result is exactly the generic table's entries.
 KernelSelection select_kernels(const KernelConfig& cfg, index_t k);
 
@@ -102,16 +98,5 @@ void set_active_config(const KernelConfig& cfg);
 /// Re-reads RRSPMM_KERNEL_ISA (tests use this after setenv; the initial
 /// read happens once per process otherwise).
 void reload_env();
-
-/// Per-ISA invocation counters (one public kernel call = one count for
-/// the resolved ISA). Exposed through runtime::Metrics as well.
-void count_invocation(Isa isa);
-std::array<std::uint64_t, kIsaCount> invocation_counts();
-/// Per-ISA specialized-call counters: one public kernel call whose
-/// selection substituted at least one specialized entry = one count.
-void count_specialized(Isa isa);
-std::array<std::uint64_t, kIsaCount> specialized_counts();
-/// Resets both the invocation and the specialized counters.
-void reset_invocation_counts();
 
 }  // namespace rrspmm::kernels::simd

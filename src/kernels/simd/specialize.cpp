@@ -5,46 +5,20 @@
 
 namespace rrspmm::kernels::simd {
 
-namespace {
-
-void assign_variants(SpecializationPlan& p) {
-  // Empty rows are skipped by every driver; short rows get the unrolled
-  // bodies; medium and long rows profit from the compile-time-K loops
-  // (applied at runtime only when K matches kSpecKWidths — the classed
-  // driver covers short rows for every other K).
-  p.variant[static_cast<std::size_t>(RowClass::empty)] =
-      static_cast<std::uint8_t>(SpecVariant::generic);
-  p.variant[static_cast<std::size_t>(RowClass::short_row)] =
-      p.rows_by_class[static_cast<std::size_t>(RowClass::short_row)] > 0
-          ? static_cast<std::uint8_t>(SpecVariant::unrolled_short)
-          : static_cast<std::uint8_t>(SpecVariant::generic);
-  const auto bulk = [&](RowClass c) {
-    p.variant[static_cast<std::size_t>(c)] =
-        p.rows_by_class[static_cast<std::size_t>(c)] > 0
-            ? static_cast<std::uint8_t>(SpecVariant::kwidth)
-            : static_cast<std::uint8_t>(SpecVariant::generic);
-  };
-  bulk(RowClass::medium_row);
-  bulk(RowClass::long_row);
-}
-
-void histogram_rows(SpecializationPlan& p, const sparse::CsrMatrix& m) {
-  const auto& rowptr = m.rowptr();
+SpecializationPlan specialize_rows(const sparse::CsrMatrix& m) {
+  SpecializationPlan p;
+  p.rows = static_cast<std::uint64_t>(m.rows());
   for (index_t i = 0; i < m.rows(); ++i) {
-    const index_t nnz = static_cast<index_t>(rowptr[static_cast<std::size_t>(i) + 1] -
-                                             rowptr[static_cast<std::size_t>(i)]);
-    ++p.rows_by_class[static_cast<std::size_t>(p.classify(nnz))];
+    const index_t nnz = m.row_nnz(i);
+    if (nnz > 0 && nnz <= kShortRowMax) ++p.short_rows;
   }
+  return p;
 }
-
-}  // namespace
 
 SpecializationPlan specialize_plan(const aspt::AsptMatrix& tiled) {
-  SpecializationPlan p;
-  histogram_rows(p, tiled.sparse_part());
+  SpecializationPlan p = specialize_rows(tiled.sparse_part());
   for (const aspt::Panel& panel : tiled.panels()) {
     if (panel.dense_cols.empty()) continue;
-    ++p.dense_panels;
     const auto full = static_cast<offset_t>(panel.dense_cols.size());
     for (std::size_t r = 0; r + 1 < panel.dense_rowptr.size(); ++r) {
       const offset_t nnz = panel.dense_rowptr[r + 1] - panel.dense_rowptr[r];
@@ -52,14 +26,6 @@ SpecializationPlan specialize_plan(const aspt::AsptMatrix& tiled) {
       if (nnz == full) ++p.dense_full_rows;
     }
   }
-  assign_variants(p);
-  return p;
-}
-
-SpecializationPlan specialize_rows(const sparse::CsrMatrix& m) {
-  SpecializationPlan p;
-  histogram_rows(p, m);
-  assign_variants(p);
   return p;
 }
 

@@ -21,7 +21,7 @@ inline constexpr index_t kSpecKWidths[] = {32, 64, 128};
 inline constexpr std::size_t kSpecKWidthCount =
     sizeof(kSpecKWidths) / sizeof(kSpecKWidths[0]);
 
-/// Largest K at which a short-row-heavy plan still takes a row-driver
+/// Largest K at which a plan with short rows still takes a row-driver
 /// substitution (the K-width instantiation, or the classed driver off
 /// the K-width slots). Past it neither pays on tiny rows, so those plans
 /// keep the generic row drivers.
@@ -117,8 +117,8 @@ struct KernelTable {
   SddmmRowsFn sddmm_rows_kw[kSpecKWidthCount] = {};
 
   /// Runtime-K SpMM row driver with the short-row unrolled bodies, for K
-  /// outside kSpecKWidths (up to kShortRowKWidthMax) on short-row-heavy
-  /// plans.
+  /// outside kSpecKWidths (up to kShortRowKWidthMax) on plans with short
+  /// rows.
   SpmmRowsFn spmm_rows_classed = nullptr;
 };
 

@@ -33,7 +33,7 @@ void aspt_rows(const AsptMatrix& a, DenseView x, DenseMutView y, index_t row_beg
   check_spmm_shapes(a.rows(), a.cols(), x, y);
   check_row_range(a.rows(), row_begin, row_end);
   const index_t* rows = detail::per_row(y_rows, a);
-  const simd::KernelSelection t = detail::select_counted(cfg, x.cols);
+  const simd::KernelSelection t = simd::select_kernels(cfg, x.cols);
   const index_t k = x.cols;
   for (index_t i = row_begin; i < row_end; ++i) {
     value_t* yr = y.row(rows ? rows[i] : i);
@@ -77,7 +77,7 @@ void spmm_rowwise(const CsrMatrix& s, DenseView x, DenseMutView y, index_t row_b
                   index_t row_end, const simd::KernelConfig& cfg) {
   check_spmm_shapes(s.rows(), s.cols(), x, y);
   check_row_range(s.rows(), row_begin, row_end);
-  const simd::KernelSelection t = detail::select_counted(cfg, x.cols);
+  const simd::KernelSelection t = simd::select_kernels(cfg, x.cols);
   t.spmm_rows(s.rowptr().data(), s.colidx().data(), s.values().data(), x.data, x.ld, y.data,
               y.ld, x.cols, /*order=*/nullptr, /*y_rows=*/nullptr, /*zero_y=*/true, row_begin,
               row_end);

@@ -78,10 +78,8 @@ struct Metrics {
   std::atomic<std::uint64_t> execute_us{0};
 
   /// Kernel invocations by resolved SIMD backend (index = simd::Isa):
-  /// which ISA the dispatcher actually ran, per row-range / full kernel
-  /// call issued through this runtime. The kernels layer keeps its own
-  /// process-wide totals (simd::invocation_counts()); these are the
-  /// serving-scoped view.
+  /// which ISA the dispatcher actually ran, one per panel task of every
+  /// parallel_spmm / parallel_sddmm call given these Metrics.
   std::array<std::atomic<std::uint64_t>, kernels::simd::kIsaCount> kernel_invocations{};
 
   /// Kernel calls whose selection substituted at least one AOT

@@ -72,31 +72,119 @@ TEST(PlanIo, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded.tiled.stats().nnz_dense, plan.tiled.stats().nnz_dense);
 }
 
-// The v3 specialization record survives the round trip field-for-field,
-// so an offline-deployed plan selects the same kernel variants as the
-// freshly built one.
+// The writer stores no specialization record: a v5 file ends with the
+// tiling, and the loaded plan's record is recomputed from it, equal to
+// the freshly built plan's.
 TEST(PlanIo, RoundTripPreservesSpecializationRecord) {
   const auto m = subject_matrix();
   const ExecutionPlan plan = build_plan(m, small_cfg());
-  ASSERT_NE(plan.spec, nullptr);
 
   std::stringstream ss;
   core::save_plan(plan, ss);
-  const ExecutionPlan loaded = core::load_plan(ss);
-  ASSERT_NE(loaded.spec, nullptr);
+  const std::string bytes = ss.str();
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 10, sizeof(version));
+  EXPECT_EQ(version, 5u);
+  const auto& src = plan.tiled.sparse_src_idx();
+  const std::size_t tail = src.size() * sizeof(offset_t);
+  ASSERT_GE(bytes.size(), tail);
+  EXPECT_EQ(std::memcmp(bytes.data() + bytes.size() - tail, src.data(), tail), 0)
+      << "the file must end with the tiling's last array";
 
-  const auto& a = *plan.spec;
-  const auto& b = *loaded.spec;
-  EXPECT_EQ(b.enabled, a.enabled);
-  EXPECT_EQ(b.short_max, a.short_max);
-  EXPECT_EQ(b.medium_max, a.medium_max);
-  EXPECT_EQ(b.dense_panels, a.dense_panels);
-  EXPECT_EQ(b.dense_tile_rows, a.dense_tile_rows);
-  for (std::size_t c = 0; c < kernels::simd::kRowClassCount; ++c) {
-    EXPECT_EQ(b.rows_by_class[c], a.rows_by_class[c]) << "class " << c;
-    EXPECT_EQ(b.variant[c], a.variant[c]) << "class " << c;
+  const ExecutionPlan loaded = core::load_plan(ss);
+  EXPECT_EQ(loaded.spec, kernels::simd::specialize_plan(loaded.tiled));
+  EXPECT_EQ(loaded.spec, plan.spec);
+}
+
+/// Row groups one panel tall, each row covering its group's whole
+/// disjoint 64-column pool: every dense-tile row is fully dense.
+CsrMatrix dense_full_matrix() {
+  synth::ClusteredParams p;
+  p.rows = 256;
+  p.cols = 512;
+  p.num_groups = 4;
+  p.group_cols = 64;
+  p.row_nnz = 64;
+  p.noise_nnz = 0;
+  p.scatter = false;
+  p.disjoint_pools = true;
+  return synth::clustered_rows(p, 331);
+}
+
+/// Expects two plans' records to make select_kernels pick the same
+/// entries at K = 8..128 on the auto-resolved ISA.
+void expect_same_selection(const ExecutionPlan& a, const ExecutionPlan& b) {
+  const kernels::simd::KernelConfig ca = core::kernel_config(a);
+  const kernels::simd::KernelConfig cb = core::kernel_config(b);
+  for (const index_t k : {8, 16, 32, 48, 64, 96, 128}) {
+    const auto sa = kernels::simd::select_kernels(ca, k);
+    const auto sb = kernels::simd::select_kernels(cb, k);
+    EXPECT_EQ(sa.specialized, sb.specialized) << "k=" << k;
+    EXPECT_EQ(sa.spmm_rows, sb.spmm_rows) << "k=" << k;
+    EXPECT_EQ(sa.sddmm_rows, sb.sddmm_rows) << "k=" << k;
+    EXPECT_EQ(sa.spmm_panel_dense, sb.spmm_panel_dense) << "k=" << k;
   }
-  EXPECT_EQ(b.wants_short_unroll(), a.wants_short_unroll());
+}
+
+// A v3/v4 record that disagrees with its own tiling (no fully dense rows
+// stored for a plan whose dense-tile rows are all fully dense, generic
+// variants everywhere) is dropped: the loaded plan selects what the
+// freshly built plan selects, micro-GEMM included.
+TEST(PlanIo, StoredRecordDisagreeingWithTheTilingIsRecomputed) {
+  const ExecutionPlan plan = build_plan(dense_full_matrix());
+  ASSERT_EQ(plan.spec.dense_full_fraction(), 1.0);
+  test::StoredRecord stale = test::stored_record_of(plan);
+  stale.dense_full_rows = 0;
+  for (std::uint8_t& v : stale.variant) v = 0;
+
+  for (const std::string& file :
+       {test::v3_plan(plan, stale), test::v4_plan(plan, stale, "", 0, {})}) {
+    std::stringstream in(file);
+    const ExecutionPlan loaded = core::load_plan(in);
+    EXPECT_EQ(in.peek(), std::char_traits<char>::eof());
+    EXPECT_EQ(loaded.spec, kernels::simd::specialize_plan(loaded.tiled));
+    ASSERT_NE(kernels::simd::select_kernels(core::kernel_config(loaded), 32).spmm_panel_dense,
+              nullptr);
+    expect_same_selection(loaded, plan);
+  }
+}
+
+// The stored record is still validated before it is dropped: a variant
+// past the largest the writers knew, a non-positive short-row bound, a
+// medium bound below it, or a file cut inside the record is an io_error,
+// in v3 and v4 files alike.
+TEST(PlanIo, CorruptStoredRecordRaisesIoError) {
+  const ExecutionPlan plan = build_plan(subject_matrix(), small_cfg());
+  const test::StoredRecord good = test::stored_record_of(plan);
+  const auto files = [&](const test::StoredRecord& r) {
+    return std::vector<std::string>{test::v3_plan(plan, r), test::v4_plan(plan, r, "", 0, {})};
+  };
+  for (const std::string& file : files(good)) {
+    std::stringstream in(file);
+    EXPECT_NO_THROW(core::load_plan(in));
+  }
+
+  test::StoredRecord bad_variant = good;
+  bad_variant.variant[2] = 3;
+  test::StoredRecord zero_short = good;
+  zero_short.short_max = 0;
+  test::StoredRecord inverted = good;
+  inverted.medium_max = good.short_max - 1;
+  for (const auto* r : {&bad_variant, &zero_short, &inverted}) {
+    for (const std::string& file : files(*r)) {
+      std::stringstream in(file);
+      EXPECT_THROW(core::load_plan(in), io_error);
+    }
+  }
+
+  // Cut inside the record: after 3 of its 4 variant bytes (v3), or
+  // halfway through the dense_full_rows counter (v4, with an empty
+  // fingerprint and no route records after it).
+  for (const std::string& file : files(good)) {
+    const std::size_t cut = file.size() - (file[10] == 3 ? 1 : 4 + 8 + 8);
+    std::stringstream in(file.substr(0, cut));
+    EXPECT_THROW(core::load_plan(in), io_error);
+  }
 }
 
 TEST(PlanIo, LoadedPlanComputesIdenticalResults) {

@@ -3,7 +3,7 @@
 // exactly), the fused-arithmetic properties (every backend equals the
 // std::fma reference shapes, and a guard case proves the steps fuse),
 // runtime dispatch (ladder fallback, env override), and the per-ISA
-// invocation counters.
+// kernel counters of runtime::Metrics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,7 +48,7 @@ simd::KernelConfig cfg_of(simd::Isa isa) {
 }
 
 /// The scalar reference: the generic scalar entries, no variant.
-const simd::KernelConfig kScalar{simd::Isa::scalar, nullptr, simd::SpecMode::off};
+const simd::KernelConfig kScalar{simd::Isa::scalar, std::nullopt, simd::SpecMode::off};
 
 /// One equivalence subject: a matrix plus the tiling that stresses a
 /// particular ASpT shape (single-row panels, all-dense, all-sparse, ...).
@@ -247,9 +246,8 @@ CsrMatrix dense_full_matrix() {
 TEST_P(SimdEquivalence, MicroGemmDenseFullMatchesScalarBitwise) {
   const CsrMatrix s = dense_full_matrix();
   const core::ExecutionPlan plan = core::build_plan(s);
-  ASSERT_NE(plan.spec, nullptr);
-  ASSERT_GT(plan.spec->dense_tile_rows, 0u);
-  ASSERT_EQ(plan.spec->dense_full_fraction(), 1.0);
+  ASSERT_GT(plan.spec.dense_tile_rows, 0u);
+  ASSERT_EQ(plan.spec.dense_full_fraction(), 1.0);
   simd::KernelConfig cfg = cfg_of(GetParam());
   cfg.spec = plan.spec;
   ASSERT_NE(simd::select_kernels(cfg, 32).spmm_panel_dense, nullptr);
@@ -366,7 +364,7 @@ const std::vector<index_t> kFusedWidths = {1, 15, 16, 17, 31, 32, 33, 48, 64, 10
 std::vector<simd::KernelConfig> fused_configs(simd::Isa isa, const CsrMatrix& s) {
   simd::KernelConfig generic = cfg_of(isa);
   simd::KernelConfig spec = generic;
-  spec.spec = std::make_shared<const simd::SpecializationPlan>(simd::specialize_rows(s));
+  spec.spec = simd::specialize_rows(s);
   return {generic, spec};
 }
 
@@ -538,90 +536,63 @@ TEST(SimdDispatch, SetActiveConfigOverridesEnv) {
   EXPECT_FALSE(simd::active_config().isa.has_value());
 }
 
-TEST(SimdCounters, InvocationsTrackTheResolvedIsa) {
-  const CsrMatrix s = test::csr({{1, 2}, {0, 3}});
-  DenseMatrix x(2, 4), y(2, 4);
-  sparse::fill_random(x, 61);
+// Served SpMM and SDDMM count one kernel call per panel task in
+// runtime::Metrics: kernel_invocations on the resolved ISA (the forced
+// scalar table, or what auto resolves to), kernel_specialized only when
+// select_kernels substituted a specialized entry. On this plan K=8 keeps
+// the generic row drivers and K=32 takes the K-width ones.
+TEST(ParallelExecute, KernelCountersLandOnTheResolvedIsa) {
+  const CsrMatrix s = dense_full_matrix();
+  const core::ExecutionPlan plan = core::build_plan(s);
+  const std::uint64_t tasks = std::max<std::uint64_t>(plan.tiled.panels().size(), 1);
+  runtime::WorkerPool pool(2);
+  const auto serve = [&](const simd::KernelConfig& cfg, index_t k, runtime::Metrics& m) {
+    DenseMatrix x(s.cols(), k), y(s.rows(), k), ymat(s.rows(), k);
+    sparse::fill_random(x, 83);
+    sparse::fill_random(ymat, 89);
+    std::vector<value_t> out(static_cast<std::size_t>(s.nnz()));
+    runtime::parallel_spmm(pool, plan, x, y, &m, &cfg);
+    runtime::parallel_sddmm(pool, plan, s, x, ymat, out.data(), out.size(), &m, &cfg);
+  };
+  const auto invocations = [](const runtime::Metrics& m, simd::Isa isa) {
+    return m.kernel_invocations[static_cast<std::size_t>(isa)].load();
+  };
 
-  simd::reset_invocation_counts();
-  kernels::spmm_rowwise(s, x, y, cfg_of(simd::Isa::scalar));
-  auto counts = simd::invocation_counts();
-  EXPECT_GE(counts[static_cast<std::size_t>(simd::Isa::scalar)], 1u);
+  for (const index_t k : {index_t{8}, index_t{32}}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const bool specialized = simd::spec_k_slot(k) >= 0;
 
-  const simd::Isa best = simd::resolve_isa(std::nullopt);
-  simd::reset_invocation_counts();
-  kernels::spmm_rowwise(s, x, y, simd::KernelConfig{});
-  counts = simd::invocation_counts();
-  EXPECT_GE(counts[static_cast<std::size_t>(best)], 1u);
+    runtime::Metrics forced;
+    serve(cfg_of(simd::Isa::scalar), k, forced);
+    EXPECT_EQ(invocations(forced, simd::Isa::scalar), 2 * tasks);
+    EXPECT_EQ(forced.kernel_specialized.load(), specialized ? 2 * tasks : 0u);
 
-  simd::reset_invocation_counts();
-  for (const auto c : simd::invocation_counts()) EXPECT_EQ(c, 0u);
-}
+    runtime::Metrics automatic;
+    serve(simd::KernelConfig{}, k, automatic);
+    const simd::Isa best = simd::resolve_isa(std::nullopt);
+    EXPECT_EQ(invocations(automatic, best), 2 * tasks);
+    EXPECT_EQ(automatic.kernel_specialized.load(), specialized ? 2 * tasks : 0u);
+    for (int i = 0; i < static_cast<int>(simd::kIsaCount); ++i) {
+      if (static_cast<simd::Isa>(i) != best) {
+        EXPECT_EQ(invocations(automatic, static_cast<simd::Isa>(i)), 0u);
+      }
+    }
 
-// SDDMM goes through the same dispatch layer; its calls must land on the
-// same per-ISA counters as SpMM (both the rowwise and the ASpT entry).
-TEST(SimdCounters, SddmmInvocationsTrackTheResolvedIsa) {
-  const CsrMatrix s = test::csr({{1, 0, 2}, {0, 3, 0}, {4, 5, 0}});
-  const auto tiled = aspt::build_aspt(
-      s, aspt::AsptConfig{.panel_rows = 2, .dense_col_threshold = 2, .max_dense_cols = 4});
-  DenseMatrix x(3, 8), ymat(3, 8);
-  sparse::fill_random(x, 67);
-  sparse::fill_random(ymat, 71);
-  std::vector<value_t> out;
-
-  simd::reset_invocation_counts();
-  kernels::sddmm_rowwise(s, x, ymat, out, cfg_of(simd::Isa::scalar));
-  auto counts = simd::invocation_counts();
-  EXPECT_EQ(counts[static_cast<std::size_t>(simd::Isa::scalar)], 1u);
-
-  const simd::Isa best = simd::resolve_isa(std::nullopt);
-  simd::reset_invocation_counts();
-  kernels::sddmm_rowwise(s, x, ymat, out, simd::KernelConfig{});
-  kernels::sddmm_aspt(tiled, x, ymat, out, nullptr, simd::KernelConfig{});
-  counts = simd::invocation_counts();
-  EXPECT_EQ(counts[static_cast<std::size_t>(best)], 2u);
+    runtime::Metrics off;
+    simd::KernelConfig generic;
+    generic.spec_mode = simd::SpecMode::off;
+    serve(generic, k, off);
+    EXPECT_EQ(invocations(off, best), 2 * tasks);
+    EXPECT_EQ(off.kernel_specialized.load(), 0u);
+  }
 }
 
 /// A record that makes every K profitable for row-wise substitution.
-std::shared_ptr<const simd::SpecializationPlan> short_heavy_spec() {
+simd::SpecializationPlan short_heavy_spec() {
   simd::SpecializationPlan p;
-  p.rows_by_class[static_cast<std::size_t>(simd::RowClass::short_row)] = 8;
-  p.variant[static_cast<std::size_t>(simd::RowClass::short_row)] =
-      static_cast<std::uint8_t>(simd::SpecVariant::unrolled_short);
-  return std::make_shared<const simd::SpecializationPlan>(p);
-}
-
-// Specialized-call counters: a kernel call whose selection substituted a
-// specialized entry counts once for the *resolved* ISA, for SpMM and
-// SDDMM alike; generic calls never touch the specialized counters.
-TEST(SimdCounters, SpecializedCallsCountPerResolvedIsa) {
-  const CsrMatrix s = test::csr({{1, 2, 0}, {0, 0, 3}, {4, 0, 0}});
-  DenseMatrix x(3, 8), y(3, 8), ymat(3, 8);
-  sparse::fill_random(x, 73);
-  sparse::fill_random(ymat, 79);
-  std::vector<value_t> out;
-
-  for (const simd::Isa isa : runnable_isas()) {
-    SCOPED_TRACE(simd::isa_name(isa));
-    simd::KernelConfig cfg = cfg_of(isa);
-    cfg.spec = short_heavy_spec();
-
-    simd::reset_invocation_counts();
-    kernels::spmm_rowwise(s, x, y, cfg);
-    kernels::sddmm_rowwise(s, x, ymat, out, cfg);
-    const auto spec_counts = simd::specialized_counts();
-    const auto counts = simd::invocation_counts();
-    EXPECT_EQ(spec_counts[static_cast<std::size_t>(isa)], 2u);
-    EXPECT_EQ(counts[static_cast<std::size_t>(isa)], 2u);
-
-    // A generic call on the same ISA bumps invocations only.
-    kernels::spmm_rowwise(s, x, y, cfg_of(isa));
-    EXPECT_EQ(simd::specialized_counts()[static_cast<std::size_t>(isa)], 2u);
-    EXPECT_EQ(simd::invocation_counts()[static_cast<std::size_t>(isa)], 3u);
-  }
-
-  simd::reset_invocation_counts();
-  for (const auto c : simd::specialized_counts()) EXPECT_EQ(c, 0u);
+  p.rows = 8;
+  p.short_rows = 8;
+  return p;
 }
 
 // RRSPMM_KERNEL_ISA rides the same fallback ladder for the specialized

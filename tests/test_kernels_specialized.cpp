@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -39,15 +39,14 @@ std::vector<simd::Isa> runnable_isas() {
 }
 
 /// The scalar reference: the generic scalar entries, no variant.
-const simd::KernelConfig kScalar{simd::Isa::scalar, nullptr, simd::SpecMode::off};
+const simd::KernelConfig kScalar{simd::Isa::scalar, std::nullopt, simd::SpecMode::off};
 
-using SpecPtr = std::shared_ptr<const simd::SpecializationPlan>;
-
-simd::KernelConfig cfg_of(simd::Isa isa, SpecPtr spec = nullptr,
+simd::KernelConfig cfg_of(simd::Isa isa,
+                          std::optional<simd::SpecializationPlan> spec = std::nullopt,
                           simd::SpecMode mode = simd::SpecMode::rows) {
   simd::KernelConfig cfg;
   cfg.isa = isa;
-  cfg.spec = std::move(spec);
+  cfg.spec = spec;
   cfg.spec_mode = mode;
   return cfg;
 }
@@ -210,10 +209,8 @@ TEST_P(SpecializedEquivalence, SpmmMatchesScalarBitwiseInEveryMode) {
   for (const simd::SpecMode mode : kModes) {
     for (const Mix& sub : row_class_mixes()) {
       const auto tiled = aspt::build_aspt(sub.s, sub.acfg);
-      const auto rows_spec =
-          std::make_shared<const simd::SpecializationPlan>(simd::specialize_rows(sub.s));
-      const auto plan_spec =
-          std::make_shared<const simd::SpecializationPlan>(simd::specialize_plan(tiled));
+      const auto rows_spec = simd::specialize_rows(sub.s);
+      const auto plan_spec = simd::specialize_plan(tiled);
       for (const index_t k : kSpecWidths) {
         SCOPED_TRACE(std::string(mode_name(mode)) + " " + sub.name + " k=" + std::to_string(k));
         DenseMatrix x(sub.s.cols(), k);
@@ -254,10 +251,8 @@ TEST_P(SpecializedEquivalence, SddmmMatchesScalarBitwiseInEveryMode) {
   for (const simd::SpecMode mode : kModes) {
     for (const Mix& sub : row_class_mixes()) {
       const auto tiled = aspt::build_aspt(sub.s, sub.acfg);
-      const auto rows_spec =
-          std::make_shared<const simd::SpecializationPlan>(simd::specialize_rows(sub.s));
-      const auto plan_spec =
-          std::make_shared<const simd::SpecializationPlan>(simd::specialize_plan(tiled));
+      const auto rows_spec = simd::specialize_rows(sub.s);
+      const auto plan_spec = simd::specialize_plan(tiled);
       for (const index_t k : kSpecWidths) {
         SCOPED_TRACE(std::string(mode_name(mode)) + " " + sub.name + " k=" + std::to_string(k));
         DenseMatrix x(sub.s.cols(), k), ymat(sub.s.rows(), k);
@@ -293,38 +288,37 @@ INSTANTIATE_TEST_SUITE_P(Backends, SpecializedEquivalence,
 
 // --- the SpecializationPlan record -----------------------------------
 
+// A short row has 1..kShortRowMax nonzeros: empty rows and rows one past
+// the bound are not short.
 TEST(SpecializationRecord, ClassifyThresholds) {
-  using simd::RowClass;
-  EXPECT_EQ(simd::classify_row(0), RowClass::empty);
-  EXPECT_EQ(simd::classify_row(1), RowClass::short_row);
-  EXPECT_EQ(simd::classify_row(simd::kShortRowMax), RowClass::short_row);
-  EXPECT_EQ(simd::classify_row(simd::kShortRowMax + 1), RowClass::medium_row);
-  EXPECT_EQ(simd::classify_row(simd::kMediumRowMax), RowClass::medium_row);
-  EXPECT_EQ(simd::classify_row(simd::kMediumRowMax + 1), RowClass::long_row);
-  // Custom thresholds shift the boundaries, not the ordering.
-  EXPECT_EQ(simd::classify_row(3, /*short_max=*/2, /*medium_max=*/8), simd::RowClass::medium_row);
-  EXPECT_EQ(simd::classify_row(9, /*short_max=*/2, /*medium_max=*/8), simd::RowClass::long_row);
+  const CsrMatrix m = test::csr({{0, 0, 0, 0, 0, 0},
+                                 {1, 0, 0, 0, 0, 0},
+                                 {1, 1, 1, 1, 0, 0},
+                                 {1, 1, 1, 1, 1, 0}});
+  ASSERT_EQ(simd::kShortRowMax, 4);
+  const auto spec = simd::specialize_rows(m);
+  EXPECT_EQ(spec.total_rows(), 4u);
+  EXPECT_EQ(spec.short_rows, 2u);
+  EXPECT_TRUE(spec.has_short_rows());
 }
 
 TEST(SpecializationRecord, HistogramsAreExactOnUniformMixes) {
-  const auto cls = [](simd::RowClass c) { return static_cast<std::size_t>(c); };
-
   const auto shorts = simd::specialize_rows(short_rows_matrix(192, 96, 5));
-  EXPECT_EQ(shorts.rows_by_class[cls(simd::RowClass::short_row)], 192u);
+  EXPECT_EQ(shorts.short_rows, 192u);
   EXPECT_EQ(shorts.total_rows(), 192u);
-  EXPECT_TRUE(shorts.wants_short_unroll());
+  EXPECT_TRUE(shorts.has_short_rows());
 
   const auto mediums = simd::specialize_rows(uniform_rows(96, 128, 12, 7));
-  EXPECT_EQ(mediums.rows_by_class[cls(simd::RowClass::medium_row)], 96u);
-  EXPECT_FALSE(mediums.wants_short_unroll());
+  EXPECT_EQ(mediums.total_rows(), 96u);
+  EXPECT_FALSE(mediums.has_short_rows());
 
   const auto longs = simd::specialize_rows(uniform_rows(48, 192, 40, 11));
-  EXPECT_EQ(longs.rows_by_class[cls(simd::RowClass::long_row)], 48u);
-  EXPECT_FALSE(longs.wants_short_unroll());
+  EXPECT_EQ(longs.total_rows(), 48u);
+  EXPECT_FALSE(longs.has_short_rows());
 
   const auto empties = simd::specialize_rows(all_empty_matrix(24, 16));
-  EXPECT_EQ(empties.rows_by_class[cls(simd::RowClass::empty)], 24u);
-  EXPECT_FALSE(empties.wants_short_unroll());
+  EXPECT_EQ(empties.total_rows(), 24u);
+  EXPECT_FALSE(empties.has_short_rows());
 }
 
 TEST(SpecializationRecord, PlanRecordCountsDensePanels) {
@@ -336,32 +330,29 @@ TEST(SpecializationRecord, PlanRecordCountsDensePanels) {
       clustered, aspt::AsptConfig{.panel_rows = 16, .dense_col_threshold = 2,
                                   .max_dense_cols = 64});
   const auto spec = simd::specialize_plan(tiled);
-  EXPECT_GT(spec.dense_panels, 0u);
   EXPECT_GT(spec.dense_tile_rows, 0u);
+  EXPECT_LE(spec.dense_full_rows, spec.dense_tile_rows);
 
   // A matrix where no column qualifies as dense has no panel statistics.
   const auto sparse_only = simd::specialize_plan(aspt::build_aspt(
       synth::erdos_renyi(96, 80, 400, 17),
       aspt::AsptConfig{.panel_rows = 16, .dense_col_threshold = 1 << 20, .max_dense_cols = 8}));
-  EXPECT_EQ(sparse_only.dense_panels, 0u);
   EXPECT_EQ(sparse_only.dense_tile_rows, 0u);
+  EXPECT_EQ(sparse_only.dense_full_fraction(), 0.0);
 }
 
 // --- the substitution policy -----------------------------------------
 
 simd::SpecializationPlan short_heavy_record() {
   simd::SpecializationPlan p;
-  p.rows_by_class[static_cast<std::size_t>(simd::RowClass::short_row)] = 100;
-  p.variant[static_cast<std::size_t>(simd::RowClass::short_row)] =
-      static_cast<std::uint8_t>(simd::SpecVariant::unrolled_short);
+  p.rows = 100;
+  p.short_rows = 100;
   return p;
 }
 
 simd::SpecializationPlan long_only_record() {
   simd::SpecializationPlan p;
-  p.rows_by_class[static_cast<std::size_t>(simd::RowClass::long_row)] = 100;
-  p.variant[static_cast<std::size_t>(simd::RowClass::long_row)] =
-      static_cast<std::uint8_t>(simd::SpecVariant::kwidth);
+  p.rows = 100;
   return p;
 }
 
@@ -398,7 +389,7 @@ TEST(SpecializedSelection, NoRecordSelectsGenericEntries) {
 }
 
 TEST(SpecializedSelection, KWidthSlotsSubstituteRowEntriesOnly) {
-  const auto spec = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
+  const auto spec = short_heavy_record();
   for (const simd::Isa isa : runnable_isas()) {
     const simd::KernelConfig cfg = cfg_of(isa, spec);
     const simd::KernelTable& t = simd::table(cfg);
@@ -418,8 +409,8 @@ TEST(SpecializedSelection, KWidthSlotsSubstituteRowEntriesOnly) {
 }
 
 TEST(SpecializedSelection, ShortRowHeavyPlansKeepGenericRowsAtLargeK) {
-  const auto shorts = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
-  const auto longs = std::make_shared<const simd::SpecializationPlan>(long_only_record());
+  const auto shorts = short_heavy_record();
+  const auto longs = long_only_record();
   const int big_slot = simd::spec_k_slot(128);
   ASSERT_GE(big_slot, 0);
   ASSERT_GT(index_t{128}, simd::kShortRowKWidthMax);
@@ -444,8 +435,8 @@ TEST(SpecializedSelection, ShortRowHeavyPlansKeepGenericRowsAtLargeK) {
 }
 
 TEST(SpecializedSelection, OffSlotWidthsUseClassedDriverOnlyForShortRowPlans) {
-  const auto shorts = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
-  const auto longs = std::make_shared<const simd::SpecializationPlan>(long_only_record());
+  const auto shorts = short_heavy_record();
+  const auto longs = long_only_record();
   for (const simd::Isa isa : runnable_isas()) {
     SCOPED_TRACE(simd::isa_name(isa));
     const simd::KernelTable& t = simd::table(cfg_of(isa));
@@ -460,26 +451,17 @@ TEST(SpecializedSelection, OffSlotWidthsUseClassedDriverOnlyForShortRowPlans) {
   }
 }
 
-TEST(SpecializedSelection, OffModeAndDisabledRecordsSelectGeneric) {
-  const auto spec = std::make_shared<const simd::SpecializationPlan>(short_heavy_record());
-  auto disabled = short_heavy_record();
-  disabled.enabled = false;
-  const auto off = std::make_shared<const simd::SpecializationPlan>(disabled);
+TEST(SpecializedSelection, OffModeSelectsGeneric) {
   for (const simd::Isa isa : runnable_isas()) {
-    const simd::KernelConfig off_mode = cfg_of(isa, spec, simd::SpecMode::off);
+    const simd::KernelConfig off_mode = cfg_of(isa, short_heavy_record(), simd::SpecMode::off);
     const simd::KernelSelection sel = simd::select_kernels(off_mode, simd::kSpecKWidths[0]);
     expect_generic(sel, simd::table(off_mode), "off mode " + std::string(simd::isa_name(isa)));
     EXPECT_EQ(sel.spmm_panel_dense, nullptr) << simd::isa_name(isa);
-
-    const simd::KernelConfig cfg = cfg_of(isa, off);
-    expect_generic(simd::select_kernels(cfg, simd::kSpecKWidths[0]), simd::table(cfg),
-                   "disabled record " + std::string(simd::isa_name(isa)));
   }
 }
 
 simd::SpecializationPlan dense_tile_record(std::uint64_t full_rows) {
   simd::SpecializationPlan p = long_only_record();
-  p.dense_panels = 1;
   p.dense_tile_rows = 100;
   p.dense_full_rows = full_rows;
   return p;
@@ -491,8 +473,8 @@ simd::SpecializationPlan dense_tile_record(std::uint64_t full_rows) {
 // record and no record, and SpecMode::off never picks it.
 TEST(SpecializedSelection, MicroGemmNeedsKUpTo32AndFullDenseTiles) {
   ASSERT_EQ(simd::kMicroGemmKMax, 32);
-  const auto full = std::make_shared<const simd::SpecializationPlan>(dense_tile_record(50));
-  const auto partial = std::make_shared<const simd::SpecializationPlan>(dense_tile_record(49));
+  const auto full = dense_tile_record(50);
+  const auto partial = dense_tile_record(49);
   for (const simd::Isa isa : runnable_isas()) {
     SCOPED_TRACE(simd::isa_name(isa));
     const simd::KernelTable& t = simd::table(cfg_of(isa));
@@ -514,12 +496,6 @@ TEST(SpecializedSelection, MicroGemmNeedsKUpTo32AndFullDenseTiles) {
 }
 
 // --- pinned decisions --------------------------------------------------
-
-/// The config select_kernels sees for `record` on `isa`: rows mode with
-/// the record attached.
-simd::KernelConfig with_record(simd::Isa isa, const simd::SpecializationPlan& record) {
-  return cfg_of(isa, std::make_shared<const simd::SpecializationPlan>(record));
-}
 
 /// Sparse-remainder rows with 1..kShortRowMax nonzeros: the fact that
 /// trips the short-row guard.
@@ -607,7 +583,7 @@ TEST(SpecializedSelection, PinnedDecisionsPerPlanIsaAndK) {
     };
   };
   const auto rows_cfg = [](const CsrMatrix& m) {
-    return [&m](simd::Isa isa) { return with_record(isa, simd::specialize_rows(m)); };
+    return [&m](simd::Isa isa) { return cfg_of(isa, simd::specialize_rows(m)); };
   };
   ASSERT_GE(plan_cfg(dense_plan)(simd::Isa::scalar).spec->dense_full_fraction(), 0.5);
 
@@ -677,7 +653,7 @@ TEST(FuzzSpecializedKernels, AdversarialShapesMatchGenericSimdBitwise) {
 
     simd::KernelConfig generic;  // auto ISA, no record
     simd::KernelConfig spec = generic;
-    spec.spec = std::make_shared<const simd::SpecializationPlan>(simd::specialize_rows(s));
+    spec.spec = simd::specialize_rows(s);
 
     DenseMatrix y_gen(s.rows(), k), y_spec(s.rows(), k);
     kernels::spmm_rowwise(s, x, y_gen, generic);

@@ -166,11 +166,10 @@ TEST(PlanCacheSpecialization, HitsShareOneRecordPerPlan) {
   PlanCache cache(small_cfg(8));
   const auto m = test::alg3_matrix();
   const PlanPtr first = cache.get(m);
-  ASSERT_NE(first->spec, nullptr);
   const PlanPtr second = cache.get(m);
-  EXPECT_EQ(first->spec.get(), second->spec.get());
-  // The histogram classifies every sparse-remainder row exactly once.
-  EXPECT_EQ(first->spec->total_rows(), static_cast<std::uint64_t>(m.rows()));
+  EXPECT_EQ(&first->spec, &second->spec);
+  // The record counts every sparse-remainder row exactly once.
+  EXPECT_EQ(first->spec.total_rows(), static_cast<std::uint64_t>(m.rows()));
 }
 
 // Single-flight under 8 threads must also hold for the record: every
@@ -187,7 +186,7 @@ TEST(PlanCacheStress, SingleFlightSharesOneSpecializationRecord) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const PlanPtr plan = cache.get(m);
-      seen[static_cast<std::size_t>(t)] = plan->spec.get();
+      seen[static_cast<std::size_t>(t)] = &plan->spec;
     });
   }
   for (auto& t : threads) t.join();
@@ -200,8 +199,8 @@ TEST(PlanCacheStress, SingleFlightSharesOneSpecializationRecord) {
 }
 
 // Eviction must release the specialization record together with its plan
-// — the record is owned by the plan, so no cache-side reference may keep
-// it alive once the entry is dropped and no caller holds the plan.
+// — the record is a member of the plan, so no cache-side reference may
+// keep it alive once the entry is dropped and no caller holds the plan.
 TEST(PlanCacheSpecialization, EvictionDropsRecordWithPlan) {
   PlanCache cache(small_cfg(1));
   const auto corpus = synth::build_test_corpus();
@@ -211,9 +210,8 @@ TEST(PlanCacheSpecialization, EvictionDropsRecordWithPlan) {
   std::weak_ptr<const kernels::simd::SpecializationPlan> spec_obs;
   {
     const PlanPtr plan = cache.get(corpus[0].matrix);
-    ASSERT_NE(plan->spec, nullptr);
     plan_obs = plan;
-    spec_obs = plan->spec;
+    spec_obs = std::shared_ptr<const kernels::simd::SpecializationPlan>(plan, &plan->spec);
   }
   EXPECT_FALSE(spec_obs.expired()) << "record must stay resident with the cached plan";
 
@@ -246,11 +244,11 @@ TEST(PlanCacheSpecialization, StaleFingerprintEntryIsNeverServed) {
   const PlanPtr p_wide = cache.get(fp_wide, wide, PlanMode::rr);
   EXPECT_EQ(cache.metrics().cache_misses.load(), 2u) << "stale entry served as a hit";
   EXPECT_NE(p_narrow.get(), p_wide.get());
-  EXPECT_NE(p_narrow->spec.get(), p_wide->spec.get());
+  EXPECT_NE(p_narrow->spec, p_wide->spec);
 
   // The records describe their own matrix, not the stale one.
-  EXPECT_TRUE(p_narrow->spec->wants_short_unroll());
-  EXPECT_FALSE(p_wide->spec->wants_short_unroll());
+  EXPECT_TRUE(p_narrow->spec.has_short_rows());
+  EXPECT_FALSE(p_wide->spec.has_short_rows());
 
   // Re-requesting each fingerprint still returns its own plan.
   EXPECT_EQ(cache.get(fp_narrow, narrow, PlanMode::rr).get(), p_narrow.get());
